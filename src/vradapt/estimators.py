@@ -381,10 +381,10 @@ class ZeroSARAH(GradientEstimator):
         g_cur = problem.component_grads(batch, x_t)
         g_prev = problem.component_grads(batch, self.x)
         self.grad_calls += 2 * self.b
-        chain = (g_cur - g_prev).mean(axis=0)
-        control = (g_prev - self.table[batch]).mean(axis=0) + self.table_mean
-        self.g = chain + (1.0 - self.lam) * self.g + self.lam * control
         old_rows = self.table[batch]
+        chain = (g_cur - g_prev).mean(axis=0)
+        control = (g_prev - old_rows).mean(axis=0) + self.table_mean
+        self.g = chain + (1.0 - self.lam) * self.g + self.lam * control
         self.table[batch] = g_cur
         self.table_mean = self.table_mean + (g_cur - old_rows).sum(axis=0) / problem.n_components
         self.x = x_t.copy()

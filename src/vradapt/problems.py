@@ -203,29 +203,62 @@ class LogisticProblem(Problem):
     the objective is the average over rows.  The smoothness constant is
     the largest eigenvalue of (1/(4n)) A^T A, found by power iteration
     at construction (200 iterations, seeded start).
+
+    Storage, built once and shared by every oracle:
+
+    * ``X``: the rows as a CSR matrix (n x d); ``loss`` and the curvature
+      product read it.
+    * ``XT``: A^T as a CSR matrix (d x n), a transposed view of A's CSC
+      arrays, one stored row per feature; ``full_grad``, ``partials``
+      and the curvature product read it.
+    * ``_cols``, ``_vals``: the rows padded to a common width (at least
+      1), int32 column indices and float values; padding points at an
+      extra column ``d`` with value 0.0.  ``component_grads`` gathers
+      batches from these, with x extended by a trailing 0.0.
+
+    Every oracle result is bit-identical, down to the sign of zeros, to
+    the plain scipy CSR expressions (``X[idx]`` -> ``.multiply`` ->
+    ``.toarray()``, ``X.T @ w``, a per-column ``getcol`` loop): each sum
+    runs left to right over a row's stored entries, in the order of the
+    sparse kernels, and gradient entries land on +0.0 as in scipy's
+    sparse-to-dense conversion.  Reordering a sum (BLAS on a dense copy,
+    ``.sum(axis=1)``, ``np.add.reduceat``) moves results in the last bit
+    and with them every trace hash.
     """
 
     POWER_ITERATIONS = 200
 
     def __init__(self, dataset):
-        if dataset.n == 0:
+        n = dataset.n
+        if n == 0:
             raise ValueError("dataset is empty")
         labels = np.asarray(dataset.labels, dtype=float)
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1/+1; normalize the dataset first")
-        self.n_components = dataset.n
-        self.dim = dataset.d
-        self.y = labels
-        data, indices, indptr = [], [], [0]
-        for row_idx, row_val in zip(dataset.indices, dataset.values):
-            indices.extend(int(j) for j in row_idx)
-            data.extend(float(v) for v in row_val)
-            indptr.append(len(indices))
-        self.X = csr_matrix(
-            (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-            shape=(self.n_components, self.dim),
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in dataset.indices], out=indptr[1:])
+        X = csr_matrix(
+            (
+                np.concatenate(dataset.values).astype(float),
+                np.concatenate(dataset.indices).astype(np.int64),
+                indptr,
+            ),
+            shape=(n, dataset.d),
         )
-        self.X_csc = self.X.tocsc()
+        self._build(X, labels)
+
+    def _build(self, X, y):
+        self.X = X
+        self.y = y
+        self.n_components, self.dim = X.shape
+        self.XT = X.tocsc().T
+        lengths = np.diff(X.indptr)
+        width = max(1, int(lengths.max()))
+        filled = np.arange(width) < lengths[:, None]
+        self._cols = np.full((self.n_components, width), self.dim, dtype=np.int32)
+        self._cols[filled] = X.indices
+        self._vals = np.zeros((self.n_components, width))
+        self._vals[filled] = X.data
         self.smoothness = estimate_smoothness(self, self.POWER_ITERATIONS, seed=0)
 
     def _margins(self, x):
@@ -247,10 +280,19 @@ class LogisticProblem(Problem):
 
     def component_grads(self, indices, x):
         idx = np.asarray(indices)
-        sub = self.X[idx]
-        m = self.y[idx] * (sub @ np.asarray(x, dtype=float))
-        w = -self.y[idx] * expit(-m)
-        return sub.multiply(w[:, None]).toarray()
+        cols = self._cols[idx]
+        vals = self._vals[idx]
+        y = self.y[idx]
+        xe = np.append(np.asarray(x, dtype=float), 0.0)
+        # cumsum accumulates left to right like the CSR row kernel;
+        # .sum(axis=1) would sum pairwise and differ in the last bit
+        m = y * np.cumsum(vals * xe[cols], axis=1)[:, -1]
+        scaled = vals * (-y * expit(-m))[:, None]
+        # sparse-to-dense accumulates into +0.0, which turns -0.0 into +0.0
+        scaled += 0.0
+        out = np.zeros((len(idx), self.dim + 1))
+        out[np.arange(len(idx))[:, None], cols] = scaled
+        return out[:, : self.dim]
 
     def all_component_grads(self, x):
         return self.component_grads(np.arange(self.n_components), x)
@@ -263,47 +305,26 @@ class LogisticProblem(Problem):
         return np.asarray(sub.T @ w).ravel() / len(idx)
 
     def full_grad(self, x):
-        m = self._margins(x)
-        w = -self.y * expit(-m)
-        return np.asarray(self.X.T @ w).ravel() / self.n_components
+        w = -self.y * expit(-self._margins(x))
+        return (self.XT @ w) / self.n_components
 
     def partials(self, x, coords):
-        m = self._margins(x)
-        w = -self.y * expit(-m)
-        out = np.empty(len(np.asarray(coords)))
-        for pos, j in enumerate(np.asarray(coords)):
-            col = self.X_csc.getcol(int(j))
-            out[pos] = float((col.T @ w)[0]) / self.n_components
-        return out
+        w = -self.y * expit(-self._margins(x))
+        return (self.XT[np.asarray(coords, dtype=np.intp)] @ w) / self.n_components
 
     def partial(self, x, coord):
         return float(self.partials(x, [coord])[0])
 
     def curvature_matvec(self, v):
-        return np.asarray(self.X.T @ (self.X @ np.asarray(v, dtype=float))).ravel() / (
-            4.0 * self.n_components
-        )
+        return (self.XT @ (self.X @ np.asarray(v, dtype=float))) / (4.0 * self.n_components)
 
     def subset(self, indices):
-        from .data import Dataset
-
         idx = np.asarray(indices)
-        sub = Dataset(
-            indices=[self._row_indices(i) for i in idx],
-            values=[self._row_values(i) for i in idx],
-            labels=self.y[idx].copy(),
-            n=len(idx),
-            d=self.dim,
-        )
-        return LogisticProblem(sub)
-
-    def _row_indices(self, i):
-        row = self.X.getrow(int(i))
-        return row.indices.astype(np.int64)
-
-    def _row_values(self, i):
-        row = self.X.getrow(int(i))
-        return row.data.astype(float)
+        if len(idx) == 0:
+            raise ValueError("dataset is empty")
+        sub = object.__new__(LogisticProblem)
+        sub._build(self.X[idx], self.y[idx])
+        return sub
 
 
 def logistic_problem(dataset) -> LogisticProblem:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import eigsh
+from scipy.special import expit
 
 from vradapt.data import Dataset, parse_libsvm
 from vradapt.problems import (
@@ -277,3 +278,170 @@ class TestPartition:
             partition_problem(prob, 5)
         with pytest.raises(ValueError):
             partition_problem(prob, 2, scheme="striped")
+
+
+class _ReferenceLogistic:
+    """The logistic oracles as plain scipy CSR expressions: an
+    element-by-element CSR build, ``X[idx]`` -> ``.multiply`` ->
+    ``.toarray()``, ``X.T @ w``, a per-column ``getcol`` loop, and shards
+    copied row by row through ``getrow``.  LogisticProblem must agree with
+    these bit for bit."""
+
+    def __init__(self, dataset):
+        data, indices, indptr = [], [], [0]
+        for row_idx, row_val in zip(dataset.indices, dataset.values):
+            indices.extend(int(j) for j in row_idx)
+            data.extend(float(v) for v in row_val)
+            indptr.append(len(indices))
+        self.X = csr_matrix(
+            (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+            shape=(dataset.n, dataset.d),
+        )
+        self.y = np.asarray(dataset.labels, dtype=float)
+        self.n_components, self.dim = self.X.shape
+        self.smoothness = estimate_smoothness(self, LogisticProblem.POWER_ITERATIONS, seed=0)
+
+    def _weights(self, sub, y, x):
+        return -y * expit(-(y * (sub @ x)))
+
+    def component_grads(self, idx, x):
+        sub = self.X[np.asarray(idx)]
+        return sub.multiply(self._weights(sub, self.y[idx], x)[:, None]).toarray()
+
+    def full_grad(self, x):
+        return np.asarray(self.X.T @ self._weights(self.X, self.y, x)).ravel() / self.n_components
+
+    def partials(self, x, coords):
+        w = self._weights(self.X, self.y, x)
+        X_csc = self.X.tocsc()
+        out = np.empty(len(coords))
+        for pos, j in enumerate(coords):
+            out[pos] = float((X_csc.getcol(int(j)).T @ w)[0]) / self.n_components
+        return out
+
+    def curvature_matvec(self, v):
+        return np.asarray(self.X.T @ (self.X @ v)).ravel() / (4.0 * self.n_components)
+
+    def subset(self, idx):
+        rows = [self.X.getrow(int(i)) for i in idx]
+        return _ReferenceLogistic(
+            Dataset(
+                indices=[r.indices.astype(np.int64) for r in rows],
+                values=[r.data.astype(float) for r in rows],
+                labels=self.y[idx].copy(),
+                n=len(idx),
+                d=self.dim,
+            )
+        )
+
+
+def _assert_bit_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        _assert_bit_equal(getattr(got, name), getattr(want, name))
+    assert got.shape == want.shape
+
+
+def _ragged_dataset(seed, n=60, d=30):
+    """Rows of 0 to 12 entries with mixed-sign values and explicit zeros
+    of both signs."""
+    rng = np.random.default_rng(seed)
+    indices, values = [], []
+    for i in range(n):
+        size = 0 if i % 17 == 5 else int(rng.integers(0, 13))
+        indices.append(np.sort(rng.choice(d, size=size, replace=False)).astype(np.int64))
+        vals = rng.standard_normal(size)
+        vals[rng.random(size) < 0.15] = 0.0
+        vals[rng.random(size) < 0.1] = -0.0
+        values.append(vals)
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return Dataset(indices, values, labels, n, d)
+
+
+_EDGE_DATASETS = {
+    "toy": toy_dataset,
+    "empty-row": lambda: parse_libsvm("+1 1:0.5 3:2.0\n-1\n+1 2:-1.0 3:0\n-1 1:0 2:-0 3:0"),
+    "all-empty": lambda: parse_libsvm("+1\n-1\n+1", force_dim=3),
+    "ragged": lambda: _ragged_dataset(0),
+}
+
+
+class TestLogisticMatchesScipyReference:
+    @pytest.fixture(params=sorted(_EDGE_DATASETS))
+    def pair(self, request):
+        ds = _EDGE_DATASETS[request.param]()
+        return LogisticProblem(ds), _ReferenceLogistic(ds)
+
+    @staticmethod
+    def _points(dim, seed):
+        rng = np.random.default_rng(seed)
+        yield np.zeros(dim)
+        yield -np.zeros(dim)
+        for scale in (0.1, 1.0, 30.0, 1e3):
+            for _ in range(5):
+                yield scale * rng.standard_normal(dim)
+
+    def test_csr_and_smoothness(self, pair):
+        prob, ref = pair
+        _assert_same_csr(prob.X, ref.X)
+        assert prob.smoothness == ref.smoothness
+
+    def test_component_grads(self, pair):
+        prob, ref = pair
+        n = prob.n_components
+        rng = np.random.default_rng(1)
+        batches = [
+            np.array([0]),
+            np.array([n - 1]),
+            np.arange(n),
+            rng.permutation(n),
+            rng.permutation(n)[: max(1, n // 2)],
+            np.array([0, 0, n - 1, n - 1, n - 1]),
+            rng.integers(0, n, size=2 * n),
+        ]
+        for x in self._points(prob.dim, seed=2):
+            for idx in batches:
+                _assert_bit_equal(prob.component_grads(idx, x), ref.component_grads(idx, x))
+            _assert_bit_equal(prob.all_component_grads(x), ref.component_grads(np.arange(n), x))
+
+    def test_full_grad_and_partials(self, pair):
+        prob, ref = pair
+        d = prob.dim
+        rng = np.random.default_rng(3)
+        coord_sets = [np.array([0]), np.arange(d), rng.permutation(d), np.array([d - 1, 0, d - 1])]
+        for x in self._points(d, seed=4):
+            _assert_bit_equal(prob.full_grad(x), ref.full_grad(x))
+            for coords in coord_sets:
+                _assert_bit_equal(prob.partials(x, coords), ref.partials(x, coords))
+            _assert_bit_equal(prob.partial(x, d - 1), ref.partials(x, [d - 1])[0])
+
+    def test_subset(self, pair):
+        prob, ref = pair
+        n = prob.n_components
+        rng = np.random.default_rng(5)
+        for idx in (np.array([n - 1]), np.arange(n), rng.permutation(n)[: max(1, n // 3)]):
+            sub, ref_sub = prob.subset(idx), ref.subset(idx)
+            _assert_same_csr(sub.X, ref_sub.X)
+            _assert_bit_equal(sub.y, ref_sub.y)
+            assert sub.smoothness == ref_sub.smoothness
+            x = rng.standard_normal(prob.dim)
+            _assert_bit_equal(sub.full_grad(x), ref_sub.full_grad(x))
+            _assert_bit_equal(sub.all_component_grads(x), ref_sub.component_grads(np.arange(len(idx)), x))
+
+    def test_partition_shards_match(self):
+        ds = _ragged_dataset(7, n=90)
+        prob, ref = LogisticProblem(ds), _ReferenceLogistic(ds)
+        for scheme in ("contiguous", "round-robin"):
+            for shard, group in zip(partition_problem(prob, 4, scheme), partition_problem(ref, 4, scheme)):
+                _assert_same_csr(shard.X, group.X)
+                assert shard.smoothness == group.smoothness
+
+    def test_empty_subset_rejected(self):
+        with pytest.raises(ValueError):
+            logistic_problem(toy_dataset()).subset(np.array([], dtype=int))
