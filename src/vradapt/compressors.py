@@ -10,6 +10,11 @@ Two operator families, each with a registered quality constant:
 The constants are registered at construction rather than estimated; the
 check_* functions validate a registration empirically (or exhaustively
 for small dimensions).
+
+Next to the one-vector ``compress``, each operator has a batched
+``sample_dense(V, rng)``: the dense outputs of ``compress`` for every
+vector along the last axis of V, with fresh randomness per vector.  The
+Monte Carlo verifier draws its samples through it.
 """
 
 from __future__ import annotations
@@ -73,6 +78,14 @@ def rand_k(x, k, rng) -> CompressedVector:
     return CompressedVector(kept.astype(np.int64), (d / k) * x[kept], d)
 
 
+def _keep_dense(V, kept, scale=1.0):
+    """Dense array with V's entries at positions ``kept`` (along the last
+    axis) times ``scale``, zeros elsewhere."""
+    out = np.zeros(V.shape)
+    np.put_along_axis(out, kept, scale * np.take_along_axis(V, kept, axis=-1), axis=-1)
+    return out
+
+
 class TopK:
     """Deterministic contractive compressor; registered delta = d/k."""
 
@@ -87,6 +100,12 @@ class TopK:
 
     def compress(self, x, rng=None) -> CompressedVector:
         return top_k(x, self.k)
+
+    def sample_dense(self, V, rng=None) -> np.ndarray:
+        """``top_k(v).to_dense()`` for every v along the last axis of V,
+        with the same lowest-index tie break."""
+        V = np.asarray(V, dtype=float)
+        return _keep_dense(V, np.argsort(-np.abs(V), axis=-1, kind="stable")[..., : self.k])
 
 
 class RandK:
@@ -103,6 +122,14 @@ class RandK:
 
     def compress(self, x, rng) -> CompressedVector:
         return rand_k(x, self.k, rng)
+
+    def sample_dense(self, V, rng) -> np.ndarray:
+        """Independent ``rand_k`` outputs, dense, for every vector along
+        the last axis of V: each keeps the first k positions of an argsort
+        of uniforms, a uniform k-subset."""
+        V = np.asarray(V, dtype=float)
+        kept = rng.random(V.shape).argsort(axis=-1)[..., : self.k]
+        return _keep_dense(V, kept, V.shape[-1] / self.k)
 
     def enumerate_outcomes(self, x):
         """All equally likely outputs; exact-expectation checks for small d."""
@@ -128,6 +155,9 @@ class IdentityCompressor:
     def compress(self, x, rng=None) -> CompressedVector:
         x = np.asarray(x, dtype=float)
         return CompressedVector(np.arange(self.dim, dtype=np.int64), x.copy(), self.dim)
+
+    def sample_dense(self, V, rng=None) -> np.ndarray:
+        return np.array(V, dtype=float)
 
     def enumerate_outcomes(self, x):
         yield self.compress(x)

@@ -4,7 +4,10 @@ Every estimator is a stateful object built from a starting point by one
 full gradient pass (so the initial estimate is exact and the auxiliary
 error starts at zero).  ``step(x_t, rng)`` consumes the next iterate and
 fresh randomness, updates the method memory and oracle-call ledger, and
-returns the new estimate g^t.
+returns the new estimate g^t.  ``step_batch(x, rng, S)`` is its pure,
+vectorised counterpart for the Monte Carlo verifier: S independent
+draws of the same update from the current state, which it leaves as it
+is.
 
 Each method registers a tuple (rho1, rho2, A, B, C) describing the two
 coupled error recursions its update rule satisfies:
@@ -171,10 +174,49 @@ def _draw_batch(rng, n, b, with_replacement=False):
     return rng.permutation(n)[:b]
 
 
+def _draw_batches(rng, n, b, S, with_replacement=False):
+    """S independent batches, one per row of an (S, b) index array: b
+    uniform draws with replacement, or else the first b positions of an
+    argsort of uniforms, a uniform b-subset."""
+    if with_replacement:
+        return rng.integers(0, n, size=(S, b))
+    return rng.random((S, n)).argsort(axis=1)[:, :b]
+
+
+def _batch_mask(batches, n):
+    mask = np.zeros((len(batches), n), dtype=bool)
+    np.put_along_axis(mask, batches, True, axis=1)
+    return mask
+
+
+def _table_sigma(gaps, batches):
+    """Table staleness after each batch's rows are refreshed: the per-row
+    squared gaps with the batch's rows zeroed, averaged over all rows."""
+    rows = (gaps * gaps).sum(axis=1)
+    stale = np.tile(rows, (len(batches), 1))
+    np.put_along_axis(stale, batches, 0.0, axis=1)
+    return stale.sum(axis=1) / len(rows)
+
+
+def _copied(value):
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, list):
+        return [_copied(v) for v in value]
+    return value
+
+
 class GradientEstimator:
     """Common state: current point, current estimate, oracle ledger."""
 
     method = "?"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the generic clone is also entered on every subclass, as step and
+        # sigma_sq are, so that tools which patch a method on the class
+        # defining it (perfbench's span tracer) find one per estimator
+        cls.clone = GradientEstimator.clone
 
     def __init__(self, problem, x0):
         self.problem = problem
@@ -199,6 +241,19 @@ class GradientEstimator:
     def step(self, x_t, rng):
         raise NotImplementedError
 
+    def step_batch(self, x_cand, rng, S):
+        """S independent draws of ``step(x_cand, rng)`` from the current
+        state, which stays as it is (ledger included).
+
+        Returns ``(G, sigma)``: the S next estimates, shape (S, d), and
+        the auxiliary error ``sigma_sq()`` would report after each, shape
+        (S,).  Oracle values that every draw shares are computed once per
+        call; each draw only gathers or masks them.  The randomness is
+        drawn in whole arrays, so the stream differs from S calls of
+        ``step``, not the distribution.
+        """
+        raise NotImplementedError
+
     def sigma_sq(self):
         """The method's auxiliary error at the current state (diagnostic;
         may cost a full pass, so the optimizer loop never calls it)."""
@@ -208,18 +263,12 @@ class GradientEstimator:
         raise NotImplementedError
 
     def clone(self):
-        """Independent deep copy; used to freeze states for verification."""
-        raise NotImplementedError
-
-    def _copy_base(self, other):
-        other.problem = self.problem
-        other.x = self.x.copy()
-        other.g = self.g.copy()
-        other.grad_calls = self.grad_calls
-        other.partial_calls = self.partial_calls
-        other.bits_dense = self.bits_dense
-        other.bits_compressed = self.bits_compressed
-        return other
+        """Independent copy of the state: arrays and lists of arrays are
+        copied; the problem, client shards and compressor, which no step
+        mutates, are shared."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update({k: _copied(v) for k, v in vars(self).items()})
+        return twin
 
 
 class LSVRG(GradientEstimator):
@@ -262,13 +311,25 @@ class LSVRG(GradientEstimator):
     def constants(self):
         return constants("lsvrg", b=self.b, p=self.p, n=self.problem.n_components)
 
-    def clone(self):
-        c = object.__new__(LSVRG)
-        self._copy_base(c)
-        c.b, c.p, c.with_replacement = self.b, self.p, self.with_replacement
-        c.anchor = self.anchor.copy()
-        c.anchor_grad = self.anchor_grad.copy()
-        return c
+    def step_batch(self, x_cand, rng, S):
+        problem = self.problem
+        refresh = rng.random(S) < self.p
+        batches = _draw_batches(rng, problem.n_components, self.b, S, self.with_replacement)
+        at_cand = problem.all_component_grads(x_cand)
+        # a refresh snaps the anchor to the current point
+        gaps_kept = at_cand - problem.all_component_grads(self.anchor)
+        gaps_fresh = at_cand - problem.all_component_grads(self.x)
+        G = np.where(
+            refresh[:, None],
+            problem.full_grad(self.x) + gaps_fresh[batches].mean(axis=1),
+            self.anchor_grad + gaps_kept[batches].mean(axis=1),
+        )
+        sigma = np.where(
+            refresh,
+            (gaps_fresh * gaps_fresh).sum(axis=1).mean(),
+            (gaps_kept * gaps_kept).sum(axis=1).mean(),
+        )
+        return G, sigma
 
 
 class SAGA(GradientEstimator):
@@ -306,13 +367,10 @@ class SAGA(GradientEstimator):
     def constants(self):
         return constants("saga", b=self.b, n=self.problem.n_components)
 
-    def clone(self):
-        c = object.__new__(SAGA)
-        self._copy_base(c)
-        c.b = self.b
-        c.table = self.table.copy()
-        c.table_mean = self.table_mean.copy()
-        return c
+    def step_batch(self, x_cand, rng, S):
+        batches = _draw_batches(rng, self.problem.n_components, self.b, S)
+        gaps = self.problem.all_component_grads(x_cand) - self.table
+        return self.table_mean + gaps[batches].mean(axis=1), _table_sigma(gaps, batches)
 
 
 class PAGE(GradientEstimator):
@@ -350,11 +408,15 @@ class PAGE(GradientEstimator):
     def constants(self):
         return constants("page", b=self.b, p=self.p, n=self.problem.n_components)
 
-    def clone(self):
-        c = object.__new__(PAGE)
-        self._copy_base(c)
-        c.b, c.p, c.with_replacement = self.b, self.p, self.with_replacement
-        return c
+    def step_batch(self, x_cand, rng, S):
+        problem = self.problem
+        refresh = rng.random(S) < self.p
+        batches = _draw_batches(rng, problem.n_components, self.b, S, self.with_replacement)
+        diffs = problem.all_component_grads(x_cand) - problem.all_component_grads(self.x)
+        G = np.where(
+            refresh[:, None], problem.full_grad(x_cand), self.g + diffs[batches].mean(axis=1)
+        )
+        return G, np.zeros(S)
 
 
 class ZeroSARAH(GradientEstimator):
@@ -397,13 +459,15 @@ class ZeroSARAH(GradientEstimator):
     def constants(self):
         return constants("zerosarah", b=self.b, n=self.problem.n_components)
 
-    def clone(self):
-        c = object.__new__(ZeroSARAH)
-        self._copy_base(c)
-        c.b, c.lam = self.b, self.lam
-        c.table = self.table.copy()
-        c.table_mean = self.table_mean.copy()
-        return c
+    def step_batch(self, x_cand, rng, S):
+        problem = self.problem
+        batches = _draw_batches(rng, problem.n_components, self.b, S)
+        at_cand = problem.all_component_grads(x_cand)
+        at_prev = problem.all_component_grads(self.x)
+        chain = (at_cand - at_prev)[batches].mean(axis=1)
+        control = (at_prev - self.table)[batches].mean(axis=1) + self.table_mean
+        G = chain + (1.0 - self.lam) * self.g + self.lam * control
+        return G, _table_sigma(at_cand - self.table, batches)
 
 
 class _ClientServerEstimator(GradientEstimator):
@@ -450,14 +514,23 @@ class _ClientServerEstimator(GradientEstimator):
     def _count_message(self, message):
         self.bits_compressed += bits_cost(message, self.value_bits, self.index_bits)
 
-    def _copy_distributed(self, other):
-        self._copy_base(other)
-        other.clients = self.clients
-        other.weights = self.weights
-        other.compressor = self.compressor
-        other.value_bits = self.value_bits
-        other.index_bits = self.index_bits
-        return other
+    def _client_grads_at(self, x):
+        return np.array([cp.full_grad(x) for cp in self.clients])
+
+    def _compress_batch(self, messages, rng, S):
+        """Dense compressor outputs for S independent draws of every
+        client's message; messages (n_clients, d) -> (S, n_clients, d)."""
+        return self.compressor.sample_dense(np.broadcast_to(messages, (S,) + messages.shape), rng)
+
+    def _server_sum(self, per_client):
+        """Share-weighted sum over the client axis: (..., n_clients, d) -> (..., d)."""
+        return (self.weights[:, None] * per_client).sum(axis=-2)
+
+    def _client_error(self, gaps):
+        """Share-weighted mean squared client gap, (..., n_clients, d) ->
+        (...), summed client by client in order, as ``sigma_sq`` sums."""
+        per_client = (gaps * gaps).sum(axis=-1)
+        return sum(w * per_client[..., j] for j, w in enumerate(self.weights))
 
 
 class EF21(_ClientServerEstimator):
@@ -501,12 +574,11 @@ class EF21(_ClientServerEstimator):
     def constants(self):
         return constants("ef21", delta=self.compressor.delta)
 
-    def clone(self):
-        c = object.__new__(EF21)
-        self._copy_distributed(c)
-        c.client_state = [s.copy() for s in self.client_state]
-        c.client_grads = [u.copy() for u in self.client_grads]
-        return c
+    def step_batch(self, x_cand, rng, S):
+        grads = self._client_grads_at(x_cand)
+        state = np.array(self.client_state)
+        dense = self._compress_batch(grads - state, rng, S)
+        return self.g + self._server_sum(dense), self._client_error(state + dense - grads)
 
 
 class DIANA(_ClientServerEstimator):
@@ -568,14 +640,12 @@ class DIANA(_ClientServerEstimator):
     def constants(self):
         return constants("diana", omega=self.omega, n_clients=self.n_clients)
 
-    def clone(self):
-        c = object.__new__(DIANA)
-        self._copy_distributed(c)
-        c.omega = self.omega
-        c.shifts = [h.copy() for h in self.shifts]
-        c.client_grads = [u.copy() for u in self.client_grads]
-        c.server_shift = self.server_shift.copy()
-        return c
+    def step_batch(self, x_cand, rng, S):
+        grads = self._client_grads_at(x_cand)
+        shifts = np.array(self.shifts)
+        dense = self._compress_batch(grads - shifts, rng, S)
+        G = self.server_shift + self._server_sum(dense)
+        return G, self._client_error(shifts + dense / (self.omega + 1.0) - grads)
 
 
 class DASHA(_ClientServerEstimator):
@@ -625,13 +695,12 @@ class DASHA(_ClientServerEstimator):
     def constants(self):
         return constants("dasha", omega=self.omega, n_clients=self.n_clients)
 
-    def clone(self):
-        c = object.__new__(DASHA)
-        self._copy_distributed(c)
-        c.omega, c.eta = self.omega, self.eta
-        c.client_state = [s.copy() for s in self.client_state]
-        c.prev_grads = [u.copy() for u in self.prev_grads]
-        return c
+    def step_batch(self, x_cand, rng, S):
+        grads = self._client_grads_at(x_cand)
+        state = np.array(self.client_state)
+        prev = np.array(self.prev_grads)
+        dense = self._compress_batch(grads - prev - self.eta * (state - prev), rng, S)
+        return self.g + self._server_sum(dense), self._client_error(state + dense - grads)
 
 
 class SEGA(GradientEstimator):
@@ -668,12 +737,16 @@ class SEGA(GradientEstimator):
     def constants(self):
         return constants("sega", b=self.b, d=self.problem.dim)
 
-    def clone(self):
-        c = object.__new__(SEGA)
-        self._copy_base(c)
-        c.b = self.b
-        c.memory = self.memory.copy()
-        return c
+    def step_batch(self, x_cand, rng, S):
+        problem = self.problem
+        d = problem.dim
+        sampled = _batch_mask(_draw_batches(rng, d, self.b, S), d)
+        at_prev = problem.partials(self.x, np.arange(d))
+        at_cand = problem.partials(x_cand, np.arange(d))
+        memory = np.where(sampled, at_prev, self.memory)
+        G = np.where(sampled, at_prev + (d / self.b) * (at_cand - at_prev), memory)
+        gaps = memory - problem.full_grad(x_cand)
+        return G, (gaps * gaps).sum(axis=1)
 
 
 class JAGUAR(GradientEstimator):
@@ -706,11 +779,10 @@ class JAGUAR(GradientEstimator):
     def constants(self):
         return constants("jaguar", b=self.b, d=self.problem.dim)
 
-    def clone(self):
-        c = object.__new__(JAGUAR)
-        self._copy_base(c)
-        c.b = self.b
-        return c
+    def step_batch(self, x_cand, rng, S):
+        d = self.problem.dim
+        sampled = _batch_mask(_draw_batches(rng, d, self.b, S), d)
+        return np.where(sampled, self.problem.partials(x_cand, np.arange(d)), self.g), np.zeros(S)
 
 
 def make_estimator(method, problem, x0, hyperparams=None, **kwargs):
@@ -729,17 +801,17 @@ def make_estimator(method, problem, x0, hyperparams=None, **kwargs):
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "lsvrg":
-        return LSVRG(problem, x0, hp["b"], hp["p"], hp.get("with_replacement", False))
+        return LSVRG(problem, x0, hp.get("b"), hp.get("p"), hp.get("with_replacement", False))
     if method == "saga":
-        return SAGA(problem, x0, hp["b"])
+        return SAGA(problem, x0, hp.get("b"))
     if method == "page":
-        return PAGE(problem, x0, hp["b"], hp["p"], hp.get("with_replacement", False))
+        return PAGE(problem, x0, hp.get("b"), hp.get("p"), hp.get("with_replacement", False))
     if method == "zerosarah":
-        return ZeroSARAH(problem, x0, hp["b"])
+        return ZeroSARAH(problem, x0, hp.get("b"))
     if method == "sega":
-        return SEGA(problem, x0, hp["b"])
+        return SEGA(problem, x0, hp.get("b"))
     if method == "jaguar":
-        return JAGUAR(problem, x0, hp["b"])
+        return JAGUAR(problem, x0, hp.get("b"))
     # client-server methods
     clients = hp.get("client_problems")
     if clients is None:

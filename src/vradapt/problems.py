@@ -297,13 +297,6 @@ class LogisticProblem(Problem):
     def all_component_grads(self, x):
         return self.component_grads(np.arange(self.n_components), x)
 
-    def batch_grad(self, indices, x):
-        idx = np.asarray(indices)
-        sub = self.X[idx]
-        m = self.y[idx] * (sub @ np.asarray(x, dtype=float))
-        w = -self.y[idx] * expit(-m)
-        return np.asarray(sub.T @ w).ravel() / len(idx)
-
     def full_grad(self, x):
         w = -self.y * expit(-self._margins(x))
         return (self.XT @ w) / self.n_components

@@ -57,6 +57,24 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == EXIT_USAGE
         assert "batchsize" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ("method=saga\nn=6\nd=4\nT=20\n", "b"),
+            ("method=page\nb=2\nn=6\nd=4\nT=20\n", "p"),
+            ("method=lsvrg\nb=2\nn=6\nd=4\nT=20\n", "p"),
+        ],
+    )
+    def test_missing_hyperparameter_is_one_error_line(self, tmp_path, capsys, text, named):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert named in lines[0]
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path, QUICK_CFG + "scheduler=constant\ngamma=1e6\n"
@@ -156,6 +174,14 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "ef21: margins PASS" in out
         assert "ef21: compressor contract PASS" in out
+
+    @pytest.mark.parametrize("method", ["diana", "dasha"])
+    def test_unbiased_compressor_contract_reported(self, capsys, method):
+        code = main(["verify", "--method", method] + self.FAST)
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"{method}: margins PASS" in out
+        assert f"{method}: compressor contract PASS (randk, margin=" in out
 
     def test_perturbed_constant_fails(self, capsys):
         code = main(["verify", "--method", "ef21", "--perturb", "C:0.5"] + self.FAST)

@@ -109,6 +109,80 @@ class TestRandK:
         assert np.allclose(acc / trials, x, atol=0.05)
 
 
+class KeptSubsets:
+    """Scripted generator for rand_k: each permutation call starts with
+    the next given subset."""
+
+    def __init__(self, subsets):
+        self._subsets = [list(s) for s in subsets]
+
+    def permutation(self, n):
+        head = self._subsets.pop(0)
+        return np.array(head + [i for i in range(n) if i not in head])
+
+
+class TestSampleDense:
+    """The batched samplers the verifier uses give, row by row, what the
+    one-vector operators give."""
+
+    def test_topk_rows_match_top_k_with_ties(self):
+        V = np.array(
+            [
+                [1.0, -1.0, 1.0, 0.5, -1.0],
+                [0.0, 0.0, 0.0, 0.0, 0.0],
+                [2.0, -3.0, 3.0, -2.0, 3.0],
+                [-0.0, 0.0, 1e-300, -1e-300, 7.0],
+            ]
+        )
+        V = np.concatenate([V, np.random.default_rng(0).standard_normal((20, 5))])
+        for k in range(1, 6):
+            out = TopK(k, 5).sample_dense(V)
+            for row, got in zip(V, out):
+                want = top_k(row, k).to_dense()
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_topk_over_leading_axes(self):
+        V = np.random.default_rng(1).standard_normal((3, 4, 6))
+        out = TopK(2, 6).sample_dense(V)
+        assert out.shape == V.shape
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(out[idx], top_k(V[idx], 2).to_dense())
+
+    def test_randk_rows_match_rand_k_on_the_same_subset(self):
+        V = np.random.default_rng(2).standard_normal((3, 4, 6))
+        V[0, 0] = 1.0
+        rng = np.random.default_rng(3)
+        u = np.random.default_rng(3).random(V.shape)
+        out = RandK(2, 6).sample_dense(V, rng)
+        assert out.shape == V.shape
+        for idx in np.ndindex(3, 4):
+            kept = np.argsort(u[idx])[:2]
+            want = rand_k(V[idx], 2, KeptSubsets([kept])).to_dense()
+            assert np.array_equal(out[idx], want)
+
+    def test_randk_subsets_are_uniform(self):
+        V = np.ones((6000, 4))
+        out = RandK(2, 4).sample_dense(V, np.random.default_rng(4))
+        kept = out != 0.0
+        assert np.all(kept.sum(axis=1) == 2)
+        assert np.all(out[kept] == 2.0)
+        counts = {}
+        for row in kept:
+            key = tuple(np.flatnonzero(row))
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == 6
+        # each of the 6 subsets has probability 1/6: 1000 +- 4 sigma
+        assert all(abs(c - 1000) < 4 * np.sqrt(6000 * (1 / 6) * (5 / 6)) for c in counts.values())
+
+    def test_identity_is_a_copy(self):
+        V = np.random.default_rng(5).standard_normal((2, 3, 4))
+        out = IdentityCompressor(4).sample_dense(np.broadcast_to(V, V.shape))
+        assert np.array_equal(out, V)
+        out[0, 0, 0] = 99.0
+        assert V[0, 0, 0] != 99.0
+
+
 class TestContracts:
     def test_topk_passes_biased_contract(self):
         rng = np.random.default_rng(0)

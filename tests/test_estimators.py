@@ -605,6 +605,128 @@ class TestClone:
         assert np.allclose(g_orig, g_twin, atol=1e-15)
 
 
+class RecordingRng:
+    """A seeded generator that keeps every array it hands out, so that
+    each row of a batched draw can be read back and replayed."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def random(self, size=None):
+        out = self._rng.random(size)
+        self.draws.append(("random", out))
+        return out
+
+    def integers(self, low, high, size=None):
+        out = self._rng.integers(low, high, size=size)
+        self.draws.append(("integers", out))
+        return out
+
+
+def first_b(uniforms, b):
+    """The subset an argsort-of-uniforms draw keeps."""
+    return np.argsort(uniforms)[:b]
+
+
+# (method, hyperparameters) pairs whose step_batch rows are replayed:
+# every method, LSVRG and PAGE with and without replacement, and every
+# compressor each client-server method accepts
+BATCH_CASES = [
+    ("lsvrg", {"b": 2, "p": 0.5}),
+    ("lsvrg", {"b": 3, "p": 0.5, "with_replacement": True}),
+    ("saga", {"b": 2}),
+    ("page", {"b": 2, "p": 0.5}),
+    ("page", {"b": 3, "p": 0.5, "with_replacement": True}),
+    ("zerosarah", {"b": 2}),
+    ("ef21", {"n_clients": 3, "compressor": "topk", "k": 2}),
+    ("ef21", {"n_clients": 3, "compressor": "randk", "k": 2}),
+    ("ef21", {"n_clients": 3, "compressor": "identity"}),
+    ("diana", {"n_clients": 3, "compressor": "randk", "k": 2}),
+    ("diana", {"n_clients": 3, "compressor": "identity"}),
+    ("dasha", {"n_clients": 3, "compressor": "randk", "k": 2}),
+    ("dasha", {"n_clients": 3, "compressor": "identity"}),
+    ("sega", {"b": 2}),
+    ("jaguar", {"b": 2}),
+]
+
+
+def replay_scripts(est, draws, S):
+    """Per row of a step_batch draw, the ScriptedRng that makes ``step``
+    take the same coin, batch, coordinates or compressor subsets."""
+    draws = list(draws)
+    coins = [None] * S
+    if est.method in ("lsvrg", "page"):
+        kind, values = draws.pop(0)
+        assert kind == "random" and values.shape == (S,)
+        coins = list(values)
+    if est.method in DISTRIBUTED_METHODS:
+        if not est.compressor.randomized:
+            assert draws == []
+            return [ScriptedRng() for _ in range(S)]
+        (kind, u), = draws
+        assert kind == "random" and u.shape == (S, est.n_clients, est.problem.dim)
+        k = est.compressor.k
+        return [ScriptedRng(batches=[first_b(row, k) for row in u[s]]) for s in range(S)]
+    (kind, values), = draws
+    if getattr(est, "with_replacement", False):
+        assert kind == "integers" and values.shape == (S, est.b)
+        batches = list(values)
+    else:
+        assert kind == "random"
+        batches = [first_b(row, est.b) for row in values]
+    return [
+        ScriptedRng(coins=[] if c is None else [c], batches=[batch])
+        for c, batch in zip(coins, batches)
+    ]
+
+
+def state_of(est):
+    return {
+        k: [np.copy(a) for a in v] if isinstance(v, list) else np.copy(v)
+        for k, v in vars(est).items()
+        if k not in ("problem", "clients", "compressor")
+    }
+
+
+class TestStepBatch:
+    """Each row of ``step_batch`` is what ``step`` would return from the
+    same state with the same coin, batch and compressor draws, so the
+    verifier samples exactly the update rule the optimizer runs."""
+
+    S = 16
+
+    @pytest.mark.parametrize(
+        "method,hp", BATCH_CASES, ids=[f"{m}-{i}" for i, (m, _) in enumerate(BATCH_CASES)]
+    )
+    def test_rows_replay_through_step(self, method, hp, quad):
+        est = make_estimator(method, quad, np.zeros(4), hp)
+        walk = np.random.default_rng(3)
+        for x in (np.full(4, 0.3), np.array([0.5, -0.2, 0.1, 0.4])):
+            est.step(x, walk)
+        x_cand = np.array([-0.1, 0.6, 0.25, -0.3])
+        before = state_of(est)
+
+        rng = RecordingRng(11)
+        G, sigma = est.step_batch(x_cand, rng, self.S)
+        assert G.shape == (self.S, 4) and sigma.shape == (self.S,)
+
+        after = state_of(est)
+        assert after.keys() == before.keys()
+        for key in before:
+            assert np.array_equal(np.asarray(after[key]), np.asarray(before[key])), key
+
+        scripts = replay_scripts(est, rng.draws, self.S)
+        if method in ("lsvrg", "page"):
+            outcomes = {bool(c < est.p) for c in rng.draws[0][1]}
+            assert outcomes == {True, False}
+        for s, script in enumerate(scripts):
+            twin = est.clone()
+            g = twin.step(x_cand, script)
+            assert np.allclose(G[s], g, rtol=1e-12, atol=1e-15), s
+            assert np.allclose(sigma[s], twin.sigma_sq(), rtol=1e-12, atol=1e-15), s
+
+
 class TestFacade:
     def test_init_and_step_round_trip(self, quad):
         state = init("saga", quad, {"b": 2}, np.zeros(4))
@@ -678,6 +800,15 @@ class TestConstruction:
     def test_x0_shape_checked(self, quad):
         with pytest.raises(ValueError):
             make_estimator("saga", quad, np.zeros(3), {"b": 2})
+
+    @pytest.mark.parametrize(
+        "method,hp",
+        [("saga", {}), ("zerosarah", {}), ("sega", {}), ("jaguar", {}),
+         ("lsvrg", {"b": 2}), ("page", {"b": 2}), ("page", {"p": 0.5})],
+    )
+    def test_missing_batch_or_probability_is_value_error(self, method, hp, quad):
+        with pytest.raises(ValueError, match="required|p must"):
+            make_estimator(method, quad, np.zeros(4), hp)
 
     def test_estimator_constants_round_trip(self, quad):
         for method in METHODS:
