@@ -41,18 +41,7 @@ from .estimators import (
     METHODS,
     VRConstants,
     constants,
-    init,
     make_estimator,
-    sigma_sq,
-    step_dasha,
-    step_diana,
-    step_ef21,
-    step_jaguar,
-    step_lsvrg,
-    step_page,
-    step_saga,
-    step_sega,
-    step_zerosarah,
 )
 from .problems import (
     LogisticProblem,
@@ -69,7 +58,6 @@ from .schedulers import (
     AdamState,
     AdaptiveAccumulator,
     adam_baseline_step,
-    adaptive_gamma,
     adaptive_step_size,
     corollary_step_size,
     nu_of,

@@ -78,7 +78,7 @@ def cmd_run(args):
         out = stem + "_trace.csv"
     try:
         result = engine.run(cfg)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     engine.trace_to_csv(result.trace, out)
     print(_summary_line(result, out))
@@ -92,30 +92,20 @@ def _parse_grid(specs):
             raise ValueError(f"grid entry must be key=v1,v2,..., got {spec!r}")
         key, _, values = spec.partition("=")
         key = key.strip()
-        parsed = []
-        for token in values.split(","):
-            token = token.strip()
-            if key in engine._INT_KEYS:
-                parsed.append(int(token))
-            elif key in engine._FLOAT_KEYS:
-                parsed.append(float(token))
-            elif key in engine._BOOL_KEYS:
-                parsed.append(engine._parse_bool(token))
-            elif key in engine._STR_KEYS:
-                parsed.append(token)
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-        grid[key] = parsed
+        # each token goes through the config file's own coercion
+        grid[key] = [getattr(engine.config_from_mapping({key: v}), key) for v in values.split(",")]
     return grid
 
 
 def cmd_sweep(args):
+    if args.jobs < 1:
+        return _fail(f"--jobs must be >= 1, got {args.jobs}")
     try:
         cfg = _load_config(args.config, args.seed)
         grid = _parse_grid(args.grid)
+        results = engine.sweep(cfg, grid, jobs=args.jobs)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    results = engine.sweep(cfg, grid, jobs=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     worst = EXIT_OK
     keys = sorted(grid)

@@ -182,7 +182,7 @@ def build_problem(config):
                 f"synthetic dataset spec must be synthetic:<rows>:<dim>:<seed>, got {config.dataset!r}"
             )
         rows, dim, seed = (int(x) for x in parts[1:])
-        ds = synthetic_dataset(rows, dim=dim, seed=seed)
+        ds = synthetic_dataset(rows, dim=dim, seed=seed, nnz_per_row=min(14, dim))
         if config.limit is not None:
             ds = _head(ds, config.limit)
     else:

@@ -7,7 +7,9 @@ fresh randomness, updates the method memory and oracle-call ledger, and
 returns the new estimate g^t.  ``step_batch(x, rng, S)`` is its pure,
 vectorised counterpart for the Monte Carlo verifier: S independent
 draws of the same update from the current state, which it leaves as it
-is.
+is.  The client-server methods (EF21, DIANA, DASHA) hold per-client
+state as (n_clients, d) arrays, so ``step`` and ``step_batch`` share
+the same whole-array algebra.
 
 Each method registers a tuple (rho1, rho2, A, B, C) describing the two
 coupled error recursions its update rule satisfies:
@@ -199,11 +201,7 @@ def _table_sigma(gaps, batches):
 
 
 def _copied(value):
-    if isinstance(value, np.ndarray):
-        return value.copy()
-    if isinstance(value, list):
-        return [_copied(v) for v in value]
-    return value
+    return value.copy() if isinstance(value, np.ndarray) else value
 
 
 class GradientEstimator:
@@ -263,9 +261,9 @@ class GradientEstimator:
         raise NotImplementedError
 
     def clone(self):
-        """Independent copy of the state: arrays and lists of arrays are
-        copied; the problem, client shards and compressor, which no step
-        mutates, are shared."""
+        """Independent copy of the state: arrays are copied; the problem,
+        client shards and compressor, which no step mutates, are
+        shared."""
         twin = object.__new__(type(self))
         twin.__dict__.update({k: _copied(v) for k, v in vars(self).items()})
         return twin
@@ -475,12 +473,21 @@ class _ClientServerEstimator(GradientEstimator):
 
     Clients are sub-problems over a partition of the components; the
     server aggregate weights each client by its share of the components,
-    which reduces to the plain average for equal shards.  Client order
-    is fixed, so aggregation is bitwise reproducible.  The initial state
-    is communicated dense (d values per client); afterwards clients only
+    which reduces to the plain average for equal shards.
+
+    Per-client state is held as (n_clients, d) arrays, row j for client
+    j: ``client_grads`` (each client's gradient at the current point)
+    and the method's memory (``client_state`` or ``shifts``).  A step is
+    whole-array algebra on one stacked client pass; only compression
+    runs client by client, in client order, drawing from one rng.
+    Every reduction over clients also runs in client order, so
+    aggregation is bitwise reproducible.  The initial state is
+    communicated dense (d values per client); afterwards clients only
     send compressed messages, and the two ledgers stay separate so that
     claim can be audited.
     """
+
+    needs_unbiased = False
 
     def __init__(self, problem, x0, client_problems, compressor, value_bits=32, index_bits=32):
         super().__init__(problem, x0)
@@ -491,6 +498,8 @@ class _ClientServerEstimator(GradientEstimator):
             raise ValueError(
                 f"client shards hold {total} components, problem has {problem.n_components}"
             )
+        if self.needs_unbiased and not getattr(compressor, "unbiased", False):
+            raise ValueError("this method needs an unbiased compressor")
         self.clients = list(client_problems)
         self.weights = np.array(
             [cp.n_components / problem.n_components for cp in self.clients]
@@ -498,24 +507,30 @@ class _ClientServerEstimator(GradientEstimator):
         self.compressor = compressor
         self.value_bits = int(value_bits)
         self.index_bits = int(index_bits)
+        # the initial full pass, each client's gradient sent dense
+        self.client_grads = self._client_grads(self.x)
+        self.grad_calls += problem.n_components
+        self.bits_dense += self.n_clients * dense_bits_cost(problem.dim, self.value_bits)
 
     @property
     def n_clients(self):
         return len(self.clients)
 
-    def _client_pass(self, x):
-        grads = [cp.full_grad(x) for cp in self.clients]
-        self.grad_calls += self.problem.n_components
-        return grads
-
-    def _init_dense_broadcast(self):
-        self.bits_dense += self.n_clients * dense_bits_cost(self.problem.dim, self.value_bits)
-
-    def _count_message(self, message):
-        self.bits_compressed += bits_cost(message, self.value_bits, self.index_bits)
-
-    def _client_grads_at(self, x):
+    def _client_grads(self, x):
+        """Every client's local gradient at x, stacked (n_clients, d).
+        Leaves the ledger to the caller."""
         return np.array([cp.full_grad(x) for cp in self.clients])
+
+    def _compress_each(self, residuals, rng):
+        """Compress row j of ``residuals`` as client j's message, in
+        client order, and count the bits sent; returns the dense
+        messages, (n_clients, d)."""
+        dense = np.zeros_like(residuals)
+        for j, row in enumerate(residuals):
+            message = self.compressor.compress(row, rng)
+            self.bits_compressed += bits_cost(message, self.value_bits, self.index_bits)
+            dense[j] = message.to_dense()
+        return dense
 
     def _compress_batch(self, messages, rng, S):
         """Dense compressor outputs for S independent draws of every
@@ -523,12 +538,15 @@ class _ClientServerEstimator(GradientEstimator):
         return self.compressor.sample_dense(np.broadcast_to(messages, (S,) + messages.shape), rng)
 
     def _server_sum(self, per_client):
-        """Share-weighted sum over the client axis: (..., n_clients, d) -> (..., d)."""
-        return (self.weights[:, None] * per_client).sum(axis=-2)
+        """Share-weighted sum over the client axis, in client order:
+        (..., n_clients, d) -> (..., d).  cumsum accumulates client by
+        client; .sum(axis=-2) does too, except when d == 1 makes the
+        client axis the contiguous one and numpy sums it pairwise."""
+        return np.cumsum(self.weights[:, None] * per_client, axis=-2)[..., -1, :]
 
     def _client_error(self, gaps):
         """Share-weighted mean squared client gap, (..., n_clients, d) ->
-        (...), summed client by client in order, as ``sigma_sq`` sums."""
+        (...), summed client by client in order."""
         per_client = (gaps * gaps).sum(axis=-1)
         return sum(w * per_client[..., j] for j, w in enumerate(self.weights))
 
@@ -541,42 +559,33 @@ class EF21(_ClientServerEstimator):
 
     def __init__(self, problem, x0, client_problems, compressor, value_bits=32, index_bits=32):
         super().__init__(problem, x0, client_problems, compressor, value_bits, index_bits)
-        grads = self._client_pass(self.x)
-        self.client_state = [u.copy() for u in grads]
-        self.client_grads = grads
-        self._init_dense_broadcast()
-        self.g = sum(w * s for w, s in zip(self.weights, self.client_state))
+        self.client_state = self.client_grads.copy()
+        self.g = self._server_sum(self.client_state)
 
     def step(self, x_t, rng):
         x_t = np.asarray(x_t, dtype=float)
-        update = np.zeros(self.problem.dim)
-        for j, cp in enumerate(self.clients):
-            u = cp.full_grad(x_t)
-            message = self.compressor.compress(u - self.client_state[j], rng)
-            self._count_message(message)
-            dense = message.to_dense()
-            self.client_state[j] = self.client_state[j] + dense
-            self.client_grads[j] = u
-            update += self.weights[j] * dense
+        grads = self._client_grads(x_t)
         self.grad_calls += self.problem.n_components
-        self.g = self.g + update
+        dense = self._compress_each(grads - self.client_state, rng)
+        self.client_state = self.client_state + dense
+        self.client_grads = grads
+        self.g = self.g + self._server_sum(dense)
         self.x = x_t.copy()
         return self.g
 
     def sigma_sq(self):
-        return float(
-            sum(
-                w * ((s - u) ** 2).sum()
-                for w, s, u in zip(self.weights, self.client_state, self.client_grads)
-            )
-        )
+        return float(self._client_error(self.client_state - self.client_grads))
 
     def constants(self):
+        _require(
+            hasattr(self.compressor, "delta"),
+            "ef21 needs a contractive compressor (topk or identity)",
+        )
         return constants("ef21", delta=self.compressor.delta)
 
     def step_batch(self, x_cand, rng, S):
-        grads = self._client_grads_at(x_cand)
-        state = np.array(self.client_state)
+        grads = self._client_grads(x_cand)
+        state = self.client_state
         dense = self._compress_batch(grads - state, rng, S)
         return self.g + self._server_sum(dense), self._client_error(state + dense - grads)
 
@@ -586,31 +595,23 @@ class DIANA(_ClientServerEstimator):
     compress the residual against a slowly moving local shift."""
 
     method = "diana"
+    needs_unbiased = True
 
     def __init__(self, problem, x0, client_problems, compressor, value_bits=32, index_bits=32):
         super().__init__(problem, x0, client_problems, compressor, value_bits, index_bits)
-        if not getattr(compressor, "unbiased", False):
-            raise ValueError("this method needs an unbiased compressor")
         self.omega = float(compressor.omega)
-        grads = self._client_pass(self.x)
-        self.shifts = [u.copy() for u in grads]
-        self.client_grads = grads
-        self._init_dense_broadcast()
-        self.server_shift = sum(w * h for w, h in zip(self.weights, self.shifts))
+        self.shifts = self.client_grads.copy()
+        self.server_shift = self._server_sum(self.shifts)
         self.g = self.server_shift.copy()
 
     def step(self, x_t, rng):
         x_t = np.asarray(x_t, dtype=float)
-        agg = np.zeros(self.problem.dim)
-        for j, cp in enumerate(self.clients):
-            u = cp.full_grad(x_t)
-            message = self.compressor.compress(u - self.shifts[j], rng)
-            self._count_message(message)
-            dense = message.to_dense()
-            agg += self.weights[j] * dense
-            self.shifts[j] = self.shifts[j] + dense / (self.omega + 1.0)
-            self.client_grads[j] = u
+        grads = self._client_grads(x_t)
         self.grad_calls += self.problem.n_components
+        dense = self._compress_each(grads - self.shifts, rng)
+        agg = self._server_sum(dense)
+        self.shifts = self.shifts + dense / (self.omega + 1.0)
+        self.client_grads = grads
         # estimate uses the PRE-update server shift, so an identity
         # compressor telescopes back to the exact gradient
         self.g = self.server_shift + agg
@@ -619,33 +620,22 @@ class DIANA(_ClientServerEstimator):
         return self.g
 
     def sigma_sq(self):
-        return float(
-            sum(
-                w * ((h - u) ** 2).sum()
-                for w, h, u in zip(self.weights, self.shifts, self.client_grads)
-            )
-        )
+        return float(self._client_error(self.shifts - self.client_grads))
 
     def shift_mismatch(self, x):
         """Mean squared client-gradient-to-shift distance at an arbitrary
         point, with the shifts as they currently stand.  This is the
         auxiliary quantity the estimate-error recursion couples to."""
-        return float(
-            sum(
-                w * ((cp.full_grad(x) - h) ** 2).sum()
-                for w, cp, h in zip(self.weights, self.clients, self.shifts)
-            )
-        )
+        return float(self._client_error(self._client_grads(x) - self.shifts))
 
     def constants(self):
         return constants("diana", omega=self.omega, n_clients=self.n_clients)
 
     def step_batch(self, x_cand, rng, S):
-        grads = self._client_grads_at(x_cand)
-        shifts = np.array(self.shifts)
-        dense = self._compress_batch(grads - shifts, rng, S)
+        grads = self._client_grads(x_cand)
+        dense = self._compress_batch(grads - self.shifts, rng, S)
         G = self.server_shift + self._server_sum(dense)
-        return G, self._client_error(shifts + dense / (self.omega + 1.0) - grads)
+        return G, self._client_error(self.shifts + dense / (self.omega + 1.0) - grads)
 
 
 class DASHA(_ClientServerEstimator):
@@ -654,53 +644,41 @@ class DASHA(_ClientServerEstimator):
     error, so nothing dense is ever sent after the first pass."""
 
     method = "dasha"
+    needs_unbiased = True
 
     def __init__(self, problem, x0, client_problems, compressor, value_bits=32, index_bits=32):
         super().__init__(problem, x0, client_problems, compressor, value_bits, index_bits)
-        if not getattr(compressor, "unbiased", False):
-            raise ValueError("this method needs an unbiased compressor")
         self.omega = float(compressor.omega)
         self.eta = 1.0 / (2.0 * self.omega + 1.0)
-        grads = self._client_pass(self.x)
-        self.client_state = [u.copy() for u in grads]
-        self.prev_grads = grads
-        self._init_dense_broadcast()
-        self.g = sum(w * s for w, s in zip(self.weights, self.client_state))
+        self.client_state = self.client_grads.copy()
+        self.g = self._server_sum(self.client_state)
+
+    def _momentum(self, grads):
+        prev = self.client_grads
+        return grads - prev - self.eta * (self.client_state - prev)
 
     def step(self, x_t, rng):
         x_t = np.asarray(x_t, dtype=float)
-        agg = np.zeros(self.problem.dim)
-        for j, cp in enumerate(self.clients):
-            u = cp.full_grad(x_t)
-            momentum = u - self.prev_grads[j] - self.eta * (self.client_state[j] - self.prev_grads[j])
-            message = self.compressor.compress(momentum, rng)
-            self._count_message(message)
-            dense = message.to_dense()
-            self.client_state[j] = self.client_state[j] + dense
-            agg += self.weights[j] * dense
-            self.prev_grads[j] = u
+        grads = self._client_grads(x_t)
         self.grad_calls += self.problem.n_components
-        self.g = self.g + agg
+        dense = self._compress_each(self._momentum(grads), rng)
+        self.client_state = self.client_state + dense
+        self.client_grads = grads
+        self.g = self.g + self._server_sum(dense)
         self.x = x_t.copy()
         return self.g
 
     def sigma_sq(self):
-        return float(
-            sum(
-                w * ((s - u) ** 2).sum()
-                for w, s, u in zip(self.weights, self.client_state, self.prev_grads)
-            )
-        )
+        return float(self._client_error(self.client_state - self.client_grads))
 
     def constants(self):
         return constants("dasha", omega=self.omega, n_clients=self.n_clients)
 
     def step_batch(self, x_cand, rng, S):
-        grads = self._client_grads_at(x_cand)
-        state = np.array(self.client_state)
-        prev = np.array(self.prev_grads)
-        dense = self._compress_batch(grads - prev - self.eta * (state - prev), rng, S)
-        return self.g + self._server_sum(dense), self._client_error(state + dense - grads)
+        grads = self._client_grads(x_cand)
+        dense = self._compress_batch(self._momentum(grads), rng, S)
+        sigma = self._client_error(self.client_state + dense - grads)
+        return self.g + self._server_sum(dense), sigma
 
 
 class SEGA(GradientEstimator):
@@ -828,82 +806,3 @@ def make_estimator(method, problem, x0, hyperparams=None, **kwargs):
     if method == "diana":
         return DIANA(problem, x0, clients, comp, **common)
     return DASHA(problem, x0, clients, comp, **common)
-
-
-def init(method, problem, hyperparams, x0):
-    """Functional alias for make_estimator (state-style interface)."""
-    return make_estimator(method, problem, x0, hyperparams)
-
-
-def sigma_sq(state):
-    return state.sigma_sq()
-
-
-def _expect_method(state, method):
-    if state.method != method:
-        raise ValueError(f"state is for {state.method!r}, not {method!r}")
-
-
-def step_lsvrg(state, x_t, rng):
-    _expect_method(state, "lsvrg")
-    return state.step(x_t, rng)
-
-
-def step_saga(state, x_t, rng):
-    _expect_method(state, "saga")
-    return state.step(x_t, rng)
-
-
-def step_page(state, x_t, rng):
-    _expect_method(state, "page")
-    return state.step(x_t, rng)
-
-
-def step_zerosarah(state, x_t, rng):
-    _expect_method(state, "zerosarah")
-    return state.step(x_t, rng)
-
-
-def _check_clients(state, client_problems):
-    if client_problems is not None and len(client_problems) != state.n_clients:
-        raise ValueError(
-            f"state has {state.n_clients} clients, got {len(client_problems)}"
-        )
-
-
-def step_ef21(state, x_t, client_problems=None, compressor=None, rng=None):
-    _expect_method(state, "ef21")
-    _check_clients(state, client_problems)
-    if compressor is not None:
-        state.compressor = compressor
-    return state.step(x_t, rng)
-
-
-def step_diana(state, x_t, client_problems=None, compressor=None, rng=None):
-    _expect_method(state, "diana")
-    _check_clients(state, client_problems)
-    if compressor is not None:
-        state.compressor = compressor
-    if rng is None:
-        raise ValueError("randomized compression needs an rng")
-    return state.step(x_t, rng)
-
-
-def step_dasha(state, x_t, client_problems=None, compressor=None, rng=None):
-    _expect_method(state, "dasha")
-    _check_clients(state, client_problems)
-    if compressor is not None:
-        state.compressor = compressor
-    if rng is None:
-        raise ValueError("randomized compression needs an rng")
-    return state.step(x_t, rng)
-
-
-def step_sega(state, x_t, rng):
-    _expect_method(state, "sega")
-    return state.step(x_t, rng)
-
-
-def step_jaguar(state, x_t, rng):
-    _expect_method(state, "jaguar")
-    return state.step(x_t, rng)

@@ -22,10 +22,23 @@ from scipy.special import expit
 class Problem:
     """Base class for averaged finite-sum objectives.
 
-    Subclasses must set ``dim``, ``n_components``, ``smoothness`` and
-    implement the component oracles.  ``smoothness`` is the uniform
-    component smoothness bound: every f_i (and hence f) has an
-    L-Lipschitz gradient with this L.
+    Subclasses set ``dim``, ``n_components`` and ``smoothness`` and
+    implement every oracle at a point x:
+
+    * ``loss(x)``: the objective f(x);
+    * ``component_loss(i, x)``, ``component_grad(i, x)``: one f_i;
+    * ``component_grads(indices, x)``: gradient stack, (len(indices), dim);
+    * ``all_component_grads(x)``: the stack over all n components;
+    * ``full_grad(x)``: the gradient of f;
+    * ``partial(x, j)``, ``partials(x, coords)``: coordinate derivatives
+      of f;
+    * ``curvature_matvec(v)``: product with the curvature upper-bound
+      matrix whose largest eigenvalue equals ``smoothness`` (used by
+      power iteration);
+    * ``subset(indices)``: a new problem over some of the components.
+
+    ``smoothness`` is the uniform component smoothness bound: every f_i
+    (and hence f) has an L-Lipschitz gradient with this L.
     """
 
     dim: int
@@ -34,56 +47,6 @@ class Problem:
     pl_constant: float | None = None
     f_star: float | None = None
     x_opt: np.ndarray | None = None
-
-    # --- component oracles (subclass responsibility) ---
-
-    def component_loss(self, i: int, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def component_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def component_grads(self, indices, x: np.ndarray) -> np.ndarray:
-        """Stack of component gradients, shape (len(indices), dim)."""
-        return np.stack([self.component_grad(i, x) for i in np.asarray(indices)])
-
-    # --- derived oracles ---
-
-    def loss(self, x: np.ndarray) -> float:
-        return float(
-            np.mean([self.component_loss(i, x) for i in range(self.n_components)])
-        )
-
-    def all_component_grads(self, x: np.ndarray) -> np.ndarray:
-        return self.component_grads(np.arange(self.n_components), x)
-
-    def batch_grad(self, indices, x: np.ndarray) -> np.ndarray:
-        """Average gradient over a batch of component indices."""
-        return self.component_grads(indices, x).mean(axis=0)
-
-    def full_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.all_component_grads(x).mean(axis=0)
-
-    def partial(self, x: np.ndarray, coord: int) -> float:
-        """Coordinate derivative of the full objective."""
-        return float(self.full_grad(x)[coord])
-
-    def partials(self, x: np.ndarray, coords) -> np.ndarray:
-        """Several coordinate derivatives at the same point.
-
-        Cheaper than repeated ``partial`` calls for objectives where the
-        expensive part of the gradient is shared between coordinates.
-        """
-        return np.array([self.partial(x, int(j)) for j in np.asarray(coords)])
-
-    def curvature_matvec(self, v: np.ndarray) -> np.ndarray:
-        """Product with the curvature upper-bound matrix whose largest
-        eigenvalue equals ``smoothness``.  Used by power iteration."""
-        raise NotImplementedError
-
-    def subset(self, indices) -> "Problem":
-        """New problem over a subset of the components."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)

@@ -111,11 +111,6 @@ class AdaptiveAccumulator:
         return adaptive_step_size(self.nu, self.alpha, self.total)
 
 
-def adaptive_gamma(acc, g_t):
-    """Functional alias: advance the accumulator by g_t, return gamma_t."""
-    return acc.gamma(g_t)
-
-
 def _corollary_ratio(method, **hp):
     """Hand-substituted (B*rho2 + A*C) / (rho1*rho2) per method.
 

@@ -22,12 +22,20 @@ from vradapt.engine import CSV_HEADER
 from vradapt.verify import MARGIN_CSV_HEADER
 
 QUICK_CFG = "method=saga\nb=2\nn=6\nd=4\nT=20\ncadence=5\n"
+MISSING_DATA_CFG = "method=saga\nb=2\ndataset=/no/such/file\nT=5\n"
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def assert_one_error_line(captured, named):
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert named in lines[0]
+    assert "Traceback" not in captured.out + captured.err
 
 
 class TestRunCommand:
@@ -68,11 +76,20 @@ class TestRunCommand:
     def test_missing_hyperparameter_is_one_error_line(self, tmp_path, capsys, text, named):
         cfg = write_cfg(tmp_path, text)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
-        assert named in lines[0]
-        assert "Traceback" not in captured.out + captured.err
+        assert_one_error_line(capsys.readouterr(), named)
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ("method=ef21\ncompressor=randk\nk=2\nn=6\nd=4\nclients=2\nT=5\n", "contractive"),
+            (MISSING_DATA_CFG, "/no/such/file"),
+        ],
+    )
+    def test_config_error_is_one_error_line(self, tmp_path, capsys, text, named):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), named)
         assert not (tmp_path / "t.csv").exists()
 
     def test_divergence_exit_code(self, tmp_path, capsys):
@@ -158,6 +175,33 @@ class TestSweepCommand:
         cfg = write_cfg(tmp_path, QUICK_CFG)
         assert main(["sweep", "--config", cfg, "--grid", "batch=1,2"]) == EXIT_USAGE
         assert "batch" in capsys.readouterr().err
+
+    def test_grid_values_coerced_as_in_config_files(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "method=page\nb=2\np=0.5\nn=6\nd=4\nT=5\n")
+        out_dir = tmp_path / "grid"
+        grid = ["--grid", "with_replacement=yes,off", "--grid", "p= 0.25"]
+        assert main(["sweep", "--config", cfg, *grid, "--out-dir", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "sweep_p0.25_with_replacementFalse.csv",
+            "sweep_p0.25_with_replacementTrue.csv",
+        ]
+
+    @pytest.mark.parametrize(
+        "text,flags,named",
+        [
+            (QUICK_CFG, ["--grid", "b=1,x"], "bad value for config key 'b'"),
+            (QUICK_CFG, ["--grid", "b=1,2", "--jobs", "0"], "--jobs"),
+            (QUICK_CFG, ["--jobs", "-2"], "--jobs"),
+            (MISSING_DATA_CFG, ["--grid", "b=1,2"], "/no/such/file"),
+        ],
+    )
+    def test_sweep_error_is_one_error_line(self, tmp_path, capsys, text, flags, named):
+        cfg = write_cfg(tmp_path, text)
+        out_dir = tmp_path / "grid"
+        assert main(["sweep", "--config", cfg, *flags, "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), named)
+        assert not out_dir.exists()
 
 
 class TestVerifyCommand:

@@ -133,6 +133,15 @@ class TestBuildProblem:
         cfg = ExperimentConfig(dataset="synthetic:50:20:3", limit=12)
         assert build_problem(cfg).n_components == 12
 
+    def test_synthetic_spec_narrower_than_fourteen_features(self):
+        cfg = ExperimentConfig(method="saga", b=4, dataset="synthetic:50:8:0", T=10)
+        result = run(cfg)
+        assert result.status == "completed"
+        problem = build_problem(cfg)
+        assert problem.n_components == 50 and problem.dim == 8
+        # every row uses all 8 features: nnz per row is min(14, dim)
+        assert np.all(np.diff(problem.X.indptr) == 8)
+
     def test_bad_synthetic_spec(self):
         with pytest.raises(ValueError):
             build_problem(ExperimentConfig(dataset="synthetic:50:20"))

@@ -1,25 +1,14 @@
 import numpy as np
 import pytest
 
-from vradapt.compressors import IdentityCompressor, RandK, TopK, dense_bits_cost
+from vradapt.compressors import RandK, TopK, dense_bits_cost
 from vradapt.estimators import (
     COORDINATE_METHODS,
     DISTRIBUTED_METHODS,
     METHODS,
     VRConstants,
     constants,
-    init,
     make_estimator,
-    sigma_sq,
-    step_dasha,
-    step_diana,
-    step_ef21,
-    step_jaguar,
-    step_lsvrg,
-    step_page,
-    step_saga,
-    step_sega,
-    step_zerosarah,
 )
 from vradapt.problems import make_quadratic, partition_problem
 
@@ -526,7 +515,66 @@ class TestDASHA:
             prev = u
             assert np.allclose(g, g_prev, atol=1e-14)
             assert np.allclose(est.client_state[0], state, atol=1e-14)
-            assert np.allclose(est.prev_grads[0], prev, atol=1e-14)
+            assert np.allclose(est.client_grads[0], prev, atol=1e-14)
+
+
+def client_loop_steps(method, est0, xs, rng):
+    """The EF21/DIANA/DASHA updates written client by client on lists of
+    vectors, from the state ``est0`` holds at construction: yields the
+    estimate, the per-client memory (EF21/DASHA state, DIANA shifts) and
+    sigma^2 after each step."""
+    weights, compressor = est0.weights, est0.compressor
+    grads = [cp.full_grad(est0.x) for cp in est0.clients]
+    memory = [u.copy() for u in grads]
+    g = sum(w * m for w, m in zip(weights, memory))
+    server_shift = g.copy()
+    omega = getattr(compressor, "omega", 1.0)
+    eta = 1.0 / (2.0 * omega + 1.0)
+    for x in xs:
+        update = np.zeros(len(x))
+        for j, cp in enumerate(est0.clients):
+            u = cp.full_grad(x)
+            if method == "dasha":
+                residual = u - grads[j] - eta * (memory[j] - grads[j])
+            else:
+                residual = u - memory[j]
+            dense = compressor.compress(residual, rng).to_dense()
+            memory[j] = memory[j] + (dense / (omega + 1.0) if method == "diana" else dense)
+            grads[j] = u
+            update += weights[j] * dense
+        if method == "diana":
+            g = server_shift + update
+            server_shift = server_shift + update / (omega + 1.0)
+        else:
+            g = g + update
+        sigma = sum(w * ((m - u) ** 2).sum() for w, m, u in zip(weights, memory, grads))
+        yield g, memory, sigma
+
+
+class TestClientArraysMatchClientLoop:
+    """The (n_clients, d) array form of each client-server step gives
+    bit for bit what the client-by-client loop gives, including at
+    d = 1, where numpy would sum the client axis pairwise."""
+
+    @pytest.mark.parametrize("method,hp", [
+        ("ef21", {"compressor": "topk", "k": 1}),
+        ("diana", {"compressor": "randk", "k": 1}),
+        ("dasha", {"compressor": "randk", "k": 1}),
+    ])
+    @pytest.mark.parametrize("n,d,n_clients", [(6, 4, 3), (27, 1, 9)])
+    def test_steps_bit_equal(self, method, hp, n, d, n_clients):
+        problem = make_quadratic(n, d, seed=2)
+        hp = dict(hp, n_clients=n_clients, scheme="round-robin")
+        est = make_estimator(method, problem, np.zeros(d), hp)
+        walk = np.random.default_rng(4)
+        xs = [walk.standard_normal(d) for _ in range(6)]
+        reference = client_loop_steps(method, est.clone(), xs, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for x, (g, memory, sigma) in zip(xs, reference):
+            assert np.array_equal(est.step(x, rng), g)
+            own = est.shifts if method == "diana" else est.client_state
+            assert np.array_equal(own, np.array(memory))
+            assert est.sigma_sq() == sigma
 
 
 class TestCountersAndBits:
@@ -725,71 +773,6 @@ class TestStepBatch:
             g = twin.step(x_cand, script)
             assert np.allclose(G[s], g, rtol=1e-12, atol=1e-15), s
             assert np.allclose(sigma[s], twin.sigma_sq(), rtol=1e-12, atol=1e-15), s
-
-
-class TestFacade:
-    def test_init_and_step_round_trip(self, quad):
-        state = init("saga", quad, {"b": 2}, np.zeros(4))
-        g = step_saga(state, np.ones(4), np.random.default_rng(0))
-        assert g is state.estimate
-        assert sigma_sq(state) > 0.0
-
-    def test_method_mismatch_rejected(self, quad):
-        state = init("lsvrg", quad, {"b": 2, "p": 0.5}, np.zeros(4))
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            step_saga(state, np.ones(4), rng)
-        with pytest.raises(ValueError):
-            step_page(state, np.ones(4), rng)
-        g = step_lsvrg(state, np.ones(4), rng)
-        assert g.shape == (4,)
-
-    def test_all_step_functions_dispatch(self, quad):
-        rng = np.random.default_rng(0)
-        x = np.ones(4)
-        steps = {
-            "lsvrg": step_lsvrg,
-            "saga": step_saga,
-            "page": step_page,
-            "zerosarah": step_zerosarah,
-            "sega": step_sega,
-            "jaguar": step_jaguar,
-        }
-        for method, fn in steps.items():
-            state = init(method, quad, default_hp(method, quad), np.zeros(4))
-            assert fn(state, x, rng).shape == (4,)
-
-    def test_distributed_rng_required(self, quad):
-        state = init(
-            "diana", quad, {"n_clients": 2, "compressor": "randk", "k": 2}, np.zeros(4)
-        )
-        with pytest.raises(ValueError):
-            step_diana(state, np.ones(4))
-        state = init(
-            "dasha", quad, {"n_clients": 2, "compressor": "randk", "k": 2}, np.zeros(4)
-        )
-        with pytest.raises(ValueError):
-            step_dasha(state, np.ones(4))
-
-    def test_client_count_mismatch_rejected(self, quad):
-        state = init(
-            "ef21", quad, {"n_clients": 2, "compressor": "topk", "k": 1}, np.zeros(4)
-        )
-        wrong = partition_problem(quad, 3)
-        with pytest.raises(ValueError):
-            step_ef21(state, np.ones(4), client_problems=wrong)
-        g = step_ef21(state, np.ones(4), rng=np.random.default_rng(0))
-        assert g.shape == (4,)
-
-    def test_compressor_swap_takes_effect(self, quad):
-        state = init(
-            "ef21", quad, {"n_clients": 1, "compressor": "topk", "k": 1}, np.zeros(4)
-        )
-        g = step_ef21(
-            state, np.ones(4), compressor=IdentityCompressor(4),
-            rng=np.random.default_rng(0),
-        )
-        assert np.allclose(g, quad.full_grad(np.ones(4)), atol=1e-13)
 
 
 class TestConstruction:

@@ -57,8 +57,6 @@ class TestQuadratic:
         for i in range(6):
             assert np.allclose(stacked[i], prob.component_grad(i, x))
         assert np.allclose(stacked.mean(axis=0), prob.full_grad(x))
-        idx = np.array([1, 4])
-        assert np.allclose(prob.batch_grad(idx, x), stacked[idx].mean(axis=0))
         # mean of component losses equals the loss
         mean_loss = np.mean([prob.component_loss(i, x) for i in range(6)])
         assert prob.loss(x) == pytest.approx(mean_loss)

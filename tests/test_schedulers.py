@@ -8,7 +8,6 @@ from vradapt.schedulers import (
     AdamState,
     AdaptiveAccumulator,
     adam_baseline_step,
-    adaptive_gamma,
     adaptive_step_size,
     corollary_step_size,
     nu_of,
@@ -160,10 +159,6 @@ class TestAdaptiveAccumulator:
         assert acc.stationary
         acc.gamma(np.array([1.0, 0.0, 0.0]))
         assert not acc.stationary
-
-    def test_functional_alias(self):
-        acc = AdaptiveAccumulator(nu=1.0, alpha=0.25)
-        assert adaptive_gamma(acc, np.array([2.0])) == pytest.approx(4.0**-0.25)
 
 
 class TestCorollaryForms:
