@@ -66,7 +66,7 @@ def top_k(x, k) -> CompressedVector:
 
 
 def rand_k(x, k, rng) -> CompressedVector:
-    """Keep a uniform k-subset of coordinates, rescaled by d/k.
+    """Keep k coordinates drawn uniformly without replacement, rescaled by d/k.
 
     The rescaling makes the operator unbiased; its second moment is
     exactly (d/k) ||x||^2.
@@ -126,7 +126,7 @@ class RandK:
     def sample_dense(self, V, rng) -> np.ndarray:
         """Independent ``rand_k`` outputs, dense, for every vector along
         the last axis of V: each keeps the first k positions of an argsort
-        of uniforms, a uniform k-subset."""
+        of uniforms, k distinct positions drawn uniformly."""
         V = np.asarray(V, dtype=float)
         kept = rng.random(V.shape).argsort(axis=-1)[..., : self.k]
         return _keep_dense(V, kept, V.shape[-1] / self.k)
@@ -135,8 +135,8 @@ class RandK:
         """All equally likely outputs; exact-expectation checks for small d."""
         x = np.asarray(x, dtype=float)
         scale = self.dim / self.k
-        for subset in itertools.combinations(range(self.dim), self.k):
-            idx = np.array(subset, dtype=np.int64)
+        for kept in itertools.combinations(range(self.dim), self.k):
+            idx = np.array(kept, dtype=np.int64)
             yield CompressedVector(idx, scale * x[idx], self.dim)
 
 

@@ -64,8 +64,8 @@ def _normalize_labels(raw, first_line_no=1):
 def parse_libsvm(source, force_dim=None, limit=None) -> Dataset:
     """Parse LibSVM text from a string or text stream.
 
-    ``force_dim`` pins the feature dimension (useful so that subsets of
-    a file keep the official dimension); otherwise d is the largest
+    ``force_dim`` pins the feature dimension (useful so that parts of a
+    file keep the official dimension); otherwise d is the largest
     index seen.  ``limit`` keeps only the first ``limit`` rows.
     """
     if isinstance(source, str):

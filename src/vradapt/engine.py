@@ -515,7 +515,8 @@ def _sweep_configs(base, grid):
     for values in itertools.product(*(grid[k] for k in keys)):
         combo = tuple(zip(keys, values))
         cfg = base.replace(**dict(combo))
-        cfg.seed = _derived_seed(base.seed, combo)
+        if "seed" not in grid:
+            cfg.seed = _derived_seed(base.seed, combo)
         configs.append(cfg)
     return configs
 
@@ -523,9 +524,10 @@ def _sweep_configs(base, grid):
 def sweep(base, grid, jobs=1):
     """Run the Cartesian product of grid overrides on top of base.
 
-    Every grid point gets its own seed derived by hashing the base seed
-    with the sorted key/value combination, so results are independent of
-    execution order and of jobs.
+    A ``seed`` grid key sets each cell's seed as given.  Otherwise every
+    grid point gets its own seed derived by hashing the base seed with
+    the sorted key/value combination.  Either way results are independent
+    of execution order and of jobs.
     """
     configs = _sweep_configs(base, grid)
     if jobs <= 1 or len(configs) <= 1:

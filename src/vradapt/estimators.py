@@ -179,7 +179,7 @@ def _draw_batch(rng, n, b, with_replacement=False):
 def _draw_batches(rng, n, b, S, with_replacement=False):
     """S independent batches, one per row of an (S, b) index array: b
     uniform draws with replacement, or else the first b positions of an
-    argsort of uniforms, a uniform b-subset."""
+    argsort of uniforms, b distinct indices drawn uniformly."""
     if with_replacement:
         return rng.integers(0, n, size=(S, b))
     return rng.random((S, n)).argsort(axis=1)[:, :b]
@@ -262,8 +262,8 @@ class GradientEstimator:
 
     def clone(self):
         """Independent copy of the state: arrays are copied; the problem,
-        client shards and compressor, which no step mutates, are
-        shared."""
+        client groups, client pass and compressor, which no step mutates,
+        are shared."""
         twin = object.__new__(type(self))
         twin.__dict__.update({k: _copied(v) for k, v in vars(self).items()})
         return twin
@@ -471,9 +471,11 @@ class ZeroSARAH(GradientEstimator):
 class _ClientServerEstimator(GradientEstimator):
     """Shared plumbing for the simulated client/server methods.
 
-    Clients are sub-problems over a partition of the components; the
-    server aggregate weights each client by its share of the components,
-    which reduces to the plain average for equal shards.
+    Clients are index groups over a partition of the components
+    (``groups``); the server aggregate weights each client by its share
+    of the components (``weights``), which reduces to the plain average
+    for equal groups.  ``problem.group_grads(groups)`` builds, once, the
+    client pass that gives every client's gradient in one call.
 
     Per-client state is held as (n_clients, d) arrays, row j for client
     j: ``client_grads`` (each client's gradient at the current point)
@@ -489,21 +491,15 @@ class _ClientServerEstimator(GradientEstimator):
 
     needs_unbiased = False
 
-    def __init__(self, problem, x0, client_problems, compressor, value_bits=32, index_bits=32):
+    def __init__(self, problem, x0, groups, compressor, value_bits=32, index_bits=32):
         super().__init__(problem, x0)
-        if not client_problems:
-            raise ValueError("at least one client problem is required")
-        total = sum(cp.n_components for cp in client_problems)
-        if total != problem.n_components:
-            raise ValueError(
-                f"client shards hold {total} components, problem has {problem.n_components}"
-            )
         if self.needs_unbiased and not getattr(compressor, "unbiased", False):
             raise ValueError("this method needs an unbiased compressor")
-        self.clients = list(client_problems)
-        self.weights = np.array(
-            [cp.n_components / problem.n_components for cp in self.clients]
-        )
+        self.groups = groups
+        self.weights = np.array([len(g) / problem.n_components for g in groups])
+        # every client's local gradient at x, stacked (n_clients, d);
+        # callers keep the ledger
+        self._client_grads = problem.group_grads(groups)
         self.compressor = compressor
         self.value_bits = int(value_bits)
         self.index_bits = int(index_bits)
@@ -514,12 +510,7 @@ class _ClientServerEstimator(GradientEstimator):
 
     @property
     def n_clients(self):
-        return len(self.clients)
-
-    def _client_grads(self, x):
-        """Every client's local gradient at x, stacked (n_clients, d).
-        Leaves the ledger to the caller."""
-        return np.array([cp.full_grad(x) for cp in self.clients])
+        return len(self.groups)
 
     def _compress_each(self, residuals, rng):
         """Compress row j of ``residuals`` as client j's message, in
@@ -557,8 +548,8 @@ class EF21(_ClientServerEstimator):
 
     method = "ef21"
 
-    def __init__(self, problem, x0, client_problems, compressor, value_bits=32, index_bits=32):
-        super().__init__(problem, x0, client_problems, compressor, value_bits, index_bits)
+    def __init__(self, problem, x0, groups, compressor, value_bits=32, index_bits=32):
+        super().__init__(problem, x0, groups, compressor, value_bits, index_bits)
         self.client_state = self.client_grads.copy()
         self.g = self._server_sum(self.client_state)
 
@@ -597,8 +588,8 @@ class DIANA(_ClientServerEstimator):
     method = "diana"
     needs_unbiased = True
 
-    def __init__(self, problem, x0, client_problems, compressor, value_bits=32, index_bits=32):
-        super().__init__(problem, x0, client_problems, compressor, value_bits, index_bits)
+    def __init__(self, problem, x0, groups, compressor, value_bits=32, index_bits=32):
+        super().__init__(problem, x0, groups, compressor, value_bits, index_bits)
         self.omega = float(compressor.omega)
         self.shifts = self.client_grads.copy()
         self.server_shift = self._server_sum(self.shifts)
@@ -646,8 +637,8 @@ class DASHA(_ClientServerEstimator):
     method = "dasha"
     needs_unbiased = True
 
-    def __init__(self, problem, x0, client_problems, compressor, value_bits=32, index_bits=32):
-        super().__init__(problem, x0, client_problems, compressor, value_bits, index_bits)
+    def __init__(self, problem, x0, groups, compressor, value_bits=32, index_bits=32):
+        super().__init__(problem, x0, groups, compressor, value_bits, index_bits)
         self.omega = float(compressor.omega)
         self.eta = 1.0 / (2.0 * self.omega + 1.0)
         self.client_state = self.client_grads.copy()
@@ -769,8 +760,7 @@ def make_estimator(method, problem, x0, hyperparams=None, **kwargs):
     Hyperparameter keys by method: b, p, with_replacement (batch
     methods); b (coordinate methods, bounded by the dimension);
     n_clients, compressor (topk|randk|identity), k, value_bits,
-    index_bits, scheme (client-server methods).  Client shards may be
-    supplied directly via ``client_problems``.  The construction runs
+    index_bits, scheme (client-server methods).  The construction runs
     one full gradient pass, so the estimate starts exact.
     """
     hp = dict(hyperparams or {})
@@ -791,10 +781,8 @@ def make_estimator(method, problem, x0, hyperparams=None, **kwargs):
     if method == "jaguar":
         return JAGUAR(problem, x0, hp.get("b"))
     # client-server methods
-    clients = hp.get("client_problems")
-    if clients is None:
-        n_clients = int(hp.get("n_clients", 10))
-        clients = partition_problem(problem, n_clients, hp.get("scheme", "contiguous"))
+    n_clients = int(hp.get("n_clients", 10))
+    groups = partition_problem(problem, n_clients, hp.get("scheme", "contiguous"))
     comp = hp.get("compressor") or "identity"
     if isinstance(comp, str):
         comp = make_compressor(comp, problem.dim, hp.get("k"))
@@ -802,7 +790,7 @@ def make_estimator(method, problem, x0, hyperparams=None, **kwargs):
         value_bits=hp.get("value_bits", 32), index_bits=hp.get("index_bits", 32)
     )
     if method == "ef21":
-        return EF21(problem, x0, clients, comp, **common)
+        return EF21(problem, x0, groups, comp, **common)
     if method == "diana":
-        return DIANA(problem, x0, clients, comp, **common)
-    return DASHA(problem, x0, clients, comp, **common)
+        return DIANA(problem, x0, groups, comp, **common)
+    return DASHA(problem, x0, groups, comp, **common)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 from scipy.special import expit
 
 
@@ -35,7 +35,9 @@ class Problem:
     * ``curvature_matvec(v)``: product with the curvature upper-bound
       matrix whose largest eigenvalue equals ``smoothness`` (used by
       power iteration);
-    * ``subset(indices)``: a new problem over some of the components.
+    * ``group_grads(groups)``: built once per list of component index
+      groups, a function x -> (len(groups), dim) whose row j is the
+      gradient of the average of f_i over group j.
 
     ``smoothness`` is the uniform component smoothness bound: every f_i
     (and hence f) has an L-Lipschitz gradient with this L.
@@ -116,9 +118,9 @@ class QuadraticProblem(Problem):
     def curvature_matvec(self, v):
         return self._max_eigs * np.asarray(v, dtype=float)
 
-    def subset(self, indices):
-        idx = np.asarray(indices)
-        return QuadraticProblem(self.eigs[idx], self.x_star, self.shifts[idx])
+    def group_grads(self, groups):
+        means = np.array([self.eigs[g].mean(axis=0) for g in groups])
+        return lambda x: means * (np.asarray(x, dtype=float) - self.x_star)
 
 
 def quadratic_problem(spec: QuadraticSpec) -> QuadraticProblem:
@@ -141,6 +143,10 @@ def make_quadratic(n_components, dim, seed=0, eig_range=(0.5, 2.0), cond=1.0):
     conditioning out and iterates converge too fast for long-horizon
     rate measurements.
     """
+    if n_components < 1:
+        raise ValueError(f"quadratic needs n >= 1 components, got n={n_components}")
+    if dim < 1:
+        raise ValueError(f"quadratic needs d >= 1 dimensions, got d={dim}")
     rng = np.random.default_rng(seed)
     lo, hi = eig_range
     if not 0 < lo <= hi:
@@ -200,7 +206,7 @@ class LogisticProblem(Problem):
             raise ValueError("labels must be -1/+1; normalize the dataset first")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum([len(row) for row in dataset.indices], out=indptr[1:])
-        X = csr_matrix(
+        self.X = X = csr_matrix(
             (
                 np.concatenate(dataset.values).astype(float),
                 np.concatenate(dataset.indices).astype(np.int64),
@@ -208,11 +214,7 @@ class LogisticProblem(Problem):
             ),
             shape=(n, dataset.d),
         )
-        self._build(X, labels)
-
-    def _build(self, X, y):
-        self.X = X
-        self.y = y
+        self.y = labels
         self.n_components, self.dim = X.shape
         self.XT = X.tocsc().T
         lengths = np.diff(X.indptr)
@@ -274,13 +276,24 @@ class LogisticProblem(Problem):
     def curvature_matvec(self, v):
         return (self.XT @ (self.X @ np.asarray(v, dtype=float))) / (4.0 * self.n_components)
 
-    def subset(self, indices):
-        idx = np.asarray(indices)
-        if len(idx) == 0:
-            raise ValueError("dataset is empty")
-        sub = object.__new__(LogisticProblem)
-        sub._build(self.X[idx], self.y[idx])
-        return sub
+    def group_grads(self, groups):
+        """One stacked CSR, (len(groups) * dim) x n, holds each group's Xᵀ
+        (``X[g].tocsc().T``, columns mapped back to global rows), so one
+        margin pass and one product give every row, each sum in the order
+        ``full_grad`` on the group's rows alone would run it."""
+        shape = (self.dim, self.n_components)
+        blocks = []
+        for g in map(np.asarray, groups):
+            local = self.X[g].tocsc()
+            blocks.append(csr_matrix((local.data, g[local.indices], local.indptr), shape=shape))
+        stacked = vstack(blocks, format="csr")
+        sizes = np.array([len(g) for g in groups], dtype=float)[:, None]
+
+        def grads(x):
+            w = -self.y * expit(-self._margins(x))
+            return (stacked @ w).reshape(len(sizes), self.dim) / sizes
+
+        return grads
 
 
 def logistic_problem(dataset) -> LogisticProblem:
@@ -315,12 +328,13 @@ def estimate_smoothness(problem, iterations, seed=0):
 
 
 def partition_problem(problem, n_clients, scheme="contiguous"):
-    """Split the component index set across clients.
+    """Split the component index set across clients: one ascending int
+    array of component indices per client.
 
     ``contiguous`` gives ceiling-split blocks, e.g. 10 components over 3
     clients -> sizes (4, 3, 3); ``round-robin`` deals indices out in
-    turn.  The size-weighted average of client gradients reproduces the
-    global gradient.
+    turn.  The size-weighted average of the rows of
+    ``problem.group_grads(groups)`` reproduces the global gradient.
     """
     n = problem.n_components
     if n_clients < 1:
@@ -330,15 +344,7 @@ def partition_problem(problem, n_clients, scheme="contiguous"):
             f"cannot split {n} components across {n_clients} clients"
         )
     if scheme == "contiguous":
-        base, rem = divmod(n, n_clients)
-        groups = []
-        start = 0
-        for j in range(n_clients):
-            size = base + (1 if j < rem else 0)
-            groups.append(np.arange(start, start + size))
-            start += size
-    elif scheme == "round-robin":
-        groups = [np.arange(j, n, n_clients) for j in range(n_clients)]
-    else:
-        raise ValueError(f"unknown partition scheme: {scheme!r}")
-    return [problem.subset(g) for g in groups]
+        return np.array_split(np.arange(n), n_clients)
+    if scheme == "round-robin":
+        return [np.arange(j, n, n_clients) for j in range(n_clients)]
+    raise ValueError(f"unknown partition scheme: {scheme!r}")

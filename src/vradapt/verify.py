@@ -209,10 +209,7 @@ def _constants_kwargs(method, hyperparams, problem):
         out["b"] = hp["b"]
         out["d"] = problem.dim
     else:
-        n_clients = hp.get("n_clients")
-        if n_clients is None and "client_problems" in hp:
-            n_clients = len(hp["client_problems"])
-        out["n_clients"] = 10 if n_clients is None else n_clients
+        out["n_clients"] = hp.get("n_clients", 10)
         comp = hp.get("compressor") or "identity"
         if isinstance(comp, str):
             out["d"] = problem.dim

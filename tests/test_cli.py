@@ -84,6 +84,8 @@ class TestRunCommand:
         [
             ("method=ef21\ncompressor=randk\nk=2\nn=6\nd=4\nclients=2\nT=5\n", "contractive"),
             (MISSING_DATA_CFG, "/no/such/file"),
+            ("method=saga\nb=1\nn=0\nd=4\nT=5\n", "n=0"),
+            ("method=saga\nb=1\nn=6\nd=0\nT=5\n", "d=0"),
         ],
     )
     def test_config_error_is_one_error_line(self, tmp_path, capsys, text, named):
@@ -186,6 +188,18 @@ class TestSweepCommand:
             "sweep_p0.25_with_replacementFalse.csv",
             "sweep_p0.25_with_replacementTrue.csv",
         ]
+
+    def test_seed_grid_is_honoured(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, QUICK_CFG)
+        out_dir = tmp_path / "grid"
+        code = main(["sweep", "--config", cfg, "--grid", "seed=1,2", "--out-dir", str(out_dir)])
+        assert code == EXIT_OK
+        assert sorted(p.name for p in out_dir.iterdir()) == ["sweep_seed1.csv", "sweep_seed2.csv"]
+        for seed in (1, 2):
+            single = tmp_path / f"run{seed}.csv"
+            main(["run", "--config", cfg, "--out", str(single), "--seed", str(seed)])
+            assert (out_dir / f"sweep_seed{seed}.csv").read_bytes() == single.read_bytes()
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "text,flags,named",

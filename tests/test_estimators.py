@@ -10,7 +10,7 @@ from vradapt.estimators import (
     constants,
     make_estimator,
 )
-from vradapt.problems import make_quadratic, partition_problem
+from vradapt.problems import QuadraticProblem, make_quadratic
 
 
 class ScriptedRng:
@@ -45,6 +45,13 @@ def default_hp(method, problem):
         "sega": {"b": 2},
         "jaguar": {"b": 2},
     }[method]
+
+
+def reference_clients(est):
+    """One quadratic per client over the estimator's index groups: the
+    per-client reference, built apart from the client pass under test."""
+    p = est.problem
+    return [QuadraticProblem(p.eigs[g], p.x_star, p.shifts[g]) for g in est.groups]
 
 
 @pytest.fixture
@@ -389,12 +396,11 @@ class TestEF21:
     def test_topk_single_client_replay(self, quad):
         x0 = np.zeros(4)
         x1 = np.array([0.4, -0.1, 0.2, -0.6])
-        clients = partition_problem(quad, 1)
         est = make_estimator(
             "ef21",
             quad,
             x0,
-            {"client_problems": clients, "compressor": TopK(1, 4)},
+            {"n_clients": 1, "compressor": TopK(1, 4)},
         )
         state = quad.full_grad(x0)
         u = quad.full_grad(x1)
@@ -413,7 +419,7 @@ class TestEF21:
         est.step(x1, np.random.default_rng(0))
         want = sum(
             w * float(((s - cp.full_grad(x1)) ** 2).sum())
-            for w, s, cp in zip(est.weights, est.client_state, est.clients)
+            for w, s, cp in zip(est.weights, est.client_state, reference_clients(est))
         )
         assert est.sigma_sq() == pytest.approx(want, rel=1e-12)
 
@@ -438,12 +444,11 @@ class TestDIANA:
     def test_randk_single_client_replay(self, quad):
         x0 = np.zeros(4)
         x1 = np.array([0.4, -0.1, 0.2, -0.6])
-        clients = partition_problem(quad, 1)
         est = make_estimator(
             "diana",
             quad,
             x0,
-            {"client_problems": clients, "compressor": RandK(2, 4)},
+            {"n_clients": 1, "compressor": RandK(2, 4)},
         )
         shift = quad.full_grad(x0)
         server = shift.copy()
@@ -465,7 +470,7 @@ class TestDIANA:
         y = np.array([0.5, 0.1, -0.3, 0.2])
         want = sum(
             w * float(((cp.full_grad(y) - h) ** 2).sum())
-            for w, cp, h in zip(est.weights, est.clients, est.shifts)
+            for w, cp, h in zip(est.weights, reference_clients(est), est.shifts)
         )
         assert est.shift_mismatch(y) == pytest.approx(want, rel=1e-12)
 
@@ -491,12 +496,11 @@ class TestDASHA:
         x0 = np.zeros(4)
         x1 = np.array([0.4, -0.1, 0.2, -0.6])
         x2 = np.array([-0.2, 0.3, 0.1, 0.5])
-        clients = partition_problem(quad, 1)
         est = make_estimator(
             "dasha",
             quad,
             x0,
-            {"client_problems": clients, "compressor": RandK(2, 4)},
+            {"n_clients": 1, "compressor": RandK(2, 4)},
         )
         omega = 2.0
         eta = 1.0 / (2.0 * omega + 1.0)
@@ -524,7 +528,8 @@ def client_loop_steps(method, est0, xs, rng):
     estimate, the per-client memory (EF21/DASHA state, DIANA shifts) and
     sigma^2 after each step."""
     weights, compressor = est0.weights, est0.compressor
-    grads = [cp.full_grad(est0.x) for cp in est0.clients]
+    clients = reference_clients(est0)
+    grads = [cp.full_grad(est0.x) for cp in clients]
     memory = [u.copy() for u in grads]
     g = sum(w * m for w, m in zip(weights, memory))
     server_shift = g.copy()
@@ -532,7 +537,7 @@ def client_loop_steps(method, est0, xs, rng):
     eta = 1.0 / (2.0 * omega + 1.0)
     for x in xs:
         update = np.zeros(len(x))
-        for j, cp in enumerate(est0.clients):
+        for j, cp in enumerate(clients):
             u = cp.full_grad(x)
             if method == "dasha":
                 residual = u - grads[j] - eta * (memory[j] - grads[j])

@@ -89,6 +89,43 @@ GOLDEN = [
         dict(method="diana", compressor="randk", k=5, clients=6, scheduler="adaptive"),
         "3e8544a30e4c932a3a39797f44c55aac037e152dfc25fd996965c71b9d1c8a14",
     ),
+    (
+        "ef21-round-robin",
+        dict(method="ef21", compressor="topk", k=5, clients=6, scheme="round-robin",
+             scheduler="adaptive"),
+        "7042dcd905459da60369e1ada6fddb39b67c2c2a20d8a271bb8e618c052afb17",
+    ),
+    (
+        "dasha-round-robin",
+        dict(method="dasha", compressor="randk", k=5, clients=6, scheme="round-robin",
+             scheduler="adaptive"),
+        "54930e202efb2cbf4a45a99eef28d2d83114e32895b8562767fbd5158a847720",
+    ),
+    (
+        "diana-round-robin",
+        dict(method="diana", compressor="randk", k=5, clients=6, scheme="round-robin",
+             scheduler="adaptive"),
+        "1b89ed92b41037398ac7ed2d6654584f43713b3905f980cb67b6d60981343f64",
+    ),
+    # unequal client shares: 27 components over 4 clients are 7, 7, 7, 6
+    (
+        "ef21-quadratic",
+        dict(problem="quadratic", n=27, d=9, method="ef21", compressor="topk", k=3,
+             clients=4, scheduler="adaptive"),
+        "a9a249eea9598d001a5c9bc3635e60663ee413f62bc12fea966c5f7934bdda64",
+    ),
+    (
+        "dasha-quadratic",
+        dict(problem="quadratic", n=27, d=9, method="dasha", compressor="randk", k=3,
+             clients=4, scheduler="adaptive"),
+        "fc1e5f9f398d3c2e52bc273257acccec6b8ab8d7cd9a8b3af7f51b5e29ba167f",
+    ),
+    (
+        "diana-quadratic",
+        dict(problem="quadratic", n=27, d=9, method="diana", compressor="randk", k=3,
+             clients=4, scheduler="adaptive"),
+        "9437b981ef2c411e37a5d9e244011dcd7307cbe0430475ce094a2a0ec0ba02b1",
+    ),
 ]
 
 

@@ -112,13 +112,14 @@ class TestQuadratic:
             make_quadratic(5, 4, cond=0.5)
 
     def test_subset(self):
+        # group_grads over a component subset: the mean of its gradients
         prob = make_quadratic(9, 4, seed=8)
-        sub = prob.subset(np.array([2, 5, 6]))
         x = np.random.default_rng(9).standard_normal(4)
-        assert sub.n_components == 3
-        assert np.allclose(
-            sub.all_component_grads(x), prob.all_component_grads(x)[[2, 5, 6]]
-        )
+        rows = prob.group_grads([np.array([2, 5, 6]), np.array([0])])(x)
+        stack = prob.all_component_grads(x)
+        assert rows.shape == (2, 4)
+        assert np.allclose(rows[0], stack[[2, 5, 6]].mean(axis=0))
+        assert np.allclose(rows[1], stack[0])
 
 
 class TestLogistic:
@@ -177,13 +178,14 @@ class TestLogistic:
             LogisticProblem(bad)
 
     def test_subset(self):
+        # group_grads over a component subset: the mean of its gradients
         prob = logistic_problem(toy_dataset())
-        sub = prob.subset(np.array([0, 3]))
         x = np.random.default_rng(5).standard_normal(prob.dim)
-        assert sub.n_components == 2
-        assert np.allclose(
-            sub.all_component_grads(x), prob.all_component_grads(x)[[0, 3]], atol=1e-12
-        )
+        rows = prob.group_grads([np.array([0, 3]), np.array([4])])(x)
+        stack = prob.all_component_grads(x)
+        assert rows.shape == (2, prob.dim)
+        assert np.allclose(rows[0], stack[[0, 3]].mean(axis=0), atol=1e-12)
+        assert np.allclose(rows[1], stack[4], atol=1e-12)
 
 
 class TestSmoothness:
@@ -239,51 +241,48 @@ class TestSmoothness:
 class TestPartition:
     def test_contiguous_sizes(self):
         prob = make_quadratic(10, 3, seed=0)
-        parts = partition_problem(prob, 3)
-        assert [p.n_components for p in parts] == [4, 3, 3]
+        groups = partition_problem(prob, 3)
+        assert [len(g) for g in groups] == [4, 3, 3]
+        assert all(g.dtype.kind == "i" for g in groups)
 
     def test_contiguous_covers_in_order(self):
         prob = make_quadratic(10, 3, seed=0)
-        parts = partition_problem(prob, 3)
-        x = np.random.default_rng(1).standard_normal(3)
-        all_grads = prob.all_component_grads(x)
-        recovered = np.concatenate([p.all_component_grads(x) for p in parts])
-        assert np.allclose(recovered, all_grads)
+        groups = partition_problem(prob, 3)
+        assert np.array_equal(np.concatenate(groups), np.arange(10))
 
     def test_round_robin(self):
         prob = make_quadratic(7, 3, seed=0)
-        parts = partition_problem(prob, 3, scheme="round-robin")
-        assert [p.n_components for p in parts] == [3, 2, 2]
-        x = np.random.default_rng(2).standard_normal(3)
-        assert np.allclose(
-            parts[0].all_component_grads(x), prob.all_component_grads(x)[[0, 3, 6]]
-        )
+        groups = partition_problem(prob, 3, scheme="round-robin")
+        assert [g.tolist() for g in groups] == [[0, 3, 6], [1, 4], [2, 5]]
 
     def test_weighted_client_average_is_full_gradient(self):
-        prob = make_quadratic(10, 3, seed=4)
-        parts = partition_problem(prob, 3)
-        x = np.random.default_rng(3).standard_normal(3)
-        weighted = sum(
-            (p.n_components / prob.n_components) * p.full_grad(x) for p in parts
-        )
-        assert np.allclose(weighted, prob.full_grad(x))
+        x = np.random.default_rng(3).standard_normal(30)
+        for prob in (make_quadratic(10, 3, seed=4), logistic_problem(_ragged_dataset(3))):
+            for scheme in ("contiguous", "round-robin"):
+                groups = partition_problem(prob, 3, scheme)
+                rows = prob.group_grads(groups)(x[: prob.dim])
+                weights = [len(g) / prob.n_components for g in groups]
+                assert rows.shape == (3, prob.dim)
+                weighted = sum(w * r for w, r in zip(weights, rows))
+                assert np.allclose(weighted, prob.full_grad(x[: prob.dim]))
 
     def test_errors(self):
         prob = make_quadratic(4, 2, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_clients must be >= 1"):
             partition_problem(prob, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot split 4 components across 5 clients"):
             partition_problem(prob, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown partition scheme"):
             partition_problem(prob, 2, scheme="striped")
 
 
 class _ReferenceLogistic:
     """The logistic oracles as plain scipy CSR expressions: an
     element-by-element CSR build, ``X[idx]`` -> ``.multiply`` ->
-    ``.toarray()``, ``X.T @ w``, a per-column ``getcol`` loop, and shards
-    copied row by row through ``getrow``.  LogisticProblem must agree with
-    these bit for bit."""
+    ``.toarray()``, ``X.T @ w``, a per-column ``getcol`` loop, and
+    per-group problems copied row by row through ``getrow`` (the reference
+    for ``group_grads``).  LogisticProblem must agree with these bit for
+    bit."""
 
     def __init__(self, dataset):
         data, indices, indptr = [], [], [0]
@@ -420,26 +419,14 @@ class TestLogisticMatchesScipyReference:
             _assert_bit_equal(prob.partial(x, d - 1), ref.partials(x, [d - 1])[0])
 
     def test_subset(self, pair):
+        # each group_grads row is the reference problem over that group
+        # of rows alone, for both schemes and 1, 2 and n clients
         prob, ref = pair
         n = prob.n_components
-        rng = np.random.default_rng(5)
-        for idx in (np.array([n - 1]), np.arange(n), rng.permutation(n)[: max(1, n // 3)]):
-            sub, ref_sub = prob.subset(idx), ref.subset(idx)
-            _assert_same_csr(sub.X, ref_sub.X)
-            _assert_bit_equal(sub.y, ref_sub.y)
-            assert sub.smoothness == ref_sub.smoothness
-            x = rng.standard_normal(prob.dim)
-            _assert_bit_equal(sub.full_grad(x), ref_sub.full_grad(x))
-            _assert_bit_equal(sub.all_component_grads(x), ref_sub.component_grads(np.arange(len(idx)), x))
-
-    def test_partition_shards_match(self):
-        ds = _ragged_dataset(7, n=90)
-        prob, ref = LogisticProblem(ds), _ReferenceLogistic(ds)
         for scheme in ("contiguous", "round-robin"):
-            for shard, group in zip(partition_problem(prob, 4, scheme), partition_problem(ref, 4, scheme)):
-                _assert_same_csr(shard.X, group.X)
-                assert shard.smoothness == group.smoothness
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError):
-            logistic_problem(toy_dataset()).subset(np.array([], dtype=int))
+            for n_clients in sorted({1, min(2, n), n}):
+                groups = partition_problem(prob, n_clients, scheme)
+                shards = [ref.subset(g) for g in groups]
+                grads = prob.group_grads(groups)
+                for x in self._points(prob.dim, seed=5):
+                    _assert_bit_equal(grads(x), np.array([s.full_grad(x) for s in shards]))
