@@ -16,6 +16,7 @@ import pytest
 from vradapt.engine import ExperimentConfig, run, trace_csv_text
 
 BASE = dict(dataset="synthetic:600:40:1", T=300, cadence=7, timing="off", seed=11)
+QUAD = dict(problem="quadratic", n=40, cond=1000.0, scheduler="adaptive")
 
 # (case id, config overrides, expected SHA-256 of the trace CSV)
 GOLDEN = [
@@ -125,6 +126,69 @@ GOLDEN = [
         dict(problem="quadratic", n=27, d=9, method="diana", compressor="randk", k=3,
              clients=4, scheduler="adaptive"),
         "9437b981ef2c411e37a5d9e244011dcd7307cbe0430475ce094a2a0ec0ba02b1",
+    ),
+    # the step-size rules not covered above
+    (
+        "page-adam",
+        dict(method="page", presets=True, scheduler="adam", lr=0.05),
+        "9010ee48a3f115b07d6700f3528d2b826ac51dfa5f7b6e47b842efa4349c5afd",
+    ),
+    (
+        "zerosarah-tuned",
+        dict(method="zerosarah", presets=True, scheduler="tuned", multiplier=4.0),
+        "3359a7b632126a0b71e64d08d206d0d020998e1db152d253221a82527b5965e2",
+    ),
+    (
+        "lsvrg-constant",
+        dict(method="lsvrg", presets=True, scheduler="constant", gamma=0.5),
+        "ef87077edd55e442aecdc1e5744e6a375e1581ebd1c469d76388702e3a86fce9",
+    ),
+    (
+        "saga-pl-quadratic",
+        dict(problem="quadratic", n=40, d=10, cond=1000.0, method="saga", b=8, scheduler="pl"),
+        "49198826fb6220fe425e0c264e1c7e51963a5f86474ada804c4e73f7b6f3487e",
+    ),
+    # the batch methods on dense components; at d=1 the component axis
+    # is the contiguous one, where numpy's mean(axis=0) sums pairwise
+    (
+        "saga-quadratic",
+        dict(QUAD, d=10, method="saga", b=8),
+        "fd95b0251171c7a851bd261978aac3e0a54955197b92392428f10de83afa36d8",
+    ),
+    (
+        "zerosarah-quadratic",
+        dict(QUAD, d=10, method="zerosarah", b=8),
+        "902ffe40bc9a1cd99ccbe6e6396d3bb3a498e1694fc33575cbee09711be1cb34",
+    ),
+    (
+        "lsvrg-quadratic",
+        dict(QUAD, d=10, method="lsvrg", b=8, p=0.2),
+        "53858638a0208ce4c4501d0d80a47a82d615a982a1fefba88909e7314def25a0",
+    ),
+    (
+        "page-quadratic",
+        dict(QUAD, d=10, method="page", b=8, p=0.2),
+        "fd377f823339521260391e5e59b40edc78c0a785d721a44df0f4b99470a93c55",
+    ),
+    (
+        "saga-quadratic-d1",
+        dict(QUAD, d=1, method="saga", b=10),
+        "00a3f6d555f4ff4868b61065aad75618ebf082b2134465a2e0849a0884332856",
+    ),
+    (
+        "zerosarah-quadratic-d1",
+        dict(QUAD, d=1, method="zerosarah", b=10),
+        "cb2ae057561347b8600e197f59851e5edbb49dfc77c0974c6ea2d28b5222f0ed",
+    ),
+    (
+        "lsvrg-quadratic-d1",
+        dict(QUAD, d=1, method="lsvrg", b=10, p=0.2),
+        "a2b3a349236b2242028c54c459b5509f1601166c602afdb1403e3861d3ccded8",
+    ),
+    (
+        "page-quadratic-d1",
+        dict(QUAD, d=1, method="page", b=30, p=0.2),
+        "05f67a8a20a54b964a8c0bf0d9ea8b1b2c30377608d32979e70d2bb704b5d80f",
     ),
 ]
 
