@@ -442,13 +442,13 @@ def run(config, problem=None):
     while t < config.T:
         gamma_t, update = stepper.advance(g)
         if t % config.cadence == 0:
-            grad = problem.full_grad(x)
+            loss, grad = problem.loss_and_grad(x)
             grad_norm = float(np.linalg.norm(grad))
             wall = (time.perf_counter() - started) * 1e3 if timing else 0.0
             trace.append(
                 TraceRow(
                     t=t,
-                    loss=float(problem.loss(x)),
+                    loss=loss,
                     grad_norm=grad_norm,
                     est_norm=float(np.linalg.norm(g)),
                     gamma=float(gamma_t),
@@ -473,11 +473,11 @@ def run(config, problem=None):
 
     if status != "diverged" and (len(trace) == 0 or trace.rows[-1].t != t):
         wall = (time.perf_counter() - started) * 1e3 if timing else 0.0
-        grad = problem.full_grad(x)
+        loss, grad = problem.loss_and_grad(x)
         trace.append(
             TraceRow(
                 t=t,
-                loss=float(problem.loss(x)),
+                loss=loss,
                 grad_norm=float(np.linalg.norm(grad)),
                 est_norm=0.0,
                 gamma=0.0,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compressors import bits_cost, dense_bits_cost, make_compressor
-from .problems import partition_problem
+from .problems import dense_rows, partition_problem
 
 METHODS = (
     "lsvrg",
@@ -185,6 +185,15 @@ def _draw_batches(rng, n, b, S, with_replacement=False):
     return rng.random((S, n)).argsort(axis=1)[:, :b]
 
 
+def _colsum(cols, values, dim):
+    """Column sums of support-aligned rows, (b, width) -> (dim,), padding
+    column ``dim`` dropped.  bincount adds each column's entries in row
+    order, starting from +0.0, as numpy's axis-0 sum of the dense (b, dim)
+    stack does for dim > 1; rows never hold -0.0, so the two agree bit
+    for bit.  (At dim == 1 numpy sums the contiguous axis pairwise.)"""
+    return np.bincount(cols.ravel(), values.ravel(), minlength=dim + 1)[:dim]
+
+
 def _batch_mask(batches, n):
     mask = np.zeros((len(batches), n), dtype=bool)
     np.put_along_axis(mask, batches, True, axis=1)
@@ -295,10 +304,9 @@ class LSVRG(GradientEstimator):
             self.grad_calls += problem.n_components
         x_t = np.asarray(x_t, dtype=float)
         batch = _draw_batch(rng, problem.n_components, self.b, self.with_replacement)
-        g_cur = problem.component_grads(batch, x_t)
-        g_anc = problem.component_grads(batch, self.anchor)
+        cols, (cur, anc) = problem.component_rows(batch, x_t, self.anchor)
         self.grad_calls += 2 * self.b
-        self.g = self.anchor_grad + (g_cur - g_anc).mean(axis=0)
+        self.g = self.anchor_grad + _colsum(cols, cur - anc, problem.dim) / self.b
         self.x = x_t.copy()
         return self.g
 
@@ -330,31 +338,45 @@ class LSVRG(GradientEstimator):
         return G, sigma
 
 
-class SAGA(GradientEstimator):
-    """Gradient-table estimator; sampled rows are re-evaluated at the
-    current point and written back after each estimate."""
-
-    method = "saga"
+class _TableEstimator(GradientEstimator):
+    """A gradient table held on the components' support: ``rows`` beside
+    ``cols``, both (n, width), row i holding the last gradient of f_i
+    seen, at the columns ``cols[i]`` (``problem.component_rows``'
+    layout).  Steps gather and write back whole rows; ``table`` is the
+    dense (n, d) view for diagnostics and the verifier."""
 
     def __init__(self, problem, x0, b):
         super().__init__(problem, x0)
         n = problem.n_components
         self.b = _check_batch(b, n)
-        self.table = problem.all_component_grads(self.x)
+        self.cols, (self.rows,) = problem.component_rows(np.arange(n), self.x)
         self.grad_calls += n
-        self.table_mean = self.table.mean(axis=0)
+        self.table_mean = _colsum(self.cols, self.rows, problem.dim) / n
         self.g = self.table_mean.copy()
+
+    @property
+    def table(self):
+        """The table as a dense (n, d) array, built on every read."""
+        return dense_rows(self.cols, self.rows, self.problem.dim)
+
+
+class SAGA(_TableEstimator):
+    """Gradient-table estimator; sampled rows are re-evaluated at the
+    current point and written back after each estimate.  The table is
+    support-aligned (see ``_TableEstimator``)."""
+
+    method = "saga"
 
     def step(self, x_t, rng):
         problem = self.problem
         x_t = np.asarray(x_t, dtype=float)
         batch = _draw_batch(rng, problem.n_components, self.b)
-        g_cur = problem.component_grads(batch, x_t)
+        cols, (cur,) = problem.component_rows(batch, x_t)
         self.grad_calls += self.b
-        old_rows = self.table[batch]
-        self.g = self.table_mean + (g_cur - old_rows).mean(axis=0)
-        self.table[batch] = g_cur
-        self.table_mean = self.table_mean + (g_cur - old_rows).sum(axis=0) / problem.n_components
+        change = _colsum(cols, cur - self.rows[batch], problem.dim)
+        self.g = self.table_mean + change / self.b
+        self.rows[batch] = cur
+        self.table_mean = self.table_mean + change / problem.n_components
         self.x = x_t.copy()
         return self.g
 
@@ -393,10 +415,9 @@ class PAGE(GradientEstimator):
             self.grad_calls += problem.n_components
         else:
             batch = _draw_batch(rng, problem.n_components, self.b, self.with_replacement)
-            g_cur = problem.component_grads(batch, x_t)
-            g_prev = problem.component_grads(batch, self.x)
+            cols, (cur, prev) = problem.component_rows(batch, x_t, self.x)
             self.grad_calls += 2 * self.b
-            self.g = self.g + (g_cur - g_prev).mean(axis=0)
+            self.g = self.g + _colsum(cols, cur - prev, problem.dim) / self.b
         self.x = x_t.copy()
         return self.g
 
@@ -417,36 +438,31 @@ class PAGE(GradientEstimator):
         return G, np.zeros(S)
 
 
-class ZeroSARAH(GradientEstimator):
+class ZeroSARAH(_TableEstimator):
     """Difference-chain estimator with a gradient table but no full
     refresh after the first pass; the table correction is mixed in with
-    weight lambda = b/(2n)."""
+    weight lambda = b/(2n).  The table is support-aligned (see
+    ``_TableEstimator``)."""
 
     method = "zerosarah"
 
     def __init__(self, problem, x0, b):
-        super().__init__(problem, x0)
-        n = problem.n_components
-        self.b = _check_batch(b, n)
-        self.lam = self.b / (2.0 * n)
-        self.table = problem.all_component_grads(self.x)
-        self.grad_calls += n
-        self.table_mean = self.table.mean(axis=0)
-        self.g = self.table_mean.copy()
+        super().__init__(problem, x0, b)
+        self.lam = self.b / (2.0 * problem.n_components)
 
     def step(self, x_t, rng):
         problem = self.problem
+        d = problem.dim
         x_t = np.asarray(x_t, dtype=float)
         batch = _draw_batch(rng, problem.n_components, self.b)
-        g_cur = problem.component_grads(batch, x_t)
-        g_prev = problem.component_grads(batch, self.x)
+        cols, (cur, prev) = problem.component_rows(batch, x_t, self.x)
         self.grad_calls += 2 * self.b
-        old_rows = self.table[batch]
-        chain = (g_cur - g_prev).mean(axis=0)
-        control = (g_prev - old_rows).mean(axis=0) + self.table_mean
+        old = self.rows[batch]
+        chain = _colsum(cols, cur - prev, d) / self.b
+        control = _colsum(cols, prev - old, d) / self.b + self.table_mean
         self.g = chain + (1.0 - self.lam) * self.g + self.lam * control
-        self.table[batch] = g_cur
-        self.table_mean = self.table_mean + (g_cur - old_rows).sum(axis=0) / problem.n_components
+        self.rows[batch] = cur
+        self.table_mean = self.table_mean + _colsum(cols, cur - old, d) / problem.n_components
         self.x = x_t.copy()
         return self.g
 
@@ -462,10 +478,11 @@ class ZeroSARAH(GradientEstimator):
         batches = _draw_batches(rng, problem.n_components, self.b, S)
         at_cand = problem.all_component_grads(x_cand)
         at_prev = problem.all_component_grads(self.x)
+        table = self.table
         chain = (at_cand - at_prev)[batches].mean(axis=1)
-        control = (at_prev - self.table)[batches].mean(axis=1) + self.table_mean
+        control = (at_prev - table)[batches].mean(axis=1) + self.table_mean
         G = chain + (1.0 - self.lam) * self.g + self.lam * control
-        return G, _table_sigma(at_cand - self.table, batches)
+        return G, _table_sigma(at_cand - table, batches)
 
 
 class _ClientServerEstimator(GradientEstimator):

@@ -27,9 +27,17 @@ class Problem:
 
     * ``loss(x)``: the objective f(x);
     * ``component_loss(i, x)``, ``component_grad(i, x)``: one f_i;
-    * ``component_grads(indices, x)``: gradient stack, (len(indices), dim);
+    * ``component_rows(indices, *points)``: the batch's gradients on
+      its support, ``(cols, [rows at each point])``: ``cols`` is an
+      (len(indices), width) int array of columns, and row i of each
+      ``rows`` array holds component i's gradient entries at those
+      columns.  Columns equal to ``dim`` are padding (value +0.0);
+    * ``component_grads(indices, x)``: gradient stack, (len(indices), dim),
+      the dense scatter of ``component_rows``;
     * ``all_component_grads(x)``: the stack over all n components;
     * ``full_grad(x)``: the gradient of f;
+    * ``loss_and_grad(x)``: ``(loss(x), full_grad(x))`` from one pass,
+      each bit-equal to its own oracle;
     * ``partial(x, j)``, ``partials(x, coords)``: coordinate derivatives
       of f;
     * ``curvature_matvec(v)``: product with the curvature upper-bound
@@ -49,6 +57,14 @@ class Problem:
     pl_constant: float | None = None
     f_star: float | None = None
     x_opt: np.ndarray | None = None
+
+
+def dense_rows(cols, rows, dim):
+    """Scatter support-aligned rows, (b, width) each, into a dense
+    (b, dim) array; padding columns (``dim``) are dropped."""
+    out = np.zeros((len(cols), dim + 1))
+    out[np.arange(len(cols))[:, None], cols] = rows
+    return out[:, :dim]
 
 
 @dataclass(frozen=True)
@@ -96,9 +112,14 @@ class QuadraticProblem(Problem):
         z = np.asarray(x, dtype=float) - self.x_star
         return self.eigs[i] * z
 
+    def component_rows(self, indices, *points):
+        eigs = self.eigs[np.asarray(indices)]
+        cols = np.broadcast_to(np.arange(self.dim), eigs.shape)
+        return cols, [eigs * (np.asarray(x, dtype=float) - self.x_star) for x in points]
+
     def component_grads(self, indices, x):
-        z = np.asarray(x, dtype=float) - self.x_star
-        return self.eigs[np.asarray(indices)] * z
+        # the support is every column, so the rows are already dense
+        return self.component_rows(indices, x)[1][0]
 
     def all_component_grads(self, x):
         z = np.asarray(x, dtype=float) - self.x_star
@@ -107,6 +128,9 @@ class QuadraticProblem(Problem):
     def full_grad(self, x):
         z = np.asarray(x, dtype=float) - self.x_star
         return self.mean_eigs * z
+
+    def loss_and_grad(self, x):
+        return self.loss(x), self.full_grad(x)
 
     def partial(self, x, coord):
         return float(self.mean_eigs[coord] * (x[coord] - self.x_star[coord]))
@@ -175,15 +199,18 @@ class LogisticProblem(Problem):
 
     Storage, built once and shared by every oracle:
 
-    * ``X``: the rows as a CSR matrix (n x d); ``loss`` and the curvature
-      product read it.
+    * ``X``: the rows as a CSR matrix (n x d); the margin pass of
+      ``loss``, ``full_grad``, ``loss_and_grad``, ``partials`` and
+      ``group_grads``, and the curvature product read it.
     * ``XT``: A^T as a CSR matrix (d x n), a transposed view of A's CSC
-      arrays, one stored row per feature; ``full_grad``, ``partials``
-      and the curvature product read it.
+      arrays, one stored row per feature; ``full_grad``,
+      ``loss_and_grad``, ``partials`` and the curvature product read it.
     * ``_cols``, ``_vals``: the rows padded to a common width (at least
       1), int32 column indices and float values; padding points at an
-      extra column ``d`` with value 0.0.  ``component_grads`` gathers
-      batches from these, with x extended by a trailing 0.0.
+      extra column ``d`` with value 0.0.  ``component_rows`` gathers a
+      batch from these once for all its points, with x extended by a
+      trailing 0.0, and returns the gathered ``_cols`` as the support;
+      ``component_grads`` scatters its rows to dense.
 
     Every oracle result is bit-identical, down to the sign of zeros, to
     the plain scipy CSR expressions (``X[idx]`` -> ``.multiply`` ->
@@ -232,6 +259,11 @@ class LogisticProblem(Problem):
     def loss(self, x):
         return float(np.logaddexp(0.0, -self._margins(x)).mean())
 
+    def loss_and_grad(self, x):
+        m = self._margins(x)
+        w = -self.y * expit(-m)
+        return float(np.logaddexp(0.0, -m).mean()), (self.XT @ w) / self.n_components
+
     def component_loss(self, i, x):
         m = self.y[i] * float(self.X.getrow(i) @ np.asarray(x, dtype=float))
         return float(np.logaddexp(0.0, -m))
@@ -243,21 +275,26 @@ class LogisticProblem(Problem):
         g[row.indices] = -self.y[i] * expit(-m) * row.data
         return g
 
-    def component_grads(self, indices, x):
+    def component_rows(self, indices, *points):
         idx = np.asarray(indices)
         cols = self._cols[idx]
         vals = self._vals[idx]
         y = self.y[idx]
-        xe = np.append(np.asarray(x, dtype=float), 0.0)
-        # cumsum accumulates left to right like the CSR row kernel;
-        # .sum(axis=1) would sum pairwise and differ in the last bit
-        m = y * np.cumsum(vals * xe[cols], axis=1)[:, -1]
-        scaled = vals * (-y * expit(-m))[:, None]
-        # sparse-to-dense accumulates into +0.0, which turns -0.0 into +0.0
-        scaled += 0.0
-        out = np.zeros((len(idx), self.dim + 1))
-        out[np.arange(len(idx))[:, None], cols] = scaled
-        return out[:, : self.dim]
+        rows = []
+        for x in points:
+            xe = np.append(np.asarray(x, dtype=float), 0.0)
+            # cumsum accumulates left to right like the CSR row kernel;
+            # .sum(axis=1) would sum pairwise and differ in the last bit
+            m = y * np.cumsum(vals * xe[cols], axis=1)[:, -1]
+            scaled = vals * (-y * expit(-m))[:, None]
+            # sparse-to-dense accumulates into +0.0, which turns -0.0 into +0.0
+            scaled += 0.0
+            rows.append(scaled)
+        return cols, rows
+
+    def component_grads(self, indices, x):
+        cols, (rows,) = self.component_rows(indices, x)
+        return dense_rows(cols, rows, self.dim)
 
     def all_component_grads(self, x):
         return self.component_grads(np.arange(self.n_components), x)

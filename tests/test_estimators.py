@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from vradapt.compressors import RandK, TopK, dense_bits_cost
+from vradapt.data import synthetic_dataset
 from vradapt.estimators import (
     COORDINATE_METHODS,
     DISTRIBUTED_METHODS,
     METHODS,
     VRConstants,
+    _draw_batch,
     constants,
     make_estimator,
 )
-from vradapt.problems import QuadraticProblem, make_quadratic
+from vradapt.problems import QuadraticProblem, logistic_problem, make_quadratic
 
 
 class ScriptedRng:
@@ -580,6 +582,105 @@ class TestClientArraysMatchClientLoop:
             own = est.shifts if method == "diana" else est.client_state
             assert np.array_equal(own, np.array(memory))
             assert est.sigma_sq() == sigma
+
+
+def dense_reference_steps(method, problem, hp, xs, rng):
+    """LSVRG, SAGA, PAGE and ZeroSARAH written on dense (b, d) gradient
+    stacks and a dense (n, d) table, from x = xs[0]: yields the estimate,
+    the table and its running mean (None without one) and grad_calls
+    after each step.  The
+    batches come from the estimators' own sampler, so both consume one
+    stream."""
+    n, b, p = problem.n_components, hp["b"], hp.get("p")
+    replace = hp.get("with_replacement", False)
+    x, calls = xs[0], n
+    table = table_mean = anchor = None
+    if method in ("saga", "zerosarah"):
+        table = problem.all_component_grads(x)
+        table_mean = table.mean(axis=0)
+        g = table_mean.copy()
+    elif method == "lsvrg":
+        anchor, anchor_grad = x.copy(), problem.full_grad(x)
+        g = anchor_grad.copy()
+    else:
+        g = problem.full_grad(x)
+    for x_t in xs[1:]:
+        if method == "lsvrg":
+            if rng.random() < p:
+                anchor, anchor_grad = x.copy(), problem.full_grad(x)
+                calls += n
+            batch = _draw_batch(rng, n, b, replace)
+            cur, anc = problem.component_grads(batch, x_t), problem.component_grads(batch, anchor)
+            g = anchor_grad + (cur - anc).mean(axis=0)
+            calls += 2 * b
+        elif method == "page":
+            if rng.random() < p:
+                g = problem.full_grad(x_t)
+                calls += n
+            else:
+                batch = _draw_batch(rng, n, b, replace)
+                cur, prev = problem.component_grads(batch, x_t), problem.component_grads(batch, x)
+                g = g + (cur - prev).mean(axis=0)
+                calls += 2 * b
+        else:
+            batch = _draw_batch(rng, n, b)
+            cur, old = problem.component_grads(batch, x_t), table[batch]
+            if method == "saga":
+                g = table_mean + (cur - old).mean(axis=0)
+                calls += b
+            else:
+                prev = problem.component_grads(batch, x)
+                lam = b / (2.0 * n)
+                control = (prev - old).mean(axis=0) + table_mean
+                g = (cur - prev).mean(axis=0) + (1.0 - lam) * g + lam * control
+                calls += 2 * b
+            table[batch] = cur
+            table_mean = table_mean + (cur - old).sum(axis=0) / n
+        x = x_t
+        yield g, None if table is None else table.copy(), table_mean, calls
+
+
+def _bit_equal(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestSupportStepsMatchDenseAlgebra:
+    """The support-aligned steps (column sums over the batch's support,
+    row-aligned tables) give bit for bit what the dense algebra gives,
+    over 200 steps on a sparse logistic problem and a dense quadratic."""
+
+    CASES = [
+        ("lsvrg", {"b": 8, "p": 0.2}),
+        ("lsvrg", {"b": 8, "p": 0.2, "with_replacement": True}),
+        ("saga", {"b": 8}),
+        ("page", {"b": 8, "p": 0.2}),
+        ("page", {"b": 8, "p": 0.2, "with_replacement": True}),
+        ("zerosarah", {"b": 8}),
+    ]
+
+    @staticmethod
+    def problem(kind):
+        if kind == "logistic":
+            return logistic_problem(synthetic_dataset(300, dim=40, seed=3, nnz_per_row=14))
+        return make_quadratic(40, 10, seed=3, cond=100.0)
+
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    @pytest.mark.parametrize(
+        "method,hp", CASES, ids=[f"{m}-{i}" for i, (m, _) in enumerate(CASES)]
+    )
+    def test_200_steps_bit_equal(self, kind, method, hp):
+        problem = self.problem(kind)
+        walk = np.random.default_rng(5)
+        xs = np.cumsum(0.1 * walk.standard_normal((201, problem.dim)), axis=0)
+        est = make_estimator(method, problem, xs[0], hp)
+        reference = dense_reference_steps(method, problem, hp, xs, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        for x, (g, table, table_mean, calls) in zip(xs[1:], reference):
+            assert _bit_equal(est.step(x, rng), g)
+            assert est.grad_calls == calls
+            if table is not None:
+                assert _bit_equal(est.table, table)
+                assert _bit_equal(est.table_mean, table_mean)
 
 
 class TestCountersAndBits:

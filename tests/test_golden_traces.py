@@ -173,22 +173,22 @@ GOLDEN = [
     (
         "saga-quadratic-d1",
         dict(QUAD, d=1, method="saga", b=10),
-        "00a3f6d555f4ff4868b61065aad75618ebf082b2134465a2e0849a0884332856",
+        "4f045afd475771ae9fdef7ca17912a3313e56b95638da588b440338e951f647c",
     ),
     (
         "zerosarah-quadratic-d1",
         dict(QUAD, d=1, method="zerosarah", b=10),
-        "cb2ae057561347b8600e197f59851e5edbb49dfc77c0974c6ea2d28b5222f0ed",
+        "448c132e339f8e1e59734d50dbcf891421413fd58dcc65563a6375c2e1be6230",
     ),
     (
         "lsvrg-quadratic-d1",
         dict(QUAD, d=1, method="lsvrg", b=10, p=0.2),
-        "a2b3a349236b2242028c54c459b5509f1601166c602afdb1403e3861d3ccded8",
+        "f594d14977ccf4e456ff2eba228c7b2143d6965d9021dfb9f71ceeb9fbf27783",
     ),
     (
         "page-quadratic-d1",
         dict(QUAD, d=1, method="page", b=30, p=0.2),
-        "05f67a8a20a54b964a8c0bf0d9ea8b1b2c30377608d32979e70d2bb704b5d80f",
+        "e3f38d9c3ef69a44c9e5dbe69e7fda4c870992f13c0ced9ed91d379d47b57e22",
     ),
 ]
 

@@ -49,6 +49,19 @@ class TestQuadratic:
             x = prob.x_opt + rng.standard_normal(5)
             assert prob.loss(x) > prob.f_star
 
+    def test_component_rows_are_dense_rows(self):
+        prob = make_quadratic(6, 4, seed=1)
+        rng = np.random.default_rng(4)
+        x, z = rng.standard_normal(4), rng.standard_normal(4)
+        idx = np.array([5, 0, 2, 2])
+        cols, (at_x, at_z) = prob.component_rows(idx, x, z)
+        assert np.array_equal(cols, np.tile(np.arange(4), (4, 1)))
+        _assert_bit_equal(at_x, prob.component_grads(idx, x))
+        _assert_bit_equal(at_z, prob.all_component_grads(z)[idx])
+        loss, grad = prob.loss_and_grad(x)
+        assert loss == prob.loss(x)
+        _assert_bit_equal(grad, prob.full_grad(x))
+
     def test_component_oracles_agree(self):
         prob = make_quadratic(6, 4, seed=1)
         rng = np.random.default_rng(3)
@@ -339,6 +352,13 @@ def _assert_bit_equal(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _on_support(dense, cols):
+    """Entries of dense (b, d) rows at support columns (b, width); the
+    padding column d reads +0.0."""
+    padded = np.hstack([dense, np.zeros((len(dense), 1))])
+    return np.take_along_axis(padded, np.asarray(cols, dtype=np.intp), axis=1)
+
+
 def _assert_same_csr(got, want):
     for name in ("indptr", "indices", "data"):
         _assert_bit_equal(getattr(got, name), getattr(want, name))
@@ -406,6 +426,35 @@ class TestLogisticMatchesScipyReference:
             for idx in batches:
                 _assert_bit_equal(prob.component_grads(idx, x), ref.component_grads(idx, x))
             _assert_bit_equal(prob.all_component_grads(x), ref.component_grads(np.arange(n), x))
+
+    def test_component_rows(self, pair):
+        # the support is the row's stored columns, padded with column d;
+        # each point's rows are the dense gradients' entries there, bit
+        # for bit, and one call over several points equals single calls
+        prob, ref = pair
+        n, d = prob.n_components, prob.dim
+        rng = np.random.default_rng(6)
+        batches = [np.array([0]), np.arange(n), rng.permutation(n), rng.integers(0, n, size=2 * n)]
+        points = list(self._points(d, seed=7))
+        for idx in batches:
+            cols, rows = prob.component_rows(idx, *points)
+            assert len(rows) == len(points)
+            for k, i in enumerate(idx):
+                stored = ref.X.indices[ref.X.indptr[i]:ref.X.indptr[i + 1]]
+                assert np.array_equal(cols[k][: len(stored)], stored)
+                assert np.all(cols[k][len(stored):] == d)
+            for x, got in zip(points, rows):
+                _assert_bit_equal(got, _on_support(ref.component_grads(idx, x), cols))
+                _assert_bit_equal(got, prob.component_rows(idx, x)[1][0])
+
+    def test_loss_and_grad(self, pair):
+        prob, ref = pair
+        for x in self._points(prob.dim, seed=8):
+            loss, grad = prob.loss_and_grad(x)
+            assert isinstance(loss, float)
+            _assert_bit_equal(loss, prob.loss(x))
+            _assert_bit_equal(grad, prob.full_grad(x))
+            _assert_bit_equal(grad, ref.full_grad(x))
 
     def test_full_grad_and_partials(self, pair):
         prob, ref = pair
