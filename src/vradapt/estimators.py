@@ -171,9 +171,11 @@ def constants(method, **hp) -> VRConstants:
 
 
 def _draw_batch(rng, n, b, with_replacement=False):
+    """b uniform indices below n: with replacement, or else b distinct
+    ones (``Generator.choice`` draws them in O(b) for b much below n)."""
     if with_replacement:
         return rng.integers(0, n, size=b)
-    return rng.permutation(n)[:b]
+    return rng.choice(n, b, replace=False)
 
 
 def _draw_batches(rng, n, b, S, with_replacement=False):

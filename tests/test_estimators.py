@@ -34,6 +34,9 @@ class ScriptedRng:
     def integers(self, low, high, size=None):
         return np.array(self._batches.pop(0), dtype=np.int64)
 
+    def choice(self, n, size, replace=False):
+        return np.array(self._batches.pop(0), dtype=np.int64)
+
 
 def default_hp(method, problem):
     return {

@@ -23,22 +23,22 @@ GOLDEN = [
     (
         "saga-adaptive",
         dict(method="saga", presets=True, scheduler="adaptive"),
-        "713ce60943034e309d7aed70d7a0aae4fef49720b7e888af85cbc58d8f7afd5c",
+        "59b31bfbb1bce91b66dd663d0a3554c6b11b3aad98b8751ec0834fbd1c3b7165",
     ),
     (
         "saga-theoretical",
         dict(method="saga", presets=True, scheduler="theoretical"),
-        "89d4529e5793a6d538cdc8022d04b9fc27333d2d8b40865ba47ff3e8def3e20d",
+        "3a30bf476c7034408efb2fd717c53237086a4288ba0fa8931cd60913755662ef",
     ),
     (
         "page-adaptive",
         dict(method="page", presets=True, scheduler="adaptive"),
-        "b1c27600591a5686293660d0ba7320ee39e41e05c67ebc67d36a8bc6081e5152",
+        "2983b0931bd8eef4c8c9dc2f8db5d332b8ffcd4b4fb6b029bc651ab58b7b3b71",
     ),
     (
         "page-theoretical",
         dict(method="page", presets=True, scheduler="theoretical"),
-        "06c66cca7ce5ae1f8c4b8961a9587f98a60a9a507d5b4bbf8e2ac2defe9d0651",
+        "711531dd45f12e2aa4ac77d73636c6907c9b362224e7e2ad5c16f1a46fba3dfb",
     ),
     (
         "page-with-replacement",
@@ -48,17 +48,17 @@ GOLDEN = [
     (
         "zerosarah-adaptive",
         dict(method="zerosarah", presets=True, scheduler="adaptive"),
-        "e1ef004a6f9a8483ec8e15f41142f156f0cc5bfaf44b3c443b261a387b6e873e",
+        "a366176ea7aa89f84fdead2f018970ee594996a5788de4311d030ee9a7b2fa27",
     ),
     (
         "zerosarah-theoretical",
         dict(method="zerosarah", presets=True, scheduler="theoretical"),
-        "fc64b770c6475202834dea2e71b22797bbe45651f9848c441038d186cc2e30b9",
+        "405c738cdadb94615d03b73819c752adccbc30aa4e86d4690a96c6c679af8cda",
     ),
     (
         "lsvrg-adaptive",
         dict(method="lsvrg", presets=True, scheduler="adaptive"),
-        "20647d7b03d57d836485e620364e14eee5451cb29011c286460b20421ce9b049",
+        "1c9b18355263531ebc2704f417f4b7e2f17d468b7bafc742c2f66bc464524f59",
     ),
     (
         "lsvrg-with-replacement",
@@ -68,12 +68,12 @@ GOLDEN = [
     (
         "sega-adaptive",
         dict(method="sega", b=8, scheduler="adaptive"),
-        "80affea92b6679fcf9a3e7eaa557b4d9d29ed7ed4b49434ed690df820bdc13d9",
+        "65cdfcf83f3c6e45696811d677f7fef9c00c47bc5f3be2f61f6be61b9d5f8a64",
     ),
     (
         "jaguar-adaptive",
         dict(method="jaguar", b=8, scheduler="adaptive"),
-        "104d759be57522cd715ce320ec4e834ac64362e075ad03f328d551645405603b",
+        "279ce240e452b9187f5f4afced9c0d4c18b0a03dcf375961089262dfb0b1d794",
     ),
     (
         "ef21-topk",
@@ -131,64 +131,65 @@ GOLDEN = [
     (
         "page-adam",
         dict(method="page", presets=True, scheduler="adam", lr=0.05),
-        "9010ee48a3f115b07d6700f3528d2b826ac51dfa5f7b6e47b842efa4349c5afd",
+        "5dddd2479da2f42996a612d5e9f0fbedb7b26549b290843b5dd73adc33c30681",
     ),
     (
         "zerosarah-tuned",
         dict(method="zerosarah", presets=True, scheduler="tuned", multiplier=4.0),
-        "3359a7b632126a0b71e64d08d206d0d020998e1db152d253221a82527b5965e2",
+        "42624ff84ca0c238c18ec0f7421840f1d1bcfa29df80aab02429f2ea73238490",
     ),
     (
         "lsvrg-constant",
         dict(method="lsvrg", presets=True, scheduler="constant", gamma=0.5),
-        "ef87077edd55e442aecdc1e5744e6a375e1581ebd1c469d76388702e3a86fce9",
+        "9708793d56fcd7d7d746a61e66fcfcd4a87c46d66dbf8caab8689323b9bc12f0",
     ),
     (
         "saga-pl-quadratic",
         dict(problem="quadratic", n=40, d=10, cond=1000.0, method="saga", b=8, scheduler="pl"),
-        "49198826fb6220fe425e0c264e1c7e51963a5f86474ada804c4e73f7b6f3487e",
+        "a9ba0ca23342bd6cfc62b3b489df282ae2a1e66d636401aa947c3f5144aeeea4",
     ),
-    # the batch methods on dense components; at d=1 the component axis
-    # is the contiguous one, where numpy's mean(axis=0) sums pairwise
+    # the batch methods on dense components, also at d=1, where the
+    # steps' column sums still add in row order (numpy's mean(axis=0)
+    # would sum the then contiguous component axis pairwise)
     (
         "saga-quadratic",
         dict(QUAD, d=10, method="saga", b=8),
-        "fd95b0251171c7a851bd261978aac3e0a54955197b92392428f10de83afa36d8",
+        "fb3a5b7bf22b53936ab0cb2a861ec37a97f9217fd41c604e0b94a512c2493b28",
     ),
     (
         "zerosarah-quadratic",
         dict(QUAD, d=10, method="zerosarah", b=8),
-        "902ffe40bc9a1cd99ccbe6e6396d3bb3a498e1694fc33575cbee09711be1cb34",
+        "522c6e6837a1bb148ceb0a092a2296fb5f6c8ce26e949d12f833244779230691",
     ),
     (
         "lsvrg-quadratic",
         dict(QUAD, d=10, method="lsvrg", b=8, p=0.2),
-        "53858638a0208ce4c4501d0d80a47a82d615a982a1fefba88909e7314def25a0",
+        "ef2e4a9f99bf6c06ad3f011a293bf871606ae15cdb964455c551084eb9cdfd23",
     ),
     (
         "page-quadratic",
         dict(QUAD, d=10, method="page", b=8, p=0.2),
-        "fd377f823339521260391e5e59b40edc78c0a785d721a44df0f4b99470a93c55",
+        "a545f4c9dc4fe8f4043bf2615ae7e052ef02c367762b22fca300f853e109a310",
     ),
     (
         "saga-quadratic-d1",
         dict(QUAD, d=1, method="saga", b=10),
-        "4f045afd475771ae9fdef7ca17912a3313e56b95638da588b440338e951f647c",
+        "493c89cc4046fc3f42b73475c8549036ff3a5d44eb92fe8f337a59c05c2599b2",
     ),
     (
         "zerosarah-quadratic-d1",
         dict(QUAD, d=1, method="zerosarah", b=10),
-        "448c132e339f8e1e59734d50dbcf891421413fd58dcc65563a6375c2e1be6230",
+        "bec15d23e590cf3af4c97749a40b4c9227bdb341ac04def419683fd0d5f3beb1",
     ),
     (
         "lsvrg-quadratic-d1",
         dict(QUAD, d=1, method="lsvrg", b=10, p=0.2),
-        "f594d14977ccf4e456ff2eba228c7b2143d6965d9021dfb9f71ceeb9fbf27783",
+        "45629d8a9935bf240c883181ecf4a9f185ea73672d2e5a5d9e4ccdb37c876096",
     ),
     (
         "page-quadratic-d1",
         dict(QUAD, d=1, method="page", b=30, p=0.2),
-        "e3f38d9c3ef69a44c9e5dbe69e7fda4c870992f13c0ced9ed91d379d47b57e22",
+        "4b955dec05d5f5519641acab11546ef1ca157554a0f11ea3718997720007cd27",
     ),
 ]
 
