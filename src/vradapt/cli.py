@@ -106,17 +106,25 @@ def cmd_sweep(args):
         results = engine.sweep(cfg, grid, jobs=args.jobs)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    os.makedirs(args.out_dir, exist_ok=True)
+    errors = {r.summary["error"] for r in results if r.status == "invalid"}
+    if len(errors) == 1 and all(r.status == "invalid" for r in results):
+        # every cell hit the same error: the base config is at fault
+        return _fail(errors.pop())
     worst = EXIT_OK
     keys = sorted(grid)
     for result in results:
+        if result.status == "invalid":
+            cell = " ".join(f"{k}={getattr(result.config, k)}" for k in keys)
+            _fail(f"cell {cell}: {result.summary['error']}")
+            continue
         tag = "_".join(f"{k}{getattr(result.config, k)}" for k in keys) or "base"
+        os.makedirs(args.out_dir, exist_ok=True)
         out = os.path.join(args.out_dir, f"sweep_{tag}.csv")
         engine.trace_to_csv(result.trace, out)
         print(_summary_line(result, out))
         if result.status == "diverged":
             worst = EXIT_DIVERGED
-    return worst
+    return EXIT_USAGE if errors else worst
 
 
 def _parse_perturb(text):

@@ -14,7 +14,7 @@ for small dimensions).
 Next to the one-vector ``compress``, each operator has a batched
 ``sample_dense(V, rng)``: the dense outputs of ``compress`` for every
 vector along the last axis of V, with fresh randomness per vector.  The
-Monte Carlo verifier draws its samples through it.
+Monte Carlo verifier and the sampled contract checks draw through it.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ def dense_bits_cost(dim, value_bits=32) -> int:
 
 
 def check_biased_contract(compressor, d, trials, rng) -> dict:
-    """Empirically validate a contractive registration on Gaussian probes.
+    """Empirically validate a contractive registration on Gaussian probes,
+    drawn as one (trials, d) block and compressed by ``sample_dense``.
 
     Reports the worst observed ||C(x)-x||^2/||x||^2 - (1 - 1/delta).
     Deterministic compressors must satisfy the bound pointwise (margin
@@ -184,11 +185,9 @@ def check_biased_contract(compressor, d, trials, rng) -> dict:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     bound = 1.0 - 1.0 / compressor.delta
-    margins = np.empty(trials)
-    for t in range(trials):
-        x = rng.standard_normal(d)
-        c = compressor.compress(x, rng).to_dense()
-        margins[t] = ((c - x) ** 2).sum() / (x ** 2).sum() - bound
+    probes = rng.standard_normal((trials, d))
+    gaps = compressor.sample_dense(probes, rng) - probes
+    margins = (gaps * gaps).sum(axis=1) / (probes * probes).sum(axis=1) - bound
     if compressor.randomized:
         se = margins.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
         margin = float(margins.mean())
@@ -212,7 +211,8 @@ def check_unbiased_contract(compressor, d, trials, rng) -> dict:
 
     For d <= 8 and an enumerable operator the mean and second moment are
     computed over all outcomes (tolerance 1e-12, float summation only);
-    otherwise both are sampled and judged against 3 standard errors.
+    otherwise both are sampled, ``trials`` draws in one ``sample_dense``
+    call, and judged against 3 standard errors.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -234,12 +234,8 @@ def check_unbiased_contract(compressor, d, trials, rng) -> dict:
             "stderr": 0.0,
             "passed": bool(passed),
         }
-    samples = np.empty((trials, d))
-    moments = np.empty(trials)
-    for t in range(trials):
-        c = compressor.compress(x, rng).to_dense()
-        samples[t] = c
-        moments[t] = (c ** 2).sum() / xsq
+    samples = compressor.sample_dense(np.broadcast_to(x, (trials, d)), rng)
+    moments = (samples * samples).sum(axis=1) / xsq
     se_mean = samples.std(axis=0, ddof=1) / np.sqrt(trials)
     mean_err = np.abs(samples.mean(axis=0) - x)
     se_moment = moments.std(ddof=1) / np.sqrt(trials)

@@ -291,7 +291,7 @@ class RunResult:
     config: ExperimentConfig
     final_x: np.ndarray
     trace: Trace
-    status: str  # completed | converged | stationary | diverged
+    status: str  # completed | converged | stationary | diverged | invalid (sweep cells)
     summary: dict
 
 
@@ -521,16 +521,26 @@ def _sweep_configs(base, grid):
     return configs
 
 
+def _run_cell(config):
+    try:
+        return run(config)
+    except (OSError, ValueError) as exc:
+        return RunResult(config, None, Trace(), "invalid", {"status": "invalid", "error": str(exc)})
+
+
 def sweep(base, grid, jobs=1):
     """Run the Cartesian product of grid overrides on top of base.
 
     A ``seed`` grid key sets each cell's seed as given.  Otherwise every
     grid point gets its own seed derived by hashing the base seed with
     the sorted key/value combination.  Either way results are independent
-    of execution order and of jobs.
+    of execution order and of jobs.  A cell whose config is rejected
+    (OSError or ValueError) does not stop the others: its result has
+    status ``invalid``, no trace, and the message in
+    ``summary["error"]``.
     """
     configs = _sweep_configs(base, grid)
     if jobs <= 1 or len(configs) <= 1:
-        return [run(cfg) for cfg in configs]
+        return [_run_cell(cfg) for cfg in configs]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run, configs))
+        return list(pool.map(_run_cell, configs))

@@ -94,6 +94,8 @@ class QuadraticProblem(Problem):
         self.x_star = np.asarray(x_star, dtype=float).reshape(self.dim)
         self.shifts = np.asarray(shifts, dtype=float).reshape(self.n_components)
         self.mean_eigs = eigs.mean(axis=0)
+        # every component's support is every column
+        self._cols = np.broadcast_to(np.arange(self.dim), eigs.shape)
         self._max_eigs = eigs.max(axis=0)
         self.smoothness = float(eigs.max())
         self.pl_constant = float(self.mean_eigs.min())
@@ -113,9 +115,9 @@ class QuadraticProblem(Problem):
         return self.eigs[i] * z
 
     def component_rows(self, indices, *points):
-        eigs = self.eigs[np.asarray(indices)]
-        cols = np.broadcast_to(np.arange(self.dim), eigs.shape)
-        return cols, [eigs * (np.asarray(x, dtype=float) - self.x_star) for x in points]
+        idx = np.asarray(indices)
+        eigs = self.eigs[idx]
+        return self._cols[idx], [eigs * (np.asarray(x, dtype=float) - self.x_star) for x in points]
 
     def component_grads(self, indices, x):
         # the support is every column, so the rows are already dense

@@ -201,6 +201,30 @@ class TestSweepCommand:
             assert (out_dir / f"sweep_seed{seed}.csv").read_bytes() == single.read_bytes()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_invalid_cell_does_not_sink_the_others(self, tmp_path, capsys, jobs):
+        cfg = write_cfg(tmp_path, QUICK_CFG)
+        out_dir = tmp_path / "grid"
+        flags = ["--grid", "b=0,4", "--jobs", jobs, "--out-dir", str(out_dir)]
+        assert main(["sweep", "--config", cfg, *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "cell b=0: b must be an integer in [1, 6], got 0")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["sweep_b4.csv"]
+        assert captured.out.startswith("status=completed")
+        # the valid cell's trace is the one a sweep of that cell alone writes
+        alone = tmp_path / "alone"
+        main(["sweep", "--config", cfg, "--grid", "b=4", "--out-dir", str(alone)])
+        capsys.readouterr()
+        assert (out_dir / "sweep_b4.csv").read_bytes() == (alone / "sweep_b4.csv").read_bytes()
+
+    def test_every_cell_invalid_writes_nothing(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, QUICK_CFG)
+        out_dir = tmp_path / "grid"
+        assert main(["sweep", "--config", cfg, "--grid", "b=0,7", "--out-dir", str(out_dir)]) == EXIT_USAGE
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert [line.split(":")[1] for line in lines] == [" cell b=0", " cell b=7"]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "text,flags,named",
         [

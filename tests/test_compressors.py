@@ -215,6 +215,9 @@ class TestContracts:
                     dim=len(x),
                 )
 
+            def sample_dense(self, V, rng=None):
+                return np.zeros(np.shape(V))
+
         rng = np.random.default_rng(3)
         report = check_biased_contract(DropAll(), 4, 200, rng)
         assert not report["passed"]

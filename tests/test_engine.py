@@ -354,6 +354,12 @@ class TestSweep:
             assert a.config.seed == b.config.seed
             assert np.array_equal(a.final_x, b.final_x)
 
+    def test_invalid_cell_is_reported_not_raised(self):
+        bad, good = sweep(self.base(), {"b": [0, 2]})
+        assert bad.status == "invalid" and len(bad.trace) == 0
+        assert "b must be an integer" in bad.summary["error"]
+        assert good.status == "completed" and len(good.trace) > 0
+
     def test_parallel_matches_serial(self):
         serial = sweep(self.base(), {"b": [1, 2], "seed": [0, 1]}, jobs=1)
         parallel = sweep(self.base(), {"b": [1, 2], "seed": [0, 1]}, jobs=2)
