@@ -13,6 +13,7 @@ freely between concurrent runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
@@ -94,8 +95,6 @@ class QuadraticProblem(Problem):
         self.x_star = np.asarray(x_star, dtype=float).reshape(self.dim)
         self.shifts = np.asarray(shifts, dtype=float).reshape(self.n_components)
         self.mean_eigs = eigs.mean(axis=0)
-        # every component's support is every column
-        self._cols = np.broadcast_to(np.arange(self.dim), eigs.shape)
         self._max_eigs = eigs.max(axis=0)
         self.smoothness = float(eigs.max())
         self.pl_constant = float(self.mean_eigs.min())
@@ -113,6 +112,11 @@ class QuadraticProblem(Problem):
     def component_grad(self, i, x):
         z = np.asarray(x, dtype=float) - self.x_star
         return self.eigs[i] * z
+
+    @cached_property
+    def _cols(self):
+        # every component's support is every column
+        return np.broadcast_to(np.arange(self.dim), self.eigs.shape)
 
     def component_rows(self, indices, *points):
         idx = np.asarray(indices)
@@ -306,8 +310,10 @@ class LogisticProblem(Problem):
         return (self.XT @ w) / self.n_components
 
     def partials(self, x, coords):
+        # the whole product X^T w runs each row's sum as X^T[coords] @ w
+        # would, and costs less than the margin pass plus a row gather
         w = -self.y * expit(-self._margins(x))
-        return (self.XT[np.asarray(coords, dtype=np.intp)] @ w) / self.n_components
+        return (self.XT @ w)[np.asarray(coords, dtype=np.intp)] / self.n_components
 
     def partial(self, x, coord):
         return float(self.partials(x, [coord])[0])
