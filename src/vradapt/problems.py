@@ -310,8 +310,9 @@ class LogisticProblem(Problem):
         return (self.XT @ w) / self.n_components
 
     def partials(self, x, coords):
-        # the whole product X^T w runs each row's sum as X^T[coords] @ w
-        # would, and costs less than the margin pass plus a row gather
+        # each entry of the whole product X^T w is the row sum that
+        # X^T[coords] @ w gives, in the same order; the one product costs
+        # less than scipy's fancy row gather
         w = -self.y * expit(-self._margins(x))
         return (self.XT @ w)[np.asarray(coords, dtype=np.intp)] / self.n_components
 
