@@ -108,6 +108,23 @@ GOLDEN = [
              scheduler="adaptive"),
         "1b89ed92b41037398ac7ed2d6654584f43713b3905f980cb67b6d60981343f64",
     ),
+    # the client-server updates with no compressor randomness: these pin
+    # the update algebra apart from the compressor's random stream
+    (
+        "ef21-identity",
+        dict(method="ef21", compressor="identity", clients=6, scheduler="adaptive"),
+        "7fd31fc85d01be4a2527ddba074bc6d1f08d3b323b2300f1472c204ffa5ba319",
+    ),
+    (
+        "diana-identity",
+        dict(method="diana", compressor="identity", clients=6, scheduler="adaptive"),
+        "89b152ad61150e9e481c240d3ed3e000204085bba58058fac8c48b442334a4ac",
+    ),
+    (
+        "dasha-identity",
+        dict(method="dasha", compressor="identity", clients=6, scheduler="adaptive"),
+        "5c6ea617ea44bbf4cafe1b9bffefbde2ff0fde7fb730b92facdb58338f75aef5",
+    ),
     # unequal client shares: 27 components over 4 clients are 7, 7, 7, 6
     (
         "ef21-quadratic",
