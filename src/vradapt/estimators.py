@@ -222,10 +222,12 @@ class GradientEstimator:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # the generic clone is also entered on every subclass, as step and
-        # sigma_sq are, so that tools which patch a method on the class
-        # defining it (perfbench's span tracer) find one per estimator
-        cls.clone = GradientEstimator.clone
+        # step, sigma_sq and clone are entered on every subclass, inherited
+        # or not, so that tools which patch a method on the class defining
+        # it (perfbench's span tracer) find one per estimator
+        for name in ("step", "sigma_sq", "clone"):
+            if name not in cls.__dict__:
+                setattr(cls, name, getattr(cls, name))
 
     def __init__(self, problem, x0):
         self.problem = problem
@@ -361,6 +363,10 @@ class _TableEstimator(GradientEstimator):
         """The table as a dense (n, d) array, built on every read."""
         return dense_rows(self.cols, self.rows, self.problem.dim)
 
+    def sigma_sq(self):
+        diff = self.problem.all_component_grads(self.x) - self.table
+        return float((diff * diff).sum(axis=1).mean())
+
 
 class SAGA(_TableEstimator):
     """Gradient-table estimator; sampled rows are re-evaluated at the
@@ -381,10 +387,6 @@ class SAGA(_TableEstimator):
         self.table_mean = self.table_mean + change / problem.n_components
         self.x = x_t.copy()
         return self.g
-
-    def sigma_sq(self):
-        diff = self.problem.all_component_grads(self.x) - self.table
-        return float((diff * diff).sum(axis=1).mean())
 
     def constants(self):
         return constants("saga", b=self.b, n=self.problem.n_components)
@@ -467,10 +469,6 @@ class ZeroSARAH(_TableEstimator):
         self.table_mean = self.table_mean + _colsum(cols, cur - old, d) / problem.n_components
         self.x = x_t.copy()
         return self.g
-
-    def sigma_sq(self):
-        diff = self.problem.all_component_grads(self.x) - self.table
-        return float((diff * diff).sum(axis=1).mean())
 
     def constants(self):
         return constants("zerosarah", b=self.b, n=self.problem.n_components)
@@ -561,22 +559,28 @@ class _ClientServerEstimator(GradientEstimator):
         return sum(w * per_client[..., j] for j, w in enumerate(self.weights))
 
 
-class EF21(_ClientServerEstimator):
-    """Error-feedback estimator: each client pushes a compressed
-    correction toward its local gradient; the server accumulates."""
-
-    method = "ef21"
+class _ClientStateEstimator(_ClientServerEstimator):
+    """Client j keeps ``client_state[j]``, its running estimate of its
+    own gradient, and moves it by the compressed message it sends; the
+    server adds the share-weighted messages to g, so g stays the
+    share-weighted sum of the client states.  A method gives the message
+    each client compresses (``_message``)."""
 
     def __init__(self, problem, x0, groups, compressor, value_bits=32, index_bits=32):
         super().__init__(problem, x0, groups, compressor, value_bits, index_bits)
         self.client_state = self.client_grads.copy()
         self.g = self._server_sum(self.client_state)
 
+    def _message(self, grads):
+        """Every client's uncompressed message, (n_clients, d), given the
+        client gradients at the next point."""
+        raise NotImplementedError
+
     def step(self, x_t, rng):
         x_t = np.asarray(x_t, dtype=float)
         grads = self._client_grads(x_t)
         self.grad_calls += self.problem.n_components
-        dense = self._compress_each(grads - self.client_state, rng)
+        dense = self._compress_each(self._message(grads), rng)
         self.client_state = self.client_state + dense
         self.client_grads = grads
         self.g = self.g + self._server_sum(dense)
@@ -586,18 +590,28 @@ class EF21(_ClientServerEstimator):
     def sigma_sq(self):
         return float(self._client_error(self.client_state - self.client_grads))
 
+    def step_batch(self, x_cand, rng, S):
+        grads = self._client_grads(x_cand)
+        dense = self._compress_batch(self._message(grads), rng, S)
+        sigma = self._client_error(self.client_state + dense - grads)
+        return self.g + self._server_sum(dense), sigma
+
+
+class EF21(_ClientStateEstimator):
+    """Error-feedback estimator: each client pushes a compressed
+    correction toward its local gradient; the server accumulates."""
+
+    method = "ef21"
+
+    def _message(self, grads):
+        return grads - self.client_state
+
     def constants(self):
         _require(
             hasattr(self.compressor, "delta"),
             "ef21 needs a contractive compressor (topk or identity)",
         )
         return constants("ef21", delta=self.compressor.delta)
-
-    def step_batch(self, x_cand, rng, S):
-        grads = self._client_grads(x_cand)
-        state = self.client_state
-        dense = self._compress_batch(grads - state, rng, S)
-        return self.g + self._server_sum(dense), self._client_error(state + dense - grads)
 
 
 class DIANA(_ClientServerEstimator):
@@ -648,7 +662,7 @@ class DIANA(_ClientServerEstimator):
         return G, self._client_error(self.shifts + dense / (self.omega + 1.0) - grads)
 
 
-class DASHA(_ClientServerEstimator):
+class DASHA(_ClientStateEstimator):
     """Momentum-compressed difference estimator: clients compress the
     gradient difference damped by 1/(2*omega+1) of their own estimate
     error, so nothing dense is ever sent after the first pass."""
@@ -660,35 +674,13 @@ class DASHA(_ClientServerEstimator):
         super().__init__(problem, x0, groups, compressor, value_bits, index_bits)
         self.omega = float(compressor.omega)
         self.eta = 1.0 / (2.0 * self.omega + 1.0)
-        self.client_state = self.client_grads.copy()
-        self.g = self._server_sum(self.client_state)
 
-    def _momentum(self, grads):
+    def _message(self, grads):
         prev = self.client_grads
         return grads - prev - self.eta * (self.client_state - prev)
 
-    def step(self, x_t, rng):
-        x_t = np.asarray(x_t, dtype=float)
-        grads = self._client_grads(x_t)
-        self.grad_calls += self.problem.n_components
-        dense = self._compress_each(self._momentum(grads), rng)
-        self.client_state = self.client_state + dense
-        self.client_grads = grads
-        self.g = self.g + self._server_sum(dense)
-        self.x = x_t.copy()
-        return self.g
-
-    def sigma_sq(self):
-        return float(self._client_error(self.client_state - self.client_grads))
-
     def constants(self):
         return constants("dasha", omega=self.omega, n_clients=self.n_clients)
-
-    def step_batch(self, x_cand, rng, S):
-        grads = self._client_grads(x_cand)
-        dense = self._compress_batch(self._momentum(grads), rng, S)
-        sigma = self._client_error(self.client_state + dense - grads)
-        return self.g + self._server_sum(dense), sigma
 
 
 class SEGA(GradientEstimator):
