@@ -13,8 +13,11 @@ for small dimensions).
 
 Next to the one-vector ``compress``, each operator has a batched
 ``sample_dense(V, rng)``: the dense outputs of ``compress`` for every
-vector along the last axis of V, with fresh randomness per vector.  The
-Monte Carlo verifier and the sampled contract checks draw through it.
+vector along the last axis of V, with fresh randomness per vector, drawn
+vector by vector in C order.  The client-server estimators, the Monte
+Carlo verifier and the sampled contract checks all compress through it;
+``compress`` is the one-vector API and the reference the tests hold
+``sample_dense`` to.
 """
 
 from __future__ import annotations
@@ -69,12 +72,15 @@ def rand_k(x, k, rng) -> CompressedVector:
     """Keep k coordinates drawn uniformly without replacement, rescaled by d/k.
 
     The rescaling makes the operator unbiased; its second moment is
-    exactly (d/k) ||x||^2.
+    exactly (d/k) ||x||^2.  The kept coordinates are the first k
+    positions of an argsort of d uniforms, as each row of
+    ``RandK.sample_dense`` draws them, so from one generator state the
+    two keep the same subset.
     """
     x = np.asarray(x, dtype=float)
     d = x.size
     _check_k(k, d)
-    kept = np.sort(rng.permutation(d)[:k])
+    kept = np.sort(rng.random(d).argsort()[:k])
     return CompressedVector(kept.astype(np.int64), (d / k) * x[kept], d)
 
 

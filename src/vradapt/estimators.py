@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compressors import bits_cost, dense_bits_cost, make_compressor
+from .compressors import make_compressor
 from .problems import dense_rows, partition_problem
 
 METHODS = (
@@ -497,13 +497,15 @@ class _ClientServerEstimator(GradientEstimator):
     Per-client state is held as (n_clients, d) arrays, row j for client
     j: ``client_grads`` (each client's gradient at the current point)
     and the method's memory (``client_state`` or ``shifts``).  A step is
-    whole-array algebra on one stacked client pass; only compression
-    runs client by client, in client order, drawing from one rng.
-    Every reduction over clients also runs in client order, so
-    aggregation is bitwise reproducible.  The initial state is
-    communicated dense (d values per client); afterwards clients only
-    send compressed messages, and the two ledgers stay separate so that
-    claim can be audited.
+    whole-array algebra on one stacked client pass, and one
+    ``compressor.sample_dense`` call compresses every client's message,
+    row j for client j, so a random compressor draws client by client,
+    in client order, from one rng.  Every reduction over clients also
+    runs in client order, so aggregation is bitwise reproducible.  The
+    initial state is communicated dense (d values per client, no
+    indices); afterwards each client sends k (index, value) pairs per
+    step, and the two ledgers stay separate so that claim can be
+    audited.
     """
 
     needs_unbiased = False
@@ -523,22 +525,19 @@ class _ClientServerEstimator(GradientEstimator):
         # the initial full pass, each client's gradient sent dense
         self.client_grads = self._client_grads(self.x)
         self.grad_calls += problem.n_components
-        self.bits_dense += self.n_clients * dense_bits_cost(problem.dim, self.value_bits)
+        self.bits_dense += self.n_clients * problem.dim * self.value_bits
 
     @property
     def n_clients(self):
         return len(self.groups)
 
-    def _compress_each(self, residuals, rng):
-        """Compress row j of ``residuals`` as client j's message, in
-        client order, and count the bits sent; returns the dense
-        messages, (n_clients, d)."""
-        dense = np.zeros_like(residuals)
-        for j, row in enumerate(residuals):
-            message = self.compressor.compress(row, rng)
-            self.bits_compressed += bits_cost(message, self.value_bits, self.index_bits)
-            dense[j] = message.to_dense()
-        return dense
+    def _compress(self, messages, rng):
+        """Every client's message compressed, dense, (n_clients, d), and
+        the k (index, value) pairs each client sends counted."""
+        self.bits_compressed += (
+            self.n_clients * self.compressor.k * (self.value_bits + self.index_bits)
+        )
+        return self.compressor.sample_dense(messages, rng)
 
     def _compress_batch(self, messages, rng, S):
         """Dense compressor outputs for S independent draws of every
@@ -580,7 +579,7 @@ class _ClientStateEstimator(_ClientServerEstimator):
         x_t = np.asarray(x_t, dtype=float)
         grads = self._client_grads(x_t)
         self.grad_calls += self.problem.n_components
-        dense = self._compress_each(self._message(grads), rng)
+        dense = self._compress(self._message(grads), rng)
         self.client_state = self.client_state + dense
         self.client_grads = grads
         self.g = self.g + self._server_sum(dense)
@@ -632,7 +631,7 @@ class DIANA(_ClientServerEstimator):
         x_t = np.asarray(x_t, dtype=float)
         grads = self._client_grads(x_t)
         self.grad_calls += self.problem.n_components
-        dense = self._compress_each(grads - self.shifts, rng)
+        dense = self._compress(grads - self.shifts, rng)
         agg = self._server_sum(dense)
         self.shifts = self.shifts + dense / (self.omega + 1.0)
         self.client_grads = grads

@@ -109,18 +109,6 @@ class TestRandK:
         assert np.allclose(acc / trials, x, atol=0.05)
 
 
-class KeptSubsets:
-    """Scripted generator for rand_k: each permutation call starts with
-    the next given subset."""
-
-    def __init__(self, subsets):
-        self._subsets = [list(s) for s in subsets]
-
-    def permutation(self, n):
-        head = self._subsets.pop(0)
-        return np.array(head + [i for i in range(n) if i not in head])
-
-
 class TestSampleDense:
     """The batched samplers the verifier uses give, row by row, what the
     one-vector operators give."""
@@ -152,13 +140,13 @@ class TestSampleDense:
     def test_randk_rows_match_rand_k_on_the_same_subset(self):
         V = np.random.default_rng(2).standard_normal((3, 4, 6))
         V[0, 0] = 1.0
-        rng = np.random.default_rng(3)
-        u = np.random.default_rng(3).random(V.shape)
-        out = RandK(2, 6).sample_dense(V, rng)
+        # two generators in the same state: one draws the whole block,
+        # the other one vector at a time, in the same order
+        out = RandK(2, 6).sample_dense(V, np.random.default_rng(3))
+        one_at_a_time = np.random.default_rng(3)
         assert out.shape == V.shape
         for idx in np.ndindex(3, 4):
-            kept = np.argsort(u[idx])[:2]
-            want = rand_k(V[idx], 2, KeptSubsets([kept])).to_dense()
+            want = rand_k(V[idx], 2, one_at_a_time).to_dense()
             assert np.array_equal(out[idx], want)
 
     def test_randk_subsets_are_uniform(self):

@@ -16,20 +16,21 @@ from vradapt.problems import QuadraticProblem, logistic_problem, make_quadratic
 
 
 class ScriptedRng:
-    """Replays a fixed script of coin flips and batch draws so each
-    estimator update can be checked against hand arithmetic."""
+    """Replays a fixed script of coin flips, batch draws and uniform
+    arrays (a random compressor's draw) so each estimator update can be
+    checked against hand arithmetic."""
 
-    def __init__(self, coins=(), batches=()):
+    def __init__(self, coins=(), batches=(), uniforms=()):
         self._coins = list(coins)
         self._batches = [list(b) for b in batches]
+        self._uniforms = [np.asarray(u, dtype=float) for u in uniforms]
 
-    def random(self):
-        return self._coins.pop(0)
-
-    def permutation(self, n):
-        batch = self._batches.pop(0)
-        rest = [i for i in range(n) if i not in batch]
-        return np.array(batch + rest, dtype=np.int64)
+    def random(self, size=None):
+        if size is None:
+            return self._coins.pop(0)
+        u = self._uniforms.pop(0)
+        assert u.shape == np.empty(size).shape
+        return u
 
     def integers(self, low, high, size=None):
         return np.array(self._batches.pop(0), dtype=np.int64)
@@ -459,7 +460,7 @@ class TestDIANA:
         server = shift.copy()
         u = quad.full_grad(x1)
         # keep coordinates {0, 2}; RandK scales the survivors by d/k = 2
-        g = est.step(x1, ScriptedRng(batches=[[0, 2]]))
+        g = est.step(x1, ScriptedRng(uniforms=[[[0.1, 0.6, 0.2, 0.7]]]))
         dense = np.zeros(4)
         dense[[0, 2]] = 2.0 * (u - shift)[[0, 2]]
         assert np.allclose(g, server + dense, atol=1e-14)
@@ -513,12 +514,16 @@ class TestDASHA:
         prev = state.copy()
         g_prev = state.copy()
 
-        for x, kept in ((x1, [1, 3]), (x2, [0, 1])):
+        # each step's uniforms argsort to the kept coordinates first
+        for x, kept, uniforms in (
+            (x1, [1, 3], [0.6, 0.1, 0.7, 0.2]),
+            (x2, [0, 1], [0.1, 0.2, 0.6, 0.7]),
+        ):
             u = quad.full_grad(x)
             momentum = u - prev - eta * (state - prev)
             dense = np.zeros(4)
             dense[kept] = 2.0 * momentum[kept]
-            g = est.step(x, ScriptedRng(batches=[kept]))
+            g = est.step(x, ScriptedRng(uniforms=[[uniforms]]))
             state = state + dense
             g_prev = g_prev + dense
             prev = u
@@ -823,8 +828,7 @@ def replay_scripts(est, draws, S):
             return [ScriptedRng() for _ in range(S)]
         (kind, u), = draws
         assert kind == "random" and u.shape == (S, est.n_clients, est.problem.dim)
-        k = est.compressor.k
-        return [ScriptedRng(batches=[first_b(row, k) for row in u[s]]) for s in range(S)]
+        return [ScriptedRng(uniforms=[u[s]]) for s in range(S)]
     (kind, values), = draws
     if getattr(est, "with_replacement", False):
         assert kind == "integers" and values.shape == (S, est.b)
