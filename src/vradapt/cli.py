@@ -21,7 +21,7 @@ import numpy as np
 from . import engine, verify
 from .compressors import check_biased_contract, check_unbiased_contract, make_compressor
 from .data import load_libsvm, synthetic_dataset, write_libsvm
-from .estimators import DISTRIBUTED_METHODS, METHODS, constants as constants_table
+from .estimators import DISTRIBUTED_METHODS, METHODS, constants as constants_table, make_estimator
 from .schedulers import nu_of
 
 EXIT_OK = 0
@@ -141,10 +141,9 @@ def _verify_one(method, args):
     problem, hyperparams = verify.standard_margin_setup(method)
     override = None
     if args.perturb:
-        reg = verify.registered_constants(
-            method, **verify._constants_kwargs(method, hyperparams, problem)
-        )
-        override = reg.scaled(_parse_perturb(args.perturb))
+        # scale the tuple the estimator registers, the one the check uses
+        est = make_estimator(method, problem, np.zeros(problem.dim), hyperparams)
+        override = est.constants().scaled(_parse_perturb(args.perturb))
     report = verify.assumption_margin(
         method,
         hyperparams,

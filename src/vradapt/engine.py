@@ -182,25 +182,14 @@ def build_problem(config):
                 f"synthetic dataset spec must be synthetic:<rows>:<dim>:<seed>, got {config.dataset!r}"
             )
         rows, dim, seed = (int(x) for x in parts[1:])
-        ds = synthetic_dataset(rows, dim=dim, seed=seed, nnz_per_row=min(14, dim))
         if config.limit is not None:
-            ds = _head(ds, config.limit)
+            # rows are drawn one after another from one generator, so the
+            # first `limit` of them are the whole of a shorter draw
+            rows = min(rows, config.limit)
+        ds = synthetic_dataset(rows, dim=dim, seed=seed, nnz_per_row=min(14, dim))
     else:
         ds = load_libsvm(config.dataset, force_dim=config.force_dim, limit=config.limit)
     return logistic_problem(ds)
-
-
-def _head(dataset, limit):
-    from .data import Dataset
-
-    limit = min(limit, dataset.n)
-    return Dataset(
-        indices=dataset.indices[:limit],
-        values=dataset.values[:limit],
-        labels=dataset.labels[:limit].copy(),
-        n=limit,
-        d=dataset.d,
-    )
 
 
 def preset_hyperparams(method, n):
@@ -273,14 +262,8 @@ class Trace:
     def __iter__(self):
         return iter(self.rows)
 
-    def ts(self):
-        return np.array([r.t for r in self.rows])
-
     def grad_norms(self):
         return np.array([r.grad_norm for r in self.rows])
-
-    def losses(self):
-        return np.array([r.loss for r in self.rows])
 
     def gammas(self):
         return np.array([r.gamma for r in self.rows])

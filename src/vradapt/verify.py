@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import VRConstants, constants as registered_constants, make_estimator
+from .estimators import VRConstants, make_estimator
 from .schedulers import theoretical_gamma_nonconvex
 
 # Which sigma^2 snapshot the first inequality's A-term couples to.
@@ -109,9 +109,11 @@ def assumption_margin(
     ``samples_per_point`` one-step transitions to a fixed candidate
     point, drawn SAMPLE_BLOCK at a time by ``step_batch``, and the
     empirical means are compared with the right-hand sides.
-    ``constants_override`` evaluates the inequalities with a different
-    tuple (the trajectory and step size stay registered), which is how
-    the mutation test works.
+    The registered tuple is the one the estimator built from
+    ``hyperparams`` reports (``constants()``).  ``constants_override``
+    evaluates the inequalities with a different tuple (the trajectory
+    and step size stay registered), which is how the mutation test
+    works.
     """
     if samples_per_point < 1000:
         raise ValueError("need at least 1000 samples per state point")
@@ -121,14 +123,13 @@ def assumption_margin(
     if alignment is None:
         raise ValueError(f"unknown method {method!r}")
 
-    reg = registered_constants(method, **_constants_kwargs(method, hyperparams, problem))
-    cons = constants_override if constants_override is not None else reg
     L = problem.smoothness
     L2 = L * L
-    gamma = theoretical_gamma_nonconvex(reg, L)
-
     x0 = problem.x_opt + np.ones(problem.dim) / max(L, 1.0)
     est = make_estimator(method, problem, x0, dict(hyperparams))
+    reg = est.constants()
+    cons = constants_override if constants_override is not None else reg
+    gamma = theoretical_gamma_nonconvex(reg, L)
     traj_rng = np.random.default_rng([seed, 0x7E57])
 
     report = MarginReport(method=method, alignment=alignment, constants=cons, gamma=gamma)
@@ -194,31 +195,6 @@ def _row(method, inequality, sp, lhs, rhs, margins):
         stderr=stderr,
         passed=_pass_margin(mean, stderr, lhs, rhs),
     )
-
-
-def _constants_kwargs(method, hyperparams, problem):
-    """Map estimator hyperparameters to what the constants table needs."""
-    hp = dict(hyperparams)
-    out = {}
-    if method in ("lsvrg", "saga", "page", "zerosarah"):
-        out["b"] = hp["b"]
-        out["n"] = problem.n_components
-        if "p" in hp:
-            out["p"] = hp["p"]
-    elif method in ("sega", "jaguar"):
-        out["b"] = hp["b"]
-        out["d"] = problem.dim
-    else:
-        out["n_clients"] = hp.get("n_clients", 10)
-        comp = hp.get("compressor") or "identity"
-        if isinstance(comp, str):
-            out["d"] = problem.dim
-            out["k"] = hp.get("k", problem.dim)
-        elif method == "ef21":
-            out["delta"] = comp.delta
-        else:
-            out["omega"] = comp.omega
-    return out
 
 
 def standard_margin_setup(method):

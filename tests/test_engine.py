@@ -131,7 +131,12 @@ class TestBuildProblem:
 
     def test_synthetic_spec_limit(self):
         cfg = ExperimentConfig(dataset="synthetic:50:20:3", limit=12)
-        assert build_problem(cfg).n_components == 12
+        limited = build_problem(cfg)
+        assert limited.n_components == 12
+        # the limited problem holds the first rows of the unlimited one
+        full = build_problem(ExperimentConfig(dataset="synthetic:50:20:3"))
+        assert np.array_equal(limited.X.toarray(), full.X.toarray()[:12])
+        assert np.array_equal(limited.y, full.y[:12])
 
     def test_synthetic_spec_narrower_than_fourteen_features(self):
         cfg = ExperimentConfig(method="saga", b=4, dataset="synthetic:50:8:0", T=10)

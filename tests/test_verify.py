@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from vradapt.engine import ExperimentConfig, Trace, TraceRow, run
+from vradapt.estimators import make_estimator
 from vradapt.problems import QuadraticProblem, make_quadratic
+from vradapt.schedulers import theoretical_gamma_nonconvex
 from vradapt.verify import (
     MARGIN_CSV_HEADER,
     assumption_margin,
@@ -195,6 +197,17 @@ class TestAssumptionMargins:
         report = assumption_margin("ef21", hp, problem, state_points=2,
                                    samples_per_point=1000, seed=0)
         assert report.passed
+
+    def test_checks_the_tuple_the_estimator_registers(self):
+        # an identity compressor given k: the estimator registers delta = 1,
+        # not the d/k a topk or randk compressor of that k would have
+        problem, _ = standard_margin_setup("ef21")
+        hp = {"n_clients": 10, "compressor": "identity", "k": 5}
+        est = make_estimator("ef21", problem, np.zeros(problem.dim), hp)
+        report = assumption_margin("ef21", hp, problem, state_points=1,
+                                   samples_per_point=1000, seed=0)
+        assert report.constants == est.constants()
+        assert report.gamma == theoretical_gamma_nonconvex(est.constants(), problem.smoothness)
 
     def test_sample_floor_enforced(self):
         problem, hp = standard_margin_setup("saga")
