@@ -562,18 +562,14 @@ class _ClientStateEstimator(_ClientServerEstimator):
     """Client j keeps ``client_state[j]``, its running estimate of its
     own gradient, and moves it by the compressed message it sends; the
     server adds the share-weighted messages to g, so g stays the
-    share-weighted sum of the client states.  A method gives the message
-    each client compresses (``_message``)."""
+    share-weighted sum of the client states.  A method defines the
+    messages the clients compress: ``_message(grads)``, (n_clients, d),
+    from the client gradients at the next point."""
 
     def __init__(self, problem, x0, groups, compressor, value_bits=32, index_bits=32):
         super().__init__(problem, x0, groups, compressor, value_bits, index_bits)
         self.client_state = self.client_grads.copy()
         self.g = self._server_sum(self.client_state)
-
-    def _message(self, grads):
-        """Every client's uncompressed message, (n_clients, d), given the
-        client gradients at the next point."""
-        raise NotImplementedError
 
     def step(self, x_t, rng):
         x_t = np.asarray(x_t, dtype=float)
