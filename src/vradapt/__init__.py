@@ -8,7 +8,6 @@ from .compressors import (
     IdentityCompressor,
     RandK,
     TopK,
-    bits_cost,
     check_biased_contract,
     check_unbiased_contract,
     dense_bits_cost,
@@ -19,7 +18,6 @@ from .compressors import (
 from .data import (
     Dataset,
     LibsvmParseError,
-    dense_row,
     load_libsvm,
     parse_libsvm,
     synthetic_dataset,
@@ -47,12 +45,10 @@ from .problems import (
     LogisticProblem,
     Problem,
     QuadraticProblem,
-    QuadraticSpec,
     estimate_smoothness,
     logistic_problem,
     make_quadratic,
     partition_problem,
-    quadratic_problem,
 )
 from .schedulers import (
     AdamState,

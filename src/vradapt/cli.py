@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import engine, verify
-from .compressors import check_biased_contract, check_unbiased_contract, make_compressor
+from .compressors import check_biased_contract, check_unbiased_contract
 from .data import load_libsvm, synthetic_dataset, write_libsvm
 from .estimators import DISTRIBUTED_METHODS, METHODS, constants as constants_table, make_estimator
 from .schedulers import nu_of
@@ -139,10 +139,10 @@ def _parse_perturb(text):
 
 def _verify_one(method, args):
     problem, hyperparams = verify.standard_margin_setup(method)
+    est = make_estimator(method, problem, np.zeros(problem.dim), hyperparams)
     override = None
     if args.perturb:
         # scale the tuple the estimator registers, the one the check uses
-        est = make_estimator(method, problem, np.zeros(problem.dim), hyperparams)
         override = est.constants().scaled(_parse_perturb(args.perturb))
     report = verify.assumption_margin(
         method,
@@ -159,8 +159,7 @@ def _verify_one(method, args):
         f"(alignment={report.alignment}, worst={report.worst().margin:.3g})"
     )
     if method in DISTRIBUTED_METHODS:
-        hp = hyperparams
-        comp = make_compressor(hp["compressor"], problem.dim, hp.get("k"))
+        comp = est.compressor
         rng = np.random.default_rng(0)
         if comp.unbiased:
             contract = check_unbiased_contract(comp, problem.dim, 20000, rng)
@@ -170,7 +169,7 @@ def _verify_one(method, args):
             margin = contract["margin"]
         print(
             f"{method}: compressor contract {'PASS' if contract['passed'] else 'FAIL'} "
-            f"({hp['compressor']}, margin={margin:.3g})"
+            f"({hyperparams['compressor']}, margin={margin:.3g})"
         )
         ok = ok and contract["passed"]
     return report, ok

@@ -41,12 +41,6 @@ class CompressedVector:
         out[self.indices] = self.values
         return out
 
-    def serialize(self) -> str:
-        """CSV-friendly `idx:val` pair list, e.g. "0:3 2:-1.5"."""
-        return " ".join(
-            f"{int(i)}:{v:.17g}" for i, v in zip(self.indices, self.values)
-        )
-
 
 def _check_k(k, d):
     if not 1 <= k <= d:
@@ -167,11 +161,6 @@ class IdentityCompressor:
 
     def enumerate_outcomes(self, x):
         yield self.compress(x)
-
-
-def bits_cost(v: CompressedVector, value_bits=32, index_bits=32) -> int:
-    """Wire cost of a sparse message: |pairs| * (value_bits + index_bits)."""
-    return len(v.values) * (value_bits + index_bits)
 
 
 def dense_bits_cost(dim, value_bits=32) -> int:

@@ -123,15 +123,6 @@ def load_libsvm(path, force_dim=None, limit=None) -> Dataset:
     return ds
 
 
-def dense_row(dataset: Dataset, i: int) -> np.ndarray:
-    """Row i as a dense length-d vector."""
-    if not 0 <= i < dataset.n:
-        raise IndexError(f"row {i} out of range for {dataset.n} rows")
-    out = np.zeros(dataset.d)
-    out[dataset.indices[i]] = dataset.values[i]
-    return out
-
-
 def write_libsvm(dataset: Dataset, sink) -> None:
     """Serialize back to the wire format (1-based indices, LF newlines).
 

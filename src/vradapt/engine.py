@@ -53,14 +53,6 @@ from .schedulers import (
 
 SCHEDULERS = ("theoretical", "tuned", "adaptive", "adam", "constant", "pl")
 
-_INT_KEYS = {
-    "limit", "force_dim", "n", "d", "problem_seed", "b", "k", "clients",
-    "value_bits", "index_bits", "T", "seed", "cadence",
-}
-_FLOAT_KEYS = {"eig_lo", "eig_hi", "cond", "p", "alpha", "multiplier", "gamma", "lr", "mu", "tol"}
-_BOOL_KEYS = {"presets", "with_replacement"}
-_STR_KEYS = {"problem", "dataset", "method", "compressor", "scheme", "scheduler", "timing"}
-
 
 @dataclass
 class ExperimentConfig:
@@ -102,7 +94,7 @@ class ExperimentConfig:
 
 
 def _parse_bool(text):
-    lowered = text.strip().lower()
+    lowered = str(text).strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -110,26 +102,24 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# each key's coercion, read off its annotation ("int", "float | None", ...)
+_COERCE = {"int": int, "float": float, "bool": _parse_bool, "str": str}
+_KEY_TYPES = {
+    f.name: _COERCE[f.type.partition(" |")[0]] for f in dataclasses.fields(ExperimentConfig)
+}
+
+
 def config_from_mapping(mapping):
     """Build a config from string key/value pairs, with typed coercion.
     Unknown keys raise, naming the key."""
     cfg = ExperimentConfig()
     for key, raw in mapping.items():
+        if key not in _KEY_TYPES:
+            raise ValueError(f"unknown config key {key!r}")
         value = raw.strip() if isinstance(raw, str) else raw
         try:
-            if key in _INT_KEYS:
-                value = int(value)
-            elif key in _FLOAT_KEYS:
-                value = float(value)
-            elif key in _BOOL_KEYS:
-                value = _parse_bool(str(value))
-            elif key in _STR_KEYS:
-                value = str(value)
-            else:
-                raise ValueError(f"unknown config key {key!r}")
+            value = _KEY_TYPES[key](value)
         except ValueError as exc:
-            if "unknown config key" in str(exc):
-                raise
             raise ValueError(f"bad value for config key {key!r}: {raw!r}") from exc
         setattr(cfg, key, value)
     return cfg

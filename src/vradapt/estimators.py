@@ -2,12 +2,8 @@
 
 Every estimator is a stateful object built from a starting point by one
 full gradient pass (so the initial estimate is exact and the auxiliary
-error starts at zero).  ``step(x_t, rng)`` consumes the next iterate and
-fresh randomness, updates the method memory and oracle-call ledger, and
-returns the new estimate g^t.  ``step_batch(x, rng, S)`` is its pure,
-vectorised counterpart for the Monte Carlo verifier: S independent
-draws of the same update from the current state, which it leaves as it
-is.  The client-server methods (EF21, DIANA, DASHA) hold per-client
+error starts at zero); ``GradientEstimator`` lists the methods each one
+defines.  The client-server methods (EF21, DIANA, DASHA) hold per-client
 state as (n_clients, d) arrays, so ``step`` and ``step_batch`` share
 the same whole-array algebra.
 
@@ -33,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compressors import make_compressor
+from .compressors import dense_bits_cost, make_compressor
 from .problems import dense_rows, partition_problem
 
 METHODS = (
@@ -97,6 +93,16 @@ def _check_prob(p):
     return float(p)
 
 
+def _compression_quality(hp, name):
+    """delta or omega (``name``), given directly or as d/k, checked >= 1."""
+    value = hp.get(name)
+    if value is None and "d" in hp and "k" in hp:
+        _require(hp["k"] >= 1, f"k must be >= 1, got {hp['k']}")
+        value = hp["d"] / hp["k"]
+    _require(value is not None and value >= 1.0, f"{name} must be >= 1, got {value}")
+    return value
+
+
 def constants(method, **hp) -> VRConstants:
     """Registered recursion constants for a method.
 
@@ -133,18 +139,12 @@ def constants(method, **hp) -> VRConstants:
             b / (2.0 * n), b / (2.0 * n), b / (2.0 * n), 2.0 / b, 2.0 * n / b
         )
     if method == "ef21":
-        delta = hp.get("delta")
-        if delta is None and "d" in hp and "k" in hp:
-            delta = hp["d"] / hp["k"]
-        _require(delta is not None and delta >= 1.0, f"delta must be >= 1, got {delta}")
+        delta = _compression_quality(hp, "delta")
         return VRConstants(
             1.0, (delta + 1.0) / (2.0 * delta * delta), 1.0, 0.0, 2.0 * delta
         )
     if method in ("diana", "dasha"):
-        omega = hp.get("omega")
-        if omega is None and "d" in hp and "k" in hp:
-            omega = hp["d"] / hp["k"]
-        _require(omega is not None and omega >= 1.0, f"omega must be >= 1, got {omega}")
+        omega = _compression_quality(hp, "omega")
         n = int(hp.get("n_clients") or hp.get("n") or 0)
         _require(n >= 1, "n_clients is required for client-server methods")
         if method == "diana":
@@ -216,17 +216,37 @@ def _copied(value):
 
 
 class GradientEstimator:
-    """Common state: current point, current estimate, oracle ledger."""
+    """Common state: current point, current estimate, oracle ledger.
+
+    Every estimator defines:
+
+    * ``step(x_t, rng)``: consume the next iterate and fresh randomness,
+      update the method memory and oracle-call ledger, return the new
+      estimate g^t;
+    * ``step_batch(x_cand, rng, S)``: the pure, vectorised counterpart
+      for the Monte Carlo verifier, S independent draws of
+      ``step(x_cand, rng)`` from the current state, which stays as it is
+      (ledger included).  Returns ``(G, sigma)``: the S next estimates,
+      shape (S, d), and the auxiliary error ``sigma_sq()`` would report
+      after each, shape (S,).  Oracle values that every draw shares are
+      computed once per call; each draw only gathers or masks them.  The
+      randomness is drawn in whole arrays, so the stream differs from S
+      calls of ``step``, not the distribution;
+    * ``sigma_sq()``: the method's auxiliary error at the current state
+      (diagnostic; may cost a full pass, so the optimizer loop never
+      calls it);
+    * ``constants()``: the ``VRConstants`` registered for its settings.
+    """
 
     method = "?"
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # step, sigma_sq and clone are entered on every subclass, inherited
-        # or not, so that tools which patch a method on the class defining
-        # it (perfbench's span tracer) find one per estimator
+        # step, sigma_sq and clone are entered on every subclass that has
+        # them, inherited or not, so that tools which patch a method on the
+        # class defining it (perfbench's span tracer) find one per estimator
         for name in ("step", "sigma_sq", "clone"):
-            if name not in cls.__dict__:
+            if name not in cls.__dict__ and hasattr(cls, name):
                 setattr(cls, name, getattr(cls, name))
 
     def __init__(self, problem, x0):
@@ -248,30 +268,6 @@ class GradientEstimator:
     @property
     def bits(self):
         return self.bits_dense + self.bits_compressed
-
-    def step(self, x_t, rng):
-        raise NotImplementedError
-
-    def step_batch(self, x_cand, rng, S):
-        """S independent draws of ``step(x_cand, rng)`` from the current
-        state, which stays as it is (ledger included).
-
-        Returns ``(G, sigma)``: the S next estimates, shape (S, d), and
-        the auxiliary error ``sigma_sq()`` would report after each, shape
-        (S,).  Oracle values that every draw shares are computed once per
-        call; each draw only gathers or masks them.  The randomness is
-        drawn in whole arrays, so the stream differs from S calls of
-        ``step``, not the distribution.
-        """
-        raise NotImplementedError
-
-    def sigma_sq(self):
-        """The method's auxiliary error at the current state (diagnostic;
-        may cost a full pass, so the optimizer loop never calls it)."""
-        raise NotImplementedError
-
-    def constants(self):
-        raise NotImplementedError
 
     def clone(self):
         """Independent copy of the state: arrays are copied; the problem,
@@ -525,7 +521,7 @@ class _ClientServerEstimator(GradientEstimator):
         # the initial full pass, each client's gradient sent dense
         self.client_grads = self._client_grads(self.x)
         self.grad_calls += problem.n_components
-        self.bits_dense += self.n_clients * problem.dim * self.value_bits
+        self.bits_dense += self.n_clients * dense_bits_cost(problem.dim, self.value_bits)
 
     @property
     def n_clients(self):

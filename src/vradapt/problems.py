@@ -12,7 +12,6 @@ freely between concurrent runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,7 +26,6 @@ class Problem:
     implement every oracle at a point x:
 
     * ``loss(x)``: the objective f(x);
-    * ``component_loss(i, x)``, ``component_grad(i, x)``: one f_i;
     * ``component_rows(indices, *points)``: the batch's gradients on
       its support, ``(cols, [rows at each point])``: ``cols`` is an
       (len(indices), width) int array of columns, and row i of each
@@ -39,8 +37,7 @@ class Problem:
     * ``full_grad(x)``: the gradient of f;
     * ``loss_and_grad(x)``: ``(loss(x), full_grad(x))`` from one pass,
       each bit-equal to its own oracle;
-    * ``partial(x, j)``, ``partials(x, coords)``: coordinate derivatives
-      of f;
+    * ``partials(x, coords)``: coordinate derivatives of f;
     * ``curvature_matvec(v)``: product with the curvature upper-bound
       matrix whose largest eigenvalue equals ``smoothness`` (used by
       power iteration);
@@ -68,21 +65,6 @@ def dense_rows(cols, rows, dim):
     return out[:, :dim]
 
 
-@dataclass(frozen=True)
-class QuadraticSpec:
-    """Recipe for a synthetic quadratic with analytically known constants.
-
-    ``eigenvalues`` holds one diagonal Hessian spectrum per component,
-    shape (n, d).  All components share the optimum ``x_star``; the
-    per-component value offsets are drawn from ``shift_seed`` so that
-    losses differ between components while gradients stay affine.
-    """
-
-    eigenvalues: np.ndarray
-    x_star: np.ndarray
-    shift_seed: int = 0
-
-
 class QuadraticProblem(Problem):
     """f_i(x) = 0.5 (x - x*)^T diag(eigs_i) (x - x*) + c_i."""
 
@@ -101,17 +83,9 @@ class QuadraticProblem(Problem):
         self.f_star = float(self.shifts.mean())
         self.x_opt = self.x_star.copy()
 
-    def component_loss(self, i, x):
-        z = np.asarray(x, dtype=float) - self.x_star
-        return float(0.5 * (self.eigs[i] * z * z).sum() + self.shifts[i])
-
     def loss(self, x):
         z = np.asarray(x, dtype=float) - self.x_star
         return float(0.5 * (self.mean_eigs * z * z).sum() + self.f_star)
-
-    def component_grad(self, i, x):
-        z = np.asarray(x, dtype=float) - self.x_star
-        return self.eigs[i] * z
 
     @cached_property
     def _cols(self):
@@ -138,9 +112,6 @@ class QuadraticProblem(Problem):
     def loss_and_grad(self, x):
         return self.loss(x), self.full_grad(x)
 
-    def partial(self, x, coord):
-        return float(self.mean_eigs[coord] * (x[coord] - self.x_star[coord]))
-
     def partials(self, x, coords):
         coords = np.asarray(coords)
         return self.mean_eigs[coords] * (np.asarray(x, dtype=float)[coords] - self.x_star[coords])
@@ -151,16 +122,6 @@ class QuadraticProblem(Problem):
     def group_grads(self, groups):
         means = np.array([self.eigs[g].mean(axis=0) for g in groups])
         return lambda x: means * (np.asarray(x, dtype=float) - self.x_star)
-
-
-def quadratic_problem(spec: QuadraticSpec) -> QuadraticProblem:
-    """Build the quadratic objective described by ``spec``.
-
-    Raises ValueError when any eigenvalue is nonpositive.
-    """
-    eigs = np.atleast_2d(np.asarray(spec.eigenvalues, dtype=float))
-    shifts = np.random.default_rng(spec.shift_seed).standard_normal(eigs.shape[0])
-    return QuadraticProblem(eigs, spec.x_star, shifts)
 
 
 def make_quadratic(n_components, dim, seed=0, eig_range=(0.5, 2.0), cond=1.0):
@@ -270,17 +231,6 @@ class LogisticProblem(Problem):
         w = -self.y * expit(-m)
         return float(np.logaddexp(0.0, -m).mean()), (self.XT @ w) / self.n_components
 
-    def component_loss(self, i, x):
-        m = self.y[i] * float(self.X.getrow(i) @ np.asarray(x, dtype=float))
-        return float(np.logaddexp(0.0, -m))
-
-    def component_grad(self, i, x):
-        row = self.X.getrow(i)
-        m = self.y[i] * float(row @ np.asarray(x, dtype=float))
-        g = np.zeros(self.dim)
-        g[row.indices] = -self.y[i] * expit(-m) * row.data
-        return g
-
     def component_rows(self, indices, *points):
         idx = np.asarray(indices)
         cols = self._cols[idx]
@@ -315,9 +265,6 @@ class LogisticProblem(Problem):
         # less than scipy's fancy row gather
         w = -self.y * expit(-self._margins(x))
         return (self.XT @ w)[np.asarray(coords, dtype=np.intp)] / self.n_components
-
-    def partial(self, x, coord):
-        return float(self.partials(x, [coord])[0])
 
     def curvature_matvec(self, v):
         return (self.XT @ (self.X @ np.asarray(v, dtype=float))) / (4.0 * self.n_components)

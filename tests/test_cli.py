@@ -321,6 +321,11 @@ class TestConstantsCommand:
         assert main(["constants"]) == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("select", [["--method", "ef21"], ["--method", "dasha"], ["--all"]])
+    def test_zero_k_is_one_error_line(self, select, capsys):
+        assert main(["constants", *select, "--k", "0"]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), "k must be >= 1")
+
 
 class TestIngestCommand:
     def test_synthetic_generation(self, tmp_path, capsys):

@@ -9,7 +9,6 @@ from vradapt.compressors import (
     IdentityCompressor,
     RandK,
     TopK,
-    bits_cost,
     check_biased_contract,
     check_unbiased_contract,
     dense_bits_cost,
@@ -235,20 +234,8 @@ class TestContracts:
 
 
 class TestBits:
-    def test_pinned_pair_cost(self):
-        v = CompressedVector(
-            indices=np.arange(5, dtype=np.int64), values=np.ones(5), dim=100
-        )
-        assert bits_cost(v, 32, 32) == 320
-
     def test_pinned_dense_cost(self):
         assert dense_bits_cost(123, 64) == 7872
-
-    def test_defaults(self):
-        v = CompressedVector(
-            indices=np.arange(3, dtype=np.int64), values=np.ones(3), dim=10
-        )
-        assert bits_cost(v) == 3 * 64
 
 
 class TestPlumbing:
@@ -257,12 +244,6 @@ class TestPlumbing:
             indices=np.array([1, 3], dtype=np.int64), values=np.array([2.0, -1.0]), dim=5
         )
         assert np.array_equal(v.to_dense(), np.array([0.0, 2.0, 0.0, -1.0, 0.0]))
-
-    def test_serialize(self):
-        v = CompressedVector(
-            indices=np.array([0, 2], dtype=np.int64), values=np.array([1.5, -2.0]), dim=4
-        )
-        assert v.serialize() == "0:1.5 2:-2"
 
     def test_factory(self):
         assert isinstance(make_compressor("topk", 10, 3), TopK)

@@ -7,7 +7,6 @@ import pytest
 from vradapt.data import (
     Dataset,
     LibsvmParseError,
-    dense_row,
     load_libsvm,
     parse_libsvm,
     synthetic_dataset,
@@ -133,17 +132,6 @@ class TestRoundTrip:
 
 
 class TestDenseRow:
-    def test_expands_sparse_row(self):
-        ds = parse_libsvm("+1 1:0.5 3:2.0", force_dim=4)
-        assert np.array_equal(dense_row(ds, 0), np.array([0.5, 0.0, 2.0, 0.0]))
-
-    def test_out_of_range(self):
-        ds = parse_libsvm("+1 1:1")
-        with pytest.raises(IndexError):
-            dense_row(ds, 1)
-        with pytest.raises(IndexError):
-            dense_row(ds, -2)
-
     def test_nnz(self):
         ds = parse_libsvm("+1 1:1 2:1\n-1 3:1")
         assert ds.nnz() == 3

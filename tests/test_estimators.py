@@ -138,6 +138,12 @@ class TestConstantsRegistry:
         with pytest.raises(ValueError):
             constants("sarah")
 
+    @pytest.mark.parametrize("method", ["ef21", "diana", "dasha"])
+    def test_nonpositive_k_is_named(self, method):
+        for k in (0, -2):
+            with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+                constants(method, d=10, k=k, n_clients=4)
+
     def test_tuple_validation(self):
         with pytest.raises(ValueError):
             VRConstants(0.0, 0.5, 1.0, 1.0, 1.0)

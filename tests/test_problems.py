@@ -8,12 +8,10 @@ from vradapt.data import Dataset, parse_libsvm
 from vradapt.problems import (
     LogisticProblem,
     QuadraticProblem,
-    QuadraticSpec,
     estimate_smoothness,
     logistic_problem,
     make_quadratic,
     partition_problem,
-    quadratic_problem,
 )
 
 
@@ -68,18 +66,15 @@ class TestQuadratic:
         x = rng.standard_normal(4)
         stacked = prob.all_component_grads(x)
         for i in range(6):
-            assert np.allclose(stacked[i], prob.component_grad(i, x))
+            assert np.allclose(stacked[i], prob.eigs[i] * (x - prob.x_star))
         assert np.allclose(stacked.mean(axis=0), prob.full_grad(x))
-        # mean of component losses equals the loss
-        mean_loss = np.mean([prob.component_loss(i, x) for i in range(6)])
-        assert prob.loss(x) == pytest.approx(mean_loss)
 
     def test_partials_match_full_grad(self):
         prob = make_quadratic(6, 4, seed=1)
         x = np.random.default_rng(4).standard_normal(4)
         full = prob.full_grad(x)
         for j in range(4):
-            assert prob.partial(x, j) == pytest.approx(full[j])
+            assert prob.partials(x, [j])[0] == pytest.approx(full[j])
         assert np.allclose(prob.partials(x, np.array([0, 2, 3])), full[[0, 2, 3]])
 
     def test_pl_constant_is_min_mean_eig(self):
@@ -95,10 +90,9 @@ class TestQuadratic:
             assert gap <= sq / (2 * prob.pl_constant) + 1e-12
 
     def test_spec_constructor(self):
-        spec = QuadraticSpec(
-            eigenvalues=np.array([[1.0, 2.0], [3.0, 0.5]]), x_star=np.array([1.0, -1.0])
+        prob = QuadraticProblem(
+            np.array([[1.0, 2.0], [3.0, 0.5]]), np.array([1.0, -1.0]), np.zeros(2)
         )
-        prob = quadratic_problem(spec)
         assert prob.n_components == 2
         assert prob.dim == 2
         assert prob.smoothness == 3.0
@@ -169,7 +163,7 @@ class TestLogistic:
         assert np.allclose(stacked.mean(axis=0), prob.full_grad(x), atol=1e-12)
         full = prob.full_grad(x)
         for j in range(ds.d):
-            assert prob.partial(x, j) == pytest.approx(full[j], abs=1e-12)
+            assert prob.partials(x, [j])[0] == pytest.approx(full[j], abs=1e-12)
 
     def test_smoothness_is_top_gram_eigenvalue(self):
         ds = toy_dataset()
@@ -465,7 +459,6 @@ class TestLogisticMatchesScipyReference:
             _assert_bit_equal(prob.full_grad(x), ref.full_grad(x))
             for coords in coord_sets:
                 _assert_bit_equal(prob.partials(x, coords), ref.partials(x, coords))
-            _assert_bit_equal(prob.partial(x, d - 1), ref.partials(x, [d - 1])[0])
 
     def test_subset(self, pair):
         # each group_grads row is the reference problem over that group
