@@ -21,7 +21,13 @@ import numpy as np
 from . import engine, verify
 from .compressors import check_biased_contract, check_unbiased_contract
 from .data import load_libsvm, synthetic_dataset, write_libsvm
-from .estimators import DISTRIBUTED_METHODS, METHODS, constants as constants_table, make_estimator
+from .estimators import (
+    COORDINATE_METHODS,
+    DISTRIBUTED_METHODS,
+    METHODS,
+    constants as constants_table,
+    make_estimator,
+)
 from .schedulers import nu_of
 
 EXIT_OK = 0
@@ -197,33 +203,39 @@ def cmd_verify(args):
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
+def _at_least_one(args, flag):
+    value = getattr(args, flag)
+    if value < 1:
+        raise ValueError(f"--{flag} must be >= 1, got {value}")
+    return value
+
+
 def _constants_kwargs_from_flags(method, args):
-    n = args.n
-    b = args.b
-    if b == "n":
-        b = n
-    elif b is not None:
-        b = int(b)
-    if b is None:
+    if method in DISTRIBUTED_METHODS:
+        quality = "delta" if method == "ef21" else "omega"
+        given = getattr(args, quality)
+        if given is None:
+            kwargs = dict(d=_at_least_one(args, "d"), k=args.k)
+        else:
+            kwargs = {quality: given}
+        if method != "ef21":
+            kwargs.update(n_clients=args.clients)
+        return kwargs
+    size_flag = "d" if method in COORDINATE_METHODS else "n"
+    size = _at_least_one(args, size_flag)
+    if args.b is None:
         b = 8
-    kwargs = {}
-    if method in ("lsvrg", "page"):
-        kwargs.update(b=min(b, n), p=args.p, n=n)
-    elif method in ("saga", "zerosarah"):
-        kwargs.update(b=min(b, n), n=n)
-    elif method in ("sega", "jaguar"):
-        kwargs.update(b=min(b, args.d), d=args.d)
-    elif method == "ef21":
-        if args.delta is not None:
-            kwargs.update(delta=args.delta)
-        else:
-            kwargs.update(d=args.d, k=args.k)
+    elif args.b == "n":
+        b = args.n
     else:
-        if args.omega is not None:
-            kwargs.update(omega=args.omega)
-        else:
-            kwargs.update(d=args.d, k=args.k)
-        kwargs.update(n_clients=args.clients)
+        try:
+            b = int(args.b)
+        except ValueError:
+            raise ValueError(f"--b takes an integer or n, got {args.b!r}") from None
+    # a batch beyond the component (coordinate) count is clamped to it
+    kwargs = {"b": min(b, size), size_flag: size}
+    if method in ("lsvrg", "page"):
+        kwargs.update(p=args.p)
     return kwargs
 
 
@@ -271,8 +283,20 @@ def cmd_ingest(args):
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors reach ``main`` as one ``error:`` line
+    and exit 1; argparse's own exit 2 is the divergence code here."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vradapt",
         description="Variance-reduced optimization bench: run, sweep, verify, constants, ingest.",
     )
@@ -333,8 +357,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _fail(str(exc))
     return args.func(args)
 
 

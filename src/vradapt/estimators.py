@@ -3,9 +3,10 @@
 Every estimator is a stateful object built from a starting point by one
 full gradient pass (so the initial estimate is exact and the auxiliary
 error starts at zero); ``GradientEstimator`` lists the methods each one
-defines.  The client-server methods (EF21, DIANA, DASHA) hold per-client
-state as (n_clients, d) arrays, so ``step`` and ``step_batch`` share
-the same whole-array algebra.
+defines.  The client-server methods (EF21, DIANA, DASHA) run one
+recursion on (n_clients, d) client arrays and differ only in the message
+each client compresses and the damping of the state it moves by it
+(``_ClientServerEstimator``).
 
 Each method registers a tuple (rho1, rho2, A, B, C) describing the two
 coupled error recursions its update rule satisfies:
@@ -93,7 +94,7 @@ def _check_prob(p):
     return float(p)
 
 
-def _compression_quality(hp, name):
+def _quality(hp, name):
     """delta or omega (``name``), given directly or as d/k, checked >= 1."""
     value = hp.get(name)
     if value is None and "d" in hp and "k" in hp:
@@ -139,14 +140,15 @@ def constants(method, **hp) -> VRConstants:
             b / (2.0 * n), b / (2.0 * n), b / (2.0 * n), 2.0 / b, 2.0 * n / b
         )
     if method == "ef21":
-        delta = _compression_quality(hp, "delta")
+        delta = _quality(hp, "delta")
         return VRConstants(
             1.0, (delta + 1.0) / (2.0 * delta * delta), 1.0, 0.0, 2.0 * delta
         )
     if method in ("diana", "dasha"):
-        omega = _compression_quality(hp, "omega")
-        n = int(hp.get("n_clients") or hp.get("n") or 0)
-        _require(n >= 1, "n_clients is required for client-server methods")
+        omega = _quality(hp, "omega")
+        n = hp.get("n_clients")
+        _require(n is not None, "n_clients is required for client-server methods")
+        _require(n >= 1, f"n_clients must be >= 1, got {n}")
         if method == "diana":
             return VRConstants(
                 1.0,
@@ -481,35 +483,52 @@ class ZeroSARAH(_TableEstimator):
         return G, _table_sigma(at_cand - table, batches)
 
 
+_COMPRESSOR_KINDS = {
+    "delta": "a contractive compressor (topk or identity)",
+    "omega": "an unbiased compressor (randk or identity)",
+}
+
+
 class _ClientServerEstimator(GradientEstimator):
-    """Shared plumbing for the simulated client/server methods.
+    """The simulated client/server methods: one recursion, in which a
+    method sets only the message a client sends and the damping of the
+    state it moves by it.
 
     Clients are index groups over a partition of the components
-    (``groups``); the server aggregate weights each client by its share
-    of the components (``weights``), which reduces to the plain average
-    for equal groups.  ``problem.group_grads(groups)`` builds, once, the
-    client pass that gives every client's gradient in one call.
+    (``groups``); the server weights each client by its share of the
+    components (``weights``), the plain average for equal groups.
+    ``problem.group_grads(groups)`` builds, once, the client pass that
+    gives every client's gradient in one call.
 
-    Per-client state is held as (n_clients, d) arrays, row j for client
-    j: ``client_grads`` (each client's gradient at the current point)
-    and the method's memory (``client_state`` or ``shifts``).  A step is
-    whole-array algebra on one stacked client pass, and one
-    ``compressor.sample_dense`` call compresses every client's message,
-    row j for client j, so a random compressor draws client by client,
-    in client order, from one rng.  Every reduction over clients also
-    runs in client order, so aggregation is bitwise reproducible.  The
-    initial state is communicated dense (d values per client, no
-    indices); afterwards each client sends k (index, value) pairs per
-    step, and the two ledgers stay separate so that claim can be
-    audited.
+    State is held as (n_clients, d) arrays, row j for client j:
+    ``client_grads`` (the gradients at the current point) and
+    ``client_state`` (each client's running estimate of its gradient;
+    DIANA's shift); ``server_state`` is their share-weighted sum.  A
+    step compresses every client's ``_message(grads)`` (by default the
+    residual against its state) in one ``compressor.sample_dense`` call,
+    so a random compressor draws client by client from one rng.  With
+    ``agg`` the share-weighted sum of the compressed messages, the
+    estimate is ``server_state + agg``; then the client states move by
+    ``dense / damping`` and the server state by ``agg / damping``.
+    EF21 and DASHA take damping 1 (``server_state`` is the estimate),
+    DIANA omega + 1.  Reductions over clients run in client order, so
+    aggregation is bitwise reproducible.
+
+    The initial pass is sent dense (d values per client); afterwards
+    each client sends k (index, value) pairs per step, in a separate
+    ledger.  ``quality`` names the compressor constant the method's
+    registration reads (delta or omega); a compressor without it is
+    rejected at construction.
     """
 
-    needs_unbiased = False
+    damping = 1.0
 
     def __init__(self, problem, x0, groups, compressor, value_bits=32, index_bits=32):
         super().__init__(problem, x0)
-        if self.needs_unbiased and not getattr(compressor, "unbiased", False):
-            raise ValueError("this method needs an unbiased compressor")
+        _require(
+            hasattr(compressor, self.quality),
+            f"{self.method} needs {_COMPRESSOR_KINDS[self.quality]}",
+        )
         self.groups = groups
         self.weights = np.array([len(g) / problem.n_components for g in groups])
         # every client's local gradient at x, stacked (n_clients, d);
@@ -522,23 +541,16 @@ class _ClientServerEstimator(GradientEstimator):
         self.client_grads = self._client_grads(self.x)
         self.grad_calls += problem.n_components
         self.bits_dense += self.n_clients * dense_bits_cost(problem.dim, self.value_bits)
+        self.client_state = self.client_grads.copy()
+        self.server_state = self._server_sum(self.client_state)
+        self.g = self.server_state.copy()
 
     @property
     def n_clients(self):
         return len(self.groups)
 
-    def _compress(self, messages, rng):
-        """Every client's message compressed, dense, (n_clients, d), and
-        the k (index, value) pairs each client sends counted."""
-        self.bits_compressed += (
-            self.n_clients * self.compressor.k * (self.value_bits + self.index_bits)
-        )
-        return self.compressor.sample_dense(messages, rng)
-
-    def _compress_batch(self, messages, rng, S):
-        """Dense compressor outputs for S independent draws of every
-        client's message; messages (n_clients, d) -> (S, n_clients, d)."""
-        return self.compressor.sample_dense(np.broadcast_to(messages, (S,) + messages.shape), rng)
+    def _message(self, grads):
+        return grads - self.client_state
 
     def _server_sum(self, per_client):
         """Share-weighted sum over the client axis, in client order:
@@ -553,125 +565,78 @@ class _ClientServerEstimator(GradientEstimator):
         per_client = (gaps * gaps).sum(axis=-1)
         return sum(w * per_client[..., j] for j, w in enumerate(self.weights))
 
-
-class _ClientStateEstimator(_ClientServerEstimator):
-    """Client j keeps ``client_state[j]``, its running estimate of its
-    own gradient, and moves it by the compressed message it sends; the
-    server adds the share-weighted messages to g, so g stays the
-    share-weighted sum of the client states.  A method defines the
-    messages the clients compress: ``_message(grads)``, (n_clients, d),
-    from the client gradients at the next point."""
-
-    def __init__(self, problem, x0, groups, compressor, value_bits=32, index_bits=32):
-        super().__init__(problem, x0, groups, compressor, value_bits, index_bits)
-        self.client_state = self.client_grads.copy()
-        self.g = self._server_sum(self.client_state)
-
     def step(self, x_t, rng):
         x_t = np.asarray(x_t, dtype=float)
         grads = self._client_grads(x_t)
         self.grad_calls += self.problem.n_components
-        dense = self._compress(self._message(grads), rng)
-        self.client_state = self.client_state + dense
+        self.bits_compressed += (
+            self.n_clients * self.compressor.k * (self.value_bits + self.index_bits)
+        )
+        dense = self.compressor.sample_dense(self._message(grads), rng)
+        agg = self._server_sum(dense)
+        # the estimate uses the PRE-update server state, so an identity
+        # compressor telescopes back to the exact gradient
+        self.g = self.server_state + agg
+        self.client_state = self.client_state + dense / self.damping
+        self.server_state = self.server_state + agg / self.damping
         self.client_grads = grads
-        self.g = self.g + self._server_sum(dense)
         self.x = x_t.copy()
         return self.g
 
     def sigma_sq(self):
         return float(self._client_error(self.client_state - self.client_grads))
 
+    def constants(self):
+        quality = {self.quality: getattr(self.compressor, self.quality)}
+        return constants(self.method, **quality, n_clients=self.n_clients)
+
     def step_batch(self, x_cand, rng, S):
         grads = self._client_grads(x_cand)
-        dense = self._compress_batch(self._message(grads), rng, S)
-        sigma = self._client_error(self.client_state + dense - grads)
-        return self.g + self._server_sum(dense), sigma
+        messages = self._message(grads)
+        dense = self.compressor.sample_dense(np.broadcast_to(messages, (S,) + messages.shape), rng)
+        sigma = self._client_error(self.client_state + dense / self.damping - grads)
+        return self.server_state + self._server_sum(dense), sigma
 
 
-class EF21(_ClientStateEstimator):
+class EF21(_ClientServerEstimator):
     """Error-feedback estimator: each client pushes a compressed
     correction toward its local gradient; the server accumulates."""
 
     method = "ef21"
-
-    def _message(self, grads):
-        return grads - self.client_state
-
-    def constants(self):
-        _require(
-            hasattr(self.compressor, "delta"),
-            "ef21 needs a contractive compressor (topk or identity)",
-        )
-        return constants("ef21", delta=self.compressor.delta)
+    quality = "delta"
 
 
 class DIANA(_ClientServerEstimator):
     """Shift-compensated unbiased-compression estimator: clients
-    compress the residual against a slowly moving local shift."""
+    compress the residual against a slowly moving local shift, their
+    ``client_state``, which moves by 1/(omega+1) of the message."""
 
     method = "diana"
-    needs_unbiased = True
+    quality = "omega"
 
-    def __init__(self, problem, x0, groups, compressor, value_bits=32, index_bits=32):
-        super().__init__(problem, x0, groups, compressor, value_bits, index_bits)
-        self.omega = float(compressor.omega)
-        self.shifts = self.client_grads.copy()
-        self.server_shift = self._server_sum(self.shifts)
-        self.g = self.server_shift.copy()
-
-    def step(self, x_t, rng):
-        x_t = np.asarray(x_t, dtype=float)
-        grads = self._client_grads(x_t)
-        self.grad_calls += self.problem.n_components
-        dense = self._compress(grads - self.shifts, rng)
-        agg = self._server_sum(dense)
-        self.shifts = self.shifts + dense / (self.omega + 1.0)
-        self.client_grads = grads
-        # estimate uses the PRE-update server shift, so an identity
-        # compressor telescopes back to the exact gradient
-        self.g = self.server_shift + agg
-        self.server_shift = self.server_shift + agg / (self.omega + 1.0)
-        self.x = x_t.copy()
-        return self.g
-
-    def sigma_sq(self):
-        return float(self._client_error(self.shifts - self.client_grads))
+    @property
+    def damping(self):
+        return self.compressor.omega + 1.0
 
     def shift_mismatch(self, x):
         """Mean squared client-gradient-to-shift distance at an arbitrary
         point, with the shifts as they currently stand.  This is the
         auxiliary quantity the estimate-error recursion couples to."""
-        return float(self._client_error(self._client_grads(x) - self.shifts))
-
-    def constants(self):
-        return constants("diana", omega=self.omega, n_clients=self.n_clients)
-
-    def step_batch(self, x_cand, rng, S):
-        grads = self._client_grads(x_cand)
-        dense = self._compress_batch(grads - self.shifts, rng, S)
-        G = self.server_shift + self._server_sum(dense)
-        return G, self._client_error(self.shifts + dense / (self.omega + 1.0) - grads)
+        return float(self._client_error(self._client_grads(x) - self.client_state))
 
 
-class DASHA(_ClientStateEstimator):
+class DASHA(_ClientServerEstimator):
     """Momentum-compressed difference estimator: clients compress the
     gradient difference damped by 1/(2*omega+1) of their own estimate
     error, so nothing dense is ever sent after the first pass."""
 
     method = "dasha"
-    needs_unbiased = True
-
-    def __init__(self, problem, x0, groups, compressor, value_bits=32, index_bits=32):
-        super().__init__(problem, x0, groups, compressor, value_bits, index_bits)
-        self.omega = float(compressor.omega)
-        self.eta = 1.0 / (2.0 * self.omega + 1.0)
+    quality = "omega"
 
     def _message(self, grads):
         prev = self.client_grads
-        return grads - prev - self.eta * (self.client_state - prev)
-
-    def constants(self):
-        return constants("dasha", omega=self.omega, n_clients=self.n_clients)
+        eta = 1.0 / (2.0 * self.compressor.omega + 1.0)
+        return grads - prev - eta * (self.client_state - prev)
 
 
 class SEGA(GradientEstimator):

@@ -94,6 +94,14 @@ class TestRunCommand:
         assert_one_error_line(capsys.readouterr(), named)
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("scheduler", ["scheduler=constant\ngamma=0.05\n", "scheduler=adam\n"])
+    def test_ef21_randk_rejected_under_every_scheduler(self, tmp_path, capsys, scheduler):
+        text = "method=ef21\ncompressor=randk\nk=2\nn=6\nd=4\nclients=2\nT=5\n" + scheduler
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), "contractive")
+        assert not (tmp_path / "t.csv").exists()
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path, QUICK_CFG + "scheduler=constant\ngamma=1e6\n"
@@ -325,6 +333,36 @@ class TestConstantsCommand:
     def test_zero_k_is_one_error_line(self, select, capsys):
         assert main(["constants", *select, "--k", "0"]) == EXIT_USAGE
         assert_one_error_line(capsys.readouterr(), "k must be >= 1")
+
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--method", "sega", "--d", "0"], "sega: --d must be >= 1, got 0"),
+            (["--method", "saga", "--n", "0"], "saga: --n must be >= 1, got 0"),
+            (["--method", "page", "--b", "x"], "page: --b takes an integer or n, got 'x'"),
+            (["--method", "diana", "--clients", "0"], "n_clients must be >= 1, got 0"),
+            (["--method", "dasha", "--clients", "-3"], "n_clients must be >= 1, got -3"),
+        ],
+    )
+    def test_bad_flag_is_named(self, flags, named, capsys):
+        assert main(["constants", *flags]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), named)
+
+    def test_default_batch_clamped_to_n(self, capsys):
+        assert main(["constants", "--method", "saga", "--n", "4"]) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert float(row[2]) == 0.5  # rho2 = b/(2n) at b = n = 4
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,named",
+        [(["run"], "--config"), (["verify", "--samples", "abc"], "--samples")],
+    )
+    def test_parse_error_is_one_error_line(self, argv, named, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), named)
 
 
 class TestIngestCommand:

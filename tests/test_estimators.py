@@ -144,6 +144,12 @@ class TestConstantsRegistry:
             with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
                 constants(method, d=10, k=k, n_clients=4)
 
+    @pytest.mark.parametrize("method", ["diana", "dasha"])
+    def test_nonpositive_n_clients_is_named(self, method):
+        for n_clients in (0, -3):
+            with pytest.raises(ValueError, match=f"n_clients must be >= 1, got {n_clients}"):
+                constants(method, omega=2.0, n_clients=n_clients)
+
     def test_tuple_validation(self):
         with pytest.raises(ValueError):
             VRConstants(0.0, 0.5, 1.0, 1.0, 1.0)
@@ -471,8 +477,8 @@ class TestDIANA:
         dense[[0, 2]] = 2.0 * (u - shift)[[0, 2]]
         assert np.allclose(g, server + dense, atol=1e-14)
         omega = 2.0
-        assert np.allclose(est.shifts[0], shift + dense / (omega + 1), atol=1e-14)
-        assert np.allclose(est.server_shift, server + dense / (omega + 1), atol=1e-14)
+        assert np.allclose(est.client_state[0], shift + dense / (omega + 1), atol=1e-14)
+        assert np.allclose(est.server_state, server + dense / (omega + 1), atol=1e-14)
 
     def test_shift_mismatch_matches_manual_sum(self, quad):
         est = make_estimator(
@@ -482,7 +488,7 @@ class TestDIANA:
         y = np.array([0.5, 0.1, -0.3, 0.2])
         want = sum(
             w * float(((cp.full_grad(y) - h) ** 2).sum())
-            for w, cp, h in zip(est.weights, reference_clients(est), est.shifts)
+            for w, cp, h in zip(est.weights, reference_clients(est), est.client_state)
         )
         assert est.shift_mismatch(y) == pytest.approx(want, rel=1e-12)
 
@@ -593,8 +599,7 @@ class TestClientArraysMatchClientLoop:
         rng = np.random.default_rng(9)
         for x, (g, memory, sigma) in zip(xs, reference):
             assert np.array_equal(est.step(x, rng), g)
-            own = est.shifts if method == "diana" else est.client_state
-            assert np.array_equal(own, np.array(memory))
+            assert np.array_equal(est.client_state, np.array(memory))
             assert est.sigma_sq() == sigma
 
 
@@ -808,7 +813,7 @@ BATCH_CASES = [
     ("page", {"b": 3, "p": 0.5, "with_replacement": True}),
     ("zerosarah", {"b": 2}),
     ("ef21", {"n_clients": 3, "compressor": "topk", "k": 2}),
-    ("ef21", {"n_clients": 3, "compressor": "randk", "k": 2}),
+    ("ef21", {"n_clients": 2, "compressor": "topk", "k": 1, "scheme": "round-robin"}),
     ("ef21", {"n_clients": 3, "compressor": "identity"}),
     ("diana", {"n_clients": 3, "compressor": "randk", "k": 2}),
     ("diana", {"n_clients": 3, "compressor": "identity"}),
