@@ -21,13 +21,7 @@ import numpy as np
 from . import engine, verify
 from .compressors import check_biased_contract, check_unbiased_contract
 from .data import load_libsvm, synthetic_dataset, write_libsvm
-from .estimators import (
-    COORDINATE_METHODS,
-    DISTRIBUTED_METHODS,
-    METHODS,
-    constants as constants_table,
-    make_estimator,
-)
+from .estimators import DISTRIBUTED_METHODS, METHODS, constants as constants_table, make_estimator
 from .schedulers import nu_of
 
 EXIT_OK = 0
@@ -221,7 +215,7 @@ def _constants_kwargs_from_flags(method, args):
         if method != "ef21":
             kwargs.update(n_clients=args.clients)
         return kwargs
-    size_flag = "d" if method in COORDINATE_METHODS else "n"
+    size_flag = "d" if method in ("sega", "jaguar") else "n"
     size = _at_least_one(args, size_flag)
     if args.b is None:
         b = 8
@@ -232,7 +226,6 @@ def _constants_kwargs_from_flags(method, args):
             b = int(args.b)
         except ValueError:
             raise ValueError(f"--b takes an integer or n, got {args.b!r}") from None
-    # a batch beyond the component (coordinate) count is clamped to it
     kwargs = {"b": min(b, size), size_flag: size}
     if method in ("lsvrg", "page"):
         kwargs.update(p=args.p)
