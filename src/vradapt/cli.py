@@ -21,7 +21,7 @@ import numpy as np
 from . import engine, verify
 from .compressors import check_biased_contract, check_unbiased_contract
 from .data import load_libsvm, synthetic_dataset, write_libsvm
-from .estimators import DISTRIBUTED_METHODS, METHODS, constants as constants_table, make_estimator
+from .estimators import DISTRIBUTED_METHODS, ESTIMATORS, METHODS, make_estimator
 from .schedulers import nu_of
 
 EXIT_OK = 0
@@ -37,14 +37,21 @@ def _fail(message):
 
 def _resolve_seed(flag_seed, config_pairs):
     """Seed precedence: --seed flag, then config file, then VRADAPT_SEED,
-    then 0."""
-    if flag_seed is not None:
-        return flag_seed
-    if "seed" in config_pairs:
-        return int(config_pairs["seed"])
-    env = os.environ.get("VRADAPT_SEED")
-    if env is not None:
-        return int(env)
+    then 0.  A seed that is not a non-negative integer is named by its
+    source."""
+    for source, value in (
+        ("--seed", flag_seed),
+        ("config key 'seed'", config_pairs.get("seed")),
+        ("VRADAPT_SEED", os.environ.get("VRADAPT_SEED")),
+    ):
+        if value is None:
+            continue
+        try:
+            if int(value) >= 0:
+                return int(value)
+        except ValueError:
+            pass
+        raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
     return 0
 
 
@@ -197,54 +204,43 @@ def cmd_verify(args):
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def _at_least_one(args, flag):
-    value = getattr(args, flag)
-    if value < 1:
-        raise ValueError(f"--{flag} must be >= 1, got {value}")
-    return value
-
-
-def _constants_kwargs_from_flags(method, args):
-    if method in DISTRIBUTED_METHODS:
-        quality = "delta" if method == "ef21" else "omega"
-        given = getattr(args, quality)
-        if given is None:
-            kwargs = dict(d=_at_least_one(args, "d"), k=args.k)
+def _registration_kwargs(cls, args):
+    """The flags as keywords of ``cls.registration``.  The method's size
+    is ``--n`` or ``--d`` (``cls.size``); ``--b n`` is that size, and only
+    the default batch of 8 is clamped to it."""
+    size = getattr(args, cls.size)
+    if size < 1:
+        raise ValueError(f"--{cls.size} must be >= 1, got {size}")
+    kwargs = {cls.size: size, "p": args.p, "k": args.k, "delta": args.delta,
+              "omega": args.omega, "n_clients": args.clients}
+    if "b" in cls.hyperparams:
+        if args.b is None:
+            kwargs["b"] = min(8, size)
+        elif args.b == "n":
+            kwargs["b"] = size
         else:
-            kwargs = {quality: given}
-        if method != "ef21":
-            kwargs.update(n_clients=args.clients)
-        return kwargs
-    size_flag = "d" if method in ("sega", "jaguar") else "n"
-    size = _at_least_one(args, size_flag)
-    if args.b is None:
-        b = 8
-    elif args.b == "n":
-        b = args.n
-    else:
-        try:
-            b = int(args.b)
-        except ValueError:
-            raise ValueError(f"--b takes an integer or n, got {args.b!r}") from None
-    kwargs = {"b": min(b, size), size_flag: size}
-    if method in ("lsvrg", "page"):
-        kwargs.update(p=args.p)
+            try:
+                kwargs["b"] = int(args.b)
+            except ValueError:
+                raise ValueError(f"--b takes an integer or n, got {args.b!r}") from None
     return kwargs
 
 
 def cmd_constants(args):
-    methods = list(METHODS) if args.all else [args.method]
     if not args.all and args.method is None:
         return _fail("give --method NAME or --all")
-    header = f"{'method':<10} {'rho1':>10} {'rho2':>10} {'A':>10} {'B':>10} {'C':>10} {'nu':>12}"
-    print(header)
-    for method in methods:
-        if method not in METHODS:
+    # every row is checked before any is printed
+    rows = []
+    for method in METHODS if args.all else [args.method]:
+        if method not in ESTIMATORS:
             return _fail(f"unknown method {method!r}")
+        cls = ESTIMATORS[method]
         try:
-            c = constants_table(method, **_constants_kwargs_from_flags(method, args))
-        except (KeyError, ValueError) as exc:
+            rows.append((method, cls.registration(**_registration_kwargs(cls, args))))
+        except ValueError as exc:
             return _fail(f"{method}: {exc}")
+    print(f"{'method':<10} {'rho1':>10} {'rho2':>10} {'A':>10} {'B':>10} {'C':>10} {'nu':>12}")
+    for method, c in rows:
         print(
             f"{method:<10} {c.rho1:>10.6g} {c.rho2:>10.6g} {c.A:>10.6g} "
             f"{c.B:>10.6g} {c.C:>10.6g} {nu_of(c):>12.6g}"

@@ -13,9 +13,9 @@ Documented keys:
   problem_seed, eig_lo, eig_hi, cond   quadratic fixture generation
   method      lsvrg | saga | page | zerosarah | ef21 | diana | dasha | sega | jaguar
   b, p, k, clients, compressor, scheme, with_replacement,
-  value_bits, index_bits          estimator hyperparameters
-  presets     true -> b = ceil(n^(2/3)) for saga/lsvrg/page,
-              p = n^(-1/3) for page/lsvrg, b = ceil(n^(1/2)) for zerosarah
+  value_bits, index_bits          estimator hyperparameters, as the
+              method's class declares them (``hyperparams``)
+  presets     true -> the method's class's ``presets`` for n components
   scheduler   theoretical | tuned | adaptive | adam | constant | pl
   alpha, multiplier, gamma, lr, mu    scheduler parameters
   T           iteration budget
@@ -31,7 +31,6 @@ import dataclasses
 import hashlib
 import io
 import itertools
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import load_libsvm, synthetic_dataset
-from .estimators import DISTRIBUTED_METHODS, METHODS, make_estimator
+from .estimators import estimator_class, make_estimator
 from .problems import logistic_problem, make_quadratic
 from .schedulers import (
     AdamState,
@@ -182,38 +181,39 @@ def build_problem(config):
     return logistic_problem(ds)
 
 
-def preset_hyperparams(method, n):
-    """Batch/probability presets in terms of the component count."""
-    hp = {}
-    if method in ("saga", "lsvrg", "page"):
-        hp["b"] = math.ceil(n ** (2.0 / 3.0))
-    if method in ("page", "lsvrg"):
-        hp["p"] = n ** (-1.0 / 3.0)
-    if method == "zerosarah":
-        hp["b"] = math.ceil(math.sqrt(n))
-    return hp
+# config keys named apart from the hyperparameter they set
+_HYPERPARAM_KEYS = {"n_clients": "clients"}
 
 
 def estimator_hyperparams(config, problem):
-    method = config.method
-    hp = {}
-    if config.presets:
-        hp.update(preset_hyperparams(method, problem.n_components))
-    if config.b is not None:
-        hp["b"] = config.b
-    if config.p is not None:
-        hp["p"] = config.p
-    if method in DISTRIBUTED_METHODS:
-        hp["n_clients"] = config.clients
-        hp["compressor"] = config.compressor
-        if config.k is not None:
-            hp["k"] = config.k
-        hp["value_bits"] = config.value_bits
-        hp["index_bits"] = config.index_bits
-        hp["scheme"] = config.scheme
-    if method in ("lsvrg", "page"):
-        hp["with_replacement"] = config.with_replacement
+    """The hyperparameters ``make_estimator`` gets: the method's presets
+    (with ``presets``), overridden by every hyperparameter it declares
+    that the config sets."""
+    cls = estimator_class(config.method)
+    hp = cls.presets(problem.n_components) if config.presets else {}
+    for name in cls.hyperparams:
+        value = getattr(config, _HYPERPARAM_KEYS.get(name, name))
+        if value is not None:
+            hp[name] = value
     return hp
+
+
+def validate(config, problem):
+    """Check a config against its problem without any gradient pass:
+    resolve the hyperparameters, build the registration the method's
+    class checks them by, and set up the step-size rule, which checks
+    the scheduler's parameters.  Returns the hyperparameters and the
+    rule; raises ValueError naming what is wrong."""
+    cls = estimator_class(config.method)
+    if config.T < 0:
+        raise ValueError("T must be >= 0")
+    if config.cadence < 1:
+        raise ValueError("cadence must be >= 1")
+    if config.timing not in ("on", "off"):
+        raise ValueError(f"timing must be on or off, got {config.timing!r}")
+    hp = estimator_hyperparams(config, problem)
+    _, registered = cls.settings(problem, hp)
+    return hp, _Stepper(config, registered, problem)
 
 
 @dataclass(frozen=True)
@@ -346,7 +346,7 @@ def iterations_to_tolerance(trace, tol):
 class _Stepper:
     """Resolves the configured step-size rule to a per-iteration gamma."""
 
-    def __init__(self, config, est, problem):
+    def __init__(self, config, registered, problem):
         self.kind = config.scheduler
         if self.kind not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {config.scheduler!r}")
@@ -354,7 +354,7 @@ class _Stepper:
         self.adam = None
         self.gamma = None
         if self.kind == "adaptive":
-            self.acc = AdaptiveAccumulator(nu_of(est.constants()), config.alpha)
+            self.acc = AdaptiveAccumulator(nu_of(registered), config.alpha)
         elif self.kind == "adam":
             self.adam = AdamState(problem.dim, lr=config.lr)
         elif self.kind == "constant":
@@ -365,11 +365,11 @@ class _Stepper:
             mu = config.mu if config.mu is not None else problem.pl_constant
             if mu is None:
                 raise ValueError("scheduler=pl needs mu (or a problem with a known one)")
-            self.gamma = theoretical_gamma_pl(est.constants(), problem.smoothness, mu)
+            self.gamma = theoretical_gamma_pl(registered, problem.smoothness, mu)
         elif self.kind == "tuned":
-            self.gamma = tuned_gamma(est.constants(), problem.smoothness, config.multiplier)
+            self.gamma = tuned_gamma(registered, problem.smoothness, config.multiplier)
         else:
-            self.gamma = theoretical_gamma_nonconvex(est.constants(), problem.smoothness)
+            self.gamma = theoretical_gamma_nonconvex(registered, problem.smoothness)
 
     def advance(self, g):
         """Returns (gamma_t, update_vector or None)."""
@@ -393,18 +393,12 @@ def run(config, problem=None):
     ``problem`` overrides the config's problem description with an
     already built objective (handy for fixtures with known optima).
     """
-    if config.method not in METHODS:
-        raise ValueError(f"unknown method {config.method!r}")
-    if config.T < 0:
-        raise ValueError("T must be >= 0")
-    if config.cadence < 1:
-        raise ValueError("cadence must be >= 1")
     if problem is None:
         problem = build_problem(config)
+    hp, stepper = validate(config, problem)
     rng = np.random.default_rng(config.seed)
     x = np.zeros(problem.dim)
-    est = make_estimator(config.method, problem, x, estimator_hyperparams(config, problem))
-    stepper = _Stepper(config, est, problem)
+    est = make_estimator(config.method, problem, x, hp)
     timing = config.timing == "on"
     started = time.perf_counter()
 

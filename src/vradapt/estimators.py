@@ -22,31 +22,20 @@ mismatch, retained compression error, ...) and L is the uniform
 component smoothness bound.  The tuples depend only on method
 hyperparameters, never on L or data; the verify module validates them
 empirically.
+
+``ESTIMATORS`` is the method table: each class declares what the rest of
+the package knows about its method (see ``GradientEstimator``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .compressors import dense_bits_cost, make_compressor
 from .problems import dense_rows, partition_problem
-
-METHODS = (
-    "lsvrg",
-    "saga",
-    "page",
-    "zerosarah",
-    "ef21",
-    "diana",
-    "dasha",
-    "sega",
-    "jaguar",
-)
-
-DISTRIBUTED_METHODS = ("ef21", "diana", "dasha")
-COORDINATE_METHODS = ("sega", "jaguar")
 
 
 @dataclass(frozen=True)
@@ -94,82 +83,19 @@ def _check_prob(p):
     return float(p)
 
 
-def _quality(hp, name):
+def _quality(name, value, d, k):
     """delta or omega (``name``), given directly or as d/k, checked >= 1."""
-    value = hp.get(name)
-    if value is None and "d" in hp and "k" in hp:
-        _require(hp["k"] >= 1, f"k must be >= 1, got {hp['k']}")
-        value = hp["d"] / hp["k"]
+    if value is None and d is not None and k is not None:
+        _require(k >= 1, f"k must be >= 1, got {k}")
+        value = d / k
     _require(value is not None and value >= 1.0, f"{name} must be >= 1, got {value}")
     return value
 
 
-def constants(method, **hp) -> VRConstants:
-    """Registered recursion constants for a method.
-
-    Required hyperparameters: lsvrg/page need b and p (b validated
-    against n when n is given); saga/zerosarah need b and n; sega/jaguar
-    need b and d; ef21 needs delta (or d and k); diana/dasha need omega
-    (or d and k) and n_clients.  The auxiliary error sigma^2 is the
-    1/n-normalized mean over components (or clients), which is the
-    normalization these tuples are registered against.
-    """
-    method = method.lower()
-    if method == "lsvrg":
-        b = _check_batch(hp["b"], hp.get("n", float("inf")))
-        p = _check_prob(hp.get("p"))
-        return VRConstants(1.0, p / 2.0, 2.0 / b, 2.0 / b, 1.0 + 2.0 / p)
-    if method == "saga":
-        n = int(hp["n"])
-        b = _check_batch(hp["b"], n)
-        return VRConstants(
-            1.0,
-            b / (2.0 * n),
-            (1.0 / b) * (1.0 + b / (2.0 * n)),
-            (2.0 / b) * (1.0 + 2.0 * n / b),
-            2.0 * n / b,
-        )
-    if method == "page":
-        b = _check_batch(hp["b"], hp.get("n", float("inf")))
-        p = _check_prob(hp.get("p"))
-        return VRConstants(p, 1.0, 0.0, (1.0 - p) / b, 0.0)
-    if method == "zerosarah":
-        n = int(hp["n"])
-        b = _check_batch(hp["b"], n)
-        return VRConstants(
-            b / (2.0 * n), b / (2.0 * n), b / (2.0 * n), 2.0 / b, 2.0 * n / b
-        )
-    if method == "ef21":
-        delta = _quality(hp, "delta")
-        return VRConstants(
-            1.0, (delta + 1.0) / (2.0 * delta * delta), 1.0, 0.0, 2.0 * delta
-        )
-    if method in ("diana", "dasha"):
-        omega = _quality(hp, "omega")
-        n = hp.get("n_clients")
-        _require(n is not None, "n_clients is required for client-server methods")
-        _require(n >= 1, f"n_clients must be >= 1, got {n}")
-        if method == "diana":
-            return VRConstants(
-                1.0,
-                1.0 / (2.0 * (1.0 + omega)),
-                omega / n,
-                2.0 * omega * (omega + 1.0) / n,
-                2.0 * (omega + 1.0),
-            )
-        t = 2.0 * omega + 1.0
-        return VRConstants(
-            1.0 / t, 1.0 / t, 2.0 * omega / (t * t * n), 2.0 * omega / n, 2.0 * omega
-        )
-    if method in ("sega", "jaguar"):
-        d = int(hp["d"])
-        b = _check_batch(hp["b"], d)
-        if method == "sega":
-            return VRConstants(
-                1.0, b / (2.0 * d), d / b, (d * d) / (b * b), 3.0 * d / b
-            )
-        return VRConstants(b / (2.0 * d), 1.0, 0.0, 3.0 * d / b, 0.0)
-    raise ValueError(f"unknown method {method!r}")
+def _check_clients(n):
+    _require(n is not None, "n_clients is required for client-server methods")
+    _require(n >= 1, f"n_clients must be >= 1, got {n}")
+    return n
 
 
 def _draw_batch(rng, n, b, with_replacement=False):
@@ -238,9 +164,22 @@ class GradientEstimator:
       (diagnostic; may cost a full pass, so the optimizer loop never
       calls it);
     * ``constants()``: the ``VRConstants`` registered for its settings.
+
+    Its entry in the method table: ``method``; ``hyperparams`` (name ->
+    default, None if required); ``size``, what bounds its batch (``"n"``
+    components or ``"d"`` coordinates); ``registration(**hp)``, its
+    checked tuple; ``settings(problem, hp)``, the checked constructor
+    arguments and tuple, with no gradient pass; ``presets(n)``; the
+    verifier's ``alignment``, ``probe_state``, ``fixture`` and
+    ``fixture_eigs`` (see ``verify``).
     """
 
     method = "?"
+    hyperparams = {"b": None}
+    size = "n"
+    alignment = "prev"
+    probe_state = None
+    fixture_eigs = (0.5, 2.0)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -251,16 +190,35 @@ class GradientEstimator:
             if name not in cls.__dict__ and hasattr(cls, name):
                 setattr(cls, name, getattr(cls, name))
 
-    def __init__(self, problem, x0):
+    @staticmethod
+    def presets(n):
+        return {}
+
+    @classmethod
+    def settings(cls, problem, hp):
+        """(constructor keyword arguments, registered tuple) for ``hp``,
+        defaults filled in, checked by the registration at the problem's size."""
+        values = {name: hp.get(name, default) for name, default in cls.hyperparams.items()}
+        size = problem.dim if cls.size == "d" else problem.n_components
+        registered = cls.registration(**values, **{cls.size: size})
+        values["b"] = int(values["b"])  # checked integral by the registration
+        return values, registered
+
+    def __init__(self, problem, x0, registered, **settings):
         self.problem = problem
         self.x = np.array(x0, dtype=float, copy=True)
         if self.x.shape != (problem.dim,):
             raise ValueError(f"x0 must have shape ({problem.dim},)")
+        self.registered = registered
+        self.__dict__.update(settings)
         self.g = None
         self.grad_calls = 0
         self.partial_calls = 0
         self.bits_dense = 0
         self.bits_compressed = 0
+
+    def constants(self):
+        return self.registered
 
     @property
     def estimate(self):
@@ -285,16 +243,23 @@ class LSVRG(GradientEstimator):
     stored anchor, corrected by fresh batch differences."""
 
     method = "lsvrg"
+    hyperparams = {"b": None, "p": None, "with_replacement": False}
+    fixture = {"b": 4, "p": 0.25}
 
-    def __init__(self, problem, x0, b, p, with_replacement=False):
-        super().__init__(problem, x0)
-        n = problem.n_components
-        self.b = _check_batch(b, n)
-        self.p = _check_prob(p)
-        self.with_replacement = bool(with_replacement)
+    @staticmethod
+    def presets(n):
+        return {"b": math.ceil(n ** (2.0 / 3.0)), "p": n ** (-1.0 / 3.0)}
+
+    @staticmethod
+    def registration(b=None, p=None, n=math.inf, **_):
+        b, p = _check_batch(b, n), _check_prob(p)
+        return VRConstants(1.0, p / 2.0, 2.0 / b, 2.0 / b, 1.0 + 2.0 / p)
+
+    def __init__(self, problem, x0, registered, **settings):
+        super().__init__(problem, x0, registered, **settings)
         self.anchor = self.x.copy()
         self.anchor_grad = problem.full_grad(self.x)
-        self.grad_calls += n
+        self.grad_calls += problem.n_components
         self.g = self.anchor_grad.copy()
 
     def step(self, x_t, rng):
@@ -315,9 +280,6 @@ class LSVRG(GradientEstimator):
     def sigma_sq(self):
         diff = self.problem.all_component_grads(self.anchor) - self.problem.all_component_grads(self.x)
         return float((diff * diff).sum(axis=1).mean())
-
-    def constants(self):
-        return constants("lsvrg", b=self.b, p=self.p, n=self.problem.n_components)
 
     def step_batch(self, x_cand, rng, S):
         problem = self.problem
@@ -347,10 +309,9 @@ class _TableEstimator(GradientEstimator):
     layout).  Steps gather and write back whole rows; ``table`` is the
     dense (n, d) view for diagnostics and the verifier."""
 
-    def __init__(self, problem, x0, b):
-        super().__init__(problem, x0)
+    def __init__(self, problem, x0, registered, **settings):
+        super().__init__(problem, x0, registered, **settings)
         n = problem.n_components
-        self.b = _check_batch(b, n)
         self.cols, (self.rows,) = problem.component_rows(np.arange(n), self.x)
         self.grad_calls += n
         self.table_mean = _colsum(self.cols, self.rows, problem.dim) / n
@@ -372,6 +333,22 @@ class SAGA(_TableEstimator):
     support-aligned (see ``_TableEstimator``)."""
 
     method = "saga"
+    fixture = {"b": 4}
+
+    @staticmethod
+    def presets(n):
+        return {"b": math.ceil(n ** (2.0 / 3.0))}
+
+    @staticmethod
+    def registration(*, n, b=None, **_):
+        b = _check_batch(b, n)
+        return VRConstants(
+            1.0,
+            b / (2.0 * n),
+            (1.0 / b) * (1.0 + b / (2.0 * n)),
+            (2.0 / b) * (1.0 + 2.0 * n / b),
+            2.0 * n / b,
+        )
 
     def step(self, x_t, rng):
         problem = self.problem
@@ -386,9 +363,6 @@ class SAGA(_TableEstimator):
         self.x = x_t.copy()
         return self.g
 
-    def constants(self):
-        return constants("saga", b=self.b, n=self.problem.n_components)
-
     def step_batch(self, x_cand, rng, S):
         batches = _draw_batches(rng, self.problem.n_components, self.b, S)
         gaps = self.problem.all_component_grads(x_cand) - self.table
@@ -400,12 +374,18 @@ class PAGE(GradientEstimator):
     previous estimate corrected by batch differences."""
 
     method = "page"
+    hyperparams = LSVRG.hyperparams
+    alignment = "none"
+    fixture = {"b": 4, "p": 0.2}
+    presets = staticmethod(LSVRG.presets)
 
-    def __init__(self, problem, x0, b, p, with_replacement=False):
-        super().__init__(problem, x0)
-        self.b = _check_batch(b, problem.n_components)
-        self.p = _check_prob(p)
-        self.with_replacement = bool(with_replacement)
+    @staticmethod
+    def registration(b=None, p=None, n=math.inf, **_):
+        b, p = _check_batch(b, n), _check_prob(p)
+        return VRConstants(p, 1.0, 0.0, (1.0 - p) / b, 0.0)
+
+    def __init__(self, problem, x0, registered, **settings):
+        super().__init__(problem, x0, registered, **settings)
         self.g = problem.full_grad(self.x)
         self.grad_calls += problem.n_components
 
@@ -426,9 +406,6 @@ class PAGE(GradientEstimator):
     def sigma_sq(self):
         return 0.0
 
-    def constants(self):
-        return constants("page", b=self.b, p=self.p, n=self.problem.n_components)
-
     def step_batch(self, x_cand, rng, S):
         problem = self.problem
         refresh = rng.random(S) < self.p
@@ -447,9 +424,20 @@ class ZeroSARAH(_TableEstimator):
     ``_TableEstimator``)."""
 
     method = "zerosarah"
+    fixture = {"b": 4}
 
-    def __init__(self, problem, x0, b):
-        super().__init__(problem, x0, b)
+    @staticmethod
+    def presets(n):
+        return {"b": math.ceil(math.sqrt(n))}
+
+    @staticmethod
+    def registration(*, n, b=None, **_):
+        b = _check_batch(b, n)
+        lam = b / (2.0 * n)
+        return VRConstants(lam, lam, lam, 2.0 / b, 2.0 * n / b)
+
+    def __init__(self, problem, x0, registered, **settings):
+        super().__init__(problem, x0, registered, **settings)
         self.lam = self.b / (2.0 * problem.n_components)
 
     def step(self, x_t, rng):
@@ -467,9 +455,6 @@ class ZeroSARAH(_TableEstimator):
         self.table_mean = self.table_mean + _colsum(cols, cur - old, d) / problem.n_components
         self.x = x_t.copy()
         return self.g
-
-    def constants(self):
-        return constants("zerosarah", b=self.b, n=self.problem.n_components)
 
     def step_batch(self, x_cand, rng, S):
         problem = self.problem
@@ -518,25 +503,46 @@ class _ClientServerEstimator(GradientEstimator):
     each client sends k (index, value) pairs per step, in a separate
     ledger.  ``quality`` names the compressor constant the method's
     registration reads (delta or omega); a compressor without it is
-    rejected at construction.
+    rejected before the initial pass.
     """
 
+    hyperparams = {
+        "n_clients": 10,
+        "compressor": "identity",
+        "k": None,
+        "value_bits": 32,
+        "index_bits": 32,
+        "scheme": "contiguous",
+    }
+    size = "d"
     damping = 1.0
 
-    def __init__(self, problem, x0, groups, compressor, value_bits=32, index_bits=32):
-        super().__init__(problem, x0)
+    @classmethod
+    def settings(cls, problem, hp):
+        """The client groups, the compressor (built from its name and k if
+        named) and the bit widths, checked; the tuple its quality registers."""
+        hp = {**cls.hyperparams, **hp}
+        groups = partition_problem(problem, int(hp["n_clients"]), hp["scheme"])
+        compressor = hp["compressor"] or "identity"
+        if isinstance(compressor, str):
+            compressor = make_compressor(compressor, problem.dim, hp["k"])
         _require(
-            hasattr(compressor, self.quality),
-            f"{self.method} needs {_COMPRESSOR_KINDS[self.quality]}",
+            hasattr(compressor, cls.quality),
+            f"{cls.method} needs {_COMPRESSOR_KINDS[cls.quality]}",
         )
-        self.groups = groups
-        self.weights = np.array([len(g) / problem.n_components for g in groups])
+        bits = {name: int(hp[name]) for name in ("value_bits", "index_bits")}
+        for name, value in bits.items():
+            _require(value >= 1, f"{name} must be >= 1, got {value}")
+        quality = {cls.quality: getattr(compressor, cls.quality)}
+        registered = cls.registration(**quality, n_clients=len(groups))
+        return dict(groups=groups, compressor=compressor, **bits), registered
+
+    def __init__(self, problem, x0, registered, **settings):
+        super().__init__(problem, x0, registered, **settings)
+        self.weights = np.array([len(g) / problem.n_components for g in self.groups])
         # every client's local gradient at x, stacked (n_clients, d);
         # callers keep the ledger
-        self._client_grads = problem.group_grads(groups)
-        self.compressor = compressor
-        self.value_bits = int(value_bits)
-        self.index_bits = int(index_bits)
+        self._client_grads = problem.group_grads(self.groups)
         # the initial full pass, each client's gradient sent dense
         self.client_grads = self._client_grads(self.x)
         self.grad_calls += problem.n_components
@@ -586,10 +592,6 @@ class _ClientServerEstimator(GradientEstimator):
     def sigma_sq(self):
         return float(self._client_error(self.client_state - self.client_grads))
 
-    def constants(self):
-        quality = {self.quality: getattr(self.compressor, self.quality)}
-        return constants(self.method, **quality, n_clients=self.n_clients)
-
     def step_batch(self, x_cand, rng, S):
         grads = self._client_grads(x_cand)
         messages = self._message(grads)
@@ -604,6 +606,21 @@ class EF21(_ClientServerEstimator):
 
     method = "ef21"
     quality = "delta"
+    alignment = "next"
+    probe_state = 1
+    fixture = {"n_clients": 10, "compressor": "topk", "k": 1}
+    # an equal-curvature quadratic (every component eigenvalue equal): the
+    # client errors line up and the adversarial probe state has
+    # analytically known margins; on a generic spectrum the probe's
+    # discriminating power is not guaranteed
+    fixture_eigs = (2.0, 2.0)
+
+    @staticmethod
+    def registration(delta=None, d=None, k=None, **_):
+        delta = _quality("delta", delta, d, k)
+        return VRConstants(
+            1.0, (delta + 1.0) / (2.0 * delta * delta), 1.0, 0.0, 2.0 * delta
+        )
 
 
 class DIANA(_ClientServerEstimator):
@@ -613,6 +630,19 @@ class DIANA(_ClientServerEstimator):
 
     method = "diana"
     quality = "omega"
+    alignment = "cross"
+    fixture = {"n_clients": 10, "compressor": "randk", "k": 5}
+
+    @staticmethod
+    def registration(omega=None, d=None, k=None, n_clients=None, **_):
+        omega, n = _quality("omega", omega, d, k), _check_clients(n_clients)
+        return VRConstants(
+            1.0,
+            1.0 / (2.0 * (1.0 + omega)),
+            omega / n,
+            2.0 * omega * (omega + 1.0) / n,
+            2.0 * (omega + 1.0),
+        )
 
     @property
     def damping(self):
@@ -632,6 +662,15 @@ class DASHA(_ClientServerEstimator):
 
     method = "dasha"
     quality = "omega"
+    fixture = DIANA.fixture
+
+    @staticmethod
+    def registration(omega=None, d=None, k=None, n_clients=None, **_):
+        omega, n = _quality("omega", omega, d, k), _check_clients(n_clients)
+        t = 2.0 * omega + 1.0
+        return VRConstants(
+            1.0 / t, 1.0 / t, 2.0 * omega / (t * t * n), 2.0 * omega / n, 2.0 * omega
+        )
 
     def _message(self, grads):
         prev = self.client_grads
@@ -645,10 +684,16 @@ class SEGA(GradientEstimator):
     upweights the fresh coordinates of the current point by d/b."""
 
     method = "sega"
+    size = "d"
+    fixture = {"b": 3}
 
-    def __init__(self, problem, x0, b):
-        super().__init__(problem, x0)
-        self.b = _check_batch(b, problem.dim)
+    @staticmethod
+    def registration(*, d, b=None, **_):
+        b = _check_batch(b, d)
+        return VRConstants(1.0, b / (2.0 * d), d / b, (d * d) / (b * b), 3.0 * d / b)
+
+    def __init__(self, problem, x0, registered, **settings):
+        super().__init__(problem, x0, registered, **settings)
         self.memory = problem.full_grad(self.x)
         self.grad_calls += problem.n_components
         self.g = self.memory.copy()
@@ -670,9 +715,6 @@ class SEGA(GradientEstimator):
         diff = self.memory - self.problem.full_grad(self.x)
         return float((diff * diff).sum())
 
-    def constants(self):
-        return constants("sega", b=self.b, d=self.problem.dim)
-
     def step_batch(self, x_cand, rng, S):
         problem = self.problem
         d = problem.dim
@@ -690,10 +732,17 @@ class JAGUAR(GradientEstimator):
     previous estimate are replaced with fresh partial derivatives."""
 
     method = "jaguar"
+    size = "d"
+    alignment = "none"
+    fixture = SEGA.fixture
 
-    def __init__(self, problem, x0, b):
-        super().__init__(problem, x0)
-        self.b = _check_batch(b, problem.dim)
+    @staticmethod
+    def registration(*, d, b=None, **_):
+        b = _check_batch(b, d)
+        return VRConstants(b / (2.0 * d), 1.0, 0.0, 3.0 * d / b, 0.0)
+
+    def __init__(self, problem, x0, registered, **settings):
+        super().__init__(problem, x0, registered, **settings)
         self.g = problem.full_grad(self.x)
         self.grad_calls += problem.n_components
 
@@ -712,52 +761,42 @@ class JAGUAR(GradientEstimator):
     def sigma_sq(self):
         return 0.0
 
-    def constants(self):
-        return constants("jaguar", b=self.b, d=self.problem.dim)
-
     def step_batch(self, x_cand, rng, S):
         d = self.problem.dim
         sampled = _batch_mask(_draw_batches(rng, d, self.b, S), d)
         return np.where(sampled, self.problem.partials(x_cand, np.arange(d)), self.g), np.zeros(S)
 
 
-def make_estimator(method, problem, x0, hyperparams=None, **kwargs):
-    """Build an initialized estimator.
+ESTIMATORS = {
+    cls.method: cls
+    for cls in (LSVRG, SAGA, PAGE, ZeroSARAH, EF21, DIANA, DASHA, SEGA, JAGUAR)
+}
+METHODS = tuple(ESTIMATORS)
+DISTRIBUTED_METHODS = tuple(
+    m for m, cls in ESTIMATORS.items() if issubclass(cls, _ClientServerEstimator)
+)
 
-    Hyperparameter keys by method: b, p, with_replacement (batch
-    methods); b (coordinate methods, bounded by the dimension);
-    n_clients, compressor (topk|randk|identity), k, value_bits,
-    index_bits, scheme (client-server methods).  The construction runs
-    one full gradient pass, so the estimate starts exact.
-    """
-    hp = dict(hyperparams or {})
-    hp.update(kwargs)
-    method = method.lower()
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "lsvrg":
-        return LSVRG(problem, x0, hp.get("b"), hp.get("p"), hp.get("with_replacement", False))
-    if method == "saga":
-        return SAGA(problem, x0, hp.get("b"))
-    if method == "page":
-        return PAGE(problem, x0, hp.get("b"), hp.get("p"), hp.get("with_replacement", False))
-    if method == "zerosarah":
-        return ZeroSARAH(problem, x0, hp.get("b"))
-    if method == "sega":
-        return SEGA(problem, x0, hp.get("b"))
-    if method == "jaguar":
-        return JAGUAR(problem, x0, hp.get("b"))
-    # client-server methods
-    n_clients = int(hp.get("n_clients", 10))
-    groups = partition_problem(problem, n_clients, hp.get("scheme", "contiguous"))
-    comp = hp.get("compressor") or "identity"
-    if isinstance(comp, str):
-        comp = make_compressor(comp, problem.dim, hp.get("k"))
-    common = dict(
-        value_bits=hp.get("value_bits", 32), index_bits=hp.get("index_bits", 32)
-    )
-    if method == "ef21":
-        return EF21(problem, x0, groups, comp, **common)
-    if method == "diana":
-        return DIANA(problem, x0, groups, comp, **common)
-    return DASHA(problem, x0, groups, comp, **common)
+
+def estimator_class(method):
+    """The method table's entry for ``method``."""
+    _require(method in ESTIMATORS, f"unknown method {method!r}")
+    return ESTIMATORS[method]
+
+
+def constants(method, **hp) -> VRConstants:
+    """Registered recursion constants for a method: its class's
+    ``registration``, which checks the hyperparameters it reads (lsvrg,
+    page: b, p and optionally n; saga, zerosarah: b, n; sega, jaguar: b,
+    d; ef21: delta or d, k; diana, dasha: omega or d, k, and n_clients).
+    sigma^2 is normalized 1/n over components (or clients)."""
+    return estimator_class(method.lower()).registration(**hp)
+
+
+def make_estimator(method, problem, x0, hyperparams=None, **kwargs):
+    """Build an initialized estimator.  The hyperparameters each method
+    reads are its class's ``hyperparams``; its ``settings`` checks them
+    before the one full gradient pass that makes the estimate exact.  A
+    ``compressor`` is a compressor or a name (topk|randk|identity)."""
+    cls = estimator_class(method.lower())
+    settings, registered = cls.settings(problem, {**(hyperparams or {}), **kwargs})
+    return cls(problem, x0, registered, **settings)

@@ -140,8 +140,8 @@ def make_quadratic(n_components, dim, seed=0, eig_range=(0.5, 2.0), cond=1.0):
         raise ValueError(f"quadratic needs d >= 1 dimensions, got d={dim}")
     rng = np.random.default_rng(seed)
     lo, hi = eig_range
-    if not 0 < lo <= hi:
-        raise ValueError("eigenvalue range must be positive and ordered")
+    if not 0 < lo <= hi < np.inf:
+        raise ValueError("eigenvalue range must be positive, finite and ordered")
     if cond < 1.0:
         raise ValueError(f"cond must be >= 1, got {cond}")
     if lo == hi:

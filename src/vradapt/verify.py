@@ -22,34 +22,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import VRConstants, make_estimator
+from .estimators import VRConstants, estimator_class, make_estimator
+from .problems import make_quadratic
 from .schedulers import theoretical_gamma_nonconvex
 
-# Which sigma^2 snapshot the first inequality's A-term couples to.
+# Each estimator class's ``alignment`` names which sigma^2 snapshot the
+# first inequality's A-term couples to.
 #   prev  - sigma^2 at the frozen state (most methods)
 #   next  - sigma^2 after the sampled step (error feedback: the server
 #           error is bounded by the CURRENT mean client error, Jensen)
 #   cross - client-gradient-to-shift mismatch at the candidate point
 #           with the frozen shifts (shift-compensated compression)
 #   none  - the method has no auxiliary sequence; skip inequality 2
-ALIGNMENTS = {
-    "lsvrg": "prev",
-    "saga": "prev",
-    "page": "none",
-    "zerosarah": "prev",
-    "ef21": "next",
-    "diana": "cross",
-    "dasha": "prev",
-    "sega": "prev",
-    "jaguar": "none",
-}
 
-# State index at which the candidate point is chosen adversarially
-# (along the current compression error) instead of the natural next
-# iterate.  Error feedback needs this: on a benign trajectory the
-# movement term dominates and a halved C would still look safe, so the
-# checker would have no power against mutated constants.
-PROBE_STATES = {"ef21": 1}
+# A class's ``probe_state`` is the state at which the candidate point is
+# chosen adversarially (along the current compression error) instead of
+# the natural next iterate.  Error feedback needs this: on a benign
+# trajectory the movement term dominates and a halved C would still look
+# safe, so the checker would have no power against mutated constants.
 PROBE_SCALE = 0.1
 
 # Monte Carlo transitions per ``step_batch`` call: large enough to leave
@@ -119,14 +109,12 @@ def assumption_margin(
         raise ValueError("need at least 1000 samples per state point")
     if state_points < 1:
         raise ValueError("need at least one state point")
-    alignment = ALIGNMENTS.get(method)
-    if alignment is None:
-        raise ValueError(f"unknown method {method!r}")
 
     L = problem.smoothness
     L2 = L * L
     x0 = problem.x_opt + np.ones(problem.dim) / max(L, 1.0)
     est = make_estimator(method, problem, x0, dict(hyperparams))
+    alignment = est.alignment
     reg = est.constants()
     cons = constants_override if constants_override is not None else reg
     gamma = theoretical_gamma_nonconvex(reg, L)
@@ -139,7 +127,7 @@ def assumption_margin(
         prev_err = float(np.sum((g_prev - problem.full_grad(x_prev)) ** 2))
         sigma_prev = est.sigma_sq()
 
-        if PROBE_STATES.get(method) == sp:
+        if est.probe_state == sp:
             x_cand = x_prev + (PROBE_SCALE / L) * (problem.full_grad(x_prev) - g_prev)
         else:
             x_cand = x_prev - gamma * g_prev
@@ -198,34 +186,13 @@ def _row(method, inequality, sp, lhs, rhs, margins):
 
 
 def standard_margin_setup(method):
-    """The (problem, hyperparams) fixture the margin suite runs on.
-
-    A 20-component, 10-dimensional random-curvature quadratic for most
-    methods.  Error feedback instead gets an equal-curvature quadratic
-    (every component eigenvalue equal), where the client errors line up
-    and the adversarial probe state has analytically known margins; on a
-    generic spectrum the probe's discriminating power is not guaranteed.
-    """
-    from .problems import make_quadratic
-
-    if method == "ef21":
-        problem = make_quadratic(20, 10, seed=0, eig_range=(2.0, 2.0))
-    else:
-        problem = make_quadratic(20, 10, seed=0)
-    hyperparams = {
-        "lsvrg": {"b": 4, "p": 0.25},
-        "saga": {"b": 4},
-        "page": {"b": 4, "p": 0.2},
-        "zerosarah": {"b": 4},
-        "ef21": {"n_clients": 10, "compressor": "topk", "k": 1},
-        "diana": {"n_clients": 10, "compressor": "randk", "k": 5},
-        "dasha": {"n_clients": 10, "compressor": "randk", "k": 5},
-        "sega": {"b": 3},
-        "jaguar": {"b": 3},
-    }.get(method)
-    if hyperparams is None:
-        raise ValueError(f"unknown method {method!r}")
-    return problem, hyperparams
+    """The (problem, hyperparams) fixture the margin suite runs on: a
+    20-component, 10-dimensional quadratic with the component spectrum
+    the method's class declares (``fixture_eigs``; random curvature
+    unless the class says otherwise) and its ``fixture``
+    hyperparameters."""
+    cls = estimator_class(method)
+    return make_quadratic(20, 10, seed=0, eig_range=cls.fixture_eigs), dict(cls.fixture)
 
 
 MARGIN_CSV_HEADER = "method,inequality,state_point,lhs,rhs,margin,stderr,pass"

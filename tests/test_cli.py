@@ -86,6 +86,15 @@ class TestRunCommand:
             (MISSING_DATA_CFG, "/no/such/file"),
             ("method=saga\nb=1\nn=0\nd=4\nT=5\n", "n=0"),
             ("method=saga\nb=1\nn=6\nd=0\nT=5\n", "d=0"),
+            ("method=saga\nb=2\nn=6\nd=4\nT=5\ntiming=maybe\n", "timing must be on or off"),
+            (
+                "method=ef21\ncompressor=topk\nk=3\nn=6\nd=4\nclients=2\nT=5\nvalue_bits=-5\n",
+                "value_bits must be >= 1, got -5",
+            ),
+            (
+                "method=dasha\ncompressor=randk\nk=3\nn=6\nd=4\nclients=2\nT=5\nindex_bits=0\n",
+                "index_bits must be >= 1, got 0",
+            ),
         ],
     )
     def test_config_error_is_one_error_line(self, tmp_path, capsys, text, named):
@@ -154,6 +163,27 @@ class TestSeedPrecedence:
         zero = self.trace_bytes(tmp_path, capsys, cfg, ["--seed", "0"], "c.csv")
         assert from_env == explicit
         assert from_env != zero
+
+    @pytest.mark.parametrize(
+        "cfg_text,flags,env,named",
+        [
+            (QUICK_CFG, ["--seed", "-1"], None, "--seed must be a non-negative integer, got -1"),
+            (
+                QUICK_CFG + "seed=-1\n", [], None,
+                "config key 'seed' must be a non-negative integer, got '-1'",
+            ),
+            (QUICK_CFG, [], "abc", "VRADAPT_SEED must be a non-negative integer, got 'abc'"),
+            (QUICK_CFG, [], "-3", "VRADAPT_SEED must be a non-negative integer, got '-3'"),
+        ],
+    )
+    def test_bad_seed_names_its_source(self, tmp_path, capsys, monkeypatch, cfg_text, flags, env, named):
+        if env is None:
+            monkeypatch.delenv("VRADAPT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("VRADAPT_SEED", env)
+        cfg = write_cfg(tmp_path, cfg_text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv"), *flags]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), named)
 
 
 class TestSweepCommand:
@@ -332,7 +362,31 @@ class TestConstantsCommand:
     @pytest.mark.parametrize("select", [["--method", "ef21"], ["--method", "dasha"], ["--all"]])
     def test_zero_k_is_one_error_line(self, select, capsys):
         assert main(["constants", *select, "--k", "0"]) == EXIT_USAGE
-        assert_one_error_line(capsys.readouterr(), "k must be >= 1")
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "k must be >= 1")
+        # every row is checked before the header or any row is printed
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--method", "saga", "--b", "20", "--n", "10"], "saga: b must be an integer in [1, 10], got 20"),
+            (["--method", "jaguar", "--b", "20", "--d", "10"], "jaguar: b must be an integer in [1, 10], got 20"),
+            (["--all", "--b", "101"], "lsvrg: b must be an integer in [1, 100], got 101"),
+        ],
+    )
+    def test_explicit_batch_beyond_size_is_rejected(self, flags, named, capsys):
+        assert main(["constants", *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, named)
+        assert captured.out == ""
+
+    def test_batch_n_is_each_methods_own_size(self, capsys):
+        assert main(["constants", "--all", "--b", "n", "--n", "10", "--d", "5"]) == EXIT_OK
+        rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[1:]}
+        assert len(rows) == 9
+        assert float(rows["saga"][2]) == 0.5  # rho2 = b/(2n) at b = n = 10
+        assert float(rows["sega"][2]) == 0.5  # rho2 = b/(2d) at b = d = 5
 
 
     @pytest.mark.parametrize(

@@ -16,12 +16,13 @@ from vradapt.engine import (
     load_config,
     parse_config_text,
     parse_trace_csv,
-    preset_hyperparams,
     run,
     sweep,
     trace_csv_text,
     trace_to_csv,
+    validate,
 )
+from vradapt.estimators import ESTIMATORS, METHODS
 from vradapt.problems import QuadraticProblem, make_quadratic
 
 
@@ -86,14 +87,14 @@ class TestConfigParsing:
 
 class TestPresets:
     def test_component_count_rules(self):
-        hp = preset_hyperparams("saga", 4000)
+        hp = ESTIMATORS["saga"].presets(4000)
         assert hp["b"] == 252
-        hp = preset_hyperparams("page", 4000)
+        hp = ESTIMATORS["page"].presets(4000)
         assert hp["b"] == 252
         assert hp["p"] == pytest.approx(4000 ** (-1.0 / 3.0))
-        hp = preset_hyperparams("zerosarah", 4000)
+        hp = ESTIMATORS["zerosarah"].presets(4000)
         assert hp["b"] == 64
-        assert preset_hyperparams("sega", 4000) == {}
+        assert ESTIMATORS["sega"].presets(4000) == {}
 
     def test_explicit_values_override_presets(self):
         prob = make_quadratic(100, 5, seed=0)
@@ -265,6 +266,49 @@ class TestRun:
             run(ExperimentConfig(method="saga", b=2, scheduler="constant"))
         with pytest.raises(ValueError):
             run(ExperimentConfig(method="saga", b=2, scheduler="cosine"))
+
+
+def _no_oracle_call(*args, **kwargs):
+    raise AssertionError("validate made an oracle call")
+
+
+class TestValidate:
+    ORACLES = (
+        "loss", "full_grad", "loss_and_grad", "component_rows", "component_grads",
+        "all_component_grads", "partials", "group_grads",
+    )
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_gradient_pass(self, method, monkeypatch):
+        problem = make_quadratic(20, 10, seed=0)
+        for oracle in self.ORACLES:
+            monkeypatch.setattr(problem, oracle, _no_oracle_call)
+        compressor = "randk" if method in ("diana", "dasha") else "topk"
+        cfg = ExperimentConfig(
+            method=method, b=3, p=0.5, k=2, compressor=compressor, scheduler="adaptive"
+        )
+        hp, stepper = validate(cfg, problem)
+        assert hp == estimator_hyperparams(cfg, problem)
+        assert stepper.acc is not None
+
+    @pytest.mark.parametrize(
+        "changes,named",
+        [
+            (dict(method="sarah"), "unknown method 'sarah'"),
+            (dict(b=7), "b must be an integer in [1, 6], got 7"),
+            (dict(T=-1), "T must be >= 0"),
+            (dict(timing="maybe"), "timing must be on or off, got 'maybe'"),
+            (dict(scheduler="tuned", multiplier=0.0), "multiplier must be positive"),
+            (dict(method="ef21", clients=2, value_bits=0), "value_bits must be >= 1, got 0"),
+        ],
+    )
+    def test_rejects_what_run_rejects(self, changes, named):
+        cfg = ExperimentConfig(method="saga", b=2, n=6, d=4, T=5).replace(**changes)
+        problem = build_problem(cfg)
+        for check in (lambda: validate(cfg, problem), lambda: run(cfg, problem=problem)):
+            with pytest.raises(ValueError) as info:
+                check()
+            assert named in str(info.value)
 
 
 class TestTraceCsv:

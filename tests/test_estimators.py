@@ -4,8 +4,8 @@ import pytest
 from vradapt.compressors import RandK, TopK, dense_bits_cost
 from vradapt.data import synthetic_dataset
 from vradapt.estimators import (
-    COORDINATE_METHODS,
     DISTRIBUTED_METHODS,
+    ESTIMATORS,
     METHODS,
     VRConstants,
     _draw_batch,
@@ -932,6 +932,8 @@ class TestConstruction:
         assert est.constants() == constants("diana", omega=2.0, n_clients=2)
 
     def test_method_groups(self):
-        assert set(DISTRIBUTED_METHODS) <= set(METHODS)
-        assert set(COORDINATE_METHODS) <= set(METHODS)
-        assert len(METHODS) == 9
+        assert METHODS == (
+            "lsvrg", "saga", "page", "zerosarah", "ef21", "diana", "dasha", "sega", "jaguar"
+        )
+        assert DISTRIBUTED_METHODS == ("ef21", "diana", "dasha")
+        assert all(ESTIMATORS[m].method == m for m in METHODS)
