@@ -350,6 +350,8 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
         return _fail(str(exc))
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        return _fail(f"--seed must be a non-negative integer, got {args.seed}")
     return args.func(args)
 
 

@@ -10,13 +10,14 @@ other to -1.
 from __future__ import annotations
 
 import gzip
-import io
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 log = logging.getLogger(__name__)
+BLOCK_LINES = 512  # lines the one-pass parser splits at once
 
 
 class LibsvmParseError(ValueError):
@@ -29,36 +30,33 @@ class LibsvmParseError(ValueError):
 
 @dataclass
 class Dataset:
-    """Sparse rows plus normalized labels.
+    """Sparse rows as flat CSR arrays plus normalized labels.
 
-    ``indices[i]`` and ``values[i]`` describe row i; indices are sorted,
-    unique, 0-based and < d.  Immutable by convention after construction.
+    Row i is ``indices[indptr[i]:indptr[i + 1]]`` (int64: sorted, unique,
+    0-based, < d) with ``values`` at the same positions.  Immutable by
+    convention: ``LogisticProblem`` wraps these arrays without copying.
     """
 
-    indices: list
-    values: list
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
     labels: np.ndarray
     n: int
     d: int
 
     def nnz(self):
-        return int(sum(len(ix) for ix in self.indices))
+        return len(self.indices)
 
 
-def _normalize_labels(raw, first_line_no=1):
+def _normalize_labels(raw):
     labels = np.asarray(raw, dtype=float)
     uniq = sorted(set(labels.tolist()))
-    if uniq == [-1.0, 1.0] or uniq == [-1.0] or uniq == [1.0]:
+    if uniq in ([-1.0, 1.0], [-1.0], [1.0]):
         return labels
-    if len(uniq) == 1:
-        # degenerate single-class file: treat the lone label as positive
-        return np.ones_like(labels)
-    if len(uniq) == 2:
-        top = uniq[-1]
-        return np.where(labels == top, 1.0, -1.0)
-    raise LibsvmParseError(
-        first_line_no, f"expected binary labels, found {len(uniq)} distinct values"
-    )
+    if len(uniq) > 2:
+        raise LibsvmParseError(1, f"expected binary labels, found {len(uniq)} distinct values")
+    # one class: the lone label is positive; two: the larger one is
+    return np.ones_like(labels) if len(uniq) == 1 else np.where(labels == uniq[-1], 1.0, -1.0)
 
 
 def parse_libsvm(source, force_dim=None, limit=None) -> Dataset:
@@ -67,12 +65,67 @@ def parse_libsvm(source, force_dim=None, limit=None) -> Dataset:
     ``force_dim`` pins the feature dimension (useful so that parts of a
     file keep the official dimension); otherwise d is the largest
     index seen.  ``limit`` keeps only the first ``limit`` rows.
+
+    A stream is read whole; lines end at ``\\n`` only, as when a file or
+    ``StringIO`` is iterated.  Text the one-pass parser (``_split_rows``)
+    does not accept goes through the line parser, which names its line.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    all_indices, all_values, raw_labels = [], [], []
-    max_index = 0
-    for line_no, line in enumerate(source, start=1):
+    text = source if isinstance(source, str) else source.read()
+    lines = text.split("\n")
+    try:
+        raw_labels, indptr, indices, values = _to_csr(*_split_rows(lines, limit))
+    except (ValueError, OverflowError):
+        raw_labels, indptr, indices, values = _to_csr(*_parse_lines(lines, limit))
+    max_index = int(indices.max()) if len(indices) else 0
+    d = int(force_dim) if force_dim is not None else max_index
+    if force_dim is not None and max_index > force_dim:
+        raise ValueError(f"file uses feature index {max_index} beyond forced dimension {force_dim}")
+    labels = _normalize_labels(raw_labels) if len(raw_labels) else np.empty(0)
+    return Dataset(indptr, indices - 1, values, labels, len(raw_labels), d)
+
+
+def _split_rows(lines, limit=None):
+    """Labels, feature counts, and index and value arrays of the data
+    rows, converted a block of lines at a time (which bounds the token
+    lists held); ValueError unless every feature token is <index>:<value>."""
+    labels, counts, indices, values = [], [], [], []
+    for start in range(0, len(lines), BLOCK_LINES):
+        rows = [r for r in map(str.split, lines[start:start + BLOCK_LINES]) if r and r[0][0] != "#"]
+        rows = rows if limit is None else rows[: max(limit - len(labels), 0)]
+        labels += [r[0] for r in rows]
+        counts += [len(r) - 1 for r in rows]
+        feats = " ".join(chain.from_iterable(r[1:] for r in rows))
+        parts = feats.replace(":", " ").split()
+        # the pieces, glued back as <index>:<value> pairs, give feats again
+        glued = [":"] * (2 * len(parts))
+        glued[0::2] = parts
+        glued[3::4] = [" "] * (len(parts) // 2)
+        if len(parts) % 2 or "".join(glued)[:-1] != feats:
+            raise ValueError("a feature token is not <index>:<value>")
+        indices.append(np.array(parts[0::2], dtype=np.int64))
+        values.append(np.array(parts[1::2], dtype=float))
+    return labels, counts, np.concatenate(indices), np.concatenate(values)
+
+
+def _to_csr(labels, counts, indices, values):
+    """Raw labels, indptr, 1-based indices and values as arrays (strings
+    convert as ``float``/``int`` read them); ValueError unless each
+    row's indices are >= 1 and strictly increasing."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.asarray(indices, dtype=np.int64)
+    prev = np.r_[0, indices]
+    prev[indptr[:-1]] = 0
+    if not np.all(indices > prev[:-1]):
+        raise ValueError("feature indices below 1 or out of order")
+    return np.array(labels, dtype=float), indptr, indices, np.asarray(values, dtype=float)
+
+
+def _parse_lines(lines, limit=None):
+    """The line parser: the reference, every number through Python's
+    ``float``/``int``; raises ``LibsvmParseError`` at the first bad line."""
+    raw_labels, counts, indices, values = [], [], [], []
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -83,7 +136,6 @@ def parse_libsvm(source, force_dim=None, limit=None) -> Dataset:
             label = float(tokens[0])
         except ValueError:
             raise LibsvmParseError(line_no, f"bad label token {tokens[0]!r}") from None
-        row_idx, row_val = [], []
         prev = 0
         for tok in tokens[1:]:
             try:
@@ -94,24 +146,16 @@ def parse_libsvm(source, force_dim=None, limit=None) -> Dataset:
                 raise LibsvmParseError(line_no, f"bad feature token {tok!r}") from None
             if idx < 1:
                 raise LibsvmParseError(line_no, f"feature index {idx} below 1")
+            if idx >= 2**63:
+                raise LibsvmParseError(line_no, f"feature index {idx} beyond int64")
             if idx <= prev:
-                raise LibsvmParseError(
-                    line_no, f"feature indices not strictly increasing at {idx}"
-                )
+                raise LibsvmParseError(line_no, f"feature indices not strictly increasing at {idx}")
             prev = idx
-            row_idx.append(idx - 1)
-            row_val.append(val)
-        max_index = max(max_index, prev)
-        all_indices.append(np.array(row_idx, dtype=np.int64))
-        all_values.append(np.array(row_val, dtype=float))
+            indices.append(idx)
+            values.append(val)
+        counts.append(len(tokens) - 1)
         raw_labels.append(label)
-    d = int(force_dim) if force_dim is not None else max_index
-    if force_dim is not None and max_index > force_dim:
-        raise ValueError(
-            f"file uses feature index {max_index} beyond forced dimension {force_dim}"
-        )
-    labels = _normalize_labels(raw_labels) if raw_labels else np.empty(0)
-    return Dataset(all_indices, all_values, labels, len(raw_labels), d)
+    return raw_labels, counts, indices, values
 
 
 def load_libsvm(path, force_dim=None, limit=None) -> Dataset:
@@ -133,12 +177,11 @@ def write_libsvm(dataset: Dataset, sink) -> None:
     fh = open(sink, "w", newline="\n") if own else sink
     try:
         for i in range(dataset.n):
-            label = "+1" if dataset.labels[i] > 0 else "-1"
-            feats = " ".join(
-                f"{int(j) + 1}:{v:.17g}"
-                for j, v in zip(dataset.indices[i], dataset.values[i])
+            row = slice(dataset.indptr[i], dataset.indptr[i + 1])
+            feats = "".join(
+                f" {j + 1}:{v:.17g}" for j, v in zip(dataset.indices[row], dataset.values[row])
             )
-            fh.write(f"{label} {feats}".rstrip() + "\n")
+            fh.write(("+1" if dataset.labels[i] > 0 else "-1") + feats + "\n")
     finally:
         if own:
             fh.close()
@@ -157,14 +200,14 @@ def synthetic_dataset(n_rows, dim=123, seed=0, nnz_per_row=14) -> Dataset:
         raise ValueError("nnz_per_row cannot exceed dim")
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(dim) / np.sqrt(nnz_per_row)
-    indices, values, labels = [], [], []
+    cols = np.empty((n_rows, nnz_per_row), dtype=np.int64)
+    labels = np.empty(n_rows)
     from scipy.special import expit
 
-    for _ in range(n_rows):
-        idx = np.sort(rng.choice(dim, size=nnz_per_row, replace=False)).astype(np.int64)
-        margin = 2.0 * w_true[idx].sum() - 1.15
-        y = 1.0 if rng.random() < expit(margin) else -1.0
-        indices.append(idx)
-        values.append(np.ones(nnz_per_row))
-        labels.append(y)
-    return Dataset(indices, values, np.array(labels), n_rows, dim)
+    # row by row: this stream of draws feeds the pinned trace hashes
+    for i in range(n_rows):
+        cols[i] = np.sort(rng.choice(dim, size=nnz_per_row, replace=False))
+        margin = 2.0 * w_true[cols[i]].sum() - 1.15
+        labels[i] = 1.0 if rng.random() < expit(margin) else -1.0
+    indptr = np.arange(n_rows + 1, dtype=np.int64) * nnz_per_row
+    return Dataset(indptr, cols.ravel(), np.ones(cols.size), labels, n_rows, dim)

@@ -153,6 +153,8 @@ def build_problem(config):
     if not kind:
         kind = "logistic" if config.dataset else "quadratic"
     if kind == "quadratic":
+        if config.problem_seed < 0:
+            raise ValueError(f"problem_seed must be >= 0, got {config.problem_seed}")
         return make_quadratic(
             config.n,
             config.d,
@@ -164,13 +166,18 @@ def build_problem(config):
         raise ValueError(f"unknown problem kind {config.problem!r}")
     if not config.dataset:
         raise ValueError("logistic problem needs a dataset= entry")
+    if config.limit is not None and config.limit < 1:
+        raise ValueError(f"limit must be >= 1, got {config.limit}")
     if config.dataset.startswith("synthetic:"):
-        parts = config.dataset.split(":")
-        if len(parts) != 4:
+        try:
+            rows, dim, seed = (int(x) for x in config.dataset.split(":")[1:])
+        except ValueError:
+            rows = dim = seed = -1
+        if rows < 1 or dim < 1 or seed < 0:
             raise ValueError(
-                f"synthetic dataset spec must be synthetic:<rows>:<dim>:<seed>, got {config.dataset!r}"
+                "dataset must be synthetic:<rows>:<dim>:<seed> with rows, dim >= 1 "
+                f"and seed >= 0, got {config.dataset!r}"
             )
-        rows, dim, seed = (int(x) for x in parts[1:])
         if config.limit is not None:
             # rows are drawn one after another from one generator, so the
             # first `limit` of them are the whole of a shorter draw
@@ -311,25 +318,14 @@ def parse_trace_csv(source):
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("missing or unexpected trace header")
     trace = Trace()
+    coerce = [_COERCE[f.type] for f in dataclasses.fields(TraceRow)]
     for line in lines[1:]:
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 9:
             raise ValueError(f"bad trace row: {line!r}")
-        trace.append(
-            TraceRow(
-                t=int(parts[0]),
-                loss=float(parts[1]),
-                grad_norm=float(parts[2]),
-                est_norm=float(parts[3]),
-                gamma=float(parts[4]),
-                grad_calls=int(parts[5]),
-                partial_calls=int(parts[6]),
-                bits=int(parts[7]),
-                wall_ms=float(parts[8]),
-            )
-        )
+        trace.append(TraceRow(*(convert(part) for convert, part in zip(coerce, parts))))
     return trace
 
 
@@ -403,6 +399,11 @@ def run(config, problem=None):
     started = time.perf_counter()
 
     trace = Trace()
+
+    def record(t, loss, grad_norm, est_norm, gamma, wall):
+        counters = (est.grad_calls, est.partial_calls, est.bits)
+        trace.append(TraceRow(t, loss, grad_norm, est_norm, gamma, *counters, wall))
+
     status = "completed"
     g = est.estimate
     t = 0
@@ -412,19 +413,7 @@ def run(config, problem=None):
             loss, grad = problem.loss_and_grad(x)
             grad_norm = float(np.linalg.norm(grad))
             wall = (time.perf_counter() - started) * 1e3 if timing else 0.0
-            trace.append(
-                TraceRow(
-                    t=t,
-                    loss=loss,
-                    grad_norm=grad_norm,
-                    est_norm=float(np.linalg.norm(g)),
-                    gamma=float(gamma_t),
-                    grad_calls=est.grad_calls,
-                    partial_calls=est.partial_calls,
-                    bits=est.bits,
-                    wall_ms=wall,
-                )
-            )
+            record(t, loss, grad_norm, float(np.linalg.norm(g)), float(gamma_t), wall)
             if config.tol > 0.0 and grad_norm <= config.tol:
                 status = "converged"
                 break
@@ -441,19 +430,7 @@ def run(config, problem=None):
     if status != "diverged" and (len(trace) == 0 or trace.rows[-1].t != t):
         wall = (time.perf_counter() - started) * 1e3 if timing else 0.0
         loss, grad = problem.loss_and_grad(x)
-        trace.append(
-            TraceRow(
-                t=t,
-                loss=loss,
-                grad_norm=float(np.linalg.norm(grad)),
-                est_norm=0.0,
-                gamma=0.0,
-                grad_calls=est.grad_calls,
-                partial_calls=est.partial_calls,
-                bits=est.bits,
-                wall_ms=wall,
-            )
-        )
+        record(t, loss, float(np.linalg.norm(grad)), 0.0, 0.0, wall)
 
     norms = trace.grad_norms()
     summary = {

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -307,7 +308,8 @@ class _TableEstimator(GradientEstimator):
     ``cols``, both (n, width), row i holding the last gradient of f_i
     seen, at the columns ``cols[i]`` (``problem.component_rows``'
     layout).  Steps gather and write back whole rows; ``table`` is the
-    dense (n, d) view for diagnostics and the verifier."""
+    dense (n, d) view for diagnostics and the verifier, built on the
+    first read after a step (a step drops it; a clone copies it)."""
 
     def __init__(self, problem, x0, registered, **settings):
         super().__init__(problem, x0, registered, **settings)
@@ -317,9 +319,8 @@ class _TableEstimator(GradientEstimator):
         self.table_mean = _colsum(self.cols, self.rows, problem.dim) / n
         self.g = self.table_mean.copy()
 
-    @property
+    @cached_property
     def table(self):
-        """The table as a dense (n, d) array, built on every read."""
         return dense_rows(self.cols, self.rows, self.problem.dim)
 
     def sigma_sq(self):
@@ -359,6 +360,7 @@ class SAGA(_TableEstimator):
         change = _colsum(cols, cur - self.rows[batch], problem.dim)
         self.g = self.table_mean + change / self.b
         self.rows[batch] = cur
+        self.__dict__.pop("table", None)
         self.table_mean = self.table_mean + change / problem.n_components
         self.x = x_t.copy()
         return self.g
@@ -452,6 +454,7 @@ class ZeroSARAH(_TableEstimator):
         control = _colsum(cols, prev - old, d) / self.b + self.table_mean
         self.g = chain + (1.0 - self.lam) * self.g + self.lam * control
         self.rows[batch] = cur
+        self.__dict__.pop("table", None)
         self.table_mean = self.table_mean + _colsum(cols, cur - old, d) / problem.n_components
         self.x = x_t.copy()
         return self.g

@@ -162,11 +162,14 @@ class LogisticProblem(Problem):
     f_i(x) = log(1 + exp(-b_i <a_i, x>)) with labels b_i in {-1, +1};
     the objective is the average over rows.  The smoothness constant is
     the largest eigenvalue of (1/(4n)) A^T A, found by power iteration
-    at construction (200 iterations, seeded start).
+    at construction (200 iterations, seeded start), which stops as soon
+    as its unit vector repeats exactly: the estimate is then the 200th
+    iteration's, read off the cycle (``estimate_smoothness``).
 
     Storage, built once and shared by every oracle:
 
-    * ``X``: the rows as a CSR matrix (n x d); the margin pass of
+    * ``X``: the dataset's CSR arrays (``indptr``, ``indices``,
+      ``values``), wrapped without a copy (n x d); the margin pass of
       ``loss``, ``full_grad``, ``loss_and_grad``, ``partials`` and
       ``group_grads``, and the curvature product read it.
     * ``XT``: A^T as a CSR matrix (d x n), a transposed view of A's CSC
@@ -198,14 +201,8 @@ class LogisticProblem(Problem):
         labels = np.asarray(dataset.labels, dtype=float)
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1/+1; normalize the dataset first")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in dataset.indices], out=indptr[1:])
         self.X = X = csr_matrix(
-            (
-                np.concatenate(dataset.values).astype(float),
-                np.concatenate(dataset.indices).astype(np.int64),
-                indptr,
-            ),
+            (np.asarray(dataset.values, dtype=float), dataset.indices, dataset.indptr),
             shape=(n, dataset.d),
         )
         self.y = labels
@@ -298,26 +295,28 @@ def estimate_smoothness(problem, iterations, seed=0):
     """Largest eigenvalue of the problem's curvature bound, by power iteration.
 
     Deterministic given the seed.  Returns 0.0 for a vanishing curvature
-    operator.
+    operator.  Each iteration is a function of its unit vector v alone:
+    once v repeats exactly (iteration i equals iteration j) the loop
+    cycles with period i - j, and the last iteration's estimate is read
+    off the cycle.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(problem.dim)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        v = np.ones(problem.dim)
-        norm = np.linalg.norm(v)
-    v /= norm
-    estimate = 0.0
-    for _ in range(iterations):
+    v /= np.linalg.norm(v)
+    seen, estimates = {}, []
+    for i in range(iterations):
+        j = seen.setdefault(v.tobytes(), i)
+        if j < i:
+            return estimates[j + (iterations - 1 - j) % (i - j)]
         w = problem.curvature_matvec(v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
-        estimate = float(v @ w)
+        estimates.append(float(v @ w))
         v = w / norm
-    return float(estimate)
+    return estimates[-1]
 
 
 def partition_problem(problem, n_clients, scheme="contiguous"):

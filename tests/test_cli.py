@@ -23,6 +23,7 @@ from vradapt.verify import MARGIN_CSV_HEADER
 
 QUICK_CFG = "method=saga\nb=2\nn=6\nd=4\nT=20\ncadence=5\n"
 MISSING_DATA_CFG = "method=saga\nb=2\ndataset=/no/such/file\nT=5\n"
+SAGA_CFG = "method=saga\nb=2\nT=5\n"
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -95,6 +96,14 @@ class TestRunCommand:
                 "method=dasha\ncompressor=randk\nk=3\nn=6\nd=4\nclients=2\nT=5\nindex_bits=0\n",
                 "index_bits must be >= 1, got 0",
             ),
+            (SAGA_CFG + "problem_seed=-1\n", "problem_seed must be >= 0, got -1"),
+            (SAGA_CFG + "dataset=synthetic:6:3:1\nlimit=-1\n", "limit must be >= 1, got -1"),
+            (SAGA_CFG + "dataset=synthetic:6:3:1\nlimit=0\n", "limit must be >= 1, got 0"),
+            (MISSING_DATA_CFG + "limit=0\n", "limit must be >= 1, got 0"),
+            (SAGA_CFG + "dataset=synthetic:6:2:-1\n", "rows, dim >= 1 and seed >= 0"),
+            (SAGA_CFG + "dataset=synthetic:6:0:1\n", "rows, dim >= 1 and seed >= 0"),
+            (SAGA_CFG + "dataset=synthetic:0:4:1\n", "'synthetic:0:4:1'"),
+            (SAGA_CFG + "dataset=synthetic:5:x:1\n", "'synthetic:5:x:1'"),
         ],
     )
     def test_config_error_is_one_error_line(self, tmp_path, capsys, text, named):
@@ -417,6 +426,22 @@ class TestUsageErrors:
     def test_parse_error_is_one_error_line(self, argv, named, capsys):
         assert main(argv) == EXIT_USAGE
         assert_one_error_line(capsys.readouterr(), named)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--method", "saga", "--out"],
+            ["verify", "--all", "--out"],
+            ["ingest", "--synthetic", "6x2", "--out"],
+            ["sweep", "--config", "unread.cfg", "--out-dir"],
+        ],
+    )
+    def test_negative_seed_flag_is_named(self, argv, tmp_path, capsys):
+        # checked before the command reads or writes anything
+        out = tmp_path / "out"
+        assert main([*argv, str(out), "--seed", "-1"]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), "--seed must be a non-negative integer, got -1")
+        assert not out.exists()
 
 
 class TestIngestCommand:

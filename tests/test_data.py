@@ -1,9 +1,13 @@
 import gzip
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from vradapt import data
 from vradapt.data import (
     Dataset,
     LibsvmParseError,
@@ -14,14 +18,20 @@ from vradapt.data import (
 )
 
 
+def row(ds, i):
+    """Row i's indices and values: its slice of the CSR arrays."""
+    span = slice(ds.indptr[i], ds.indptr[i + 1])
+    return ds.indices[span], ds.values[span]
+
+
 class TestParse:
     def test_basic_row(self):
         ds = parse_libsvm("+1 1:0.5 3:2.0")
         assert ds.n == 1
         assert ds.d == 3
         assert ds.labels[0] == 1.0
-        assert list(ds.indices[0]) == [0, 2]
-        assert list(ds.values[0]) == [0.5, 2.0]
+        assert list(row(ds, 0)[0]) == [0, 2]
+        assert list(row(ds, 0)[1]) == [0.5, 2.0]
 
     def test_zero_label_maps_to_minus_one(self):
         ds = parse_libsvm("0 2:1\n1 1:1")
@@ -55,7 +65,7 @@ class TestParse:
     def test_empty_feature_row(self):
         ds = parse_libsvm("+1\n-1 2:1")
         assert ds.n == 2
-        assert len(ds.indices[0]) == 0
+        assert len(row(ds, 0)[0]) == 0
 
     def test_bad_label(self):
         with pytest.raises(LibsvmParseError) as err:
@@ -108,8 +118,8 @@ class TestRoundTrip:
         assert again.n == ds.n
         assert np.array_equal(again.labels, ds.labels)
         for i in range(ds.n):
-            assert np.array_equal(again.indices[i], ds.indices[i])
-            assert np.array_equal(again.values[i], ds.values[i])
+            assert np.array_equal(row(again, i)[0], row(ds, i)[0])
+            assert np.array_equal(row(again, i)[1], row(ds, i)[1])
 
     def test_writes_lf_only(self):
         ds = parse_libsvm("+1 1:1\n-1 2:1")
@@ -148,7 +158,7 @@ class TestSynthetic:
 
     def test_rows_sorted_and_in_range(self):
         ds = synthetic_dataset(50, dim=20, seed=1, nnz_per_row=6)
-        for idx in ds.indices:
+        for idx, _ in (row(ds, i) for i in range(ds.n)):
             assert len(idx) == 6
             assert np.all(np.diff(idx) > 0)
             assert idx.min() >= 0
@@ -159,7 +169,7 @@ class TestSynthetic:
         b = synthetic_dataset(30, dim=15, seed=9)
         assert np.array_equal(a.labels, b.labels)
         for i in range(30):
-            assert np.array_equal(a.indices[i], b.indices[i])
+            assert np.array_equal(row(a, i)[0], row(b, i)[0])
 
     def test_round_trips_through_writer(self):
         ds = synthetic_dataset(25, dim=10, seed=3, nnz_per_row=4)
@@ -168,4 +178,114 @@ class TestSynthetic:
         again = parse_libsvm(sink.getvalue(), force_dim=10)
         assert np.array_equal(again.labels, ds.labels)
         for i in range(25):
-            assert np.array_equal(again.indices[i], ds.indices[i])
+            assert np.array_equal(row(again, i)[0], row(ds, i)[0])
+
+
+# Differential test of the one-pass parser against the line parser:
+# well formed tokens, each now and then swapped for an odd one.
+LABELS = ("+1", "-1", "0", "1", "2") * 12 + (
+    "3.0", "1e2", "nan", "-inf", "1_0", "0x10", "1d0", "x", "+", "1:1", "#1",
+)
+ODD_INDICES = ("03", "+3", "3_0", "3.0", "1e2", "0", "-1", "9", "", "١", "99999999999999999999")
+VALUES = ("1", "0.5", "-2.25", "0", "1e-3") * 12 + (
+    "-0", "1_0", "nan", "inf", "1e2", "1e999", "0x10", "1d0", "", "abc", "2:3",
+)
+ODD_FEATURES = (":2", "1:", "1::2", "3", "1:1:1", "2 :1", "2: 1")
+SEPS = (" ",) * 40 + ("\t", "  ", "\x0c", "\r", "\x0b", "\x1c", "\u2028", "\xa0", "\x85")
+ENDS = ("\n",) * 20 + ("\r\n", " \n", "\t\n", "\x0c\n", "\r", "\u2028")
+
+
+@st.composite
+def feature_lines(draw):
+    """A data line with up to four features in increasing index order."""
+    line = draw(st.sampled_from(LABELS))
+    for i in sorted(draw(st.lists(st.integers(1, 9), unique=True, max_size=4))):
+        index = draw(st.sampled_from((str(i),) * 40 + ODD_INDICES))
+        feature = f"{index}:{draw(st.sampled_from(VALUES))}"
+        line += draw(st.sampled_from(SEPS)) + draw(st.sampled_from((feature,) * 40 + ODD_FEATURES))
+    return draw(st.sampled_from(("",) * 8 + (" ", "\t"))) + line + draw(
+        st.sampled_from(("",) * 8 + (" ", "\r"))
+    )
+
+
+LINES = feature_lines() | st.sampled_from(("", "   ", "# note 1:2", "  #x", "#", "\t"))
+
+
+@st.composite
+def libsvm_texts(draw):
+    lines = draw(st.lists(LINES, max_size=7))
+    ends = [draw(st.sampled_from(ENDS)) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+def _outcome(parse):
+    """A parse's dataset, as exact bytes, or its exception and message."""
+    try:
+        ds = parse()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    arrays = (ds.indptr, ds.indices, ds.values, ds.labels)
+    return ds.n, ds.d, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    text=libsvm_texts(),
+    limit=st.sampled_from((None, None, -1, 0, 1, 2, 5)),
+    force_dim=st.sampled_from((None, None, 3, 9, 12)),
+)
+# a row whose extra token the next row's count would hide
+@example(text="+1 1:2 -1\n3:4\n", limit=None, force_dim=None)
+@example(text="+1 1:2:3 4\n", limit=None, force_dim=None)
+@example(text="+1 1:2 3:4\n-1 1:1 2\n", limit=1, force_dim=None)
+@example(text="+1 1:2 3\n", limit=None, force_dim=None)
+def test_one_pass_parse_equals_line_parser(text, limit, force_dim):
+    def parse(source):
+        return lambda: parse_libsvm(source, force_dim=force_dim, limit=limit)
+
+    # the reference: the line parser alone, on the lines StringIO yields
+    line_parser = data._parse_lines
+    with mock.patch.object(data, "_split_rows", side_effect=ValueError), mock.patch.object(
+        data, "_parse_lines", lambda lines, limit: line_parser(io.StringIO(text), limit)
+    ):
+        want = _outcome(parse(text))
+    assert _outcome(parse(text)) == want
+    # blocks of two lines: rows, the limit and errors span blocks
+    with mock.patch.object(data, "BLOCK_LINES", 2):
+        assert _outcome(parse(io.StringIO(text))) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+1 1:0.5 3:2\n-1 2:1\n",
+        "# header 1:1\n\n+1\t1:1  2:-0 \r\n  -1 3:1e-3\x0c4:2\n\n# tail\n",
+        "1 1:1_0 2:nan 3:-inf\n0 1:+3 2:1e2\n",
+        "+1 03:1 7:2\n-1\n",
+    ],
+)
+def test_one_pass_accepts_well_formed_text(text):
+    lines = text.split("\n")
+    got = data._to_csr(*data._split_rows(lines))
+    for a, b in zip(got, data._to_csr(*data._parse_lines(lines))):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("1:1 2", "line 1: bad label token '1:1'"),
+        ("+1 1: 2", "line 1: bad feature token '1:'"),
+        ("+1 1::2", "line 1: bad feature token '1::2'"),
+        ("+1 3.0:1", "line 1: bad feature token '3.0:1'"),
+        ("+1 2:1 1:1", "line 1: feature indices not strictly increasing at 1"),
+        ("+1 0:1", "line 1: feature index 0 below 1"),
+    ],
+)
+def test_one_pass_rejects_to_the_line_parser(line, message):
+    with pytest.raises(ValueError):
+        data._to_csr(*data._split_rows([line]))
+    with pytest.raises(LibsvmParseError) as err:
+        parse_libsvm("# first\n" + line)
+    assert str(err.value) == message.replace("line 1", "line 2")

@@ -12,7 +12,7 @@ from vradapt.estimators import (
     constants,
     make_estimator,
 )
-from vradapt.problems import QuadraticProblem, logistic_problem, make_quadratic
+from vradapt.problems import QuadraticProblem, dense_rows, logistic_problem, make_quadratic
 
 
 class ScriptedRng:
@@ -246,6 +246,20 @@ class TestSAGA:
         table[[2, 0]] = G2[[2, 0]]
         assert np.allclose(est.table, table, atol=1e-14)
         assert np.allclose(est.table_mean, table.mean(axis=0), atol=1e-13)
+
+    @pytest.mark.parametrize("method", ["saga", "zerosarah"])
+    def test_dense_table_built_once_per_state(self, method, quad):
+        est = make_estimator(method, quad, np.zeros(4), {"b": 2})
+        first = est.table
+        assert est.table is first
+        twin = est.clone()
+        twin.step(np.full(4, 0.3), np.random.default_rng(0))
+        assert est.table is first
+        assert np.array_equal(twin.table, dense_rows(twin.cols, twin.rows, 4))
+        assert not np.array_equal(twin.table, first)
+        est.step(np.full(4, -0.3), np.random.default_rng(0))
+        assert np.array_equal(est.table, dense_rows(est.cols, est.rows, 4))
+        assert not np.array_equal(est.table, first)
 
     def test_old_rows_used_not_fresh(self, quad):
         # the correction must subtract the STORED rows; re-sampling the same
@@ -854,10 +868,15 @@ def replay_scripts(est, draws, S):
 
 
 def state_of(est):
+    """The attributes a step may change; the dense ``table`` a table
+    estimator caches is derived from its ``rows`` and ``cols``, which
+    are compared, and is checked against them instead."""
+    if "table" in vars(est):
+        assert np.array_equal(est.table, dense_rows(est.cols, est.rows, est.problem.dim))
     return {
         k: [np.copy(a) for a in v] if isinstance(v, list) else np.copy(v)
         for k, v in vars(est).items()
-        if k not in ("problem", "clients", "compressor")
+        if k not in ("problem", "clients", "compressor", "table")
     }
 
 

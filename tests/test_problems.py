@@ -4,7 +4,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import eigsh
 from scipy.special import expit
 
-from vradapt.data import Dataset, parse_libsvm
+from vradapt.data import Dataset, parse_libsvm, synthetic_dataset
 from vradapt.problems import (
     LogisticProblem,
     QuadraticProblem,
@@ -145,7 +145,8 @@ class TestLogistic:
         prob = logistic_problem(ds)
         X = np.zeros((ds.n, ds.d))
         for i in range(ds.n):
-            X[i, ds.indices[i]] = ds.values[i]
+            row = slice(ds.indptr[i], ds.indptr[i + 1])
+            X[i, ds.indices[row]] = ds.values[row]
         y = ds.labels
         rng = np.random.default_rng(1)
         for _ in range(5):
@@ -170,7 +171,8 @@ class TestLogistic:
         prob = logistic_problem(ds)
         X = np.zeros((ds.n, ds.d))
         for i in range(ds.n):
-            X[i, ds.indices[i]] = ds.values[i]
+            row = slice(ds.indptr[i], ds.indptr[i + 1])
+            X[i, ds.indices[row]] = ds.values[row]
         gram = X.T @ X / (4.0 * ds.n)
         expected = float(np.linalg.eigvalsh(gram).max())
         assert prob.smoothness == pytest.approx(expected, rel=1e-6)
@@ -178,7 +180,7 @@ class TestLogistic:
     def test_rejects_bad_labels(self):
         ds = toy_dataset()
         bad = Dataset(
-            indices=ds.indices, values=ds.values,
+            indptr=ds.indptr, indices=ds.indices, values=ds.values,
             labels=np.array([1.0, -1.0, 2.0, 1.0, -1.0]), n=ds.n, d=ds.d,
         )
         with pytest.raises(ValueError):
@@ -234,15 +236,75 @@ class TestSmoothness:
         prob = logistic_problem(ds)
         X = csr_matrix(
             (
-                np.concatenate(ds.values),
-                np.concatenate(ds.indices),
-                np.cumsum([0] + [len(v) for v in ds.values]),
+                ds.values,
+                ds.indices,
+                ds.indptr,
             ),
             shape=(ds.n, ds.d),
         )
         gram = (X.T @ X).toarray() / (4.0 * ds.n)
         top = float(eigsh(gram, k=1, return_eigenvectors=False)[0])
         assert prob.smoothness == pytest.approx(top, rel=1e-6)
+
+
+def _plain_power_iteration(problem, iterations, seed=0):
+    """``estimate_smoothness`` as a plain loop that runs every iteration;
+    also returns the unit vector each iteration starts from."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(problem.dim)
+    v /= np.linalg.norm(v)
+    estimate, states = 0.0, []
+    for _ in range(iterations):
+        states.append(v.tobytes())
+        w = problem.curvature_matvec(v)
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0, states
+        estimate = float(v @ w)
+        v = w / norm
+    return estimate, states
+
+
+def _first_repeat(states):
+    """(start, period) of the first exact repeat of the unit vector."""
+    seen = {}
+    for i, state in enumerate(states):
+        if state in seen:
+            return seen[state], i - seen[state]
+        seen[state] = i
+    return None
+
+
+class TestPowerIterationStop:
+    """The early stop at a repeated unit vector gives, bit for bit, what
+    running every iteration gives."""
+
+    @pytest.mark.parametrize(
+        "seed,start,period", [(0, 27, 1), (1, 26, 2)], ids=["period-1", "period-2"]
+    )
+    def test_logistic_cycles(self, seed, start, period):
+        prob = logistic_problem(synthetic_dataset(40, dim=6, seed=seed, nnz_per_row=3))
+        full, states = _plain_power_iteration(prob, LogisticProblem.POWER_ITERATIONS)
+        assert _first_repeat(states) == (start, period)
+        assert prob.smoothness.hex() == full.hex()
+        # fewer iterations than the cycle start, the start itself, each
+        # phase of the cycle, and more than the default
+        for iterations in (1, 5, start, start + 1, start + 2, start + 3, 64, 65, 201):
+            want, _ = _plain_power_iteration(prob, iterations)
+            assert estimate_smoothness(prob, iterations).hex() == want.hex(), iterations
+
+    def test_cycle_from_the_first_iteration(self):
+        prob = QuadraticProblem(np.ones((3, 4)), np.zeros(4), np.zeros(3))
+        want, states = _plain_power_iteration(prob, 200)
+        assert _first_repeat(states) == (0, 1)
+        for iterations in (1, 2, 200):
+            assert estimate_smoothness(prob, iterations).hex() == want.hex()
+
+    def test_zero_operator(self):
+        prob = logistic_problem(parse_libsvm("+1\n-1\n+1", force_dim=3))
+        assert _plain_power_iteration(prob, 200)[0] == 0.0
+        assert prob.smoothness == 0.0
+        assert estimate_smoothness(prob, 1) == 0.0
 
 
 class TestPartition:
@@ -293,9 +355,10 @@ class _ReferenceLogistic:
 
     def __init__(self, dataset):
         data, indices, indptr = [], [], [0]
-        for row_idx, row_val in zip(dataset.indices, dataset.values):
-            indices.extend(int(j) for j in row_idx)
-            data.extend(float(v) for v in row_val)
+        for i in range(dataset.n):
+            row = slice(dataset.indptr[i], dataset.indptr[i + 1])
+            indices.extend(int(j) for j in dataset.indices[row])
+            data.extend(float(v) for v in dataset.values[row])
             indptr.append(len(indices))
         self.X = csr_matrix(
             (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
@@ -330,8 +393,9 @@ class _ReferenceLogistic:
         rows = [self.X.getrow(int(i)) for i in idx]
         return _ReferenceLogistic(
             Dataset(
-                indices=[r.indices.astype(np.int64) for r in rows],
-                values=[r.data.astype(float) for r in rows],
+                indptr=np.cumsum([0] + [r.nnz for r in rows]),
+                indices=np.concatenate([r.indices for r in rows]).astype(np.int64),
+                values=np.concatenate([r.data for r in rows]).astype(float),
                 labels=self.y[idx].copy(),
                 n=len(idx),
                 d=self.dim,
@@ -372,7 +436,8 @@ def _ragged_dataset(seed, n=60, d=30):
         vals[rng.random(size) < 0.1] = -0.0
         values.append(vals)
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    return Dataset(indices, values, labels, n, d)
+    indptr = np.cumsum([0] + [len(row) for row in indices])
+    return Dataset(indptr, np.concatenate(indices), np.concatenate(values), labels, n, d)
 
 
 _EDGE_DATASETS = {
