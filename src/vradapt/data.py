@@ -34,7 +34,7 @@ class Dataset:
 
     Row i is ``indices[indptr[i]:indptr[i + 1]]`` (int64: sorted, unique,
     0-based, < d) with ``values`` at the same positions.  Immutable by
-    convention: ``LogisticProblem`` wraps these arrays without copying.
+    convention: ``LogisticProblem``'s CSR matrix shares ``values``.
     """
 
     indptr: np.ndarray

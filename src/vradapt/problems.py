@@ -169,7 +169,8 @@ class LogisticProblem(Problem):
     Storage, built once and shared by every oracle:
 
     * ``X``: the dataset's CSR arrays (``indptr``, ``indices``,
-      ``values``), wrapped without a copy (n x d); the margin pass of
+      ``values``) as a CSR matrix (n x d), not concatenated again
+      (scipy may narrow the index arrays to int32); the margin pass of
       ``loss``, ``full_grad``, ``loss_and_grad``, ``partials`` and
       ``group_grads``, and the curvature product read it.
     * ``XT``: A^T as a CSR matrix (d x n), a transposed view of A's CSC
