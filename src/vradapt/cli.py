@@ -20,7 +20,7 @@ import numpy as np
 
 from . import engine, verify
 from .compressors import check_biased_contract, check_unbiased_contract
-from .data import load_libsvm, synthetic_dataset, write_libsvm
+from .data import check_sizes, load_libsvm, synthetic_dataset, write_libsvm
 from .estimators import DISTRIBUTED_METHODS, ESTIMATORS, METHODS, make_estimator
 from .schedulers import nu_of
 
@@ -157,7 +157,7 @@ def _verify_one(method, args):
         problem,
         state_points=args.states,
         samples_per_point=args.samples,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         constants_override=override,
     )
     ok = report.passed
@@ -250,19 +250,17 @@ def cmd_constants(args):
 
 def cmd_ingest(args):
     try:
+        check_sizes({"--limit": args.limit, "--force-dim": args.force_dim})
         if args.data is not None:
             ds = load_libsvm(args.data, force_dim=args.force_dim, limit=args.limit)
         elif args.synthetic is not None:
-            shape = args.synthetic.lower().split("x")
-            if len(shape) != 2:
-                return _fail(f"--synthetic wants ROWSxDIM, got {args.synthetic!r}")
-            dim = int(shape[1])
-            ds = synthetic_dataset(
-                int(shape[0]),
-                dim=dim,
-                seed=args.seed if args.seed is not None else 0,
-                nnz_per_row=min(14, dim),
-            )
+            try:
+                rows, dim = (int(part) for part in args.synthetic.lower().split("x"))
+            except ValueError:
+                rows = dim = 0
+            if rows < 1 or dim < 1:
+                return _fail(f"--synthetic wants ROWSxDIM, both >= 1, got {args.synthetic!r}")
+            ds = synthetic_dataset(rows, dim=dim, seed=args.seed, nnz_per_row=min(14, dim))
         else:
             return _fail("give --data PATH or --synthetic ROWSxDIM")
         write_libsvm(ds, args.out)
@@ -313,7 +311,7 @@ def build_parser():
     p_verify.add_argument("--all", action="store_true")
     p_verify.add_argument("--samples", type=int, default=20000)
     p_verify.add_argument("--states", type=int, default=10)
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument(
         "--perturb", default=None, metavar="NAME:FACTOR",
         help="evaluate with scaled constants, e.g. C:0.5",
@@ -339,7 +337,7 @@ def build_parser():
     p_ingest.add_argument("--synthetic", default=None, metavar="ROWSxDIM")
     p_ingest.add_argument("--limit", type=int, default=None)
     p_ingest.add_argument("--force-dim", type=int, default=None)
-    p_ingest.add_argument("--seed", type=int, default=None)
+    p_ingest.add_argument("--seed", type=int, default=0)
     p_ingest.add_argument("--out", required=True)
     p_ingest.set_defaults(func=cmd_ingest)
     return parser

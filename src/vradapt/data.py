@@ -4,7 +4,7 @@ Wire format: one sample per line, ``<label> <idx>:<val> <idx>:<val> ...``
 with 1-based, strictly increasing feature indices.  Internally indices
 are 0-based.  Labels are normalized to {-1, +1}: for the common binary
 encodings ({0,1}, {1,2}, ...) the larger raw label maps to +1 and the
-other to -1.
+other to -1.  A label must be a finite number.
 """
 
 from __future__ import annotations
@@ -110,15 +110,16 @@ def _split_rows(lines, limit=None):
 def _to_csr(labels, counts, indices, values):
     """Raw labels, indptr, 1-based indices and values as arrays (strings
     convert as ``float``/``int`` read them); ValueError unless each
-    row's indices are >= 1 and strictly increasing."""
+    row's indices are >= 1 and strictly increasing and its label finite."""
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     indices = np.asarray(indices, dtype=np.int64)
     prev = np.r_[0, indices]
     prev[indptr[:-1]] = 0
-    if not np.all(indices > prev[:-1]):
-        raise ValueError("feature indices below 1 or out of order")
-    return np.array(labels, dtype=float), indptr, indices, np.asarray(values, dtype=float)
+    labels = np.array(labels, dtype=float)
+    if not (np.all(indices > prev[:-1]) and np.isfinite(labels).all()):
+        raise ValueError("feature indices below 1 or out of order, or a label not finite")
+    return labels, indptr, indices, np.asarray(values, dtype=float)
 
 
 def _parse_lines(lines, limit=None):
@@ -135,7 +136,9 @@ def _parse_lines(lines, limit=None):
         try:
             label = float(tokens[0])
         except ValueError:
-            raise LibsvmParseError(line_no, f"bad label token {tokens[0]!r}") from None
+            label = np.nan
+        if not np.isfinite(label):
+            raise LibsvmParseError(line_no, f"bad label token {tokens[0]!r}")
         prev = 0
         for tok in tokens[1:]:
             try:
@@ -156,6 +159,14 @@ def _parse_lines(lines, limit=None):
         counts.append(len(tokens) - 1)
         raw_labels.append(label)
     return raw_labels, counts, indices, values
+
+
+def check_sizes(sizes):
+    """Reject a size below 1; ``sizes`` maps a config key or flag to its
+    value, None if unset."""
+    for name, value in sizes.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def load_libsvm(path, force_dim=None, limit=None) -> Dataset:

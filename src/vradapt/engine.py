@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import load_libsvm, synthetic_dataset
+from .data import check_sizes, load_libsvm, synthetic_dataset
 from .estimators import estimator_class, make_estimator
 from .problems import logistic_problem, make_quadratic
 from .schedulers import (
@@ -166,8 +166,7 @@ def build_problem(config):
         raise ValueError(f"unknown problem kind {config.problem!r}")
     if not config.dataset:
         raise ValueError("logistic problem needs a dataset= entry")
-    if config.limit is not None and config.limit < 1:
-        raise ValueError(f"limit must be >= 1, got {config.limit}")
+    check_sizes({"limit": config.limit, "force_dim": config.force_dim})
     if config.dataset.startswith("synthetic:"):
         try:
             rows, dim, seed = (int(x) for x in config.dataset.split(":")[1:])

@@ -2,10 +2,12 @@
 
 Every estimator is a stateful object built from a starting point by one
 full gradient pass (so the initial estimate is exact and the auxiliary
-error starts at zero); ``GradientEstimator`` lists the methods each one
-defines.  The client-server methods (EF21, DIANA, DASHA) run one
-recursion on (n_clients, d) client arrays and differ only in the message
-each client compresses and the damping of the state it moves by it
+error starts at zero); each step takes the next iterate and returns the
+next estimate g^t.  ``GradientEstimator`` owns that lifecycle; a method
+writes only its update rule and what it keeps of the opening pass.  The
+client-server methods (EF21, DIANA, DASHA) run one recursion on
+(n_clients, d) client arrays and differ only in the message each client
+compresses and the damping of the state it moves by it
 (``_ClientServerEstimator``).
 
 Each method registers a tuple (rho1, rho2, A, B, C) describing the two
@@ -147,11 +149,18 @@ def _copied(value):
 class GradientEstimator:
     """Common state: current point, current estimate, oracle ledger.
 
-    Every estimator defines:
+    The base class owns the lifecycle.  ``__init__`` books the opening
+    full pass (``grad_calls`` = n) and takes g^0 from ``_opening_pass()``,
+    by default ``full_grad`` at the starting point.  ``step(x_t, rng)``
+    coerces x_t, takes g^t from ``_update(x_t, rng)``, stores g^t and a
+    copy of x_t, and returns g^t.  ``sigma_sq()`` is 0.0 and
+    ``constants()`` the registered tuple.  A method writes:
 
-    * ``step(x_t, rng)``: consume the next iterate and fresh randomness,
-      update the method memory and oracle-call ledger, return the new
-      estimate g^t;
+    * ``_update(x_t, rng)``: with ``self.x`` and ``self.g`` still the
+      previous point and estimate, update the method memory and the
+      oracle-call ledger from fresh randomness and return g^t;
+    * ``_opening_pass()``, if it keeps memory: build it from the full
+      pass at ``self.x`` and return g^0;
     * ``step_batch(x_cand, rng, S)``: the pure, vectorised counterpart
       for the Monte Carlo verifier, S independent draws of
       ``step(x_cand, rng)`` from the current state, which stays as it is
@@ -161,10 +170,9 @@ class GradientEstimator:
       computed once per call; each draw only gathers or masks them.  The
       randomness is drawn in whole arrays, so the stream differs from S
       calls of ``step``, not the distribution;
-    * ``sigma_sq()``: the method's auxiliary error at the current state
-      (diagnostic; may cost a full pass, so the optimizer loop never
-      calls it);
-    * ``constants()``: the ``VRConstants`` registered for its settings.
+    * ``sigma_sq()``, if it has an auxiliary sequence: its auxiliary
+      error at the current state (diagnostic; may cost a full pass, so
+      the optimizer loop never calls it).
 
     Its entry in the method table: ``method``; ``hyperparams`` (name ->
     default, None if required); ``size``, what bounds its batch (``"n"``
@@ -212,11 +220,23 @@ class GradientEstimator:
             raise ValueError(f"x0 must have shape ({problem.dim},)")
         self.registered = registered
         self.__dict__.update(settings)
-        self.g = None
-        self.grad_calls = 0
+        self.grad_calls = problem.n_components
         self.partial_calls = 0
         self.bits_dense = 0
         self.bits_compressed = 0
+        self.g = self._opening_pass()
+
+    def _opening_pass(self):
+        return self.problem.full_grad(self.x)
+
+    def step(self, x_t, rng):
+        x_t = np.asarray(x_t, dtype=float)
+        self.g = self._update(x_t, rng)
+        self.x = x_t.copy()
+        return self.g
+
+    def sigma_sq(self):
+        return 0.0
 
     def constants(self):
         return self.registered
@@ -256,27 +276,22 @@ class LSVRG(GradientEstimator):
         b, p = _check_batch(b, n), _check_prob(p)
         return VRConstants(1.0, p / 2.0, 2.0 / b, 2.0 / b, 1.0 + 2.0 / p)
 
-    def __init__(self, problem, x0, registered, **settings):
-        super().__init__(problem, x0, registered, **settings)
+    def _opening_pass(self):
         self.anchor = self.x.copy()
-        self.anchor_grad = problem.full_grad(self.x)
-        self.grad_calls += problem.n_components
-        self.g = self.anchor_grad.copy()
+        self.anchor_grad = self.problem.full_grad(self.x)
+        return self.anchor_grad.copy()
 
-    def step(self, x_t, rng):
+    def _update(self, x_t, rng):
         problem = self.problem
         if rng.random() < self.p:
             # the anchor snaps to the PREVIOUS iterate, then gets a full pass
             self.anchor = self.x.copy()
             self.anchor_grad = problem.full_grad(self.anchor)
             self.grad_calls += problem.n_components
-        x_t = np.asarray(x_t, dtype=float)
         batch = _draw_batch(rng, problem.n_components, self.b, self.with_replacement)
         cols, (cur, anc) = problem.component_rows(batch, x_t, self.anchor)
         self.grad_calls += 2 * self.b
-        self.g = self.anchor_grad + _colsum(cols, cur - anc, problem.dim) / self.b
-        self.x = x_t.copy()
-        return self.g
+        return self.anchor_grad + _colsum(cols, cur - anc, problem.dim) / self.b
 
     def sigma_sq(self):
         diff = self.problem.all_component_grads(self.anchor) - self.problem.all_component_grads(self.x)
@@ -311,13 +326,11 @@ class _TableEstimator(GradientEstimator):
     dense (n, d) view for diagnostics and the verifier, built on the
     first read after a step (a step drops it; a clone copies it)."""
 
-    def __init__(self, problem, x0, registered, **settings):
-        super().__init__(problem, x0, registered, **settings)
-        n = problem.n_components
-        self.cols, (self.rows,) = problem.component_rows(np.arange(n), self.x)
-        self.grad_calls += n
-        self.table_mean = _colsum(self.cols, self.rows, problem.dim) / n
-        self.g = self.table_mean.copy()
+    def _opening_pass(self):
+        n = self.problem.n_components
+        self.cols, (self.rows,) = self.problem.component_rows(np.arange(n), self.x)
+        self.table_mean = _colsum(self.cols, self.rows, self.problem.dim) / n
+        return self.table_mean.copy()
 
     @cached_property
     def table(self):
@@ -351,19 +364,17 @@ class SAGA(_TableEstimator):
             2.0 * n / b,
         )
 
-    def step(self, x_t, rng):
+    def _update(self, x_t, rng):
         problem = self.problem
-        x_t = np.asarray(x_t, dtype=float)
         batch = _draw_batch(rng, problem.n_components, self.b)
         cols, (cur,) = problem.component_rows(batch, x_t)
         self.grad_calls += self.b
         change = _colsum(cols, cur - self.rows[batch], problem.dim)
-        self.g = self.table_mean + change / self.b
+        g = self.table_mean + change / self.b
         self.rows[batch] = cur
         self.__dict__.pop("table", None)
         self.table_mean = self.table_mean + change / problem.n_components
-        self.x = x_t.copy()
-        return self.g
+        return g
 
     def step_batch(self, x_cand, rng, S):
         batches = _draw_batches(rng, self.problem.n_components, self.b, S)
@@ -386,27 +397,16 @@ class PAGE(GradientEstimator):
         b, p = _check_batch(b, n), _check_prob(p)
         return VRConstants(p, 1.0, 0.0, (1.0 - p) / b, 0.0)
 
-    def __init__(self, problem, x0, registered, **settings):
-        super().__init__(problem, x0, registered, **settings)
-        self.g = problem.full_grad(self.x)
-        self.grad_calls += problem.n_components
-
-    def step(self, x_t, rng):
+    def _update(self, x_t, rng):
         problem = self.problem
-        x_t = np.asarray(x_t, dtype=float)
         if rng.random() < self.p:
-            self.g = problem.full_grad(x_t)
+            g = problem.full_grad(x_t)
             self.grad_calls += problem.n_components
-        else:
-            batch = _draw_batch(rng, problem.n_components, self.b, self.with_replacement)
-            cols, (cur, prev) = problem.component_rows(batch, x_t, self.x)
-            self.grad_calls += 2 * self.b
-            self.g = self.g + _colsum(cols, cur - prev, problem.dim) / self.b
-        self.x = x_t.copy()
-        return self.g
-
-    def sigma_sq(self):
-        return 0.0
+            return g
+        batch = _draw_batch(rng, problem.n_components, self.b, self.with_replacement)
+        cols, (cur, prev) = problem.component_rows(batch, x_t, self.x)
+        self.grad_calls += 2 * self.b
+        return self.g + _colsum(cols, cur - prev, problem.dim) / self.b
 
     def step_batch(self, x_cand, rng, S):
         problem = self.problem
@@ -438,36 +438,32 @@ class ZeroSARAH(_TableEstimator):
         lam = b / (2.0 * n)
         return VRConstants(lam, lam, lam, 2.0 / b, 2.0 * n / b)
 
-    def __init__(self, problem, x0, registered, **settings):
-        super().__init__(problem, x0, registered, **settings)
-        self.lam = self.b / (2.0 * problem.n_components)
-
-    def step(self, x_t, rng):
+    def _update(self, x_t, rng):
         problem = self.problem
         d = problem.dim
-        x_t = np.asarray(x_t, dtype=float)
+        lam = self.b / (2.0 * problem.n_components)
         batch = _draw_batch(rng, problem.n_components, self.b)
         cols, (cur, prev) = problem.component_rows(batch, x_t, self.x)
         self.grad_calls += 2 * self.b
         old = self.rows[batch]
         chain = _colsum(cols, cur - prev, d) / self.b
         control = _colsum(cols, prev - old, d) / self.b + self.table_mean
-        self.g = chain + (1.0 - self.lam) * self.g + self.lam * control
+        g = chain + (1.0 - lam) * self.g + lam * control
         self.rows[batch] = cur
         self.__dict__.pop("table", None)
         self.table_mean = self.table_mean + _colsum(cols, cur - old, d) / problem.n_components
-        self.x = x_t.copy()
-        return self.g
+        return g
 
     def step_batch(self, x_cand, rng, S):
         problem = self.problem
+        lam = self.b / (2.0 * problem.n_components)
         batches = _draw_batches(rng, problem.n_components, self.b, S)
         at_cand = problem.all_component_grads(x_cand)
         at_prev = problem.all_component_grads(self.x)
         table = self.table
         chain = (at_cand - at_prev)[batches].mean(axis=1)
         control = (at_prev - table)[batches].mean(axis=1) + self.table_mean
-        G = chain + (1.0 - self.lam) * self.g + self.lam * control
+        G = chain + (1.0 - lam) * self.g + lam * control
         return G, _table_sigma(at_cand - table, batches)
 
 
@@ -540,19 +536,18 @@ class _ClientServerEstimator(GradientEstimator):
         registered = cls.registration(**quality, n_clients=len(groups))
         return dict(groups=groups, compressor=compressor, **bits), registered
 
-    def __init__(self, problem, x0, registered, **settings):
-        super().__init__(problem, x0, registered, **settings)
+    def _opening_pass(self):
+        problem = self.problem
         self.weights = np.array([len(g) / problem.n_components for g in self.groups])
         # every client's local gradient at x, stacked (n_clients, d);
         # callers keep the ledger
         self._client_grads = problem.group_grads(self.groups)
         # the initial full pass, each client's gradient sent dense
         self.client_grads = self._client_grads(self.x)
-        self.grad_calls += problem.n_components
         self.bits_dense += self.n_clients * dense_bits_cost(problem.dim, self.value_bits)
         self.client_state = self.client_grads.copy()
         self.server_state = self._server_sum(self.client_state)
-        self.g = self.server_state.copy()
+        return self.server_state.copy()
 
     @property
     def n_clients(self):
@@ -574,8 +569,7 @@ class _ClientServerEstimator(GradientEstimator):
         per_client = (gaps * gaps).sum(axis=-1)
         return sum(w * per_client[..., j] for j, w in enumerate(self.weights))
 
-    def step(self, x_t, rng):
-        x_t = np.asarray(x_t, dtype=float)
+    def _update(self, x_t, rng):
         grads = self._client_grads(x_t)
         self.grad_calls += self.problem.n_components
         self.bits_compressed += (
@@ -585,12 +579,11 @@ class _ClientServerEstimator(GradientEstimator):
         agg = self._server_sum(dense)
         # the estimate uses the PRE-update server state, so an identity
         # compressor telescopes back to the exact gradient
-        self.g = self.server_state + agg
+        g = self.server_state + agg
         self.client_state = self.client_state + dense / self.damping
         self.server_state = self.server_state + agg / self.damping
         self.client_grads = grads
-        self.x = x_t.copy()
-        return self.g
+        return g
 
     def sigma_sq(self):
         return float(self._client_error(self.client_state - self.client_grads))
@@ -695,24 +688,19 @@ class SEGA(GradientEstimator):
         b = _check_batch(b, d)
         return VRConstants(1.0, b / (2.0 * d), d / b, (d * d) / (b * b), 3.0 * d / b)
 
-    def __init__(self, problem, x0, registered, **settings):
-        super().__init__(problem, x0, registered, **settings)
-        self.memory = problem.full_grad(self.x)
-        self.grad_calls += problem.n_components
-        self.g = self.memory.copy()
+    def _opening_pass(self):
+        self.memory = self.problem.full_grad(self.x)
+        return self.memory.copy()
 
-    def step(self, x_t, rng):
+    def _update(self, x_t, rng):
         problem = self.problem
-        x_t = np.asarray(x_t, dtype=float)
         coords = _draw_batch(rng, problem.dim, self.b)
         self.memory[coords] = problem.partials(self.x, coords)
         cur = problem.partials(x_t, coords)
         self.partial_calls += 2 * self.b
         g = self.memory.copy()
         g[coords] += (problem.dim / self.b) * (cur - self.memory[coords])
-        self.g = g
-        self.x = x_t.copy()
-        return self.g
+        return g
 
     def sigma_sq(self):
         diff = self.memory - self.problem.full_grad(self.x)
@@ -744,25 +732,14 @@ class JAGUAR(GradientEstimator):
         b = _check_batch(b, d)
         return VRConstants(b / (2.0 * d), 1.0, 0.0, 3.0 * d / b, 0.0)
 
-    def __init__(self, problem, x0, registered, **settings):
-        super().__init__(problem, x0, registered, **settings)
-        self.g = problem.full_grad(self.x)
-        self.grad_calls += problem.n_components
-
-    def step(self, x_t, rng):
+    def _update(self, x_t, rng):
         problem = self.problem
-        x_t = np.asarray(x_t, dtype=float)
         coords = _draw_batch(rng, problem.dim, self.b)
         fresh = problem.partials(x_t, coords)
         self.partial_calls += self.b
         g = self.g.copy()
         g[coords] = fresh
-        self.g = g
-        self.x = x_t.copy()
-        return self.g
-
-    def sigma_sq(self):
-        return 0.0
+        return g
 
     def step_batch(self, x_cand, rng, S):
         d = self.problem.dim

@@ -187,18 +187,13 @@ class AdamState:
         self.v = np.zeros(self.dim)
 
 
-def adam_baseline_step(moments, g_t, hyper=None):
+def adam_baseline_step(moments, g_t):
     """One bias-corrected Adam update; returns the ADDITIVE update
     vector, i.e. the caller applies x <- x + update.
 
     With g = (1.0,) and lr = 0.1 the first update is about -0.1 (the
     bias-corrected ratio m_hat/sqrt(v_hat) is g/|g| up to eps).
     """
-    if hyper:
-        for key, value in hyper.items():
-            if not hasattr(moments, key):
-                raise ValueError(f"unknown Adam hyperparameter {key!r}")
-            setattr(moments, key, value)
     g_t = np.asarray(g_t, dtype=float)
     moments.t += 1
     moments.m = moments.beta1 * moments.m + (1.0 - moments.beta1) * g_t

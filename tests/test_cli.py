@@ -104,6 +104,8 @@ class TestRunCommand:
             (SAGA_CFG + "dataset=synthetic:6:0:1\n", "rows, dim >= 1 and seed >= 0"),
             (SAGA_CFG + "dataset=synthetic:0:4:1\n", "'synthetic:0:4:1'"),
             (SAGA_CFG + "dataset=synthetic:5:x:1\n", "'synthetic:5:x:1'"),
+            (SAGA_CFG + "dataset=synthetic:6:3:1\nforce_dim=0\n", "force_dim must be >= 1, got 0"),
+            (MISSING_DATA_CFG + "force_dim=-5\n", "force_dim must be >= 1, got -5"),
         ],
     )
     def test_config_error_is_one_error_line(self, tmp_path, capsys, text, named):
@@ -475,6 +477,25 @@ class TestIngestCommand:
         assert code == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("spec", ["5x0", "0x5", "-2x5", "axb", "5x1.5", "5x", "5x5x5"])
+    def test_synthetic_size_below_one_or_not_integer_is_named(self, spec, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        assert main(["ingest", f"--synthetic={spec}", "--out", str(out)]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), f"--synthetic wants ROWSxDIM, both >= 1, got {spec!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", [["--synthetic", "6x3"], ["--data", "src.txt"]])
+    @pytest.mark.parametrize(
+        "flag,value", [("--limit", "-1"), ("--limit", "0"), ("--force-dim", "-5"), ("--force-dim", "0")]
+    )
+    def test_size_flag_below_one_is_named(self, source, flag, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        main(["ingest", "--synthetic", "6x3", "--out", "src.txt"])
+        capsys.readouterr()
+        assert main(["ingest", *source, flag, value, "--out", "x.txt"]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), f"{flag} must be >= 1, got {value}")
+        assert not (tmp_path / "x.txt").exists()
+
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -528,10 +549,14 @@ def installed_bin(tmp_path):
 
 class TestEntryPoints:
     def test_module_invocation(self):
+        # the child finds the package where the suite does, in src/
+        paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         proc = subprocess.run(
             [sys.executable, "-m", "vradapt", "--help"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "run" in proc.stdout and "verify" in proc.stdout

@@ -240,6 +240,8 @@ def _outcome(parse):
 @example(text="+1 1:2:3 4\n", limit=None, force_dim=None)
 @example(text="+1 1:2 3:4\n-1 1:1 2\n", limit=1, force_dim=None)
 @example(text="+1 1:2 3\n", limit=None, force_dim=None)
+# a NaN label, whose class once hung on the set order of NaN and 1.0
+@example(text=" nan\u20286:-2.25\n1 2:0 3:1 6:0.5 8:1\n", limit=None, force_dim=None)
 def test_one_pass_parse_equals_line_parser(text, limit, force_dim):
     def parse(source):
         return lambda: parse_libsvm(source, force_dim=force_dim, limit=limit)
@@ -276,6 +278,9 @@ def test_one_pass_accepts_well_formed_text(text):
     "line,message",
     [
         ("1:1 2", "line 1: bad label token '1:1'"),
+        ("nan 1:1", "line 1: bad label token 'nan'"),
+        ("-inf", "line 1: bad label token '-inf'"),
+        ("1e999 2:1", "line 1: bad label token '1e999'"),
         ("+1 1: 2", "line 1: bad feature token '1:'"),
         ("+1 1::2", "line 1: bad feature token '1::2'"),
         ("+1 3.0:1", "line 1: bad feature token '3.0:1'"),

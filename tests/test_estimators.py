@@ -7,6 +7,7 @@ from vradapt.estimators import (
     DISTRIBUTED_METHODS,
     ESTIMATORS,
     METHODS,
+    GradientEstimator,
     VRConstants,
     _draw_batch,
     constants,
@@ -718,10 +719,26 @@ class TestSupportStepsMatchDenseAlgebra:
 
 class TestCountersAndBits:
     def test_init_costs_one_full_pass(self, quad):
+        # and every method runs the one step frame the base class owns
         for method in METHODS:
             est = make_estimator(method, quad, np.zeros(4), default_hp(method, quad))
             assert est.grad_calls == 6, method
             assert est.partial_calls == 0, method
+            assert ESTIMATORS[method].step is GradientEstimator.step, method
+            twin = est.clone()
+            point = [1, 0, -1, 2]
+            g = est.step(point, np.random.default_rng(3))
+            # a list is coerced once: the same step as from the float array
+            same = twin.step(np.array(point, float), np.random.default_rng(3))
+            assert _bit_equal(g, same), method
+            assert est.x.dtype == float and np.array_equal(est.x, point), method
+            assert g is est.estimate, method
+            x = np.array([-1.0, 0.5, 0.0, 2.0])
+            assert est.step(x, np.random.default_rng(4)) is est.estimate, method
+            x[:] = 9.0
+            assert np.array_equal(est.x, [-1.0, 0.5, 0.0, 2.0]), method
+            if method in ("page", "jaguar"):
+                assert est.sigma_sq() == 0.0, method
 
     def test_distributed_init_broadcast_is_dense(self, quad):
         est = make_estimator(
