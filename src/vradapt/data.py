@@ -4,7 +4,7 @@ Wire format: one sample per line, ``<label> <idx>:<val> <idx>:<val> ...``
 with 1-based, strictly increasing feature indices.  Internally indices
 are 0-based.  Labels are normalized to {-1, +1}: for the common binary
 encodings ({0,1}, {1,2}, ...) the larger raw label maps to +1 and the
-other to -1.  A label must be a finite number.
+other to -1.  A label and every feature value must be finite numbers.
 """
 
 from __future__ import annotations
@@ -110,16 +110,19 @@ def _split_rows(lines, limit=None):
 def _to_csr(labels, counts, indices, values):
     """Raw labels, indptr, 1-based indices and values as arrays (strings
     convert as ``float``/``int`` read them); ValueError unless each
-    row's indices are >= 1 and strictly increasing and its label finite."""
+    row's indices are >= 1 and strictly increasing and its label and
+    values finite."""
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     indices = np.asarray(indices, dtype=np.int64)
     prev = np.r_[0, indices]
     prev[indptr[:-1]] = 0
     labels = np.array(labels, dtype=float)
-    if not (np.all(indices > prev[:-1]) and np.isfinite(labels).all()):
-        raise ValueError("feature indices below 1 or out of order, or a label not finite")
-    return labels, indptr, indices, np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(labels).all() and np.isfinite(values).all()
+    if not (np.all(indices > prev[:-1]) and finite):
+        raise ValueError("feature indices below 1 or out of order, or a number not finite")
+    return labels, indptr, indices, values
 
 
 def _parse_lines(lines, limit=None):
@@ -146,7 +149,9 @@ def _parse_lines(lines, limit=None):
                 idx = int(idx_str)
                 val = float(val_str)
             except ValueError:
-                raise LibsvmParseError(line_no, f"bad feature token {tok!r}") from None
+                val = np.nan
+            if not np.isfinite(val):
+                raise LibsvmParseError(line_no, f"bad feature token {tok!r}")
             if idx < 1:
                 raise LibsvmParseError(line_no, f"feature index {idx} below 1")
             if idx >= 2**63:

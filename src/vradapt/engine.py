@@ -420,7 +420,8 @@ def run(config, problem=None):
             status = "stationary"
             break
         x = x + update if update is not None else x - gamma_t * g
-        if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > 1e12:
+        # NaN and inf entries make the norm NaN or inf, which fail too
+        if not np.linalg.norm(x) <= 1e12:
             status = "diverged"
             break
         g = est.step(x, rng)

@@ -493,10 +493,11 @@ class _ClientServerEstimator(GradientEstimator):
     so a random compressor draws client by client from one rng.  With
     ``agg`` the share-weighted sum of the compressed messages, the
     estimate is ``server_state + agg``; then the client states move by
-    ``dense / damping`` and the server state by ``agg / damping``.
-    EF21 and DASHA take damping 1 (``server_state`` is the estimate),
-    DIANA omega + 1.  Reductions over clients run in client order, so
-    aggregation is bitwise reproducible.
+    ``_damp(dense)`` and the server state by ``_damp(agg)``.  EF21 and
+    DASHA move by the messages themselves (damping 1: ``server_state``
+    is the estimate); DIANA divides them by omega + 1.  Reductions over
+    clients run in client order, so aggregation is bitwise
+    reproducible.
 
     The initial pass is sent dense (d values per client); afterwards
     each client sends k (index, value) pairs per step, in a separate
@@ -514,7 +515,6 @@ class _ClientServerEstimator(GradientEstimator):
         "scheme": "contiguous",
     }
     size = "d"
-    damping = 1.0
 
     @classmethod
     def settings(cls, problem, hp):
@@ -556,6 +556,9 @@ class _ClientServerEstimator(GradientEstimator):
     def _message(self, grads):
         return grads - self.client_state
 
+    def _damp(self, moved):
+        return moved
+
     def _server_sum(self, per_client):
         """Share-weighted sum over the client axis, in client order:
         (..., n_clients, d) -> (..., d).  cumsum accumulates client by
@@ -580,8 +583,8 @@ class _ClientServerEstimator(GradientEstimator):
         # the estimate uses the PRE-update server state, so an identity
         # compressor telescopes back to the exact gradient
         g = self.server_state + agg
-        self.client_state = self.client_state + dense / self.damping
-        self.server_state = self.server_state + agg / self.damping
+        self.client_state = self.client_state + self._damp(dense)
+        self.server_state = self.server_state + self._damp(agg)
         self.client_grads = grads
         return g
 
@@ -592,7 +595,7 @@ class _ClientServerEstimator(GradientEstimator):
         grads = self._client_grads(x_cand)
         messages = self._message(grads)
         dense = self.compressor.sample_dense(np.broadcast_to(messages, (S,) + messages.shape), rng)
-        sigma = self._client_error(self.client_state + dense / self.damping - grads)
+        sigma = self._client_error(self.client_state + self._damp(dense) - grads)
         return self.server_state + self._server_sum(dense), sigma
 
 
@@ -640,9 +643,8 @@ class DIANA(_ClientServerEstimator):
             2.0 * (omega + 1.0),
         )
 
-    @property
-    def damping(self):
-        return self.compressor.omega + 1.0
+    def _damp(self, moved):
+        return moved / (self.compressor.omega + 1.0)
 
     def shift_mismatch(self, x):
         """Mean squared client-gradient-to-shift distance at an arbitrary

@@ -6,12 +6,14 @@ Every objective here has the form
 
 and exposes, next to the plain loss, three gradient oracles: the full
 gradient, per-component gradients, and per-coordinate partial derivatives
-of f.  Instances are immutable after construction, so they can be shared
-freely between concurrent runs.
+of f.  Instances do not change after construction, so they can be shared
+freely between concurrent runs; the one exception is the logistic
+problem's batch matrix, scratch space that each thread keeps for itself.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import cached_property
 
 import numpy as np
@@ -179,9 +181,16 @@ class LogisticProblem(Problem):
     * ``_cols``, ``_vals``: the rows padded to a common width (at least
       1), int32 column indices and float values; padding points at an
       extra column ``d`` with value 0.0.  ``component_rows`` gathers a
-      batch from these once for all its points, with x extended by a
-      trailing 0.0, and returns the gathered ``_cols`` as the support;
+      batch from these into a CSR batch matrix, b x (d + 1), and takes
+      every point's margins from one product with the (d + 1, points)
+      stack of the points, whose row ``d`` is 0.0; it returns a copy of
+      the gathered ``_cols`` as the support and fresh row arrays.
       ``component_grads`` scatters its rows to dense.
+
+    Besides these, each thread keeps its own batch matrix per batch size
+    (``threading.local``), built on first use and overwritten by each of
+    that thread's ``component_rows`` calls with that size: the only state
+    an instance changes after construction.
 
     Every oracle result is bit-identical, down to the sign of zeros, to
     the plain scipy CSR expressions (``X[idx]`` -> ``.multiply`` ->
@@ -216,7 +225,15 @@ class LogisticProblem(Problem):
         self._cols[filled] = X.indices
         self._vals = np.zeros((self.n_components, width))
         self._vals[filled] = X.data
+        self._batch_matrices = threading.local()
         self.smoothness = estimate_smoothness(self, self.POWER_ITERATIONS, seed=0)
+
+    def __getstate__(self):
+        # the batch matrices are scratch, and a threading.local does not pickle
+        return {**vars(self), "_batch_matrices": None}
+
+    def __setstate__(self, state):
+        vars(self).update(state, _batch_matrices=threading.local())
 
     def _margins(self, x):
         return self.y * (self.X @ np.asarray(x, dtype=float))
@@ -229,22 +246,38 @@ class LogisticProblem(Problem):
         w = -self.y * expit(-m)
         return float(np.logaddexp(0.0, -m).mean()), (self.XT @ w) / self.n_components
 
+    def _batch_matrix(self, size):
+        """This thread's CSR matrix, size x (d + 1), for batches of
+        ``size`` padded rows; ``component_rows`` overwrites its data and
+        indices on each call."""
+        matrices = vars(self._batch_matrices)  # this thread's own attributes
+        if size not in matrices:
+            width = self._cols.shape[1]
+            nnz = size * width
+            matrices[size] = csr_matrix(
+                (np.zeros(nnz), np.zeros(nnz, dtype=np.int32), np.arange(0, nnz + 1, width)),
+                shape=(size, self.dim + 1),
+            )
+        return matrices[size]
+
     def component_rows(self, indices, *points):
         idx = np.asarray(indices)
-        cols = self._cols[idx]
-        vals = self._vals[idx]
+        batch = self._batch_matrix(len(idx))
+        cols = batch.indices.reshape(len(idx), self._cols.shape[1])
+        vals = batch.data.reshape(cols.shape)
+        np.take(self._cols, idx, axis=0, out=cols)
+        np.take(self._vals, idx, axis=0, out=vals)
+        xe = np.zeros((self.dim + 1, len(points)))
+        for j, x in enumerate(points):
+            xe[: self.dim, j] = x
+        # the CSR kernel sums each row left to right from 0.0, the order
+        # of X @ x; a dense or pairwise sum would differ in the last bit
         y = self.y[idx]
-        rows = []
-        for x in points:
-            xe = np.append(np.asarray(x, dtype=float), 0.0)
-            # cumsum accumulates left to right like the CSR row kernel;
-            # .sum(axis=1) would sum pairwise and differ in the last bit
-            m = y * np.cumsum(vals * xe[cols], axis=1)[:, -1]
-            scaled = vals * (-y * expit(-m))[:, None]
-            # sparse-to-dense accumulates into +0.0, which turns -0.0 into +0.0
-            scaled += 0.0
-            rows.append(scaled)
-        return cols, rows
+        m = y * (batch @ xe).T
+        scaled = vals * (-y * expit(-m))[:, :, None]
+        # sparse-to-dense accumulates into +0.0, which turns -0.0 into +0.0
+        scaled += 0.0
+        return cols.copy(), list(scaled)
 
     def component_grads(self, indices, x):
         cols, (rows,) = self.component_rows(indices, x)

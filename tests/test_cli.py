@@ -114,6 +114,14 @@ class TestRunCommand:
         assert_one_error_line(capsys.readouterr(), named)
         assert not (tmp_path / "t.csv").exists()
 
+    def test_non_finite_feature_value_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "nan.libsvm"
+        data.write_text("+1 1:0.5 2:1\n-1 1:nan\n+1 2:1\n-1 2:-1\n")
+        cfg = write_cfg(tmp_path, f"method=saga\nb=2\nT=20\ndataset={data}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), "line 2: bad feature token '1:nan'")
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("scheduler", ["scheduler=constant\ngamma=0.05\n", "scheduler=adam\n"])
     def test_ef21_randk_rejected_under_every_scheduler(self, tmp_path, capsys, scheduler):
         text = "method=ef21\ncompressor=randk\nk=2\nn=6\nd=4\nclients=2\nT=5\n" + scheduler

@@ -263,7 +263,7 @@ def test_one_pass_parse_equals_line_parser(text, limit, force_dim):
     [
         "+1 1:0.5 3:2\n-1 2:1\n",
         "# header 1:1\n\n+1\t1:1  2:-0 \r\n  -1 3:1e-3\x0c4:2\n\n# tail\n",
-        "1 1:1_0 2:nan 3:-inf\n0 1:+3 2:1e2\n",
+        "1 1:1_0 2:-0 3:1e-3\n0 1:+3 2:1e2\n",
         "+1 03:1 7:2\n-1\n",
     ],
 )
@@ -281,6 +281,9 @@ def test_one_pass_accepts_well_formed_text(text):
         ("nan 1:1", "line 1: bad label token 'nan'"),
         ("-inf", "line 1: bad label token '-inf'"),
         ("1e999 2:1", "line 1: bad label token '1e999'"),
+        ("+1 2:nan 3:-inf", "line 1: bad feature token '2:nan'"),
+        ("+1 1:1 3:-inf", "line 1: bad feature token '3:-inf'"),
+        ("+1 1:1e999", "line 1: bad feature token '1:1e999'"),
         ("+1 1: 2", "line 1: bad feature token '1:'"),
         ("+1 1::2", "line 1: bad feature token '1::2'"),
         ("+1 3.0:1", "line 1: bad feature token '3.0:1'"),

@@ -191,6 +191,23 @@ class TestRun:
         assert res.status == "diverged"
         assert res.summary["status"] == "diverged"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "curvature,finite_entries",
+        [({}, True), (dict(eig_lo=50, eig_hi=100), False)],
+    )
+    def test_divergence_detected_at_overflow(self, curvature, finite_entries):
+        # a first step of gamma=1e308 leaves finite entries whose norm
+        # overflows to inf, or, on steeper curvature, entries of +-inf
+        cfg = ExperimentConfig(
+            method="saga", b=2, n=6, d=4, scheduler="constant", gamma=1e308, T=50, **curvature
+        )
+        res = run(cfg)
+        assert res.status == "diverged"
+        assert res.summary["iterations"] == 0
+        assert np.all(np.isfinite(res.final_x)) == finite_entries
+        assert np.linalg.norm(res.final_x) == np.inf
+
     def test_stationary_start_detected(self):
         prob = QuadraticProblem(np.ones((5, 3)), np.zeros(3), np.zeros(5))
         cfg = ExperimentConfig(method="saga", b=2, scheduler="adaptive", T=50)

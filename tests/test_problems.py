@@ -1,3 +1,8 @@
+import copy
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -505,6 +510,65 @@ class TestLogisticMatchesScipyReference:
             for x, got in zip(points, rows):
                 _assert_bit_equal(got, _on_support(ref.component_grads(idx, x), cols))
                 _assert_bit_equal(got, prob.component_rows(idx, x)[1][0])
+
+    def test_component_rows_outlive_later_calls(self, pair):
+        # component_rows reuses one batch matrix per batch size: the cols
+        # and rows of one call must not move when later calls, of the
+        # same size or another, overwrite that matrix
+        prob, _ = pair
+        n, d = prob.n_components, prob.dim
+        rng = np.random.default_rng(9)
+        idx = rng.permutation(n)
+        cols, rows = prob.component_rows(idx, rng.standard_normal(d), rng.standard_normal(d))
+        kept = cols.copy(), [r.copy() for r in rows]
+        for later in (idx[::-1], np.roll(idx, 1), np.array([n - 1]), np.repeat(idx, 2)):
+            prob.component_rows(later, rng.standard_normal(d), rng.standard_normal(d))
+            _assert_bit_equal(cols, kept[0])
+            for got, want in zip(rows, kept[1]):
+                _assert_bit_equal(got, want)
+
+    def test_component_rows_from_concurrent_threads(self, pair):
+        # each thread has its own batch matrices, so threads sharing one
+        # instance (more threads than cores, switching as often as the
+        # interpreter allows) get the rows a single thread gets
+        prob, _ = pair
+        n, d = prob.n_components, prob.dim
+        rng = np.random.default_rng(10)
+        jobs = [(rng.integers(0, n, size=n), rng.standard_normal(d)) for _ in range(8)]
+        want = [prob.component_rows(idx, x) for idx, x in jobs]
+        bad = []
+
+        def work(k):
+            (want_cols, (want_rows,)) = want[k]
+            for _ in range(100):
+                cols, (rows,) = prob.component_rows(*jobs[k])
+                if not (np.array_equal(cols, want_cols) and np.array_equal(rows, want_rows)):
+                    bad.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_pickled_copy_has_its_own_batch_matrices(self, pair):
+        prob, _ = pair
+        n, d = prob.n_components, prob.dim
+        x = np.random.default_rng(11).standard_normal(d)
+        want = prob.component_rows(np.arange(n), x)
+        twin = pickle.loads(pickle.dumps(prob))
+        got = twin.component_rows(np.arange(n), x)
+        assert twin._batch_matrix(n) is not prob._batch_matrix(n)
+        for a, b in zip((got[0], *got[1]), (want[0], *want[1])):
+            _assert_bit_equal(a, b)
+        _assert_bit_equal(copy.deepcopy(prob).full_grad(x), prob.full_grad(x))
 
     def test_loss_and_grad(self, pair):
         prob, ref = pair
