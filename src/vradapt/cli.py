@@ -8,6 +8,10 @@ contracts), ``constants`` (print a method's registered tuple), and
 Exit codes: 0 success, 1 usage or config error, 2 divergence,
 3 verification failure.  ``VRADAPT_SEED`` supplies a seed when neither
 the flag nor the config file does.
+
+``main`` is the one error boundary: an OSError or ValueError from any
+command (a bad config, a file it cannot read or write) ends as one
+``error:`` line on stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from . import engine, verify
 from .compressors import check_biased_contract, check_unbiased_contract
 from .data import check_sizes, load_libsvm, synthetic_dataset, write_libsvm
-from .estimators import DISTRIBUTED_METHODS, ESTIMATORS, METHODS, make_estimator
+from .estimators import DISTRIBUTED_METHODS, METHODS, estimator_class
 from .schedulers import nu_of
 
 EXIT_OK = 0
@@ -75,18 +79,12 @@ def _summary_line(result, out):
 
 
 def cmd_run(args):
-    try:
-        cfg = _load_config(args.config, args.seed)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    cfg = _load_config(args.config, args.seed)
     out = args.out
     if out is None:
         stem = os.path.splitext(os.path.basename(args.config))[0]
         out = stem + "_trace.csv"
-    try:
-        result = engine.run(cfg)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    result = engine.run(cfg)
     engine.trace_to_csv(result.trace, out)
     print(_summary_line(result, out))
     return EXIT_DIVERGED if result.status == "diverged" else EXIT_OK
@@ -107,12 +105,9 @@ def _parse_grid(specs):
 def cmd_sweep(args):
     if args.jobs < 1:
         return _fail(f"--jobs must be >= 1, got {args.jobs}")
-    try:
-        cfg = _load_config(args.config, args.seed)
-        grid = _parse_grid(args.grid)
-        results = engine.sweep(cfg, grid, jobs=args.jobs)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    cfg = _load_config(args.config, args.seed)
+    grid = _parse_grid(args.grid)
+    results = engine.sweep(cfg, grid, jobs=args.jobs)
     errors = {r.summary["error"] for r in results if r.status == "invalid"}
     if len(errors) == 1 and all(r.status == "invalid" for r in results):
         # every cell hit the same error: the base config is at fault
@@ -146,11 +141,11 @@ def _parse_perturb(text):
 
 def _verify_one(method, args):
     problem, hyperparams = verify.standard_margin_setup(method)
-    est = make_estimator(method, problem, np.zeros(problem.dim), hyperparams)
+    settings, registered = estimator_class(method).settings(problem, hyperparams)
     override = None
     if args.perturb:
         # scale the tuple the estimator registers, the one the check uses
-        override = est.constants().scaled(_parse_perturb(args.perturb))
+        override = registered.scaled(_parse_perturb(args.perturb))
     report = verify.assumption_margin(
         method,
         hyperparams,
@@ -166,14 +161,10 @@ def _verify_one(method, args):
         f"(alignment={report.alignment}, worst={report.worst().margin:.3g})"
     )
     if method in DISTRIBUTED_METHODS:
-        comp = est.compressor
-        rng = np.random.default_rng(0)
-        if comp.unbiased:
-            contract = check_unbiased_contract(comp, problem.dim, 20000, rng)
-            margin = contract["moment_margin"]
-        else:
-            contract = check_biased_contract(comp, problem.dim, 20000, rng)
-            margin = contract["margin"]
+        comp = settings["compressor"]
+        check = check_unbiased_contract if comp.unbiased else check_biased_contract
+        contract = check(comp, problem.dim, 20000, np.random.default_rng(0))
+        margin = contract["moment_margin" if comp.unbiased else "margin"]
         print(
             f"{method}: compressor contract {'PASS' if contract['passed'] else 'FAIL'} "
             f"({hyperparams['compressor']}, margin={margin:.3g})"
@@ -183,21 +174,14 @@ def _verify_one(method, args):
 
 
 def cmd_verify(args):
-    methods = list(METHODS) if args.all else [args.method]
-    if not args.all:
-        if args.method is None:
-            return _fail("give --method NAME or --all")
-        if args.method not in METHODS:
-            return _fail(f"unknown method {args.method!r}")
-    try:
-        reports = []
-        all_ok = True
-        for method in methods:
-            report, ok = _verify_one(method, args)
-            reports.append(report)
-            all_ok = all_ok and ok
-    except ValueError as exc:
-        return _fail(str(exc))
+    if not args.all and args.method is None:
+        return _fail("give --method NAME or --all")
+    reports = []
+    all_ok = True
+    for method in METHODS if args.all else [args.method]:
+        report, ok = _verify_one(method, args)
+        reports.append(report)
+        all_ok = all_ok and ok
     if args.out:
         verify.margins_to_csv(reports, args.out)
         print(f"margins written to {args.out}")
@@ -232,9 +216,7 @@ def cmd_constants(args):
     # every row is checked before any is printed
     rows = []
     for method in METHODS if args.all else [args.method]:
-        if method not in ESTIMATORS:
-            return _fail(f"unknown method {method!r}")
-        cls = ESTIMATORS[method]
+        cls = estimator_class(method)
         try:
             rows.append((method, cls.registration(**_registration_kwargs(cls, args))))
         except ValueError as exc:
@@ -249,23 +231,20 @@ def cmd_constants(args):
 
 
 def cmd_ingest(args):
-    try:
-        check_sizes({"--limit": args.limit, "--force-dim": args.force_dim})
-        if args.data is not None:
-            ds = load_libsvm(args.data, force_dim=args.force_dim, limit=args.limit)
-        elif args.synthetic is not None:
-            try:
-                rows, dim = (int(part) for part in args.synthetic.lower().split("x"))
-            except ValueError:
-                rows = dim = 0
-            if rows < 1 or dim < 1:
-                return _fail(f"--synthetic wants ROWSxDIM, both >= 1, got {args.synthetic!r}")
-            ds = synthetic_dataset(rows, dim=dim, seed=args.seed, nnz_per_row=min(14, dim))
-        else:
-            return _fail("give --data PATH or --synthetic ROWSxDIM")
-        write_libsvm(ds, args.out)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    check_sizes({"--limit": args.limit, "--force-dim": args.force_dim})
+    if args.data is not None:
+        ds = load_libsvm(args.data, force_dim=args.force_dim, limit=args.limit)
+    elif args.synthetic is not None:
+        try:
+            rows, dim = (int(part) for part in args.synthetic.lower().split("x"))
+        except ValueError:
+            rows = dim = 0
+        if rows < 1 or dim < 1:
+            return _fail(f"--synthetic wants ROWSxDIM, both >= 1, got {args.synthetic!r}")
+        ds = synthetic_dataset(rows, dim=dim, seed=args.seed, nnz_per_row=min(14, dim))
+    else:
+        return _fail("give --data PATH or --synthetic ROWSxDIM")
+    write_libsvm(ds, args.out)
     print(f"rows={ds.n} dim={ds.d} nnz={ds.nnz()} -> {args.out}")
     return EXIT_OK
 
@@ -350,7 +329,10 @@ def main(argv=None):
         return _fail(str(exc))
     if getattr(args, "seed", None) is not None and args.seed < 0:
         return _fail(f"--seed must be a non-negative integer, got {args.seed}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import gzip
 import logging
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -174,11 +176,27 @@ def check_sizes(sizes):
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+@contextmanager
+def opened(target, mode="r"):
+    """A str or bytes ``target`` is a path, opened as UTF-8 text with
+    ``newline=""`` and closed on exit; anything else is an open handle,
+    used as it is and left open."""
+    if not isinstance(target, (str, bytes)):
+        yield target
+        return
+    with open(target, mode, encoding="utf-8", newline="") as handle:
+        yield handle
+
+
 def load_libsvm(path, force_dim=None, limit=None) -> Dataset:
-    """Parse a LibSVM file; ``.gz`` files are decompressed transparently."""
+    """Parse a LibSVM file; ``.gz`` files are decompressed transparently,
+    and a truncated or corrupt one is a ValueError naming the file."""
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt") as fh:
-        ds = parse_libsvm(fh, force_dim=force_dim, limit=limit)
+    try:
+        with opener(path, "rt") as fh:
+            ds = parse_libsvm(fh, force_dim=force_dim, limit=limit)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ValueError(f"{path}: damaged gzip data ({exc})") from None
     log.info("loaded %s: %d rows, %d features, %d nonzeros", path, ds.n, ds.d, ds.nnz())
     return ds
 
@@ -189,18 +207,13 @@ def write_libsvm(dataset: Dataset, sink) -> None:
     Values are written with 17 significant digits so that re-parsing
     reproduces the dataset exactly.
     """
-    own = isinstance(sink, str)
-    fh = open(sink, "w", newline="\n") if own else sink
-    try:
+    with opened(sink, "w") as fh:
         for i in range(dataset.n):
             row = slice(dataset.indptr[i], dataset.indptr[i + 1])
             feats = "".join(
                 f" {j + 1}:{v:.17g}" for j, v in zip(dataset.indices[row], dataset.values[row])
             )
             fh.write(("+1" if dataset.labels[i] > 0 else "-1") + feats + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def synthetic_dataset(n_rows, dim=123, seed=0, nnz_per_row=14) -> Dataset:

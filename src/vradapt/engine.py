@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_sizes, load_libsvm, synthetic_dataset
+from .data import check_sizes, load_libsvm, opened, synthetic_dataset
 from .estimators import estimator_class, make_estimator
 from .problems import logistic_problem, make_quadratic
 from .schedulers import (
@@ -285,18 +285,13 @@ def trace_to_csv(trace, sink):
     """Write a trace as CSV.  sink is a path or a writable text handle;
     floats are printed at 17 significant digits and lines end with LF.
     """
-    own = isinstance(sink, (str, bytes))
-    handle = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    with opened(sink, "w") as handle:
         handle.write(CSV_HEADER + "\n")
         for r in trace:
             handle.write(
                 f"{r.t},{_fmt(r.loss)},{_fmt(r.grad_norm)},{_fmt(r.est_norm)},"
                 f"{_fmt(r.gamma)},{r.grad_calls},{r.partial_calls},{r.bits},{_fmt(r.wall_ms)}\n"
             )
-    finally:
-        if own:
-            handle.close()
 
 
 def trace_csv_text(trace):
@@ -307,13 +302,8 @@ def trace_csv_text(trace):
 
 def parse_trace_csv(source):
     """Inverse of trace_to_csv; source is a path or readable handle."""
-    own = isinstance(source, (str, bytes))
-    handle = open(source, "r", encoding="utf-8") if own else source
-    try:
+    with opened(source) as handle:
         lines = handle.read().splitlines()
-    finally:
-        if own:
-            handle.close()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("missing or unexpected trace header")
     trace = Trace()
@@ -379,11 +369,13 @@ class _Stepper:
         return self.acc is not None and self.acc.stationary
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(config, problem=None):
     """Iterate x^{t+1} = x^t - gamma_t g^t for T steps (or until the
     tolerance, a stationary start, or divergence).  The exact gradient
     norm is computed out of band at the trace cadence and never touches
-    the estimator's oracle counters.
+    the estimator's oracle counters.  Overflow on the way to divergence
+    is silent: the status reports it.
 
     ``problem`` overrides the config's problem description with an
     already built objective (handy for fixtures with known optima).

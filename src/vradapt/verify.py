@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import opened
 from .estimators import VRConstants, estimator_class, make_estimator
 from .problems import make_quadratic
 from .schedulers import theoretical_gamma_nonconvex
@@ -202,9 +203,7 @@ def margins_to_csv(reports, sink):
     """Write one or more margin reports as CSV (pass column is 1/0)."""
     if isinstance(reports, MarginReport):
         reports = [reports]
-    own = isinstance(sink, (str, bytes))
-    handle = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    with opened(sink, "w") as handle:
         handle.write(MARGIN_CSV_HEADER + "\n")
         for report in reports:
             for r in report.rows:
@@ -213,9 +212,6 @@ def margins_to_csv(reports, sink):
                     f"{r.lhs:.17g},{r.rhs:.17g},{r.margin:.17g},{r.stderr:.17g},"
                     f"{1 if r.passed else 0}\n"
                 )
-    finally:
-        if own:
-            handle.close()
 
 
 def rate_slope(trace, burn_in_fraction=0.2):

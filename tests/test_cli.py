@@ -1,3 +1,4 @@
+import gzip
 import importlib.metadata
 import importlib.util
 import os
@@ -452,6 +453,43 @@ class TestUsageErrors:
         assert main([*argv, str(out), "--seed", "-1"]) == EXIT_USAGE
         assert_one_error_line(capsys.readouterr(), "--seed must be a non-negative integer, got -1")
         assert not out.exists()
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "{cfg}", "--out", "{blocked}/trace.csv"],
+            ["verify", "--method", "page", "--states", "1", "--samples", "1000",
+             "--out", "{blocked}/margins.csv"],
+            ["sweep", "--config", "{cfg}", "--out-dir", "{blocked}/sweep"],
+            ["ingest", "--synthetic", "6x3", "--out", "{blocked}/data.txt"],
+        ],
+        ids=["run", "verify", "sweep", "ingest"],
+    )
+    def test_output_under_a_regular_file_is_one_error_line(self, argv, tmp_path, capsys):
+        blocked = tmp_path / "blocked"
+        blocked.write_text("")
+        cfg = write_cfg(tmp_path, QUICK_CFG)
+        assert main([arg.format(cfg=cfg, blocked=blocked) for arg in argv]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), str(blocked))
+
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    @pytest.mark.parametrize("damage", ["truncated", "bad block type"])
+    def test_damaged_gzip_dataset_is_one_error_line(self, command, damage, tmp_path, capsys):
+        packed = bytearray(gzip.compress(b"+1 1:0.5 3:2\n-1 2:1\n" * 200, mtime=0))
+        if damage == "truncated":
+            del packed[len(packed) // 2:]
+        else:
+            packed[10] |= 0b110  # the first deflate block's type bits: 11 is reserved
+        data = tmp_path / "a.gz"
+        data.write_bytes(bytes(packed))
+        if command == "ingest":
+            argv = ["ingest", "--data", str(data), "--out", str(tmp_path / "out.txt")]
+        else:
+            argv = ["run", "--config", write_cfg(tmp_path, f"method=saga\nb=2\nT=5\ndataset={data}\n")]
+        assert main(argv) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), f"{data}: damaged gzip data (")
 
 
 class TestIngestCommand:

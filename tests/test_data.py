@@ -171,10 +171,13 @@ class TestSynthetic:
         for i in range(30):
             assert np.array_equal(row(a, i)[0], row(b, i)[0])
 
-    def test_round_trips_through_writer(self):
+    def test_round_trips_through_writer(self, tmp_path):
         ds = synthetic_dataset(25, dim=10, seed=3, nnz_per_row=4)
         sink = io.StringIO()
         write_libsvm(ds, sink)
+        path = tmp_path / "data.txt"
+        write_libsvm(ds, str(path))
+        assert path.read_bytes() == sink.getvalue().encode()  # a path and a handle agree
         again = parse_libsvm(sink.getvalue(), force_dim=10)
         assert np.array_equal(again.labels, ds.labels)
         for i in range(25):

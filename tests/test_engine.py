@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,7 +203,9 @@ class TestRun:
         cfg = ExperimentConfig(
             method="saga", b=2, n=6, d=4, scheduler="constant", gamma=1e308, T=50, **curvature
         )
-        res = run(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # run overflows on the way, silently
+            res = run(cfg)
         assert res.status == "diverged"
         assert res.summary["iterations"] == 0
         assert np.all(np.isfinite(res.final_x)) == finite_entries
@@ -332,14 +335,18 @@ class TestTraceCsv:
     def test_empty_trace_is_header_only(self):
         assert trace_csv_text(Trace()) == CSV_HEADER + "\n"
 
-    def test_round_trip_is_exact(self):
+    def test_round_trip_is_exact(self, tmp_path):
         cfg = ExperimentConfig(method="saga", b=2, n=6, d=4, T=25, cadence=3)
         trace = run(cfg).trace
         text = trace_csv_text(trace)
-        back = parse_trace_csv(io.StringIO(text))
-        assert len(back) == len(trace)
-        for a, b in zip(trace, back):
-            assert a == b
+        path = tmp_path / "trace.csv"
+        trace_to_csv(trace, str(path))
+        assert path.read_bytes() == text.encode()  # a path and a handle get the same bytes
+        for source in (io.StringIO(text), str(path)):
+            back = parse_trace_csv(source)
+            assert len(back) == len(trace)
+            for a, b in zip(trace, back):
+                assert a == b
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "trace.csv"

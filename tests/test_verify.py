@@ -256,3 +256,6 @@ class TestMarginCsv:
         margins_to_csv([report, report], str(path))
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 2 * len(report.rows)
+        buffer = io.StringIO()
+        margins_to_csv([report, report], buffer)
+        assert path.read_bytes() == buffer.getvalue().encode()
