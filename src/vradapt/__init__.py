@@ -45,7 +45,6 @@ from .problems import (
     LogisticProblem,
     Problem,
     QuadraticProblem,
-    estimate_smoothness,
     logistic_problem,
     make_quadratic,
     partition_problem,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import engine, verify
 from .compressors import check_biased_contract, check_unbiased_contract
-from .data import check_sizes, load_libsvm, synthetic_dataset, write_libsvm
+from .data import check_sizes, load_libsvm, read_text, synthetic_dataset, write_libsvm
 from .estimators import DISTRIBUTED_METHODS, METHODS, estimator_class
 from .schedulers import nu_of
 
@@ -60,9 +60,7 @@ def _resolve_seed(flag_seed, config_pairs):
 
 
 def _load_config(path, flag_seed):
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    pairs = engine.parse_config_pairs(text)
+    pairs = engine.parse_config_pairs(read_text(path))
     cfg = engine.config_from_mapping(pairs)
     cfg.seed = _resolve_seed(flag_seed, pairs)
     return cfg

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_sizes, load_libsvm, opened, synthetic_dataset
+from .data import check_sizes, load_libsvm, opened, read_text, synthetic_dataset
 from .estimators import estimator_class, make_estimator
 from .problems import logistic_problem, make_quadratic
 from .schedulers import (
@@ -88,9 +88,6 @@ class ExperimentConfig:
     tol: float = 0.0
     timing: str = "off"
 
-    def replace(self, **changes):
-        return dataclasses.replace(self, **changes)
-
 
 def _parse_bool(text):
     lowered = str(text).strip().lower()
@@ -138,13 +135,8 @@ def parse_config_pairs(text):
     return pairs
 
 
-def parse_config_text(text):
-    return config_from_mapping(parse_config_pairs(text))
-
-
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read())
+    return config_from_mapping(parse_config_pairs(read_text(path)))
 
 
 def build_problem(config):
@@ -396,7 +388,7 @@ def run(config, problem=None):
         trace.append(TraceRow(t, loss, grad_norm, est_norm, gamma, *counters, wall))
 
     status = "completed"
-    g = est.estimate
+    g = est.g
     t = 0
     while t < config.T:
         gamma_t, update = stepper.advance(g)
@@ -450,7 +442,7 @@ def _sweep_configs(base, grid):
     configs = []
     for values in itertools.product(*(grid[k] for k in keys)):
         combo = tuple(zip(keys, values))
-        cfg = base.replace(**dict(combo))
+        cfg = dataclasses.replace(base, **dict(combo))
         if "seed" not in grid:
             cfg.seed = _derived_seed(base.seed, combo)
         configs.append(cfg)

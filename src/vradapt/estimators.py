@@ -153,8 +153,9 @@ class GradientEstimator:
     full pass (``grad_calls`` = n) and takes g^0 from ``_opening_pass()``,
     by default ``full_grad`` at the starting point.  ``step(x_t, rng)``
     coerces x_t, takes g^t from ``_update(x_t, rng)``, stores g^t and a
-    copy of x_t, and returns g^t.  ``sigma_sq()`` is 0.0 and
-    ``constants()`` the registered tuple.  A method writes:
+    copy of x_t, and returns g^t.  ``g`` is the current estimate,
+    ``registered`` the registered tuple and ``sigma_sq()`` 0.0.  A method
+    writes:
 
     * ``_update(x_t, rng)``: with ``self.x`` and ``self.g`` still the
       previous point and estimate, update the method memory and the
@@ -237,14 +238,6 @@ class GradientEstimator:
 
     def sigma_sq(self):
         return 0.0
-
-    def constants(self):
-        return self.registered
-
-    @property
-    def estimate(self):
-        """Current gradient estimate g^t."""
-        return self.g
 
     @property
     def bits(self):

@@ -40,9 +40,6 @@ class Problem:
     * ``loss_and_grad(x)``: ``(loss(x), full_grad(x))`` from one pass,
       each bit-equal to its own oracle;
     * ``partials(x, coords)``: coordinate derivatives of f;
-    * ``curvature_matvec(v)``: product with the curvature upper-bound
-      matrix whose largest eigenvalue equals ``smoothness`` (used by
-      power iteration);
     * ``group_grads(groups)``: built once per list of component index
       groups, a function x -> (len(groups), dim) whose row j is the
       gradient of the average of f_i over group j.
@@ -79,7 +76,6 @@ class QuadraticProblem(Problem):
         self.x_star = np.asarray(x_star, dtype=float).reshape(self.dim)
         self.shifts = np.asarray(shifts, dtype=float).reshape(self.n_components)
         self.mean_eigs = eigs.mean(axis=0)
-        self._max_eigs = eigs.max(axis=0)
         self.smoothness = float(eigs.max())
         self.pl_constant = float(self.mean_eigs.min())
         self.f_star = float(self.shifts.mean())
@@ -117,9 +113,6 @@ class QuadraticProblem(Problem):
     def partials(self, x, coords):
         coords = np.asarray(coords)
         return self.mean_eigs[coords] * (np.asarray(x, dtype=float)[coords] - self.x_star[coords])
-
-    def curvature_matvec(self, v):
-        return self._max_eigs * np.asarray(v, dtype=float)
 
     def group_grads(self, groups):
         means = np.array([self.eigs[g].mean(axis=0) for g in groups])
@@ -163,10 +156,8 @@ class LogisticProblem(Problem):
 
     f_i(x) = log(1 + exp(-b_i <a_i, x>)) with labels b_i in {-1, +1};
     the objective is the average over rows.  The smoothness constant is
-    the largest eigenvalue of (1/(4n)) A^T A, found by power iteration
-    at construction (200 iterations, seeded start), which stops as soon
-    as its unit vector repeats exactly: the estimate is then the 200th
-    iteration's, read off the cycle (``estimate_smoothness``).
+    the largest eigenvalue of (1/(4n)) A^T A, found at construction by
+    200 power iterations from a seeded start (``_power_iteration``).
 
     Storage, built once and shared by every oracle:
 
@@ -174,10 +165,10 @@ class LogisticProblem(Problem):
       ``values``) as a CSR matrix (n x d), not concatenated again
       (scipy may narrow the index arrays to int32); the margin pass of
       ``loss``, ``full_grad``, ``loss_and_grad``, ``partials`` and
-      ``group_grads``, and the curvature product read it.
+      ``group_grads``, and the power iteration read it.
     * ``XT``: A^T as a CSR matrix (d x n), a transposed view of A's CSC
       arrays, one stored row per feature; ``full_grad``,
-      ``loss_and_grad``, ``partials`` and the curvature product read it.
+      ``loss_and_grad``, ``partials`` and the power iteration read it.
     * ``_cols``, ``_vals``: the rows padded to a common width (at least
       1), int32 column indices and float values; padding points at an
       extra column ``d`` with value 0.0.  ``component_rows`` gathers a
@@ -226,7 +217,7 @@ class LogisticProblem(Problem):
         self._vals = np.zeros((self.n_components, width))
         self._vals[filled] = X.data
         self._batch_matrices = threading.local()
-        self.smoothness = estimate_smoothness(self, self.POWER_ITERATIONS, seed=0)
+        self.smoothness = self._power_iteration()
 
     def __getstate__(self):
         # the batch matrices are scratch, and a threading.local does not pickle
@@ -234,6 +225,30 @@ class LogisticProblem(Problem):
 
     def __setstate__(self, state):
         vars(self).update(state, _batch_matrices=threading.local())
+
+    def _power_iteration(self, iterations=POWER_ITERATIONS):
+        """Largest eigenvalue of (1/(4n)) A^T A after ``iterations``
+        power iterations from a seeded start; 0.0 if the product vanishes.
+
+        Each iteration is a function of its unit vector v alone: once v
+        repeats exactly (iteration i equals iteration j) the loop cycles
+        with period i - j, and the last iteration's estimate is read off
+        the cycle.
+        """
+        v = np.random.default_rng(0).standard_normal(self.dim)
+        v /= np.linalg.norm(v)
+        seen, estimates = {}, []
+        for i in range(iterations):
+            j = seen.setdefault(v.tobytes(), i)
+            if j < i:
+                return estimates[j + (iterations - 1 - j) % (i - j)]
+            w = (self.XT @ (self.X @ v)) / (4.0 * self.n_components)
+            norm = np.linalg.norm(w)
+            if norm == 0.0:
+                return 0.0
+            estimates.append(float(v @ w))
+            v = w / norm
+        return estimates[-1]
 
     def _margins(self, x):
         return self.y * (self.X @ np.asarray(x, dtype=float))
@@ -297,9 +312,6 @@ class LogisticProblem(Problem):
         w = -self.y * expit(-self._margins(x))
         return (self.XT @ w)[np.asarray(coords, dtype=np.intp)] / self.n_components
 
-    def curvature_matvec(self, v):
-        return (self.XT @ (self.X @ np.asarray(v, dtype=float))) / (4.0 * self.n_components)
-
     def group_grads(self, groups):
         """One stacked CSR, (len(groups) * dim) x n, holds each group's Xᵀ
         (``X[g].tocsc().T``, columns mapped back to global rows), so one
@@ -323,34 +335,6 @@ class LogisticProblem(Problem):
 def logistic_problem(dataset) -> LogisticProblem:
     """Logistic regression objective over a parsed dataset."""
     return LogisticProblem(dataset)
-
-
-def estimate_smoothness(problem, iterations, seed=0):
-    """Largest eigenvalue of the problem's curvature bound, by power iteration.
-
-    Deterministic given the seed.  Returns 0.0 for a vanishing curvature
-    operator.  Each iteration is a function of its unit vector v alone:
-    once v repeats exactly (iteration i equals iteration j) the loop
-    cycles with period i - j, and the last iteration's estimate is read
-    off the cycle.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(problem.dim)
-    v /= np.linalg.norm(v)
-    seen, estimates = {}, []
-    for i in range(iterations):
-        j = seen.setdefault(v.tobytes(), i)
-        if j < i:
-            return estimates[j + (iterations - 1 - j) % (i - j)]
-        w = problem.curvature_matvec(v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        estimates.append(float(v @ w))
-        v = w / norm
-    return estimates[-1]
 
 
 def partition_problem(problem, n_clients, scheme="contiguous"):

@@ -9,10 +9,7 @@ right-hand sides need an L that is exact, not estimated.
 
 The samples at a state are drawn in vectorised blocks of SAMPLE_BLOCK
 transitions through the estimator's ``step_batch``, which leaves the
-frozen state untouched.  Versions that stepped a clone once per sample
-froze the same states and computed the same right-hand sides from them,
-but drew a different Monte Carlo sample stream, so their sampled means
-and margins differ slightly.
+frozen state untouched.
 """
 
 from __future__ import annotations
@@ -101,7 +98,7 @@ def assumption_margin(
     point, drawn SAMPLE_BLOCK at a time by ``step_batch``, and the
     empirical means are compared with the right-hand sides.
     The registered tuple is the one the estimator built from
-    ``hyperparams`` reports (``constants()``).  ``constants_override``
+    ``hyperparams`` reports (``registered``).  ``constants_override``
     evaluates the inequalities with a different tuple (the trajectory
     and step size stay registered), which is how the mutation test
     works.
@@ -116,7 +113,7 @@ def assumption_margin(
     x0 = problem.x_opt + np.ones(problem.dim) / max(L, 1.0)
     est = make_estimator(method, problem, x0, dict(hyperparams))
     alignment = est.alignment
-    reg = est.constants()
+    reg = est.registered
     cons = constants_override if constants_override is not None else reg
     gamma = theoretical_gamma_nonconvex(reg, L)
     traj_rng = np.random.default_rng([seed, 0x7E57])
@@ -124,7 +121,7 @@ def assumption_margin(
     report = MarginReport(method=method, alignment=alignment, constants=cons, gamma=gamma)
     for sp in range(state_points):
         x_prev = est.x
-        g_prev = est.estimate
+        g_prev = est.g
         prev_err = float(np.sum((g_prev - problem.full_grad(x_prev)) ** 2))
         sigma_prev = est.sigma_sq()
 

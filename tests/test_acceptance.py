@@ -7,6 +7,7 @@ test outcome itself carries the same information under plain ``-v``).
 Budget-heavy sampling lives here, not in the module suites.
 """
 
+import dataclasses
 import itertools
 import math
 import os
@@ -380,10 +381,11 @@ def test_adaptive_beats_theoretical_iterations_on_benchmark():
         )
         iters = {}
         for scheduler in ("adaptive", "theoretical"):
-            res = run(base.replace(scheduler=scheduler), problem=problem)
+            res = run(dataclasses.replace(base, scheduler=scheduler), problem=problem)
             iters[scheduler] = iterations_to_tolerance(res.trace, tol)
         tuned_res = run(
-            base.replace(
+            dataclasses.replace(
+                base,
                 scheduler="tuned",
                 multiplier=tuned_multiplier[method],
                 T=30_000,

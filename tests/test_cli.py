@@ -491,6 +491,47 @@ class TestFileErrors:
         assert main(argv) == EXIT_USAGE
         assert_one_error_line(capsys.readouterr(), f"{data}: damaged gzip data (")
 
+    @pytest.mark.parametrize(
+        "command,name,raw,line",
+        [
+            ("run", "exp.cfg", b"method=saga\nb=2\nT=5\xff\n", 3),
+            ("sweep", "exp.cfg", b"method=saga\r\nb=2\r\xc3\n", 3),
+            ("ingest", "a.txt", b"+1 1:1\r-1 2:1\xe2\x82\n", 2),
+            ("run", "a.txt", b"+1 1:1\n\xa0-1 2:1\n", 2),
+            ("run", "a.gz", gzip.compress(b"+1 1:1\n-1 2:1\n+1 \xff3:1\n", mtime=0), 3),
+        ],
+        ids=["run-config", "sweep-config", "ingest-data", "run-data", "run-gz-data"],
+    )
+    def test_file_that_is_not_utf8_names_its_file_and_line(
+        self, command, name, raw, line, tmp_path, capsys
+    ):
+        bad = tmp_path / name
+        bad.write_bytes(raw)
+        if command == "ingest":
+            argv = ["ingest", "--data", str(bad), "--out", str(tmp_path / "out.txt")]
+        elif name == "exp.cfg":
+            argv = [command, "--config", str(bad)]
+        else:
+            argv = ["run", "--config", write_cfg(tmp_path, f"method=saga\nb=1\nT=5\ndataset={bad}\n")]
+        assert main(argv) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), f"{bad}: line {line}: byte 0x")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "{cfg}", "--out", "/dev/full"],
+            ["verify", "--method", "page", "--states", "1", "--samples", "1000",
+             "--out", "/dev/full"],
+            ["ingest", "--synthetic", "6x3", "--out", "/dev/full"],
+        ],
+        ids=["run", "verify", "ingest"],
+    )
+    def test_failed_write_names_its_path(self, argv, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, QUICK_CFG)
+        assert main([arg.format(cfg=cfg) for arg in argv]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), "No space left on device: '/dev/full'")
+
 
 class TestIngestCommand:
     def test_synthetic_generation(self, tmp_path, capsys):

@@ -232,6 +232,34 @@ class TestContracts:
         report = check_unbiased_contract(UnscaledRandK(1, 4), 4, 200, rng)
         assert not report["passed"]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unscaled_random_k_is_judged_on_its_mean_margin(self, seed):
+        # keeping k of d coordinates at random, unscaled, leaves on average
+        # exactly (1 - k/d) ||x||^2 of error: contractive with delta = d/k,
+        # though not probe by probe, and not with delta = d/(2k)
+        class UnscaledRandK:
+            unbiased = False
+
+            def __init__(self, k, delta, randomized=True):
+                self.k, self.delta, self.randomized = k, delta, randomized
+
+            def sample_dense(self, V, rng):
+                kept = rng.random(V.shape).argsort(axis=-1)[..., : self.k]
+                out = np.zeros(V.shape)
+                np.put_along_axis(out, kept, np.take_along_axis(V, kept, axis=-1), axis=-1)
+                return out
+
+        d, k = 10, 2
+
+        def check(compressor):
+            return check_biased_contract(compressor, d, 2000, np.random.default_rng(seed))
+
+        tight = check(UnscaledRandK(k, d / k))
+        assert tight["passed"] and tight["stderr"] > 0.0
+        assert not check(UnscaledRandK(k, d / (2 * k)))["passed"]
+        # judged probe by probe, as a deterministic compressor is, it fails
+        assert not check(UnscaledRandK(k, d / k, randomized=False))["passed"]
+
 
 class TestBits:
     def test_pinned_dense_cost(self):

@@ -7,6 +7,11 @@ out-of-range, non-finite and unparsable numbers.  Problems stay small
 (quadratics up to 12x6, ``synthetic:`` data up to 30x8, T <= 20), so the
 examples run in a few seconds.  Examples are drawn from a fixed seed and
 nothing is stored, so the test is repeatable and leaves no files.
+
+Hypothesis's draws also depend on the literals it mines from every
+loaded module, so an edit anywhere in ``src/`` or ``tests/`` can move
+them.  A second test runs 300 configs built from the same values by a
+seeded numpy generator, whose draws depend on its seed alone.
 """
 
 import contextlib
@@ -16,6 +21,7 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,27 +30,57 @@ from vradapt.engine import SCHEDULERS, ExperimentConfig
 from vradapt.estimators import METHODS
 
 
+class Values:
+    """One set of config values, drawn two ways: by a Hypothesis
+    strategy, and by ``draw(rng)`` from a numpy generator."""
+
+    def __init__(self, strategy, draw):
+        self.strategy, self.draw = strategy, draw
+
+    def __or__(self, other):
+        return Values(
+            self.strategy | other.strategy,
+            lambda rng: (self if rng.random() < 0.5 else other).draw(rng),
+        )
+
+
 def ints(lo, hi):
-    return st.integers(lo, hi).map(str)
+    return Values(
+        st.integers(lo, hi).map(str),
+        lambda rng: str(lo + int(rng.integers(0, hi - lo, endpoint=True, dtype=np.uint64))),
+    )
 
 
 def floats(lo, hi):
-    return st.floats(lo, hi).map(repr)
+    # numpy draws the ends of the range now and then, as Hypothesis does
+    return Values(
+        st.floats(lo, hi).map(repr),
+        lambda rng: repr(float(rng.choice((lo, hi)) if rng.random() < 0.1 else rng.uniform(lo, hi))),
+    )
 
 
-# any float, the edges of the float range more often than by chance
-FLOATS = st.sampled_from(("inf", "-inf", "nan", "0", "-1", "1e308", "5e-324")) | st.floats().map(repr)
+def one_of(*values):
+    return Values(st.sampled_from(values), lambda rng: values[rng.integers(len(values))])
+
+
+# any float (numpy: 64 random bits), the edges of the float range more
+# often than by chance
+ANY_FLOAT = Values(
+    st.floats().map(repr),
+    lambda rng: repr(float(rng.integers(0, 2**64, dtype=np.uint64).view(np.float64))),
+)
+FLOATS = one_of("inf", "-inf", "nan", "0", "-1", "1e308", "5e-324") | ANY_FLOAT
 
 # (valid values, invalid values) per config key
 KEYS = {
-    "method": (st.sampled_from(METHODS), st.just("sarah")),
-    "problem": (st.sampled_from(("quadratic", "logistic")), st.just("cubic")),
+    "method": (one_of(*METHODS), one_of("sarah")),
+    "problem": (one_of("quadratic", "logistic"), one_of("cubic")),
     "dataset": (
-        st.sampled_from(("synthetic:30:8:1", "synthetic:12:3:2")),
-        st.sampled_from((
+        one_of("synthetic:30:8:1", "synthetic:12:3:2"),
+        one_of(
             "synthetic:0:4:1", "synthetic:5:x:1", "synthetic:5", "synthetic:9:-1:0",
             "synthetic:6:0:1", "synthetic:6:2:-1", "/no/such/file",
-        )),
+        ),
     ),
     "limit": (ints(1, 40), ints(-2, 0)),
     "force_dim": (ints(1, 10), ints(-2, 0)),
@@ -58,13 +94,13 @@ KEYS = {
     "p": (floats(0.01, 1.0), FLOATS),
     "k": (ints(1, 8), ints(-1, 0)),
     "clients": (ints(1, 8), ints(-1, 0)),
-    "compressor": (st.sampled_from(("identity", "topk", "randk")), st.just("quantize")),
-    "scheme": (st.sampled_from(("contiguous", "round-robin")), st.just("striped")),
-    "with_replacement": (st.sampled_from(("yes", "off")), st.just("maybe")),
+    "compressor": (one_of("identity", "topk", "randk"), one_of("quantize")),
+    "scheme": (one_of("contiguous", "round-robin"), one_of("striped")),
+    "with_replacement": (one_of("yes", "off"), one_of("maybe")),
     "value_bits": (ints(1, 64), ints(-2, 0)),
     "index_bits": (ints(1, 64), ints(-2, 0)),
-    "presets": (st.sampled_from(("true", "false")), st.just("sometimes")),
-    "scheduler": (st.sampled_from(SCHEDULERS), st.just("cosine")),
+    "presets": (one_of("true", "false"), one_of("sometimes")),
+    "scheduler": (one_of(*SCHEDULERS), one_of("cosine")),
     "alpha": (floats(0.01, 0.33), FLOATS),
     "multiplier": (floats(0.1, 10.0), FLOATS),
     "gamma": (floats(1e-3, 1.0), FLOATS),
@@ -74,23 +110,48 @@ KEYS = {
     "seed": (ints(0, 2**64 - 1), ints(-2, -1)),
     "cadence": (ints(1, 5), ints(-1, 0)),
     "tol": (floats(0.0, 1.0), FLOATS),
-    "timing": (st.sampled_from(("on", "off")), st.just("maybe")),
+    "timing": (one_of("on", "off"), one_of("maybe")),
 }
 # an empty or unparsable value, which any key may get instead
-JUNK = st.sampled_from(("", "x", "1.5", "--"))
+JUNK = one_of("", "x", "1.5", "--")
+# a key that is bad itself, next to the keys that get a bad value
+BAD_KEYS = sorted(KEYS) + ["batchsize"]
+
+
+def _invalid(key):
+    return (KEYS[key][1] if key in KEYS else one_of("4")) | JUNK
+
+
+def _config_text(config):
+    return "".join(f"{key}={value}\n" for key, value in config.items())
 
 
 @st.composite
 def configs(draw):
     """A config file: the method and any other keys at valid values, and
     half the time one key (possibly an unknown one) at an invalid one."""
-    valid = {key: values for key, (values, _) in KEYS.items()}
+    valid = {key: values.strategy for key, (values, _) in KEYS.items()}
     config = draw(st.fixed_dictionaries({"method": valid.pop("method")}, optional=valid))
-    bad = draw(st.none() | st.sampled_from(sorted(KEYS) + ["batchsize"]))
+    bad = draw(st.none() | st.sampled_from(BAD_KEYS))
     if bad is not None:
-        invalid = KEYS[bad][1] if bad in KEYS else st.just("4")
-        config[bad] = draw(invalid | JUNK)
-    return "".join(f"{key}={value}\n" for key, value in config.items())
+        config[bad] = draw(_invalid(bad).strategy)
+    return _config_text(config)
+
+
+def seeded_configs(seed, count):
+    """``count`` config files built as ``configs`` builds them, from the
+    same values, but drawn by a numpy generator: unlike Hypothesis's,
+    these draws depend on the seed alone."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        config = {"method": KEYS["method"][0].draw(rng)}
+        for key, (values, _) in KEYS.items():
+            if key != "method" and rng.random() < 0.5:
+                config[key] = values.draw(rng)
+        if rng.random() < 0.5:
+            bad = BAD_KEYS[rng.integers(len(BAD_KEYS))]
+            config[bad] = _invalid(bad).draw(rng)
+        yield _config_text(config)
 
 
 def test_every_config_key_is_drawn():
@@ -117,6 +178,15 @@ def run_config(text):
 # found by this test: an infinite eigenvalue bound overflowed numpy's sampler
 @example(text="method=sega\neig_hi=inf\n")
 def test_random_config_runs_or_is_one_error_line(text):
+    _assert_runs_or_is_one_error_line(text)
+
+
+def test_seeded_configs_run_or_are_one_error_line():
+    for text in seeded_configs(seed=2016, count=300):
+        _assert_runs_or_is_one_error_line(text)
+
+
+def _assert_runs_or_is_one_error_line(text):
     code, out, err = run_config(text)
     assert code in (EXIT_OK, EXIT_DIVERGED, EXIT_USAGE), (text, code)
     assert "Traceback" not in out + err, text

@@ -1,5 +1,6 @@
 import gzip
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -140,6 +141,51 @@ class TestRoundTrip:
         assert ds1.n == ds2.n == 2
         assert np.array_equal(ds1.labels, ds2.labels)
 
+    @pytest.mark.parametrize("ends", ["\r", "\r\n", "\n\r"], ids=["cr", "crlf", "lfcr"])
+    @pytest.mark.parametrize("name", ["rows.txt", "rows.txt.gz"])
+    def test_files_read_with_universal_newlines(self, ends, name, tmp_path):
+        raw = f"+1 1:0.5 3:2.0{ends}-1 2:1.0{ends}".encode()
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(raw, mtime=0) if name.endswith(".gz") else raw)
+        ds = load_libsvm(str(path))
+        assert ds.n == 2
+        assert _outcome(lambda: ds) == _outcome(lambda: parse_libsvm("+1 1:0.5 3:2.0\n-1 2:1.0\n"))
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "raw,line",
+        [
+            (b"\xff+1 1:1\n", 1),
+            (b"+1 1:1\n-1 2:1\xc3", 2),
+            (b"+1 1:1\r\n\r-1 \xe2\x82 2:1\n", 3),
+            (b"+1 1:1 # \xc3\xa9\n\n-1\x80", 3),
+        ],
+    )
+    def test_byte_that_is_not_utf8_names_file_and_line(self, raw, line, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(raw)
+        named = f"^{re.escape(str(path))}: line {line}: byte 0x[0-9a-f]{{2}} is not UTF-8"
+        for read in (data.read_text, load_libsvm):
+            with pytest.raises(ValueError, match=named):
+                read(str(path))
+
+    def test_failed_write_or_close_names_the_path(self, tmp_path):
+        path = str(tmp_path / "out.txt")
+        with pytest.raises(OSError) as err:
+            with data.opened(path, "w"):
+                raise OSError(28, "No space left on device")
+        assert str(err.value) == f"[Errno 28] No space left on device: {path!r}"
+        # an error that already names a file keeps its own name
+        with pytest.raises(FileNotFoundError, match="elsewhere"):
+            with data.opened(path, "w"):
+                open(tmp_path / "elsewhere")
+        # a handle is the caller's: its errors pass through as they are
+        with pytest.raises(OSError) as err:
+            with data.opened(io.StringIO(), "w"):
+                raise OSError(28, "No space left on device")
+        assert err.value.filename is None
+
 
 class TestDenseRow:
     def test_nnz(self):
@@ -185,7 +231,9 @@ class TestSynthetic:
 
 
 # Differential test of the one-pass parser against the line parser:
-# well formed tokens, each now and then swapped for an odd one.
+# well formed tokens, each now and then swapped for an odd one.  The
+# Hypothesis test's draws move with the literals it mines from every
+# loaded module; the seeded numpy cases beside it stay put.
 LABELS = ("+1", "-1", "0", "1", "2") * 12 + (
     "3.0", "1e2", "nan", "-inf", "1_0", "0x10", "1d0", "x", "+", "1:1", "#1",
 )
@@ -196,6 +244,11 @@ VALUES = ("1", "0.5", "-2.25", "0", "1e-3") * 12 + (
 ODD_FEATURES = (":2", "1:", "1::2", "3", "1:1:1", "2 :1", "2: 1")
 SEPS = (" ",) * 40 + ("\t", "  ", "\x0c", "\r", "\x0b", "\x1c", "\u2028", "\xa0", "\x85")
 ENDS = ("\n",) * 20 + ("\r\n", " \n", "\t\n", "\x0c\n", "\r", "\u2028")
+LEADS = ("",) * 8 + (" ", "\t")
+TRAILS = ("",) * 8 + (" ", "\r")
+BLANK_LINES = ("", "   ", "# note 1:2", "  #x", "#", "\t")
+LIMITS = (None, None, -1, 0, 1, 2, 5)
+FORCE_DIMS = (None, None, 3, 9, 12)
 
 
 @st.composite
@@ -206,12 +259,10 @@ def feature_lines(draw):
         index = draw(st.sampled_from((str(i),) * 40 + ODD_INDICES))
         feature = f"{index}:{draw(st.sampled_from(VALUES))}"
         line += draw(st.sampled_from(SEPS)) + draw(st.sampled_from((feature,) * 40 + ODD_FEATURES))
-    return draw(st.sampled_from(("",) * 8 + (" ", "\t"))) + line + draw(
-        st.sampled_from(("",) * 8 + (" ", "\r"))
-    )
+    return draw(st.sampled_from(LEADS)) + line + draw(st.sampled_from(TRAILS))
 
 
-LINES = feature_lines() | st.sampled_from(("", "   ", "# note 1:2", "  #x", "#", "\t"))
+LINES = feature_lines() | st.sampled_from(BLANK_LINES)
 
 
 @st.composite
@@ -220,6 +271,31 @@ def libsvm_texts(draw):
     ends = [draw(st.sampled_from(ENDS)) for _ in lines]
     text = "".join(line + end for line, end in zip(lines, ends))
     return text[:-1] if text and draw(st.booleans()) else text
+
+
+def seeded_libsvm_cases(seed, count):
+    """``count`` (text, limit, force_dim) cases built as ``libsvm_texts``
+    builds them, from the same pieces, but drawn by a numpy generator:
+    unlike Hypothesis's, these draws depend on the seed alone."""
+    rng = np.random.default_rng(seed)
+
+    def pick(options):
+        return options[rng.integers(len(options))]
+
+    def line():
+        if rng.random() < 0.5:
+            return pick(BLANK_LINES)
+        text = pick(LABELS)
+        for i in np.sort(rng.choice(np.arange(1, 10), rng.integers(5), replace=False)):
+            feature = f"{pick((str(i),) * 40 + ODD_INDICES)}:{pick(VALUES)}"
+            text += pick(SEPS) + pick((feature,) * 40 + ODD_FEATURES)
+        return pick(LEADS) + text + pick(TRAILS)
+
+    for _ in range(count):
+        text = "".join(line() + pick(ENDS) for _ in range(rng.integers(8)))
+        if text and rng.random() < 0.5:
+            text = text[:-1]
+        yield text, pick(LIMITS), pick(FORCE_DIMS)
 
 
 def _outcome(parse):
@@ -233,11 +309,7 @@ def _outcome(parse):
 
 
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
-@given(
-    text=libsvm_texts(),
-    limit=st.sampled_from((None, None, -1, 0, 1, 2, 5)),
-    force_dim=st.sampled_from((None, None, 3, 9, 12)),
-)
+@given(text=libsvm_texts(), limit=st.sampled_from(LIMITS), force_dim=st.sampled_from(FORCE_DIMS))
 # a row whose extra token the next row's count would hide
 @example(text="+1 1:2 -1\n3:4\n", limit=None, force_dim=None)
 @example(text="+1 1:2:3 4\n", limit=None, force_dim=None)
@@ -246,19 +318,29 @@ def _outcome(parse):
 # a NaN label, whose class once hung on the set order of NaN and 1.0
 @example(text=" nan\u20286:-2.25\n1 2:0 3:1 6:0.5 8:1\n", limit=None, force_dim=None)
 def test_one_pass_parse_equals_line_parser(text, limit, force_dim):
+    _assert_one_pass_equals_line_parser(text, limit, force_dim)
+
+
+def test_one_pass_parse_equals_line_parser_on_seeded_cases():
+    for text, limit, force_dim in seeded_libsvm_cases(seed=2016, count=400):
+        _assert_one_pass_equals_line_parser(text, limit, force_dim)
+
+
+def _assert_one_pass_equals_line_parser(text, limit, force_dim):
     def parse(source):
         return lambda: parse_libsvm(source, force_dim=force_dim, limit=limit)
 
+    case = (text, limit, force_dim)
     # the reference: the line parser alone, on the lines StringIO yields
     line_parser = data._parse_lines
     with mock.patch.object(data, "_split_rows", side_effect=ValueError), mock.patch.object(
         data, "_parse_lines", lambda lines, limit: line_parser(io.StringIO(text), limit)
     ):
         want = _outcome(parse(text))
-    assert _outcome(parse(text)) == want
+    assert _outcome(parse(text)) == want, case
     # blocks of two lines: rows, the limit and errors span blocks
     with mock.patch.object(data, "BLOCK_LINES", 2):
-        assert _outcome(parse(io.StringIO(text))) == want
+        assert _outcome(parse(io.StringIO(text))) == want, case
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,7 +17,7 @@ from vradapt.engine import (
     estimator_hyperparams,
     iterations_to_tolerance,
     load_config,
-    parse_config_text,
+    parse_config_pairs,
     parse_trace_csv,
     run,
     sweep,
@@ -43,7 +45,7 @@ def row(t, grad_norm=1.0, grad_calls=0, partial_calls=0, bits=0):
 
 class TestConfigParsing:
     def test_round_trip_with_comments(self):
-        cfg = parse_config_text(
+        pairs = parse_config_pairs(
             """
             # quadratic smoke run
             method = page
@@ -55,6 +57,7 @@ class TestConfigParsing:
             with_replacement = yes
             """
         )
+        cfg = config_from_mapping(pairs)
         assert cfg.method == "page"
         assert cfg.b == 4 and cfg.p == 0.5 and cfg.T == 50
         assert cfg.scheduler == "adaptive"
@@ -72,18 +75,16 @@ class TestConfigParsing:
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="line 2"):
-            parse_config_text("method = saga\njust a word\n")
+            parse_config_pairs("method = saga\njust a word\n")
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("method=saga\nb=2\nT=10\n")
         cfg = load_config(str(path))
         assert (cfg.method, cfg.b, cfg.T) == ("saga", 2, 10)
-
-    def test_replace_copies(self):
-        cfg = ExperimentConfig(method="saga", b=2)
-        other = cfg.replace(b=4)
-        assert cfg.b == 2 and other.b == 4
+        path.write_bytes(b"method=saga\r\nb=2\xff\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: byte 0xff is not UTF-8"):
+            load_config(str(path))
 
 
 class TestPresets:
@@ -220,8 +221,8 @@ class TestRun:
 
     def test_cadence_only_affects_recording(self):
         base = ExperimentConfig(method="saga", b=2, n=6, d=4, T=40, seed=3)
-        dense = run(base.replace(cadence=1))
-        sparse = run(base.replace(cadence=7))
+        dense = run(dataclasses.replace(base, cadence=1))
+        sparse = run(dataclasses.replace(base, cadence=7))
         assert np.array_equal(dense.final_x, sparse.final_x)
         assert len(dense.trace) > len(sparse.trace)
         assert [r.t for r in sparse.trace][:-1] == list(range(0, 40, 7))
@@ -241,7 +242,7 @@ class TestRun:
     def test_different_seed_differs(self):
         cfg = ExperimentConfig(method="lsvrg", b=2, p=0.3, n=6, d=4, T=30)
         a = run(cfg)
-        b = run(cfg.replace(seed=1))
+        b = run(dataclasses.replace(cfg, seed=1))
         assert not np.array_equal(a.final_x, b.final_x)
 
     def test_adam_records_learning_rate_as_gamma(self):
@@ -271,8 +272,8 @@ class TestRun:
 
     def test_metric_rows_do_not_touch_oracle_ledger(self):
         base = ExperimentConfig(method="saga", b=2, n=6, d=4, T=40, seed=3)
-        dense = run(base.replace(cadence=1))
-        sparse = run(base.replace(cadence=40))
+        dense = run(dataclasses.replace(base, cadence=1))
+        sparse = run(dataclasses.replace(base, cadence=40))
         assert dense.summary["grad_calls"] == sparse.summary["grad_calls"]
 
     def test_validation(self):
@@ -323,7 +324,7 @@ class TestValidate:
         ],
     )
     def test_rejects_what_run_rejects(self, changes, named):
-        cfg = ExperimentConfig(method="saga", b=2, n=6, d=4, T=5).replace(**changes)
+        cfg = dataclasses.replace(ExperimentConfig(method="saga", b=2, n=6, d=4, T=5), **changes)
         problem = build_problem(cfg)
         for check in (lambda: validate(cfg, problem), lambda: run(cfg, problem=problem)):
             with pytest.raises(ValueError) as info:
@@ -417,8 +418,11 @@ class TestSweep:
         assert len(sweep(self.base(), {})) == 1
 
     def test_grid_points_carry_overrides(self):
-        results = sweep(self.base(), {"b": [1, 3]})
+        base = self.base()
+        results = sweep(base, {"b": [1, 3]})
         assert sorted(r.config.b for r in results) == [1, 3]
+        # each cell is a copy: the base keeps its batch size and seed
+        assert (base.b, base.seed) == (2, 0)
 
     def test_derived_seeds_are_stable(self):
         first = sweep(self.base(), {"b": [1, 2]})

@@ -173,7 +173,7 @@ class TestExactAtInit:
         x0 = np.array([0.5, -1.0, 0.25, 2.0])
         est = make_estimator(method, quad, x0, default_hp(method, quad))
         full = quad.full_grad(x0)
-        assert np.allclose(est.estimate, full, atol=1e-14)
+        assert np.allclose(est.g, full, atol=1e-14)
         rng = np.random.default_rng(0)
         g = est.step(x0, rng)
         assert float(np.abs(g - full).max()) <= 1e-12
@@ -322,7 +322,7 @@ class TestZeroSARAH:
         chain = (G1[[0, 3]] - G0[[0, 3]]).mean(axis=0)
         control = (G0[[0, 3]] - table[[0, 3]]).mean(axis=0) + table_mean
         g_want = chain + (1 - lam) * g_prev + lam * control
-        assert np.allclose(est.estimate, g_want, atol=1e-14)
+        assert np.allclose(est.g, g_want, atol=1e-14)
         table[[0, 3]] = G1[[0, 3]]
         table_mean = table.mean(axis=0)
 
@@ -352,7 +352,7 @@ class TestSEGA:
         memory = quad.full_grad(x0)
         g_want = memory.copy()
         g_want[[1, 3]] += 2.0 * (quad.partials(x1, [1, 3]) - memory[[1, 3]])
-        assert np.allclose(est.estimate, g_want, atol=1e-14)
+        assert np.allclose(est.g, g_want, atol=1e-14)
         assert est.partial_calls == 4
 
         # on the next step coords {0,1} of the memory are refreshed at x1,
@@ -361,7 +361,7 @@ class TestSEGA:
         memory[[0, 1]] = quad.partials(x1, [0, 1])
         g_want = memory.copy()
         g_want[[0, 1]] += 2.0 * (quad.partials(x2, [0, 1]) - memory[[0, 1]])
-        assert np.allclose(est.estimate, g_want, atol=1e-14)
+        assert np.allclose(est.g, g_want, atol=1e-14)
         assert np.allclose(est.memory, memory, atol=1e-14)
         assert est.partial_calls == 8
 
@@ -407,7 +407,7 @@ class TestJAGUAR:
             est = base.clone()
             outcomes.append(est.step(x1, ScriptedRng(batches=[[c]])))
         avg = np.mean(outcomes, axis=0)
-        want = (1 / 3) * prob.full_grad(x1) + (1 - 1 / 3) * base.estimate
+        want = (1 / 3) * prob.full_grad(x1) + (1 - 1 / 3) * base.g
         assert np.allclose(avg, want, atol=1e-13)
 
     def test_batch_bounded_by_dimension(self, quad):
@@ -732,9 +732,9 @@ class TestCountersAndBits:
             same = twin.step(np.array(point, float), np.random.default_rng(3))
             assert _bit_equal(g, same), method
             assert est.x.dtype == float and np.array_equal(est.x, point), method
-            assert g is est.estimate, method
+            assert g is est.g, method
             x = np.array([-1.0, 0.5, 0.0, 2.0])
-            assert est.step(x, np.random.default_rng(4)) is est.estimate, method
+            assert est.step(x, np.random.default_rng(4)) is est.g, method
             x[:] = 9.0
             assert np.array_equal(est.x, [-1.0, 0.5, 0.0, 2.0]), method
             if method in ("page", "jaguar"):
@@ -956,16 +956,16 @@ class TestConstruction:
     def test_estimator_constants_round_trip(self, quad):
         for method in METHODS:
             est = make_estimator(method, quad, np.zeros(4), default_hp(method, quad))
-            c = est.constants()
+            c = est.registered
             assert isinstance(c, VRConstants)
         est = make_estimator(
             "ef21", quad, np.zeros(4), {"n_clients": 2, "compressor": "topk", "k": 2}
         )
-        assert est.constants() == constants("ef21", delta=2.0)
+        assert est.registered == constants("ef21", delta=2.0)
         est = make_estimator(
             "diana", quad, np.zeros(4), {"n_clients": 2, "compressor": "randk", "k": 2}
         )
-        assert est.constants() == constants("diana", omega=2.0, n_clients=2)
+        assert est.registered == constants("diana", omega=2.0, n_clients=2)
 
     def test_method_groups(self):
         assert METHODS == (

@@ -6,14 +6,27 @@ unchanged hash means an unchanged run, bit for bit.  A change that moves
 the RNG stream or a floating-point summation order changes these hashes;
 such a change must say so and regenerate them in the same commit.
 
-To regenerate, print ``_digest(spec)`` for every entry of GOLDEN.
+To regenerate, run this file as a script from anywhere:
+
+    python tests/test_golden_traces.py
+
+It prints the GOLDEN list as it stands here, comments and layout
+included, with each hash replaced by the current digest of its run, and
+names the cases whose digest changed on stderr.  Paste the list over
+the one below.
 """
 
 import hashlib
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
-from vradapt.engine import ExperimentConfig, run, trace_csv_text
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from vradapt.engine import ExperimentConfig, run, trace_csv_text  # noqa: E402
 
 BASE = dict(dataset="synthetic:600:40:1", T=300, cadence=7, timing="off", seed=11)
 QUAD = dict(problem="quadratic", n=40, cond=1000.0, scheduler="adaptive")
@@ -221,3 +234,39 @@ def _digest(overrides):
 )
 def test_trace_hash_is_pinned(overrides, expected):
     assert _digest(overrides) == expected
+
+
+def test_regenerated_listing_keeps_the_layout(monkeypatch):
+    monkeypatch.setitem(globals(), "_digest", lambda overrides: "0" * 64)
+    listing, changed = regenerated_listing()
+    assert changed == [case for case, _, _ in GOLDEN]
+    assert listing.count(f'"{"0" * 64}"') == len(GOLDEN)
+    assert listing.replace("0" * 64, "") == re.sub("[0-9a-f]{64}", "", golden_source())
+
+
+def golden_source():
+    """The GOLDEN list's source text, as this file has it."""
+    source = Path(__file__).read_text()
+    start = source.index("GOLDEN = [")
+    return source[start:source.index("\n]\n", start) + 3]
+
+
+def regenerated_listing():
+    """``golden_source()`` with every hash replaced by the current
+    digest, and the ids of the cases whose digest changed."""
+    listing = golden_source()
+    parts, pos, changed = [], 0, []
+    for case, overrides, expected in GOLDEN:
+        at = listing.index(f'"{expected}"', pos) + 1
+        digest = _digest(overrides)
+        parts += [listing[pos:at], digest]
+        pos = at + len(expected)
+        if digest != expected:
+            changed.append(case)
+    return "".join(parts) + listing[pos:], changed
+
+
+if __name__ == "__main__":
+    listing, changed = regenerated_listing()
+    print(listing, end="")
+    print(f"{len(changed)} of {len(GOLDEN)} digests changed: {', '.join(changed) or '-'}", file=sys.stderr)

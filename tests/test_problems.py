@@ -13,7 +13,6 @@ from vradapt.data import Dataset, parse_libsvm, synthetic_dataset
 from vradapt.problems import (
     LogisticProblem,
     QuadraticProblem,
-    estimate_smoothness,
     logistic_problem,
     make_quadratic,
     partition_problem,
@@ -203,33 +202,10 @@ class TestLogistic:
 
 
 class TestSmoothness:
-    def test_diag_example_converges_tightly(self):
-        # well-separated spectrum: power iteration is effectively exact
-        prob = QuadraticProblem(np.array([[1.0, 4.0]]), np.zeros(2), np.zeros(1))
-        assert estimate_smoothness(prob, 100, seed=0) == pytest.approx(4.0, abs=1e-9)
-
-    def test_identity_hessian(self):
-        prob = QuadraticProblem(np.ones((3, 4)), np.zeros(4), np.zeros(3))
-        assert estimate_smoothness(prob, 10, seed=1) == pytest.approx(1.0, abs=1e-12)
-
-    def test_random_spectrum_within_one_percent(self):
-        # near-degenerate top eigenvalues converge slowly; the contract
-        # is a 1% estimate, not exactness
-        prob = make_quadratic(6, 5, seed=3)
-        est = estimate_smoothness(prob, 100, seed=0)
-        assert est == pytest.approx(float(prob.eigs.max()), rel=0.01)
-        assert est <= float(prob.eigs.max()) + 1e-12
-
-    def test_deterministic_given_seed(self):
-        prob = make_quadratic(6, 5, seed=3)
-        assert estimate_smoothness(prob, 50, seed=7) == estimate_smoothness(
-            prob, 50, seed=7
-        )
-
-    def test_iterations_validated(self):
-        prob = make_quadratic(3, 2)
-        with pytest.raises(ValueError):
-            estimate_smoothness(prob, 0)
+    def test_well_separated_spectrum_converges_tightly(self):
+        # A^T A / (4n) = diag(1, 4) / 8: power iteration is effectively exact
+        prob = logistic_problem(parse_libsvm("+1 1:1\n-1 2:2"))
+        assert prob.smoothness == pytest.approx(0.5, abs=1e-12)
 
     def test_logistic_against_sparse_eigensolver(self):
         ds = parse_libsvm(
@@ -252,16 +228,21 @@ class TestSmoothness:
         assert prob.smoothness == pytest.approx(top, rel=1e-6)
 
 
-def _plain_power_iteration(problem, iterations, seed=0):
-    """``estimate_smoothness`` as a plain loop that runs every iteration;
-    also returns the unit vector each iteration starts from."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(problem.dim)
+def _gram_product(problem):
+    """v -> (1/(4n)) A^T (A v), the product ``_power_iteration`` forms."""
+    return lambda v: (problem.XT @ (problem.X @ v)) / (4.0 * problem.n_components)
+
+
+def _plain_power_iteration(product, dim, iterations):
+    """``LogisticProblem._power_iteration`` over ``product`` as a plain
+    loop that runs every iteration; also returns the unit vector each
+    iteration starts from."""
+    v = np.random.default_rng(0).standard_normal(dim)
     v /= np.linalg.norm(v)
     estimate, states = 0.0, []
     for _ in range(iterations):
         states.append(v.tobytes())
-        w = problem.curvature_matvec(v)
+        w = product(v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0, states
@@ -289,27 +270,30 @@ class TestPowerIterationStop:
     )
     def test_logistic_cycles(self, seed, start, period):
         prob = logistic_problem(synthetic_dataset(40, dim=6, seed=seed, nnz_per_row=3))
-        full, states = _plain_power_iteration(prob, LogisticProblem.POWER_ITERATIONS)
+        product = _gram_product(prob)
+        full, states = _plain_power_iteration(product, prob.dim, LogisticProblem.POWER_ITERATIONS)
         assert _first_repeat(states) == (start, period)
         assert prob.smoothness.hex() == full.hex()
         # fewer iterations than the cycle start, the start itself, each
         # phase of the cycle, and more than the default
         for iterations in (1, 5, start, start + 1, start + 2, start + 3, 64, 65, 201):
-            want, _ = _plain_power_iteration(prob, iterations)
-            assert estimate_smoothness(prob, iterations).hex() == want.hex(), iterations
+            want, _ = _plain_power_iteration(product, prob.dim, iterations)
+            assert prob._power_iteration(iterations).hex() == want.hex(), iterations
 
     def test_cycle_from_the_first_iteration(self):
-        prob = QuadraticProblem(np.ones((3, 4)), np.zeros(4), np.zeros(3))
-        want, states = _plain_power_iteration(prob, 200)
+        # one unit row per feature: A^T A / (4n) = I / 16
+        prob = logistic_problem(parse_libsvm("+1 1:1\n-1 2:1\n+1 3:1\n-1 4:1"))
+        want, states = _plain_power_iteration(_gram_product(prob), prob.dim, 200)
         assert _first_repeat(states) == (0, 1)
+        assert want == pytest.approx(1.0 / 16.0, abs=1e-12)
         for iterations in (1, 2, 200):
-            assert estimate_smoothness(prob, iterations).hex() == want.hex()
+            assert prob._power_iteration(iterations).hex() == want.hex()
 
     def test_zero_operator(self):
         prob = logistic_problem(parse_libsvm("+1\n-1\n+1", force_dim=3))
-        assert _plain_power_iteration(prob, 200)[0] == 0.0
+        assert _plain_power_iteration(_gram_product(prob), prob.dim, 200)[0] == 0.0
         assert prob.smoothness == 0.0
-        assert estimate_smoothness(prob, 1) == 0.0
+        assert prob._power_iteration(1) == 0.0
 
 
 class TestPartition:
@@ -371,7 +355,10 @@ class _ReferenceLogistic:
         )
         self.y = np.asarray(dataset.labels, dtype=float)
         self.n_components, self.dim = self.X.shape
-        self.smoothness = estimate_smoothness(self, LogisticProblem.POWER_ITERATIONS, seed=0)
+
+    @property
+    def smoothness(self):
+        return _plain_power_iteration(self.gram_product, self.dim, LogisticProblem.POWER_ITERATIONS)[0]
 
     def _weights(self, sub, y, x):
         return -y * expit(-(y * (sub @ x)))
@@ -391,7 +378,7 @@ class _ReferenceLogistic:
             out[pos] = float((X_csc.getcol(int(j)).T @ w)[0]) / self.n_components
         return out
 
-    def curvature_matvec(self, v):
+    def gram_product(self, v):
         return np.asarray(self.X.T @ (self.X @ v)).ravel() / (4.0 * self.n_components)
 
     def subset(self, idx):

@@ -206,8 +206,8 @@ class TestAssumptionMargins:
         est = make_estimator("ef21", problem, np.zeros(problem.dim), hp)
         report = assumption_margin("ef21", hp, problem, state_points=1,
                                    samples_per_point=1000, seed=0)
-        assert report.constants == est.constants()
-        assert report.gamma == theoretical_gamma_nonconvex(est.constants(), problem.smoothness)
+        assert report.constants == est.registered
+        assert report.gamma == theoretical_gamma_nonconvex(est.registered, problem.smoothness)
 
     def test_sample_floor_enforced(self):
         problem, hp = standard_margin_setup("saga")
