@@ -131,9 +131,10 @@ def _parse_perturb(text):
     factors = {}
     for part in text.split(","):
         name, _, factor = part.partition(":")
-        if not factor:
-            raise ValueError(f"perturbation must be NAME:FACTOR, got {part!r}")
-        factors[name.strip()] = float(factor)
+        try:
+            factors[name.strip()] = float(factor)
+        except ValueError:
+            raise ValueError(f"--perturb wants NAME:FACTOR with a number, got {part!r}") from None
     return factors
 
 

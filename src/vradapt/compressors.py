@@ -43,8 +43,8 @@ class CompressedVector:
 
 
 def _check_k(k, d):
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in [1, {d}], got {k}")
+    if not (1 <= k <= d and int(k) == k):
+        raise ValueError(f"k must be an integer in [1, {d}], got {k}")
 
 
 def top_k(x, k) -> CompressedVector:

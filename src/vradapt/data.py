@@ -221,8 +221,12 @@ def read_text(path):
 
 
 def load_libsvm(path, force_dim=None, limit=None) -> Dataset:
-    """Parse a LibSVM file read by ``read_text``."""
-    ds = parse_libsvm(read_text(path), force_dim=force_dim, limit=limit)
+    """Parse a LibSVM file read by ``read_text``; a parse error names the path."""
+    try:
+        ds = parse_libsvm(read_text(path), force_dim=force_dim, limit=limit)
+    except LibsvmParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
     log.info("loaded %s: %d rows, %d features, %d nonzeros", path, ds.n, ds.d, ds.nnz())
     return ds
 

@@ -43,7 +43,7 @@ from .problems import logistic_problem, make_quadratic
 from .schedulers import (
     AdamState,
     AdaptiveAccumulator,
-    adam_baseline_step,
+    FixedStep,
     nu_of,
     theoretical_gamma_nonconvex,
     theoretical_gamma_pl,
@@ -211,7 +211,7 @@ def validate(config, problem):
         raise ValueError(f"timing must be on or off, got {config.timing!r}")
     hp = estimator_hyperparams(config, problem)
     _, registered = cls.settings(problem, hp)
-    return hp, _Stepper(config, registered, problem)
+    return hp, _step_rule(config, registered, problem)
 
 
 @dataclass(frozen=True)
@@ -320,45 +320,28 @@ def iterations_to_tolerance(trace, tol):
     return None
 
 
-class _Stepper:
-    """Resolves the configured step-size rule to a per-iteration gamma."""
-
-    def __init__(self, config, registered, problem):
-        self.kind = config.scheduler
-        if self.kind not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {config.scheduler!r}")
-        self.acc = None
-        self.adam = None
-        self.gamma = None
-        if self.kind == "adaptive":
-            self.acc = AdaptiveAccumulator(nu_of(registered), config.alpha)
-        elif self.kind == "adam":
-            self.adam = AdamState(problem.dim, lr=config.lr)
-        elif self.kind == "constant":
-            if config.gamma is None or config.gamma <= 0.0:
-                raise ValueError("scheduler=constant needs gamma > 0")
-            self.gamma = config.gamma
-        elif self.kind == "pl":
-            mu = config.mu if config.mu is not None else problem.pl_constant
-            if mu is None:
-                raise ValueError("scheduler=pl needs mu (or a problem with a known one)")
-            self.gamma = theoretical_gamma_pl(registered, problem.smoothness, mu)
-        elif self.kind == "tuned":
-            self.gamma = tuned_gamma(registered, problem.smoothness, config.multiplier)
-        else:
-            self.gamma = theoretical_gamma_nonconvex(registered, problem.smoothness)
-
-    def advance(self, g):
-        """Returns (gamma_t, update_vector or None)."""
-        if self.acc is not None:
-            return self.acc.gamma(g), None
-        if self.adam is not None:
-            return self.adam.lr, adam_baseline_step(self.adam, g)
-        return self.gamma, None
-
-    @property
-    def stationary(self):
-        return self.acc is not None and self.acc.stationary
+def _step_rule(config, registered, problem):
+    """The configured step-size rule, built from the registered
+    constants and the problem's known constants (see ``schedulers``)."""
+    kind = config.scheduler
+    if kind == "adaptive":
+        return AdaptiveAccumulator(nu_of(registered), config.alpha)
+    if kind == "adam":
+        return AdamState(problem.dim, lr=config.lr)
+    if kind == "constant":
+        if config.gamma is None or config.gamma <= 0.0:
+            raise ValueError("scheduler=constant needs gamma > 0")
+        return FixedStep(config.gamma)
+    if kind == "pl":
+        mu = config.mu if config.mu is not None else problem.pl_constant
+        if mu is None:
+            raise ValueError("scheduler=pl needs mu (or a problem with a known one)")
+        return FixedStep(theoretical_gamma_pl(registered, problem.smoothness, mu))
+    if kind == "tuned":
+        return FixedStep(tuned_gamma(registered, problem.smoothness, config.multiplier))
+    if kind == "theoretical":
+        return FixedStep(theoretical_gamma_nonconvex(registered, problem.smoothness))
+    raise ValueError(f"unknown scheduler {config.scheduler!r}")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -374,7 +357,7 @@ def run(config, problem=None):
     """
     if problem is None:
         problem = build_problem(config)
-    hp, stepper = validate(config, problem)
+    hp, rule = validate(config, problem)
     rng = np.random.default_rng(config.seed)
     x = np.zeros(problem.dim)
     est = make_estimator(config.method, problem, x, hp)
@@ -391,7 +374,7 @@ def run(config, problem=None):
     g = est.g
     t = 0
     while t < config.T:
-        gamma_t, update = stepper.advance(g)
+        gamma_t, update = rule.advance(g)
         if t % config.cadence == 0:
             loss, grad = problem.loss_and_grad(x)
             grad_norm = float(np.linalg.norm(grad))
@@ -400,7 +383,7 @@ def run(config, problem=None):
             if config.tol > 0.0 and grad_norm <= config.tol:
                 status = "converged"
                 break
-        if stepper.stationary:
+        if rule.stationary:
             status = "stationary"
             break
         x = x + update if update is not None else x - gamma_t * g

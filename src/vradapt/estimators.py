@@ -56,8 +56,8 @@ class VRConstants:
             raise ValueError(f"rho1 must lie in (0, 1], got {self.rho1}")
         if not 0.0 < self.rho2 <= 1.0:
             raise ValueError(f"rho2 must lie in (0, 1], got {self.rho2}")
-        if min(self.A, self.B, self.C) < 0.0:
-            raise ValueError("A, B, C must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in (self.A, self.B, self.C)):
+            raise ValueError(f"A, B, C must be finite and nonnegative, got {self}")
 
     def scaled(self, factors):
         """Copy with some fields multiplied, e.g. {"C": 0.5}.  Used by the
@@ -90,6 +90,7 @@ def _quality(name, value, d, k):
     """delta or omega (``name``), given directly or as d/k, checked >= 1."""
     if value is None and d is not None and k is not None:
         _require(k >= 1, f"k must be >= 1, got {k}")
+        _require(float(k).is_integer(), f"k must be an integer, got {k}")
         value = d / k
     _require(value is not None and value >= 1.0, f"{name} must be >= 1, got {value}")
     return value

@@ -6,6 +6,11 @@ smoothness bound L and return a single safe step size.  The adaptive
 rule needs no L at all: it divides a fixed numerator by a growing power
 of the accumulated squared estimate norms, so it starts large and decays
 exactly as fast as the observed gradient energy dictates.
+
+A run steps with a rule object, ``FixedStep``, ``AdaptiveAccumulator``
+or ``AdamState``: ``advance(g_t)`` returns ``(gamma_t, update)``, update
+None for the step x - gamma_t * g_t or else the additive update, and
+``stationary`` is true once the iterate can no longer move.
 """
 
 from __future__ import annotations
@@ -16,14 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def nu_of(constants):
-    """Coupling ratio nu = max{(B*rho2 + A*C) / (rho1*rho2), 1}.
+def _coupling(c, ac_weight=1.0):
+    """(B*rho2 + ac_weight*A*C) / (rho1*rho2): the ratio through which the
+    recursion constants enter every step-size rule below."""
+    return (c.B * c.rho2 + ac_weight * c.A * c.C) / (c.rho1 * c.rho2)
 
-    This is the one number through which the recursion constants enter
-    every step-size rule below.
-    """
-    c = constants
-    return max((c.B * c.rho2 + c.A * c.C) / (c.rho1 * c.rho2), 1.0)
+
+def nu_of(constants):
+    """Coupling ratio nu = max{(B*rho2 + A*C) / (rho1*rho2), 1}."""
+    return max(_coupling(constants), 1.0)
 
 
 def theoretical_gamma_nonconvex(constants, L):
@@ -32,9 +38,7 @@ def theoretical_gamma_nonconvex(constants, L):
     """
     if L <= 0.0:
         raise ValueError(f"L must be positive, got {L}")
-    c = constants
-    ratio = (c.B * c.rho2 + c.A * c.C) / (c.rho1 * c.rho2)
-    return 1.0 / (L * (1.0 + math.sqrt(ratio)))
+    return 1.0 / (L * (1.0 + math.sqrt(_coupling(constants))))
 
 
 def theoretical_gamma_pl(constants, L, mu):
@@ -46,10 +50,8 @@ def theoretical_gamma_pl(constants, L, mu):
         raise ValueError(f"L must be positive, got {L}")
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
-    c = constants
-    ratio = (c.B * c.rho2 + 4.0 * c.A * c.C) / (c.rho1 * c.rho2)
-    smooth_branch = 1.0 / (L * (1.0 + math.sqrt(ratio)))
-    memory_branch = min(c.rho1, c.rho2) / (2.0 * mu)
+    smooth_branch = 1.0 / (L * (1.0 + math.sqrt(_coupling(constants, 4.0))))
+    memory_branch = min(constants.rho1, constants.rho2) / (2.0 * mu)
     return min(smooth_branch, memory_branch)
 
 
@@ -71,6 +73,17 @@ def adaptive_step_size(nu, alpha, total):
     if total == 0.0:
         return 0.0
     return nu ** (-(1.0 - alpha) / 2.0) * total ** (-alpha)
+
+
+@dataclass(frozen=True)
+class FixedStep:
+    """The same gamma at every step (theoretical, tuned, pl, constant)."""
+
+    gamma: float
+    stationary = False
+
+    def advance(self, g_t):
+        return self.gamma, None
 
 
 @dataclass
@@ -110,44 +123,26 @@ class AdaptiveAccumulator:
         self.steps += 1
         return adaptive_step_size(self.nu, self.alpha, self.total)
 
+    def advance(self, g_t):
+        return self.gamma(g_t), None
 
-def _corollary_ratio(method, **hp):
-    """Hand-substituted (B*rho2 + A*C) / (rho1*rho2) per method.
 
-    Each expression was derived by plugging the registered constant
-    tuple into the ratio and simplifying by hand; the generic nu_of
-    route must agree to floating-point accuracy, and the identity is
-    enforced by tests.
-    """
-    method = method.lower()
-    if method == "lsvrg":
-        b, p = hp["b"], hp["p"]
-        return 2.0 / b + 4.0 / (b * p) + 8.0 / (b * p * p)
-    if method == "saga":
-        b, n = hp["b"], hp["n"]
-        return 4.0 * n * n / b**3 + 6.0 * n / b**2 + 2.0 / b
-    if method == "page":
-        b, p = hp["b"], hp["p"]
-        return (1.0 - p) / (b * p)
-    if method == "zerosarah":
-        b, n = hp["b"], hp["n"]
-        return 4.0 * n * (n + 1.0) / (b * b)
-    if method == "ef21":
-        delta = hp["delta"]
-        return 4.0 * delta**3 / (delta + 1.0)
-    if method == "diana":
-        omega, n = hp["omega"], hp["n_clients"]
-        return 2.0 * omega * (2.0 * omega + 3.0) * (omega + 1.0) / n
-    if method == "dasha":
-        omega, n = hp["omega"], hp["n_clients"]
-        return 2.0 * omega * (4.0 * omega + 1.0) / n
-    if method == "sega":
-        b, d = hp["b"], hp["d"]
-        return d * d / (b * b) + 6.0 * d**3 / b**3
-    if method == "jaguar":
-        b, d = hp["b"], hp["d"]
-        return 6.0 * d * d / (b * b)
-    raise ValueError(f"unknown method {method!r}")
+# (B*rho2 + A*C) / (rho1*rho2) per method in its hyperparameters, derived
+# by plugging the registered tuple into the ratio and simplifying by hand;
+# tests hold it to the generic nu_of route at floating-point accuracy.
+_COROLLARY_RATIOS = {
+    "lsvrg": lambda b, p, **_: 2.0 / b + 4.0 / (b * p) + 8.0 / (b * p * p),
+    "saga": lambda b, n, **_: 4.0 * n * n / b**3 + 6.0 * n / b**2 + 2.0 / b,
+    "page": lambda b, p, **_: (1.0 - p) / (b * p),
+    "zerosarah": lambda b, n, **_: 4.0 * n * (n + 1.0) / (b * b),
+    "ef21": lambda delta, **_: 4.0 * delta**3 / (delta + 1.0),
+    "diana": lambda omega, n_clients, **_: (
+        2.0 * omega * (2.0 * omega + 3.0) * (omega + 1.0) / n_clients
+    ),
+    "dasha": lambda omega, n_clients, **_: 2.0 * omega * (4.0 * omega + 1.0) / n_clients,
+    "sega": lambda b, d, **_: d * d / (b * b) + 6.0 * d**3 / b**3,
+    "jaguar": lambda b, d, **_: 6.0 * d * d / (b * b),
+}
 
 
 def corollary_step_size(method, alpha, total, **hp):
@@ -161,7 +156,10 @@ def corollary_step_size(method, alpha, total, **hp):
         raise ValueError("accumulated energy cannot be negative")
     if total == 0.0:
         return 0.0
-    r = _corollary_ratio(method, **hp)
+    ratio = _COROLLARY_RATIOS.get(method.lower())
+    if ratio is None:
+        raise ValueError(f"unknown method {method!r}")
+    r = ratio(**hp)
     return max(math.sqrt(r), 1.0) ** (-(1.0 - alpha)) * total ** (-alpha)
 
 
@@ -177,6 +175,7 @@ class AdamState:
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
     t: int = field(default=0, init=False)
+    stationary = False
 
     def __post_init__(self):
         if self.lr <= 0.0:
@@ -185,6 +184,9 @@ class AdamState:
             raise ValueError("betas must lie in [0, 1)")
         self.m = np.zeros(self.dim)
         self.v = np.zeros(self.dim)
+
+    def advance(self, g_t):
+        return self.lr, adam_baseline_step(self, g_t)
 
 
 def adam_baseline_step(moments, g_t):

@@ -346,6 +346,21 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
         capsys.readouterr()
 
+    def test_perturb_factor_that_is_not_a_number_names_the_flag(self, capsys):
+        code = main(["verify", "--method", "ef21", "--perturb", "C:abc"] + self.FAST)
+        assert code == EXIT_USAGE
+        assert_one_error_line(
+            capsys.readouterr(), "--perturb wants NAME:FACTOR with a number, got 'C:abc'"
+        )
+
+    @pytest.mark.parametrize("factor", ["nan", "inf"])
+    def test_non_finite_perturbation_is_one_error_line(self, factor, capsys):
+        code = main(["verify", "--method", "ef21", "--perturb", f"C:{factor}"] + self.FAST)
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "A, B, C must be finite and nonnegative")
+        assert captured.out == ""
+
 
 class TestConstantsCommand:
     def test_full_pass_coupling_is_unit(self, capsys):
@@ -515,6 +530,17 @@ class TestFileErrors:
             argv = ["run", "--config", write_cfg(tmp_path, f"method=saga\nb=1\nT=5\ndataset={bad}\n")]
         assert main(argv) == EXIT_USAGE
         assert_one_error_line(capsys.readouterr(), f"{bad}: line {line}: byte 0x")
+
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    def test_dataset_parse_error_names_its_file(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("+1 1:1\n-1 3.0:1\n")
+        if command == "ingest":
+            argv = ["ingest", "--data", str(bad), "--out", str(tmp_path / "out.txt")]
+        else:
+            argv = ["run", "--config", write_cfg(tmp_path, f"method=saga\nb=1\nT=5\ndataset={bad}\n")]
+        assert main(argv) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), f"error: {bad}: line 2: bad feature token '3.0:1'")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize(

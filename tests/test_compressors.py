@@ -267,6 +267,13 @@ class TestBits:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("cls", [TopK, RandK])
+    def test_fractional_k_is_rejected(self, cls):
+        # k = 2.5 would keep 2 coordinates but register d/k = 4 instead of 5
+        with pytest.raises(ValueError, match=r"k must be an integer in \[1, 10\], got 2.5"):
+            cls(2.5, 10)
+        assert cls(2.0, 10).k == 2
+
     def test_to_dense(self):
         v = CompressedVector(
             indices=np.array([1, 3], dtype=np.int64), values=np.array([2.0, -1.0]), dim=5

@@ -170,6 +170,14 @@ class TestFileErrors:
             with pytest.raises(ValueError, match=named):
                 read(str(path))
 
+    def test_parse_error_names_file_and_keeps_line_number(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("+1 1:1\n-1 3.0:1\n")
+        with pytest.raises(LibsvmParseError) as err:
+            load_libsvm(str(path))
+        assert str(err.value) == f"{path}: line 2: bad feature token '3.0:1'"
+        assert err.value.line_no == 2
+
     def test_failed_write_or_close_names_the_path(self, tmp_path):
         path = str(tmp_path / "out.txt")
         with pytest.raises(OSError) as err:

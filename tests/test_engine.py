@@ -9,6 +9,7 @@ import pytest
 
 from vradapt.engine import (
     CSV_HEADER,
+    SCHEDULERS,
     ExperimentConfig,
     Trace,
     TraceRow,
@@ -27,6 +28,7 @@ from vradapt.engine import (
 )
 from vradapt.estimators import ESTIMATORS, METHODS
 from vradapt.problems import QuadraticProblem, make_quadratic
+from vradapt.schedulers import AdaptiveAccumulator
 
 
 def row(t, grad_norm=1.0, grad_calls=0, partial_calls=0, bits=0):
@@ -259,6 +261,23 @@ class TestRun:
         gammas = run(cfg).trace.gammas()[:-1]
         assert np.all(np.diff(gammas) <= 1e-18)
 
+    def test_adaptive_run_calls_gamma_once_per_iteration(self, monkeypatch):
+        # the benchmark's schedulers.gamma span wraps this method by name
+        calls = []
+        original = AdaptiveAccumulator.gamma
+
+        def counted(self, g_t):
+            calls.append(1)
+            return original(self, g_t)
+
+        monkeypatch.setattr(AdaptiveAccumulator, "gamma", counted)
+        cfg = ExperimentConfig(
+            method="saga", b=2, n=6, d=4, scheduler="adaptive", T=37, cadence=5
+        )
+        res = run(cfg)
+        assert res.status == "completed" and res.summary["iterations"] == 37
+        assert len(calls) == 37
+
     def test_oracle_cost_matches_coin_mixture(self):
         # PAGE spends n on refresh steps and 2b otherwise, so the mean
         # per-step cost is p*n + (1-p)*2b; check a long run against a
@@ -308,9 +327,24 @@ class TestValidate:
         cfg = ExperimentConfig(
             method=method, b=3, p=0.5, k=2, compressor=compressor, scheduler="adaptive"
         )
-        hp, stepper = validate(cfg, problem)
+        hp, rule = validate(cfg, problem)
         assert hp == estimator_hyperparams(cfg, problem)
-        assert stepper.acc is not None
+        assert isinstance(rule, AdaptiveAccumulator)
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_every_listed_scheduler_builds_a_rule(self, scheduler):
+        problem = make_quadratic(6, 4, seed=0)
+        cfg = ExperimentConfig(method="saga", b=2, scheduler=scheduler, gamma=0.1)
+        _, rule = validate(cfg, problem)
+        gamma_t, update = rule.advance(np.ones(problem.dim))
+        assert gamma_t > 0.0 and rule.stationary is False
+        assert (update is not None) == (scheduler == "adam")
+
+    def test_unlisted_scheduler_is_rejected(self):
+        problem = make_quadratic(6, 4, seed=0)
+        cfg = ExperimentConfig(method="saga", b=2, scheduler="cosine")
+        with pytest.raises(ValueError, match="unknown scheduler 'cosine'"):
+            validate(cfg, problem)
 
     @pytest.mark.parametrize(
         "changes,named",

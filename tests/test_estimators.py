@@ -145,6 +145,16 @@ class TestConstantsRegistry:
             with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
                 constants(method, d=10, k=k, n_clients=4)
 
+    @pytest.mark.parametrize("method", ["ef21", "diana", "dasha"])
+    @pytest.mark.parametrize("k", [2.5, float("inf")])
+    def test_non_integer_k_is_named(self, method, k, quad):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k}"):
+            constants(method, d=10, k=k, n_clients=4)
+        compressor = "topk" if method == "ef21" else "randk"
+        hp = {"n_clients": 4, "compressor": compressor, "k": k}
+        with pytest.raises(ValueError, match="k must be an integer"):
+            make_estimator(method, quad, np.zeros(quad.dim), hp)
+
     @pytest.mark.parametrize("method", ["diana", "dasha"])
     def test_nonpositive_n_clients_is_named(self, method):
         for n_clients in (0, -3):
@@ -158,6 +168,13 @@ class TestConstantsRegistry:
             VRConstants(1.0, 1.1, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             VRConstants(1.0, 0.5, -1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["A", "B", "C"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_coefficient_is_rejected(self, field, value):
+        values = {"rho1": 1.0, "rho2": 1.0, "A": 0.0, "B": 0.0, "C": 0.0, field: value}
+        with pytest.raises(ValueError, match="A, B, C must be finite and nonnegative"):
+            VRConstants(**values)
 
     def test_scaled_copy(self):
         c = constants("ef21", delta=2.0)
