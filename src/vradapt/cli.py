@@ -67,13 +67,10 @@ def _load_config(path, flag_seed):
 
 
 def _summary_line(result, out):
-    s = result.summary
-    return (
-        f"status={result.status} iterations={s['iterations']} "
-        f"min_grad_norm={s['min_grad_norm']:.6g} final_loss={s['final_loss']:.6g} "
-        f"grad_calls={s['grad_calls']} partial_calls={s['partial_calls']} "
-        f"bits={s['bits']} trace={out}"
-    )
+    """Every summary entry as key=value in order, floats to 6 significant
+    digits, then the trace path."""
+    entries = {**result.summary, "trace": out}.items()
+    return " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in entries)
 
 
 def cmd_run(args):

@@ -9,8 +9,10 @@ other to -1.  A label and every feature value must be finite numbers.
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import logging
+import operator
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -192,6 +194,21 @@ def opened(target, mode="r"):
         if exc.filename is None:
             exc.filename = target
         raise
+
+
+_CSV_SPECS = {"str": "%s", "int": "%d", "bool": "%d", "float": "%.17g"}
+
+
+def csv_layout(row_type):
+    """The CSV line of a dataclass row type, one column per field in
+    field order: a ``%`` format (``str`` as ``%s``, ``int`` and ``bool``
+    as ``%d``, ``float`` at 17 significant digits, which read back
+    exactly; LF-terminated) and an ``operator.attrgetter`` of the fields,
+    so a row's line is ``line % values(row)``.  The annotations must be
+    strings, as ``from __future__ import annotations`` leaves them."""
+    fields = dataclasses.fields(row_type)
+    line = ",".join(_CSV_SPECS[f.type] for f in fields) + "\n"
+    return line, operator.attrgetter(*(f.name for f in fields))
 
 
 def _universal_newlines(text):

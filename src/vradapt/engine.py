@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_sizes, load_libsvm, opened, read_text, synthetic_dataset
+from .data import check_sizes, csv_layout, load_libsvm, opened, read_text, synthetic_dataset
 from .estimators import estimator_class, make_estimator
 from .problems import logistic_problem, make_quadratic
 from .schedulers import (
@@ -216,6 +216,11 @@ def validate(config, problem):
 
 @dataclass(frozen=True)
 class TraceRow:
+    """One recorded iteration.  Its fields, in order, are the trace CSV's
+    columns (``CSV_HEADER``, written by ``csv_layout``); the loss and
+    gradient norm are exact, and ``wall_ms`` is read before the row's
+    own gradient pass."""
+
     t: int
     loss: float
     grad_norm: float
@@ -266,11 +271,8 @@ class RunResult:
     summary: dict
 
 
-CSV_HEADER = "t,loss,grad_norm,est_norm,gamma,grad_calls,partial_calls,bits,wall_ms"
-
-
-def _fmt(value):
-    return "%.17g" % value
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(TraceRow))
+_TRACE_LINE, _trace_values = csv_layout(TraceRow)
 
 
 def trace_to_csv(trace, sink):
@@ -280,10 +282,7 @@ def trace_to_csv(trace, sink):
     with opened(sink, "w") as handle:
         handle.write(CSV_HEADER + "\n")
         for r in trace:
-            handle.write(
-                f"{r.t},{_fmt(r.loss)},{_fmt(r.grad_norm)},{_fmt(r.est_norm)},"
-                f"{_fmt(r.gamma)},{r.grad_calls},{r.partial_calls},{r.bits},{_fmt(r.wall_ms)}\n"
-            )
+            handle.write(_TRACE_LINE % _trace_values(r))
 
 
 def trace_csv_text(trace):
@@ -304,7 +303,7 @@ def parse_trace_csv(source):
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 9:
+        if len(parts) != len(coerce):
             raise ValueError(f"bad trace row: {line!r}")
         trace.append(TraceRow(*(convert(part) for convert, part in zip(coerce, parts))))
     return trace
@@ -366,9 +365,15 @@ def run(config, problem=None):
 
     trace = Trace()
 
-    def record(t, loss, grad_norm, est_norm, gamma, wall):
+    def record(t, est_norm, gamma):
+        """Append iteration t's row, its clock read before the exact loss
+        and gradient at x; returns the gradient norm."""
+        wall = (time.perf_counter() - started) * 1e3 if timing else 0.0
+        loss, grad = problem.loss_and_grad(x)
+        grad_norm = float(np.linalg.norm(grad))
         counters = (est.grad_calls, est.partial_calls, est.bits)
         trace.append(TraceRow(t, loss, grad_norm, est_norm, gamma, *counters, wall))
+        return grad_norm
 
     status = "completed"
     g = est.g
@@ -376,10 +381,7 @@ def run(config, problem=None):
     while t < config.T:
         gamma_t, update = rule.advance(g)
         if t % config.cadence == 0:
-            loss, grad = problem.loss_and_grad(x)
-            grad_norm = float(np.linalg.norm(grad))
-            wall = (time.perf_counter() - started) * 1e3 if timing else 0.0
-            record(t, loss, grad_norm, float(np.linalg.norm(g)), float(gamma_t), wall)
+            grad_norm = record(t, float(np.linalg.norm(g)), float(gamma_t))
             if config.tol > 0.0 and grad_norm <= config.tol:
                 status = "converged"
                 break
@@ -395,9 +397,7 @@ def run(config, problem=None):
         t += 1
 
     if status != "diverged" and (len(trace) == 0 or trace.rows[-1].t != t):
-        wall = (time.perf_counter() - started) * 1e3 if timing else 0.0
-        loss, grad = problem.loss_and_grad(x)
-        record(t, loss, float(np.linalg.norm(grad)), 0.0, 0.0, wall)
+        record(t, 0.0, 0.0)
 
     norms = trace.grad_norms()
     summary = {

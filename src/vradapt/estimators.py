@@ -75,9 +75,17 @@ def _require(condition, message):
         raise ValueError(message)
 
 
+def _check_count(name, value):
+    """An integer >= 1, tested before it is converted (so nan and inf
+    are named, not an error of ``int``)."""
+    _require(value >= 1, f"{name} must be >= 1, got {value}")
+    _require(value % 1 == 0, f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def _check_batch(b, n):
     _require(b is not None, "batch size b is required")
-    _require(int(b) == b and 1 <= b <= n, f"b must be an integer in [1, {n}], got {b}")
+    _require(1 <= b <= n and b % 1 == 0, f"b must be an integer in [1, {n}], got {b}")
     return int(b)
 
 
@@ -87,10 +95,11 @@ def _check_prob(p):
 
 
 def _quality(name, value, d, k):
-    """delta or omega (``name``), given directly or as d/k, checked >= 1."""
+    """delta or omega (``name``), given directly or as d/k for an integer
+    k in [1, d], checked >= 1."""
     if value is None and d is not None and k is not None:
-        _require(k >= 1, f"k must be >= 1, got {k}")
-        _require(float(k).is_integer(), f"k must be an integer, got {k}")
+        _check_count("k", k)
+        _require(k <= d, f"k must be an integer in [1, {d}], got {k}")
         value = d / k
     _require(value is not None and value >= 1.0, f"{name} must be >= 1, got {value}")
     return value
@@ -98,8 +107,7 @@ def _quality(name, value, d, k):
 
 def _check_clients(n):
     _require(n is not None, "n_clients is required for client-server methods")
-    _require(n >= 1, f"n_clients must be >= 1, got {n}")
-    return n
+    return _check_count("n_clients", n)
 
 
 def _draw_batch(rng, n, b, with_replacement=False):
@@ -515,7 +523,7 @@ class _ClientServerEstimator(GradientEstimator):
         """The client groups, the compressor (built from its name and k if
         named) and the bit widths, checked; the tuple its quality registers."""
         hp = {**cls.hyperparams, **hp}
-        groups = partition_problem(problem, int(hp["n_clients"]), hp["scheme"])
+        groups = partition_problem(problem, _check_clients(hp["n_clients"]), hp["scheme"])
         compressor = hp["compressor"] or "identity"
         if isinstance(compressor, str):
             compressor = make_compressor(compressor, problem.dim, hp["k"])
@@ -523,9 +531,7 @@ class _ClientServerEstimator(GradientEstimator):
             hasattr(compressor, cls.quality),
             f"{cls.method} needs {_COMPRESSOR_KINDS[cls.quality]}",
         )
-        bits = {name: int(hp[name]) for name in ("value_bits", "index_bits")}
-        for name, value in bits.items():
-            _require(value >= 1, f"{name} must be >= 1, got {value}")
+        bits = {name: _check_count(name, hp[name]) for name in ("value_bits", "index_bits")}
         quality = {cls.quality: getattr(compressor, cls.quality)}
         registered = cls.registration(**quality, n_clients=len(groups))
         return dict(groups=groups, compressor=compressor, **bits), registered
@@ -563,8 +569,7 @@ class _ClientServerEstimator(GradientEstimator):
     def _client_error(self, gaps):
         """Share-weighted mean squared client gap, (..., n_clients, d) ->
         (...), summed client by client in order."""
-        per_client = (gaps * gaps).sum(axis=-1)
-        return sum(w * per_client[..., j] for j, w in enumerate(self.weights))
+        return self._server_sum((gaps * gaps).sum(axis=-1)[..., None])[..., 0]
 
     def _update(self, x_t, rng):
         grads = self._client_grads(x_t)

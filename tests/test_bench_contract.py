@@ -1,0 +1,61 @@
+"""The benchmark reads vradapt's results directly.
+
+``perfbench/workloads.py`` builds ``Trace(rows)`` from rows copied with
+``dataclasses.replace(row, wall_ms=0.0)``, hashes ``trace_csv_text`` and
+``margins_to_csv`` output, reads the run summary's keys and takes the
+time per step from the last row's ``wall_ms``.  One timing chunk of the
+race and one of verify run here, so a change to any of these fails here
+before it breaks the benchmark; their fingerprints are the bytes the
+benchmark compares across commits.  The workloads module is loaded by
+path and nothing under ``perfbench/`` is written.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    # no bytecode cache: the benchmark directory stays as it is
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "workload,fingerprint",
+    [
+        (
+            "race",
+            {
+                "iterations": 200,
+                "grad_calls": 54400,
+                "partial_calls": 0,
+                "bits": 0,
+                "trace_sha256": "267899bc0b85748de7d4f2b0ae040dbd75bae2cecdece0d24106a5ada2333a08",
+            },
+        ),
+        (
+            "verify",
+            {
+                "passed": True,
+                "margins_sha256": "7f51efae012d06056825371b57fe9dbefd27706003f809d1bb64a9032253306a",
+            },
+        ),
+    ],
+)
+def test_first_timing_chunk(workloads, workload, fingerprint, tmp_path):
+    bench = workloads.WORKLOADS[workload](0, str(tmp_path))
+    bench.setup(reps=1)
+    name, run, steps = bench.timing_cells()[0]
+    rnd = workloads.run_round([(name, run, steps)])
+    assert rnd.errors == {}
+    assert rnd.step_us[name] > 0.0
+    assert rnd.fingerprints[name] == fingerprint

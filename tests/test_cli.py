@@ -45,9 +45,10 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, QUICK_CFG)
         out = str(tmp_path / "trace.csv")
         assert main(["run", "--config", cfg, "--out", out]) == EXIT_OK
-        line = capsys.readouterr().out.strip()
-        assert line.startswith("status=completed ")
-        assert "min_grad_norm=" in line and line.endswith(f"trace={out}")
+        assert capsys.readouterr().out == (
+            "status=completed iterations=20 min_grad_norm=0.222534 final_loss=-0.157044 "
+            f"grad_calls=46 partial_calls=0 bits=0 trace={out}\n"
+        )
         content = (tmp_path / "trace.csv").read_text()
         assert content.startswith(CSV_HEADER + "\n")
 
@@ -432,6 +433,7 @@ class TestConstantsCommand:
             (["--method", "page", "--b", "x"], "page: --b takes an integer or n, got 'x'"),
             (["--method", "diana", "--clients", "0"], "n_clients must be >= 1, got 0"),
             (["--method", "dasha", "--clients", "-3"], "n_clients must be >= 1, got -3"),
+            (["--method", "ef21", "--d", "10", "--k", "20"], "ef21: k must be an integer in [1, 10], got 20"),
         ],
     )
     def test_bad_flag_is_named(self, flags, named, capsys):

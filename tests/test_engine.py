@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -230,6 +231,24 @@ class TestRun:
         assert [r.t for r in sparse.trace][:-1] == list(range(0, 40, 7))
         assert sparse.trace.rows[-1].t == 40
 
+    def test_wall_clock_is_read_before_each_rows_gradient_pass(self, monkeypatch):
+        # the fake clock advances one second per gradient pass and
+        # nothing else, so row i, recorded after i passes, reads i s
+        clock = [0.0]
+        problem = make_quadratic(6, 4, seed=0)
+        loss_and_grad = problem.loss_and_grad
+
+        def timed_loss_and_grad(x):
+            clock[0] += 1.0
+            return loss_and_grad(x)
+
+        monkeypatch.setattr(problem, "loss_and_grad", timed_loss_and_grad)
+        monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+        cfg = ExperimentConfig(method="saga", b=2, T=10, cadence=3, timing="on")
+        trace = run(cfg, problem=problem).trace
+        assert [r.t for r in trace] == [0, 3, 6, 9, 10]
+        assert [r.wall_ms for r in trace] == [0.0, 1000.0, 2000.0, 3000.0, 4000.0]
+
     def test_trace_always_ends_at_final_iteration(self):
         cfg = ExperimentConfig(method="saga", b=2, n=6, d=4, T=13, cadence=5)
         res = run(cfg)
@@ -392,6 +411,20 @@ class TestTraceCsv:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
         assert len(parse_trace_csv(str(path))) == 1
+
+    def test_bytes_of_extreme_values(self):
+        nan, inf = float("nan"), float("inf")
+        trace = Trace([
+            TraceRow(0, nan, inf, -0.0, 5e-324, 2**62, 0, 2**70, -inf),
+            TraceRow(2**63, -1.5, 0.1, 1e300, 0.0, 2**62 + 1, 3, 2**70, 12.25),
+        ])
+        assert trace_csv_text(trace) == (
+            CSV_HEADER + "\n"
+            "0,nan,inf,-0,4.9406564584124654e-324,4611686018427387904,0,"
+            "1180591620717411303424,-inf\n"
+            "9223372036854775808,-1.5,0.10000000000000001,1.0000000000000001e+300,0,"
+            "4611686018427387905,3,1180591620717411303424,12.25\n"
+        )
 
     def test_header_checked(self):
         with pytest.raises(ValueError):

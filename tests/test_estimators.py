@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,29 @@ class TestConstantsRegistry:
         hp = {"n_clients": 4, "compressor": compressor, "k": k}
         with pytest.raises(ValueError, match="k must be an integer"):
             make_estimator(method, quad, np.zeros(quad.dim), hp)
+
+    @pytest.mark.parametrize("method", ["ef21", "diana", "dasha"])
+    def test_k_beyond_d_is_named(self, method):
+        with pytest.raises(ValueError, match=re.escape("k must be an integer in [1, 10], got 20")):
+            constants(method, d=10, k=20, n_clients=4)
+
+    @pytest.mark.parametrize(
+        "method,hp,named",
+        [
+            ("saga", dict(b=float("nan"), n=10), "b must be an integer in [1, 10], got nan"),
+            ("lsvrg", dict(b=float("inf"), p=0.5), "b must be an integer in [1, inf], got inf"),
+            ("diana", dict(d=10, k=2, n_clients=2.5), "n_clients must be an integer, got 2.5"),
+        ],
+    )
+    def test_non_finite_or_fractional_count_is_named(self, method, hp, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            constants(method, **hp)
+
+    @pytest.mark.parametrize("name", ["n_clients", "value_bits", "index_bits"])
+    def test_fractional_client_setting_is_rejected(self, name, quad):
+        hp = {**default_hp("ef21", quad), name: 2.5}
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
+            make_estimator("ef21", quad, np.zeros(quad.dim), hp)
 
     @pytest.mark.parametrize("method", ["diana", "dasha"])
     def test_nonpositive_n_clients_is_named(self, method):

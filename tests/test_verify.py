@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from vradapt.engine import ExperimentConfig, Trace, TraceRow, run
-from vradapt.estimators import make_estimator
+from vradapt.estimators import constants, make_estimator
 from vradapt.problems import QuadraticProblem, make_quadratic
 from vradapt.schedulers import theoretical_gamma_nonconvex
 from vradapt.verify import (
     MARGIN_CSV_HEADER,
+    MarginReport,
+    MarginRow,
     assumption_margin,
     grad_fd_check,
     margins_to_csv,
@@ -259,3 +261,18 @@ class TestMarginCsv:
         buffer = io.StringIO()
         margins_to_csv([report, report], buffer)
         assert path.read_bytes() == buffer.getvalue().encode()
+
+    def test_bytes_of_extreme_values(self):
+        nan, inf = float("nan"), float("inf")
+        rows = [
+            MarginRow("ef21", 1, 0, nan, inf, -0.0, 5e-324, True),
+            MarginRow("ef21", 2, 2**70, -inf, 0.1, 1e300, 0.0, False),
+        ]
+        report = MarginReport("ef21", "next", constants("ef21", delta=2.0), 0.1, rows)
+        buffer = io.StringIO()
+        margins_to_csv(report, buffer)
+        assert buffer.getvalue() == (
+            MARGIN_CSV_HEADER + "\n"
+            "ef21,1,0,nan,inf,-0,4.9406564584124654e-324,1\n"
+            "ef21,2,1180591620717411303424,-inf,0.10000000000000001,1.0000000000000001e+300,0,0\n"
+        )
