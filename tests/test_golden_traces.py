@@ -6,14 +6,21 @@ unchanged hash means an unchanged run, bit for bit.  A change that moves
 the RNG stream or a floating-point summation order changes these hashes;
 such a change must say so and regenerate them in the same commit.
 
+Each case also pins a trajectory digest (``TRAJECTORY``): the SHA-256
+of the ``TRAJECTORY_FIELDS`` of every row, read by name and printed with
+``repr``.  It leaves out the loss and any column a trace gains later, so
+a change that moves only the loss or adds a column regenerates GOLDEN
+while TRAJECTORY holds, which shows that no iterate, step size or ledger
+moved.
+
 To regenerate, run this file as a script from anywhere:
 
     python tests/test_golden_traces.py
 
-It prints the GOLDEN list as it stands here, comments and layout
-included, with each hash replaced by the current digest of its run, and
-names the cases whose digest changed on stderr.  Paste the list over
-the one below.
+It prints the GOLDEN list and the TRAJECTORY table as they stand here,
+comments and layout included, with each hash replaced by the current
+digest of its run, and names the cases whose digest changed on stderr.
+Paste them over the ones below.
 """
 
 import hashlib
@@ -224,49 +231,118 @@ GOLDEN = [
 ]
 
 
+TRAJECTORY_FIELDS = ("t", "grad_norm", "est_norm", "gamma", "grad_calls", "partial_calls", "bits")
+
+# case id -> SHA-256 of the trajectory fields of its trace (see above)
+TRAJECTORY = {
+    "saga-adaptive": "1c58424c429ad203eff8302496bb5fcae4a5945c568ebfa099cf7144ab1d0309",
+    "saga-theoretical": "4f8ce08e4475702358c4302007166f86ae10eacd2b90d9245b0a3c2dcee1aa9e",
+    "page-adaptive": "feded71cb64713f88101e8ef7926d1663db81bd4a9baaed55acb87171a154a9c",
+    "page-theoretical": "86d4e203d0fcfcbccc9ede235d5c50e9b0b51206b4f7910787cfa896c26aeeb1",
+    "page-with-replacement": "0b3bde924cdd3fd98d9629c47a9e5521b830d2a133b594b1445e48c9552f52eb",
+    "zerosarah-adaptive": "b46e6399b32566e9d661b28c08449838f04b97fc56d802a06b9423141c519040",
+    "zerosarah-theoretical": "d9f0d4bdd39c865f0f7ce7db804a18a4a590d381d9adc65ea13164d43fea294c",
+    "lsvrg-adaptive": "96e0ef98e28a247d7e9e1073e2b6dd626093ba9876bb31c51f76761f7c0fbe4b",
+    "lsvrg-with-replacement": "21d3f78677f553abc2b4b6ee3ddcceb8607ff50f7072331f5e0ae4432192ac29",
+    "sega-adaptive": "f0ce6a6b91e1330d60943c9e2f130d3493363bc40924d4d6504a73d02b8f6795",
+    "jaguar-adaptive": "34115df24f0c384b3483f42ebd66ac766fafd90e61e2506b29275795ca3f343b",
+    "ef21-topk": "0bc640116e008e90f831db9f0fee768102921cadd48bbc1fef2990b1c31e5b36",
+    "dasha-randk": "e3ebb8376b9c2c6c0e1908ca73cbc5edf073e7dd705b439d10ddd83af07b6cff",
+    "diana-randk": "2cee9504edacc88f77ebf3360363590d79188f7c200d12a00316ac2a7f27754c",
+    "ef21-round-robin": "8f91cb267e897635e27382f8f40e406df096b393b88076788cd2dcb1d23ff63f",
+    "dasha-round-robin": "9d7a26441f022aef518c1e240ba159dc1193dc6d612005ea78abf92c7898705a",
+    "diana-round-robin": "eefcdf08ec6c9dedd800343e56c2b8b5719993c21ecd6e4d59d57d290225ba1f",
+    "ef21-identity": "560866a64c0a6387369ca2bcfa4e78c7ef9dbae6a0b1e895c3a7ef7115c32762",
+    "diana-identity": "ddb32f911a5706996481e5269e4a10ec1a2ae2ca65316ca38e63adb6d4859958",
+    "dasha-identity": "4d4f4942d9967be2f36e2591b8517acc670f83a89061fd1b5b5ea1dd9282b7db",
+    "ef21-quadratic": "a35cf678e2a2bc15c33970210d044ca5ed73919bf3a76d0f0a4249b525420df6",
+    "dasha-quadratic": "79f913110157d9c4961dc5fd6eabd4df8717069433582d8c8731397e0b4c8cec",
+    "diana-quadratic": "47412bee7ded37e698c9200bbbe3dd2ce04915762c893c3973d0e7e10b862e71",
+    "page-adam": "fbaea3d0a6f6b2bd15477d546b6072a83b986e614aa4cbaffc080e24b1226805",
+    "zerosarah-tuned": "65080f60440f7ff341719df0b63f1382fb00e5e9c9d932efcc0e239878a79a49",
+    "lsvrg-constant": "b10a7dfc6c37f0e83a346053489bbbd02b72c426922b9a5e491196ca4684fbbc",
+    "saga-pl-quadratic": "f72ec96684ac872cd6779255ecbe638404276643d5611f53045d4d775f0094e1",
+    "saga-quadratic": "7f65b30ec5b63791d6fb876ecbb4de6b71807e56d22b9ba42d8bdb10bf7de4d0",
+    "zerosarah-quadratic": "ca322fbdc92b779ca8ae32a44dfc799709fda73c2504f4183936ff4351be0226",
+    "lsvrg-quadratic": "0ff0bdc75787df07d92c7b6ea61e7a963d71b84eb21473d25b17066e56f47af7",
+    "page-quadratic": "3a7308365c1026c88f0bac575f8393a99b18f343c291781bdb99880b6729cf5b",
+    "saga-quadratic-d1": "01c047bfcb3b5a36c6b25fe40143b220e3e8c244df1dc211c80d019be07e0d56",
+    "zerosarah-quadratic-d1": "40462eacc75c708a3222c02f5fd87b25ad40fb9178222e5a611a6e0b026d717a",
+    "lsvrg-quadratic-d1": "8f65b92193c88e1b840aab7135b430d3c01a0e7ff8541d7586b3cd563feea625",
+    "page-quadratic-d1": "0e9e4166c8b2f188d1c7217eeb0992dc6c610b3d9e9ee64ff290df5e16e6826f",
+}
+
+
+def _trace(overrides):
+    return run(ExperimentConfig(**{**BASE, **overrides})).trace
+
+
 def _digest(overrides):
-    res = run(ExperimentConfig(**{**BASE, **overrides}))
-    return hashlib.sha256(trace_csv_text(res.trace).encode()).hexdigest()
+    return hashlib.sha256(trace_csv_text(_trace(overrides)).encode()).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "overrides,expected", [(o, h) for _, o, h in GOLDEN], ids=[c for c, _, _ in GOLDEN]
-)
+def _trajectory_digest(overrides):
+    lines = (
+        ",".join(repr(getattr(row, name)) for name in TRAJECTORY_FIELDS) + "\n"
+        for row in _trace(overrides)
+    )
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+CASE_IDS = [c for c, _, _ in GOLDEN]
+
+
+@pytest.mark.parametrize("overrides,expected", [(o, h) for _, o, h in GOLDEN], ids=CASE_IDS)
 def test_trace_hash_is_pinned(overrides, expected):
     assert _digest(overrides) == expected
 
 
-def test_regenerated_listing_keeps_the_layout(monkeypatch):
-    monkeypatch.setitem(globals(), "_digest", lambda overrides: "0" * 64)
-    listing, changed = regenerated_listing()
-    assert changed == [case for case, _, _ in GOLDEN]
+@pytest.mark.parametrize(
+    "overrides,expected", [(o, TRAJECTORY[c]) for c, o, _ in GOLDEN], ids=CASE_IDS
+)
+def test_trajectory_is_pinned(overrides, expected):
+    assert _trajectory_digest(overrides) == expected
+
+
+def test_every_case_has_one_trajectory():
+    assert list(TRAJECTORY) == CASE_IDS
+
+
+@pytest.mark.parametrize("name", ["GOLDEN", "TRAJECTORY"])
+def test_regenerated_listing_keeps_the_layout(name):
+    listing, changed = regenerated_listing(name, lambda overrides: "0" * 64)
+    assert changed == CASE_IDS
     assert listing.count(f'"{"0" * 64}"') == len(GOLDEN)
-    assert listing.replace("0" * 64, "") == re.sub("[0-9a-f]{64}", "", golden_source())
+    assert listing.replace("0" * 64, "") == re.sub("[0-9a-f]{64}", "", listing_source(name))
 
 
-def golden_source():
-    """The GOLDEN list's source text, as this file has it."""
+def listing_source(name):
+    """The source text of the listing ``name`` (GOLDEN or TRAJECTORY),
+    as this file has it: from its first line to its closing bracket."""
     source = Path(__file__).read_text()
-    start = source.index("GOLDEN = [")
-    return source[start:source.index("\n]\n", start) + 3]
+    start = source.index(f"\n{name} = ") + 1
+    return source[start:re.compile(r"^[\]}]\n", re.M).search(source, start).end()]
 
 
-def regenerated_listing():
-    """``golden_source()`` with every hash replaced by the current
-    digest, and the ids of the cases whose digest changed."""
-    listing = golden_source()
+def regenerated_listing(name, digest):
+    """``listing_source(name)`` with every hash replaced by ``digest`` of
+    its case's overrides, and the ids of the cases whose digest changed."""
+    pinned = [h for _, _, h in GOLDEN] if name == "GOLDEN" else list(TRAJECTORY.values())
+    listing = listing_source(name)
     parts, pos, changed = [], 0, []
-    for case, overrides, expected in GOLDEN:
+    for (case, overrides, _), expected in zip(GOLDEN, pinned):
         at = listing.index(f'"{expected}"', pos) + 1
-        digest = _digest(overrides)
-        parts += [listing[pos:at], digest]
+        value = digest(overrides)
+        parts += [listing[pos:at], value]
         pos = at + len(expected)
-        if digest != expected:
+        if value != expected:
             changed.append(case)
     return "".join(parts) + listing[pos:], changed
 
 
 if __name__ == "__main__":
-    listing, changed = regenerated_listing()
-    print(listing, end="")
-    print(f"{len(changed)} of {len(GOLDEN)} digests changed: {', '.join(changed) or '-'}", file=sys.stderr)
+    for name, digest in (("GOLDEN", _digest), ("TRAJECTORY", _trajectory_digest)):
+        listing, changed = regenerated_listing(name, digest)
+        print(listing)
+        summary = ", ".join(changed) or "-"
+        print(f"{name}: {len(changed)} of {len(GOLDEN)} digests changed: {summary}", file=sys.stderr)
