@@ -159,6 +159,14 @@ class LogisticProblem(Problem):
     the largest eigenvalue of (1/(4n)) A^T A, found at construction by
     200 power iterations from a seeded start (``_power_iteration``).
 
+    ``loss`` and ``loss_and_grad`` both take the loss from the margins m
+    as mean(max(-m, 0) + log1p(exp(-|m|))), one vectorised expression
+    (``_mean_logistic_loss``).  That is the formula inside
+    ``np.logaddexp(0, -m)``, in about a fifth of its time: logaddexp
+    makes scalar libm calls per entry, while numpy's vectorised ``exp``
+    and ``log1p`` round differently, by at most 2 ulp per entry (equal at
+    m = +-0, +-inf, nan and +-710).  The gradients stay on ``expit``.
+
     Storage, built once and shared by every oracle:
 
     * ``X``: the dataset's CSR arrays (``indptr``, ``indices``,
@@ -183,11 +191,11 @@ class LogisticProblem(Problem):
     that thread's ``component_rows`` calls with that size: the only state
     an instance changes after construction.
 
-    Every oracle result is bit-identical, down to the sign of zeros, to
-    the plain scipy CSR expressions (``X[idx]`` -> ``.multiply`` ->
-    ``.toarray()``, ``X.T @ w``, a per-column ``getcol`` loop): each sum
-    runs left to right over a row's stored entries, in the order of the
-    sparse kernels, and gradient entries land on +0.0 as in scipy's
+    Every gradient oracle result is bit-identical, down to the sign of
+    zeros, to the plain scipy CSR expressions (``X[idx]`` -> ``.multiply``
+    -> ``.toarray()``, ``X.T @ w``, a per-column ``getcol`` loop): each
+    sum runs left to right over a row's stored entries, in the order of
+    the sparse kernels, and gradient entries land on +0.0 as in scipy's
     sparse-to-dense conversion.  Reordering a sum (BLAS on a dense copy,
     ``.sum(axis=1)``, ``np.add.reduceat``) moves results in the last bit
     and with them every trace hash.
@@ -254,12 +262,12 @@ class LogisticProblem(Problem):
         return self.y * (self.X @ np.asarray(x, dtype=float))
 
     def loss(self, x):
-        return float(np.logaddexp(0.0, -self._margins(x)).mean())
+        return _mean_logistic_loss(self._margins(x))
 
     def loss_and_grad(self, x):
         m = self._margins(x)
         w = -self.y * expit(-m)
-        return float(np.logaddexp(0.0, -m).mean()), (self.XT @ w) / self.n_components
+        return _mean_logistic_loss(m), (self.XT @ w) / self.n_components
 
     def _batch_matrix(self, size):
         """This thread's CSR matrix, size x (d + 1), for batches of
@@ -330,6 +338,11 @@ class LogisticProblem(Problem):
             return (stacked @ w).reshape(len(sizes), self.dim) / sizes
 
         return grads
+
+
+def _mean_logistic_loss(m):
+    """mean(log(1 + exp(-m))) over the margins m, stable at any m."""
+    return float((np.maximum(-m, 0.0) + np.log1p(np.exp(-np.abs(m)))).mean())
 
 
 def logistic_problem(dataset) -> LogisticProblem:

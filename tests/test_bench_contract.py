@@ -39,7 +39,7 @@ def workloads(monkeypatch):
                 "grad_calls": 54400,
                 "partial_calls": 0,
                 "bits": 0,
-                "trace_sha256": "267899bc0b85748de7d4f2b0ae040dbd75bae2cecdece0d24106a5ada2333a08",
+                "trace_sha256": "d2892624ef4d5d41be2b59d997937a623e90288674d5e6b0183b280feb7db49f",
             },
         ),
         (

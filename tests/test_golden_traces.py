@@ -43,17 +43,17 @@ GOLDEN = [
     (
         "saga-adaptive",
         dict(method="saga", presets=True, scheduler="adaptive"),
-        "59b31bfbb1bce91b66dd663d0a3554c6b11b3aad98b8751ec0834fbd1c3b7165",
+        "1a079b2adfbe48776ac2e233b9a36f68b63a97de62d6253637a31c3cd78094f5",
     ),
     (
         "saga-theoretical",
         dict(method="saga", presets=True, scheduler="theoretical"),
-        "3a30bf476c7034408efb2fd717c53237086a4288ba0fa8931cd60913755662ef",
+        "78e06c2eab37bcd9b7fa28ea7641ffa781cb1725ccfd08a422c5f5ea4199e5c9",
     ),
     (
         "page-adaptive",
         dict(method="page", presets=True, scheduler="adaptive"),
-        "2983b0931bd8eef4c8c9dc2f8db5d332b8ffcd4b4fb6b029bc651ab58b7b3b71",
+        "6dcb356ce2e7de27afd61649e643ee176dba23c1dad00d351152c716fa5aebe6",
     ),
     (
         "page-theoretical",
@@ -63,27 +63,27 @@ GOLDEN = [
     (
         "page-with-replacement",
         dict(method="page", presets=True, with_replacement=True, scheduler="adaptive"),
-        "5382d2f77ce39db7acef6abf56a6a5a205f6ec9d1a538272a86a2db805edd35c",
+        "921b5aed74969c32efc154a8c74ebbdcf58f13bd9fe563bb47f19b02b1301156",
     ),
     (
         "zerosarah-adaptive",
         dict(method="zerosarah", presets=True, scheduler="adaptive"),
-        "a366176ea7aa89f84fdead2f018970ee594996a5788de4311d030ee9a7b2fa27",
+        "d7af35da1ec4131dc1daa659b3e816e9ebaeb0bd04adfa665b962e3de721fc74",
     ),
     (
         "zerosarah-theoretical",
         dict(method="zerosarah", presets=True, scheduler="theoretical"),
-        "405c738cdadb94615d03b73819c752adccbc30aa4e86d4690a96c6c679af8cda",
+        "f34c4517a283a65654075079b2733c36f2497d2eb9711e6e16869b6873971845",
     ),
     (
         "lsvrg-adaptive",
         dict(method="lsvrg", presets=True, scheduler="adaptive"),
-        "1c9b18355263531ebc2704f417f4b7e2f17d468b7bafc742c2f66bc464524f59",
+        "e35fe11e3466c5251326e6545f553b90d751be0f9c0dcca80886effd6c3da1fc",
     ),
     (
         "lsvrg-with-replacement",
         dict(method="lsvrg", b=9, p=0.05, with_replacement=True, scheduler="theoretical"),
-        "6bdf2eb85c23253f820ceada580223e59ddad28f7189e0ce3e7e84f01c9696dc",
+        "16a8624b45921d71fa2bda256b98971970049f6dd6701940fa39daeda073f434",
     ),
     (
         "sega-adaptive",
@@ -93,22 +93,22 @@ GOLDEN = [
     (
         "jaguar-adaptive",
         dict(method="jaguar", b=8, scheduler="adaptive"),
-        "279ce240e452b9187f5f4afced9c0d4c18b0a03dcf375961089262dfb0b1d794",
+        "035c5d105b537ce729a9e9250ca9e915dccc5135c0e06cb65f819ba821ec22aa",
     ),
     (
         "ef21-topk",
         dict(method="ef21", compressor="topk", k=5, clients=6, scheduler="adaptive"),
-        "d948c86ee0ae7028025554e2407ba5bcaba7b6e4c6c6882cf7536cb5a9289c4d",
+        "8f8bdbca14141ba8ee57b90f3cccaf714abd992f65ac64bfa25db8201aa025c5",
     ),
     (
         "dasha-randk",
         dict(method="dasha", compressor="randk", k=5, clients=6, scheduler="adaptive"),
-        "893bfeae4cca4bb193de090109f47e6cf8fb25ae7c134c87dc35d5fdc095141e",
+        "5ce6e166f5aede080f5f156fd3e30831fe6d2c60d41aba80bf0360f3e18d7d2e",
     ),
     (
         "diana-randk",
         dict(method="diana", compressor="randk", k=5, clients=6, scheduler="adaptive"),
-        "cdf329b29713f2d5ddef4162642aecb1168f654be9e368d6832faaf56a84a6c1",
+        "c48a585d58225d9f9dce6bcdc8b0527c1c83eaa6490ea9ba028980cecee7000c",
     ),
     (
         "ef21-round-robin",
@@ -120,30 +120,30 @@ GOLDEN = [
         "dasha-round-robin",
         dict(method="dasha", compressor="randk", k=5, clients=6, scheme="round-robin",
              scheduler="adaptive"),
-        "b9c6c23c65ac5b74adfba8812f8cd5515a170f877e737cf1080cbd85fc14dac3",
+        "20fff830885e58e78ac49323ad4243f43b291195fffa1bb433786ac26f36834c",
     ),
     (
         "diana-round-robin",
         dict(method="diana", compressor="randk", k=5, clients=6, scheme="round-robin",
              scheduler="adaptive"),
-        "f2bf400b49c7a3c3ebc9a305825af9b8d21bf3909e77452c5e7a06d014791dac",
+        "9b59e6c423d8e93e5d0ac23af5b3a602be8f58b72235f74a98ccb6bfbb2ecee5",
     ),
     # the client-server updates with no compressor randomness: these pin
     # the update algebra apart from the compressor's random stream
     (
         "ef21-identity",
         dict(method="ef21", compressor="identity", clients=6, scheduler="adaptive"),
-        "7fd31fc85d01be4a2527ddba074bc6d1f08d3b323b2300f1472c204ffa5ba319",
+        "3fd31bd10ed9984f48d2452421423aad2665dab2c039818c61dd7f7a656082d9",
     ),
     (
         "diana-identity",
         dict(method="diana", compressor="identity", clients=6, scheduler="adaptive"),
-        "89b152ad61150e9e481c240d3ed3e000204085bba58058fac8c48b442334a4ac",
+        "c8b19223721834f5288dc824bb9e2e4a1f1b1b32c10507c54f9532a7961da8ec",
     ),
     (
         "dasha-identity",
         dict(method="dasha", compressor="identity", clients=6, scheduler="adaptive"),
-        "5c6ea617ea44bbf4cafe1b9bffefbde2ff0fde7fb730b92facdb58338f75aef5",
+        "8136ebe23ad37378419424083c36d5869702b7b4bfd1f58ea928a925d654407d",
     ),
     # unequal client shares: 27 components over 4 clients are 7, 7, 7, 6
     (
@@ -168,17 +168,17 @@ GOLDEN = [
     (
         "page-adam",
         dict(method="page", presets=True, scheduler="adam", lr=0.05),
-        "5dddd2479da2f42996a612d5e9f0fbedb7b26549b290843b5dd73adc33c30681",
+        "fb3a108809ca77495ed3f4a9f1c91d0dce97c11b68cd3ed81778658aa3f21c42",
     ),
     (
         "zerosarah-tuned",
         dict(method="zerosarah", presets=True, scheduler="tuned", multiplier=4.0),
-        "42624ff84ca0c238c18ec0f7421840f1d1bcfa29df80aab02429f2ea73238490",
+        "fa0951ad8ba2c8e9b2a6e6a62446e432a59c84ce0b578e387effba4e1c2b3ad0",
     ),
     (
         "lsvrg-constant",
         dict(method="lsvrg", presets=True, scheduler="constant", gamma=0.5),
-        "9708793d56fcd7d7d746a61e66fcfcd4a87c46d66dbf8caab8689323b9bc12f0",
+        "85587b70edf74c8bb9920d9f7ec86c87d06300cd3958485ee014692edb7a65a8",
     ),
     (
         "saga-pl-quadratic",

@@ -340,7 +340,9 @@ class _ReferenceLogistic:
     ``.toarray()``, ``X.T @ w``, a per-column ``getcol`` loop, and
     per-group problems copied row by row through ``getrow`` (the reference
     for ``group_grads``).  LogisticProblem must agree with these bit for
-    bit."""
+    bit, except ``loss``, the plain ``np.logaddexp`` mean, which it
+    matches within 4 eps relative (its own expression rounds
+    differently)."""
 
     def __init__(self, dataset):
         data, indices, indptr = [], [], [0]
@@ -359,6 +361,9 @@ class _ReferenceLogistic:
     @property
     def smoothness(self):
         return _plain_power_iteration(self.gram_product, self.dim, LogisticProblem.POWER_ITERATIONS)[0]
+
+    def loss(self, x):
+        return float(np.logaddexp(0.0, -(self.y * (self.X @ x))).mean())
 
     def _weights(self, sub, y, x):
         return -y * expit(-(y * (sub @ x)))
@@ -556,6 +561,33 @@ class TestLogisticMatchesScipyReference:
         for a, b in zip((got[0], *got[1]), (want[0], *want[1])):
             _assert_bit_equal(a, b)
         _assert_bit_equal(copy.deepcopy(prob).full_grad(x), prob.full_grad(x))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in logaddexp")
+    def test_loss_within_four_eps_of_logaddexp(self, pair):
+        prob, ref = pair
+        for x in self._points(prob.dim, seed=8):
+            got, want = prob.loss(x), ref.loss(x)
+            assert got == want or abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
+
+    @pytest.mark.parametrize(
+        "margin,loss",
+        [
+            (0.0, np.log(2.0)),
+            (-0.0, np.log(2.0)),
+            (np.inf, 0.0),
+            (-np.inf, np.inf),
+            (710.0, np.exp(-710.0)),
+            (-710.0, 710.0),
+            (np.nan, np.nan),
+        ],
+    )
+    def test_loss_of_one_margin(self, margin, loss):
+        # one row a = (1), label +1: the margin is x itself
+        prob = LogisticProblem(parse_libsvm("+1 1:1.0"))
+        x = np.array([margin])
+        # assert_array_equal counts nan as equal to nan
+        np.testing.assert_array_equal(prob.loss(x), loss)
+        np.testing.assert_array_equal(prob.loss_and_grad(x)[0], loss)
 
     def test_loss_and_grad(self, pair):
         prob, ref = pair
