@@ -1,6 +1,6 @@
 """Experiment engine: estimator + step-size rule + problem, iterated to a
-budget, with a per-iteration trace of losses, gradient norms, step sizes,
-and oracle/communication counters.
+budget, with a per-iteration trace of losses, gradient norms, estimate
+norms and errors, step sizes, and oracle/communication counters.
 
 Config files are plain ``key=value`` lines (``#`` comments allowed).
 Documented keys:
@@ -218,13 +218,15 @@ def validate(config, problem):
 class TraceRow:
     """One recorded iteration.  Its fields, in order, are the trace CSV's
     columns (``CSV_HEADER``, written by ``csv_layout``); the loss and
-    gradient norm are exact, and ``wall_ms`` is read before the row's
-    own gradient pass."""
+    gradient norm are exact, ``est_err`` is the distance of the estimate
+    from the exact gradient, the error the registered constants bound,
+    and ``wall_ms`` is read before the row's own gradient pass."""
 
     t: int
     loss: float
     grad_norm: float
     est_norm: float
+    est_err: float
     gamma: float
     grad_calls: int
     partial_calls: int
@@ -365,14 +367,20 @@ def run(config, problem=None):
 
     trace = Trace()
 
-    def record(t, est_norm, gamma):
+    def record(t, g, gamma):
         """Append iteration t's row, its clock read before the exact loss
-        and gradient at x; returns the gradient norm."""
+        and gradient at x; ``g`` is the estimate at x, or None for the
+        final row, whose estimate columns read 0.0.  Returns the gradient
+        norm."""
         wall = (time.perf_counter() - started) * 1e3 if timing else 0.0
         loss, grad = problem.loss_and_grad(x)
         grad_norm = float(np.linalg.norm(grad))
+        if g is None:
+            est_norm = est_err = 0.0
+        else:
+            est_norm, est_err = float(np.linalg.norm(g)), float(np.linalg.norm(g - grad))
         counters = (est.grad_calls, est.partial_calls, est.bits)
-        trace.append(TraceRow(t, loss, grad_norm, est_norm, gamma, *counters, wall))
+        trace.append(TraceRow(t, loss, grad_norm, est_norm, est_err, gamma, *counters, wall))
         return grad_norm
 
     status = "completed"
@@ -381,7 +389,7 @@ def run(config, problem=None):
     while t < config.T:
         gamma_t, update = rule.advance(g)
         if t % config.cadence == 0:
-            grad_norm = record(t, float(np.linalg.norm(g)), float(gamma_t))
+            grad_norm = record(t, g, float(gamma_t))
             if config.tol > 0.0 and grad_norm <= config.tol:
                 status = "converged"
                 break
@@ -397,7 +405,7 @@ def run(config, problem=None):
         t += 1
 
     if status != "diverged" and (len(trace) == 0 or trace.rows[-1].t != t):
-        record(t, 0.0, 0.0)
+        record(t, None, 0.0)
 
     norms = trace.grad_norms()
     summary = {

@@ -39,7 +39,7 @@ def workloads(monkeypatch):
                 "grad_calls": 54400,
                 "partial_calls": 0,
                 "bits": 0,
-                "trace_sha256": "d2892624ef4d5d41be2b59d997937a623e90288674d5e6b0183b280feb7db49f",
+                "trace_sha256": "171c5b851473c19fd63547b66af4b3625561705f91784d057a4a32e2ec8091dd",
             },
         ),
         (

@@ -38,6 +38,7 @@ def row(t, grad_norm=1.0, grad_calls=0, partial_calls=0, bits=0):
         loss=0.5,
         grad_norm=grad_norm,
         est_norm=grad_norm,
+        est_err=0.0,
         gamma=0.1,
         grad_calls=grad_calls,
         partial_calls=partial_calls,
@@ -186,7 +187,28 @@ class TestRun:
         assert res.status == "completed"
         assert len(res.trace) == 1
         last = res.trace.rows[0]
-        assert last.t == 0 and last.est_norm == 0.0 and last.gamma == 0.0
+        assert last.t == 0 and last.est_norm == 0.0 and last.est_err == 0.0 and last.gamma == 0.0
+
+    @pytest.mark.parametrize(
+        "problem", [dict(dataset="synthetic:200:20:1"), dict(problem="quadratic", n=30, d=8)]
+    )
+    def test_exact_estimate_has_zero_error(self, problem):
+        # with p = 1 every PAGE estimate is a full_grad, the vector that
+        # loss_and_grad returns bit for bit
+        cfg = ExperimentConfig(
+            method="page", b=4, p=1.0, T=30, cadence=1, scheduler="adaptive", **problem
+        )
+        trace = run(cfg).trace
+        assert len(trace) == 31
+        assert [r.est_err for r in trace] == [0.0] * 31
+
+    def test_estimate_error_is_distance_to_exact_gradient(self):
+        cfg = ExperimentConfig(
+            method="saga", b=4, dataset="synthetic:200:20:1", T=30, cadence=3, scheduler="adaptive"
+        )
+        trace = run(cfg).trace
+        assert any(r.est_err > 0.0 for r in trace)
+        assert trace.rows[-1].est_err == 0.0
 
     def test_divergence_detected(self):
         cfg = ExperimentConfig(
@@ -415,15 +437,15 @@ class TestTraceCsv:
     def test_bytes_of_extreme_values(self):
         nan, inf = float("nan"), float("inf")
         trace = Trace([
-            TraceRow(0, nan, inf, -0.0, 5e-324, 2**62, 0, 2**70, -inf),
-            TraceRow(2**63, -1.5, 0.1, 1e300, 0.0, 2**62 + 1, 3, 2**70, 12.25),
+            TraceRow(0, nan, inf, -0.0, nan, 5e-324, 2**62, 0, 2**70, -inf),
+            TraceRow(2**63, -1.5, 0.1, 1e300, 0.1 + 0.2, 0.0, 2**62 + 1, 3, 2**70, 12.25),
         ])
         assert trace_csv_text(trace) == (
             CSV_HEADER + "\n"
-            "0,nan,inf,-0,4.9406564584124654e-324,4611686018427387904,0,"
+            "0,nan,inf,-0,nan,4.9406564584124654e-324,4611686018427387904,0,"
             "1180591620717411303424,-inf\n"
-            "9223372036854775808,-1.5,0.10000000000000001,1.0000000000000001e+300,0,"
-            "4611686018427387905,3,1180591620717411303424,12.25\n"
+            "9223372036854775808,-1.5,0.10000000000000001,1.0000000000000001e+300,"
+            "0.30000000000000004,0,4611686018427387905,3,1180591620717411303424,12.25\n"
         )
 
     def test_header_checked(self):

@@ -43,147 +43,147 @@ GOLDEN = [
     (
         "saga-adaptive",
         dict(method="saga", presets=True, scheduler="adaptive"),
-        "1a079b2adfbe48776ac2e233b9a36f68b63a97de62d6253637a31c3cd78094f5",
+        "845d120e70a1ce864741ebf386e02b489978b3de33189c135bd6da60e0e2f1a9",
     ),
     (
         "saga-theoretical",
         dict(method="saga", presets=True, scheduler="theoretical"),
-        "78e06c2eab37bcd9b7fa28ea7641ffa781cb1725ccfd08a422c5f5ea4199e5c9",
+        "1d96838c1d68ff9dae16f068dd8a038afc2c1b294362ba8bdf45f487bf3dd710",
     ),
     (
         "page-adaptive",
         dict(method="page", presets=True, scheduler="adaptive"),
-        "6dcb356ce2e7de27afd61649e643ee176dba23c1dad00d351152c716fa5aebe6",
+        "da25a49e574f02bbdf53ce398f9bcf57b16ae4bf441a7706ce26d8f58ba24d50",
     ),
     (
         "page-theoretical",
         dict(method="page", presets=True, scheduler="theoretical"),
-        "711531dd45f12e2aa4ac77d73636c6907c9b362224e7e2ad5c16f1a46fba3dfb",
+        "8d9e1cf049fef92d24381a5b3f92f4e8862224f269565d803092a855a75c4e37",
     ),
     (
         "page-with-replacement",
         dict(method="page", presets=True, with_replacement=True, scheduler="adaptive"),
-        "921b5aed74969c32efc154a8c74ebbdcf58f13bd9fe563bb47f19b02b1301156",
+        "9331d0f2fc3d07456498a4b6913d9930657f1ed4206271b6d98e9c656548af54",
     ),
     (
         "zerosarah-adaptive",
         dict(method="zerosarah", presets=True, scheduler="adaptive"),
-        "d7af35da1ec4131dc1daa659b3e816e9ebaeb0bd04adfa665b962e3de721fc74",
+        "3eb48ac37c58ae7b38166fe53e63e0776b7abd3a2b90cf88ecc7cc911641ca41",
     ),
     (
         "zerosarah-theoretical",
         dict(method="zerosarah", presets=True, scheduler="theoretical"),
-        "f34c4517a283a65654075079b2733c36f2497d2eb9711e6e16869b6873971845",
+        "e642196b4dbcfc6b5091946df4a5a4ad8ad87dfb1f1660bb3a26e876fefefd42",
     ),
     (
         "lsvrg-adaptive",
         dict(method="lsvrg", presets=True, scheduler="adaptive"),
-        "e35fe11e3466c5251326e6545f553b90d751be0f9c0dcca80886effd6c3da1fc",
+        "8b85d9c9271fdd205bad7a36e2519d39201e43741a2f2edf9fbe79991517dbcd",
     ),
     (
         "lsvrg-with-replacement",
         dict(method="lsvrg", b=9, p=0.05, with_replacement=True, scheduler="theoretical"),
-        "16a8624b45921d71fa2bda256b98971970049f6dd6701940fa39daeda073f434",
+        "8cb45c9d73fbe795954c6188c2c1a71acc33a613a1b1ba457127939e7bdecf62",
     ),
     (
         "sega-adaptive",
         dict(method="sega", b=8, scheduler="adaptive"),
-        "65cdfcf83f3c6e45696811d677f7fef9c00c47bc5f3be2f61f6be61b9d5f8a64",
+        "3e0daac8bf87bbc27d9cf52bef9bb23b58c7ebc075e27873ae1668559fa94aef",
     ),
     (
         "jaguar-adaptive",
         dict(method="jaguar", b=8, scheduler="adaptive"),
-        "035c5d105b537ce729a9e9250ca9e915dccc5135c0e06cb65f819ba821ec22aa",
+        "9c98ef19a351629cee00b93d0efdab9b7dfb120fd009a6cfb4ac1a98ed5d087c",
     ),
     (
         "ef21-topk",
         dict(method="ef21", compressor="topk", k=5, clients=6, scheduler="adaptive"),
-        "8f8bdbca14141ba8ee57b90f3cccaf714abd992f65ac64bfa25db8201aa025c5",
+        "56210f8c687f23b646183750f9034f968958d3cbe10cb10090aedfadce1cc7d5",
     ),
     (
         "dasha-randk",
         dict(method="dasha", compressor="randk", k=5, clients=6, scheduler="adaptive"),
-        "5ce6e166f5aede080f5f156fd3e30831fe6d2c60d41aba80bf0360f3e18d7d2e",
+        "d988efc8e21134f04d8eb903d0e53e87bec4c00337cf8e8831b86629199acd13",
     ),
     (
         "diana-randk",
         dict(method="diana", compressor="randk", k=5, clients=6, scheduler="adaptive"),
-        "c48a585d58225d9f9dce6bcdc8b0527c1c83eaa6490ea9ba028980cecee7000c",
+        "6b420815a5110114c8665bb55d8e64a8c55bbb6bcf59193503503a0746f0e239",
     ),
     (
         "ef21-round-robin",
         dict(method="ef21", compressor="topk", k=5, clients=6, scheme="round-robin",
              scheduler="adaptive"),
-        "7042dcd905459da60369e1ada6fddb39b67c2c2a20d8a271bb8e618c052afb17",
+        "f542596ce59e38ada526f20d1f5f76083d3fb130d9e512f4c94b6dc4ab355829",
     ),
     (
         "dasha-round-robin",
         dict(method="dasha", compressor="randk", k=5, clients=6, scheme="round-robin",
              scheduler="adaptive"),
-        "20fff830885e58e78ac49323ad4243f43b291195fffa1bb433786ac26f36834c",
+        "4ad311d8f739bac35001c53713959d7ccad65a1ca351fc1ab6b1670f58bbb671",
     ),
     (
         "diana-round-robin",
         dict(method="diana", compressor="randk", k=5, clients=6, scheme="round-robin",
              scheduler="adaptive"),
-        "9b59e6c423d8e93e5d0ac23af5b3a602be8f58b72235f74a98ccb6bfbb2ecee5",
+        "40bb8ff403eacad79543c741d5b00635fb7b32e824a0cbe3d135334e7b4b7da6",
     ),
     # the client-server updates with no compressor randomness: these pin
     # the update algebra apart from the compressor's random stream
     (
         "ef21-identity",
         dict(method="ef21", compressor="identity", clients=6, scheduler="adaptive"),
-        "3fd31bd10ed9984f48d2452421423aad2665dab2c039818c61dd7f7a656082d9",
+        "8ad06737f20010d4d675d499c7fe264a94ae31e4db7fd2ced0e1c82590b65dd5",
     ),
     (
         "diana-identity",
         dict(method="diana", compressor="identity", clients=6, scheduler="adaptive"),
-        "c8b19223721834f5288dc824bb9e2e4a1f1b1b32c10507c54f9532a7961da8ec",
+        "90b2e6b5f4e706d9465cff66b228a02f5f4c28f593af2db9ac6d00393b1f0f20",
     ),
     (
         "dasha-identity",
         dict(method="dasha", compressor="identity", clients=6, scheduler="adaptive"),
-        "8136ebe23ad37378419424083c36d5869702b7b4bfd1f58ea928a925d654407d",
+        "90a9a0a59b0505d9a8fd72af4fa33df46f986652b385856ba83c24e0dfe45521",
     ),
     # unequal client shares: 27 components over 4 clients are 7, 7, 7, 6
     (
         "ef21-quadratic",
         dict(problem="quadratic", n=27, d=9, method="ef21", compressor="topk", k=3,
              clients=4, scheduler="adaptive"),
-        "a9a249eea9598d001a5c9bc3635e60663ee413f62bc12fea966c5f7934bdda64",
+        "5b0f77082f6eaaeb7f51da0017ae1480cb8a32d7c30274f218d13cb8946dd3b4",
     ),
     (
         "dasha-quadratic",
         dict(problem="quadratic", n=27, d=9, method="dasha", compressor="randk", k=3,
              clients=4, scheduler="adaptive"),
-        "43a07b0b100c7e50dc4fd14e401132836bb2beb0b3dbd8e536c6131223cdd9f2",
+        "f2c94b6befe2a4c627ec98428137560ba6eaa3c7c98405fb0d55d3d501bcf127",
     ),
     (
         "diana-quadratic",
         dict(problem="quadratic", n=27, d=9, method="diana", compressor="randk", k=3,
              clients=4, scheduler="adaptive"),
-        "f8cb25191845c2373a6a96dfdfa22b535093baf0f66f19c3084b033fbb340fa7",
+        "2b8b13f1e189ab9160f5ea6e928dfaa75680bc3b3ae2753fea4075c2a2a30c8c",
     ),
     # the step-size rules not covered above
     (
         "page-adam",
         dict(method="page", presets=True, scheduler="adam", lr=0.05),
-        "fb3a108809ca77495ed3f4a9f1c91d0dce97c11b68cd3ed81778658aa3f21c42",
+        "0701dc04978fbfaba91f6a4d7225c6a5ac9cfba99edb70c30753dabd93bbb6e8",
     ),
     (
         "zerosarah-tuned",
         dict(method="zerosarah", presets=True, scheduler="tuned", multiplier=4.0),
-        "fa0951ad8ba2c8e9b2a6e6a62446e432a59c84ce0b578e387effba4e1c2b3ad0",
+        "353a9c78254ca2a24ac605d0299ccef4bf973f46caaca798d4bbd89b241505d6",
     ),
     (
         "lsvrg-constant",
         dict(method="lsvrg", presets=True, scheduler="constant", gamma=0.5),
-        "85587b70edf74c8bb9920d9f7ec86c87d06300cd3958485ee014692edb7a65a8",
+        "04465bba66a9982843ae7831831d35f87d687767785146bd33317151af4fcb7f",
     ),
     (
         "saga-pl-quadratic",
         dict(problem="quadratic", n=40, d=10, cond=1000.0, method="saga", b=8, scheduler="pl"),
-        "a9ba0ca23342bd6cfc62b3b489df282ae2a1e66d636401aa947c3f5144aeeea4",
+        "b5ad1a11a82343a912730a4d6626fd87798a826a9e2865a8214189babcb5c2e5",
     ),
     # the batch methods on dense components, also at d=1, where the
     # steps' column sums still add in row order (numpy's mean(axis=0)
@@ -191,42 +191,42 @@ GOLDEN = [
     (
         "saga-quadratic",
         dict(QUAD, d=10, method="saga", b=8),
-        "fb3a5b7bf22b53936ab0cb2a861ec37a97f9217fd41c604e0b94a512c2493b28",
+        "61664cccb3b905137014f4d558eed02a4fedcd87a605d53563b7745f8140daa5",
     ),
     (
         "zerosarah-quadratic",
         dict(QUAD, d=10, method="zerosarah", b=8),
-        "522c6e6837a1bb148ceb0a092a2296fb5f6c8ce26e949d12f833244779230691",
+        "6473322bba4e805c42117e4f2171619b7e4c6b4d69de69068062371b1bc6d66b",
     ),
     (
         "lsvrg-quadratic",
         dict(QUAD, d=10, method="lsvrg", b=8, p=0.2),
-        "ef2e4a9f99bf6c06ad3f011a293bf871606ae15cdb964455c551084eb9cdfd23",
+        "6253d214b40f1263b962639ffacf8f2adee31cf42ebf84a40f35928de04295e5",
     ),
     (
         "page-quadratic",
         dict(QUAD, d=10, method="page", b=8, p=0.2),
-        "a545f4c9dc4fe8f4043bf2615ae7e052ef02c367762b22fca300f853e109a310",
+        "701b176bda195d759ba315f1d1d1396c1756a3d824666d262d7781b6ff0acbdb",
     ),
     (
         "saga-quadratic-d1",
         dict(QUAD, d=1, method="saga", b=10),
-        "493c89cc4046fc3f42b73475c8549036ff3a5d44eb92fe8f337a59c05c2599b2",
+        "367ff920b1d53aa67200d454830eb1ccf0fcefc60b6aec38070a0a692b8de1d5",
     ),
     (
         "zerosarah-quadratic-d1",
         dict(QUAD, d=1, method="zerosarah", b=10),
-        "bec15d23e590cf3af4c97749a40b4c9227bdb341ac04def419683fd0d5f3beb1",
+        "dbef53f0861baffe7b37f379d3e96b883e3aa21e648caf144e74ce9c3454bdbd",
     ),
     (
         "lsvrg-quadratic-d1",
         dict(QUAD, d=1, method="lsvrg", b=10, p=0.2),
-        "45629d8a9935bf240c883181ecf4a9f185ea73672d2e5a5d9e4ccdb37c876096",
+        "69fed22a6306b3a66ea54ab2f7ac7f3d68566dce21e9c20d2f78d97f4190d6c6",
     ),
     (
         "page-quadratic-d1",
         dict(QUAD, d=1, method="page", b=30, p=0.2),
-        "4b955dec05d5f5519641acab11546ef1ca157554a0f11ea3718997720007cd27",
+        "d218b7803eccd3278f2a1f73da59baf2175df1f39d110f87ecb2aecf2ba12c73",
     ),
 ]
 

@@ -29,6 +29,7 @@ def synthetic_trace(norm_fn, T=200, loss_fn=None):
                 loss=loss_fn(t) if loss_fn else 1.0,
                 grad_norm=norm_fn(t),
                 est_norm=0.0,
+                est_err=0.0,
                 gamma=0.1,
                 grad_calls=t,
                 partial_calls=0,
