@@ -83,9 +83,12 @@ def _check_count(name, value):
     return int(value)
 
 
-def _check_batch(b, n):
+def _check_batch(b, name, size):
+    """b, an integer in [1, size]; the size (``name``: n or d) is checked
+    first, and None puts no bound on b."""
+    size = math.inf if size is None else _check_count(name, size)
     _require(b is not None, "batch size b is required")
-    _require(1 <= b <= n and b % 1 == 0, f"b must be an integer in [1, {n}], got {b}")
+    _require(1 <= b <= size and b % 1 == 0, f"b must be an integer in [1, {size}], got {b}")
     return int(b)
 
 
@@ -95,13 +98,17 @@ def _check_prob(p):
 
 
 def _quality(name, value, d, k):
-    """delta or omega (``name``), given directly or as d/k for an integer
-    k in [1, d], checked >= 1."""
+    """delta or omega (``name``), given directly or as d/k for integers
+    d and k with k in [1, d], checked finite and >= 1."""
     if value is None and d is not None and k is not None:
+        d = _check_count("d", d)
         _check_count("k", k)
         _require(k <= d, f"k must be an integer in [1, {d}], got {k}")
         value = d / k
-    _require(value is not None and value >= 1.0, f"{name} must be >= 1, got {value}")
+    _require(
+        value is not None and 1.0 <= value < math.inf,
+        f"{name} must be finite and >= 1, got {value}",
+    )
     return value
 
 
@@ -274,8 +281,8 @@ class LSVRG(GradientEstimator):
         return {"b": math.ceil(n ** (2.0 / 3.0)), "p": n ** (-1.0 / 3.0)}
 
     @staticmethod
-    def registration(b=None, p=None, n=math.inf, **_):
-        b, p = _check_batch(b, n), _check_prob(p)
+    def registration(b=None, p=None, n=None, **_):
+        b, p = _check_batch(b, "n", n), _check_prob(p)
         return VRConstants(1.0, p / 2.0, 2.0 / b, 2.0 / b, 1.0 + 2.0 / p)
 
     def _opening_pass(self):
@@ -357,7 +364,7 @@ class SAGA(_TableEstimator):
 
     @staticmethod
     def registration(*, n, b=None, **_):
-        b = _check_batch(b, n)
+        b = _check_batch(b, "n", n)
         return VRConstants(
             1.0,
             b / (2.0 * n),
@@ -395,8 +402,8 @@ class PAGE(GradientEstimator):
     presets = staticmethod(LSVRG.presets)
 
     @staticmethod
-    def registration(b=None, p=None, n=math.inf, **_):
-        b, p = _check_batch(b, n), _check_prob(p)
+    def registration(b=None, p=None, n=None, **_):
+        b, p = _check_batch(b, "n", n), _check_prob(p)
         return VRConstants(p, 1.0, 0.0, (1.0 - p) / b, 0.0)
 
     def _update(self, x_t, rng):
@@ -436,7 +443,7 @@ class ZeroSARAH(_TableEstimator):
 
     @staticmethod
     def registration(*, n, b=None, **_):
-        b = _check_batch(b, n)
+        b = _check_batch(b, "n", n)
         lam = b / (2.0 * n)
         return VRConstants(lam, lam, lam, 2.0 / b, 2.0 * n / b)
 
@@ -686,7 +693,7 @@ class SEGA(GradientEstimator):
 
     @staticmethod
     def registration(*, d, b=None, **_):
-        b = _check_batch(b, d)
+        b = _check_batch(b, "d", d)
         return VRConstants(1.0, b / (2.0 * d), d / b, (d * d) / (b * b), 3.0 * d / b)
 
     def _opening_pass(self):
@@ -730,7 +737,7 @@ class JAGUAR(GradientEstimator):
 
     @staticmethod
     def registration(*, d, b=None, **_):
-        b = _check_batch(b, d)
+        b = _check_batch(b, "d", d)
         return VRConstants(b / (2.0 * d), 1.0, 0.0, 3.0 * d / b, 0.0)
 
     def _update(self, x_t, rng):

@@ -434,6 +434,8 @@ class TestConstantsCommand:
             (["--method", "diana", "--clients", "0"], "n_clients must be >= 1, got 0"),
             (["--method", "dasha", "--clients", "-3"], "n_clients must be >= 1, got -3"),
             (["--method", "ef21", "--d", "10", "--k", "20"], "ef21: k must be an integer in [1, 10], got 20"),
+            (["--method", "diana", "--omega", "inf"], "diana: omega must be finite and >= 1, got inf"),
+            (["--method", "ef21", "--delta", "inf"], "ef21: delta must be finite and >= 1, got inf"),
         ],
     )
     def test_bad_flag_is_named(self, flags, named, capsys):

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -168,10 +169,36 @@ class TestConstantsRegistry:
             ("saga", dict(b=float("nan"), n=10), "b must be an integer in [1, 10], got nan"),
             ("lsvrg", dict(b=float("inf"), p=0.5), "b must be an integer in [1, inf], got inf"),
             ("diana", dict(d=10, k=2, n_clients=2.5), "n_clients must be an integer, got 2.5"),
+            # a problem size is checked before it bounds b or k
+            ("saga", dict(b=2, n=2.5), "n must be an integer, got 2.5"),
+            ("sega", dict(b=2, d=2.5), "d must be an integer, got 2.5"),
+            ("ef21", dict(d=10.5, k=2), "d must be an integer, got 10.5"),
+            ("lsvrg", dict(b=2, p=0.5, n=3.5), "n must be an integer, got 3.5"),
+            ("zerosarah", dict(b=2, n=float("nan")), "n must be >= 1, got nan"),
+            ("saga", dict(b=2, n=math.inf), "n must be an integer, got inf"),
+            ("jaguar", dict(b=2, d=math.inf), "d must be an integer, got inf"),
         ],
     )
     def test_non_finite_or_fractional_count_is_named(self, method, hp, named):
         with pytest.raises(ValueError, match=re.escape(named)):
+            constants(method, **hp)
+
+    @pytest.mark.parametrize("method", ["lsvrg", "page"])
+    def test_size_is_optional(self, method):
+        # without n, b has no bound; these tuples do not read n
+        assert constants(method, b=10**6, p=0.5) == constants(method, b=10**6, p=0.5, n=10**6)
+
+    @pytest.mark.parametrize(
+        "method,hp",
+        [
+            ("ef21", dict(delta=math.inf)),
+            ("diana", dict(omega=math.inf, n_clients=2)),
+            ("dasha", dict(omega=math.inf, n_clients=2)),
+        ],
+    )
+    def test_infinite_quality_is_named(self, method, hp):
+        (name,) = set(hp) - {"n_clients"}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 1, got inf$"):
             constants(method, **hp)
 
     @pytest.mark.parametrize("name", ["n_clients", "value_bits", "index_bits"])
