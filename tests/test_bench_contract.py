@@ -3,11 +3,12 @@
 ``perfbench/workloads.py`` builds ``Trace(rows)`` from rows copied with
 ``dataclasses.replace(row, wall_ms=0.0)``, hashes ``trace_csv_text`` and
 ``margins_to_csv`` output, reads the run summary's keys and takes the
-time per step from the last row's ``wall_ms``.  One timing chunk of the
-race and one of verify run here, so a change to any of these fails here
-before it breaks the benchmark; their fingerprints are the bytes the
-benchmark compares across commits.  The workloads module is loaded by
-path and nothing under ``perfbench/`` is written.
+time per step from the last row's ``wall_ms``.  The first timing chunk
+of the race and of verify, and all three of fullpass (EF21, DASHA,
+JAGUAR), run here, so a change to any of these fails here before it
+breaks the benchmark; their fingerprints are the bytes the benchmark
+compares across commits.  The workloads module is loaded by path and
+nothing under ``perfbench/`` is written.
 """
 
 import importlib.util
@@ -34,28 +35,59 @@ def workloads(monkeypatch):
     [
         (
             "race",
-            {
-                "iterations": 200,
-                "grad_calls": 54400,
-                "partial_calls": 0,
-                "bits": 0,
-                "trace_sha256": "171c5b851473c19fd63547b66af4b3625561705f91784d057a4a32e2ec8091dd",
-            },
+            [
+                {
+                    "iterations": 200,
+                    "grad_calls": 54400,
+                    "partial_calls": 0,
+                    "bits": 0,
+                    "trace_sha256": "171c5b851473c19fd63547b66af4b3625561705f91784d057a4a32e2ec8091dd",
+                },
+            ],
         ),
         (
             "verify",
-            {
-                "passed": True,
-                "margins_sha256": "7f51efae012d06056825371b57fe9dbefd27706003f809d1bb64a9032253306a",
-            },
+            [
+                {
+                    "passed": True,
+                    "margins_sha256": "7f51efae012d06056825371b57fe9dbefd27706003f809d1bb64a9032253306a",
+                },
+            ],
+        ),
+        (
+            "fullpass",
+            [
+                {
+                    "iterations": 100,
+                    "grad_calls": 404000,
+                    "partial_calls": 0,
+                    "bits": 487360,
+                    "trace_sha256": "d0d1fde132f38ec8a5b6da53c9cc746e1a7356d6fbbeed533ba5df9c46ff190c",
+                },
+                {
+                    "iterations": 100,
+                    "grad_calls": 404000,
+                    "partial_calls": 0,
+                    "bits": 487360,
+                    "trace_sha256": "87d7135ddebfce6e5faccefe3620c2d6b39fed0bd7a0ccceb4c04c913c343b6e",
+                },
+                {
+                    "iterations": 100,
+                    "grad_calls": 4000,
+                    "partial_calls": 800,
+                    "bits": 0,
+                    "trace_sha256": "351cb43f1901dd434faff31a1f1b7391fe941b0566695bf96e54ee9945b63e2d",
+                },
+            ],
         ),
     ],
 )
 def test_first_timing_chunk(workloads, workload, fingerprint, tmp_path):
+    # ``fingerprint`` lists the expected fingerprints of the first chunks
     bench = workloads.WORKLOADS[workload](0, str(tmp_path))
     bench.setup(reps=1)
-    name, run, steps = bench.timing_cells()[0]
-    rnd = workloads.run_round([(name, run, steps)])
+    cells = bench.timing_cells()[: len(fingerprint)]
+    rnd = workloads.run_round(cells)
     assert rnd.errors == {}
-    assert rnd.step_us[name] > 0.0
-    assert rnd.fingerprints[name] == fingerprint
+    assert [rnd.fingerprints[name] for name, _, _ in cells] == fingerprint
+    assert all(rnd.step_us[name] > 0.0 for name, _, _ in cells)
