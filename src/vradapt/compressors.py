@@ -42,9 +42,22 @@ class CompressedVector:
         return out
 
 
+def _check_dim(d):
+    """d, an integer >= 1, tested before it is converted (so nan and inf
+    are named, not an error of ``int``)."""
+    if not d >= 1:
+        raise ValueError(f"dim must be >= 1, got {d}")
+    if d % 1 != 0:
+        raise ValueError(f"dim must be an integer, got {d}")
+    return int(d)
+
+
 def _check_k(k, d):
+    """k, an integer in [1, d]; d is checked first."""
+    d = _check_dim(d)
     if not (1 <= k <= d and int(k) == k):
         raise ValueError(f"k must be an integer in [1, {d}], got {k}")
+    return int(k), d
 
 
 def top_k(x, k) -> CompressedVector:
@@ -93,10 +106,8 @@ class TopK:
     unbiased = False
 
     def __init__(self, k, dim):
-        _check_k(k, dim)
-        self.k = int(k)
-        self.dim = int(dim)
-        self.delta = dim / k
+        self.k, self.dim = _check_k(k, dim)
+        self.delta = self.dim / self.k
 
     def compress(self, x, rng=None) -> CompressedVector:
         return top_k(x, self.k)
@@ -115,10 +126,8 @@ class RandK:
     unbiased = True
 
     def __init__(self, k, dim):
-        _check_k(k, dim)
-        self.k = int(k)
-        self.dim = int(dim)
-        self.omega = dim / k
+        self.k, self.dim = _check_k(k, dim)
+        self.omega = self.dim / self.k
 
     def compress(self, x, rng) -> CompressedVector:
         return rand_k(x, self.k, rng)
@@ -147,8 +156,7 @@ class IdentityCompressor:
     unbiased = True
 
     def __init__(self, dim):
-        self.dim = int(dim)
-        self.k = int(dim)
+        self.dim = self.k = _check_dim(dim)
         self.delta = 1.0
         self.omega = 1.0
 

@@ -274,6 +274,37 @@ class TestPlumbing:
             cls(2.5, 10)
         assert cls(2.0, 10).k == 2
 
+    @pytest.mark.parametrize(
+        "cls,args,message",
+        [
+            pytest.param(cls, args, message, id="-".join([cls.__name__, *map(str, args)]))
+            for cls, args, message in [
+                (TopK, (2, 10.5), "dim must be an integer, got 10.5"),
+                (RandK, (2, 10.5), "dim must be an integer, got 10.5"),
+                (TopK, (2, float("nan")), "dim must be >= 1, got nan"),
+                (RandK, (2, float("nan")), "dim must be >= 1, got nan"),
+                (TopK, (2, float("inf")), "dim must be an integer, got inf"),
+                (RandK, (2, float("inf")), "dim must be an integer, got inf"),
+                (TopK, (1, 0), "dim must be >= 1, got 0"),
+                (IdentityCompressor, (2.5,), "dim must be an integer, got 2.5"),
+                (IdentityCompressor, (0,), "dim must be >= 1, got 0"),
+                (IdentityCompressor, (float("inf"),), "dim must be an integer, got inf"),
+            ]
+        ],
+    )
+    def test_dimension_is_checked_before_k(self, cls, args, message):
+        # a fractional d would register delta or omega = d/k for a vector
+        # of int(d) coordinates; nan and inf are named, not blamed on k
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(*args)
+
+    @pytest.mark.parametrize("cls", [TopK, RandK])
+    def test_integral_float_dimension_is_accepted(self, cls):
+        comp = cls(2, 10.0)
+        assert (comp.k, comp.dim) == (2, 10)
+        assert getattr(comp, "delta" if cls is TopK else "omega") == 5.0
+        assert IdentityCompressor(3.0).dim == 3
+
     def test_to_dense(self):
         v = CompressedVector(
             indices=np.array([1, 3], dtype=np.int64), values=np.array([2.0, -1.0]), dim=5
