@@ -8,7 +8,8 @@ and exposes, next to the plain loss, three gradient oracles: the full
 gradient, per-component gradients, and per-coordinate partial derivatives
 of f.  Instances do not change after construction, so they can be shared
 freely between concurrent runs; the one exception is the logistic
-problem's batch matrix, scratch space that each thread keeps for itself.
+problem's scratch space, which each thread keeps for itself: its batch
+matrices and its last margin pass.
 """
 
 from __future__ import annotations
@@ -172,25 +173,38 @@ class LogisticProblem(Problem):
 
     * ``X``: the dataset's CSR arrays (``indptr``, ``indices``,
       ``values``) as a CSR matrix (n x d), not concatenated again
-      (scipy may narrow the index arrays to int32); the margin pass of
-      ``loss``, ``full_grad``, ``loss_and_grad``, ``partials`` and
-      ``group_grads``, and the power iteration read it.
+      (scipy may narrow the index arrays to int32); the margin pass
+      (``_margin_pass``) and the power iteration read it.
     * ``XT``: A^T as a CSR matrix (d x n), a transposed view of A's CSC
       arrays, one stored row per feature; ``full_grad``,
-      ``loss_and_grad``, ``partials`` and the power iteration read it.
-    * ``_cols``, ``_vals``: the rows padded to a common width (at least
-      1), int32 column indices and float values; padding points at an
-      extra column ``d`` with value 0.0.  ``component_rows`` gathers a
-      batch from these into a CSR batch matrix, b x (d + 1), and takes
-      every point's margins from one product with the (d + 1, points)
-      stack of the points, whose row ``d`` is 0.0; it returns a copy of
-      the gathered ``_cols`` as the support and fresh row arrays.
-      ``component_grads`` scatters its rows to dense.
+      ``loss_and_grad`` and the power iteration read it.
+    * ``_rows``: the rows padded to a common width (at least 1), int32
+      column indices and float values; padding points at an extra
+      column ``d`` with value 0.0 (``_padded``).  ``component_rows``
+      gathers a batch from these into a CSR batch matrix, b x (d + 1),
+      and takes every point's margins from one product with the
+      (d + 1, points) stack of the points, whose row ``d`` is 0.0; it
+      returns a copy of the gathered columns as the support and fresh
+      row arrays.  ``component_grads`` scatters its rows to dense.
+    * ``_columns``: the same layout of ``XT``, one padded row per
+      feature, padding column ``n``; built on the first ``partials``
+      call, which gathers the requested features into a batch matrix,
+      b x (n + 1), and applies it to the weights followed by one 0.0:
+      only the b sampled column sums, each in the order of ``XT @ w``.
+      It holds d x (the largest column count) entries, 0.74 MB on the
+      benchmark's 4000 x 123 data (largest column count 499); with a
+      feature present in every row it is as big as a dense copy of A.
 
-    Besides these, each thread keeps its own batch matrix per batch size
-    (``threading.local``), built on first use and overwritten by each of
-    that thread's ``component_rows`` calls with that size: the only state
-    an instance changes after construction.
+    Besides these, each thread keeps its own scratch
+    (``threading.local``): a batch matrix per batch shape, built on first
+    use and overwritten by that thread's next gather of that shape, and
+    its last margin pass, m = y * (X @ x) and the weights
+    w = -y * expit(-m), keyed by x's bytes.  ``loss``, ``full_grad``,
+    ``loss_and_grad``, ``partials`` and every ``group_grads`` function
+    read the pass, so the oracles called at one point pass over the rows
+    once (a trace record after a step, SEGA's partials at its previous
+    point).  The scratch is the only state an instance changes after
+    construction.
 
     Every gradient oracle result is bit-identical, down to the sign of
     zeros, to the plain scipy CSR expressions (``X[idx]`` -> ``.multiply``
@@ -218,22 +232,21 @@ class LogisticProblem(Problem):
         self.y = labels
         self.n_components, self.dim = X.shape
         self.XT = X.tocsc().T
-        lengths = np.diff(X.indptr)
-        width = max(1, int(lengths.max()))
-        filled = np.arange(width) < lengths[:, None]
-        self._cols = np.full((self.n_components, width), self.dim, dtype=np.int32)
-        self._cols[filled] = X.indices
-        self._vals = np.zeros((self.n_components, width))
-        self._vals[filled] = X.data
-        self._batch_matrices = threading.local()
+        self._rows = _padded(X)
+        self._scratch = _Scratch()
         self.smoothness = self._power_iteration()
 
     def __getstate__(self):
-        # the batch matrices are scratch, and a threading.local does not pickle
-        return {**vars(self), "_batch_matrices": None}
+        # the scratch is per thread, and a threading.local does not pickle
+        return {**vars(self), "_scratch": None}
 
     def __setstate__(self, state):
-        vars(self).update(state, _batch_matrices=threading.local())
+        vars(self).update(state, _scratch=_Scratch())
+
+    @cached_property
+    def _columns(self):
+        # A^T's rows, one per feature, padded; built on the first partials
+        return _padded(self.XT)
 
     def _power_iteration(self, iterations=POWER_ITERATIONS):
         """Largest eigenvalue of (1/(4n)) A^T A after ``iterations``
@@ -259,38 +272,53 @@ class LogisticProblem(Problem):
             v = w / norm
         return estimates[-1]
 
-    def _margins(self, x):
-        return self.y * (self.X @ np.asarray(x, dtype=float))
+    def _margin_pass(self, x):
+        """``(m, we)`` at x: the margins m = y * (X @ x), and the weights
+        w = -y * expit(-m) followed by one 0.0, the value the column
+        layout's padding reads.  This thread keeps the pass for the last
+        x, keyed by x's bytes, so the oracles called at one point share
+        one pass, and an x changed in place is passed again."""
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        scratch = self._scratch
+        if scratch.key != key:
+            m = self.y * (self.X @ x)
+            we = np.zeros(self.n_components + 1)
+            np.multiply(-self.y, expit(-m), out=we[:-1])
+            scratch.key, scratch.margins = key, (m, we)
+        return scratch.margins
 
     def loss(self, x):
-        return _mean_logistic_loss(self._margins(x))
+        return _mean_logistic_loss(self._margin_pass(x)[0])
 
     def loss_and_grad(self, x):
-        m = self._margins(x)
-        w = -self.y * expit(-m)
-        return _mean_logistic_loss(m), (self.XT @ w) / self.n_components
+        m, we = self._margin_pass(x)
+        return _mean_logistic_loss(m), (self.XT @ we[:-1]) / self.n_components
 
-    def _batch_matrix(self, size):
-        """This thread's CSR matrix, size x (d + 1), for batches of
-        ``size`` padded rows; ``component_rows`` overwrites its data and
-        indices on each call."""
-        matrices = vars(self._batch_matrices)  # this thread's own attributes
-        if size not in matrices:
-            width = self._cols.shape[1]
+    def _gather(self, layout, idx):
+        """This thread's CSR batch matrix for len(idx) rows of a padded
+        ``layout``, len(idx) x (pad + 1), filled with rows ``idx``.  It is
+        built on first use and overwritten by the next gather of as many
+        rows from a layout of the same shape."""
+        cols, vals, pad = layout
+        size, width = len(idx), cols.shape[1]
+        matrices = self._scratch.matrices
+        if (size, width, pad) not in matrices:
             nnz = size * width
-            matrices[size] = csr_matrix(
+            matrices[size, width, pad] = csr_matrix(
                 (np.zeros(nnz), np.zeros(nnz, dtype=np.int32), np.arange(0, nnz + 1, width)),
-                shape=(size, self.dim + 1),
+                shape=(size, pad + 1),
             )
-        return matrices[size]
+        batch = matrices[size, width, pad]
+        np.take(cols, idx, axis=0, out=batch.indices.reshape(size, width))
+        np.take(vals, idx, axis=0, out=batch.data.reshape(size, width))
+        return batch
 
     def component_rows(self, indices, *points):
         idx = np.asarray(indices)
-        batch = self._batch_matrix(len(idx))
-        cols = batch.indices.reshape(len(idx), self._cols.shape[1])
+        batch = self._gather(self._rows, idx)
+        cols = batch.indices.reshape(len(idx), self._rows[0].shape[1])
         vals = batch.data.reshape(cols.shape)
-        np.take(self._cols, idx, axis=0, out=cols)
-        np.take(self._vals, idx, axis=0, out=vals)
         xe = np.zeros((self.dim + 1, len(points)))
         for j, x in enumerate(points):
             xe[: self.dim, j] = x
@@ -311,15 +339,14 @@ class LogisticProblem(Problem):
         return self.component_grads(np.arange(self.n_components), x)
 
     def full_grad(self, x):
-        w = -self.y * expit(-self._margins(x))
-        return (self.XT @ w) / self.n_components
+        return (self.XT @ self._margin_pass(x)[1][:-1]) / self.n_components
 
     def partials(self, x, coords):
-        # each entry of the whole product X^T w is the row sum that
-        # X^T[coords] @ w gives, in the same order; the one product costs
-        # less than scipy's fancy row gather
-        w = -self.y * expit(-self._margins(x))
-        return (self.XT @ w)[np.asarray(coords, dtype=np.intp)] / self.n_components
+        # each sum runs over the column's stored entries in XT's order
+        # from +0.0, as in XT @ w; the padding adds 0.0 * 0.0, which
+        # leaves every sum as it is (a sum from +0.0 is never -0.0)
+        batch = self._gather(self._columns, np.asarray(coords, dtype=np.intp))
+        return (batch @ self._margin_pass(x)[1]) / self.n_components
 
     def group_grads(self, groups):
         """One stacked CSR, (len(groups) * dim) x n, holds each group's Xᵀ
@@ -335,10 +362,35 @@ class LogisticProblem(Problem):
         sizes = np.array([len(g) for g in groups], dtype=float)[:, None]
 
         def grads(x):
-            w = -self.y * expit(-self._margins(x))
+            w = self._margin_pass(x)[1][:-1]
             return (stacked @ w).reshape(len(sizes), self.dim) / sizes
 
         return grads
+
+
+class _Scratch(threading.local):
+    """A logistic problem's per-thread scratch: the batch matrices by
+    shape, and the last margin pass with its key."""
+
+    def __init__(self):
+        self.matrices = {}
+        self.key = self.margins = None
+
+
+def _padded(matrix):
+    """A CSR matrix's rows padded to a common width (at least 1):
+    ``(cols, vals, pad)``, int32 column indices and float values in
+    storage order; padding points at the extra column ``pad``, the
+    matrix's column count, with value 0.0."""
+    lengths = np.diff(matrix.indptr)
+    width = max(1, int(lengths.max(initial=0)))
+    filled = np.arange(width) < lengths[:, None]
+    pad = matrix.shape[1]
+    cols = np.full((matrix.shape[0], width), pad, dtype=np.int32)
+    cols[filled] = matrix.indices
+    vals = np.zeros(cols.shape)
+    vals[filled] = matrix.data
+    return cols, vals, pad
 
 
 def _mean_logistic_loss(m):

@@ -9,7 +9,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import eigsh
 from scipy.special import expit
 
+from vradapt import problems
 from vradapt.data import Dataset, parse_libsvm, synthetic_dataset
+from vradapt.estimators import make_estimator
 from vradapt.problems import (
     LogisticProblem,
     QuadraticProblem,
@@ -540,21 +542,30 @@ class TestLogisticMatchesScipyReference:
                 _assert_bit_equal(got, want)
 
     def test_component_rows_from_concurrent_threads(self, pair):
-        # each thread has its own batch matrices, so threads sharing one
-        # instance (more threads than cores, switching as often as the
-        # interpreter allows) get the rows a single thread gets
+        # each thread has its own batch matrices and margin pass, so
+        # threads sharing one instance, each at its own point (more
+        # threads than cores, switching as often as the interpreter
+        # allows), get the rows, loss, gradient and partials a single
+        # thread gets
         prob, _ = pair
         n, d = prob.n_components, prob.dim
         rng = np.random.default_rng(10)
-        jobs = [(rng.integers(0, n, size=n), rng.standard_normal(d)) for _ in range(8)]
-        want = [prob.component_rows(idx, x) for idx, x in jobs]
+        jobs = [
+            (rng.integers(0, n, size=n), rng.standard_normal(d), rng.integers(0, d, size=d))
+            for _ in range(8)
+        ]
+
+        def results(idx, x, coords):
+            cols, (rows,) = prob.component_rows(idx, x)
+            loss, grad = prob.loss_and_grad(x)
+            return [cols, rows, np.array(loss), grad, prob.partials(x, coords)]
+
+        want = [results(*job) for job in jobs]
         bad = []
 
         def work(k):
-            (want_cols, (want_rows,)) = want[k]
             for _ in range(100):
-                cols, (rows,) = prob.component_rows(*jobs[k])
-                if not (np.array_equal(cols, want_cols) and np.array_equal(rows, want_rows)):
+                if not all(map(np.array_equal, results(*jobs[k]), want[k])):
                     bad.append(k)
 
         interval = sys.getswitchinterval()
@@ -577,10 +588,19 @@ class TestLogisticMatchesScipyReference:
         want = prob.component_rows(np.arange(n), x)
         twin = pickle.loads(pickle.dumps(prob))
         got = twin.component_rows(np.arange(n), x)
-        assert twin._batch_matrix(n) is not prob._batch_matrix(n)
+        rows = np.arange(n)
+        assert twin._gather(twin._rows, rows) is not prob._gather(prob._rows, rows)
         for a, b in zip((got[0], *got[1]), (want[0], *want[1])):
             _assert_bit_equal(a, b)
-        _assert_bit_equal(copy.deepcopy(prob).full_grad(x), prob.full_grad(x))
+        # a copy, pickled or deep, has its own scratch: batch matrices for
+        # partials too, and a margin pass of its own at the same point
+        coords = np.arange(d)
+        for clone in (twin, copy.deepcopy(prob)):
+            _assert_bit_equal(clone.partials(x, coords), prob.partials(x, coords))
+            _assert_bit_equal(clone.full_grad(x), prob.full_grad(x))
+            assert clone._scratch is not prob._scratch
+            assert clone._gather(clone._columns, coords) is not prob._gather(prob._columns, coords)
+            assert clone._margin_pass(x)[1] is not prob._margin_pass(x)[1]
 
     def test_loss_within_four_eps_of_logaddexp(self, pair):
         prob, ref = pair
@@ -607,6 +627,33 @@ class TestLogisticMatchesScipyReference:
             for coords in coord_sets:
                 _assert_bit_equal(prob.partials(x, coords), ref.partials(x, coords))
 
+    @pytest.mark.parametrize("name", sorted(_EDGE_DATASETS))
+    def test_partials_first_on_a_fresh_problem(self, name):
+        # partials with no earlier call at x, on a problem whose column
+        # layout is built by that call: bit for bit, signs of zero too,
+        # the reference's per-column sums
+        ds = _EDGE_DATASETS[name]()
+        fresh, ref = LogisticProblem(ds), _ReferenceLogistic(ds)
+        d = ref.dim
+        rng = np.random.default_rng(13)
+        coord_sets = [
+            np.array([0]),
+            np.arange(d),
+            rng.permutation(d),
+            np.array([d - 1, 0, d - 1]),
+            np.array([], dtype=np.intp),
+        ]
+        for x in self._points(d, seed=14):
+            for coords in coord_sets:
+                prob = copy.deepcopy(fresh)
+                _assert_bit_equal(prob.partials(x, coords), ref.partials(x, coords))
+        counts = np.diff(ref.X.tocsc().indptr)
+        assert prob._columns[0].shape == (d, max(1, counts.max()))
+        if name == "all-empty":
+            # every column is empty: one padding entry per feature
+            assert prob._columns[0].shape == (d, 1)
+            assert np.all(prob._columns[0] == prob.n_components)
+
     def test_subset(self, pair):
         # each group_grads row is the reference problem over that group
         # of rows alone, for both schemes and 1, 2 and n clients
@@ -619,3 +666,78 @@ class TestLogisticMatchesScipyReference:
                 grads = prob.group_grads(groups)
                 for x in self._points(prob.dim, seed=5):
                     _assert_bit_equal(grads(x), np.array([s.full_grad(x) for s in shards]))
+
+
+class TestMarginPass:
+    """The oracles at one point share one margin pass: X @ x and one
+    ``expit`` over the rows, counted here through ``problems.expit``."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+
+        def counting(v):
+            calls.append(len(v))
+            return expit(v)
+
+        monkeypatch.setattr(problems, "expit", counting)
+        return calls
+
+    @pytest.fixture
+    def prob(self):
+        return LogisticProblem(_ragged_dataset(0))
+
+    def _oracles(self, prob):
+        grads = prob.group_grads(partition_problem(prob, 3))
+        return [
+            prob.loss,
+            prob.full_grad,
+            prob.loss_and_grad,
+            lambda x: prob.partials(x, [0, 2, 2]),
+            grads,
+        ]
+
+    def test_one_pass_per_point(self, prob, passes):
+        oracles = self._oracles(prob)
+        rng = np.random.default_rng(15)
+        x, z = rng.standard_normal(prob.dim), rng.standard_normal(prob.dim)
+        # every oracle first once, then x again (an equal copy) after z
+        for point, order in ((x, oracles), (z, oracles[::-1]), (x.copy(), oracles[2:] + oracles[:2])):
+            before = len(passes)
+            for oracle in order:
+                oracle(point)
+                assert len(passes) == before + 1
+        assert passes == [prob.n_components] * 3
+
+    def test_shared_pass_gives_fresh_results(self, prob, passes):
+        # each oracle read after the others equals its result on a fresh
+        # problem at the same point
+        x = np.random.default_rng(16).standard_normal(prob.dim)
+        shared = [f(x) for f in self._oracles(prob)]
+        for k, got in enumerate(shared):
+            alone = self._oracles(copy.deepcopy(prob))[k](x)
+            if isinstance(got, tuple):
+                _assert_bit_equal(got[0], alone[0])
+                got, alone = got[1], alone[1]
+            _assert_bit_equal(got, alone)
+
+    def test_point_changed_in_place_is_passed_again(self, prob, passes):
+        ref = _ReferenceLogistic(_ragged_dataset(0))
+        x = np.random.default_rng(17).standard_normal(prob.dim)
+        prob.full_grad(x)
+        x[3] += 0.5
+        _assert_bit_equal(prob.full_grad(x), ref.full_grad(x))
+        _assert_bit_equal(prob.partials(x, [3]), ref.partials(x, [3]))
+        x[3] = -0.0 if x[3] == 0.0 else 0.0
+        _assert_bit_equal(prob.loss_and_grad(x)[1], ref.full_grad(x))
+        assert len(passes) == 3
+
+    def test_sega_step_takes_one_pass(self, prob, passes):
+        # a step reads partials at its previous point and at the new one;
+        # the previous point's pass is the one its last step took
+        rng = np.random.default_rng(18)
+        est = make_estimator("sega", prob, np.zeros(prob.dim), {"b": 3})
+        for _ in range(5):
+            before = len(passes)
+            est.step(rng.standard_normal(prob.dim), rng)
+            assert len(passes) == before + 1
