@@ -203,8 +203,8 @@ class LogisticProblem(Problem):
     ``loss_and_grad``, ``partials`` and every ``group_grads`` function
     read the pass, so the oracles called at one point pass over the rows
     once (a trace record after a step, SEGA's partials at its previous
-    point).  The scratch is the only state an instance changes after
-    construction.
+    point).  The scratch and ``_columns`` are the only state an instance
+    changes after construction.
 
     Every gradient oracle result is bit-identical, down to the sign of
     zeros, to the plain scipy CSR expressions (``X[idx]`` -> ``.multiply``
