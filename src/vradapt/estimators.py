@@ -718,11 +718,12 @@ class SEGA(GradientEstimator):
         problem = self.problem
         d = problem.dim
         sampled = _batch_mask(_draw_batches(rng, d, self.b, S), d)
-        at_prev = problem.partials(self.x, np.arange(d))
-        at_cand = problem.partials(x_cand, np.arange(d))
+        # every coordinate's partial is its full_grad entry, bit for bit
+        at_prev = problem.full_grad(self.x)
+        at_cand = problem.full_grad(x_cand)
         memory = np.where(sampled, at_prev, self.memory)
         G = np.where(sampled, at_prev + (d / self.b) * (at_cand - at_prev), memory)
-        gaps = memory - problem.full_grad(x_cand)
+        gaps = memory - at_cand
         return G, (gaps * gaps).sum(axis=1)
 
 
@@ -752,7 +753,8 @@ class JAGUAR(GradientEstimator):
     def step_batch(self, x_cand, rng, S):
         d = self.problem.dim
         sampled = _batch_mask(_draw_batches(rng, d, self.b, S), d)
-        return np.where(sampled, self.problem.partials(x_cand, np.arange(d)), self.g), np.zeros(S)
+        # every coordinate's partial is its full_grad entry, bit for bit
+        return np.where(sampled, self.problem.full_grad(x_cand), self.g), np.zeros(S)
 
 
 ESTIMATORS = {

@@ -40,7 +40,8 @@ class Problem:
     * ``full_grad(x)``: the gradient of f;
     * ``loss_and_grad(x)``: ``(loss(x), full_grad(x))`` from one pass,
       each bit-equal to its own oracle;
-    * ``partials(x, coords)``: coordinate derivatives of f;
+    * ``partials(x, coords)``: coordinate derivatives of f, each
+      bit-equal to that entry of ``full_grad(x)``;
     * ``group_grads(groups)``: built once per list of component index
       groups, a function x -> (len(groups), dim) whose row j is the
       gradient of the average of f_i over group j.
@@ -177,34 +178,32 @@ class LogisticProblem(Problem):
       (``_margin_pass``) and the power iteration read it.
     * ``XT``: A^T as a CSR matrix (d x n), a transposed view of A's CSC
       arrays, one stored row per feature; ``full_grad``,
-      ``loss_and_grad`` and the power iteration read it.
-    * ``_rows``: the rows padded to a common width (at least 1), int32
-      column indices and float values; padding points at an extra
-      column ``d`` with value 0.0 (``_padded``).  ``component_rows``
-      gathers a batch from these into a CSR batch matrix, b x (d + 1),
-      and takes every point's margins from one product with the
-      (d + 1, points) stack of the points, whose row ``d`` is 0.0; it
-      returns a copy of the gathered columns as the support and fresh
-      row arrays.  ``component_grads`` scatters its rows to dense.
-    * ``_columns``: the same layout of ``XT``, one padded row per
-      feature, padding column ``n``; built on the first ``partials``
-      call, which gathers the requested features into a batch matrix,
-      b x (n + 1), and applies it to the weights followed by one 0.0:
-      only the b sampled column sums, each in the order of ``XT @ w``.
-      It holds d x (the largest column count) entries, 0.74 MB on the
-      benchmark's 4000 x 123 data (largest column count 499); with a
-      feature present in every row it is as big as a dense copy of A.
+      ``loss_and_grad`` and the power iteration read it.  ``partials``
+      copies the stored entries of the sampled features' rows, in
+      order, from slices of its arrays into a CSR batch matrix, b x n
+      (``_column_batch``), and applies it to w: only the b sampled
+      column sums, each in the order of ``XT @ w``, at a cost that
+      follows those columns' own entry counts.
+    * ``_cols``, ``_vals``: the rows padded to a common width (at least
+      1), int32 column indices and float values; padding points at an
+      extra column ``d`` with value 0.0.  ``component_rows`` gathers a
+      batch from these into a CSR batch matrix, b x (d + 1), and takes
+      every point's margins from one product with the (d + 1, points)
+      stack of the points, whose row ``d`` is 0.0; it returns a copy of
+      the gathered ``_cols`` as the support and fresh row arrays.
+      ``component_grads`` scatters its rows to dense.
 
     Besides these, each thread keeps its own scratch
-    (``threading.local``): a batch matrix per batch shape, built on first
-    use and overwritten by that thread's next gather of that shape, and
-    its last margin pass, m = y * (X @ x) and the weights
+    (``threading.local``): batch matrices, one per batch size for rows
+    and one for columns, built on first use and overwritten by that
+    thread's next ``component_rows`` or ``partials`` call with that
+    size; and its last margin pass, m = y * (X @ x) and the weights
     w = -y * expit(-m), keyed by x's bytes.  ``loss``, ``full_grad``,
     ``loss_and_grad``, ``partials`` and every ``group_grads`` function
     read the pass, so the oracles called at one point pass over the rows
     once (a trace record after a step, SEGA's partials at its previous
-    point).  The scratch and ``_columns`` are the only state an instance
-    changes after construction.
+    point).  The scratch is the only state an instance changes after
+    construction.
 
     Every gradient oracle result is bit-identical, down to the sign of
     zeros, to the plain scipy CSR expressions (``X[idx]`` -> ``.multiply``
@@ -232,7 +231,13 @@ class LogisticProblem(Problem):
         self.y = labels
         self.n_components, self.dim = X.shape
         self.XT = X.tocsc().T
-        self._rows = _padded(X)
+        lengths = np.diff(X.indptr)
+        width = max(1, int(lengths.max()))
+        filled = np.arange(width) < lengths[:, None]
+        self._cols = np.full((self.n_components, width), self.dim, dtype=np.int32)
+        self._cols[filled] = X.indices
+        self._vals = np.zeros((self.n_components, width))
+        self._vals[filled] = X.data
         self._scratch = _Scratch()
         self.smoothness = self._power_iteration()
 
@@ -242,11 +247,6 @@ class LogisticProblem(Problem):
 
     def __setstate__(self, state):
         vars(self).update(state, _scratch=_Scratch())
-
-    @cached_property
-    def _columns(self):
-        # A^T's rows, one per feature, padded; built on the first partials
-        return _padded(self.XT)
 
     def _power_iteration(self, iterations=POWER_ITERATIONS):
         """Largest eigenvalue of (1/(4n)) A^T A after ``iterations``
@@ -273,52 +273,68 @@ class LogisticProblem(Problem):
         return estimates[-1]
 
     def _margin_pass(self, x):
-        """``(m, we)`` at x: the margins m = y * (X @ x), and the weights
-        w = -y * expit(-m) followed by one 0.0, the value the column
-        layout's padding reads.  This thread keeps the pass for the last
-        x, keyed by x's bytes, so the oracles called at one point share
-        one pass, and an x changed in place is passed again."""
+        """``(m, w)`` at x: the margins m = y * (X @ x) and the weights
+        w = -y * expit(-m), whose column sums over n are the gradient.
+        This thread keeps the pass for the last x, keyed by x's bytes, so
+        the oracles called at one point share one pass, and an x changed
+        in place is passed again."""
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
         scratch = self._scratch
         if scratch.key != key:
             m = self.y * (self.X @ x)
-            we = np.zeros(self.n_components + 1)
-            np.multiply(-self.y, expit(-m), out=we[:-1])
-            scratch.key, scratch.margins = key, (m, we)
+            scratch.key, scratch.margins = key, (m, -self.y * expit(-m))
         return scratch.margins
 
     def loss(self, x):
         return _mean_logistic_loss(self._margin_pass(x)[0])
 
     def loss_and_grad(self, x):
-        m, we = self._margin_pass(x)
-        return _mean_logistic_loss(m), (self.XT @ we[:-1]) / self.n_components
+        m, w = self._margin_pass(x)
+        return _mean_logistic_loss(m), (self.XT @ w) / self.n_components
 
-    def _gather(self, layout, idx):
-        """This thread's CSR batch matrix for len(idx) rows of a padded
-        ``layout``, len(idx) x (pad + 1), filled with rows ``idx``.  It is
-        built on first use and overwritten by the next gather of as many
-        rows from a layout of the same shape."""
-        cols, vals, pad = layout
-        size, width = len(idx), cols.shape[1]
-        matrices = self._scratch.matrices
-        if (size, width, pad) not in matrices:
+    def _batch_matrix(self, size):
+        """This thread's CSR matrix, size x (d + 1), for batches of
+        ``size`` padded rows; ``component_rows`` overwrites its data and
+        indices on each call."""
+        matrices = self._scratch.rows
+        if size not in matrices:
+            width = self._cols.shape[1]
             nnz = size * width
-            matrices[size, width, pad] = csr_matrix(
+            matrices[size] = csr_matrix(
                 (np.zeros(nnz), np.zeros(nnz, dtype=np.int32), np.arange(0, nnz + 1, width)),
-                shape=(size, pad + 1),
+                shape=(size, self.dim + 1),
             )
-        batch = matrices[size, width, pad]
-        np.take(cols, idx, axis=0, out=batch.indices.reshape(size, width))
-        np.take(vals, idx, axis=0, out=batch.data.reshape(size, width))
+        return matrices[size]
+
+    def _column_batch(self, coords):
+        """This thread's CSR matrix, len(coords) x n, for batches of that
+        many features, holding ``XT``'s rows ``coords``: their stored
+        entries, in order, copied from slices of ``XT``'s arrays.  The
+        call replaces its index and value arrays and rewrites its row
+        pointers; building a CSR matrix per call would cost more than
+        ``XT @ w``."""
+        size = len(coords)
+        matrices = self._scratch.columns
+        if size not in matrices:
+            matrices[size] = batch = csr_matrix((size, self.n_components))
+            batch.indptr = np.zeros(size + 1, dtype=self.XT.indptr.dtype)
+        batch = matrices[size]
+        starts = self.XT.indptr[coords]
+        lengths = self.XT.indptr[coords + 1] - starts
+        np.cumsum(lengths, out=batch.indptr[1:])
+        at = np.arange(batch.indptr[-1]) + np.repeat(starts - batch.indptr[:-1], lengths)
+        batch.indices = self.XT.indices[at]
+        batch.data = self.XT.data[at]
         return batch
 
     def component_rows(self, indices, *points):
         idx = np.asarray(indices)
-        batch = self._gather(self._rows, idx)
-        cols = batch.indices.reshape(len(idx), self._rows[0].shape[1])
+        batch = self._batch_matrix(len(idx))
+        cols = batch.indices.reshape(len(idx), self._cols.shape[1])
         vals = batch.data.reshape(cols.shape)
+        np.take(self._cols, idx, axis=0, out=cols)
+        np.take(self._vals, idx, axis=0, out=vals)
         xe = np.zeros((self.dim + 1, len(points)))
         for j, x in enumerate(points):
             xe[: self.dim, j] = x
@@ -339,13 +355,12 @@ class LogisticProblem(Problem):
         return self.component_grads(np.arange(self.n_components), x)
 
     def full_grad(self, x):
-        return (self.XT @ self._margin_pass(x)[1][:-1]) / self.n_components
+        return (self.XT @ self._margin_pass(x)[1]) / self.n_components
 
     def partials(self, x, coords):
-        # each sum runs over the column's stored entries in XT's order
-        # from +0.0, as in XT @ w; the padding adds 0.0 * 0.0, which
-        # leaves every sum as it is (a sum from +0.0 is never -0.0)
-        batch = self._gather(self._columns, np.asarray(coords, dtype=np.intp))
+        # the CSR kernel sums each gathered row left to right from +0.0,
+        # as XT @ w sums that feature's row
+        batch = self._column_batch(np.asarray(coords, dtype=np.intp))
         return (batch @ self._margin_pass(x)[1]) / self.n_components
 
     def group_grads(self, groups):
@@ -362,7 +377,7 @@ class LogisticProblem(Problem):
         sizes = np.array([len(g) for g in groups], dtype=float)[:, None]
 
         def grads(x):
-            w = self._margin_pass(x)[1][:-1]
+            w = self._margin_pass(x)[1]
             return (stacked @ w).reshape(len(sizes), self.dim) / sizes
 
         return grads
@@ -370,27 +385,13 @@ class LogisticProblem(Problem):
 
 class _Scratch(threading.local):
     """A logistic problem's per-thread scratch: the batch matrices by
-    shape, and the last margin pass with its key."""
+    batch size, ``rows`` for ``component_rows`` and ``columns`` for
+    ``partials``, and the last margin pass with its key."""
 
     def __init__(self):
-        self.matrices = {}
+        self.rows = {}
+        self.columns = {}
         self.key = self.margins = None
-
-
-def _padded(matrix):
-    """A CSR matrix's rows padded to a common width (at least 1):
-    ``(cols, vals, pad)``, int32 column indices and float values in
-    storage order; padding points at the extra column ``pad``, the
-    matrix's column count, with value 0.0."""
-    lengths = np.diff(matrix.indptr)
-    width = max(1, int(lengths.max(initial=0)))
-    filled = np.arange(width) < lengths[:, None]
-    pad = matrix.shape[1]
-    cols = np.full((matrix.shape[0], width), pad, dtype=np.int32)
-    cols[filled] = matrix.indices
-    vals = np.zeros(cols.shape)
-    vals[filled] = matrix.data
-    return cols, vals, pad
 
 
 def _mean_logistic_loss(m):

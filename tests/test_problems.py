@@ -83,6 +83,14 @@ class TestQuadratic:
             assert prob.partials(x, [j])[0] == pytest.approx(full[j])
         assert np.allclose(prob.partials(x, np.array([0, 2, 3])), full[[0, 2, 3]])
 
+    def test_partials_are_full_grad_entries_bit_for_bit(self):
+        # SEGA's and JAGUAR's step_batch read full_grad for every partial
+        prob = make_quadratic(6, 4, seed=1)
+        rng = np.random.default_rng(4)
+        for x in (rng.standard_normal(4), prob.x_star, -np.zeros(4)):
+            for coords in (np.arange(4), np.array([3, 0, 3]), np.array([], dtype=int)):
+                _assert_bit_equal(prob.partials(x, coords), prob.full_grad(x)[coords])
+
     def test_pl_constant_is_min_mean_eig(self):
         prob = make_quadratic(7, 3, seed=5)
         # the averaged Hessian is diagonal with the columnwise eigen-mean
@@ -459,11 +467,24 @@ def _ragged_dataset(seed, n=60, d=30):
     return Dataset(indptr, np.concatenate(indices), np.concatenate(values), labels, n, d)
 
 
+def _dominant_dataset(seed, n=80, groups=4, size=4):
+    """One-hot groups of ``size`` features with one category in about
+    nine rows of ten, like a census file's, plus a feature in every row:
+    column counts from n down to a few."""
+    rng = np.random.default_rng(seed)
+    picks = np.where(rng.random((n, groups)) < 0.9, 0, rng.integers(1, size, (n, groups)))
+    cols = np.hstack([np.zeros((n, 1), dtype=np.int64), 1 + size * np.arange(groups) + picks])
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    indptr = np.arange(n + 1, dtype=np.int64) * cols.shape[1]
+    return Dataset(indptr, cols.ravel(), np.ones(cols.size), labels, n, 1 + groups * size)
+
+
 _EDGE_DATASETS = {
     "toy": toy_dataset,
     "empty-row": lambda: parse_libsvm("+1 1:0.5 3:2.0\n-1\n+1 2:-1.0 3:0\n-1 1:0 2:-0 3:0"),
     "all-empty": lambda: parse_libsvm("+1\n-1\n+1", force_dim=3),
     "ragged": lambda: _ragged_dataset(0),
+    "dominant": lambda: _dominant_dataset(0),
 }
 
 
@@ -588,8 +609,7 @@ class TestLogisticMatchesScipyReference:
         want = prob.component_rows(np.arange(n), x)
         twin = pickle.loads(pickle.dumps(prob))
         got = twin.component_rows(np.arange(n), x)
-        rows = np.arange(n)
-        assert twin._gather(twin._rows, rows) is not prob._gather(prob._rows, rows)
+        assert twin._batch_matrix(n) is not prob._batch_matrix(n)
         for a, b in zip((got[0], *got[1]), (want[0], *want[1])):
             _assert_bit_equal(a, b)
         # a copy, pickled or deep, has its own scratch: batch matrices for
@@ -599,7 +619,7 @@ class TestLogisticMatchesScipyReference:
             _assert_bit_equal(clone.partials(x, coords), prob.partials(x, coords))
             _assert_bit_equal(clone.full_grad(x), prob.full_grad(x))
             assert clone._scratch is not prob._scratch
-            assert clone._gather(clone._columns, coords) is not prob._gather(prob._columns, coords)
+            assert clone._column_batch(coords) is not prob._column_batch(coords)
             assert clone._margin_pass(x)[1] is not prob._margin_pass(x)[1]
 
     def test_loss_within_four_eps_of_logaddexp(self, pair):
@@ -629,12 +649,13 @@ class TestLogisticMatchesScipyReference:
 
     @pytest.mark.parametrize("name", sorted(_EDGE_DATASETS))
     def test_partials_first_on_a_fresh_problem(self, name):
-        # partials with no earlier call at x, on a problem whose column
-        # layout is built by that call: bit for bit, signs of zero too,
-        # the reference's per-column sums
+        # partials as the first call on a problem, whose column batch
+        # matrix that call builds: bit for bit, signs of zero too, the
+        # reference's per-column sums and full_grad's entries
         ds = _EDGE_DATASETS[name]()
         fresh, ref = LogisticProblem(ds), _ReferenceLogistic(ds)
         d = ref.dim
+        counts = np.diff(ref.X.tocsc().indptr)
         rng = np.random.default_rng(13)
         coord_sets = [
             np.array([0]),
@@ -646,13 +667,11 @@ class TestLogisticMatchesScipyReference:
         for x in self._points(d, seed=14):
             for coords in coord_sets:
                 prob = copy.deepcopy(fresh)
-                _assert_bit_equal(prob.partials(x, coords), ref.partials(x, coords))
-        counts = np.diff(ref.X.tocsc().indptr)
-        assert prob._columns[0].shape == (d, max(1, counts.max()))
-        if name == "all-empty":
-            # every column is empty: one padding entry per feature
-            assert prob._columns[0].shape == (d, 1)
-            assert np.all(prob._columns[0] == prob.n_components)
+                got = prob.partials(x, coords)
+                _assert_bit_equal(got, ref.partials(x, coords))
+                _assert_bit_equal(got, prob.full_grad(x)[coords])
+                # the gather holds the sampled columns' entries, no more
+                assert prob._column_batch(coords).data.size == counts[coords].sum()
 
     def test_subset(self, pair):
         # each group_grads row is the reference problem over that group
