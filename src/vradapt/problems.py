@@ -323,6 +323,7 @@ class LogisticProblem(Problem):
         starts = self.XT.indptr[coords]
         lengths = self.XT.indptr[coords + 1] - starts
         np.cumsum(lengths, out=batch.indptr[1:])
+        # each gathered entry's position in XT's arrays
         at = np.arange(batch.indptr[-1]) + np.repeat(starts - batch.indptr[:-1], lengths)
         batch.indices = self.XT.indices[at]
         batch.data = self.XT.data[at]
