@@ -13,6 +13,10 @@ a change that moves only the loss or adds a column regenerates GOLDEN
 while TRAJECTORY holds, which shows that no iterate, step size or ledger
 moved.
 
+Cases with a ``file`` entry run on a dataset with uneven rows (see
+``FILES``), written to a libsvm file once per process and read back
+through ``dataset=``.
+
 To regenerate, run this file as a script from anywhere:
 
     python tests/test_golden_traces.py
@@ -23,20 +27,45 @@ digest of its run, and names the cases whose digest changed on stderr.
 Paste them over the ones below.
 """
 
+import functools
 import hashlib
 import re
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from test_problems import _dominant_dataset, _ragged_dataset  # noqa: E402
+from vradapt.data import Dataset, synthetic_dataset, write_libsvm  # noqa: E402
 from vradapt.engine import ExperimentConfig, run, trace_csv_text  # noqa: E402
 
 BASE = dict(dataset="synthetic:600:40:1", T=300, cadence=7, timing="off", seed=11)
 QUAD = dict(problem="quadratic", n=40, cond=1000.0, scheduler="adaptive")
+
+
+def _dense_row_dataset():
+    """The benchmark's shape, 4000 rows of 14 binary features out of 123,
+    with row 0 holding all 123."""
+    ds = synthetic_dataset(4000, 123, seed=0)
+    lengths = np.diff(ds.indptr)
+    lengths[0] = ds.d
+    indices = np.concatenate([np.arange(ds.d), ds.indices[ds.indptr[1]:]])
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    return Dataset(indptr, indices, np.ones(len(indices)), ds.labels, ds.n, ds.d)
+
+
+# uneven rows: rows of 0 to 12 entries with signed zeros; one-hot groups
+# with a dominant category; one row much longer than the rest
+FILES = {
+    "ragged": lambda: _ragged_dataset(0),
+    "dominant": lambda: _dominant_dataset(0),
+    "dense-row": _dense_row_dataset,
+}
 
 # (case id, config overrides, expected SHA-256 of the trace CSV)
 GOLDEN = [
@@ -228,6 +257,82 @@ GOLDEN = [
         dict(QUAD, d=1, method="page", b=30, p=0.2),
         "d218b7803eccd3278f2a1f73da59baf2175df1f39d110f87ecb2aecf2ba12c73",
     ),
+    # the row-gathering methods and JAGUAR on uneven rows (``FILES``)
+    (
+        "saga-ragged",
+        dict(file="ragged", method="saga", presets=True, scheduler="adaptive"),
+        "a7734929419595f68dc6db04c2d321b722a6af929ee3f469de4822c8b6e739a0",
+    ),
+    (
+        "zerosarah-ragged",
+        dict(file="ragged", method="zerosarah", presets=True, scheduler="adaptive"),
+        "82e162d073e05c09f9326f6cfae38f5724ec6714c3929a71c0ab9c9d50b6957e",
+    ),
+    (
+        "lsvrg-ragged",
+        dict(file="ragged", method="lsvrg", presets=True, scheduler="adaptive"),
+        "5580f1bdd35f9a86a896fb003db29b7d8d84c68ebdb55db2d5417d4179d39498",
+    ),
+    (
+        "page-ragged",
+        dict(file="ragged", method="page", presets=True, scheduler="adaptive"),
+        "bc1f4aebea30d2b576fe2bc049f20fc895b6320e6b5b36ac7b96765c87152f7b",
+    ),
+    (
+        "jaguar-ragged",
+        dict(file="ragged", method="jaguar", b=8, scheduler="adaptive"),
+        "f0563b34baba1d2ab576930e6779da1a0b48051854ec3ba70e9ef219bb9a8634",
+    ),
+    (
+        "saga-dominant",
+        dict(file="dominant", method="saga", presets=True, scheduler="adaptive"),
+        "bf6662fa279a738ebbe4113128cce5a31dee0a252f57bcd42367083215f41de4",
+    ),
+    (
+        "zerosarah-dominant",
+        dict(file="dominant", method="zerosarah", presets=True, scheduler="adaptive"),
+        "0ece22818fb358ea5af4816d31abc665db459e96d4aa7cb38c82fb8b5ff55f7f",
+    ),
+    (
+        "lsvrg-dominant",
+        dict(file="dominant", method="lsvrg", presets=True, scheduler="adaptive"),
+        "b3d1ed0460491c993f113e96922c755fab66d4152a2ea229b42bf51e3160a3f4",
+    ),
+    (
+        "page-dominant",
+        dict(file="dominant", method="page", presets=True, scheduler="adaptive"),
+        "bf634c9476966c8e962877c2465e99050cd34748aeb0958d979b12211a036168",
+    ),
+    (
+        "jaguar-dominant",
+        dict(file="dominant", method="jaguar", b=8, scheduler="adaptive"),
+        "2fc9cf51d95d0bd81f4a87a03167e194adbc598edca257a3177fc13170533ecb",
+    ),
+    (
+        "saga-dense-row",
+        dict(file="dense-row", method="saga", presets=True, scheduler="adaptive"),
+        "5693efc070c1937a13ce51d8054b14f80a21df5fcae004ca435b6da85363b0d3",
+    ),
+    (
+        "zerosarah-dense-row",
+        dict(file="dense-row", method="zerosarah", presets=True, scheduler="adaptive"),
+        "a402ec60e7cfd06ed3f32fc724848705c69b440464c122c2306283375e25d76e",
+    ),
+    (
+        "lsvrg-dense-row",
+        dict(file="dense-row", method="lsvrg", presets=True, scheduler="adaptive"),
+        "45952ece14e54376128b6f9c7f62cc79ae79575a8b948f22f0ca991187d71cf7",
+    ),
+    (
+        "page-dense-row",
+        dict(file="dense-row", method="page", presets=True, scheduler="adaptive"),
+        "66105d9db6e9bd7c755668cf328396c979c29395ce6a2b8ad9c4092861d528f9",
+    ),
+    (
+        "jaguar-dense-row",
+        dict(file="dense-row", method="jaguar", b=8, scheduler="adaptive"),
+        "01af8f0bb6e1b7e4962abf71afc2763ea5c8f8eebb185558ca41f89e9fb053aa",
+    ),
 ]
 
 
@@ -270,11 +375,42 @@ TRAJECTORY = {
     "zerosarah-quadratic-d1": "40462eacc75c708a3222c02f5fd87b25ad40fb9178222e5a611a6e0b026d717a",
     "lsvrg-quadratic-d1": "8f65b92193c88e1b840aab7135b430d3c01a0e7ff8541d7586b3cd563feea625",
     "page-quadratic-d1": "0e9e4166c8b2f188d1c7217eeb0992dc6c610b3d9e9ee64ff290df5e16e6826f",
+    "saga-ragged": "d1782f549fe7a3acc39bd61f38fbfe9cf010c7f5dbbe3dd684eb5d626f2af302",
+    "zerosarah-ragged": "a7c8be9d81cc6aee1a757f33bb7eba233f26e86b43ad57c0b146000ecdacc9d5",
+    "lsvrg-ragged": "763f575b87fa7e8a6f6e6c55292aa2b81df8d22078dc835b1159da50b959aeba",
+    "page-ragged": "ad2f7d4306fe901b9896337fc12c12031674e0cf26e1cd4ec01c81eb2f7c5945",
+    "jaguar-ragged": "98e47c7d8fe2474e33396a249d9fcc86d0880bffce422ee2215a982431038437",
+    "saga-dominant": "7d6099e7fd0b169b58f6566031d3c6249ae18e0060a9e09d1975b2df51e8970e",
+    "zerosarah-dominant": "b47630df0f4066a889451f8b6e52f5801786d196cf354d4b7908586227487808",
+    "lsvrg-dominant": "6bcebe292812444f5b0ad9e4a9f02c324127db31a10fccbeb2e2faf25e71d267",
+    "page-dominant": "0f92c2ef8ff15beb032b5537001e817d6cd6b316f52b38fead0af718ff42275b",
+    "jaguar-dominant": "5f7f70cfd5e9eb473008b148b7d548dfbd7030bb91294824bf9d0cbfd219f1ba",
+    "saga-dense-row": "5b243766f1621284ab8273323138f5d4f574d354fe0f5ab4ecc99e4a0cf7ce3b",
+    "zerosarah-dense-row": "33d3362bef08065f2b40699ab0b53c9be9e27acefafefe3c7a45b562718d7559",
+    "lsvrg-dense-row": "7a7a770a771ca888db3913de04d89c05e85fbe3e860933cffb6464e387046f8c",
+    "page-dense-row": "64358509fc7df0a5ee2c4ce1233adfba7e3cc9227addb584206f3e6451f64cfa",
+    "jaguar-dense-row": "2a0fa1ffd3a9a697fd3e31c8325681c9c652cde77e30f73c0fa8d453d4392e5a",
 }
 
 
+_TEMP = tempfile.TemporaryDirectory()
+
+
+@functools.cache
+def _dataset_file(name):
+    """``FILES[name]`` written to a libsvm file that lasts the process:
+    the config entries that read it back."""
+    ds = FILES[name]()
+    path = str(Path(_TEMP.name) / f"{name}.libsvm")
+    write_libsvm(ds, path)
+    return dict(dataset=path, force_dim=ds.d)
+
+
 def _trace(overrides):
-    return run(ExperimentConfig(**{**BASE, **overrides})).trace
+    config = {**BASE, **overrides}
+    if "file" in config:
+        config.update(_dataset_file(config.pop("file")))
+    return run(ExperimentConfig(**config)).trace
 
 
 def _digest(overrides):
