@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .compressors import dense_bits_cost, make_compressor
-from .problems import dense_rows, partition_problem
+from .problems import partition_problem
 
 
 @dataclass(frozen=True)
@@ -135,12 +135,12 @@ def _draw_batches(rng, n, b, S, with_replacement=False):
 
 
 def _colsum(cols, values, dim):
-    """Column sums of support-aligned rows, (b, width) -> (dim,), padding
-    column ``dim`` dropped.  bincount adds each column's entries in row
-    order, starting from +0.0, as numpy's axis-0 sum of the dense (b, dim)
-    stack does for dim > 1; rows never hold -0.0, so the two agree bit
-    for bit.  (At dim == 1 numpy sums the contiguous axis pairwise.)"""
-    return np.bincount(cols.ravel(), values.ravel(), minlength=dim + 1)[:dim]
+    """Column sums of flat support values (``component_rows``' layout)
+    -> (dim,).  bincount adds each column's entries in row order, starting
+    from +0.0, as numpy's axis-0 sum of the dense (b, dim) stack does for
+    dim > 1; the values never hold -0.0, so the two agree bit for bit.
+    (At dim == 1 numpy sums the contiguous axis pairwise.)"""
+    return np.bincount(cols, values, minlength=dim)
 
 
 def _batch_mask(batches, n):
@@ -298,7 +298,7 @@ class LSVRG(GradientEstimator):
             self.anchor_grad = problem.full_grad(self.anchor)
             self.grad_calls += problem.n_components
         batch = _draw_batch(rng, problem.n_components, self.b, self.with_replacement)
-        cols, (cur, anc) = problem.component_rows(batch, x_t, self.anchor)
+        _, cols, (cur, anc) = problem.component_rows(batch, x_t, self.anchor)
         self.grad_calls += 2 * self.b
         return self.anchor_grad + _colsum(cols, cur - anc, problem.dim) / self.b
 
@@ -328,22 +328,23 @@ class LSVRG(GradientEstimator):
 
 
 class _TableEstimator(GradientEstimator):
-    """A gradient table held on the components' support: ``rows`` beside
-    ``cols``, both (n, width), row i holding the last gradient of f_i
-    seen, at the columns ``cols[i]`` (``problem.component_rows``'
-    layout).  Steps gather and write back whole rows; ``table`` is the
-    dense (n, d) view for diagnostics and the verifier, built on the
-    first read after a step (a step drops it; a clone copies it)."""
+    """A gradient table held on the components' support, flat: ``flat``
+    holds the last gradient of every f_i seen, entry k of the support at
+    position k (``problem.component_rows``' layout, over every
+    component).  Steps read and write back a batch's entries by their
+    positions; ``table`` is the dense (n, d) view for diagnostics and the
+    verifier, built on the first read after a step (a step drops it; a
+    clone copies it)."""
 
     def _opening_pass(self):
         n = self.problem.n_components
-        self.cols, (self.rows,) = self.problem.component_rows(np.arange(n), self.x)
-        self.table_mean = _colsum(self.cols, self.rows, self.problem.dim) / n
+        _, cols, (self.flat,) = self.problem.component_rows(np.arange(n), self.x)
+        self.table_mean = _colsum(cols, self.flat, self.problem.dim) / n
         return self.table_mean.copy()
 
     @cached_property
     def table(self):
-        return dense_rows(self.cols, self.rows, self.problem.dim)
+        return self.problem.dense_rows(np.arange(self.problem.n_components), self.flat)
 
     def sigma_sq(self):
         diff = self.problem.all_component_grads(self.x) - self.table
@@ -376,11 +377,11 @@ class SAGA(_TableEstimator):
     def _update(self, x_t, rng):
         problem = self.problem
         batch = _draw_batch(rng, problem.n_components, self.b)
-        cols, (cur,) = problem.component_rows(batch, x_t)
+        entries, cols, (cur,) = problem.component_rows(batch, x_t)
         self.grad_calls += self.b
-        change = _colsum(cols, cur - self.rows[batch], problem.dim)
+        change = _colsum(cols, cur - self.flat[entries], problem.dim)
         g = self.table_mean + change / self.b
-        self.rows[batch] = cur
+        self.flat[entries] = cur
         self.__dict__.pop("table", None)
         self.table_mean = self.table_mean + change / problem.n_components
         return g
@@ -413,7 +414,7 @@ class PAGE(GradientEstimator):
             self.grad_calls += problem.n_components
             return g
         batch = _draw_batch(rng, problem.n_components, self.b, self.with_replacement)
-        cols, (cur, prev) = problem.component_rows(batch, x_t, self.x)
+        _, cols, (cur, prev) = problem.component_rows(batch, x_t, self.x)
         self.grad_calls += 2 * self.b
         return self.g + _colsum(cols, cur - prev, problem.dim) / self.b
 
@@ -452,13 +453,13 @@ class ZeroSARAH(_TableEstimator):
         d = problem.dim
         lam = self.b / (2.0 * problem.n_components)
         batch = _draw_batch(rng, problem.n_components, self.b)
-        cols, (cur, prev) = problem.component_rows(batch, x_t, self.x)
+        entries, cols, (cur, prev) = problem.component_rows(batch, x_t, self.x)
         self.grad_calls += 2 * self.b
-        old = self.rows[batch]
+        old = self.flat[entries]
         chain = _colsum(cols, cur - prev, d) / self.b
         control = _colsum(cols, prev - old, d) / self.b + self.table_mean
         g = chain + (1.0 - lam) * self.g + lam * control
-        self.rows[batch] = cur
+        self.flat[entries] = cur
         self.__dict__.pop("table", None)
         self.table_mean = self.table_mean + _colsum(cols, cur - old, d) / problem.n_components
         return g

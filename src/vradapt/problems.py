@@ -15,10 +15,8 @@ matrices and its last margin pass.
 from __future__ import annotations
 
 import threading
-from functools import cached_property
-
 import numpy as np
-from scipy.sparse import csr_matrix, vstack
+from scipy.sparse import _sparsetools, csr_matrix, vstack
 from scipy.special import expit
 
 
@@ -30,21 +28,26 @@ class Problem:
 
     * ``loss(x)``: the objective f(x);
     * ``component_rows(indices, *points)``: the batch's gradients on
-      its support, ``(cols, [rows at each point])``: ``cols`` is an
-      (len(indices), width) int array of columns, and row i of each
-      ``rows`` array holds component i's gradient entries at those
-      columns.  Columns equal to ``dim`` are padding (value +0.0);
+      its support, flat and unpadded, ``(entries, cols, [values at each
+      point])``: the batch's components one after another, each with
+      its stored entries in order.  ``entries`` numbers each entry in a
+      flat table over all n components (``component_rows`` over every
+      component, in order, gives 0, 1, 2, ...), ``cols`` is its column,
+      and each values array holds the gradient entries there;
+    * ``dense_rows(indices, values)``: values on the support of
+      ``component_rows(indices)`` scattered into a dense
+      (len(indices), dim) array;
     * ``component_grads(indices, x)``: gradient stack, (len(indices), dim),
       the dense scatter of ``component_rows``;
     * ``all_component_grads(x)``: the stack over all n components;
     * ``full_grad(x)``: the gradient of f;
-    * ``loss_and_grad(x)``: ``(loss(x), full_grad(x))`` from one pass,
-      each bit-equal to its own oracle;
     * ``partials(x, coords)``: coordinate derivatives of f, each
       bit-equal to that entry of ``full_grad(x)``;
     * ``group_grads(groups)``: built once per list of component index
       groups, a function x -> (len(groups), dim) whose row j is the
       gradient of the average of f_i over group j.
+
+    ``loss_and_grad(x)`` is ``(loss(x), full_grad(x))``.
 
     ``smoothness`` is the uniform component smoothness bound: every f_i
     (and hence f) has an L-Lipschitz gradient with this L.
@@ -57,13 +60,8 @@ class Problem:
     f_star: float | None = None
     x_opt: np.ndarray | None = None
 
-
-def dense_rows(cols, rows, dim):
-    """Scatter support-aligned rows, (b, width) each, into a dense
-    (b, dim) array; padding columns (``dim``) are dropped."""
-    out = np.zeros((len(cols), dim + 1))
-    out[np.arange(len(cols))[:, None], cols] = rows
-    return out[:, :dim]
+    def loss_and_grad(self, x):
+        return self.loss(x), self.full_grad(x)
 
 
 class QuadraticProblem(Problem):
@@ -87,19 +85,19 @@ class QuadraticProblem(Problem):
         z = np.asarray(x, dtype=float) - self.x_star
         return float(0.5 * (self.mean_eigs * z * z).sum() + self.f_star)
 
-    @cached_property
-    def _cols(self):
-        # every component's support is every column
-        return np.broadcast_to(np.arange(self.dim), self.eigs.shape)
-
     def component_rows(self, indices, *points):
+        # component i's support is every column, its entries i*d .. i*d + d - 1
         idx = np.asarray(indices)
+        entries = (idx[:, None] * self.dim + np.arange(self.dim)).ravel()
         eigs = self.eigs[idx]
-        return self._cols[idx], [eigs * (np.asarray(x, dtype=float) - self.x_star) for x in points]
+        values = [(eigs * (np.asarray(x, dtype=float) - self.x_star)).ravel() for x in points]
+        return entries, entries % self.dim, values
+
+    def dense_rows(self, indices, values):
+        return np.reshape(values, (len(indices), self.dim)).copy()
 
     def component_grads(self, indices, x):
-        # the support is every column, so the rows are already dense
-        return self.component_rows(indices, x)[1][0]
+        return self.eigs[np.asarray(indices)] * (np.asarray(x, dtype=float) - self.x_star)
 
     def all_component_grads(self, x):
         z = np.asarray(x, dtype=float) - self.x_star
@@ -108,9 +106,6 @@ class QuadraticProblem(Problem):
     def full_grad(self, x):
         z = np.asarray(x, dtype=float) - self.x_star
         return self.mean_eigs * z
-
-    def loss_and_grad(self, x):
-        return self.loss(x), self.full_grad(x)
 
     def partials(self, x, coords):
         coords = np.asarray(coords)
@@ -161,8 +156,8 @@ class LogisticProblem(Problem):
     the largest eigenvalue of (1/(4n)) A^T A, found at construction by
     200 power iterations from a seeded start (``_power_iteration``).
 
-    ``loss`` and ``loss_and_grad`` both take the loss from the margins m
-    as mean(max(-m, 0) + log1p(exp(-|m|))), one vectorised expression
+    ``loss`` takes the loss from the margins m as mean(max(-m, 0) +
+    log1p(exp(-|m|))), one vectorised expression
     (``_mean_logistic_loss``).  That is the formula inside
     ``np.logaddexp(0, -m)``, which makes scalar libm calls per entry;
     numpy's vectorised ``exp`` and ``log1p`` take about a fifth of its
@@ -170,40 +165,38 @@ class LogisticProblem(Problem):
     per entry (equal at m = +-0, +-inf, nan and +-710).  The gradients
     stay on ``expit``.
 
-    Storage, built once and shared by every oracle:
+    Storage, built once and shared by every oracle; A's stored entries
+    are the only copy of A, and no layout is padded:
 
     * ``X``: the dataset's CSR arrays (``indptr``, ``indices``,
       ``values``) as a CSR matrix (n x d), not concatenated again
       (scipy may narrow the index arrays to int32); the margin pass
-      (``_margin_pass``) and the power iteration read it.
+      (``_margin_pass``) and the power iteration read it, and
+      ``component_rows`` gathers the batch's rows from it.  A
+      component's support is its row's stored entries, numbered by
+      their positions in ``X``'s arrays, so a table over every
+      component is a flat (nnz,) array.
     * ``XT``: A^T as a CSR matrix (d x n), a transposed view of A's CSC
-      arrays, one stored row per feature; ``full_grad``,
-      ``loss_and_grad`` and the power iteration read it.  ``partials``
-      copies the stored entries of the sampled features' rows, in
-      order, from slices of its arrays into a CSR batch matrix, b x n
-      (``_column_batch``), and applies it to w: only the b sampled
-      column sums, each in the order of ``XT @ w``, at a cost that
-      follows those columns' own entry counts.
-    * ``_cols``, ``_vals``: the rows padded to a common width (at least
-      1), int32 column indices and float values; padding points at an
-      extra column ``d`` with value 0.0.  ``component_rows`` gathers a
-      batch from these into a CSR batch matrix, b x (d + 1), and takes
-      every point's margins from one product with the (d + 1, points)
-      stack of the points, whose row ``d`` is 0.0; it returns a copy of
-      the gathered ``_cols`` as the support and fresh row arrays.
-      ``component_grads`` scatters its rows to dense.
+      arrays, one stored row per feature; ``full_grad`` and the power
+      iteration read it, and ``partials`` gathers the sampled features'
+      rows from it.
+    * ``_row_nnz``, ``_col_nnz``: the stored entries per row of ``X``
+      and of ``XT``; ``_ids``: 0, 1, ..., nnz - 1 (int64).
 
-    Besides these, each thread keeps its own scratch
-    (``threading.local``): batch matrices, one per batch size for rows
-    and one for columns, built on first use and overwritten by that
-    thread's next ``component_rows`` or ``partials`` call with that
-    size; and its last margin pass, m = y * (X @ x) and the weights
-    w = -y * expit(-m), keyed by x's bytes.  ``loss``, ``full_grad``,
-    ``loss_and_grad``, ``partials`` and every ``group_grads`` function
-    read the pass, so the oracles called at one point pass over the rows
-    once (a trace record after a step, SEGA's partials at its previous
-    point).  The scratch is the only state an instance changes after
-    construction.
+    ``_gather`` takes a batch of rows of either matrix flat, with
+    scipy's C kernels: the gather behind ``X[idx]``, run over ``_ids``
+    so that each entry's position comes back with its column, and the
+    product behind ``X @ x``.  So a batch costs its own entries, a row
+    with every feature costs only its own step, and every sum runs left
+    to right from +0.0 in the order of ``X @ x`` and ``XT @ w``.
+
+    Each thread keeps its own scratch (``threading.local``): its last
+    margin pass, m = y * (X @ x) and the weights w = -y * expit(-m),
+    keyed by x's bytes.  ``loss``, ``full_grad``, ``partials`` and
+    every ``group_grads`` function read the pass, so the oracles called
+    at one point pass over the rows once (a trace record after a step,
+    SEGA's partials at its previous point).  The scratch is the only
+    state an instance changes after construction.
 
     Every gradient oracle result is bit-identical, down to the sign of
     zeros, to the plain scipy CSR expressions (``X[idx]`` -> ``.multiply``
@@ -231,13 +224,9 @@ class LogisticProblem(Problem):
         self.y = labels
         self.n_components, self.dim = X.shape
         self.XT = X.tocsc().T
-        lengths = np.diff(X.indptr)
-        width = max(1, int(lengths.max()))
-        filled = np.arange(width) < lengths[:, None]
-        self._cols = np.full((self.n_components, width), self.dim, dtype=np.int32)
-        self._cols[filled] = X.indices
-        self._vals = np.zeros((self.n_components, width))
-        self._vals[filled] = X.data
+        self._row_nnz = np.diff(X.indptr)
+        self._col_nnz = np.diff(self.XT.indptr)
+        self._ids = np.arange(X.nnz, dtype=np.int64)
         self._scratch = _Scratch()
         self.smoothness = self._power_iteration()
 
@@ -289,68 +278,25 @@ class LogisticProblem(Problem):
     def loss(self, x):
         return _mean_logistic_loss(self._margin_pass(x)[0])
 
-    def loss_and_grad(self, x):
-        m, w = self._margin_pass(x)
-        return _mean_logistic_loss(m), (self.XT @ w) / self.n_components
-
-    def _batch_matrix(self, size):
-        """This thread's CSR matrix, size x (d + 1), for batches of
-        ``size`` padded rows; ``component_rows`` overwrites its data and
-        indices on each call."""
-        matrices = self._scratch.rows
-        if size not in matrices:
-            width = self._cols.shape[1]
-            nnz = size * width
-            matrices[size] = csr_matrix(
-                (np.zeros(nnz), np.zeros(nnz, dtype=np.int32), np.arange(0, nnz + 1, width)),
-                shape=(size, self.dim + 1),
-            )
-        return matrices[size]
-
-    def _column_batch(self, coords):
-        """This thread's CSR matrix, len(coords) x n, for batches of that
-        many features, holding ``XT``'s rows ``coords``: their stored
-        entries, in order, copied from slices of ``XT``'s arrays.  The
-        call replaces its index and value arrays and rewrites its row
-        pointers; building a CSR matrix per call would cost more than
-        ``XT @ w``."""
-        size = len(coords)
-        matrices = self._scratch.columns
-        if size not in matrices:
-            matrices[size] = batch = csr_matrix((size, self.n_components))
-            batch.indptr = np.zeros(size + 1, dtype=self.XT.indptr.dtype)
-        batch = matrices[size]
-        starts = self.XT.indptr[coords]
-        lengths = self.XT.indptr[coords + 1] - starts
-        np.cumsum(lengths, out=batch.indptr[1:])
-        # each gathered entry's position in XT's arrays
-        at = np.arange(batch.indptr[-1]) + np.repeat(starts - batch.indptr[:-1], lengths)
-        batch.indices = self.XT.indices[at]
-        batch.data = self.XT.data[at]
-        return batch
-
     def component_rows(self, indices, *points):
-        idx = np.asarray(indices)
-        batch = self._batch_matrix(len(idx))
-        cols = batch.indices.reshape(len(idx), self._cols.shape[1])
-        vals = batch.data.reshape(cols.shape)
-        np.take(self._cols, idx, axis=0, out=cols)
-        np.take(self._vals, idx, axis=0, out=vals)
-        xe = np.zeros((self.dim + 1, len(points)))
-        for j, x in enumerate(points):
-            xe[: self.dim, j] = x
-        # the CSR kernel sums each row left to right from 0.0, the order
-        # of X @ x; a dense or pairwise sum would differ in the last bit
-        y = self.y[idx]
-        m = y * (batch @ xe).T
-        scaled = vals * (-y * expit(-m))[:, :, None]
+        lengths, entries, cols, values, sums = _gather(
+            self.X, self._row_nnz, self._ids, indices, points
+        )
+        y = self.y[np.asarray(indices, dtype=np.intp)]
+        m = y * sums
+        scaled = values * np.repeat(-y * expit(-m), lengths, axis=1)
         # sparse-to-dense accumulates into +0.0, which turns -0.0 into +0.0
         scaled += 0.0
-        return cols.copy(), list(scaled)
+        return entries, cols, list(scaled)
+
+    def dense_rows(self, indices, values):
+        lengths, _, cols, _, _ = _gather(self.X, self._row_nnz, self._ids, indices, ())
+        out = np.zeros((len(lengths), self.dim))
+        out[np.repeat(np.arange(len(lengths)), lengths), cols] = values
+        return out
 
     def component_grads(self, indices, x):
-        cols, (rows,) = self.component_rows(indices, x)
-        return dense_rows(cols, rows, self.dim)
+        return self.dense_rows(indices, self.component_rows(indices, x)[2][0])
 
     def all_component_grads(self, x):
         return self.component_grads(np.arange(self.n_components), x)
@@ -359,10 +305,8 @@ class LogisticProblem(Problem):
         return (self.XT @ self._margin_pass(x)[1]) / self.n_components
 
     def partials(self, x, coords):
-        # the CSR kernel sums each gathered row left to right from +0.0,
-        # as XT @ w sums that feature's row
-        batch = self._column_batch(np.asarray(coords, dtype=np.intp))
-        return (batch @ self._margin_pass(x)[1]) / self.n_components
+        w = self._margin_pass(x)[1]
+        return _gather(self.XT, self._col_nnz, self._ids, coords, (w,))[4][0] / self.n_components
 
     def group_grads(self, groups):
         """One stacked CSR, (len(groups) * dim) x n, holds each group's Xᵀ
@@ -384,14 +328,42 @@ class LogisticProblem(Problem):
         return grads
 
 
+def _gather(A, nnz, ids, rows, vectors):
+    """Rows ``rows`` of the CSR matrix A, whose rows hold ``nnz`` stored
+    entries each, flat: ``(lengths, at, cols, values, sums)``, each row's
+    entry count, and each of their stored entries in order, its position
+    in A's arrays (``ids`` is 0, 1, ..., A.nnz - 1, int64), column and
+    value; ``sums[k]`` is ``A[rows] @ vectors[k]``.
+
+    The only caller of scipy's private kernels: ``csr_row_index``, the
+    gather behind ``A[rows]``, run over ``ids``, and ``csr_matvec``, the
+    product behind ``A @ v``, which sums each row left to right from
+    +0.0.  Neither checks bounds, so the rows and vectors are checked
+    here; a negative row counts from the end, as in ``A[rows]``.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    lengths = nnz[rows]  # IndexError outside [-n, n), as A[rows]
+    rows = (rows % len(nnz)).astype(A.indptr.dtype)
+    indptr = np.zeros(len(rows) + 1, dtype=A.indptr.dtype)
+    np.add.accumulate(lengths, out=indptr[1:])
+    cols = np.empty(indptr[-1], dtype=A.indices.dtype)
+    at = np.empty(indptr[-1], dtype=ids.dtype)
+    _sparsetools.csr_row_index(len(rows), rows, A.indptr, A.indices, ids, cols, at)
+    values = A.data.take(at)
+    sums = np.zeros((len(vectors), len(rows)))
+    for v, out in zip(vectors, sums):
+        v = np.asarray(v, dtype=float)
+        if v.shape != (A.shape[1],):
+            raise ValueError(f"point of shape {v.shape}, need ({A.shape[1]},)")
+        _sparsetools.csr_matvec(len(rows), A.shape[1], indptr, cols, values, v, out)
+    return lengths, at, cols, values, sums
+
+
 class _Scratch(threading.local):
-    """A logistic problem's per-thread scratch: the batch matrices by
-    batch size, ``rows`` for ``component_rows`` and ``columns`` for
-    ``partials``, and the last margin pass with its key."""
+    """A logistic problem's per-thread scratch: the last margin pass and
+    its key."""
 
     def __init__(self):
-        self.rows = {}
-        self.columns = {}
         self.key = self.margins = None
 
 

@@ -16,7 +16,7 @@ from vradapt.estimators import (
     constants,
     make_estimator,
 )
-from vradapt.problems import QuadraticProblem, dense_rows, logistic_problem, make_quadratic
+from vradapt.problems import QuadraticProblem, logistic_problem, make_quadratic
 
 
 class ScriptedRng:
@@ -325,10 +325,10 @@ class TestSAGA:
         twin = est.clone()
         twin.step(np.full(4, 0.3), np.random.default_rng(0))
         assert est.table is first
-        assert np.array_equal(twin.table, dense_rows(twin.cols, twin.rows, 4))
+        assert np.array_equal(twin.table, quad.dense_rows(np.arange(6), twin.flat))
         assert not np.array_equal(twin.table, first)
         est.step(np.full(4, -0.3), np.random.default_rng(0))
-        assert np.array_equal(est.table, dense_rows(est.cols, est.rows, 4))
+        assert np.array_equal(est.table, quad.dense_rows(np.arange(6), est.flat))
         assert not np.array_equal(est.table, first)
 
     def test_old_rows_used_not_fresh(self, quad):
@@ -749,7 +749,7 @@ def _bit_equal(got, want):
 
 class TestSupportStepsMatchDenseAlgebra:
     """The support-aligned steps (column sums over the batch's support,
-    row-aligned tables) give bit for bit what the dense algebra gives,
+    flat tables) give bit for bit what the dense algebra gives,
     over 200 steps on a sparse logistic problem and a dense quadratic."""
 
     CASES = [
@@ -955,10 +955,11 @@ def replay_scripts(est, draws, S):
 
 def state_of(est):
     """The attributes a step may change; the dense ``table`` a table
-    estimator caches is derived from its ``rows`` and ``cols``, which
-    are compared, and is checked against them instead."""
+    estimator caches is derived from its ``flat`` table, which is
+    compared, and is checked against it instead."""
     if "table" in vars(est):
-        assert np.array_equal(est.table, dense_rows(est.cols, est.rows, est.problem.dim))
+        problem = est.problem
+        assert np.array_equal(est.table, problem.dense_rows(np.arange(problem.n_components), est.flat))
     return {
         k: [np.copy(a) for a in v] if isinstance(v, list) else np.copy(v)
         for k, v in vars(est).items()

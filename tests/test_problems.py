@@ -58,10 +58,13 @@ class TestQuadratic:
         rng = np.random.default_rng(4)
         x, z = rng.standard_normal(4), rng.standard_normal(4)
         idx = np.array([5, 0, 2, 2])
-        cols, (at_x, at_z) = prob.component_rows(idx, x, z)
-        assert np.array_equal(cols, np.tile(np.arange(4), (4, 1)))
-        _assert_bit_equal(at_x, prob.component_grads(idx, x))
-        _assert_bit_equal(at_z, prob.all_component_grads(z)[idx])
+        entries, cols, (at_x, at_z) = prob.component_rows(idx, x, z)
+        assert np.array_equal(entries, [20, 21, 22, 23, 0, 1, 2, 3, 8, 9, 10, 11, 8, 9, 10, 11])
+        assert np.array_equal(cols, np.tile(np.arange(4), 4))
+        _assert_bit_equal(at_x, prob.component_grads(idx, x).ravel())
+        _assert_bit_equal(at_z, prob.all_component_grads(z)[idx].ravel())
+        _assert_bit_equal(prob.dense_rows(idx, at_x), prob.component_grads(idx, x))
+        _assert_bit_equal(prob.component_rows(np.arange(6), x)[0], np.arange(24))
         loss, grad = prob.loss_and_grad(x)
         assert loss == prob.loss(x)
         _assert_bit_equal(grad, prob.full_grad(x))
@@ -432,11 +435,10 @@ def _assert_bit_equal(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def _on_support(dense, cols):
-    """Entries of dense (b, d) rows at support columns (b, width); the
-    padding column d reads +0.0."""
-    padded = np.hstack([dense, np.zeros((len(dense), 1))])
-    return np.take_along_axis(padded, np.asarray(cols, dtype=np.intp), axis=1)
+def _on_support(dense, lengths, cols):
+    """Entries of dense (b, d) rows at the flat support ``cols``, row k
+    holding ``lengths[k]`` of them."""
+    return dense[np.repeat(np.arange(len(dense)), lengths), cols]
 
 
 def _assert_same_csr(got, want):
@@ -522,43 +524,52 @@ class TestLogisticMatchesScipyReference:
             _assert_bit_equal(prob.all_component_grads(x), ref.component_grads(np.arange(n), x))
 
     def test_component_rows(self, pair):
-        # the support is the row's stored columns, padded with column d;
-        # each point's rows are the dense gradients' entries there, bit
-        # for bit, and one call over several points equals single calls
+        # the support is the rows' stored entries, flat and in order,
+        # numbered by their positions in A's arrays; each point's values
+        # are the dense gradients' entries there, bit for bit, one call
+        # over several points equals single calls, and dense_rows
+        # scatters them back
         prob, ref = pair
-        n, d = prob.n_components, prob.dim
+        n = prob.n_components
         rng = np.random.default_rng(6)
-        batches = [np.array([0]), np.arange(n), rng.permutation(n), rng.integers(0, n, size=2 * n)]
-        points = list(self._points(d, seed=7))
+        batches = [
+            np.array([0]),
+            np.arange(n),
+            rng.permutation(n),
+            rng.integers(0, n, size=2 * n),
+            np.array([], dtype=np.intp),
+        ]
+        points = list(self._points(prob.dim, seed=7))
         for idx in batches:
-            cols, rows = prob.component_rows(idx, *points)
-            assert len(rows) == len(points)
-            for k, i in enumerate(idx):
-                stored = ref.X.indices[ref.X.indptr[i]:ref.X.indptr[i + 1]]
-                assert np.array_equal(cols[k][: len(stored)], stored)
-                assert np.all(cols[k][len(stored):] == d)
-            for x, got in zip(points, rows):
-                _assert_bit_equal(got, _on_support(ref.component_grads(idx, x), cols))
-                _assert_bit_equal(got, prob.component_rows(idx, x)[1][0])
+            entries, cols, values = prob.component_rows(idx, *points)
+            assert len(values) == len(points)
+            sub = ref.X[idx]
+            _assert_bit_equal(cols, sub.indices)
+            _assert_bit_equal(ref.X.data[entries], sub.data)
+            lengths = np.diff(sub.indptr)
+            for x, got in zip(points, values):
+                dense = ref.component_grads(idx, x)
+                _assert_bit_equal(got, _on_support(dense, lengths, cols))
+                _assert_bit_equal(got, prob.component_rows(idx, x)[2][0])
+                _assert_bit_equal(prob.dense_rows(idx, got), dense)
+        _assert_bit_equal(prob.component_rows(np.arange(n))[0], np.arange(ref.X.nnz))
 
     def test_component_rows_outlive_later_calls(self, pair):
-        # component_rows reuses one batch matrix per batch size: the cols
-        # and rows of one call must not move when later calls, of the
-        # same size or another, overwrite that matrix
+        # the entries, cols and values of one call must not move when
+        # later calls, of the same size or another, run
         prob, _ = pair
         n, d = prob.n_components, prob.dim
         rng = np.random.default_rng(9)
         idx = rng.permutation(n)
-        cols, rows = prob.component_rows(idx, rng.standard_normal(d), rng.standard_normal(d))
-        kept = cols.copy(), [r.copy() for r in rows]
+        entries, cols, values = prob.component_rows(idx, rng.standard_normal(d), rng.standard_normal(d))
+        kept = [a.copy() for a in (entries, cols, *values)]
         for later in (idx[::-1], np.roll(idx, 1), np.array([n - 1]), np.repeat(idx, 2)):
             prob.component_rows(later, rng.standard_normal(d), rng.standard_normal(d))
-            _assert_bit_equal(cols, kept[0])
-            for got, want in zip(rows, kept[1]):
+            for got, want in zip((entries, cols, *values), kept):
                 _assert_bit_equal(got, want)
 
     def test_component_rows_from_concurrent_threads(self, pair):
-        # each thread has its own batch matrices and margin pass, so
+        # each thread has its own margin pass, so
         # threads sharing one instance, each at its own point (more
         # threads than cores, switching as often as the interpreter
         # allows), get the rows, loss, gradient and partials a single
@@ -572,9 +583,9 @@ class TestLogisticMatchesScipyReference:
         ]
 
         def results(idx, x, coords):
-            cols, (rows,) = prob.component_rows(idx, x)
+            entries, cols, (values,) = prob.component_rows(idx, x)
             loss, grad = prob.loss_and_grad(x)
-            return [cols, rows, np.array(loss), grad, prob.partials(x, coords)]
+            return [entries, cols, values, np.array(loss), grad, prob.partials(x, coords)]
 
         want = [results(*job) for job in jobs]
         bad = []
@@ -597,24 +608,22 @@ class TestLogisticMatchesScipyReference:
         assert not any(t.is_alive() for t in threads)
         assert bad == []
 
-    def test_pickled_copy_has_its_own_batch_matrices(self, pair):
+    def test_pickled_copy_has_its_own_scratch(self, pair):
         prob, _ = pair
         n, d = prob.n_components, prob.dim
         x = np.random.default_rng(11).standard_normal(d)
         want = prob.component_rows(np.arange(n), x)
         twin = pickle.loads(pickle.dumps(prob))
         got = twin.component_rows(np.arange(n), x)
-        assert twin._batch_matrix(n) is not prob._batch_matrix(n)
-        for a, b in zip((got[0], *got[1]), (want[0], *want[1])):
+        for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
             _assert_bit_equal(a, b)
-        # a copy, pickled or deep, has its own scratch: batch matrices for
-        # partials too, and a margin pass of its own at the same point
+        # a copy, pickled or deep, has its own scratch: a margin pass of
+        # its own at the same point
         coords = np.arange(d)
         for clone in (twin, copy.deepcopy(prob)):
             _assert_bit_equal(clone.partials(x, coords), prob.partials(x, coords))
             _assert_bit_equal(clone.full_grad(x), prob.full_grad(x))
             assert clone._scratch is not prob._scratch
-            assert clone._column_batch(coords) is not prob._column_batch(coords)
             assert clone._margin_pass(x)[1] is not prob._margin_pass(x)[1]
 
     def test_loss_within_four_eps_of_logaddexp(self, pair):
@@ -644,9 +653,8 @@ class TestLogisticMatchesScipyReference:
 
     @pytest.mark.parametrize("name", sorted(_EDGE_DATASETS))
     def test_partials_first_on_a_fresh_problem(self, name):
-        # partials as the first call on a problem, whose column batch
-        # matrix that call builds: bit for bit, signs of zero too, the
-        # reference's per-column sums and full_grad's entries
+        # partials as the first call on a problem: bit for bit, signs of
+        # zero too, the reference's per-column sums and full_grad's entries
         ds = _EDGE_DATASETS[name]()
         fresh, ref = LogisticProblem(ds), _ReferenceLogistic(ds)
         d = ref.dim
@@ -666,7 +674,8 @@ class TestLogisticMatchesScipyReference:
                 _assert_bit_equal(got, ref.partials(x, coords))
                 _assert_bit_equal(got, prob.full_grad(x)[coords])
                 # the gather holds the sampled columns' entries, no more
-                assert prob._column_batch(coords).data.size == counts[coords].sum()
+                gathered = problems._gather(prob.XT, prob._col_nnz, prob._ids, coords, ())
+                assert gathered[3].size == counts[coords].sum()
 
     def test_subset(self, pair):
         # each group_grads row is the reference problem over that group
@@ -680,6 +689,78 @@ class TestLogisticMatchesScipyReference:
                 grads = prob.group_grads(groups)
                 for x in self._points(prob.dim, seed=5):
                     _assert_bit_equal(grads(x), np.array([s.full_grad(x) for s in shards]))
+
+
+class TestGather:
+    """``problems._gather``, the one caller of scipy's private kernels,
+    against the public expressions it stands for, bit for bit:
+    ``X[rows]`` and ``XT[coords]`` (indptr, indices, data) and their
+    ``@`` products.  A scipy change to those kernels fails here instead
+    of moving bits."""
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_DATASETS))
+    def test_matches_public_expressions(self, name):
+        prob = LogisticProblem(_EDGE_DATASETS[name]())
+        rng = np.random.default_rng(19)
+        for A, nnz in ((prob.X, prob._row_nnz), (prob.XT, prob._col_nnz)):
+            m, k = A.shape
+            vectors = [rng.standard_normal(k), np.zeros(k), -np.zeros(k)]
+            batches = [
+                np.arange(m),
+                rng.permutation(m),
+                rng.integers(0, m, size=2 * m),
+                np.array([m - 1, m - 1, 0, m - 1]),
+                np.array([-1, 0, -m]),
+                np.array([], dtype=np.intp),
+            ]
+            for rows in batches:
+                lengths, at, cols, values, sums = problems._gather(A, nnz, prob._ids, rows, vectors)
+                sub = A[rows]
+                _assert_bit_equal(np.concatenate([[0], np.cumsum(lengths)]), sub.indptr)
+                _assert_bit_equal(cols, sub.indices)
+                _assert_bit_equal(values, sub.data)
+                _assert_bit_equal(A.data[at], sub.data)
+                assert len(sums) == len(vectors)
+                for v, got in zip(vectors, sums):
+                    _assert_bit_equal(got, sub @ v)
+
+    def test_bounds_are_checked(self):
+        prob = LogisticProblem(_ragged_dataset(0))
+        n, d = prob.n_components, prob.dim
+        for rows in ([n], [-n - 1]):
+            with pytest.raises(IndexError):
+                prob.component_rows(np.array(rows), np.zeros(d))
+        for x in (np.zeros(d + 1), np.zeros((d, 1)), 0.0):
+            with pytest.raises(ValueError, match="point of shape"):
+                prob.component_rows(np.arange(n), x)
+
+    def test_flat_sums_equal_padded_sums_at_signed_zeros(self):
+        # The padded layout this replaced added a 0.0 * 0.0 term after
+        # each row's entries, which could only turn a -0.0 sum into +0.0.
+        # The kernel starts every sum from +0.0, so no sum is -0.0: at
+        # zeros of either sign each row sums to +0.0 (its margin is -0.0
+        # on rows labelled -1, either way), the flat sums equal the
+        # padded ones bit for bit, and so do the gradients
+        ds = _ragged_dataset(0)
+        prob, ref = LogisticProblem(ds), _ReferenceLogistic(ds)
+        n, d = prob.n_components, prob.dim
+        width = int(prob._row_nnz.max())
+        indices, data = [], []
+        for i in range(n):
+            stored = slice(ref.X.indptr[i], ref.X.indptr[i + 1])
+            pad = width - (stored.stop - stored.start)
+            indices += [*ref.X.indices[stored], *[d] * pad]
+            data += [*ref.X.data[stored], *[0.0] * pad]
+        padded = csr_matrix((data, indices, np.arange(n + 1) * width), shape=(n, d + 1))
+        mixed = np.where(np.random.default_rng(20).random(d) < 0.5, 0.0, -0.0)
+        for x in (-np.zeros(d), mixed):
+            sums = problems._gather(prob.X, prob._row_nnz, prob._ids, np.arange(n), (x,))[4][0]
+            assert not np.signbit(sums).any()
+            _assert_bit_equal(sums, padded @ np.append(x, 0.0))
+            _assert_bit_equal(prob.y * sums, prob._margin_pass(x)[0])
+            _assert_bit_equal(prob.all_component_grads(x), ref.component_grads(np.arange(n), x))
+            _assert_bit_equal(prob.full_grad(x), ref.full_grad(x))
+            _assert_bit_equal(prob.partials(x, np.arange(d)), ref.partials(x, np.arange(d)))
 
 
 class TestMarginPass:
