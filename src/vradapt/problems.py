@@ -8,13 +8,14 @@ and exposes, next to the plain loss, three gradient oracles: the full
 gradient, per-component gradients, and per-coordinate partial derivatives
 of f.  Instances do not change after construction, so they can be shared
 freely between concurrent runs; the one exception is the logistic
-problem's scratch space, which each thread keeps for itself: its batch
-matrices and its last margin pass.
+problem's scratch space, which each thread keeps for itself: its last
+margin pass.
 """
 
 from __future__ import annotations
 
 import threading
+
 import numpy as np
 from scipy.sparse import _sparsetools, csr_matrix, vstack
 from scipy.special import expit
@@ -282,7 +283,7 @@ class LogisticProblem(Problem):
         lengths, entries, cols, values, sums = _gather(
             self.X, self._row_nnz, self._ids, indices, points
         )
-        y = self.y[np.asarray(indices, dtype=np.intp)]
+        y = self.y[indices]
         m = y * sums
         scaled = values * np.repeat(-y * expit(-m), lengths, axis=1)
         # sparse-to-dense accumulates into +0.0, which turns -0.0 into +0.0
@@ -305,8 +306,8 @@ class LogisticProblem(Problem):
         return (self.XT @ self._margin_pass(x)[1]) / self.n_components
 
     def partials(self, x, coords):
-        w = self._margin_pass(x)[1]
-        return _gather(self.XT, self._col_nnz, self._ids, coords, (w,))[4][0] / self.n_components
+        *_, sums = _gather(self.XT, self._col_nnz, self._ids, coords, (self._margin_pass(x)[1],))
+        return sums[0] / self.n_components
 
     def group_grads(self, groups):
         """One stacked CSR, (len(groups) * dim) x n, holds each group's Xᵀ

@@ -958,8 +958,8 @@ def state_of(est):
     estimator caches is derived from its ``flat`` table, which is
     compared, and is checked against it instead."""
     if "table" in vars(est):
-        problem = est.problem
-        assert np.array_equal(est.table, problem.dense_rows(np.arange(problem.n_components), est.flat))
+        everyone = np.arange(est.problem.n_components)
+        assert np.array_equal(est.table, est.problem.dense_rows(everyone, est.flat))
     return {
         k: [np.copy(a) for a in v] if isinstance(v, list) else np.copy(v)
         for k, v in vars(est).items()

@@ -393,7 +393,7 @@ TRAJECTORY = {
 }
 
 
-_TEMP = tempfile.TemporaryDirectory()
+_temp_dir = functools.cache(tempfile.TemporaryDirectory)
 
 
 @functools.cache
@@ -401,7 +401,7 @@ def _dataset_file(name):
     """``FILES[name]`` written to a libsvm file that lasts the process:
     the config entries that read it back."""
     ds = FILES[name]()
-    path = str(Path(_TEMP.name) / f"{name}.libsvm")
+    path = str(Path(_temp_dir().name) / f"{name}.libsvm")
     write_libsvm(ds, path)
     return dict(dataset=path, force_dim=ds.d)
 

@@ -561,7 +561,8 @@ class TestLogisticMatchesScipyReference:
         n, d = prob.n_components, prob.dim
         rng = np.random.default_rng(9)
         idx = rng.permutation(n)
-        entries, cols, values = prob.component_rows(idx, rng.standard_normal(d), rng.standard_normal(d))
+        points = rng.standard_normal(d), rng.standard_normal(d)
+        entries, cols, values = prob.component_rows(idx, *points)
         kept = [a.copy() for a in (entries, cols, *values)]
         for later in (idx[::-1], np.roll(idx, 1), np.array([n - 1]), np.repeat(idx, 2)):
             prob.component_rows(later, rng.standard_normal(d), rng.standard_normal(d))
@@ -714,7 +715,8 @@ class TestGather:
                 np.array([], dtype=np.intp),
             ]
             for rows in batches:
-                lengths, at, cols, values, sums = problems._gather(A, nnz, prob._ids, rows, vectors)
+                gathered = problems._gather(A, nnz, prob._ids, rows, vectors)
+                lengths, at, cols, values, sums = gathered
                 sub = A[rows]
                 _assert_bit_equal(np.concatenate([[0], np.cumsum(lengths)]), sub.indptr)
                 _assert_bit_equal(cols, sub.indices)
@@ -724,7 +726,9 @@ class TestGather:
                 for v, got in zip(vectors, sums):
                     _assert_bit_equal(got, sub @ v)
 
-    def test_bounds_are_checked(self):
+    def test_inputs_are_checked(self):
+        # the kernels check no bounds: rows outside [-n, n) and points of
+        # another shape raise; a strided point reads as its copy
         prob = LogisticProblem(_ragged_dataset(0))
         n, d = prob.n_components, prob.dim
         for rows in ([n], [-n - 1]):
@@ -733,6 +737,11 @@ class TestGather:
         for x in (np.zeros(d + 1), np.zeros((d, 1)), 0.0):
             with pytest.raises(ValueError, match="point of shape"):
                 prob.component_rows(np.arange(n), x)
+        strided = np.random.default_rng(21).standard_normal(2 * d)[::2]
+        got = prob.component_rows(np.arange(n), strided)
+        want = prob.component_rows(np.arange(n), strided.copy())
+        for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
+            _assert_bit_equal(a, b)
 
     def test_flat_sums_equal_padded_sums_at_signed_zeros(self):
         # The padded layout this replaced added a 0.0 * 0.0 term after
