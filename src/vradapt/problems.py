@@ -283,7 +283,7 @@ class LogisticProblem(Problem):
         lengths, entries, cols, values, sums = _gather(
             self.X, self._row_nnz, self._ids, indices, points
         )
-        y = self.y[indices]
+        y = self.y[np.asarray(indices, dtype=np.intp)]
         m = y * sums
         scaled = values * np.repeat(-y * expit(-m), lengths, axis=1)
         # sparse-to-dense accumulates into +0.0, which turns -0.0 into +0.0
