@@ -1,13 +1,19 @@
+import hashlib
 import io
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vradapt.engine import ExperimentConfig, Trace, TraceRow, run
-from vradapt.estimators import constants, make_estimator
-from vradapt.problems import QuadraticProblem, make_quadratic
-from vradapt.schedulers import theoretical_gamma_nonconvex
-from vradapt.verify import (
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from vradapt.engine import ExperimentConfig, Trace, TraceRow, run  # noqa: E402
+from vradapt.estimators import METHODS, constants, estimator_class, make_estimator  # noqa: E402
+from vradapt.problems import QuadraticProblem, make_quadratic  # noqa: E402
+from vradapt.schedulers import theoretical_gamma_nonconvex  # noqa: E402
+from vradapt.verify import (  # noqa: E402
     MARGIN_CSV_HEADER,
     MarginReport,
     MarginRow,
@@ -235,6 +241,59 @@ class TestAssumptionMargins:
             standard_margin_setup("sarah")
 
 
+# SHA-256 of ``margins_to_csv`` of each method's report on its
+# ``standard_margin_setup`` at GOLDEN_RUN, and of EF21's with C halved
+# (the mutation probe, ``verify --perturb C:0.5``), so a change to a
+# step_batch, a compressor or the verifier that moves one margin byte
+# fails here.  To regenerate, run this file as a script:
+#
+#     python tests/test_verify.py
+#
+# It prints MARGIN_GOLDEN with each digest as it now stands and names the
+# cases whose digest changed on stderr.
+GOLDEN_RUN = dict(state_points=3, samples_per_point=1000, seed=0)
+MARGIN_GOLDEN = {
+    "lsvrg": "9e3d324b63652bb4ad9d6945fe019f517fb8f2253ecc25ba4e1387aa34ab3b6b",
+    "saga": "60c7f01762cb5375d63e467f33cff4e49babaee0a9a99d0122ef192e09b8b8ee",
+    "page": "5c2129b110b4dce7c7e2e3c9689db753b6e6e4c9ea3f1fb4a3508a5759a32dd9",
+    "zerosarah": "1db241b704da8db80edcb60454321aeeb0f1b62217dfc055031e9849915b0a94",
+    "ef21": "cb45ca8ffaa5e48aad880af2d9a375e26bf02564f506a1d0cc8c1174d39d15aa",
+    "diana": "41b4ab5ef0d22be038e26fad92238f9a216b2b22af3cfcbf371db069536c3bd3",
+    "dasha": "839447d94cc01f20d1563a75c3b2645ad3c25ba6d54a2b2ae9c010b579e5ecd7",
+    "sega": "08363707698c3786dfc3fe1fa2629892c1bcbb5413d6ea378d511c2990779c2f",
+    "jaguar": "34fe240b779a04e963c7b66b99a4e325c774f59330f8c0720b220c9e49495ca4",
+    "ef21 C*0.5": "62881f6bf6367f669e695db5f046ad7bc7c53ecc17452b65f97060453d321eb8",
+}
+
+
+def _margin_report(case):
+    """The report a MARGIN_GOLDEN case pins: ``method``, or ``method
+    NAME*FACTOR`` for the registered tuple with NAME scaled by FACTOR."""
+    method, _, perturb = case.partition(" ")
+    problem, hp = standard_margin_setup(method)
+    override = None
+    if perturb:
+        name, factor = perturb.split("*")
+        override = estimator_class(method).settings(problem, hp)[1].scaled({name: float(factor)})
+    return assumption_margin(method, hp, problem, constants_override=override, **GOLDEN_RUN)
+
+
+def _margin_digest(case):
+    buffer = io.StringIO()
+    margins_to_csv(_margin_report(case), buffer)
+    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+
+
+class TestMarginGolden:
+    def test_covers_every_method_and_the_probe(self):
+        assert list(MARGIN_GOLDEN) == [*METHODS, "ef21 C*0.5"]
+
+    @pytest.mark.parametrize("case", list(MARGIN_GOLDEN))
+    def test_margin_csv_is_pinned(self, case):
+        assert _margin_report(case).passed == (" " not in case)
+        assert _margin_digest(case) == MARGIN_GOLDEN[case]
+
+
 class TestMarginCsv:
     def test_schema_and_pass_column(self):
         problem, hp = standard_margin_setup("page")
@@ -277,3 +336,16 @@ class TestMarginCsv:
             "ef21,1,0,nan,inf,-0,4.9406564584124654e-324,1\n"
             "ef21,2,1180591620717411303424,-inf,0.10000000000000001,1.0000000000000001e+300,0,0\n"
         )
+
+
+if __name__ == "__main__":
+    changed = []
+    print("MARGIN_GOLDEN = {")
+    for case, expected in MARGIN_GOLDEN.items():
+        digest = _margin_digest(case)
+        print(f'    "{case}": "{digest}",')
+        if digest != expected:
+            changed.append(case)
+    print("}")
+    summary = ", ".join(changed) or "-"
+    print(f"MARGIN_GOLDEN: {len(changed)} of {len(MARGIN_GOLDEN)} digests changed: {summary}", file=sys.stderr)
