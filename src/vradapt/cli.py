@@ -140,8 +140,13 @@ def _verify_one(method, args):
     settings, registered = estimator_class(method).settings(problem, hyperparams)
     override = None
     if args.perturb:
-        # scale the tuple the estimator registers, the one the check uses
-        override = registered.scaled(_parse_perturb(args.perturb))
+        # scale the tuple the estimator registers, the one the check uses;
+        # a bad result names the derived value, so the spec leads the error
+        factors = _parse_perturb(args.perturb)
+        try:
+            override = registered.scaled(factors)
+        except ValueError as exc:
+            raise ValueError(f"--perturb {args.perturb}: {exc}") from None
     report = verify.assumption_margin(
         method,
         hyperparams,

@@ -186,7 +186,10 @@ class GradientEstimator:
       after each, shape (S,).  Oracle values that every draw shares are
       computed once per call; each draw only gathers or masks them.  The
       randomness is drawn in whole arrays, so the stream differs from S
-      calls of ``step``, not the distribution;
+      calls of ``step``, not the distribution.  A transition that draws
+      nothing (a client-server method with a deterministic compressor)
+      is computed once and its row repeated S times, into arrays of
+      their own;
     * ``sigma_sq()``, if it has an auxiliary sequence: its auxiliary
       error at the current state (diagnostic; may cost a full pass, so
       the optimizer loop never calls it).
@@ -601,9 +604,13 @@ class _ClientServerEstimator(GradientEstimator):
     def step_batch(self, x_cand, rng, S):
         grads = self._client_grads(x_cand)
         messages = self._message(grads)
-        dense = self.compressor.sample_dense(np.broadcast_to(messages, (S,) + messages.shape), rng)
+        # a deterministic compressor draws nothing from rng, so its S
+        # transitions are one, computed once and repeated
+        draws = S if self.compressor.randomized else 1
+        dense = self.compressor.sample_dense(np.broadcast_to(messages, (draws,) + messages.shape), rng)
         sigma = self._client_error(self.client_state + self._damp(dense) - grads)
-        return self.server_state + self._server_sum(dense), sigma
+        G = self.server_state + self._server_sum(dense)
+        return np.repeat(G, S // draws, axis=0), np.repeat(sigma, S // draws)
 
 
 class EF21(_ClientServerEstimator):

@@ -292,12 +292,12 @@ class LogisticProblem(Problem):
 
     def dense_rows(self, indices, values):
         lengths, _, cols, _, _ = _gather(self.X, self._row_nnz, self._ids, indices, ())
-        out = np.zeros((len(lengths), self.dim))
-        out[np.repeat(np.arange(len(lengths)), lengths), cols] = values
-        return out
+        return _scatter(lengths, cols, values, self.dim)
 
     def component_grads(self, indices, x):
-        return self.dense_rows(indices, self.component_rows(indices, x)[2][0])
+        # scatter by the columns component_rows gathered, not a second gather
+        _, cols, (values,) = self.component_rows(indices, x)
+        return _scatter(self._row_nnz[np.asarray(indices, dtype=np.intp)], cols, values, self.dim)
 
     def all_component_grads(self, x):
         return self.component_grads(np.arange(self.n_components), x)
@@ -327,6 +327,14 @@ class LogisticProblem(Problem):
             return (stacked @ w).reshape(len(sizes), self.dim) / sizes
 
         return grads
+
+
+def _scatter(lengths, cols, values, dim):
+    """Flat row entries, ``lengths[k]`` of them for row k, dense:
+    (len(lengths), dim) zeros with each value at its row and column."""
+    out = np.zeros((len(lengths), dim))
+    out[np.repeat(np.arange(len(lengths)), lengths), cols] = values
+    return out
 
 
 def _gather(A, nnz, ids, rows, vectors):

@@ -362,6 +362,23 @@ class TestVerifyCommand:
         assert_one_error_line(captured, "A, B, C must be finite and nonnegative")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "spec,named",
+        [
+            ("C:-1", "--perturb C:-1: A, B, C must be finite and nonnegative"),
+            ("rho2:100", "--perturb rho2:100: rho2 must lie in (0, 1], got 5.5"),
+            ("A:2,rho1:0", "--perturb A:2,rho1:0: rho1 must lie in (0, 1], got 0.0"),
+        ],
+    )
+    def test_perturbation_out_of_range_names_the_spec(self, spec, named, capsys):
+        # the error is about a derived constant (C = -20 for C:-1), so the
+        # spec the user gave leads it
+        code = main(["verify", "--method", "ef21", "--perturb", spec] + self.FAST)
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, named)
+        assert captured.out == ""
+
 
 class TestConstantsCommand:
     def test_full_pass_coupling_is_unit(self, capsys):

@@ -9,6 +9,7 @@ from vradapt.compressors import (
     IdentityCompressor,
     RandK,
     TopK,
+    _keep_dense,
     check_biased_contract,
     check_unbiased_contract,
     dense_bits_cost,
@@ -161,6 +162,28 @@ class TestSampleDense:
         assert len(counts) == 6
         # each of the 6 subsets has probability 1/6: 1000 +- 4 sigma
         assert all(abs(c - 1000) < 4 * np.sqrt(6000 * (1 / 6) * (5 / 6)) for c in counts.values())
+
+    @pytest.mark.parametrize("scale", [1.0, 7.0 / 3.0])
+    @pytest.mark.parametrize(
+        "shape,source",
+        [((16, 5, 7), (16, 5, 7)), ((5, 7), (5, 7)), ((16, 5, 7), (5, 7)), ((7,), (7,))],
+        ids=["SxCxd", "Cxd", "broadcast", "d"],
+    )
+    def test_keep_dense_is_the_along_axis_take_and_put(self, shape, source, scale):
+        rng = np.random.default_rng(6)
+        base = rng.standard_normal(source)
+        # signed zeros among the entries, kept and dropped
+        base.reshape(-1)[::4] = -0.0
+        base.reshape(-1)[1::4] = 0.0
+        V = np.broadcast_to(base, shape)
+        kept = rng.random(shape).argsort(axis=-1)[..., :3]
+        want = np.zeros(shape)
+        np.put_along_axis(want, kept, scale * np.take_along_axis(V, kept, axis=-1), axis=-1)
+        got = _keep_dense(V, kept, scale)
+        assert got.shape == shape and got.flags.writeable
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.any(np.signbit(got) & (got == 0.0))
 
     def test_identity_is_a_copy(self):
         V = np.random.default_rng(5).standard_normal((2, 3, 4))

@@ -973,16 +973,24 @@ class TestStepBatch:
     verifier samples exactly the update rule the optimizer runs."""
 
     S = 16
+    X_CAND = np.array([-0.1, 0.6, 0.25, -0.3])
+
+    @staticmethod
+    def walked(method, hp, quad):
+        """The estimator after two steps from zero, at a state where no
+        table, shift or client error is zero."""
+        est = make_estimator(method, quad, np.zeros(4), hp)
+        walk = np.random.default_rng(3)
+        for x in (np.full(4, 0.3), np.array([0.5, -0.2, 0.1, 0.4])):
+            est.step(x, walk)
+        return est
 
     @pytest.mark.parametrize(
         "method,hp", BATCH_CASES, ids=[f"{m}-{i}" for i, (m, _) in enumerate(BATCH_CASES)]
     )
     def test_rows_replay_through_step(self, method, hp, quad):
-        est = make_estimator(method, quad, np.zeros(4), hp)
-        walk = np.random.default_rng(3)
-        for x in (np.full(4, 0.3), np.array([0.5, -0.2, 0.1, 0.4])):
-            est.step(x, walk)
-        x_cand = np.array([-0.1, 0.6, 0.25, -0.3])
+        est = self.walked(method, hp, quad)
+        x_cand = self.X_CAND
         before = state_of(est)
 
         rng = RecordingRng(11)
@@ -1003,6 +1011,27 @@ class TestStepBatch:
             g = twin.step(x_cand, script)
             assert np.allclose(G[s], g, rtol=1e-12, atol=1e-15), s
             assert np.allclose(sigma[s], twin.sigma_sq(), rtol=1e-12, atol=1e-15), s
+
+    @pytest.mark.parametrize(
+        "method,hp",
+        [(m, hp) for m, hp in BATCH_CASES if hp.get("compressor") in ("topk", "identity")],
+        ids=lambda v: v if isinstance(v, str) else v["compressor"],
+    )
+    def test_deterministic_compressor_repeats_one_transition(self, method, hp, quad):
+        # top-k and identity draw nothing: every row is the one transition
+        # step takes, bit for bit, in writable arrays of their own
+        est = self.walked(method, hp, quad)
+        G, sigma = est.step_batch(self.X_CAND, RecordingRng(11), self.S)
+        assert G.shape == (self.S, 4) and sigma.shape == (self.S,)
+        assert G.flags.writeable and sigma.flags.writeable
+        twin = est.clone()
+        g = twin.step(self.X_CAND, ScriptedRng())
+        for s in range(self.S):
+            assert np.array_equal(G[s], G[0]) and np.array_equal(G[s], g), s
+            assert sigma[s] == sigma[0] == twin.sigma_sq(), s
+        G[0] += 1.0
+        sigma[0] += 1.0
+        assert np.array_equal(G[1], g) and sigma[1] == twin.sigma_sq()
 
 
 class TestConstruction:

@@ -517,6 +517,7 @@ class TestLogisticMatchesScipyReference:
             rng.permutation(n)[: max(1, n // 2)],
             np.array([0, 0, n - 1, n - 1, n - 1]),
             rng.integers(0, n, size=2 * n),
+            np.array([-1, -n, 0]),
         ]
         for x in self._points(prob.dim, seed=2):
             for idx in batches:
