@@ -141,7 +141,7 @@ def _verify_one(method, args):
     override = None
     if args.perturb:
         # scale the tuple the estimator registers, the one the check uses;
-        # a bad result names the derived value, so the spec leads the error
+        # an error names the scaled value, so it starts with the spec
         factors = _parse_perturb(args.perturb)
         try:
             override = registered.scaled(factors)

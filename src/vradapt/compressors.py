@@ -93,10 +93,9 @@ def rand_k(x, k, rng) -> CompressedVector:
 
 def _keep_dense(V, kept, scale=1.0):
     """Dense array with V's entries at positions ``kept`` (along the last
-    axis) times ``scale``, zeros elsewhere: the along-axis take and put,
-    as one gather from V raveled and one scatter into the zeros, at flat
-    positions ``kept + d * row`` for the row index over V's leading axes.
-    V may be a broadcast view; its ravel is a copy."""
+    axis) times ``scale``, zeros elsewhere: one flat gather and one flat
+    scatter at ``kept + d * row``, row numbering V's leading axes (a
+    broadcast V is raveled to a copy)."""
     d = V.shape[-1]
     flat = kept + np.arange(0, V.size, d).reshape(V.shape[:-1] + (1,))
     out = np.zeros(V.shape)

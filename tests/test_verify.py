@@ -278,9 +278,9 @@ def _margin_report(case):
     return assumption_margin(method, hp, problem, constants_override=override, **GOLDEN_RUN)
 
 
-def _margin_digest(case):
+def _margin_digest(report):
     buffer = io.StringIO()
-    margins_to_csv(_margin_report(case), buffer)
+    margins_to_csv(report, buffer)
     return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
 
 
@@ -290,8 +290,9 @@ class TestMarginGolden:
 
     @pytest.mark.parametrize("case", list(MARGIN_GOLDEN))
     def test_margin_csv_is_pinned(self, case):
-        assert _margin_report(case).passed == (" " not in case)
-        assert _margin_digest(case) == MARGIN_GOLDEN[case]
+        report = _margin_report(case)
+        assert report.passed == (" " not in case)
+        assert _margin_digest(report) == MARGIN_GOLDEN[case]
 
 
 class TestMarginCsv:
@@ -342,7 +343,7 @@ if __name__ == "__main__":
     changed = []
     print("MARGIN_GOLDEN = {")
     for case, expected in MARGIN_GOLDEN.items():
-        digest = _margin_digest(case)
+        digest = _margin_digest(_margin_report(case))
         print(f'    "{case}": "{digest}",')
         if digest != expected:
             changed.append(case)
