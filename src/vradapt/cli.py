@@ -128,8 +128,11 @@ def _parse_perturb(text):
     factors = {}
     for part in text.split(","):
         name, _, factor = part.partition(":")
+        name = name.strip()
+        if name in factors:
+            raise ValueError(f"--perturb {text}: {name} is named twice")
         try:
-            factors[name.strip()] = float(factor)
+            factors[name] = float(factor)
         except ValueError:
             raise ValueError(f"--perturb wants NAME:FACTOR with a number, got {part!r}") from None
     return factors

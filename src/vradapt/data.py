@@ -16,7 +16,6 @@ import operator
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -71,8 +70,11 @@ def parse_libsvm(source, force_dim=None, limit=None) -> Dataset:
     index seen.  ``limit`` keeps only the first ``limit`` rows.
 
     A stream is read whole; lines end at ``\\n`` only, as when a file or
-    ``StringIO`` is iterated.  Text the one-pass parser (``_split_rows``)
-    does not accept goes through the line parser, which names its line.
+    ``StringIO`` is iterated.  The one-pass parser (``_split_rows``)
+    reads each block of lines as bytes, and plain decimals without
+    Python; text it does not accept, a data row that is not ASCII
+    included, goes through the line parser, which names its line.  Both
+    give the same arrays, bit for bit, for any text they accept.
     """
     text = source if isinstance(source, str) else source.read()
     lines = text.split("\n")
@@ -89,39 +91,148 @@ def parse_libsvm(source, force_dim=None, limit=None) -> Dataset:
 
 
 def _split_rows(lines, limit=None):
-    """Labels, feature counts, and index and value arrays of the data
-    rows, converted a block of lines at a time (which bounds the token
-    lists held); ValueError unless every feature token is <index>:<value>."""
-    labels, counts, indices, values = [], [], [], []
+    """Raw labels (float), feature counts, 1-based indices (int64) and
+    values (float) of the data rows, as arrays, parsed a block of
+    ``BLOCK_LINES`` lines at a time in one numpy pass over the block's
+    bytes (``_split_block``).  ValueError unless every feature token is
+    <index>:<value>, every number reads as ``float``/``int`` reads it and
+    every data row is ASCII; OverflowError for an index beyond int64."""
+    parts = [(np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    rows = 0
     for start in range(0, len(lines), BLOCK_LINES):
-        rows = [r for r in map(str.split, lines[start:start + BLOCK_LINES]) if r and r[0][0] != "#"]
-        rows = rows if limit is None else rows[: max(limit - len(labels), 0)]
-        labels += [r[0] for r in rows]
-        counts += [len(r) - 1 for r in rows]
-        feats = " ".join(chain.from_iterable(r[1:] for r in rows))
-        parts = feats.replace(":", " ").split()
-        # the pieces, glued back as <index>:<value> pairs, give feats again
-        glued = [":"] * (2 * len(parts))
-        glued[0::2] = parts
-        glued[3::4] = [" "] * (len(parts) // 2)
-        if len(parts) % 2 or "".join(glued)[:-1] != feats:
-            raise ValueError("a feature token is not <index>:<value>")
-        indices.append(np.array(parts[0::2], dtype=np.int64))
-        values.append(np.array(parts[1::2], dtype=float))
-    return labels, counts, np.concatenate(indices), np.concatenate(values)
+        room = None if limit is None else limit - rows
+        if room is not None and room <= 0:
+            break
+        parts.append(_split_block(lines[start:start + BLOCK_LINES], room))
+        rows += len(parts[-1][0])
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+# bytes.translate table: 0 for the ASCII whitespace str.split() splits
+# at, 1 for every other byte
+_SOLID = bytes(b not in b" \t\n\v\f\r\x1c\x1d\x1e\x1f" for b in range(256))
+_FAST_WIDTH, _FAST_DIGITS = 16, 15  # 10**15 < 2**53: 15 digits make an exact mantissa
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact up to 10**22
+
+
+def _split_block(lines, room):
+    """``_split_rows`` on one block, keeping at most ``room`` data rows
+    (all if None).  A token is a run of bytes between whitespace; the
+    first on a line is its row's label, and a row whose label starts
+    with ``#`` is a comment."""
+    text = "\n".join(lines)
+    if not text.isascii():
+        text = "\n".join(map(_ascii_or_blank, lines))
+    # newlines before and after: every token has whitespace on both
+    # sides, and a number read _FAST_WIDTH bytes wide stays in the text
+    text = "\n" + text + "\n" * _FAST_WIDTH
+    raw = text.encode("ascii")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    solid = np.frombuffer(raw.translate(_SOLID), dtype=bool)
+    edges = np.flatnonzero(solid[1:] != solid[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    # a row's label: the first token after a newline (the trailing
+    # newlines mark the slot past the last token)
+    opens = np.zeros(len(starts) + 1, dtype=bool)
+    opens[np.searchsorted(starts, np.flatnonzero(buf == ord("\n")))] = True
+    heads = np.flatnonzero(opens[:-1])
+    rows = buf[starts[heads]] != ord("#")
+    if room is not None:
+        rows &= np.cumsum(rows) <= room
+    sizes = np.diff(heads, append=len(starts))
+    kept = np.repeat(rows, sizes)
+    colons = np.flatnonzero(buf == ord(":"))
+    if not rows.all():
+        colons = colons[kept[np.searchsorted(starts, colons, "right") - 1]]
+    kept[heads] = False
+    feats = np.flatnonzero(kept)
+    # the i-th colon of the kept rows lies inside the i-th feature token,
+    # with bytes on both sides: each such token holds exactly one
+    lo, hi = starts[feats], ends[feats]
+    if len(colons) != len(feats) or np.any(colons <= lo) or np.any(colons >= hi - 1):
+        raise ValueError("a feature token is not <index>:<value>")
+    labels = heads[rows]
+    floats = _numbers(text, buf, np.r_[starts[labels], colons + 1], np.r_[ends[labels], hi], float)
+    return (
+        floats[: len(labels)],
+        sizes[rows] - 1,
+        _numbers(text, buf, lo, colons, int),
+        floats[len(labels):],
+    )
+
+
+def _ascii_or_blank(line):
+    """An ASCII line as it is; a blank or comment line that is not
+    ASCII as ``""``.  A data row that is not ASCII is a ValueError."""
+    if line.isascii():
+        return line
+    tokens = line.split(maxsplit=1)
+    if tokens and not tokens[0].startswith("#"):
+        raise ValueError("a data row holds a byte that is not ASCII")
+    return ""
+
+
+def _numbers(text, buf, lo, hi, kind):
+    """The numbers spelt by ``text[lo[i]:hi[i]]`` (ASCII, none empty;
+    ``buf`` holds its bytes), each as ``kind`` (``float`` or ``int``)
+    reads it, in a float or int64 array.  ``_fast_numbers`` reads the
+    short plain spellings; numpy reads every other one with ``kind``
+    itself, all in one batch."""
+    width = hi - lo
+    out = np.empty(len(lo), dtype=np.int64 if kind is int else float)
+    fast = width <= _FAST_WIDTH
+    if fast.any():
+        short = slice(None) if fast.all() else np.flatnonzero(fast)
+        out[short], fast[short] = _fast_numbers(buf, lo[short], width[short], kind is float)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        tokens = [text[a:b] for a, b in zip(lo[slow].tolist(), hi[slow].tolist())]
+        out[slow] = np.array(tokens, out.dtype)
+    return out
+
+
+def _fast_numbers(buf, lo, width, dotted):
+    """Values of the numbers of ``width`` (<= _FAST_WIDTH) bytes at
+    ``lo``, and a mask of those read exactly: spelt ``[+-]digits[.digits]``
+    (no dot unless ``dotted``) with at most _FAST_DIGITS digits.  Their
+    digits form an exact mantissa M < 2**53, and M / 10**f, one IEEE
+    division of two exact numbers (Clinger's fast path), is the
+    correctly rounded value that ``float`` returns."""
+    # row k holds each number's k-th byte, counted only where k < width
+    span = np.arange(width.max(), dtype=np.uint8)[:, None]
+    width = width.astype(np.uint8)
+    chars = buf[lo + span]
+    inside = span < width
+    digits = chars - np.uint8(ord("0"))
+    is_digit = (digits < 10) & inside
+    n_digits = is_digit.sum(0, dtype=np.uint8)
+    length = n_digits + ((chars[0] == ord("+")) | (chars[0] == ord("-")))
+    exact = n_digits - 1 < _FAST_DIGITS  # 1 to _FAST_DIGITS digits (0 - 1 wraps)
+    value = np.zeros(len(lo))
+    for digit, counts in zip(digits, is_digit):  # Horner's rule
+        value = np.where(counts, value * 10 + digit, value)
+    if dotted:
+        is_dot = (chars == ord(".")) & inside
+        n_dots = is_dot.sum(0, dtype=np.uint8)
+        length += n_dots
+        exact &= n_dots < 2
+        # digits after the dot; in an exact spelling, every byte after it
+        decimals = (is_dot * (width - 1 - span)).sum(0, dtype=np.uint8)
+        value /= _POW10[np.minimum(decimals, len(_POW10) - 1)]
+    return np.where(chars[0] == ord("-"), -value, value), exact & (length == width)
 
 
 def _to_csr(labels, counts, indices, values):
-    """Raw labels, indptr, 1-based indices and values as arrays (strings
-    convert as ``float``/``int`` read them); ValueError unless each
-    row's indices are >= 1 and strictly increasing and its label and
-    values finite."""
+    """Raw labels, indptr, 1-based indices and values as float, int64,
+    int64 and float arrays, from either parser's numbers (arrays or
+    lists); ValueError unless each row's indices are >= 1 and strictly
+    increasing and its label and values finite."""
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     indices = np.asarray(indices, dtype=np.int64)
     prev = np.r_[0, indices]
     prev[indptr[:-1]] = 0
-    labels = np.array(labels, dtype=float)
+    labels = np.asarray(labels, dtype=float)
     values = np.asarray(values, dtype=float)
     finite = np.isfinite(labels).all() and np.isfinite(values).all()
     if not (np.all(indices > prev[:-1]) and finite):

@@ -379,6 +379,16 @@ class TestVerifyCommand:
         assert_one_error_line(captured, named)
         assert captured.out == ""
 
+    @pytest.mark.parametrize("spec", ["C:0.5,C:2", "C:2,A:1, C:0.5"])
+    def test_constant_named_twice_is_one_error_line(self, spec, capsys):
+        # a dict of factors once kept the last one only: C:0.5,C:2 checked
+        # C x 2 alone and passed
+        code = main(["verify", "--method", "ef21", "--perturb", spec] + self.FAST)
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, f"--perturb {spec}: C is named twice")
+        assert captured.out == ""
+
 
 class TestConstantsCommand:
     def test_full_pass_coupling_is_unit(self, capsys):

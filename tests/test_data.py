@@ -390,3 +390,93 @@ def test_one_pass_rejects_to_the_line_parser(line, message):
     with pytest.raises(LibsvmParseError) as err:
         parse_libsvm("# first\n" + line)
     assert str(err.value) == message.replace("line 1", "line 2")
+
+
+def _both_parsers(lines):
+    """``_to_csr`` of the one-pass parser's and the line parser's output,
+    each as (dtype, bytes) per array, or "rejected"."""
+    outcomes = []
+    for split in (data._split_rows, data._parse_lines):
+        try:
+            arrays = data._to_csr(*split(lines))
+        except (ValueError, OverflowError):
+            outcomes.append("rejected")
+        else:
+            outcomes.append([(a.dtype.str, a.tobytes()) for a in arrays])
+    return outcomes
+
+
+# 15 digits and fewer take the exact decimal path; 16 and more, an
+# exponent or an underscore go through float itself
+SPELLINGS = (
+    "123456789012345", "1234567890123456", "9007199254740993", "0.1",
+    "0.30000000000000004", ".5", "5.", "+.5", "-0", "-0.0", "000000000000001",
+    "1e22", "1_0",
+)
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_one_pass_reads_each_value_spelling_as_float_does(spelling):
+    lines = [f"+1 1:{spelling} 2:1", f"{spelling} 3:{spelling}"]
+    one_pass, line_parser = _both_parsers(lines)
+    assert one_pass != "rejected" and one_pass == line_parser
+    values = data._split_rows(lines)[3]
+    assert values.tobytes() == np.array([float(spelling), 1.0, float(spelling)]).tobytes()
+
+
+@pytest.mark.parametrize("index,accepted", [
+    ("9223372036854775807", True), ("9223372036854775808", False),
+])
+def test_one_pass_reads_int64_edge_indices_as_the_line_parser(index, accepted):
+    one_pass, line_parser = _both_parsers([f"+1 {index}:1"])
+    assert one_pass == line_parser
+    assert (one_pass != "rejected") == accepted
+
+
+def test_one_pass_block_mixing_fast_and_slow_tokens():
+    lines = [
+        "+1 1:0.5 2:1e-3 3:0.30000000000000004 4:7 0005:1_0 6:-0",
+        "1_0 1:-2.25 00000000000000007:.5 9:1234567890123456 10:123456789012345",
+        "-1 2:nan",
+    ]
+    one_pass, line_parser = _both_parsers(lines[:2])
+    assert one_pass != "rejected" and one_pass == line_parser
+    assert _both_parsers(lines) == ["rejected", "rejected"]
+
+
+def test_non_ascii_comment_row_stays_on_the_one_pass_parser():
+    text = "# café 1:é  \n+1 1:0.5 2:1\n  # été\n-1 3:2\n"
+    with mock.patch.object(data, "_parse_lines", side_effect=AssertionError("line parser")):
+        ds = parse_libsvm(text)
+    assert ds.indices.tolist() == [0, 1, 2] and ds.values.tolist() == [0.5, 1.0, 2.0]
+    assert ds.labels.tolist() == [1.0, -1.0]
+
+
+@pytest.mark.parametrize(
+    "row", ["+1 1:1\xa02:3", "+1 1:\u0661", "-1 4:2\u2028", "\u2003-1 5:1", "+1 caf\xe9"]
+)
+def test_non_ascii_data_row_goes_to_the_line_parser(row):
+    text = f"+1 2:0.5\n{row}\n-1 3:1\n"
+    with pytest.raises(ValueError):
+        data._split_rows(text.split("\n"))
+    with mock.patch.object(data, "_split_rows", side_effect=ValueError):
+        want = _outcome(lambda: parse_libsvm(text))
+    with mock.patch.object(data, "_parse_lines", wraps=data._parse_lines) as line_parser:
+        assert _outcome(lambda: parse_libsvm(text)) == want
+    line_parser.assert_called_once()
+
+
+def test_fast_decimals_equal_float_on_seeded_spellings():
+    """Random [+-]digits[.digits] spellings of 1-17 bytes, most of them
+    on the exact decimal path, read as ``float`` reads them."""
+    rng = np.random.default_rng(23)
+    spellings = []
+    for _ in range(4000):
+        digits = "".join(rng.choice(list("0123456789"), rng.integers(1, 16)))
+        dot = rng.integers(-1, len(digits) + 1)
+        if dot >= 0:
+            digits = digits[:dot] + "." + digits[dot:]
+        spellings.append(rng.choice(["", "+", "-"]) + digits)
+    line = "1 " + " ".join(f"{i + 1}:{s}" for i, s in enumerate(spellings))
+    values = data._split_rows([line])[3]
+    assert values.tobytes() == np.array([float(s) for s in spellings]).tobytes()
