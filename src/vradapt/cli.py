@@ -92,14 +92,18 @@ def _parse_grid(specs):
             raise ValueError(f"grid entry must be key=v1,v2,..., got {spec!r}")
         key, _, values = spec.partition("=")
         key = key.strip()
+        if key in grid:
+            raise ValueError(f"--grid {spec}: {key} is named twice")
         # each token goes through the config file's own coercion
         grid[key] = [getattr(engine.config_from_mapping({key: v}), key) for v in values.split(",")]
+        for i, value in enumerate(grid[key]):
+            if value in grid[key][:i]:
+                raise ValueError(f"--grid {spec}: {key}={value} is named twice")
     return grid
 
 
 def cmd_sweep(args):
-    if args.jobs < 1:
-        return _fail(f"--jobs must be >= 1, got {args.jobs}")
+    check_sizes({"--jobs": args.jobs})
     cfg = _load_config(args.config, args.seed)
     grid = _parse_grid(args.grid)
     results = engine.sweep(cfg, grid, jobs=args.jobs)
@@ -197,8 +201,7 @@ def _registration_kwargs(cls, args):
     is ``--n`` or ``--d`` (``cls.size``); ``--b n`` is that size, and only
     the default batch of 8 is clamped to it."""
     size = getattr(args, cls.size)
-    if size < 1:
-        raise ValueError(f"--{cls.size} must be >= 1, got {size}")
+    check_sizes({f"--{cls.size}": size})
     kwargs = {cls.size: size, "p": args.p, "k": args.k, "delta": args.delta,
               "omega": args.omega, "n_clients": args.clients}
     if "b" in cls.hyperparams:

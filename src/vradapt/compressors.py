@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_count
+
 
 @dataclass(frozen=True)
 class CompressedVector:
@@ -42,24 +44,6 @@ class CompressedVector:
         return out
 
 
-def _check_dim(d):
-    """d, an integer >= 1, tested before it is converted (so nan and inf
-    are named, not an error of ``int``)."""
-    if not d >= 1:
-        raise ValueError(f"dim must be >= 1, got {d}")
-    if d % 1 != 0:
-        raise ValueError(f"dim must be an integer, got {d}")
-    return int(d)
-
-
-def _check_k(k, d):
-    """k, an integer in [1, d]; d is checked first."""
-    d = _check_dim(d)
-    if not (1 <= k <= d and int(k) == k):
-        raise ValueError(f"k must be an integer in [1, {d}], got {k}")
-    return int(k), d
-
-
 def top_k(x, k) -> CompressedVector:
     """Keep the k coordinates of largest magnitude, values unchanged.
 
@@ -68,7 +52,7 @@ def top_k(x, k) -> CompressedVector:
     """
     x = np.asarray(x, dtype=float)
     d = x.size
-    _check_k(k, d)
+    k = check_count("k", k, check_count("dim", d))
     # stable sort on negated magnitude: equal magnitudes keep index order
     order = np.argsort(-np.abs(x), kind="stable")[:k]
     kept = np.sort(order)
@@ -86,7 +70,7 @@ def rand_k(x, k, rng) -> CompressedVector:
     """
     x = np.asarray(x, dtype=float)
     d = x.size
-    _check_k(k, d)
+    k = check_count("k", k, check_count("dim", d))
     kept = np.sort(rng.random(d).argsort()[:k])
     return CompressedVector(kept.astype(np.int64), (d / k) * x[kept], d)
 
@@ -110,7 +94,8 @@ class TopK:
     unbiased = False
 
     def __init__(self, k, dim):
-        self.k, self.dim = _check_k(k, dim)
+        self.dim = check_count("dim", dim)
+        self.k = check_count("k", k, self.dim)
         self.delta = self.dim / self.k
 
     def compress(self, x, rng=None) -> CompressedVector:
@@ -130,7 +115,8 @@ class RandK:
     unbiased = True
 
     def __init__(self, k, dim):
-        self.k, self.dim = _check_k(k, dim)
+        self.dim = check_count("dim", dim)
+        self.k = check_count("k", k, self.dim)
         self.omega = self.dim / self.k
 
     def compress(self, x, rng) -> CompressedVector:
@@ -160,7 +146,7 @@ class IdentityCompressor:
     unbiased = True
 
     def __init__(self, dim):
-        self.dim = self.k = _check_dim(dim)
+        self.dim = self.k = check_count("dim", dim)
         self.delta = 1.0
         self.omega = 1.0
 
@@ -189,8 +175,7 @@ def check_biased_contract(compressor, d, trials, rng) -> dict:
     <= 1e-12); randomized ones are judged on the mean margin against
     3 standard errors.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_count("trials", trials)
     bound = 1.0 - 1.0 / compressor.delta
     probes = rng.standard_normal((trials, d))
     gaps = compressor.sample_dense(probes, rng) - probes
@@ -221,8 +206,7 @@ def check_unbiased_contract(compressor, d, trials, rng) -> dict:
     otherwise both are sampled, ``trials`` draws in one ``sample_dense``
     call, and judged against 3 standard errors.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_count("trials", trials)
     x = rng.standard_normal(d)
     xsq = float((x ** 2).sum())
     if d <= 8 and hasattr(compressor, "enumerate_outcomes"):

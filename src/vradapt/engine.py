@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_sizes, csv_layout, load_libsvm, opened, read_text, synthetic_dataset
+from .data import check_count, check_sizes, csv_layout, load_libsvm, opened, read_text, synthetic_dataset
 from .estimators import estimator_class, make_estimator
 from .problems import logistic_problem, make_quadratic
 from .schedulers import (
@@ -205,8 +205,7 @@ def validate(config, problem):
     cls = estimator_class(config.method)
     if config.T < 0:
         raise ValueError("T must be >= 0")
-    if config.cadence < 1:
-        raise ValueError("cadence must be >= 1")
+    check_count("cadence", config.cadence)
     if config.timing not in ("on", "off"):
         raise ValueError(f"timing must be on or off, got {config.timing!r}")
     hp = estimator_hyperparams(config, problem)

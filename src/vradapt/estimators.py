@@ -38,6 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .compressors import dense_bits_cost, make_compressor
+from .data import check_count
 from .problems import partition_problem
 
 
@@ -75,21 +76,12 @@ def _require(condition, message):
         raise ValueError(message)
 
 
-def _check_count(name, value):
-    """An integer >= 1, tested before it is converted (so nan and inf
-    are named, not an error of ``int``)."""
-    _require(value >= 1, f"{name} must be >= 1, got {value}")
-    _require(value % 1 == 0, f"{name} must be an integer, got {value}")
-    return int(value)
-
-
 def _check_batch(b, name, size):
     """b, an integer in [1, size]; the size (``name``: n or d) is checked
     first, and None puts no bound on b."""
-    size = math.inf if size is None else _check_count(name, size)
+    size = math.inf if size is None else check_count(name, size)
     _require(b is not None, "batch size b is required")
-    _require(1 <= b <= size and b % 1 == 0, f"b must be an integer in [1, {size}], got {b}")
-    return int(b)
+    return check_count("b", b, size)
 
 
 def _check_prob(p):
@@ -101,9 +93,9 @@ def _quality(name, value, d, k):
     """delta or omega (``name``), given directly or as d/k for integers
     d and k with k in [1, d], checked finite and >= 1."""
     if value is None and d is not None and k is not None:
-        d = _check_count("d", d)
-        _check_count("k", k)
-        _require(k <= d, f"k must be an integer in [1, {d}], got {k}")
+        d = check_count("d", d)
+        check_count("k", k)
+        check_count("k", k, d)
         value = d / k
     _require(
         value is not None and 1.0 <= value < math.inf,
@@ -114,7 +106,7 @@ def _quality(name, value, d, k):
 
 def _check_clients(n):
     _require(n is not None, "n_clients is required for client-server methods")
-    return _check_count("n_clients", n)
+    return check_count("n_clients", n)
 
 
 def _draw_batch(rng, n, b, with_replacement=False):
@@ -542,7 +534,7 @@ class _ClientServerEstimator(GradientEstimator):
             hasattr(compressor, cls.quality),
             f"{cls.method} needs {_COMPRESSOR_KINDS[cls.quality]}",
         )
-        bits = {name: _check_count(name, hp[name]) for name in ("value_bits", "index_bits")}
+        bits = {name: check_count(name, hp[name]) for name in ("value_bits", "index_bits")}
         quality = {cls.quality: getattr(compressor, cls.quality)}
         registered = cls.registration(**quality, n_clients=len(groups))
         return dict(groups=groups, compressor=compressor, **bits), registered

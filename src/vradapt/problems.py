@@ -8,17 +8,17 @@ and exposes, next to the plain loss, three gradient oracles: the full
 gradient, per-component gradients, and per-coordinate partial derivatives
 of f.  Instances do not change after construction, so they can be shared
 freely between concurrent runs; the one exception is the logistic
-problem's scratch space, which each thread keeps for itself: its last
-margin pass.
+problem's last margin pass, one immutable pair that is replaced whole
+and that threads may share.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 from scipy.sparse import _sparsetools, csr_matrix, vstack
 from scipy.special import expit
+
+from .data import check_count
 
 
 class Problem:
@@ -191,13 +191,13 @@ class LogisticProblem(Problem):
     with every feature costs only its own step, and every sum runs left
     to right from +0.0 in the order of ``X @ x`` and ``XT @ w``.
 
-    Each thread keeps its own scratch (``threading.local``): its last
-    margin pass, m = y * (X @ x) and the weights w = -y * expit(-m),
-    keyed by x's bytes.  ``loss``, ``full_grad``, ``partials`` and
-    every ``group_grads`` function read the pass, so the oracles called
-    at one point pass over the rows once (a trace record after a step,
-    SEGA's partials at its previous point).  The scratch is the only
-    state an instance changes after construction.
+    ``_scratch`` is the last margin pass, m = y * (X @ x) and weights
+    w = -y * expit(-m), keyed by x's bytes: one immutable pair, replaced
+    whole, that threads may share and a copy carries.  ``loss``,
+    ``full_grad``, ``partials`` and every ``group_grads`` function read
+    it, so the oracles called at one point pass over the rows once (a
+    trace record after a step, SEGA's partials at its previous point).
+    It is the only state an instance changes after construction.
 
     Every gradient oracle result is bit-identical, down to the sign of
     zeros, to the plain scipy CSR expressions (``X[idx]`` -> ``.multiply``
@@ -228,15 +228,8 @@ class LogisticProblem(Problem):
         self._row_nnz = np.diff(X.indptr)
         self._col_nnz = np.diff(self.XT.indptr)
         self._ids = np.arange(X.nnz, dtype=np.int64)
-        self._scratch = _Scratch()
+        self._scratch = None
         self.smoothness = self._power_iteration()
-
-    def __getstate__(self):
-        # the scratch is per thread, and a threading.local does not pickle
-        return {**vars(self), "_scratch": None}
-
-    def __setstate__(self, state):
-        vars(self).update(state, _scratch=_Scratch())
 
     def _power_iteration(self, iterations=POWER_ITERATIONS):
         """Largest eigenvalue of (1/(4n)) A^T A after ``iterations``
@@ -265,16 +258,16 @@ class LogisticProblem(Problem):
     def _margin_pass(self, x):
         """``(m, w)`` at x: the margins m = y * (X @ x) and the weights
         w = -y * expit(-m), whose column sums over n are the gradient.
-        This thread keeps the pass for the last x, keyed by x's bytes, so
-        the oracles called at one point share one pass, and an x changed
-        in place is passed again."""
+        The pair ``(key, (m, w))`` for the last x, keyed by x's bytes, is
+        read once and replaced whole, so a thread gets arrays of its own
+        key, and an x changed in place is passed again."""
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
         scratch = self._scratch
-        if scratch.key != key:
+        if scratch is None or scratch[0] != key:
             m = self.y * (self.X @ x)
-            scratch.key, scratch.margins = key, (m, -self.y * expit(-m))
-        return scratch.margins
+            scratch = self._scratch = (key, (m, -self.y * expit(-m)))
+        return scratch[1]
 
     def loss(self, x):
         return _mean_logistic_loss(self._margin_pass(x)[0])
@@ -368,14 +361,6 @@ def _gather(A, nnz, ids, rows, vectors):
     return lengths, at, cols, values, sums
 
 
-class _Scratch(threading.local):
-    """A logistic problem's per-thread scratch: the last margin pass and
-    its key."""
-
-    def __init__(self):
-        self.key = self.margins = None
-
-
 def _mean_logistic_loss(m):
     """mean(log(1 + exp(-m))) over the margins m, stable at any m."""
     return float((np.maximum(-m, 0.0) + np.log1p(np.exp(-np.abs(m)))).mean())
@@ -396,8 +381,7 @@ def partition_problem(problem, n_clients, scheme="contiguous"):
     ``problem.group_grads(groups)`` reproduces the global gradient.
     """
     n = problem.n_components
-    if n_clients < 1:
-        raise ValueError("n_clients must be >= 1")
+    n_clients = check_count("n_clients", n_clients)
     if n_clients > n:
         raise ValueError(
             f"cannot split {n} components across {n_clients} clients"

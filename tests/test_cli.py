@@ -300,6 +300,32 @@ class TestSweepCommand:
         assert_one_error_line(capsys.readouterr(), named)
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "grid,named",
+        [
+            (["b=1,2", "b=3"], "--grid b=3: b is named twice"),
+            (["b=1", " b =2"], "--grid  b =2: b is named twice"),
+            (["seed=1,1"], "--grid seed=1,1: seed=1 is named twice"),
+            (["b=2, 2"], "--grid b=2, 2: b=2 is named twice"),
+            (["p=0.5,0.50"], "--grid p=0.5,0.50: p=0.5 is named twice"),
+            (
+                ["with_replacement=yes,on"],
+                "--grid with_replacement=yes,on: with_replacement=True is named twice",
+            ),
+        ],
+    )
+    def test_grid_named_twice_is_one_error_line(self, tmp_path, capsys, grid, named):
+        # the grid was a dict filled spec by spec: b=1,2 then b=3 ran b=3
+        # alone, and seed=1,1 ran one cell twice into one trace file
+        cfg = write_cfg(tmp_path, QUICK_CFG)
+        out_dir = tmp_path / "grid"
+        flags = [arg for spec in grid for arg in ("--grid", spec)]
+        assert main(["sweep", "--config", cfg, *flags, "--out-dir", str(out_dir)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, named)
+        assert captured.out == ""
+        assert not out_dir.exists()
+
 
 class TestVerifyCommand:
     FAST = ["--states", "2", "--samples", "1000"]

@@ -297,6 +297,16 @@ class TestPlumbing:
             cls(2.5, 10)
         assert cls(2.0, 10).k == 2
 
+    @pytest.mark.parametrize("k", [2.0, np.int64(2)])
+    def test_integral_k_keeps_k_coordinates(self, k):
+        # k = 2.0 passed the check and then failed to slice (TypeError)
+        x = np.arange(1.0, 6.0)
+        assert np.array_equal(top_k(x, k).indices, [3, 4])
+        got = rand_k(x, k, np.random.default_rng(0))
+        want = rand_k(x, 2, np.random.default_rng(0))
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.values, want.values)
+
     @pytest.mark.parametrize(
         "cls,args,message",
         [

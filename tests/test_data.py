@@ -9,14 +9,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vradapt import data
+from vradapt.cli import main
+from vradapt.compressors import IdentityCompressor, TopK, check_biased_contract
 from vradapt.data import (
     Dataset,
     LibsvmParseError,
+    check_count,
+    check_sizes,
     load_libsvm,
     parse_libsvm,
     synthetic_dataset,
     write_libsvm,
 )
+from vradapt.engine import ExperimentConfig, validate
+from vradapt.problems import make_quadratic, partition_problem
 
 
 def row(ds, i):
@@ -193,6 +199,82 @@ class TestFileErrors:
             with data.opened(io.StringIO(), "w"):
                 raise OSError(28, "No space left on device")
         assert err.value.filename is None
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize(
+        "value,named",
+        [
+            (0, "n must be >= 1, got 0"),
+            (-3, "n must be >= 1, got -3"),
+            (float("nan"), "n must be >= 1, got nan"),
+            (float("inf"), "n must be an integer, got inf"),
+            (2.5, "n must be an integer, got 2.5"),
+        ],
+    )
+    def test_count_below_one_or_not_integral_is_named(self, value, named):
+        with pytest.raises(ValueError) as err:
+            check_count("n", value)
+        assert str(err.value) == named
+
+    @pytest.mark.parametrize(
+        "value,most,named",
+        [
+            (0, 5, "k must be an integer in [1, 5], got 0"),
+            (6, 5, "k must be an integer in [1, 5], got 6"),
+            (2.5, 5, "k must be an integer in [1, 5], got 2.5"),
+            (float("nan"), 5, "k must be an integer in [1, 5], got nan"),
+            (float("inf"), float("inf"), "k must be an integer in [1, inf], got inf"),
+            (-1, float("inf"), "k must be an integer in [1, inf], got -1"),
+        ],
+    )
+    def test_bound_gives_the_range_message(self, value, most, named):
+        with pytest.raises(ValueError) as err:
+            check_count("k", value, most)
+        assert str(err.value) == named
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0)])
+    @pytest.mark.parametrize("most", [None, 3, float("inf")])
+    def test_returns_an_int(self, value, most):
+        got = check_count("n", value, most)
+        assert got == 3 and type(got) is int
+
+    def test_check_sizes_skips_unset(self):
+        check_sizes({"limit": None, "force_dim": 4})
+        with pytest.raises(ValueError, match=r"^force_dim must be >= 1, got 0$"):
+            check_sizes({"limit": None, "force_dim": 0})
+
+    @pytest.mark.parametrize(
+        "call,named",
+        [
+            (lambda: TopK(0, 5), "k must be an integer in [1, 5], got 0"),
+            (lambda: IdentityCompressor(0), "dim must be >= 1, got 0"),
+            (lambda: partition_problem(make_quadratic(4, 2), 0), "n_clients must be >= 1, got 0"),
+            (
+                lambda: check_biased_contract(TopK(2, 4), 4, 0, np.random.default_rng(0)),
+                "trials must be >= 1, got 0",
+            ),
+            (
+                lambda: validate(ExperimentConfig(method="saga", b=2, cadence=0), make_quadratic(6, 4)),
+                "cadence must be >= 1, got 0",
+            ),
+        ],
+    )
+    def test_call_sites_name_input_and_value(self, call, named):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == named
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["sweep", "--config", "unread.cfg", "--jobs", "0"], "error: --jobs must be >= 1, got 0"),
+            (["constants", "--method", "saga", "--n", "0"], "error: saga: --n must be >= 1, got 0"),
+        ],
+    )
+    def test_flags_name_input_and_value(self, argv, named, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == named + "\n"
 
 
 class TestDenseRow:

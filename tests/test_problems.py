@@ -571,7 +571,7 @@ class TestLogisticMatchesScipyReference:
                 _assert_bit_equal(got, want)
 
     def test_component_rows_from_concurrent_threads(self, pair):
-        # each thread has its own margin pass, so
+        # the margin pass is one pair replaced whole, read with its key, so
         # threads sharing one instance, each at its own point (more
         # threads than cores, switching as often as the interpreter
         # allows), get the rows, loss, gradient and partials a single
@@ -627,6 +627,29 @@ class TestLogisticMatchesScipyReference:
             _assert_bit_equal(clone.full_grad(x), prob.full_grad(x))
             assert clone._scratch is not prob._scratch
             assert clone._margin_pass(x)[1] is not prob._margin_pass(x)[1]
+
+    def test_copy_carries_the_margin_pass(self, pair):
+        # a copy made right after a pass carries that pass: its oracles at
+        # that point and at another are the parent's, bit for bit, and its
+        # own pass elsewhere leaves the parent's pair as it was
+        prob, _ = pair
+        rng = np.random.default_rng(12)
+        x, y = rng.standard_normal(prob.dim), rng.standard_normal(prob.dim)
+        coords = np.arange(prob.dim)
+
+        def oracles(p, z):
+            return [np.array(p.loss(z)), p.full_grad(z), p.partials(z, coords)]
+
+        want = {z.tobytes(): oracles(prob, z) for z in (x, y)}
+        prob.full_grad(x)
+        for clone in (pickle.loads(pickle.dumps(prob)), copy.deepcopy(prob)):
+            kept = prob._scratch
+            assert clone._scratch[0] == kept[0] == x.tobytes()
+            for z in (x, y):
+                for got, expected in zip(oracles(clone, z), want[z.tobytes()]):
+                    _assert_bit_equal(got, expected)
+            assert clone._scratch[0] == y.tobytes()
+            assert prob._scratch is kept
 
     def test_loss_within_four_eps_of_logaddexp(self, pair):
         prob, ref = pair
