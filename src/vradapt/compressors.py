@@ -17,7 +17,10 @@ vector along the last axis of V, with fresh randomness per vector, drawn
 vector by vector in C order.  The client-server estimators, the Monte
 Carlo verifier and the sampled contract checks all compress through it;
 ``compress`` is the one-vector API and the reference the tests hold
-``sample_dense`` to.
+``sample_dense`` to.  The sparsifiers' ``sample_dense`` selects by a
+partition threshold and sorts only when a tie straddles the k-th place
+(or a NaN is present), so it keeps the sort's coordinates bit for bit.
+Both calls reject vectors whose length is not the operator's ``dim``.
 """
 
 from __future__ import annotations
@@ -87,6 +90,33 @@ def _keep_dense(V, kept, scale=1.0):
     return out
 
 
+def _check_length(V, dim, vector=False):
+    """V as a float array after checking that it holds vectors of length
+    ``dim`` along its last axis (and, for a ``vector``, only one)."""
+    V = np.asarray(V, dtype=float)
+    if V.ndim and V.shape[-1] != dim:
+        raise ValueError(f"dim is {dim}, got a vector of length {V.shape[-1]}")
+    if V.ndim == 0 or (vector and V.ndim != 1):
+        raise ValueError(f"dim is {dim}, got an array of shape {V.shape}")
+    return V
+
+
+def _threshold_drop(key, k):
+    """Where each row of ``key`` (along the last axis) is above its k-th
+    smallest entry, found by one partition; or None unless every row
+    keeps exactly k entries.
+
+    A row keeps its k smallest entries, any entry tied with the k-th and
+    any NaN (``NaN > t`` is false; a partition puts NaN last), so no row
+    keeps fewer than k.  One count over the block is then (d - k) per
+    row exactly when no tie straddles a row's k-th place and no NaN is
+    present, and each row keeps the first k positions of any argsort.
+    """
+    d = key.shape[-1]
+    drop = key > np.partition(key, k - 1, axis=-1)[..., k - 1 : k]
+    return drop if np.count_nonzero(drop) == (d - k) * (key.size // d) else None
+
+
 class TopK:
     """Deterministic contractive compressor; registered delta = d/k."""
 
@@ -99,13 +129,24 @@ class TopK:
         self.delta = self.dim / self.k
 
     def compress(self, x, rng=None) -> CompressedVector:
-        return top_k(x, self.k)
+        return top_k(_check_length(x, self.dim, vector=True), self.k)
 
     def sample_dense(self, V, rng=None) -> np.ndarray:
         """``top_k(v).to_dense()`` for every v along the last axis of V,
-        with the same lowest-index tie break."""
-        V = np.asarray(V, dtype=float)
-        return _keep_dense(V, np.argsort(-np.abs(V), axis=-1, kind="stable")[..., : self.k])
+        with the same lowest-index tie break.
+
+        Each row keeps the entries whose -|v| is at most its k-th
+        smallest, a threshold from one partition, not a sort.  When a tie
+        straddles that threshold, or a NaN is present, the rows are
+        sorted instead: the stable argsort of -|v|, whose first k
+        positions define the lowest-index tie rule (NaN ranks last).
+        """
+        V = _check_length(V, self.dim)
+        key = -np.abs(V)
+        drop = _threshold_drop(key, self.k)
+        if drop is None:
+            return _keep_dense(V, np.argsort(key, axis=-1, kind="stable")[..., : self.k])
+        return np.where(drop, 0.0, V)
 
 
 class RandK:
@@ -120,15 +161,30 @@ class RandK:
         self.omega = self.dim / self.k
 
     def compress(self, x, rng) -> CompressedVector:
-        return rand_k(x, self.k, rng)
+        return rand_k(_check_length(x, self.dim, vector=True), self.k, rng)
 
     def sample_dense(self, V, rng) -> np.ndarray:
         """Independent ``rand_k`` outputs, dense, for every vector along
         the last axis of V: each keeps the first k positions of an argsort
-        of uniforms, k distinct positions drawn uniformly."""
-        V = np.asarray(V, dtype=float)
-        kept = rng.random(V.shape).argsort(axis=-1)[..., : self.k]
-        return _keep_dense(V, kept, V.shape[-1] / self.k)
+        of uniforms, k distinct positions drawn uniformly.
+
+        The uniforms are drawn as one block of V's shape, and each row
+        keeps those at most its k-th smallest, a threshold from one
+        partition.  Only when two uniforms tie at a row's k-th place are
+        the rows argsorted, so the kept set, and the rng's stream, are
+        those of the argsort either way.
+        """
+        V = _check_length(V, self.dim)
+        scale = self.dim / self.k
+        U = rng.random(V.shape)
+        drop = _threshold_drop(U, self.k)
+        if drop is None:
+            return _keep_dense(V, U.argsort(axis=-1)[..., : self.k], scale)
+        # scaled after the select, so only kept entries are multiplied (and
+        # can overflow), as in _keep_dense
+        out = np.where(drop, 0.0, V)
+        out *= scale
+        return out
 
     def enumerate_outcomes(self, x):
         """All equally likely outputs; exact-expectation checks for small d."""
@@ -151,11 +207,11 @@ class IdentityCompressor:
         self.omega = 1.0
 
     def compress(self, x, rng=None) -> CompressedVector:
-        x = np.asarray(x, dtype=float)
+        x = _check_length(x, self.dim, vector=True)
         return CompressedVector(np.arange(self.dim, dtype=np.int64), x.copy(), self.dim)
 
     def sample_dense(self, V, rng=None) -> np.ndarray:
-        return np.array(V, dtype=float)
+        return np.array(_check_length(V, self.dim))
 
     def enumerate_outcomes(self, x):
         yield self.compress(x)

@@ -31,6 +31,7 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -344,6 +345,13 @@ def _step_rule(config, registered, problem):
     raise ValueError(f"unknown scheduler {config.scheduler!r}")
 
 
+def _norm(v):
+    """Euclidean norm of a 1-D float vector: sqrt(v . v), the expression
+    ``np.linalg.norm`` evaluates for one, bit for bit, without its
+    dispatch (about a third of its time per call)."""
+    return math.sqrt(v.dot(v))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def run(config, problem=None):
     """Iterate x^{t+1} = x^t - gamma_t g^t for T steps (or until the
@@ -373,11 +381,11 @@ def run(config, problem=None):
         norm."""
         wall = (time.perf_counter() - started) * 1e3 if timing else 0.0
         loss, grad = problem.loss_and_grad(x)
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = _norm(grad)
         if g is None:
             est_norm = est_err = 0.0
         else:
-            est_norm, est_err = float(np.linalg.norm(g)), float(np.linalg.norm(g - grad))
+            est_norm, est_err = _norm(g), _norm(g - grad)
         counters = (est.grad_calls, est.partial_calls, est.bits)
         trace.append(TraceRow(t, loss, grad_norm, est_norm, est_err, gamma, *counters, wall))
         return grad_norm
@@ -397,7 +405,7 @@ def run(config, problem=None):
             break
         x = x + update if update is not None else x - gamma_t * g
         # NaN and inf entries make the norm NaN or inf, which fail too
-        if not np.linalg.norm(x) <= 1e12:
+        if not _norm(x) <= 1e12:
             status = "diverged"
             break
         g = est.step(x, rng)

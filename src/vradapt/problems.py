@@ -158,13 +158,13 @@ class LogisticProblem(Problem):
     200 power iterations from a seeded start (``_power_iteration``).
 
     ``loss`` takes the loss from the margins m as mean(max(-m, 0) +
-    log1p(exp(-|m|))), one vectorised expression
-    (``_mean_logistic_loss``).  That is the formula inside
-    ``np.logaddexp(0, -m)``, which makes scalar libm calls per entry;
-    numpy's vectorised ``exp`` and ``log1p`` take about a fifth of its
-    time (4000 margins, x86-64) and round differently, by at most 2 ulp
-    per entry (equal at m = +-0, +-inf, nan and +-710).  The gradients
-    stay on ``expit``.
+    log1p(exp(-|m|))), one vectorised expression over the negated
+    margins the pass keeps (``_mean_logistic_loss``).  That is the
+    formula inside ``np.logaddexp(0, -m)``, which makes scalar libm
+    calls per entry; numpy's vectorised ``exp`` and ``log1p`` take about
+    a fifth of its time (4000 margins, x86-64) and round differently, by
+    at most 2 ulp per entry (equal at m = +-0, +-inf, nan and +-710).
+    The gradients stay on ``expit``.
 
     Storage, built once and shared by every oracle; A's stored entries
     are the only copy of A, and no layout is padded:
@@ -191,9 +191,12 @@ class LogisticProblem(Problem):
     with every feature costs only its own step, and every sum runs left
     to right from +0.0 in the order of ``X @ x`` and ``XT @ w``.
 
-    ``_scratch`` is the last margin pass, m = y * (X @ x) and weights
-    w = -y * expit(-m), keyed by x's bytes: one immutable pair, replaced
-    whole, that threads may share and a copy carries.  ``loss``,
+    ``_scratch`` is the last margin pass, the negated margins
+    -m = -y * (X @ x) and weights w = -y * expit(-m), keyed by x's
+    bytes: one immutable pair, replaced whole, that threads may share and
+    a copy carries.  ``_neg_y`` holds -y, stored once, so a pass negates
+    no array of its own; -y * (X @ x) is -(y * (X @ x)) bit for bit,
+    the sign of zeros included, as y is +-1.  ``loss``,
     ``full_grad``, ``partials`` and every ``group_grads`` function read
     it, so the oracles called at one point pass over the rows once (a
     trace record after a step, SEGA's partials at its previous point).
@@ -223,6 +226,7 @@ class LogisticProblem(Problem):
             shape=(n, dataset.d),
         )
         self.y = labels
+        self._neg_y = -labels
         self.n_components, self.dim = X.shape
         self.XT = X.tocsc().T
         self._row_nnz = np.diff(X.indptr)
@@ -256,17 +260,18 @@ class LogisticProblem(Problem):
         return estimates[-1]
 
     def _margin_pass(self, x):
-        """``(m, w)`` at x: the margins m = y * (X @ x) and the weights
-        w = -y * expit(-m), whose column sums over n are the gradient.
-        The pair ``(key, (m, w))`` for the last x, keyed by x's bytes, is
-        read once and replaced whole, so a thread gets arrays of its own
-        key, and an x changed in place is passed again."""
+        """``(-m, w)`` at x: the negated margins -m = -y * (X @ x) and the
+        weights w = -y * expit(-m), whose column sums over n are the
+        gradient.  The pair ``(key, (-m, w))`` for the last x, keyed by
+        x's bytes, is read once and replaced whole, so a thread gets
+        arrays of its own key, and an x changed in place is passed
+        again."""
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
         scratch = self._scratch
         if scratch is None or scratch[0] != key:
-            m = self.y * (self.X @ x)
-            scratch = self._scratch = (key, (m, -self.y * expit(-m)))
+            nm = self._neg_y * (self.X @ x)
+            scratch = self._scratch = (key, (nm, self._neg_y * expit(nm)))
         return scratch[1]
 
     def loss(self, x):
@@ -276,9 +281,8 @@ class LogisticProblem(Problem):
         lengths, entries, cols, values, sums = _gather(
             self.X, self._row_nnz, self._ids, indices, points
         )
-        y = self.y[np.asarray(indices, dtype=np.intp)]
-        m = y * sums
-        scaled = values * np.repeat(-y * expit(-m), lengths, axis=1)
+        neg_y = self._neg_y[np.asarray(indices, dtype=np.intp)]
+        scaled = values * np.repeat(neg_y * expit(neg_y * sums), lengths, axis=1)
         # sparse-to-dense accumulates into +0.0, which turns -0.0 into +0.0
         scaled += 0.0
         return entries, cols, list(scaled)
@@ -361,9 +365,11 @@ def _gather(A, nnz, ids, rows, vectors):
     return lengths, at, cols, values, sums
 
 
-def _mean_logistic_loss(m):
-    """mean(log(1 + exp(-m))) over the margins m, stable at any m."""
-    return float((np.maximum(-m, 0.0) + np.log1p(np.exp(-np.abs(m)))).mean())
+def _mean_logistic_loss(nm):
+    """mean(log(1 + exp(-m))) over the margins m, read from their
+    negations nm = -m, stable at any m: mean(max(-m, 0) +
+    log1p(exp(-|m|))), with -m and |m| taken from nm exactly."""
+    return float((np.maximum(nm, 0.0) + np.log1p(np.exp(-np.abs(nm)))).mean())
 
 
 def logistic_problem(dataset) -> LogisticProblem:

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vradapt.compressors import (
     CompressedVector,
@@ -10,6 +13,7 @@ from vradapt.compressors import (
     RandK,
     TopK,
     _keep_dense,
+    _threshold_drop,
     check_biased_contract,
     check_unbiased_contract,
     dense_bits_cost,
@@ -129,6 +133,25 @@ class TestSampleDense:
                 want = top_k(row, k).to_dense()
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+        # NaN (ranked last), infinities, and ties straddling the k-th place;
+        # compared by bit pattern, so a kept NaN keeps its sign too
+        inf, nan = np.inf, np.nan
+        special = np.array(
+            [
+                [nan, 1.0, -2.0, 0.5, 3.0],
+                [inf, -inf, 1.0, nan, -0.0],
+                [-nan, nan, 2.0, -2.0, 0.5],
+                [1.0, 2.0, -2.0, 2.0, 0.5],
+                [0.5, -0.5, 0.5, -1.0, 0.25],
+                [-inf, inf, -inf, 0.0, nan],
+                [nan, nan, nan, nan, nan],
+            ]
+        )
+        for k in range(1, 6):
+            out = TopK(k, 5).sample_dense(special)
+            for row, got in zip(special, out):
+                want = top_k(row, k).to_dense()
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_topk_over_leading_axes(self):
         V = np.random.default_rng(1).standard_normal((3, 4, 6))
@@ -148,6 +171,51 @@ class TestSampleDense:
         for idx in np.ndindex(3, 4):
             want = rand_k(V[idx], 2, one_at_a_time).to_dense()
             assert np.array_equal(out[idx], want)
+
+    def test_randk_ties_among_uniforms_keep_the_argsort_subset(self):
+        class Scripted:
+            """A generator whose uniforms are given, ties included."""
+
+            def __init__(self, uniforms):
+                self.uniforms = np.asarray(uniforms, dtype=float)
+
+            def random(self, shape):
+                assert shape == self.uniforms.shape
+                return self.uniforms.copy()
+
+        U = np.array(
+            [
+                [[0.5, 0.25, 0.25, 0.75, 0.125], [0.25, 0.5, 0.75, 0.125, 0.0625]],
+                [[0.25, 0.25, 0.25, 0.25, 0.25], [0.75, 0.5, 0.5, 0.5, 0.125]],
+            ]
+        )
+        V = np.random.default_rng(7).standard_normal(U.shape)
+        V[0, 0, 1] = -0.0
+        for k in range(1, 6):
+            got = RandK(k, 5).sample_dense(V, Scripted(U))
+            want = _keep_dense(V, U.argsort(axis=-1)[..., :k], 5 / k)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_threshold_runs_without_ties_and_defers_on_them(self):
+        # the partition threshold itself gives the kept sets when no tie
+        # straddles a row's k-th place and no NaN is present; otherwise
+        # it returns None and the caller sorts
+        key = -np.abs(np.random.default_rng(8).standard_normal((4, 3, 9)))
+        for k in range(1, 10):
+            drop = _threshold_drop(key, k)
+            assert drop is not None
+            first_k = np.argsort(key, axis=-1, kind="stable")[..., :k]
+            kept = np.zeros(key.shape, dtype=bool)
+            np.put_along_axis(kept, first_k, True, axis=-1)
+            assert np.array_equal(drop, ~kept)
+        tied = key.copy()
+        tied[2, 1, :2] = -5.0
+        assert _threshold_drop(tied, 1) is None
+        assert _threshold_drop(tied, 2) is not None
+        nan = key.copy()
+        nan[0, 0, 4] = np.nan
+        assert all(_threshold_drop(nan, k) is None for k in range(1, 9))
+        assert _threshold_drop(nan, 9) is not None
 
     def test_randk_subsets_are_uniform(self):
         V = np.ones((6000, 4))
@@ -191,6 +259,63 @@ class TestSampleDense:
         assert np.array_equal(out, V)
         out[0, 0, 0] = 99.0
         assert V[0, 0, 0] != 99.0
+
+
+def _argsort_reference(compressor, V, seed):
+    """The dense outputs as a full sort selects them: the stable argsort
+    of -|v| for top-k, the argsort of the same uniforms for rand-k."""
+    k, d = compressor.k, compressor.dim
+    if compressor.randomized:
+        kept = np.random.default_rng(seed).random(V.shape).argsort(axis=-1)[..., :k]
+        return _keep_dense(V, kept, d / k)
+    return _keep_dense(V, np.argsort(-np.abs(V), axis=-1, kind="stable")[..., :k])
+
+
+def _assert_sample_dense_is_the_sort(compressor, V, seed):
+    with np.errstate(over="ignore"):  # d/k times the largest floats
+        got = compressor.sample_dense(V, np.random.default_rng(seed))
+        want = _argsort_reference(compressor, V, seed)
+    assert got.shape == V.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# few distinct magnitudes, so rows tie often; signed zeros, NaN, +-inf
+_TIE_PRONE = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 2.0, np.inf, -np.inf, np.nan]
+
+
+class TestThresholdMatchesSort:
+    """``sample_dense`` selects by a partition threshold; the kept sets,
+    and so the outputs, are bit for bit those of the full sort.  Rows
+    of up to 16 entries and longer ones both appear: numpy sorts and
+    partitions short rows by another method."""
+
+    @pytest.mark.parametrize("cls", [TopK, RandK])
+    @pytest.mark.parametrize("shape", [(1, 10, 10), (3, 4, 16), (2, 10, 17), (10, 123), (5, 40)])
+    def test_seeded_corpus(self, cls, shape):
+        rng = np.random.default_rng(sum(shape))
+        d = shape[-1]
+        blocks = [
+            rng.standard_normal(shape),
+            rng.choice(_TIE_PRONE, size=shape),
+            np.round(rng.standard_normal(shape)),
+            np.zeros(shape),
+        ]
+        for V in blocks:
+            for k in sorted({1, 2, d // 2 or 1, d - 1 or 1, d}):
+                _assert_sample_dense_is_the_sort(cls(k, d), V, seed=k)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_shape_and_values(self, data):
+        S = data.draw(st.integers(1, 3), label="S")
+        C = data.draw(st.integers(1, 4), label="C")
+        d = data.draw(st.one_of(st.integers(1, 16), st.integers(17, 40)), label="d")
+        k = data.draw(st.integers(1, d), label="k")
+        entry = st.one_of(st.sampled_from(_TIE_PRONE), st.floats())
+        V = data.draw(arrays(np.float64, (S, C, d), elements=entry), label="V")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        for cls in (TopK, RandK):
+            _assert_sample_dense_is_the_sort(cls(k, d), V, seed)
 
 
 class TestContracts:
@@ -337,6 +462,42 @@ class TestPlumbing:
         assert (comp.k, comp.dim) == (2, 10)
         assert getattr(comp, "delta" if cls is TopK else "omega") == 5.0
         assert IdentityCompressor(3.0).dim == 3
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: TopK(2, 10).compress(np.arange(4.0)),
+            lambda: TopK(2, 10).sample_dense(np.ones((3, 4))),
+            lambda: TopK(7, 10).sample_dense(np.ones(4)),
+            lambda: RandK(2, 10).compress(np.arange(4.0), np.random.default_rng(0)),
+            lambda: RandK(5, 10).sample_dense(np.ones((2, 4)), np.random.default_rng(0)),
+            lambda: IdentityCompressor(10).compress(np.arange(4.0)),
+            lambda: IdentityCompressor(10).sample_dense(np.ones((2, 4))),
+        ],
+        ids=[
+            "topk-compress",
+            "topk-sample_dense",
+            "topk-sample_dense-k>length",
+            "randk-compress",
+            "randk-sample_dense",
+            "identity-compress",
+            "identity-sample_dense",
+        ],
+    )
+    def test_vector_of_another_length_is_rejected(self, call):
+        # rand-k rescaled every entry of a short vector by d/k (a biased
+        # operator), top-k returned it unchanged or a message of dim 4
+        with pytest.raises(ValueError, match="^dim is 10, got a vector of length 4$"):
+            call()
+
+    @pytest.mark.parametrize("comp", [TopK(2, 4), RandK(2, 4), IdentityCompressor(4)])
+    def test_compress_takes_one_vector(self, comp):
+        rng = np.random.default_rng(0)
+        for bad in (np.ones((1, 4)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=r"^dim is 4, got an array of shape "):
+                comp.compress(bad, rng)
+        with pytest.raises(ValueError, match=r"^dim is 4, got an array of shape \(\)$"):
+            comp.sample_dense(np.float64(1.0), rng)
 
     def test_to_dense(self):
         v = CompressedVector(

@@ -790,7 +790,7 @@ class TestGather:
             sums = problems._gather(prob.X, prob._row_nnz, prob._ids, np.arange(n), (x,))[4][0]
             assert not np.signbit(sums).any()
             _assert_bit_equal(sums, padded @ np.append(x, 0.0))
-            _assert_bit_equal(prob.y * sums, prob._margin_pass(x)[0])
+            _assert_bit_equal(-(prob.y * sums), prob._margin_pass(x)[0])
             _assert_bit_equal(prob.all_component_grads(x), ref.component_grads(np.arange(n), x))
             _assert_bit_equal(prob.full_grad(x), ref.full_grad(x))
             _assert_bit_equal(prob.partials(x, np.arange(d)), ref.partials(x, np.arange(d)))
