@@ -248,7 +248,9 @@ def cmd_ingest(args):
             rows = dim = 0
         if rows < 1 or dim < 1:
             return _fail(f"--synthetic wants ROWSxDIM, both >= 1, got {args.synthetic!r}")
-        ds = synthetic_dataset(rows, dim=dim, seed=args.seed, nnz_per_row=min(14, dim))
+        if args.force_dim is not None:
+            return _fail("--force-dim does not apply to --synthetic")
+        ds = synthetic_dataset(min(rows, args.limit or rows), dim=dim, seed=args.seed)
     else:
         return _fail("give --data PATH or --synthetic ROWSxDIM")
     write_libsvm(ds, args.out)

@@ -47,13 +47,20 @@ class CompressedVector:
         return out
 
 
+def _one_vector(x, name):
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"{name} takes one vector, got an array of shape {x.shape}")
+    return x
+
+
 def top_k(x, k) -> CompressedVector:
     """Keep the k coordinates of largest magnitude, values unchanged.
 
     Ties break toward the lowest index, so the output is a deterministic
     function of x.
     """
-    x = np.asarray(x, dtype=float)
+    x = _one_vector(x, "top_k")
     d = x.size
     k = check_count("k", k, check_count("dim", d))
     # stable sort on negated magnitude: equal magnitudes keep index order
@@ -71,7 +78,7 @@ def rand_k(x, k, rng) -> CompressedVector:
     ``RandK.sample_dense`` draws them, so from one generator state the
     two keep the same subset.
     """
-    x = np.asarray(x, dtype=float)
+    x = _one_vector(x, "rand_k")
     d = x.size
     k = check_count("k", k, check_count("dim", d))
     kept = np.sort(rng.random(d).argsort()[:k])

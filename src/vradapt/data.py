@@ -294,6 +294,14 @@ def check_count(name, value, most=None):
     return int(value)
 
 
+def check_positive(name, value):
+    """A real setting ``name`` as a float, checked positive and finite
+    (nan and +-inf fail the one comparison, so they are named too)."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
 def check_sizes(sizes):
     """``check_count`` on each size; ``sizes`` maps a config key or flag
     to its value, None if unset."""
@@ -387,15 +395,17 @@ def write_libsvm(dataset: Dataset, sink) -> None:
             fh.write(("+1" if dataset.labels[i] > 0 else "-1") + feats + "\n")
 
 
-def synthetic_dataset(n_rows, dim=123, seed=0, nnz_per_row=14) -> Dataset:
+def synthetic_dataset(n_rows, dim=123, seed=0, nnz_per_row=None) -> Dataset:
     """Seeded stand-in for the standard adult-income benchmark file.
 
     Binary features (value 1.0) with a fixed number of active features
-    per row, labels planted by a noisy linear model with roughly a
-    quarter of rows positive.  This is NOT the published dataset; it
-    only mirrors its shape (d=123, +/-1 labels, one-hot style rows) so
-    the harness can run when the real file is unavailable.
+    per row, min(14, dim) unless ``nnz_per_row`` says otherwise, labels
+    planted by a noisy linear model with roughly a quarter of rows
+    positive.  This is NOT the published dataset; it only mirrors its
+    shape (d=123, +/-1 labels, one-hot style rows) so the harness can
+    run when the real file is unavailable.
     """
+    nnz_per_row = min(14, dim) if nnz_per_row is None else nnz_per_row
     if nnz_per_row > dim:
         raise ValueError("nnz_per_row cannot exceed dim")
     rng = np.random.default_rng(seed)

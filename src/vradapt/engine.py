@@ -21,7 +21,8 @@ Documented keys:
   T           iteration budget
   seed        run seed (uint64)
   cadence     record every k-th iteration
-  tol         stop early once the exact gradient norm falls below this
+  tol         stop early once the exact gradient norm is <= this
+              (>= 0 and finite; 0 never stops)
   timing      on | off; off writes wall_ms = 0 so traces are byte-stable
 """
 
@@ -38,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_count, check_sizes, csv_layout, load_libsvm, opened, read_text, synthetic_dataset
+from .data import check_count, check_positive, check_sizes, csv_layout, load_libsvm, opened
+from .data import read_text, synthetic_dataset
 from .estimators import estimator_class, make_estimator
 from .problems import logistic_problem, make_quadratic
 from .schedulers import (
@@ -170,11 +172,11 @@ def build_problem(config):
                 "dataset must be synthetic:<rows>:<dim>:<seed> with rows, dim >= 1 "
                 f"and seed >= 0, got {config.dataset!r}"
             )
-        if config.limit is not None:
-            # rows are drawn one after another from one generator, so the
-            # first `limit` of them are the whole of a shorter draw
-            rows = min(rows, config.limit)
-        ds = synthetic_dataset(rows, dim=dim, seed=seed, nnz_per_row=min(14, dim))
+        if config.force_dim is not None:
+            raise ValueError("force_dim does not apply to a synthetic: dataset")
+        # rows are drawn one after another from one generator, so the
+        # first `limit` of them are the whole of a shorter draw
+        ds = synthetic_dataset(min(rows, config.limit or rows), dim=dim, seed=seed)
     else:
         ds = load_libsvm(config.dataset, force_dim=config.force_dim, limit=config.limit)
     return logistic_problem(ds)
@@ -207,6 +209,8 @@ def validate(config, problem):
     if config.T < 0:
         raise ValueError("T must be >= 0")
     check_count("cadence", config.cadence)
+    if not 0.0 <= config.tol < math.inf:
+        raise ValueError(f"tol must be >= 0 and finite, got {config.tol}")
     if config.timing not in ("on", "off"):
         raise ValueError(f"timing must be on or off, got {config.timing!r}")
     hp = estimator_hyperparams(config, problem)
@@ -256,9 +260,6 @@ class Trace:
 
     def __iter__(self):
         return iter(self.rows)
-
-    def grad_norms(self):
-        return np.array([r.grad_norm for r in self.rows])
 
     def gammas(self):
         return np.array([r.gamma for r in self.rows])
@@ -313,8 +314,7 @@ def parse_trace_csv(source):
 
 def iterations_to_tolerance(trace, tol):
     """First recorded iteration whose exact gradient norm is <= tol."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = check_positive("tol", tol)
     for row in trace:
         if row.grad_norm <= tol:
             return row.t
@@ -330,9 +330,9 @@ def _step_rule(config, registered, problem):
     if kind == "adam":
         return AdamState(problem.dim, lr=config.lr)
     if kind == "constant":
-        if config.gamma is None or config.gamma <= 0.0:
+        if config.gamma is None:
             raise ValueError("scheduler=constant needs gamma > 0")
-        return FixedStep(config.gamma)
+        return FixedStep(check_positive("gamma", config.gamma))
     if kind == "pl":
         mu = config.mu if config.mu is not None else problem.pl_constant
         if mu is None:
@@ -414,12 +414,13 @@ def run(config, problem=None):
     if status != "diverged" and (len(trace) == 0 or trace.rows[-1].t != t):
         record(t, None, 0.0)
 
-    norms = trace.grad_norms()
     summary = {
         "status": status,
         "iterations": t,
-        "min_grad_norm": float(norms.min()) if len(norms) else float("nan"),
-        "final_loss": trace.rows[-1].loss if len(trace) else float("nan"),
+        # the trace holds row 0 at least; np.min, unlike min, gives nan
+        # if any norm is nan
+        "min_grad_norm": float(np.min([r.grad_norm for r in trace])),
+        "final_loss": trace.rows[-1].loss,
         "grad_calls": est.grad_calls,
         "partial_calls": est.partial_calls,
         "bits": est.bits,

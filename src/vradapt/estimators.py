@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +61,7 @@ class VRConstants:
 
     def scaled(self, factors):
         """Copy with some fields multiplied, e.g. {"C": 0.5}.  Used by the
-        verifier's mutation mode."""
+        verifier's mutation mode and the PL step-size rule."""
         values = {f: getattr(self, f) for f in ("rho1", "rho2", "A", "B", "C")}
         for name, mult in factors.items():
             if name not in values:
@@ -150,10 +149,6 @@ def _table_sigma(gaps, batches):
     return stale.sum(axis=1) / len(rows)
 
 
-def _copied(value):
-    return value.copy() if isinstance(value, np.ndarray) else value
-
-
 class GradientEstimator:
     """Common state: current point, current estimate, oracle ledger.
 
@@ -195,7 +190,6 @@ class GradientEstimator:
     ``fixture_eigs`` (see ``verify``).
     """
 
-    method = "?"
     hyperparams = {"b": None}
     size = "n"
     alignment = "prev"
@@ -259,7 +253,9 @@ class GradientEstimator:
         client groups, client pass and compressor, which no step mutates,
         are shared."""
         twin = object.__new__(type(self))
-        twin.__dict__.update({k: _copied(v) for k, v in vars(self).items()})
+        twin.__dict__.update(
+            {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
+        )
         return twin
 
 
@@ -328,8 +324,7 @@ class _TableEstimator(GradientEstimator):
     position k (``problem.component_rows``' layout, over every
     component).  Steps read and write back a batch's entries by their
     positions; ``table`` is the dense (n, d) view for diagnostics and the
-    verifier, built on the first read after a step (a step drops it; a
-    clone copies it)."""
+    verifier, built from ``flat`` on each read."""
 
     def _opening_pass(self):
         n = self.problem.n_components
@@ -337,7 +332,7 @@ class _TableEstimator(GradientEstimator):
         self.table_mean = _colsum(cols, self.flat, self.problem.dim) / n
         return self.table_mean.copy()
 
-    @cached_property
+    @property
     def table(self):
         return self.problem.dense_rows(np.arange(self.problem.n_components), self.flat)
 
@@ -377,7 +372,6 @@ class SAGA(_TableEstimator):
         change = _colsum(cols, cur - self.flat[entries], problem.dim)
         g = self.table_mean + change / self.b
         self.flat[entries] = cur
-        self.__dict__.pop("table", None)
         self.table_mean = self.table_mean + change / problem.n_components
         return g
 
@@ -455,7 +449,6 @@ class ZeroSARAH(_TableEstimator):
         control = _colsum(cols, prev - old, d) / self.b + self.table_mean
         g = chain + (1.0 - lam) * self.g + lam * control
         self.flat[entries] = cur
-        self.__dict__.pop("table", None)
         self.table_mean = self.table_mean + _colsum(cols, cur - old, d) / problem.n_components
         return g
 

@@ -135,8 +135,8 @@ def make_quadratic(n_components, dim, seed=0, eig_range=(0.5, 2.0), cond=1.0):
     lo, hi = eig_range
     if not 0 < lo <= hi < np.inf:
         raise ValueError("eigenvalue range must be positive, finite and ordered")
-    if cond < 1.0:
-        raise ValueError(f"cond must be >= 1, got {cond}")
+    if not 1.0 <= cond < np.inf:
+        raise ValueError(f"cond must be >= 1 and finite, got {cond}")
     if lo == hi:
         eigs = np.full((n_components, dim), float(lo))
     else:

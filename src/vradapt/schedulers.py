@@ -20,11 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_positive
 
-def _coupling(c, ac_weight=1.0):
-    """(B*rho2 + ac_weight*A*C) / (rho1*rho2): the ratio through which the
+
+def _coupling(c):
+    """(B*rho2 + A*C) / (rho1*rho2): the ratio through which the
     recursion constants enter every step-size rule below."""
-    return (c.B * c.rho2 + ac_weight * c.A * c.C) / (c.rho1 * c.rho2)
+    return (c.B * c.rho2 + c.A * c.C) / (c.rho1 * c.rho2)
 
 
 def nu_of(constants):
@@ -36,30 +38,22 @@ def theoretical_gamma_nonconvex(constants, L):
     """Safe constant step size for smooth nonconvex problems:
     gamma = 1 / (L * (1 + sqrt((B*rho2 + A*C) / (rho1*rho2)))).
     """
-    if L <= 0.0:
-        raise ValueError(f"L must be positive, got {L}")
-    return 1.0 / (L * (1.0 + math.sqrt(_coupling(constants))))
+    return 1.0 / (check_positive("L", L) * (1.0 + math.sqrt(_coupling(constants))))
 
 
 def theoretical_gamma_pl(constants, L, mu):
     """Safe constant step size under a gradient-dominance constant mu:
-    the nonconvex formula with the A*C term counted four times, capped
-    at min{rho1, rho2} / (2*mu).
+    the nonconvex formula with the A*C term counted four times (A
+    scaled by 4), capped at min{rho1, rho2} / (2*mu).
     """
-    if L <= 0.0:
-        raise ValueError(f"L must be positive, got {L}")
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    smooth_branch = 1.0 / (L * (1.0 + math.sqrt(_coupling(constants, 4.0))))
-    memory_branch = min(constants.rho1, constants.rho2) / (2.0 * mu)
+    smooth_branch = theoretical_gamma_nonconvex(constants.scaled({"A": 4.0}), L)
+    memory_branch = min(constants.rho1, constants.rho2) / (2.0 * check_positive("mu", mu))
     return min(smooth_branch, memory_branch)
 
 
 def tuned_gamma(constants, L, multiplier):
     """Theoretical nonconvex step size scaled by a grid-searched factor."""
-    if multiplier <= 0.0:
-        raise ValueError(f"multiplier must be positive, got {multiplier}")
-    return multiplier * theoretical_gamma_nonconvex(constants, L)
+    return check_positive("multiplier", multiplier) * theoretical_gamma_nonconvex(constants, L)
 
 
 def adaptive_step_size(nu, alpha, total):
@@ -147,20 +141,14 @@ _COROLLARY_RATIOS = {
 
 def corollary_step_size(method, alpha, total, **hp):
     """Adaptive step size written directly in method hyperparameters,
-    bypassing the constants table.  gamma = max(sqrt(r), 1)^-(1-alpha)
-    * total^-alpha with r the hand-substituted coupling ratio; agrees
-    with adaptive_step_size(nu_of(constants(...)), ...) because
-    max(sqrt(r), 1)^(1-alpha) = max(r, 1)^((1-alpha)/2).
+    bypassing the constants table: ``adaptive_step_size`` at
+    nu = max(r, 1), r the hand-substituted coupling ratio, which is
+    nu_of(constants(...)) up to rounding.
     """
-    if total < 0.0:
-        raise ValueError("accumulated energy cannot be negative")
-    if total == 0.0:
-        return 0.0
     ratio = _COROLLARY_RATIOS.get(method.lower())
     if ratio is None:
         raise ValueError(f"unknown method {method!r}")
-    r = ratio(**hp)
-    return max(math.sqrt(r), 1.0) ** (-(1.0 - alpha)) * total ** (-alpha)
+    return adaptive_step_size(max(ratio(**hp), 1.0), alpha, total)
 
 
 @dataclass
@@ -178,8 +166,7 @@ class AdamState:
     stationary = False
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        self.lr = check_positive("lr", self.lr)
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
         self.m = np.zeros(self.dim)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import csv_layout, opened
+from .data import check_positive, csv_layout, opened
 from .estimators import VRConstants, estimator_class, make_estimator
 from .problems import make_quadratic
 from .schedulers import theoretical_gamma_nonconvex
@@ -220,10 +220,7 @@ def pl_decay_check(trace, gamma, mu, f_star=None):
     below 1e-14 of the initial gap are excluded from the fit (they sit
     at rounding noise).
     """
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    mu, gamma = check_positive("mu", mu), check_positive("gamma", gamma)
     if f_star is None:
         raise ValueError("f_star is required (use a fixture whose optimum is known)")
     rows = list(trace)
@@ -257,8 +254,7 @@ def grad_fd_check(problem, points=3, h=1e-6, seed=0):
     """Max over random points and coordinates of the relative gap between
     the analytic gradient and a central finite difference:
     |analytic - fd| / (|analytic| + h)."""
-    if h <= 0.0:
-        raise ValueError(f"h must be positive, got {h}")
+    h = check_positive("h", h)
     if points < 1:
         raise ValueError("need at least one point")
     rng = np.random.default_rng(seed)

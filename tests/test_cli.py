@@ -108,6 +108,11 @@ class TestRunCommand:
             (SAGA_CFG + "dataset=synthetic:5:x:1\n", "'synthetic:5:x:1'"),
             (SAGA_CFG + "dataset=synthetic:6:3:1\nforce_dim=0\n", "force_dim must be >= 1, got 0"),
             (MISSING_DATA_CFG + "force_dim=-5\n", "force_dim must be >= 1, got -5"),
+            (SAGA_CFG + "tol=-1\n", "tol must be >= 0 and finite, got -1.0"),
+            (
+                SAGA_CFG + "dataset=synthetic:6:3:1\nforce_dim=4\n",
+                "force_dim does not apply to a synthetic: dataset",
+            ),
         ],
     )
     def test_config_error_is_one_error_line(self, tmp_path, capsys, text, named):
@@ -637,6 +642,23 @@ class TestIngestCommand:
         out = str(tmp_path / "cut.txt")
         assert main(["ingest", "--data", src, "--limit", "5", "--out", out]) == EXIT_OK
         assert "rows=5 " in capsys.readouterr().out.splitlines()[-1]
+
+    def test_limit_caps_synthetic_rows(self, tmp_path, capsys):
+        out = tmp_path / "cut.txt"
+        assert main(["ingest", "--synthetic", "100x10", "--limit", "5", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("rows=5 dim=10 ")
+        assert len(out.read_text().splitlines()) == 5
+        # the first rows of the full draw
+        full = tmp_path / "full.txt"
+        main(["ingest", "--synthetic", "100x10", "--out", str(full)])
+        assert out.read_text().splitlines() == full.read_text().splitlines()[:5]
+
+    def test_force_dim_with_synthetic_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        code = main(["ingest", "--synthetic", "100x10", "--force-dim", "20", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), "--force-dim does not apply to --synthetic")
+        assert not out.exists()
 
     def test_source_required(self, tmp_path, capsys):
         assert main(["ingest", "--out", str(tmp_path / "x.txt")]) == EXIT_USAGE

@@ -499,6 +499,22 @@ class TestPlumbing:
         with pytest.raises(ValueError, match=r"^dim is 4, got an array of shape \(\)$"):
             comp.sample_dense(np.float64(1.0), rng)
 
+    @pytest.mark.parametrize(
+        "call,name,shape",
+        [
+            # d = x.size would make a message of dim 6, its values of shape (2, 2, 2)
+            (lambda: top_k(np.ones((3, 2)), 2), "top_k", (3, 2)),
+            # or an IndexError from the fancy index
+            (lambda: top_k(np.array([[1.0, 5.0, 2.0], [4.0, 0.5, 3.0]]), 2), "top_k", (2, 3)),
+            (lambda: rand_k(np.ones((3, 2)), 2, np.random.default_rng(0)), "rand_k", (3, 2)),
+        ],
+        ids=["top_k-tall", "top_k-wide", "rand_k"],
+    )
+    def test_one_vector_functions_take_one_vector(self, call, name, shape):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{name} takes one vector, got an array of shape {shape}"
+
     def test_to_dense(self):
         v = CompressedVector(
             indices=np.array([1, 3], dtype=np.int64), values=np.array([2.0, -1.0]), dim=5

@@ -12,6 +12,11 @@ Hypothesis's draws also depend on the literals it mines from every
 loaded module, so an edit anywhere in ``src/`` or ``tests/`` can move
 them.  A second test runs 300 configs built from the same values by a
 seeded numpy generator, whose draws depend on its seed alone.
+
+Those two accept a run that ends at exit 0 or 2, so a non-finite value
+that a check lets through would pass them.  A third test sets each
+real-valued key to nan, inf and -inf where a run reads it, and wants
+exit 1 with one ``error:`` line naming the key.
 """
 
 import contextlib
@@ -22,6 +27,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -184,6 +190,40 @@ def test_random_config_runs_or_is_one_error_line(text):
 def test_seeded_configs_run_or_are_one_error_line():
     for text in seeded_configs(seed=2016, count=300):
         _assert_runs_or_is_one_error_line(text)
+
+
+# the setting under which a run reads each real-valued key, on a base
+# config that reads every other key at its default
+READ_BY = {
+    "gamma": "scheduler=constant\n",
+    "lr": "scheduler=adam\n",
+    "multiplier": "scheduler=tuned\n",
+    "mu": "scheduler=pl\n",
+    "alpha": "scheduler=adaptive\n",
+    "tol": "",
+    "cond": "problem=quadratic\n",
+    "p": "",
+    "eig_lo": "",
+    "eig_hi": "",
+}
+REAL_KEYS = [key for key, (_, invalid) in KEYS.items() if invalid is FLOATS]
+# make_quadratic takes eig_lo and eig_hi as one range
+NAMED = {"eig_lo": "eigenvalue range", "eig_hi": "eigenvalue range"}
+
+
+def test_every_real_key_is_read():
+    assert set(READ_BY) == set(REAL_KEYS)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", REAL_KEYS)
+def test_non_finite_real_setting_is_one_error_line_naming_it(key, value):
+    text = "method=lsvrg\nb=2\np=0.5\nn=6\nd=3\nT=3\n" + READ_BY[key] + f"{key}={value}\n"
+    code, out, err = run_config(text)
+    lines = err.splitlines()
+    assert code == EXIT_USAGE, (text, code, out)
+    assert len(lines) == 1 and lines[0].startswith("error: "), (text, err)
+    assert f"{NAMED.get(key, key)} must" in lines[0], (text, err)
 
 
 def _assert_runs_or_is_one_error_line(text):

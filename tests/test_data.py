@@ -15,6 +15,7 @@ from vradapt.data import (
     Dataset,
     LibsvmParseError,
     check_count,
+    check_positive,
     check_sizes,
     load_libsvm,
     parse_libsvm,
@@ -199,6 +200,19 @@ class TestFileErrors:
             with data.opened(io.StringIO(), "w"):
                 raise OSError(28, "No space left on device")
         assert err.value.filename is None
+
+
+class TestCheckPositive:
+    @pytest.mark.parametrize("value", [0, 0.0, -1, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_not_positive_or_not_finite_is_named(self, value):
+        with pytest.raises(ValueError) as err:
+            check_positive("mu", value)
+        assert str(err.value) == f"mu must be positive and finite, got {value}"
+
+    @pytest.mark.parametrize("value", [5e-324, 1e308, 2, np.float64(0.5), np.int64(3)])
+    def test_returns_a_float(self, value):
+        got = check_positive("mu", value)
+        assert got == value and type(got) is float
 
 
 class TestCheckCount:

@@ -496,6 +496,11 @@ class TestIterationsToTolerance:
         with pytest.raises(ValueError):
             iterations_to_tolerance(self.make_trace(), 0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tolerance_is_named(self, tol):
+        with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol}$"):
+            iterations_to_tolerance(self.make_trace(), tol)
+
 
 class TestSweep:
     def base(self):

@@ -321,10 +321,8 @@ class TestSAGA:
     def test_dense_table_built_once_per_state(self, method, quad):
         est = make_estimator(method, quad, np.zeros(4), {"b": 2})
         first = est.table
-        assert est.table is first
         twin = est.clone()
         twin.step(np.full(4, 0.3), np.random.default_rng(0))
-        assert est.table is first
         assert np.array_equal(twin.table, quad.dense_rows(np.arange(6), twin.flat))
         assert not np.array_equal(twin.table, first)
         est.step(np.full(4, -0.3), np.random.default_rng(0))
@@ -954,16 +952,13 @@ def replay_scripts(est, draws, S):
 
 
 def state_of(est):
-    """The attributes a step may change; the dense ``table`` a table
-    estimator caches is derived from its ``flat`` table, which is
-    compared, and is checked against it instead."""
-    if "table" in vars(est):
-        everyone = np.arange(est.problem.n_components)
-        assert np.array_equal(est.table, est.problem.dense_rows(everyone, est.flat))
+    """The attributes a step may change.  A table estimator's dense
+    ``table`` is no attribute: it is built from ``flat``, which is
+    compared, on each read."""
     return {
         k: [np.copy(a) for a in v] if isinstance(v, list) else np.copy(v)
         for k, v in vars(est).items()
-        if k not in ("problem", "clients", "compressor", "table")
+        if k not in ("problem", "clients", "compressor")
     }
 
 

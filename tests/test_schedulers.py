@@ -92,6 +92,24 @@ class TestTheoreticalGamma:
         with pytest.raises(ValueError):
             tuned_gamma(c, 2.0, -2.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_settings_are_named(self, bad):
+        c = constants("saga", b=4, n=20)
+        calls = {
+            "L": [
+                lambda: theoretical_gamma_nonconvex(c, bad),
+                lambda: theoretical_gamma_pl(c, bad, 1.0),
+                lambda: tuned_gamma(c, bad, 1.0),
+            ],
+            "mu": [lambda: theoretical_gamma_pl(c, 1.0, bad)],
+            "multiplier": [lambda: tuned_gamma(c, 1.0, bad)],
+            "lr": [lambda: AdamState(dim=2, lr=bad)],
+        }
+        for name, checks in calls.items():
+            for check in checks:
+                with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad}$"):
+                    check()
+
 
 class TestAdaptiveArithmetic:
     def test_pinned_flat_landscape(self):

@@ -123,6 +123,13 @@ class TestPlDecay:
         with pytest.raises(ValueError):
             pl_decay_check(res.trace, gamma=0.0, mu=1.0, f_star=prob.f_star)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_settings_are_named(self, bad):
+        res, prob = self.run_exact_gradient_descent()
+        for name, kwargs in (("mu", dict(gamma=0.5, mu=bad)), ("gamma", dict(gamma=bad, mu=1.0))):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad}$"):
+                pl_decay_check(res.trace, f_star=prob.f_star, **kwargs)
+
     def test_too_few_rows_rejected(self):
         res, prob = self.run_exact_gradient_descent()
         short = Trace()
@@ -164,6 +171,12 @@ class TestFiniteDifference:
             grad_fd_check(prob, h=0.0)
         with pytest.raises(ValueError):
             grad_fd_check(prob, points=0)
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_step_is_named(self, h):
+        # every gap is then nan or 0, and the max of them reads 0.0: a pass
+        with pytest.raises(ValueError, match=f"^h must be positive and finite, got {h}$"):
+            grad_fd_check(make_quadratic(6, 4, seed=0), h=h)
 
 
 class TestAssumptionMargins:
