@@ -10,10 +10,7 @@ from .compressors import (
     TopK,
     check_biased_contract,
     check_unbiased_contract,
-    dense_bits_cost,
     make_compressor,
-    rand_k,
-    top_k,
 )
 from .data import (
     Dataset,

@@ -144,7 +144,8 @@ def _parse_perturb(text):
 
 def _verify_one(method, args):
     problem, hyperparams = verify.standard_margin_setup(method)
-    settings, registered = estimator_class(method).settings(problem, hyperparams)
+    cls = estimator_class(method)
+    settings, registered = cls.settings(problem, hyperparams)
     override = None
     if args.perturb:
         # scale the tuple the estimator registers, the one the check uses;
@@ -169,13 +170,11 @@ def _verify_one(method, args):
         f"(alignment={report.alignment}, worst={report.worst().margin:.3g})"
     )
     if method in DISTRIBUTED_METHODS:
-        comp = settings["compressor"]
-        check = check_unbiased_contract if comp.unbiased else check_biased_contract
-        contract = check(comp, problem.dim, 20000, np.random.default_rng(0))
-        margin = contract["moment_margin" if comp.unbiased else "margin"]
+        check = check_biased_contract if cls.quality == "delta" else check_unbiased_contract
+        contract = check(settings["compressor"], 20000, np.random.default_rng(0))
         print(
             f"{method}: compressor contract {'PASS' if contract['passed'] else 'FAIL'} "
-            f"({hyperparams['compressor']}, margin={margin:.3g})"
+            f"({hyperparams['compressor']}, margin={contract['margin']:.3g})"
         )
         ok = ok and contract["passed"]
     return report, ok

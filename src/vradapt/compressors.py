@@ -8,19 +8,22 @@ Two operator families, each with a registered quality constant:
   e.g. keep-random-k rescaled by d/k, with omega = d/k.
 
 The constants are registered at construction rather than estimated; the
-check_* functions validate a registration empirically (or exhaustively
-for small dimensions).
+check_* functions validate a registration on vectors of the operator's
+own ``dim``, empirically (or, unbiased at dim <= 8, exhaustively).  A
+method's compressor answers to the check of the constant its estimator
+reads (``quality``: delta or omega).
 
-Next to the one-vector ``compress``, each operator has a batched
-``sample_dense(V, rng)``: the dense outputs of ``compress`` for every
-vector along the last axis of V, with fresh randomness per vector, drawn
-vector by vector in C order.  The client-server estimators, the Monte
-Carlo verifier and the sampled contract checks all compress through it;
-``compress`` is the one-vector API and the reference the tests hold
-``sample_dense`` to.  The sparsifiers' ``sample_dense`` selects by a
-partition threshold and sorts only when a tie straddles the k-th place
-(or a NaN is present), so it keeps the sort's coordinates bit for bit.
-Both calls reject vectors whose length is not the operator's ``dim``.
+``compress`` is the one-vector operator, selecting by a full sort.
+Next to it, each operator has a batched ``sample_dense(V, rng)``: the
+dense outputs of ``compress`` for every vector along the last axis of
+V, with fresh randomness per vector, drawn vector by vector in C order.
+The client-server estimators, the Monte Carlo verifier and the sampled
+contract checks all compress through it; ``compress`` is the reference
+the tests hold ``sample_dense`` to.  The sparsifiers' ``sample_dense``
+selects by a partition threshold and sorts only when a tie straddles
+the k-th place (or a NaN is present), so it keeps the sort's
+coordinates bit for bit.  Both calls reject vectors whose length is
+not the operator's ``dim``.
 """
 
 from __future__ import annotations
@@ -45,44 +48,6 @@ class CompressedVector:
         out = np.zeros(self.dim)
         out[self.indices] = self.values
         return out
-
-
-def _one_vector(x, name):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"{name} takes one vector, got an array of shape {x.shape}")
-    return x
-
-
-def top_k(x, k) -> CompressedVector:
-    """Keep the k coordinates of largest magnitude, values unchanged.
-
-    Ties break toward the lowest index, so the output is a deterministic
-    function of x.
-    """
-    x = _one_vector(x, "top_k")
-    d = x.size
-    k = check_count("k", k, check_count("dim", d))
-    # stable sort on negated magnitude: equal magnitudes keep index order
-    order = np.argsort(-np.abs(x), kind="stable")[:k]
-    kept = np.sort(order)
-    return CompressedVector(kept.astype(np.int64), x[kept], d)
-
-
-def rand_k(x, k, rng) -> CompressedVector:
-    """Keep k coordinates drawn uniformly without replacement, rescaled by d/k.
-
-    The rescaling makes the operator unbiased; its second moment is
-    exactly (d/k) ||x||^2.  The kept coordinates are the first k
-    positions of an argsort of d uniforms, as each row of
-    ``RandK.sample_dense`` draws them, so from one generator state the
-    two keep the same subset.
-    """
-    x = _one_vector(x, "rand_k")
-    d = x.size
-    k = check_count("k", k, check_count("dim", d))
-    kept = np.sort(rng.random(d).argsort()[:k])
-    return CompressedVector(kept.astype(np.int64), (d / k) * x[kept], d)
 
 
 def _keep_dense(V, kept, scale=1.0):
@@ -128,7 +93,6 @@ class TopK:
     """Deterministic contractive compressor; registered delta = d/k."""
 
     randomized = False
-    unbiased = False
 
     def __init__(self, k, dim):
         self.dim = check_count("dim", dim)
@@ -136,10 +100,18 @@ class TopK:
         self.delta = self.dim / self.k
 
     def compress(self, x, rng=None) -> CompressedVector:
-        return top_k(_check_length(x, self.dim, vector=True), self.k)
+        """Keep the k coordinates of largest magnitude, values unchanged.
+
+        Ties break toward the lowest index, so the output is a deterministic
+        function of x.
+        """
+        x = _check_length(x, self.dim, vector=True)
+        # stable sort on negated magnitude: equal magnitudes keep index order
+        kept = np.sort(np.argsort(-np.abs(x), kind="stable")[: self.k])
+        return CompressedVector(kept.astype(np.int64), x[kept], self.dim)
 
     def sample_dense(self, V, rng=None) -> np.ndarray:
-        """``top_k(v).to_dense()`` for every v along the last axis of V,
+        """``compress(v).to_dense()`` for every v along the last axis of V,
         with the same lowest-index tie break.
 
         Each row keeps the entries whose -|v| is at most its k-th
@@ -160,7 +132,6 @@ class RandK:
     """Unbiased sparsifier; registered omega = d/k."""
 
     randomized = True
-    unbiased = True
 
     def __init__(self, k, dim):
         self.dim = check_count("dim", dim)
@@ -168,10 +139,20 @@ class RandK:
         self.omega = self.dim / self.k
 
     def compress(self, x, rng) -> CompressedVector:
-        return rand_k(_check_length(x, self.dim, vector=True), self.k, rng)
+        """Keep k coordinates drawn uniformly without replacement, rescaled by d/k.
+
+        The rescaling makes the operator unbiased; its second moment is
+        exactly (d/k) ||x||^2.  The kept coordinates are the first k
+        positions of an argsort of d uniforms, as each row of
+        ``sample_dense`` draws them, so from one generator state the two
+        keep the same subset.
+        """
+        x = _check_length(x, self.dim, vector=True)
+        kept = np.sort(rng.random(self.dim).argsort()[: self.k])
+        return CompressedVector(kept.astype(np.int64), self.omega * x[kept], self.dim)
 
     def sample_dense(self, V, rng) -> np.ndarray:
-        """Independent ``rand_k`` outputs, dense, for every vector along
+        """Independent ``compress`` outputs, dense, for every vector along
         the last axis of V: each keeps the first k positions of an argsort
         of uniforms, k distinct positions drawn uniformly.
 
@@ -206,7 +187,6 @@ class IdentityCompressor:
     """No-op operator; delta = omega = 1.  Mostly a degenerate-case probe."""
 
     randomized = False
-    unbiased = True
 
     def __init__(self, dim):
         self.dim = self.k = check_count("dim", dim)
@@ -224,14 +204,9 @@ class IdentityCompressor:
         yield self.compress(x)
 
 
-def dense_bits_cost(dim, value_bits=32) -> int:
-    """Wire cost of an uncompressed vector (no index bits needed)."""
-    return dim * value_bits
-
-
-def check_biased_contract(compressor, d, trials, rng) -> dict:
+def check_biased_contract(compressor, trials, rng) -> dict:
     """Empirically validate a contractive registration on Gaussian probes,
-    drawn as one (trials, d) block and compressed by ``sample_dense``.
+    drawn as one (trials, dim) block and compressed by ``sample_dense``.
 
     Reports the worst observed ||C(x)-x||^2/||x||^2 - (1 - 1/delta).
     Deterministic compressors must satisfy the bound pointwise (margin
@@ -240,7 +215,7 @@ def check_biased_contract(compressor, d, trials, rng) -> dict:
     """
     check_count("trials", trials)
     bound = 1.0 - 1.0 / compressor.delta
-    probes = rng.standard_normal((trials, d))
+    probes = rng.standard_normal((trials, compressor.dim))
     gaps = compressor.sample_dense(probes, rng) - probes
     margins = (gaps * gaps).sum(axis=1) / (probes * probes).sum(axis=1) - bound
     if compressor.randomized:
@@ -261,15 +236,16 @@ def check_biased_contract(compressor, d, trials, rng) -> dict:
     }
 
 
-def check_unbiased_contract(compressor, d, trials, rng) -> dict:
+def check_unbiased_contract(compressor, trials, rng) -> dict:
     """Validate an unbiased registration.
 
-    For d <= 8 and an enumerable operator the mean and second moment are
+    For dim <= 8 and an enumerable operator the mean and second moment are
     computed over all outcomes (tolerance 1e-12, float summation only);
     otherwise both are sampled, ``trials`` draws in one ``sample_dense``
     call, and judged against 3 standard errors.
     """
     check_count("trials", trials)
+    d = compressor.dim
     x = rng.standard_normal(d)
     xsq = float((x ** 2).sum())
     if d <= 8 and hasattr(compressor, "enumerate_outcomes"):
@@ -277,14 +253,14 @@ def check_unbiased_contract(compressor, d, trials, rng) -> dict:
         mean = np.mean(outcomes, axis=0)
         second = float(np.mean([(o ** 2).sum() for o in outcomes]))
         mean_err = float(np.abs(mean - x).max())
-        moment_margin = second / xsq - compressor.omega
-        passed = mean_err <= 1e-12 and moment_margin <= 1e-12
+        margin = second / xsq - compressor.omega
+        passed = mean_err <= 1e-12 and margin <= 1e-12
         return {
             "kind": "unbiased",
             "omega": compressor.omega,
             "mode": "enumeration",
             "mean_error": mean_err,
-            "moment_margin": float(moment_margin),
+            "margin": float(margin),
             "stderr": 0.0,
             "passed": bool(passed),
         }
@@ -293,17 +269,17 @@ def check_unbiased_contract(compressor, d, trials, rng) -> dict:
     se_mean = samples.std(axis=0, ddof=1) / np.sqrt(trials)
     mean_err = np.abs(samples.mean(axis=0) - x)
     se_moment = moments.std(ddof=1) / np.sqrt(trials)
-    moment_margin = float(moments.mean() - compressor.omega)
+    margin = float(moments.mean() - compressor.omega)
     passed = bool(
         np.all(mean_err <= 3.0 * se_mean + 1e-12)
-        and moment_margin <= 3.0 * se_moment + 1e-12
+        and margin <= 3.0 * se_moment + 1e-12
     )
     return {
         "kind": "unbiased",
         "omega": compressor.omega,
         "mode": "sampled",
         "mean_error": float(mean_err.max()),
-        "moment_margin": moment_margin,
+        "margin": margin,
         "stderr": float(se_moment),
         "passed": passed,
     }
@@ -311,7 +287,6 @@ def check_unbiased_contract(compressor, d, trials, rng) -> dict:
 
 def make_compressor(kind, dim, k=None):
     """Factory used by config parsing: kind in {topk, randk, identity}."""
-    kind = kind.lower()
     if kind == "identity":
         return IdentityCompressor(dim)
     if k is None:

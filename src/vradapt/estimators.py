@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compressors import dense_bits_cost, make_compressor
+from .compressors import make_compressor
 from .data import check_count
 from .problems import partition_problem
 
@@ -540,7 +540,7 @@ class _ClientServerEstimator(GradientEstimator):
         self._client_grads = problem.group_grads(self.groups)
         # the initial full pass, each client's gradient sent dense
         self.client_grads = self._client_grads(self.x)
-        self.bits_dense += self.n_clients * dense_bits_cost(problem.dim, self.value_bits)
+        self.bits_dense += self.n_clients * problem.dim * self.value_bits
         self.client_state = self.client_grads.copy()
         self.server_state = self._server_sum(self.client_state)
         return self.server_state.copy()
@@ -772,7 +772,7 @@ def constants(method, **hp) -> VRConstants:
     page: b, p and optionally n; saga, zerosarah: b, n; sega, jaguar: b,
     d; ef21: delta or d, k; diana, dasha: omega or d, k, and n_clients).
     sigma^2 is normalized 1/n over components (or clients)."""
-    return estimator_class(method.lower()).registration(**hp)
+    return estimator_class(method).registration(**hp)
 
 
 def make_estimator(method, problem, x0, hyperparams=None, **kwargs):
@@ -780,6 +780,6 @@ def make_estimator(method, problem, x0, hyperparams=None, **kwargs):
     reads are its class's ``hyperparams``; its ``settings`` checks them
     before the one full gradient pass that makes the estimate exact.  A
     ``compressor`` is a compressor or a name (topk|randk|identity)."""
-    cls = estimator_class(method.lower())
+    cls = estimator_class(method)
     settings, registered = cls.settings(problem, {**(hyperparams or {}), **kwargs})
     return cls(problem, x0, registered, **settings)

@@ -127,10 +127,7 @@ def make_quadratic(n_components, dim, seed=0, eig_range=(0.5, 2.0), cond=1.0):
     conditioning out and iterates converge too fast for long-horizon
     rate measurements.
     """
-    if n_components < 1:
-        raise ValueError(f"quadratic needs n >= 1 components, got n={n_components}")
-    if dim < 1:
-        raise ValueError(f"quadratic needs d >= 1 dimensions, got d={dim}")
+    n_components, dim = check_count("n", n_components), check_count("d", dim)
     rng = np.random.default_rng(seed)
     lo, hi = eig_range
     if not 0 < lo <= hi < np.inf:

@@ -145,7 +145,7 @@ def corollary_step_size(method, alpha, total, **hp):
     nu = max(r, 1), r the hand-substituted coupling ratio, which is
     nu_of(constants(...)) up to rounding.
     """
-    ratio = _COROLLARY_RATIOS.get(method.lower())
+    ratio = _COROLLARY_RATIOS.get(method)
     if ratio is None:
         raise ValueError(f"unknown method {method!r}")
     return adaptive_step_size(max(ratio(**hp), 1.0), alpha, total)

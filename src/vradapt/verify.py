@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_positive, csv_layout, opened
+from .data import check_count, check_positive, csv_layout, opened
 from .estimators import VRConstants, estimator_class, make_estimator
 from .problems import make_quadratic
 from .schedulers import theoretical_gamma_nonconvex
@@ -96,10 +96,10 @@ def assumption_margin(
     and step size stay registered), which is how the mutation test
     works.
     """
+    state_points = check_count("state_points", state_points)
+    samples_per_point = check_count("samples_per_point", samples_per_point)
     if samples_per_point < 1000:
         raise ValueError("need at least 1000 samples per state point")
-    if state_points < 1:
-        raise ValueError("need at least one state point")
 
     L = problem.smoothness
     L2 = L * L
@@ -255,8 +255,7 @@ def grad_fd_check(problem, points=3, h=1e-6, seed=0):
     the analytic gradient and a central finite difference:
     |analytic - fd| / (|analytic| + h)."""
     h = check_positive("h", h)
-    if points < 1:
-        raise ValueError("need at least one point")
+    points = check_count("points", points)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(points):
@@ -267,5 +266,6 @@ def grad_fd_check(problem, points=3, h=1e-6, seed=0):
             e[j] = h
             fd = (problem.loss(x + e) - problem.loss(x - e)) / (2.0 * h)
             rel = abs(analytic[j] - fd) / (abs(analytic[j]) + h)
-            worst = max(worst, rel)
+            # np.maximum keeps a NaN gap, which max() can drop
+            worst = np.maximum(worst, rel)
     return worst

@@ -18,9 +18,8 @@ import numpy as np
 
 from vradapt.compressors import (
     RandK,
+    TopK,
     check_unbiased_contract,
-    dense_bits_cost,
-    top_k,
 )
 from vradapt.data import load_libsvm, synthetic_dataset
 from vradapt.engine import (
@@ -161,7 +160,7 @@ def test_compressor_contracts_exact():
         for k in range(1, d + 1):
             for _ in range(10):
                 x = rng.standard_normal(d)
-                out = top_k(x, k)
+                out = TopK(k, d).compress(x)
                 kept = set(int(i) for i in out.indices)
                 dropped = sum(
                     Fraction(float(v)) ** 2
@@ -199,7 +198,7 @@ def test_compressor_contracts_exact():
     for d in range(2, 9):
         for k in range(1, d + 1):
             # the trials argument is moot at d <= 8: enumeration kicks in
-            report = check_unbiased_contract(RandK(k, d), d, 1000, rng)
+            report = check_unbiased_contract(RandK(k, d), 1000, rng)
             randk_enum_ok = randk_enum_ok and report["mode"] == "enumeration"
             randk_enum_ok = randk_enum_ok and report["passed"]
 
@@ -418,7 +417,7 @@ def test_distributed_bit_accounting():
     k = math.ceil(0.05 * d)
     n_clients = 10
     per_iter = n_clients * k * (32 + 32)
-    dense_init = n_clients * dense_bits_cost(d, 32)
+    dense_init = n_clients * d * 32
 
     ok = True
     rng = np.random.default_rng(0)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from vradapt import cli
 from vradapt.cli import (
     EXIT_DIVERGED,
     EXIT_OK,
@@ -86,9 +87,13 @@ class TestRunCommand:
         "text,named",
         [
             ("method=ef21\ncompressor=randk\nk=2\nn=6\nd=4\nclients=2\nT=5\n", "contractive"),
+            (
+                "method=ef21\ncompressor=TopK\nk=2\nn=6\nd=4\nclients=2\nT=5\n",
+                "unknown compressor kind 'TopK'",
+            ),
             (MISSING_DATA_CFG, "/no/such/file"),
-            ("method=saga\nb=1\nn=0\nd=4\nT=5\n", "n=0"),
-            ("method=saga\nb=1\nn=6\nd=0\nT=5\n", "d=0"),
+            ("method=saga\nb=1\nn=0\nd=4\nT=5\n", "n must be >= 1, got 0"),
+            ("method=saga\nb=1\nn=6\nd=0\nT=5\n", "d must be >= 1, got 0"),
             ("method=saga\nb=2\nn=6\nd=4\nT=5\ntiming=maybe\n", "timing must be on or off"),
             (
                 "method=ef21\ncompressor=topk\nk=3\nn=6\nd=4\nclients=2\nT=5\nvalue_bits=-5\n",
@@ -354,6 +359,25 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert f"{method}: margins PASS" in out
         assert f"{method}: compressor contract PASS (randk, margin=" in out
+
+    @pytest.mark.parametrize(
+        "method,want", [("ef21", "contractive"), ("diana", "unbiased"), ("dasha", "unbiased")]
+    )
+    def test_contract_follows_the_constant_the_method_reads(self, monkeypatch, capsys, method, want):
+        calls = []
+
+        def spy(kind):
+            def check(compressor, trials, rng):
+                calls.append((kind, compressor.dim))
+                return {"passed": True, "margin": 0.0}
+
+            return check
+
+        monkeypatch.setattr(cli, "check_biased_contract", spy("contractive"))
+        monkeypatch.setattr(cli, "check_unbiased_contract", spy("unbiased"))
+        assert main(["verify", "--method", method, "--states", "1", "--samples", "1000"]) == EXIT_OK
+        assert calls == [(want, 10)]
+        assert f"{method}: compressor contract PASS" in capsys.readouterr().out
 
     def test_perturbed_constant_fails(self, capsys):
         code = main(["verify", "--method", "ef21", "--perturb", "C:0.5"] + self.FAST)

@@ -16,16 +16,13 @@ from vradapt.compressors import (
     _threshold_drop,
     check_biased_contract,
     check_unbiased_contract,
-    dense_bits_cost,
     make_compressor,
-    rand_k,
-    top_k,
 )
 
 
 class TestTopK:
     def test_pinned_example(self):
-        out = top_k(np.array([3.0, -1.0, 2.0]), 1)
+        out = TopK(1, 3).compress(np.array([3.0, -1.0, 2.0]))
         assert list(out.indices) == [0]
         assert list(out.values) == [3.0]
 
@@ -33,25 +30,25 @@ class TestTopK:
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.standard_normal(9)
-            out = top_k(x, 4)
+            out = TopK(4, 9).compress(x)
             assert np.all(np.diff(out.indices) > 0)
             assert np.array_equal(out.values, x[out.indices])
 
     def test_tie_breaks_to_lowest_index(self):
-        out = top_k(np.array([2.0, -2.0, 1.0]), 1)
+        out = TopK(1, 3).compress(np.array([2.0, -2.0, 1.0]))
         assert list(out.indices) == [0]
-        out = top_k(np.array([-2.0, 2.0, 1.0]), 1)
+        out = TopK(1, 3).compress(np.array([-2.0, 2.0, 1.0]))
         assert list(out.indices) == [0]
 
     def test_k_equals_d_is_identity(self):
         x = np.array([0.3, -0.2, 0.0, 5.0])
-        assert np.array_equal(top_k(x, 4).to_dense(), x)
+        assert np.array_equal(TopK(4, 4).compress(x).to_dense(), x)
 
     def test_k_validation(self):
         x = np.zeros(3)
         for k in (0, 4, -1):
             with pytest.raises(ValueError):
-                top_k(x, k)
+                TopK(k, 3).compress(x)
 
     def test_contraction_exact_rational(self):
         # Fraction arithmetic: dropped energy <= (1 - k/d) * total energy,
@@ -60,7 +57,7 @@ class TestTopK:
         for d, k in ((3, 1), (5, 2), (8, 3), (10, 10)):
             for _ in range(25):
                 x = rng.standard_normal(d)
-                out = top_k(x, k)
+                out = TopK(k, d).compress(x)
                 kept = set(int(i) for i in out.indices)
                 dropped = sum(
                     Fraction(float(v)) ** 2 for j, v in enumerate(x) if j not in kept
@@ -73,7 +70,7 @@ class TestRandK:
     def test_scales_by_d_over_k(self):
         rng = np.random.default_rng(2)
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        out = rand_k(x, 2, rng)
+        out = RandK(2, 4).compress(x, rng)
         assert len(out.indices) == 2
         assert np.allclose(out.values, x[out.indices] * 2.0)
 
@@ -98,9 +95,9 @@ class TestRandK:
     def test_k_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            rand_k(np.zeros(3), 0, rng)
+            RandK(0, 3).compress(np.zeros(3), rng)
         with pytest.raises(ValueError):
-            rand_k(np.zeros(3), 4, rng)
+            RandK(4, 3).compress(np.zeros(3), rng)
 
     def test_sampled_unbiasedness(self):
         rng = np.random.default_rng(3)
@@ -130,7 +127,7 @@ class TestSampleDense:
         for k in range(1, 6):
             out = TopK(k, 5).sample_dense(V)
             for row, got in zip(V, out):
-                want = top_k(row, k).to_dense()
+                want = TopK(k, 5).compress(row).to_dense()
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
         # NaN (ranked last), infinities, and ties straddling the k-th place;
@@ -150,7 +147,7 @@ class TestSampleDense:
         for k in range(1, 6):
             out = TopK(k, 5).sample_dense(special)
             for row, got in zip(special, out):
-                want = top_k(row, k).to_dense()
+                want = TopK(k, 5).compress(row).to_dense()
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_topk_over_leading_axes(self):
@@ -158,7 +155,7 @@ class TestSampleDense:
         out = TopK(2, 6).sample_dense(V)
         assert out.shape == V.shape
         for idx in np.ndindex(3, 4):
-            assert np.array_equal(out[idx], top_k(V[idx], 2).to_dense())
+            assert np.array_equal(out[idx], TopK(2, 6).compress(V[idx]).to_dense())
 
     def test_randk_rows_match_rand_k_on_the_same_subset(self):
         V = np.random.default_rng(2).standard_normal((3, 4, 6))
@@ -169,7 +166,7 @@ class TestSampleDense:
         one_at_a_time = np.random.default_rng(3)
         assert out.shape == V.shape
         for idx in np.ndindex(3, 4):
-            want = rand_k(V[idx], 2, one_at_a_time).to_dense()
+            want = RandK(2, 6).compress(V[idx], one_at_a_time).to_dense()
             assert np.array_equal(out[idx], want)
 
     def test_randk_ties_among_uniforms_keep_the_argsort_subset(self):
@@ -321,27 +318,49 @@ class TestThresholdMatchesSort:
 class TestContracts:
     def test_topk_passes_biased_contract(self):
         rng = np.random.default_rng(0)
-        report = check_biased_contract(TopK(2, 6), 6, 500, rng)
+        report = check_biased_contract(TopK(2, 6), 500, rng)
         assert report["passed"]
         assert report["delta"] == pytest.approx(3.0)
 
     def test_identity_passes_both(self):
         rng = np.random.default_rng(1)
         comp = IdentityCompressor(5)
-        assert check_biased_contract(comp, 5, 200, rng)["passed"]
-        assert check_unbiased_contract(comp, 5, 200, rng)["passed"]
+        assert check_biased_contract(comp, 200, rng)["passed"]
+        assert check_unbiased_contract(comp, 200, rng)["passed"]
 
     def test_randk_passes_unbiased_contract(self):
         rng = np.random.default_rng(2)
-        report = check_unbiased_contract(RandK(2, 6), 6, 20000, rng)
+        report = check_unbiased_contract(RandK(2, 6), 20000, rng)
         assert report["passed"]
         assert report["omega"] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("dim,mode", [(8, "enumeration"), (10, "sampled")])
+    def test_enumeration_follows_the_compressors_dim(self, dim, mode):
+        report = check_unbiased_contract(RandK(2, dim), 2000, np.random.default_rng(5))
+        assert report["mode"] == mode and report["passed"]
+
+    @pytest.mark.parametrize("check", [check_biased_contract, check_unbiased_contract])
+    def test_probes_have_the_compressors_dim(self, check):
+        class Recording:
+            randomized = True
+            dim, delta, omega = 3, 1.0, 1.0
+
+            def __init__(self):
+                self.shapes = []
+
+            def sample_dense(self, V, rng):
+                self.shapes.append(np.shape(V))
+                return np.array(V)
+
+        comp = Recording()
+        assert check(comp, 50, np.random.default_rng(0))["passed"]
+        assert comp.shapes == [(50, 3)]
 
     def test_drop_all_fails_biased_contract(self):
         class DropAll:
             randomized = False
-            unbiased = False
             delta = 2.0
+            dim = 4
 
             def compress(self, x, rng=None):
                 return CompressedVector(
@@ -354,7 +373,7 @@ class TestContracts:
                 return np.zeros(np.shape(V))
 
         rng = np.random.default_rng(3)
-        report = check_biased_contract(DropAll(), 4, 200, rng)
+        report = check_biased_contract(DropAll(), 200, rng)
         assert not report["passed"]
 
     def test_unscaled_rand_k_fails_unbiased_contract(self):
@@ -363,7 +382,6 @@ class TestContracts:
                 self.k = k
                 self.dim = dim
                 self.randomized = True
-                self.unbiased = True
                 self.omega = dim / k
 
             def compress(self, x, rng):
@@ -377,7 +395,7 @@ class TestContracts:
                     yield CompressedVector(indices=idx, values=x[idx], dim=self.dim)
 
         rng = np.random.default_rng(4)
-        report = check_unbiased_contract(UnscaledRandK(1, 4), 4, 200, rng)
+        report = check_unbiased_contract(UnscaledRandK(1, 4), 200, rng)
         assert not report["passed"]
 
     @pytest.mark.parametrize("seed", range(5))
@@ -386,7 +404,7 @@ class TestContracts:
         # exactly (1 - k/d) ||x||^2 of error: contractive with delta = d/k,
         # though not probe by probe, and not with delta = d/(2k)
         class UnscaledRandK:
-            unbiased = False
+            dim = 10
 
             def __init__(self, k, delta, randomized=True):
                 self.k, self.delta, self.randomized = k, delta, randomized
@@ -400,18 +418,13 @@ class TestContracts:
         d, k = 10, 2
 
         def check(compressor):
-            return check_biased_contract(compressor, d, 2000, np.random.default_rng(seed))
+            return check_biased_contract(compressor, 2000, np.random.default_rng(seed))
 
         tight = check(UnscaledRandK(k, d / k))
         assert tight["passed"] and tight["stderr"] > 0.0
         assert not check(UnscaledRandK(k, d / (2 * k)))["passed"]
         # judged probe by probe, as a deterministic compressor is, it fails
         assert not check(UnscaledRandK(k, d / k, randomized=False))["passed"]
-
-
-class TestBits:
-    def test_pinned_dense_cost(self):
-        assert dense_bits_cost(123, 64) == 7872
 
 
 class TestPlumbing:
@@ -426,9 +439,9 @@ class TestPlumbing:
     def test_integral_k_keeps_k_coordinates(self, k):
         # k = 2.0 passed the check and then failed to slice (TypeError)
         x = np.arange(1.0, 6.0)
-        assert np.array_equal(top_k(x, k).indices, [3, 4])
-        got = rand_k(x, k, np.random.default_rng(0))
-        want = rand_k(x, 2, np.random.default_rng(0))
+        assert np.array_equal(TopK(k, 5).compress(x).indices, [3, 4])
+        got = RandK(k, 5).compress(x, np.random.default_rng(0))
+        want = RandK(2, 5).compress(x, np.random.default_rng(0))
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.values, want.values)
 
@@ -499,22 +512,6 @@ class TestPlumbing:
         with pytest.raises(ValueError, match=r"^dim is 4, got an array of shape \(\)$"):
             comp.sample_dense(np.float64(1.0), rng)
 
-    @pytest.mark.parametrize(
-        "call,name,shape",
-        [
-            # d = x.size would make a message of dim 6, its values of shape (2, 2, 2)
-            (lambda: top_k(np.ones((3, 2)), 2), "top_k", (3, 2)),
-            # or an IndexError from the fancy index
-            (lambda: top_k(np.array([[1.0, 5.0, 2.0], [4.0, 0.5, 3.0]]), 2), "top_k", (2, 3)),
-            (lambda: rand_k(np.ones((3, 2)), 2, np.random.default_rng(0)), "rand_k", (3, 2)),
-        ],
-        ids=["top_k-tall", "top_k-wide", "rand_k"],
-    )
-    def test_one_vector_functions_take_one_vector(self, call, name, shape):
-        with pytest.raises(ValueError) as err:
-            call()
-        assert str(err.value) == f"{name} takes one vector, got an array of shape {shape}"
-
     def test_to_dense(self):
         v = CompressedVector(
             indices=np.array([1, 3], dtype=np.int64), values=np.array([2.0, -1.0]), dim=5
@@ -529,6 +526,9 @@ class TestPlumbing:
             make_compressor("topk", 10, None)
         with pytest.raises(ValueError):
             make_compressor("quantize", 10, 3)
+        for kind in ("TopK", "RANDK", "Identity"):
+            with pytest.raises(ValueError, match=f"^unknown compressor kind {kind!r}$"):
+                make_compressor(kind, 10, 3)
 
     def test_identity_roundtrip(self):
         x = np.random.default_rng(5).standard_normal(7)

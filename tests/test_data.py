@@ -24,6 +24,7 @@ from vradapt.data import (
 )
 from vradapt.engine import ExperimentConfig, validate
 from vradapt.problems import make_quadratic, partition_problem
+from vradapt.verify import assumption_margin, grad_fd_check, standard_margin_setup
 
 
 def row(ds, i):
@@ -215,6 +216,11 @@ class TestCheckPositive:
         assert got == value and type(got) is float
 
 
+def _saga_margin(**kwargs):
+    problem, hp = standard_margin_setup("saga")
+    return assumption_margin("saga", hp, problem, **kwargs)
+
+
 class TestCheckCount:
     @pytest.mark.parametrize(
         "value,named",
@@ -265,13 +271,19 @@ class TestCheckCount:
             (lambda: IdentityCompressor(0), "dim must be >= 1, got 0"),
             (lambda: partition_problem(make_quadratic(4, 2), 0), "n_clients must be >= 1, got 0"),
             (
-                lambda: check_biased_contract(TopK(2, 4), 4, 0, np.random.default_rng(0)),
+                lambda: check_biased_contract(TopK(2, 4), 0, np.random.default_rng(0)),
                 "trials must be >= 1, got 0",
             ),
             (
                 lambda: validate(ExperimentConfig(method="saga", b=2, cadence=0), make_quadratic(6, 4)),
                 "cadence must be >= 1, got 0",
             ),
+            # each of these raised a TypeError from numpy or range
+            (lambda: make_quadratic(2.5, 4), "n must be an integer, got 2.5"),
+            (lambda: make_quadratic(6, 4.5), "d must be an integer, got 4.5"),
+            (lambda: _saga_margin(state_points=2.5), "state_points must be an integer, got 2.5"),
+            (lambda: _saga_margin(samples_per_point=float("nan")), "samples_per_point must be >= 1, got nan"),
+            (lambda: grad_fd_check(make_quadratic(6, 4), points=1.5), "points must be an integer, got 1.5"),
         ],
     )
     def test_call_sites_name_input_and_value(self, call, named):

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from vradapt.compressors import RandK, TopK, dense_bits_cost
+from vradapt.compressors import RandK, TopK
+from vradapt.engine import ExperimentConfig, run
 from vradapt.data import synthetic_dataset
 from vradapt.estimators import (
     DISTRIBUTED_METHODS,
@@ -70,6 +71,19 @@ def quad():
 
 
 class TestConstantsRegistry:
+    @pytest.mark.parametrize("name", ["SAGA", "Saga", "saga "])
+    def test_method_names_are_looked_up_exactly(self, quad, name):
+        # constants and make_estimator lowered the name, run did not: a
+        # name is now the registered one or an error, by every route
+        calls = [
+            lambda: constants(name, b=2, n=6),
+            lambda: make_estimator(name, quad, np.zeros(4), {"b": 2}),
+            lambda: run(ExperimentConfig(method=name, b=2, n=6, d=4, T=5)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^unknown method {name!r}$"):
+                call()
+
     def test_page_full_pass_every_step(self):
         c = constants("page", b=8, p=1.0)
         assert (c.rho1, c.rho2, c.A, c.B, c.C) == (1.0, 1.0, 0.0, 0.0, 0.0)
@@ -814,7 +828,7 @@ class TestCountersAndBits:
             np.zeros(4),
             {"n_clients": 2, "compressor": "topk", "k": 1, "value_bits": 32},
         )
-        assert est.bits_dense == 2 * dense_bits_cost(4, 32)
+        assert est.bits_dense == 2 * 4 * 32
         assert est.bits_compressed == 0
 
     def test_compressed_step_cost(self, quad):
@@ -830,7 +844,7 @@ class TestCountersAndBits:
         assert est.bits_compressed == 2 * 1 * 64
         est.step(np.full(4, 0.5), rng)
         assert est.bits_compressed == 4 * 64
-        assert est.bits_dense == 2 * dense_bits_cost(4, 32)
+        assert est.bits_dense == 2 * 4 * 32
         assert est.bits == est.bits_dense + est.bits_compressed
 
     def test_per_step_gradient_counts(self, quad):

@@ -197,6 +197,9 @@ class TestCorollaryForms:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             corollary_step_size("sarah", 0.25, 1.0, b=4)
+        # names are exact, as in constants and run
+        with pytest.raises(ValueError, match="^unknown method 'SAGA'$"):
+            corollary_step_size("SAGA", 0.25, 1.0, b=4, n=20)
 
 
 class TestAdamBaseline:

@@ -165,6 +165,23 @@ class TestFiniteDifference:
             prob, points=3, h=1e-4
         )
 
+    @pytest.mark.parametrize("bad", [0, 1, 3])
+    def test_nan_gradient_is_the_worst_gap(self, bad):
+        # max() dropped a NaN gap, so a NaN gradient read as 0.0, a
+        # perfect match; the NaN stays however many finite gaps follow
+        prob = make_quadratic(6, 4, seed=0)
+
+        class NaNGradient:
+            dim = prob.dim
+            loss = prob.loss
+
+            def full_grad(self, x):
+                g = prob.full_grad(x)
+                g[bad] = np.nan
+                return g
+
+        assert np.isnan(grad_fd_check(NaNGradient(), points=2))
+
     def test_parameters_validated(self):
         prob = make_quadratic(6, 4, seed=0)
         with pytest.raises(ValueError):
