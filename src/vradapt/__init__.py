@@ -26,7 +26,6 @@ from .engine import (
     Trace,
     TraceRow,
     iterations_to_tolerance,
-    load_config,
     parse_trace_csv,
     run,
     sweep,
@@ -49,7 +48,6 @@ from .problems import (
 from .schedulers import (
     AdamState,
     AdaptiveAccumulator,
-    adam_baseline_step,
     adaptive_step_size,
     corollary_step_size,
     nu_of,

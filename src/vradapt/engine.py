@@ -14,11 +14,11 @@ Documented keys:
   method      lsvrg | saga | page | zerosarah | ef21 | diana | dasha | sega | jaguar
   b, p, k, clients, compressor, scheme, with_replacement,
   value_bits, index_bits          estimator hyperparameters, as the
-              method's class declares them (``hyperparams``)
+              method's class declares them, with its defaults (``hyperparams``)
   presets     true -> the method's class's ``presets`` for n components
   scheduler   theoretical | tuned | adaptive | adam | constant | pl
   alpha, multiplier, gamma, lr, mu    scheduler parameters
-  T           iteration budget
+  T           iteration budget, an integer >= 0
   seed        run seed (uint64)
   cadence     record every k-th iteration
   tol         stop early once the exact gradient norm is <= this
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import check_count, check_positive, check_sizes, csv_layout, load_libsvm, opened
-from .data import read_text, synthetic_dataset
+from .data import synthetic_dataset
 from .estimators import estimator_class, make_estimator
 from .problems import logistic_problem, make_quadratic
 from .schedulers import (
@@ -72,12 +72,12 @@ class ExperimentConfig:
     b: int | None = None
     p: float | None = None
     k: int | None = None
-    clients: int = 10
-    compressor: str = "identity"
-    scheme: str = "contiguous"
-    with_replacement: bool = False
-    value_bits: int = 32
-    index_bits: int = 32
+    clients: int | None = None
+    compressor: str | None = None
+    scheme: str | None = None
+    with_replacement: bool | None = None
+    value_bits: int | None = None
+    index_bits: int | None = None
     presets: bool = False
     scheduler: str = "theoretical"
     alpha: float = 0.33
@@ -136,10 +136,6 @@ def parse_config_pairs(text):
         key, _, value = stripped.partition("=")
         pairs[key.strip()] = value.strip()
     return pairs
-
-
-def load_config(path):
-    return config_from_mapping(parse_config_pairs(read_text(path)))
 
 
 def build_problem(config):
@@ -208,6 +204,8 @@ def validate(config, problem):
     cls = estimator_class(config.method)
     if config.T < 0:
         raise ValueError("T must be >= 0")
+    if config.T % 1 != 0:
+        raise ValueError(f"T must be an integer, got {config.T}")
     check_count("cadence", config.cadence)
     if not 0.0 <= config.tol < math.inf:
         raise ValueError(f"tol must be >= 0 and finite, got {config.tol}")
@@ -260,9 +258,6 @@ class Trace:
 
     def __iter__(self):
         return iter(self.rows)
-
-    def gammas(self):
-        return np.array([r.gamma for r in self.rows])
 
 
 @dataclass
@@ -380,7 +375,7 @@ def run(config, problem=None):
         final row, whose estimate columns read 0.0.  Returns the gradient
         norm."""
         wall = (time.perf_counter() - started) * 1e3 if timing else 0.0
-        loss, grad = problem.loss_and_grad(x)
+        loss, grad = problem.loss(x), problem.full_grad(x)
         grad_norm = _norm(grad)
         if g is None:
             est_norm = est_err = 0.0

@@ -43,7 +43,8 @@ from .problems import partition_problem
 
 @dataclass(frozen=True)
 class VRConstants:
-    """Coefficients of the two error recursions (see module docstring)."""
+    """Coefficients of the two error recursions (see module docstring),
+    with a finite ``coupling`` ratio."""
 
     rho1: float
     rho2: float
@@ -58,6 +59,15 @@ class VRConstants:
             raise ValueError(f"rho2 must lie in (0, 1], got {self.rho2}")
         if not all(0.0 <= v < math.inf for v in (self.A, self.B, self.C)):
             raise ValueError(f"A, B, C must be finite and nonnegative, got {self}")
+        # rho1*rho2 can underflow to 0.0, and B*rho2 + A*C overflow to inf
+        if not (self.rho1 * self.rho2 > 0.0 and self.coupling < math.inf):
+            raise ValueError(f"(B*rho2 + A*C) / (rho1*rho2) must be finite, got {self}")
+
+    @property
+    def coupling(self):
+        """(B*rho2 + A*C) / (rho1*rho2): the ratio through which the
+        constants enter every step-size rule (``schedulers``)."""
+        return (self.B * self.rho2 + self.A * self.C) / (self.rho1 * self.rho2)
 
     def scaled(self, factors):
         """Copy with some fields multiplied, e.g. {"C": 0.5}.  Used by the
@@ -520,7 +530,7 @@ class _ClientServerEstimator(GradientEstimator):
         named) and the bit widths, checked; the tuple its quality registers."""
         hp = {**cls.hyperparams, **hp}
         groups = partition_problem(problem, _check_clients(hp["n_clients"]), hp["scheme"])
-        compressor = hp["compressor"] or "identity"
+        compressor = hp["compressor"]
         if isinstance(compressor, str):
             compressor = make_compressor(compressor, problem.dim, hp["k"])
         _require(
@@ -775,11 +785,15 @@ def constants(method, **hp) -> VRConstants:
     return estimator_class(method).registration(**hp)
 
 
-def make_estimator(method, problem, x0, hyperparams=None, **kwargs):
-    """Build an initialized estimator.  The hyperparameters each method
-    reads are its class's ``hyperparams``; its ``settings`` checks them
-    before the one full gradient pass that makes the estimate exact.  A
+def make_estimator(method, problem, x0, hyperparams=None):
+    """Build an initialized estimator.  ``hyperparams`` maps names the
+    method's class declares (``hyperparams``) to values, and a name it
+    does not declare is an error; its ``settings`` checks them before the
+    one full gradient pass that makes the estimate exact.  A
     ``compressor`` is a compressor or a name (topk|randk|identity)."""
     cls = estimator_class(method)
-    settings, registered = cls.settings(problem, {**(hyperparams or {}), **kwargs})
+    hyperparams = hyperparams or {}
+    for name in hyperparams:
+        _require(name in cls.hyperparams, f"{method} takes no hyperparameter {name!r}")
+    settings, registered = cls.settings(problem, hyperparams)
     return cls(problem, x0, registered, **settings)

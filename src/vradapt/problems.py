@@ -48,8 +48,6 @@ class Problem:
       groups, a function x -> (len(groups), dim) whose row j is the
       gradient of the average of f_i over group j.
 
-    ``loss_and_grad(x)`` is ``(loss(x), full_grad(x))``.
-
     ``smoothness`` is the uniform component smoothness bound: every f_i
     (and hence f) has an L-Lipschitz gradient with this L.
     """
@@ -60,9 +58,6 @@ class Problem:
     pl_constant: float | None = None
     f_star: float | None = None
     x_opt: np.ndarray | None = None
-
-    def loss_and_grad(self, x):
-        return self.loss(x), self.full_grad(x)
 
 
 class QuadraticProblem(Problem):
@@ -78,6 +73,8 @@ class QuadraticProblem(Problem):
         self.shifts = np.asarray(shifts, dtype=float).reshape(self.n_components)
         self.mean_eigs = eigs.mean(axis=0)
         self.smoothness = float(eigs.max())
+        if not self.smoothness < np.inf:  # nan and inf pass the check above
+            raise ValueError("component eigenvalues must be finite")
         self.pl_constant = float(self.mean_eigs.min())
         self.f_star = float(self.shifts.mean())
         self.x_opt = self.x_star.copy()

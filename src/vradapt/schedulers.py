@@ -2,7 +2,9 @@
 schedule, and an Adam baseline.
 
 The theoretical rules take a method's recursion constants and the
-smoothness bound L and return a single safe step size.  The adaptive
+smoothness bound L and return a single safe step size; the constants
+enter every rule here through their coupling ratio
+(``VRConstants.coupling``).  The adaptive
 rule needs no L at all: it divides a fixed numerator by a growing power
 of the accumulated squared estimate norms, so it starts large and decays
 exactly as fast as the observed gradient energy dictates.
@@ -10,7 +12,8 @@ exactly as fast as the observed gradient energy dictates.
 A run steps with a rule object, ``FixedStep``, ``AdaptiveAccumulator``
 or ``AdamState``: ``advance(g_t)`` returns ``(gamma_t, update)``, update
 None for the step x - gamma_t * g_t or else the additive update, and
-``stationary`` is true once the iterate can no longer move.
+``stationary`` is true once the iterate can no longer move.  Adam runs
+at its usual decay rates; only its learning rate is a setting.
 """
 
 from __future__ import annotations
@@ -23,22 +26,16 @@ import numpy as np
 from .data import check_positive
 
 
-def _coupling(c):
-    """(B*rho2 + A*C) / (rho1*rho2): the ratio through which the
-    recursion constants enter every step-size rule below."""
-    return (c.B * c.rho2 + c.A * c.C) / (c.rho1 * c.rho2)
-
-
 def nu_of(constants):
     """Coupling ratio nu = max{(B*rho2 + A*C) / (rho1*rho2), 1}."""
-    return max(_coupling(constants), 1.0)
+    return max(constants.coupling, 1.0)
 
 
 def theoretical_gamma_nonconvex(constants, L):
     """Safe constant step size for smooth nonconvex problems:
     gamma = 1 / (L * (1 + sqrt((B*rho2 + A*C) / (rho1*rho2)))).
     """
-    return 1.0 / (check_positive("L", L) * (1.0 + math.sqrt(_coupling(constants))))
+    return 1.0 / (check_positive("L", L) * (1.0 + math.sqrt(constants.coupling)))
 
 
 def theoretical_gamma_pl(constants, L, mu):
@@ -103,6 +100,8 @@ class AdaptiveAccumulator:
             )
         if self.nu < 1.0:
             raise ValueError(f"nu must be >= 1 (it is clamped upstream), got {self.nu}")
+        if not self.nu < math.inf:
+            raise ValueError(f"nu must be finite, got {self.nu}")
 
     @property
     def stationary(self):
@@ -151,15 +150,16 @@ def corollary_step_size(method, alpha, total, **hp):
     return adaptive_step_size(max(ratio(**hp), 1.0), alpha, total)
 
 
+# Adam's moment decay rates and denominator offset
+_M_DECAY, _V_DECAY, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment memory for the Adam baseline."""
 
     dim: int
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
     t: int = field(default=0, init=False)
@@ -167,26 +167,20 @@ class AdamState:
 
     def __post_init__(self):
         self.lr = check_positive("lr", self.lr)
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
         self.m = np.zeros(self.dim)
         self.v = np.zeros(self.dim)
 
     def advance(self, g_t):
-        return self.lr, adam_baseline_step(self, g_t)
+        """One bias-corrected Adam update: ``(lr, update)``, the update
+        ADDITIVE, i.e. the caller applies x <- x + update.
 
-
-def adam_baseline_step(moments, g_t):
-    """One bias-corrected Adam update; returns the ADDITIVE update
-    vector, i.e. the caller applies x <- x + update.
-
-    With g = (1.0,) and lr = 0.1 the first update is about -0.1 (the
-    bias-corrected ratio m_hat/sqrt(v_hat) is g/|g| up to eps).
-    """
-    g_t = np.asarray(g_t, dtype=float)
-    moments.t += 1
-    moments.m = moments.beta1 * moments.m + (1.0 - moments.beta1) * g_t
-    moments.v = moments.beta2 * moments.v + (1.0 - moments.beta2) * g_t * g_t
-    m_hat = moments.m / (1.0 - moments.beta1**moments.t)
-    v_hat = moments.v / (1.0 - moments.beta2**moments.t)
-    return -moments.lr * m_hat / (np.sqrt(v_hat) + moments.eps)
+        With g = (1.0,) and lr = 0.1 the first update is about -0.1 (the
+        bias-corrected ratio m_hat/sqrt(v_hat) is g/|g| up to the offset).
+        """
+        g_t = np.asarray(g_t, dtype=float)
+        self.t += 1
+        self.m = _M_DECAY * self.m + (1.0 - _M_DECAY) * g_t
+        self.v = _V_DECAY * self.v + (1.0 - _V_DECAY) * g_t * g_t
+        m_hat = self.m / (1.0 - _M_DECAY**self.t)
+        v_hat = self.v / (1.0 - _V_DECAY**self.t)
+        return self.lr, -self.lr * m_hat / (np.sqrt(v_hat) + _EPS)

@@ -189,19 +189,17 @@ def margins_to_csv(reports, sink):
                 handle.write(_MARGIN_LINE % _margin_values(r))
 
 
-def rate_slope(trace, burn_in_fraction=0.2):
+def rate_slope(trace):
     """Least-squares slope of log(running-min exact gradient norm)
-    against log t, after discarding the first burn_in_fraction of the
-    recorded rows (and any t=0 row, whose log is undefined)."""
-    if not 0.0 <= burn_in_fraction < 1.0:
-        raise ValueError("burn_in_fraction must lie in [0, 1)")
+    against log t, after discarding the first fifth of the recorded rows
+    as burn-in (and any t=0 row, whose log is undefined)."""
     rows = list(trace)
     if len(rows) < 50:
         raise ValueError("need at least 50 recorded points for a slope fit")
     norms = np.array([r.grad_norm for r in rows])
     running_min = np.minimum.accumulate(np.clip(norms, 1e-300, None))
     ts = np.array([r.t for r in rows], dtype=float)
-    start = int(len(rows) * burn_in_fraction)
+    start = len(rows) // 5
     keep = ts[start:] >= 1.0
     log_t = np.log(ts[start:][keep])
     log_norm = np.log(running_min[start:][keep])

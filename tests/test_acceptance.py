@@ -268,7 +268,7 @@ def test_adaptive_step_identities_and_monotonicity():
             scheduler="adaptive",
             T=150,
         )
-        gammas = run(cfg).trace.gammas()
+        gammas = [r.gamma for r in run(cfg).trace]
         monotone_ok = monotone_ok and bool(np.all(np.diff(gammas) <= 1e-18))
 
     _report(

@@ -286,6 +286,18 @@ class TestSweepCommand:
         capsys.readouterr()
         assert (out_dir / "sweep_b4.csv").read_bytes() == (alone / "sweep_b4.csv").read_bytes()
 
+    def test_diverged_cell_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, QUICK_CFG + "scheduler=constant\n")
+        out_dir = tmp_path / "grid"
+        flags = ["--grid", "gamma=0.1,1e6", "--out-dir", str(out_dir)]
+        assert main(["sweep", "--config", cfg, *flags]) == EXIT_DIVERGED
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["status=completed", "status=diverged"]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "sweep_gamma0.1.csv",
+            "sweep_gamma1000000.0.csv",
+        ]
+
     def test_every_cell_invalid_writes_nothing(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK_CFG)
         out_dir = tmp_path / "grid"
@@ -301,6 +313,7 @@ class TestSweepCommand:
             (QUICK_CFG, ["--grid", "b=1,2", "--jobs", "0"], "--jobs"),
             (QUICK_CFG, ["--jobs", "-2"], "--jobs"),
             (MISSING_DATA_CFG, ["--grid", "b=1,2"], "/no/such/file"),
+            (QUICK_CFG, ["--grid", "b"], "grid entry must be key=v1,v2,..., got 'b'"),
         ],
     )
     def test_sweep_error_is_one_error_line(self, tmp_path, capsys, text, flags, named):
@@ -518,6 +531,8 @@ class TestConstantsCommand:
             (["--method", "ef21", "--d", "10", "--k", "20"], "ef21: k must be an integer in [1, 10], got 20"),
             (["--method", "diana", "--omega", "inf"], "diana: omega must be finite and >= 1, got inf"),
             (["--method", "ef21", "--delta", "inf"], "ef21: delta must be finite and >= 1, got inf"),
+            # rho1*rho2 = (1/(2 omega + 1))^2 underflows to 0.0
+            (["--method", "dasha", "--omega", "1e200"], "dasha: (B*rho2 + A*C) / (rho1*rho2) must be finite"),
         ],
     )
     def test_bad_flag_is_named(self, flags, named, capsys):

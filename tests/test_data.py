@@ -326,6 +326,10 @@ class TestSynthetic:
             assert idx.min() >= 0
             assert idx.max() < 20
 
+    def test_more_entries_per_row_than_features_rejected(self):
+        with pytest.raises(ValueError, match="^nnz_per_row cannot exceed dim$"):
+            synthetic_dataset(5, dim=3, nnz_per_row=4)
+
     def test_deterministic(self):
         a = synthetic_dataset(30, dim=15, seed=9)
         b = synthetic_dataset(30, dim=15, seed=9)

@@ -8,9 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
+from vradapt.data import read_text
 from vradapt.engine import (
     CSV_HEADER,
     SCHEDULERS,
+    _HYPERPARAM_KEYS,
     ExperimentConfig,
     Trace,
     TraceRow,
@@ -18,7 +20,6 @@ from vradapt.engine import (
     config_from_mapping,
     estimator_hyperparams,
     iterations_to_tolerance,
-    load_config,
     parse_config_pairs,
     parse_trace_csv,
     run,
@@ -84,11 +85,11 @@ class TestConfigParsing:
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("method=saga\nb=2\nT=10\n")
-        cfg = load_config(str(path))
+        cfg = config_from_mapping(parse_config_pairs(read_text(str(path))))
         assert (cfg.method, cfg.b, cfg.T) == ("saga", 2, 10)
         path.write_bytes(b"method=saga\r\nb=2\xff\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: byte 0xff is not UTF-8"):
-            load_config(str(path))
+            config_from_mapping(parse_config_pairs(read_text(str(path))))
 
 
 class TestPresets:
@@ -119,6 +120,15 @@ class TestPresets:
         assert hp["compressor"] == "topk"
         assert hp["k"] == 2
         assert hp["value_bits"] == 16
+
+    def test_every_hyperparameter_has_a_config_key_that_defaults_to_none(self):
+        # the method table holds each default once; a config default
+        # that repeated it could drift from it
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        for cls in ESTIMATORS.values():
+            for name in cls.hyperparams:
+                key = _HYPERPARAM_KEYS.get(name, name)
+                assert key in defaults and defaults[key] is None, (cls.method, name)
 
 
 class TestBuildProblem:
@@ -194,7 +204,7 @@ class TestRun:
     )
     def test_exact_estimate_has_zero_error(self, problem):
         # with p = 1 every PAGE estimate is a full_grad, the vector that
-        # loss_and_grad returns bit for bit
+        # the record's full_grad returns bit for bit
         cfg = ExperimentConfig(
             method="page", b=4, p=1.0, T=30, cadence=1, scheduler="adaptive", **problem
         )
@@ -254,17 +264,18 @@ class TestRun:
         assert sparse.trace.rows[-1].t == 40
 
     def test_wall_clock_is_read_before_each_rows_gradient_pass(self, monkeypatch):
-        # the fake clock advances one second per gradient pass and
-        # nothing else, so row i, recorded after i passes, reads i s
+        # the fake clock advances one second per loss call, one per
+        # row's gradient pass, and nothing else, so row i, recorded after
+        # i passes, reads i s
         clock = [0.0]
         problem = make_quadratic(6, 4, seed=0)
-        loss_and_grad = problem.loss_and_grad
+        loss = problem.loss
 
-        def timed_loss_and_grad(x):
+        def timed_loss(x):
             clock[0] += 1.0
-            return loss_and_grad(x)
+            return loss(x)
 
-        monkeypatch.setattr(problem, "loss_and_grad", timed_loss_and_grad)
+        monkeypatch.setattr(problem, "loss", timed_loss)
         monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
         cfg = ExperimentConfig(method="saga", b=2, T=10, cadence=3, timing="on")
         trace = run(cfg, problem=problem).trace
@@ -299,7 +310,7 @@ class TestRun:
         cfg = ExperimentConfig(
             method="saga", b=2, n=6, d=4, scheduler="adaptive", T=60
         )
-        gammas = run(cfg).trace.gammas()[:-1]
+        gammas = [r.gamma for r in run(cfg).trace][:-1]
         assert np.all(np.diff(gammas) <= 1e-18)
 
     def test_adaptive_run_calls_gamma_once_per_iteration(self, monkeypatch):
@@ -355,7 +366,7 @@ def _no_oracle_call(*args, **kwargs):
 
 class TestValidate:
     ORACLES = (
-        "loss", "full_grad", "loss_and_grad", "component_rows", "component_grads",
+        "loss", "full_grad", "component_rows", "component_grads",
         "all_component_grads", "partials", "group_grads",
     )
 
@@ -396,6 +407,9 @@ class TestValidate:
             (dict(timing="maybe"), "timing must be on or off, got 'maybe'"),
             (dict(scheduler="tuned", multiplier=0.0), "multiplier must be positive"),
             (dict(method="ef21", clients=2, value_bits=0), "value_bits must be >= 1, got 0"),
+            (dict(T=2.5), "T must be an integer, got 2.5"),
+            (dict(T=math.nan), "T must be an integer, got nan"),
+            (dict(T=math.inf), "T must be an integer, got inf"),
         ],
     )
     def test_rejects_what_run_rejects(self, changes, named):

@@ -1061,6 +1061,24 @@ class TestConstruction:
         with pytest.raises(ValueError, match="required|p must"):
             make_estimator(method, quad, np.zeros(4), hp)
 
+    # one name per method that it does not declare: a misspelling, or a
+    # name another method reads
+    UNDECLARED = {
+        "lsvrg": "with_replacment", "saga": "p", "page": "n", "zerosarah": "with_replacement",
+        "ef21": "b", "diana": "clients", "dasha": "omega", "sega": "k", "jaguar": "p",
+    }
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_undeclared_hyperparameter_is_rejected(self, method, quad):
+        hp = {**default_hp(method, quad), self.UNDECLARED[method]: 1}
+        named = f"^{method} takes no hyperparameter '{self.UNDECLARED[method]}'$"
+        with pytest.raises(ValueError, match=named):
+            make_estimator(method, quad, np.zeros(4), hp)
+
+    def test_config_key_a_method_does_not_read_is_allowed(self):
+        cfg = ExperimentConfig(method="saga", b=2, p=0.5, n=6, d=4, T=2)
+        assert run(cfg).status == "completed"
+
     def test_estimator_constants_round_trip(self, quad):
         for method in METHODS:
             est = make_estimator(method, quad, np.zeros(4), default_hp(method, quad))

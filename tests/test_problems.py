@@ -65,7 +65,7 @@ class TestQuadratic:
         _assert_bit_equal(at_z, prob.all_component_grads(z)[idx].ravel())
         _assert_bit_equal(prob.dense_rows(idx, at_x), prob.component_grads(idx, x))
         _assert_bit_equal(prob.component_rows(np.arange(6), x)[0], np.arange(24))
-        loss, grad = prob.loss_and_grad(x)
+        loss, grad = prob.loss(x), prob.full_grad(x)
         assert loss == prob.loss(x)
         _assert_bit_equal(grad, prob.full_grad(x))
 
@@ -115,6 +115,10 @@ class TestQuadratic:
             QuadraticProblem(np.array([[1.0, 0.0]]), np.zeros(2), np.zeros(1))
         with pytest.raises(ValueError):
             make_quadratic(3, 2, eig_range=(-1.0, 2.0))
+        # nan passes a <= 0 test, and gave smoothness nan; inf gave inf
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^component eigenvalues must be finite$"):
+                QuadraticProblem([[1.0, bad]], [0.0, 0.0], [0.0])
 
     def test_equal_curvature_variant(self):
         prob = make_quadratic(5, 4, seed=0, eig_range=(2.0, 2.0))
@@ -164,7 +168,7 @@ class TestLogistic:
         x = np.array([margin])
         # assert_array_equal counts nan as equal to nan
         np.testing.assert_array_equal(prob.loss(x), loss)
-        np.testing.assert_array_equal(prob.loss_and_grad(x)[0], loss)
+        np.testing.assert_array_equal((prob.loss(x), prob.full_grad(x))[0], loss)
 
     def test_single_sample_gradient(self):
         # one row a=(1), label +1: grad at 0 is -0.5
@@ -208,6 +212,10 @@ class TestLogistic:
         gram = X.T @ X / (4.0 * ds.n)
         expected = float(np.linalg.eigvalsh(gram).max())
         assert prob.smoothness == pytest.approx(expected, rel=1e-6)
+
+    def test_rejects_empty_dataset(self):
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            LogisticProblem(parse_libsvm(""))
 
     def test_rejects_bad_labels(self):
         ds = toy_dataset()
@@ -586,7 +594,7 @@ class TestLogisticMatchesScipyReference:
 
         def results(idx, x, coords):
             entries, cols, (values,) = prob.component_rows(idx, x)
-            loss, grad = prob.loss_and_grad(x)
+            loss, grad = prob.loss(x), prob.full_grad(x)
             return [entries, cols, values, np.array(loss), grad, prob.partials(x, coords)]
 
         want = [results(*job) for job in jobs]
@@ -660,7 +668,7 @@ class TestLogisticMatchesScipyReference:
     def test_loss_and_grad(self, pair):
         prob, ref = pair
         for x in self._points(prob.dim, seed=8):
-            loss, grad = prob.loss_and_grad(x)
+            loss, grad = prob.loss(x), prob.full_grad(x)
             assert isinstance(loss, float)
             _assert_bit_equal(loss, prob.loss(x))
             _assert_bit_equal(grad, prob.full_grad(x))
@@ -820,7 +828,7 @@ class TestMarginPass:
         return [
             prob.loss,
             prob.full_grad,
-            prob.loss_and_grad,
+            lambda x: (prob.loss(x), prob.full_grad(x)),
             lambda x: prob.partials(x, [0, 2, 2]),
             grads,
         ]
@@ -857,7 +865,7 @@ class TestMarginPass:
         _assert_bit_equal(prob.full_grad(x), ref.full_grad(x))
         _assert_bit_equal(prob.partials(x, [3]), ref.partials(x, [3]))
         x[3] = -0.0 if x[3] == 0.0 else 0.0
-        _assert_bit_equal(prob.loss_and_grad(x)[1], ref.full_grad(x))
+        _assert_bit_equal((prob.loss(x), prob.full_grad(x))[1], ref.full_grad(x))
         assert len(passes) == 3
 
     def test_sega_step_takes_one_pass(self, prob, passes):

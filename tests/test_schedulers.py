@@ -7,7 +7,6 @@ from vradapt.estimators import METHODS, constants
 from vradapt.schedulers import (
     AdamState,
     AdaptiveAccumulator,
-    adam_baseline_step,
     adaptive_step_size,
     corollary_step_size,
     nu_of,
@@ -136,8 +135,12 @@ class TestAdaptiveAccumulator:
         AdaptiveAccumulator(nu=2.0, alpha=1e-6)
 
     def test_nu_lower_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^nu must be >= 1 \(it is clamped upstream\), got 0.5$"):
             AdaptiveAccumulator(nu=0.5)
+        # nan passes the lower bound; inf would make every step 0
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^nu must be finite, got {bad}$"):
+                AdaptiveAccumulator(nu=bad)
         AdaptiveAccumulator(nu=1.0)
 
     def test_sum_includes_current_estimate(self):
@@ -205,21 +208,21 @@ class TestCorollaryForms:
 class TestAdamBaseline:
     def test_first_update_is_signed_learning_rate(self):
         moments = AdamState(dim=1, lr=0.1)
-        update = adam_baseline_step(moments, np.array([1.0]))
+        update = moments.advance(np.array([1.0]))[1]
         assert update[0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_two_step_manual_replay(self):
         g1 = np.array([0.5, -2.0])
         g2 = np.array([1.5, 0.25])
         moments = AdamState(dim=2, lr=0.01)
-        u1 = adam_baseline_step(moments, g1)
+        u1 = moments.advance(g1)[1]
         m = 0.1 * g1
         v = 0.001 * g1 * g1
         mh = m / (1 - 0.9)
         vh = v / (1 - 0.999)
         assert np.allclose(u1, -0.01 * mh / (np.sqrt(vh) + 1e-8), atol=1e-15)
 
-        u2 = adam_baseline_step(moments, g2)
+        u2 = moments.advance(g2)[1]
         m = 0.9 * m + 0.1 * g2
         v = 0.999 * v + 0.001 * g2 * g2
         mh = m / (1 - 0.9**2)
@@ -230,7 +233,3 @@ class TestAdamBaseline:
     def test_state_validation(self):
         with pytest.raises(ValueError):
             AdamState(dim=2, lr=0.0)
-        with pytest.raises(ValueError):
-            AdamState(dim=2, beta1=1.0)
-        with pytest.raises(ValueError):
-            AdamState(dim=2, beta2=-0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import sys
@@ -71,12 +72,11 @@ class TestRateSlope:
         with pytest.raises(ValueError):
             rate_slope(synthetic_trace(lambda t: 1.0, T=49))
 
-    def test_burn_in_validated(self):
-        trace = synthetic_trace(lambda t: 1.0)
-        with pytest.raises(ValueError):
-            rate_slope(trace, burn_in_fraction=1.0)
-        with pytest.raises(ValueError):
-            rate_slope(trace, burn_in_fraction=-0.1)
+    def test_too_few_rows_after_burn_in_rejected(self):
+        # rows at t < 1 have no log t; past the first fifth none is left
+        rows = [dataclasses.replace(r, t=r.t / 100) for r in synthetic_trace(lambda t: 1.0, T=60)]
+        with pytest.raises(ValueError, match="^not enough points after burn-in$"):
+            rate_slope(rows)
 
     def test_zero_norms_survive_log(self):
         trace = synthetic_trace(lambda t: 0.0)
@@ -129,6 +129,12 @@ class TestPlDecay:
         for name, kwargs in (("mu", dict(gamma=0.5, mu=bad)), ("gamma", dict(gamma=bad, mu=1.0))):
             with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad}$"):
                 pl_decay_check(res.trace, f_star=prob.f_star, **kwargs)
+
+    def test_gap_collapsed_after_two_rows_rejected(self):
+        # the gap hits 0 at t = 2, which leaves two rows to fit
+        trace = synthetic_trace(lambda t: 1.0, T=10, loss_fn=lambda t: 0.5**t if t < 2 else 0.0)
+        with pytest.raises(ValueError, match="^gap collapsed too quickly to fit a decay factor$"):
+            pl_decay_check(trace, gamma=0.5, mu=1.0, f_star=0.0)
 
     def test_too_few_rows_rejected(self):
         res, prob = self.run_exact_gradient_descent()
