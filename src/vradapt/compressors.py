@@ -289,10 +289,9 @@ def make_compressor(kind, dim, k=None):
     """Factory used by config parsing: kind in {topk, randk, identity}."""
     if kind == "identity":
         return IdentityCompressor(dim)
+    sparsifier = {"topk": TopK, "randk": RandK}.get(kind)
+    if sparsifier is None:
+        raise ValueError(f"unknown compressor kind {kind!r}")
     if k is None:
         raise ValueError(f"compressor {kind!r} needs k")
-    if kind == "topk":
-        return TopK(k, dim)
-    if kind == "randk":
-        return RandK(k, dim)
-    raise ValueError(f"unknown compressor kind {kind!r}")
+    return sparsifier(k, dim)

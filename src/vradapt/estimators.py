@@ -146,7 +146,7 @@ def _colsum(cols, values, dim):
 
 def _batch_mask(batches, n):
     mask = np.zeros((len(batches), n), dtype=bool)
-    np.put_along_axis(mask, batches, True, axis=1)
+    mask[np.arange(len(batches))[:, None], batches] = True
     return mask
 
 
@@ -155,7 +155,7 @@ def _table_sigma(gaps, batches):
     squared gaps with the batch's rows zeroed, averaged over all rows."""
     rows = (gaps * gaps).sum(axis=1)
     stale = np.tile(rows, (len(batches), 1))
-    np.put_along_axis(stale, batches, 0.0, axis=1)
+    stale[np.arange(len(batches))[:, None], batches] = 0.0
     return stale.sum(axis=1) / len(rows)
 
 
@@ -567,10 +567,19 @@ class _ClientServerEstimator(GradientEstimator):
 
     def _server_sum(self, per_client):
         """Share-weighted sum over the client axis, in client order:
-        (..., n_clients, d) -> (..., d).  cumsum accumulates client by
-        client; .sum(axis=-2) does too, except when d == 1 makes the
-        client axis the contiguous one and numpy sums it pairwise."""
-        return np.cumsum(self.weights[:, None] * per_client, axis=-2)[..., -1, :]
+        (..., n_clients, d) -> (..., d).  For d > 1 one reduce adds the
+        client rows in order onto -0.0, the one start that leaves every
+        first row as it is (+0.0 would turn a column of -0.0 into +0.0),
+        so each sum is the running sum ``cumsum`` ends on, at a third of
+        its cost; only where NaNs of both signs meet in one column may the
+        NaN that survives differ.  numpy adds a contiguous reduced axis
+        pairwise instead: hence the C-ordered product, whatever the
+        input's layout, and ``cumsum`` at d == 1, where the client axis
+        is the contiguous one."""
+        weighted = np.multiply(self.weights[:, None], per_client, order="C")
+        if weighted.shape[-1] == 1:
+            return np.cumsum(weighted, axis=-2)[..., -1, :]
+        return np.add.reduce(weighted, axis=-2, initial=-0.0)
 
     def _client_error(self, gaps):
         """Share-weighted mean squared client gap, (..., n_clients, d) ->

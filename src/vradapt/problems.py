@@ -178,12 +178,16 @@ class LogisticProblem(Problem):
     * ``_row_nnz``, ``_col_nnz``: the stored entries per row of ``X``
       and of ``XT``; ``_ids``: 0, 1, ..., nnz - 1 (int64).
 
-    ``_gather`` takes a batch of rows of either matrix flat, with
-    scipy's C kernels: the gather behind ``X[idx]``, run over ``_ids``
-    so that each entry's position comes back with its column, and the
-    product behind ``X @ x``.  So a batch costs its own entries, a row
-    with every feature costs only its own step, and every sum runs left
-    to right from +0.0 in the order of ``X @ x`` and ``XT @ w``.
+    Every product with a whole matrix (the margin pass, ``full_grad``,
+    each ``group_grads`` stack, the power iteration) is ``_matvec``:
+    scipy's C kernel behind ``X @ x``, called on the stored arrays
+    without the operator's dispatch, after a check of the point's shape.
+    ``_gather`` takes a batch of rows of either matrix flat, with the
+    gather behind ``X[idx]``, run over ``_ids`` so that each entry's
+    position comes back with its column, and ``_matvec`` over the
+    gathered rows.  So a batch costs its own entries, a row with every
+    feature costs only its own step, and every sum runs left to right
+    from +0.0 in the order of ``X @ x`` and ``XT @ w``.
 
     ``_scratch`` is the last margin pass, the negated margins
     -m = -y * (X @ x) and weights w = -y * expit(-m), keyed by x's
@@ -241,11 +245,13 @@ class LogisticProblem(Problem):
         v = np.random.default_rng(0).standard_normal(self.dim)
         v /= np.linalg.norm(v)
         seen, estimates = {}, []
+        X, XT, n = self.X, self.XT, self.n_components
         for i in range(iterations):
             j = seen.setdefault(v.tobytes(), i)
             if j < i:
                 return estimates[j + (iterations - 1 - j) % (i - j)]
-            w = (self.XT @ (self.X @ v)) / (4.0 * self.n_components)
+            Xv = _matvec(X.indptr, X.indices, X.data, v, self.dim)
+            w = _matvec(XT.indptr, XT.indices, XT.data, Xv, n) / (4.0 * n)
             norm = np.linalg.norm(w)
             if norm == 0.0:
                 return 0.0
@@ -259,12 +265,14 @@ class LogisticProblem(Problem):
         gradient.  The pair ``(key, (-m, w))`` for the last x, keyed by
         x's bytes, is read once and replaced whole, so a thread gets
         arrays of its own key, and an x changed in place is passed
-        again."""
-        x = np.asarray(x, dtype=float)
+        again; x is checked first, so a point of another shape with the
+        same bytes raises."""
+        x = _point(x, self.dim)
         key = x.tobytes()
         scratch = self._scratch
         if scratch is None or scratch[0] != key:
-            nm = self._neg_y * (self.X @ x)
+            X = self.X
+            nm = self._neg_y * _matvec(X.indptr, X.indices, X.data, x, self.dim)
             scratch = self._scratch = (key, (nm, self._neg_y * expit(nm)))
         return scratch[1]
 
@@ -294,7 +302,8 @@ class LogisticProblem(Problem):
         return self.component_grads(np.arange(self.n_components), x)
 
     def full_grad(self, x):
-        return (self.XT @ self._margin_pass(x)[1]) / self.n_components
+        XT, w = self.XT, self._margin_pass(x)[1]
+        return _matvec(XT.indptr, XT.indices, XT.data, w, self.n_components) / self.n_components
 
     def partials(self, x, coords):
         *_, sums = _gather(self.XT, self._col_nnz, self._ids, coords, (self._margin_pass(x)[1],))
@@ -311,11 +320,12 @@ class LogisticProblem(Problem):
             local = self.X[g].tocsc()
             blocks.append(csr_matrix((local.data, g[local.indices], local.indptr), shape=shape))
         stacked = vstack(blocks, format="csr")
+        arrays = stacked.indptr, stacked.indices, stacked.data
         sizes = np.array([len(g) for g in groups], dtype=float)[:, None]
 
         def grads(x):
             w = self._margin_pass(x)[1]
-            return (stacked @ w).reshape(len(sizes), self.dim) / sizes
+            return _matvec(*arrays, w, self.n_components).reshape(len(sizes), self.dim) / sizes
 
         return grads
 
@@ -335,11 +345,10 @@ def _gather(A, nnz, ids, rows, vectors):
     in A's arrays (``ids`` is 0, 1, ..., A.nnz - 1, int64), column and
     value; ``sums[k]`` is ``A[rows] @ vectors[k]``.
 
-    The only caller of scipy's private kernels: ``csr_row_index``, the
-    gather behind ``A[rows]``, run over ``ids``, and ``csr_matvec``, the
-    product behind ``A @ v``, which sums each row left to right from
-    +0.0.  Neither checks bounds, so the rows and vectors are checked
-    here; a negative row counts from the end, as in ``A[rows]``.
+    The only caller of ``csr_row_index``, scipy's private gather behind
+    ``A[rows]``, run over ``ids``; the sums are ``_matvec`` products over
+    the gathered arrays.  The gather checks no bounds, so the rows are
+    checked here; a negative row counts from the end, as in ``A[rows]``.
     """
     rows = np.asarray(rows, dtype=np.intp)
     lengths = nnz[rows]  # IndexError outside [-n, n), as A[rows]
@@ -352,11 +361,30 @@ def _gather(A, nnz, ids, rows, vectors):
     values = A.data.take(at)
     sums = np.zeros((len(vectors), len(rows)))
     for v, out in zip(vectors, sums):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (A.shape[1],):
-            raise ValueError(f"point of shape {v.shape}, need ({A.shape[1]},)")
-        _sparsetools.csr_matvec(len(rows), A.shape[1], indptr, cols, values, v, out)
+        _matvec(indptr, cols, values, v, A.shape[1], out)
     return lengths, at, cols, values, sums
+
+
+def _point(v, n):
+    """v as a float vector of shape (n,); ValueError for any other shape."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"point of shape {v.shape}, need ({n},)")
+    return v
+
+
+def _matvec(indptr, indices, data, v, n_cols, out=None):
+    """A @ v for the CSR matrix A with arrays ``(indptr, indices, data)``
+    and ``n_cols`` columns, by ``csr_matvec``, the kernel scipy's ``A @ v``
+    runs, called without the operator's dispatch (about 3 us a product).
+    The kernel adds each row's terms left to right onto ``out``, zeros (a
+    fresh array if not given), so each sum starts from +0.0; it checks no
+    bounds, so v is checked here.  The only caller of that kernel."""
+    v = _point(v, n_cols)
+    if out is None:
+        out = np.zeros(len(indptr) - 1)
+    _sparsetools.csr_matvec(len(indptr) - 1, n_cols, indptr, indices, data, v, out)
+    return out
 
 
 def _mean_logistic_loss(nm):

@@ -91,6 +91,15 @@ class TestRunCommand:
                 "method=ef21\ncompressor=TopK\nk=2\nn=6\nd=4\nclients=2\nT=5\n",
                 "unknown compressor kind 'TopK'",
             ),
+            # the kind is checked before k, which only top-k and rand-k take
+            (
+                "method=ef21\ncompressor=quantize\nn=12\nd=4\nclients=2\nT=5\n",
+                "unknown compressor kind 'quantize'",
+            ),
+            (
+                "method=ef21\ncompressor=\nn=12\nd=4\nclients=2\nT=5\n",
+                "unknown compressor kind ''",
+            ),
             (MISSING_DATA_CFG, "/no/such/file"),
             ("method=saga\nb=1\nn=0\nd=4\nT=5\n", "n must be >= 1, got 0"),
             ("method=saga\nb=1\nn=6\nd=0\nT=5\n", "d must be >= 1, got 0"),

@@ -530,6 +530,14 @@ class TestPlumbing:
             with pytest.raises(ValueError, match=f"^unknown compressor kind {kind!r}$"):
                 make_compressor(kind, 10, 3)
 
+    def test_factory_checks_the_kind_before_k(self):
+        for kind in ("quantize", "", "TopK"):
+            with pytest.raises(ValueError, match=f"^unknown compressor kind {kind!r}$"):
+                make_compressor(kind, 10)
+        for kind in ("topk", "randk"):
+            with pytest.raises(ValueError, match=f"^compressor {kind!r} needs k$"):
+                make_compressor(kind, 10)
+
     def test_identity_roundtrip(self):
         x = np.random.default_rng(5).standard_normal(7)
         comp = IdentityCompressor(7)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -697,6 +698,53 @@ class TestClientArraysMatchClientLoop:
             assert np.array_equal(est.step(x, rng), g)
             assert np.array_equal(est.client_state, np.array(memory))
             assert est.sigma_sq() == sigma
+
+
+def _client_block(rng, shape, kind):
+    """(..., n_clients, d) per-client values whose every column is of one
+    kind: finite over 16 decades, all -0.0, mixed +-0.0, finite with
+    +-inf (whose sum may be NaN), or finite with NaN."""
+    P = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    u = rng.random(shape)
+    if kind == "negative-zeros":
+        P[...] = -0.0
+    elif kind == "signed-zeros":
+        P = np.where(u < 0.5, 0.0, -0.0)
+    elif kind == "infinities":
+        P[u < 0.2], P[u > 0.8] = np.inf, -np.inf
+    elif kind == "nans":
+        P[u < 0.3] = np.nan
+    return P
+
+
+class TestServerSum:
+    """``_server_sum`` is, byte for byte, the last running sum ``cumsum``
+    gives over the client axis: the sum in client order, on any leading
+    shape and memory layout, with -0.0, +-inf and NaN entries."""
+
+    KINDS = ("finite", "negative-zeros", "signed-zeros", "infinities", "nans")
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 123])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_equals_cumsum_reference(self, d):
+        # 37 components over 10 clients: shares 4/37 and 3/37
+        est = make_estimator(
+            "ef21", make_quadratic(37, d, seed=1), np.zeros(d),
+            {"n_clients": 10, "compressor": "topk", "k": 1},
+        )
+        rng = np.random.default_rng(d)
+        for lead, kind in itertools.product(((), (1,), (256,)), self.KINDS):
+            P = _client_block(rng, lead + (10, d), kind)
+            want = np.cumsum(est.weights[:, None] * P, axis=-2)[..., -1, :]
+            transposed = np.swapaxes(np.swapaxes(P, -1, -2).copy(), -1, -2)
+            for layout in (P, np.asfortranarray(P), transposed):
+                got = est._server_sum(layout)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (lead, kind)
+            if kind == "negative-zeros":
+                # a reduce from its default +0.0 turns the column to +0.0
+                plain = np.add.reduce(est.weights[:, None] * P, axis=-2)
+                assert np.signbit(want).all() and not np.signbit(plain).any()
 
 
 def dense_reference_steps(method, problem, hp, xs, rng):

@@ -725,11 +725,11 @@ class TestLogisticMatchesScipyReference:
 
 
 class TestGather:
-    """``problems._gather``, the one caller of scipy's private kernels,
-    against the public expressions it stands for, bit for bit:
-    ``X[rows]`` and ``XT[coords]`` (indptr, indices, data) and their
-    ``@`` products.  A scipy change to those kernels fails here instead
-    of moving bits."""
+    """``problems._gather`` and ``problems._matvec``, the callers of
+    scipy's private kernels, against the public expressions they stand
+    for, bit for bit: ``X[rows]`` and ``XT[coords]`` (indptr, indices,
+    data) and every ``@`` product.  A scipy change to those kernels fails
+    here instead of moving bits."""
 
     @pytest.mark.parametrize("name", sorted(_EDGE_DATASETS))
     def test_matches_public_expressions(self, name):
@@ -758,17 +758,48 @@ class TestGather:
                 for v, got in zip(vectors, sums):
                     _assert_bit_equal(got, sub @ v)
 
+    @pytest.mark.parametrize("name", sorted(_EDGE_DATASETS))
+    def test_full_products_match_public_operator(self, name):
+        # the margin pass, full_grad, each group_grads row and the power
+        # iteration, at a random point, at -0.0 and at a strided point
+        prob = LogisticProblem(_EDGE_DATASETS[name]())
+        n, d = prob.n_components, prob.dim
+        groups = partition_problem(prob, min(n, 3), "round-robin")
+        grads = prob.group_grads(groups)
+        rng = np.random.default_rng(22)
+        for x in (rng.standard_normal(d), -np.zeros(d), rng.standard_normal(2 * d)[::2]):
+            nm, w = prob._margin_pass(x)
+            _assert_bit_equal(nm, -prob.y * (prob.X @ x))
+            _assert_bit_equal(w, -prob.y * expit(nm))
+            _assert_bit_equal(prob.full_grad(x), (prob.XT @ w) / n)
+            rows = [(prob.X[g].tocsc().T @ w[g]) / len(g) for g in groups]
+            _assert_bit_equal(grads(x), np.array(rows))
+        for iterations in (1, 7, LogisticProblem.POWER_ITERATIONS):
+            want, _ = _plain_power_iteration(_gram_product(prob), d, iterations)
+            assert prob._power_iteration(iterations).hex() == want.hex()
+
     def test_inputs_are_checked(self):
         # the kernels check no bounds: rows outside [-n, n) and points of
-        # another shape raise; a strided point reads as its copy
+        # another shape raise, at every oracle, also right after a pass at
+        # a point of the same bytes; a strided point reads as its copy
         prob = LogisticProblem(_ragged_dataset(0))
         n, d = prob.n_components, prob.dim
         for rows in ([n], [-n - 1]):
             with pytest.raises(IndexError):
                 prob.component_rows(np.array(rows), np.zeros(d))
+        oracles = {
+            "loss": prob.loss,
+            "full_grad": prob.full_grad,
+            "partials": lambda x: prob.partials(x, np.arange(d)),
+            "group_grads": prob.group_grads(partition_problem(prob, 3)),
+            "component_rows": lambda x: prob.component_rows(np.arange(n), x),
+        }
         for x in (np.zeros(d + 1), np.zeros((d, 1)), 0.0):
-            with pytest.raises(ValueError, match="point of shape"):
-                prob.component_rows(np.arange(n), x)
+            for name, oracle in oracles.items():
+                prob.loss(np.zeros(d))
+                with pytest.raises(ValueError, match="point of shape"):
+                    oracle(x)
+                    pytest.fail(f"{name} took a point of shape {np.shape(x)}")
         strided = np.random.default_rng(21).standard_normal(2 * d)[::2]
         got = prob.component_rows(np.arange(n), strided)
         want = prob.component_rows(np.arange(n), strided.copy())
