@@ -19,11 +19,12 @@ dense outputs of ``compress`` for every vector along the last axis of
 V, with fresh randomness per vector, drawn vector by vector in C order.
 The client-server estimators, the Monte Carlo verifier and the sampled
 contract checks all compress through it; ``compress`` is the reference
-the tests hold ``sample_dense`` to.  The sparsifiers' ``sample_dense``
-selects by a partition threshold and sorts only when a tie straddles
-the k-th place (or a NaN is present), so it keeps the sort's
-coordinates bit for bit.  Both calls reject vectors whose length is
-not the operator's ``dim``.
+the tests hold ``sample_dense`` to.  Both sparsifiers select through one
+path, ``_threshold_drop``: a mask of the entries past each row's k-th
+place in the sort, found by a partition threshold unless a tie
+straddles that place (or a NaN is present), so ``sample_dense`` keeps
+the sort's coordinates bit for bit.  The identity is top-k at k = d.
+Both calls reject vectors whose length is not the operator's ``dim``.
 """
 
 from __future__ import annotations
@@ -50,18 +51,6 @@ class CompressedVector:
         return out
 
 
-def _keep_dense(V, kept, scale=1.0):
-    """Dense array with V's entries at positions ``kept`` (along the last
-    axis) times ``scale``, zeros elsewhere: one flat gather and one flat
-    scatter at ``kept + d * row``, row numbering V's leading axes (a
-    broadcast V is raveled to a copy)."""
-    d = V.shape[-1]
-    flat = kept + np.arange(0, V.size, d).reshape(V.shape[:-1] + (1,))
-    out = np.zeros(V.shape)
-    out.reshape(-1)[flat] = scale * np.ravel(V)[flat]
-    return out
-
-
 def _check_length(V, dim, vector=False):
     """V as a float array after checking that it holds vectors of length
     ``dim`` along its last axis (and, for a ``vector``, only one)."""
@@ -73,20 +62,23 @@ def _check_length(V, dim, vector=False):
     return V
 
 
-def _threshold_drop(key, k):
-    """Where each row of ``key`` (along the last axis) is above its k-th
-    smallest entry, found by one partition; or None unless every row
-    keeps exactly k entries.
+def _threshold_drop(key, k, kind=None):
+    """Where each row of ``key`` (along the last axis) is not among the
+    first k positions of its argsort (numpy's sort ``kind``).
 
-    A row keeps its k smallest entries, any entry tied with the k-th and
-    any NaN (``NaN > t`` is false; a partition puts NaN last), so no row
-    keeps fewer than k.  One count over the block is then (d - k) per
-    row exactly when no tie straddles a row's k-th place and no NaN is
+    A partition threshold gives the mask without a sort: a row keeps
+    its k smallest entries, any entry tied with the k-th and any NaN
+    (``NaN > t`` is false; a partition puts NaN last), so no row keeps
+    fewer than k.  One count over the block is then (d - k) per row
+    exactly when no tie straddles a row's k-th place and no NaN is
     present, and each row keeps the first k positions of any argsort.
+    Otherwise each entry's rank in the argsort decides.
     """
     d = key.shape[-1]
     drop = key > np.partition(key, k - 1, axis=-1)[..., k - 1 : k]
-    return drop if np.count_nonzero(drop) == (d - k) * (key.size // d) else None
+    if np.count_nonzero(drop) == (d - k) * (key.size // d):
+        return drop
+    return key.argsort(axis=-1, kind=kind).argsort(axis=-1) >= k
 
 
 class TopK:
@@ -114,18 +106,11 @@ class TopK:
         """``compress(v).to_dense()`` for every v along the last axis of V,
         with the same lowest-index tie break.
 
-        Each row keeps the entries whose -|v| is at most its k-th
-        smallest, a threshold from one partition, not a sort.  When a tie
-        straddles that threshold, or a NaN is present, the rows are
-        sorted instead: the stable argsort of -|v|, whose first k
-        positions define the lowest-index tie rule (NaN ranks last).
+        Each row keeps the first k positions of the stable argsort of
+        -|v| (NaN ranks last), found by ``_threshold_drop``.
         """
         V = _check_length(V, self.dim)
-        key = -np.abs(V)
-        drop = _threshold_drop(key, self.k)
-        if drop is None:
-            return _keep_dense(V, np.argsort(key, axis=-1, kind="stable")[..., : self.k])
-        return np.where(drop, 0.0, V)
+        return np.where(_threshold_drop(-np.abs(V), self.k, "stable"), 0.0, V)
 
 
 class RandK:
@@ -157,51 +142,50 @@ class RandK:
         of uniforms, k distinct positions drawn uniformly.
 
         The uniforms are drawn as one block of V's shape, and each row
-        keeps those at most its k-th smallest, a threshold from one
-        partition.  Only when two uniforms tie at a row's k-th place are
-        the rows argsorted, so the kept set, and the rng's stream, are
-        those of the argsort either way.
+        keeps the first k positions of their argsort, found by
+        ``_threshold_drop``, so the kept set, and the rng's stream, are
+        those of ``compress``.  Scaled after the select, so only kept
+        entries are multiplied (and can overflow).
         """
         V = _check_length(V, self.dim)
-        scale = self.dim / self.k
-        U = rng.random(V.shape)
-        drop = _threshold_drop(U, self.k)
-        if drop is None:
-            return _keep_dense(V, U.argsort(axis=-1)[..., : self.k], scale)
-        # scaled after the select, so only kept entries are multiplied (and
-        # can overflow), as in _keep_dense
-        out = np.where(drop, 0.0, V)
-        out *= scale
+        out = np.where(_threshold_drop(rng.random(V.shape), self.k), 0.0, V)
+        out *= self.omega
         return out
 
     def enumerate_outcomes(self, x):
         """All equally likely outputs; exact-expectation checks for small d."""
-        x = np.asarray(x, dtype=float)
-        scale = self.dim / self.k
+        x = _check_length(x, self.dim, vector=True)
         for kept in itertools.combinations(range(self.dim), self.k):
             idx = np.array(kept, dtype=np.int64)
-            yield CompressedVector(idx, scale * x[idx], self.dim)
+            yield CompressedVector(idx, self.omega * x[idx], self.dim)
 
 
-class IdentityCompressor:
-    """No-op operator; delta = omega = 1.  Mostly a degenerate-case probe."""
-
-    randomized = False
+class IdentityCompressor(TopK):
+    """No-op operator, top-k at k = d; delta = omega = 1.  Mostly a
+    degenerate-case probe."""
 
     def __init__(self, dim):
-        self.dim = self.k = check_count("dim", dim)
-        self.delta = 1.0
+        super().__init__(dim, dim)
         self.omega = 1.0
-
-    def compress(self, x, rng=None) -> CompressedVector:
-        x = _check_length(x, self.dim, vector=True)
-        return CompressedVector(np.arange(self.dim, dtype=np.int64), x.copy(), self.dim)
-
-    def sample_dense(self, V, rng=None) -> np.ndarray:
-        return np.array(_check_length(V, self.dim))
 
     def enumerate_outcomes(self, x):
         yield self.compress(x)
+
+
+def _registered(compressor, name):
+    """The constant ``name`` a contract check judges; a ValueError, not
+    an AttributeError, names it when the compressor registers none."""
+    value = getattr(compressor, name, None)
+    if value is None:
+        raise ValueError(f"{type(compressor).__name__} registers no {name}")
+    return value
+
+
+def _check_trials(trials, sampled):
+    """Check ``trials`` as a count; a sampled verdict needs two draws, as
+    the standard error it is judged by takes two."""
+    if check_count("trials", trials) < 2 and sampled:
+        raise ValueError(f"a sampled check needs trials >= 2, got {trials}")
 
 
 def check_biased_contract(compressor, trials, rng) -> dict:
@@ -213,13 +197,14 @@ def check_biased_contract(compressor, trials, rng) -> dict:
     <= 1e-12); randomized ones are judged on the mean margin against
     3 standard errors.
     """
-    check_count("trials", trials)
-    bound = 1.0 - 1.0 / compressor.delta
+    delta = _registered(compressor, "delta")
+    _check_trials(trials, sampled=compressor.randomized)
+    bound = 1.0 - 1.0 / delta
     probes = rng.standard_normal((trials, compressor.dim))
     gaps = compressor.sample_dense(probes, rng) - probes
     margins = (gaps * gaps).sum(axis=1) / (probes * probes).sum(axis=1) - bound
     if compressor.randomized:
-        se = margins.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
+        se = margins.std(ddof=1) / np.sqrt(trials)
         margin = float(margins.mean())
         passed = margin <= 3.0 * se
     else:
@@ -228,7 +213,7 @@ def check_biased_contract(compressor, trials, rng) -> dict:
         passed = margin <= 1e-12
     return {
         "kind": "contractive",
-        "delta": compressor.delta,
+        "delta": delta,
         "margin": margin,
         "stderr": float(se),
         "trials": trials,
@@ -240,46 +225,39 @@ def check_unbiased_contract(compressor, trials, rng) -> dict:
     """Validate an unbiased registration.
 
     For dim <= 8 and an enumerable operator the mean and second moment are
-    computed over all outcomes (tolerance 1e-12, float summation only);
-    otherwise both are sampled, ``trials`` draws in one ``sample_dense``
-    call, and judged against 3 standard errors.
+    computed over all outcomes (standard errors 0, so the tolerance is
+    1e-12, float summation only); otherwise both are sampled, ``trials``
+    draws in one ``sample_dense`` call, and judged against 3 standard
+    errors.
     """
-    check_count("trials", trials)
+    omega = _registered(compressor, "omega")
     d = compressor.dim
+    enumerated = d <= 8 and hasattr(compressor, "enumerate_outcomes")
+    _check_trials(trials, sampled=not enumerated)
     x = rng.standard_normal(d)
     xsq = float((x ** 2).sum())
-    if d <= 8 and hasattr(compressor, "enumerate_outcomes"):
+    if enumerated:
         outcomes = [c.to_dense() for c in compressor.enumerate_outcomes(x)]
-        mean = np.mean(outcomes, axis=0)
-        second = float(np.mean([(o ** 2).sum() for o in outcomes]))
-        mean_err = float(np.abs(mean - x).max())
-        margin = second / xsq - compressor.omega
-        passed = mean_err <= 1e-12 and margin <= 1e-12
-        return {
-            "kind": "unbiased",
-            "omega": compressor.omega,
-            "mode": "enumeration",
-            "mean_error": mean_err,
-            "margin": float(margin),
-            "stderr": 0.0,
-            "passed": bool(passed),
-        }
-    samples = compressor.sample_dense(np.broadcast_to(x, (trials, d)), rng)
-    moments = (samples * samples).sum(axis=1) / xsq
-    se_mean = samples.std(axis=0, ddof=1) / np.sqrt(trials)
-    mean_err = np.abs(samples.mean(axis=0) - x)
-    se_moment = moments.std(ddof=1) / np.sqrt(trials)
-    margin = float(moments.mean() - compressor.omega)
+        mean_err = np.abs(np.mean(outcomes, axis=0) - x)
+        margin = float(np.mean([(o ** 2).sum() for o in outcomes])) / xsq - omega
+        se_mean = se_moment = 0.0
+    else:
+        samples = compressor.sample_dense(np.broadcast_to(x, (trials, d)), rng)
+        moments = (samples * samples).sum(axis=1) / xsq
+        se_mean = samples.std(axis=0, ddof=1) / np.sqrt(trials)
+        mean_err = np.abs(samples.mean(axis=0) - x)
+        se_moment = moments.std(ddof=1) / np.sqrt(trials)
+        margin = moments.mean() - omega
     passed = bool(
         np.all(mean_err <= 3.0 * se_mean + 1e-12)
         and margin <= 3.0 * se_moment + 1e-12
     )
     return {
         "kind": "unbiased",
-        "omega": compressor.omega,
-        "mode": "sampled",
+        "omega": omega,
+        "mode": "enumeration" if enumerated else "sampled",
         "mean_error": float(mean_err.max()),
-        "margin": margin,
+        "margin": float(margin),
         "stderr": float(se_moment),
         "passed": passed,
     }

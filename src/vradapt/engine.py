@@ -398,7 +398,7 @@ def run(config, problem=None):
         if rule.stationary:
             status = "stationary"
             break
-        x = x + update if update is not None else x - gamma_t * g
+        x = x + update
         # NaN and inf entries make the norm NaN or inf, which fail too
         if not _norm(x) <= 1e12:
             status = "diverged"

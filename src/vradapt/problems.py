@@ -25,7 +25,9 @@ class Problem:
     """Base class for averaged finite-sum objectives.
 
     Subclasses set ``dim``, ``n_components`` and ``smoothness`` and
-    implement every oracle at a point x:
+    implement every oracle at a point x but ``all_component_grads``,
+    which is defined here; each oracle takes only a point of shape
+    (dim,) (``_point``):
 
     * ``loss(x)``: the objective f(x);
     * ``component_rows(indices, *points)``: the batch's gradients on
@@ -59,6 +61,9 @@ class Problem:
     f_star: float | None = None
     x_opt: np.ndarray | None = None
 
+    def all_component_grads(self, x):
+        return self.component_grads(np.arange(self.n_components), x)
+
 
 class QuadraticProblem(Problem):
     """f_i(x) = 0.5 (x - x*)^T diag(eigs_i) (x - x*) + c_i."""
@@ -80,7 +85,7 @@ class QuadraticProblem(Problem):
         self.x_opt = self.x_star.copy()
 
     def loss(self, x):
-        z = np.asarray(x, dtype=float) - self.x_star
+        z = _point(x, self.dim) - self.x_star
         return float(0.5 * (self.mean_eigs * z * z).sum() + self.f_star)
 
     def component_rows(self, indices, *points):
@@ -88,30 +93,26 @@ class QuadraticProblem(Problem):
         idx = np.asarray(indices)
         entries = (idx[:, None] * self.dim + np.arange(self.dim)).ravel()
         eigs = self.eigs[idx]
-        values = [(eigs * (np.asarray(x, dtype=float) - self.x_star)).ravel() for x in points]
+        values = [(eigs * (_point(x, self.dim) - self.x_star)).ravel() for x in points]
         return entries, entries % self.dim, values
 
     def dense_rows(self, indices, values):
         return np.reshape(values, (len(indices), self.dim)).copy()
 
     def component_grads(self, indices, x):
-        return self.eigs[np.asarray(indices)] * (np.asarray(x, dtype=float) - self.x_star)
-
-    def all_component_grads(self, x):
-        z = np.asarray(x, dtype=float) - self.x_star
-        return self.eigs * z
+        # take gives the rows fancy indexing does, about 1 us sooner (20 x 10)
+        return self.eigs.take(indices, axis=0) * (_point(x, self.dim) - self.x_star)
 
     def full_grad(self, x):
-        z = np.asarray(x, dtype=float) - self.x_star
-        return self.mean_eigs * z
+        return self.mean_eigs * (_point(x, self.dim) - self.x_star)
 
     def partials(self, x, coords):
         coords = np.asarray(coords)
-        return self.mean_eigs[coords] * (np.asarray(x, dtype=float)[coords] - self.x_star[coords])
+        return self.mean_eigs[coords] * (_point(x, self.dim)[coords] - self.x_star[coords])
 
     def group_grads(self, groups):
         means = np.array([self.eigs[g].mean(axis=0) for g in groups])
-        return lambda x: means * (np.asarray(x, dtype=float) - self.x_star)
+        return lambda x: means * (_point(x, self.dim) - self.x_star)
 
 
 def make_quadratic(n_components, dim, seed=0, eig_range=(0.5, 2.0), cond=1.0):
@@ -297,9 +298,6 @@ class LogisticProblem(Problem):
         # scatter by the columns component_rows gathered, not a second gather
         _, cols, (values,) = self.component_rows(indices, x)
         return _scatter(self._row_nnz[np.asarray(indices, dtype=np.intp)], cols, values, self.dim)
-
-    def all_component_grads(self, x):
-        return self.component_grads(np.arange(self.n_components), x)
 
     def full_grad(self, x):
         XT, w = self.XT, self._margin_pass(x)[1]

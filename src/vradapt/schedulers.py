@@ -10,9 +10,9 @@ of the accumulated squared estimate norms, so it starts large and decays
 exactly as fast as the observed gradient energy dictates.
 
 A run steps with a rule object, ``FixedStep``, ``AdaptiveAccumulator``
-or ``AdamState``: ``advance(g_t)`` returns ``(gamma_t, update)``, update
-None for the step x - gamma_t * g_t or else the additive update, and
-``stationary`` is true once the iterate can no longer move.  Adam runs
+or ``AdamState``: ``advance(g_t)`` returns ``(gamma_t, update)``, the
+update additive (x <- x + update; -gamma_t * g_t for the first two),
+and ``stationary`` is true once the iterate can no longer move.  Adam runs
 at its usual decay rates; only its learning rate is a setting.
 """
 
@@ -74,7 +74,7 @@ class FixedStep:
     stationary = False
 
     def advance(self, g_t):
-        return self.gamma, None
+        return self.gamma, -self.gamma * g_t
 
 
 @dataclass
@@ -117,7 +117,8 @@ class AdaptiveAccumulator:
         return adaptive_step_size(self.nu, self.alpha, self.total)
 
     def advance(self, g_t):
-        return self.gamma(g_t), None
+        gamma_t = self.gamma(g_t)
+        return gamma_t, -gamma_t * g_t
 
 
 # (B*rho2 + A*C) / (rho1*rho2) per method in its hyperparameters, derived

@@ -12,7 +12,6 @@ from vradapt.compressors import (
     IdentityCompressor,
     RandK,
     TopK,
-    _keep_dense,
     _threshold_drop,
     check_biased_contract,
     check_unbiased_contract,
@@ -190,29 +189,26 @@ class TestSampleDense:
         V[0, 0, 1] = -0.0
         for k in range(1, 6):
             got = RandK(k, 5).sample_dense(V, Scripted(U))
-            want = _keep_dense(V, U.argsort(axis=-1)[..., :k], 5 / k)
+            want = _kept_by_sort(V, U.argsort(axis=-1)[..., :k], 5 / k)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_threshold_runs_without_ties_and_defers_on_them(self):
-        # the partition threshold itself gives the kept sets when no tie
-        # straddles a row's k-th place and no NaN is present; otherwise
-        # it returns None and the caller sorts
+        # the mask drops exactly what the first k positions of the argsort
+        # do not keep: from the partition threshold when no tie straddles
+        # a row's k-th place and no NaN is present, and from the ranks in
+        # the argsort when one does
         key = -np.abs(np.random.default_rng(8).standard_normal((4, 3, 9)))
-        for k in range(1, 10):
-            drop = _threshold_drop(key, k)
-            assert drop is not None
-            first_k = np.argsort(key, axis=-1, kind="stable")[..., :k]
-            kept = np.zeros(key.shape, dtype=bool)
-            np.put_along_axis(kept, first_k, True, axis=-1)
-            assert np.array_equal(drop, ~kept)
         tied = key.copy()
         tied[2, 1, :2] = -5.0
-        assert _threshold_drop(tied, 1) is None
-        assert _threshold_drop(tied, 2) is not None
         nan = key.copy()
         nan[0, 0, 4] = np.nan
-        assert all(_threshold_drop(nan, k) is None for k in range(1, 9))
-        assert _threshold_drop(nan, 9) is not None
+        for block in (key, tied, nan):
+            for kind in (None, "stable"):
+                for k in range(1, 10):
+                    first_k = np.argsort(block, axis=-1, kind=kind)[..., :k]
+                    kept = np.zeros(block.shape, dtype=bool)
+                    np.put_along_axis(kept, first_k, True, axis=-1)
+                    assert np.array_equal(_threshold_drop(block, k, kind), ~kept)
 
     def test_randk_subsets_are_uniform(self):
         V = np.ones((6000, 4))
@@ -228,28 +224,6 @@ class TestSampleDense:
         # each of the 6 subsets has probability 1/6: 1000 +- 4 sigma
         assert all(abs(c - 1000) < 4 * np.sqrt(6000 * (1 / 6) * (5 / 6)) for c in counts.values())
 
-    @pytest.mark.parametrize("scale", [1.0, 7.0 / 3.0])
-    @pytest.mark.parametrize(
-        "shape,source",
-        [((16, 5, 7), (16, 5, 7)), ((5, 7), (5, 7)), ((16, 5, 7), (5, 7)), ((7,), (7,))],
-        ids=["SxCxd", "Cxd", "broadcast", "d"],
-    )
-    def test_keep_dense_is_the_along_axis_take_and_put(self, shape, source, scale):
-        rng = np.random.default_rng(6)
-        base = rng.standard_normal(source)
-        # signed zeros among the entries, kept and dropped
-        base.reshape(-1)[::4] = -0.0
-        base.reshape(-1)[1::4] = 0.0
-        V = np.broadcast_to(base, shape)
-        kept = rng.random(shape).argsort(axis=-1)[..., :3]
-        want = np.zeros(shape)
-        np.put_along_axis(want, kept, scale * np.take_along_axis(V, kept, axis=-1), axis=-1)
-        got = _keep_dense(V, kept, scale)
-        assert got.shape == shape and got.flags.writeable
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-        assert np.any(np.signbit(got) & (got == 0.0))
-
     def test_identity_is_a_copy(self):
         V = np.random.default_rng(5).standard_normal((2, 3, 4))
         out = IdentityCompressor(4).sample_dense(np.broadcast_to(V, V.shape))
@@ -258,14 +232,23 @@ class TestSampleDense:
         assert V[0, 0, 0] != 99.0
 
 
+def _kept_by_sort(V, kept, scale=1.0):
+    """Zeros with V's entries at positions ``kept`` along the last axis,
+    times ``scale``."""
+    out = np.zeros(V.shape)
+    np.put_along_axis(out, kept, scale * np.take_along_axis(V, kept, axis=-1), axis=-1)
+    return out
+
+
 def _argsort_reference(compressor, V, seed):
     """The dense outputs as a full sort selects them: the stable argsort
-    of -|v| for top-k, the argsort of the same uniforms for rand-k."""
+    of -|v| for top-k (the identity too, at k = d), the argsort of the
+    same uniforms for rand-k."""
     k, d = compressor.k, compressor.dim
     if compressor.randomized:
         kept = np.random.default_rng(seed).random(V.shape).argsort(axis=-1)[..., :k]
-        return _keep_dense(V, kept, d / k)
-    return _keep_dense(V, np.argsort(-np.abs(V), axis=-1, kind="stable")[..., :k])
+        return _kept_by_sort(V, kept, d / k)
+    return _kept_by_sort(V, np.argsort(-np.abs(V), axis=-1, kind="stable")[..., :k])
 
 
 def _assert_sample_dense_is_the_sort(compressor, V, seed):
@@ -276,13 +259,20 @@ def _assert_sample_dense_is_the_sort(compressor, V, seed):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _assert_identity_is_its_input(V):
+    got = IdentityCompressor(V.shape[-1]).sample_dense(V)
+    assert got.shape == V.shape and not np.shares_memory(got, V)
+    assert np.array_equal(got.view(np.int64), V.view(np.int64))
+
+
 # few distinct magnitudes, so rows tie often; signed zeros, NaN, +-inf
 _TIE_PRONE = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 2.0, np.inf, -np.inf, np.nan]
 
 
 class TestThresholdMatchesSort:
     """``sample_dense`` selects by a partition threshold; the kept sets,
-    and so the outputs, are bit for bit those of the full sort.  Rows
+    and so the outputs, are bit for bit those of the full sort, and the
+    identity's (top-k at k = d) is its input.  Rows
     of up to 16 entries and longer ones both appear: numpy sorts and
     partitions short rows by another method."""
 
@@ -311,8 +301,20 @@ class TestThresholdMatchesSort:
         entry = st.one_of(st.sampled_from(_TIE_PRONE), st.floats())
         V = data.draw(arrays(np.float64, (S, C, d), elements=entry), label="V")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        for cls in (TopK, RandK):
-            _assert_sample_dense_is_the_sort(cls(k, d), V, seed)
+        for comp in (TopK(k, d), RandK(k, d), IdentityCompressor(d)):
+            _assert_sample_dense_is_the_sort(comp, V, seed)
+        _assert_identity_is_its_input(V)
+
+    @pytest.mark.parametrize("shape", [(1, 10, 10), (3, 4, 16), (2, 10, 17), (10, 123), (7,)])
+    def test_identity_is_top_d(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        V = rng.choice(_TIE_PRONE, size=shape)
+        # NaNs of both signs, and one with a payload
+        V.reshape(-1)[::7] = -np.nan
+        V.reshape(-1)[3::11] = np.frombuffer(np.uint64(0x7FF8_0000_0000_0ABC).tobytes())[0]
+        for block in (V, rng.standard_normal(shape), np.broadcast_to(V[..., :1], shape)):
+            _assert_sample_dense_is_the_sort(IdentityCompressor(shape[-1]), block, 0)
+            _assert_identity_is_its_input(block)
 
 
 class TestContracts:
@@ -333,6 +335,43 @@ class TestContracts:
         report = check_unbiased_contract(RandK(2, 6), 20000, rng)
         assert report["passed"]
         assert report["omega"] == pytest.approx(3.0)
+
+    def test_sampled_verdict_needs_two_trials(self):
+        # one draw has no standard error: a randomized biased check passed
+        # on it with stderr 0, the unbiased one warned and reported nan
+        class RandomKeep:
+            randomized, dim, delta = True, 10, 5.0
+
+            def sample_dense(self, V, rng):
+                return np.where(rng.random(V.shape) < 0.2, V, 0.0)
+
+        rng = np.random.default_rng(0)
+        message = r"^a sampled check needs trials >= 2, got 1$"
+        with pytest.raises(ValueError, match=message):
+            check_biased_contract(RandomKeep(), 1, rng)
+        with pytest.raises(ValueError, match=message):
+            check_unbiased_contract(RandK(2, 10), 1, rng)
+        # a pointwise or an enumerated verdict judges one probe
+        assert check_biased_contract(TopK(2, 10), 1, rng)["passed"]
+        assert check_unbiased_contract(RandK(2, 8), 1, rng)["mode"] == "enumeration"
+        for check in (check_biased_contract, check_unbiased_contract):
+            with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
+                check(IdentityCompressor(4), 0, rng)
+
+    @pytest.mark.parametrize(
+        "check,comp,constant",
+        [
+            (check_biased_contract, RandK(2, 10), "delta"),
+            (check_unbiased_contract, TopK(2, 10), "omega"),
+            (check_unbiased_contract, TopK(2, 4), "omega"),
+        ],
+        ids=["biased-randk", "unbiased-topk", "unbiased-topk-dim4"],
+    )
+    def test_unregistered_constant_is_named(self, check, comp, constant):
+        # named, not an AttributeError
+        name = type(comp).__name__
+        with pytest.raises(ValueError, match=f"^{name} registers no {constant}$"):
+            check(comp, 100, np.random.default_rng(0))
 
     @pytest.mark.parametrize("dim,mode", [(8, "enumeration"), (10, "sampled")])
     def test_enumeration_follows_the_compressors_dim(self, dim, mode):

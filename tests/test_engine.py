@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from vradapt import engine
 from vradapt.data import read_text
 from vradapt.engine import (
     CSV_HEADER,
@@ -388,9 +389,14 @@ class TestValidate:
         problem = make_quadratic(6, 4, seed=0)
         cfg = ExperimentConfig(method="saga", b=2, scheduler=scheduler, gamma=0.1)
         _, rule = validate(cfg, problem)
-        gamma_t, update = rule.advance(np.ones(problem.dim))
+        g = np.random.default_rng(0).standard_normal(problem.dim)
+        gamma_t, update = rule.advance(g)
         assert gamma_t > 0.0 and rule.stationary is False
-        assert (update is not None) == (scheduler == "adam")
+        assert update.shape == (problem.dim,)
+        # every rule's update is additive; all but Adam's are -gamma_t * g
+        if scheduler != "adam":
+            for want in (-gamma_t * g, -(gamma_t * g)):
+                assert np.array_equal(update.view(np.int64), want.view(np.int64))
 
     def test_unlisted_scheduler_is_rejected(self):
         problem = make_quadratic(6, 4, seed=0)
@@ -563,3 +569,41 @@ class TestSweep:
             "bits",
         ):
             assert key in res.summary
+
+
+class TestDocumentedKeys:
+    """The README sends readers to the ``vradapt.engine`` docstring for
+    the full list of config keys; that list names every
+    ``ExperimentConfig`` field and nothing else, and its method and
+    scheduler lines are the registries."""
+
+    @staticmethod
+    def _documented():
+        """(key, description) pairs from the docstring's key block, in
+        order: a line indented by two spaces holds comma-separated keys
+        and, after two or more spaces, their description (a key list may
+        end in a comma and go on on the next line); deeper lines continue
+        a description."""
+        block = engine.__doc__.split("Documented keys:\n", 1)[1]
+        documented, pending = [], []
+        for line in block.splitlines():
+            match = re.fullmatch(r"  (\S.*?)(?:\s{2,}(\S.*))?", line)
+            if not match:
+                continue
+            names, description = match.groups()
+            pending += [name.strip() for name in names.split(",") if name.strip()]
+            if description is not None:
+                documented += [(name, description) for name in pending]
+                pending = []
+        assert not pending, f"keys without a description: {pending}"
+        return documented
+
+    def test_every_config_field_and_no_other_key(self):
+        # sorted lists, so a key named twice fails too
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert sorted(name for name, _ in self._documented()) == sorted(fields)
+
+    def test_method_and_scheduler_lines_are_the_registries(self):
+        documented = dict(self._documented())
+        assert tuple(documented["method"].split(" | ")) == METHODS
+        assert tuple(documented["scheduler"].split(" | ")) == SCHEDULERS

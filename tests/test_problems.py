@@ -43,6 +43,38 @@ class TestQuadratic:
         assert prob.smoothness == 4.0
         assert prob.loss(x) == pytest.approx(0.5 * (1 + 4))
 
+    def test_points_of_another_shape_are_rejected(self):
+        # a (d, 1) point broadcast against the (d,) optimum: loss summed a
+        # (d, d) array (128.88 where the (d,) point gives 13.05) and
+        # full_grad returned one
+        prob = make_quadratic(20, 10, seed=0)
+        n, d = prob.n_components, prob.dim
+        oracles = {
+            "loss": prob.loss,
+            "full_grad": prob.full_grad,
+            "partials": lambda x: prob.partials(x, [0, 1]),
+            "group_grads": prob.group_grads(partition_problem(prob, 3)),
+            "component_rows": lambda x: prob.component_rows(np.arange(n), np.zeros(d), x),
+            "component_grads": lambda x: prob.component_grads([0, 1], x),
+            "all_component_grads": prob.all_component_grads,
+        }
+        for x in (np.ones((d, 1)), np.ones(d + 1), np.ones((1, d)), 1.0):
+            for name, oracle in oracles.items():
+                with pytest.raises(ValueError, match=rf"^point of shape .*, need \({d},\)$"):
+                    oracle(x)
+                    pytest.fail(f"{name} took a point of shape {np.shape(x)}")
+        assert prob.loss(np.ones(d)) == prob.loss([1.0] * d)
+
+    @pytest.mark.parametrize("quadratic", [True, False])
+    def test_all_component_grads_is_the_full_index_stack(self, quadratic):
+        prob = make_quadratic(9, 4, seed=3) if quadratic else logistic_problem(_ragged_dataset(1))
+        x = np.random.default_rng(6).standard_normal(prob.dim)
+        got = prob.all_component_grads(x)
+        assert got.shape == (prob.n_components, prob.dim)
+        _assert_bit_equal(got, prob.component_grads(np.arange(prob.n_components), x))
+        if quadratic:
+            _assert_bit_equal(got, prob.eigs * (x - prob.x_star))
+
     def test_optimum(self):
         prob = make_quadratic(8, 5, seed=2)
         assert np.allclose(prob.full_grad(prob.x_opt), 0.0, atol=1e-14)
