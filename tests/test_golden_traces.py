@@ -303,6 +303,19 @@ GOLDEN = [
         dict(file="dominant", method="page", presets=True, scheduler="adaptive"),
         "bf634c9476966c8e962877c2465e99050cd34748aeb0958d979b12211a036168",
     ),
+    # batches drawn with replacement repeat rows, and each repeat adds
+    (
+        "page-dominant-with-replacement",
+        dict(file="dominant", method="page", presets=True, with_replacement=True,
+             scheduler="adaptive"),
+        "a15f725cb211f1751e21c60c1708b0910e8c27570bf06c22c3d7de2654d7dcb1",
+    ),
+    (
+        "lsvrg-dominant-with-replacement",
+        dict(file="dominant", method="lsvrg", presets=True, with_replacement=True,
+             scheduler="adaptive"),
+        "e2941486bd35a0dcc9fe2aed8841ef9608f162efacc4f337d070cdbab8d9618e",
+    ),
     (
         "jaguar-dominant",
         dict(file="dominant", method="jaguar", b=8, scheduler="adaptive"),
@@ -384,6 +397,8 @@ TRAJECTORY = {
     "zerosarah-dominant": "b47630df0f4066a889451f8b6e52f5801786d196cf354d4b7908586227487808",
     "lsvrg-dominant": "6bcebe292812444f5b0ad9e4a9f02c324127db31a10fccbeb2e2faf25e71d267",
     "page-dominant": "0f92c2ef8ff15beb032b5537001e817d6cd6b316f52b38fead0af718ff42275b",
+    "page-dominant-with-replacement": "9cd30597f0d8afb38ad575413a2207cd95a7fd3638aa77bc6cb810bb4c99c09b",
+    "lsvrg-dominant-with-replacement": "19c26f5a27d13baece002dbad0622ee7956e7d61c04a557ca323cd5ed59bc103",
     "jaguar-dominant": "5f7f70cfd5e9eb473008b148b7d548dfbd7030bb91294824bf9d0cbfd219f1ba",
     "saga-dense-row": "5b243766f1621284ab8273323138f5d4f574d354fe0f5ab4ecc99e4a0cf7ce3b",
     "zerosarah-dense-row": "33d3362bef08065f2b40699ab0b53c9be9e27acefafefe3c7a45b562718d7559",
