@@ -135,15 +135,6 @@ def _draw_batches(rng, n, b, S, with_replacement=False):
     return rng.random((S, n)).argsort(axis=1)[:, :b]
 
 
-def _colsum(cols, values, dim):
-    """Column sums of flat support values (``component_rows``' layout)
-    -> (dim,).  bincount adds each column's entries in row order, starting
-    from +0.0, as numpy's axis-0 sum of the dense (b, dim) stack does for
-    dim > 1; the values never hold -0.0, so the two agree bit for bit.
-    (At dim == 1 numpy sums the contiguous axis pairwise.)"""
-    return np.bincount(cols, values, minlength=dim)
-
-
 def _batch_mask(batches, n):
     mask = np.zeros((len(batches), n), dtype=bool)
     mask[np.arange(len(batches))[:, None], batches] = True
@@ -299,9 +290,9 @@ class LSVRG(GradientEstimator):
             self.anchor_grad = problem.full_grad(self.anchor)
             self.grad_calls += problem.n_components
         batch = _draw_batch(rng, problem.n_components, self.b, self.with_replacement)
-        _, cols, (cur, anc) = problem.component_rows(batch, x_t, self.anchor)
+        rows, (cur, anc) = problem.component_rows(batch, x_t, self.anchor)
         self.grad_calls += 2 * self.b
-        return self.anchor_grad + _colsum(cols, cur - anc, problem.dim) / self.b
+        return self.anchor_grad + problem.batch_sum(rows, [cur - anc])[0] / self.b
 
     def sigma_sq(self):
         diff = self.problem.all_component_grads(self.anchor) - self.problem.all_component_grads(self.x)
@@ -329,22 +320,27 @@ class LSVRG(GradientEstimator):
 
 
 class _TableEstimator(GradientEstimator):
-    """A gradient table held on the components' support, flat: ``flat``
-    holds the last gradient of every f_i seen, entry k of the support at
-    position k (``problem.component_rows``' layout, over every
-    component).  Steps read and write back a batch's entries by their
-    positions; ``table`` is the dense (n, d) view for diagnostics and the
-    verifier, built from ``flat`` on each read."""
+    """A gradient table held as coefficients: ``coefs[i]`` holds the
+    coefficient of the last gradient of f_i seen (``Problem``), one float
+    per component on a linear model (n floats, not one per stored entry
+    of A) and a (d,) row on the quadratic.  A step reads and writes back
+    its batch's coefficients by index and sums their differences over
+    the gathered rows in one ``problem.batch_sum``, so a stored entry v
+    enters as v * (c - c'): on binary values that is v * c - v * c' bit
+    for bit, on others it may round apart in the last bit.  ``table`` is
+    the dense (n, d) view for diagnostics and the verifier, built from
+    ``coefs`` on each read: each row is ``component_grads`` at the
+    component's last-seen point, bit for bit."""
 
     def _opening_pass(self):
         n = self.problem.n_components
-        _, cols, (self.flat,) = self.problem.component_rows(np.arange(n), self.x)
-        self.table_mean = _colsum(cols, self.flat, self.problem.dim) / n
+        rows, (self.coefs,) = self.problem.component_rows(np.arange(n), self.x)
+        self.table_mean = self.problem.batch_sum(rows, [self.coefs])[0] / n
         return self.table_mean.copy()
 
     @property
     def table(self):
-        return self.problem.dense_rows(np.arange(self.problem.n_components), self.flat)
+        return self.problem.dense_rows(np.arange(self.problem.n_components), self.coefs)
 
     def sigma_sq(self):
         diff = self.problem.all_component_grads(self.x) - self.table
@@ -353,8 +349,8 @@ class _TableEstimator(GradientEstimator):
 
 class SAGA(_TableEstimator):
     """Gradient-table estimator; sampled rows are re-evaluated at the
-    current point and written back after each estimate.  The table is
-    support-aligned (see ``_TableEstimator``)."""
+    current point and written back after each estimate.  The table holds
+    coefficients (see ``_TableEstimator``)."""
 
     method = "saga"
     fixture = {"b": 4}
@@ -377,11 +373,11 @@ class SAGA(_TableEstimator):
     def _update(self, x_t, rng):
         problem = self.problem
         batch = _draw_batch(rng, problem.n_components, self.b)
-        entries, cols, (cur,) = problem.component_rows(batch, x_t)
+        rows, (cur,) = problem.component_rows(batch, x_t)
         self.grad_calls += self.b
-        change = _colsum(cols, cur - self.flat[entries], problem.dim)
+        change = problem.batch_sum(rows, [cur - self.coefs[batch]])[0]
         g = self.table_mean + change / self.b
-        self.flat[entries] = cur
+        self.coefs[batch] = cur
         self.table_mean = self.table_mean + change / problem.n_components
         return g
 
@@ -413,9 +409,9 @@ class PAGE(GradientEstimator):
             self.grad_calls += problem.n_components
             return g
         batch = _draw_batch(rng, problem.n_components, self.b, self.with_replacement)
-        _, cols, (cur, prev) = problem.component_rows(batch, x_t, self.x)
+        rows, (cur, prev) = problem.component_rows(batch, x_t, self.x)
         self.grad_calls += 2 * self.b
-        return self.g + _colsum(cols, cur - prev, problem.dim) / self.b
+        return self.g + problem.batch_sum(rows, [cur - prev])[0] / self.b
 
     def step_batch(self, x_cand, rng, S):
         problem = self.problem
@@ -431,7 +427,7 @@ class PAGE(GradientEstimator):
 class ZeroSARAH(_TableEstimator):
     """Difference-chain estimator with a gradient table but no full
     refresh after the first pass; the table correction is mixed in with
-    weight lambda = b/(2n).  The table is support-aligned (see
+    weight lambda = b/(2n).  The table holds coefficients (see
     ``_TableEstimator``)."""
 
     method = "zerosarah"
@@ -449,17 +445,15 @@ class ZeroSARAH(_TableEstimator):
 
     def _update(self, x_t, rng):
         problem = self.problem
-        d = problem.dim
         lam = self.b / (2.0 * problem.n_components)
         batch = _draw_batch(rng, problem.n_components, self.b)
-        entries, cols, (cur, prev) = problem.component_rows(batch, x_t, self.x)
+        rows, (cur, prev) = problem.component_rows(batch, x_t, self.x)
         self.grad_calls += 2 * self.b
-        old = self.flat[entries]
-        chain = _colsum(cols, cur - prev, d) / self.b
-        control = _colsum(cols, prev - old, d) / self.b + self.table_mean
-        g = chain + (1.0 - lam) * self.g + lam * control
-        self.flat[entries] = cur
-        self.table_mean = self.table_mean + _colsum(cols, cur - old, d) / problem.n_components
+        old = self.coefs[batch]
+        chain, control, change = problem.batch_sum(rows, [cur - prev, prev - old, cur - old])
+        g = chain / self.b + (1.0 - lam) * self.g + lam * (control / self.b + self.table_mean)
+        self.coefs[batch] = cur
+        self.table_mean = self.table_mean + change / problem.n_components
         return g
 
     def step_batch(self, x_cand, rng, S):

@@ -27,21 +27,29 @@ class Problem:
     Subclasses set ``dim``, ``n_components`` and ``smoothness`` and
     implement every oracle at a point x but ``all_component_grads``,
     which is defined here; each oracle takes only a point of shape
-    (dim,) (``_point``):
+    (dim,) (``_point``).
+
+    A component gradient is a coefficient times a fixed map: grad f_i(x)
+    = J_i^T c_i(x).  On a linear model J_i is the row a_i and c_i(x) one
+    scalar; on the quadratic J_i is the identity and c_i(x) the (dim,)
+    gradient itself.  The batch oracles work on coefficients, so a
+    caller that keeps or differences gradients keeps or differences
+    coefficients, and sums a batch once:
 
     * ``loss(x)``: the objective f(x);
-    * ``component_rows(indices, *points)``: the batch's gradients on
-      its support, flat and unpadded, ``(entries, cols, [values at each
-      point])``: the batch's components one after another, each with
-      its stored entries in order.  ``entries`` numbers each entry in a
-      flat table over all n components (``component_rows`` over every
-      component, in order, gives 0, 1, 2, ...), ``cols`` is its column,
-      and each values array holds the gradient entries there;
-    * ``dense_rows(indices, values)``: values on the support of
-      ``component_rows(indices)`` scattered into a dense
-      (len(indices), dim) array;
+    * ``component_rows(indices, *points)``: ``(rows, coefs)``, the
+      batch's rows gathered once and, for each point, the coefficients
+      c_i there: an array ``coefs`` of shape (len(points), len(indices))
+      on a linear model, (len(points), len(indices), dim) on the
+      quadratic;
+    * ``batch_sum(rows, C)``: for a stack C of k such coefficient
+      arrays over the gathered rows, (k, len(indices)[, dim]), the
+      (k, dim) sums sum_i J_i^T C[m, i], each column added in batch
+      order from +0.0; a repeated index adds twice;
+    * ``dense_rows(indices, coefs)``: the gradients J_i^T coefs[i],
+      dense, (len(indices), dim);
     * ``component_grads(indices, x)``: gradient stack, (len(indices), dim),
-      the dense scatter of ``component_rows``;
+      ``dense_rows`` at the coefficients at x;
     * ``all_component_grads(x)``: the stack over all n components;
     * ``full_grad(x)``: the gradient of f;
     * ``partials(x, coords)``: coordinate derivatives of f, each
@@ -89,15 +97,21 @@ class QuadraticProblem(Problem):
         return float(0.5 * (self.mean_eigs * z * z).sum() + self.f_star)
 
     def component_rows(self, indices, *points):
-        # component i's support is every column, its entries i*d .. i*d + d - 1
-        idx = np.asarray(indices)
-        entries = (idx[:, None] * self.dim + np.arange(self.dim)).ravel()
-        eigs = self.eigs[idx]
-        values = [(eigs * (_point(x, self.dim) - self.x_star)).ravel() for x in points]
-        return entries, entries % self.dim, values
+        # the coefficients are the gradients: J_i is the identity
+        rows = np.asarray(indices)
+        eigs = self.eigs[rows]
+        return rows, np.array([eigs * (_point(x, self.dim) - self.x_star) for x in points])
 
-    def dense_rows(self, indices, values):
-        return np.reshape(values, (len(indices), self.dim)).copy()
+    def batch_sum(self, rows, C):
+        """Column sums of each (len(rows), dim) slice of C, in row order
+        from +0.0: a running sum from a zero row, which numpy's reduce
+        is not when the row axis is the contiguous one (dim == 1)."""
+        C = _stack(C, (len(rows), self.dim))
+        start = np.zeros((len(C), 1, self.dim))
+        return np.cumsum(np.concatenate((start, C), axis=1), axis=1)[:, -1]
+
+    def dense_rows(self, indices, coefs):
+        return np.reshape(coefs, (len(indices), self.dim)).copy()
 
     def component_grads(self, indices, x):
         # take gives the rows fancy indexing does, about 1 us sooner (20 x 10)
@@ -168,27 +182,27 @@ class LogisticProblem(Problem):
       ``values``) as a CSR matrix (n x d), not concatenated again
       (scipy may narrow the index arrays to int32); the margin pass
       (``_margin_pass``) and the power iteration read it, and
-      ``component_rows`` gathers the batch's rows from it.  A
-      component's support is its row's stored entries, numbered by
-      their positions in ``X``'s arrays, so a table over every
-      component is a flat (nnz,) array.
+      ``component_rows`` gathers the batch's rows from it.
     * ``XT``: A^T as a CSR matrix (d x n), a transposed view of A's CSC
       arrays, one stored row per feature; ``full_grad`` and the power
       iteration read it, and ``partials`` gathers the sampled features'
       rows from it.
     * ``_row_nnz``, ``_col_nnz``: the stored entries per row of ``X``
-      and of ``XT``; ``_ids``: 0, 1, ..., nnz - 1 (int64).
+      and of ``XT``.
 
     Every product with a whole matrix (the margin pass, ``full_grad``,
     each ``group_grads`` stack, the power iteration) is ``_matvec``:
     scipy's C kernel behind ``X @ x``, called on the stored arrays
     without the operator's dispatch, after a check of the point's shape.
-    ``_gather`` takes a batch of rows of either matrix flat, with the
-    gather behind ``X[idx]``, run over ``_ids`` so that each entry's
-    position comes back with its column, and ``_matvec`` over the
-    gathered rows.  So a batch costs its own entries, a row with every
-    feature costs only its own step, and every sum runs left to right
-    from +0.0 in the order of ``X @ x`` and ``XT @ w``.
+    ``_gather`` takes a batch of rows of either matrix as CSR arrays of
+    its own, with the gather behind ``X[idx]``.  A component's
+    coefficient is its loss weight -y_i * expit(-y_i * <a_i, x>), one
+    float, so a table over every component holds n of them, and
+    ``batch_sum`` adds a stack of coefficients over the gathered rows in
+    one call of the kernel behind ``X[idx].T @ C``.  So a batch costs its
+    own entries, a row with every feature costs only its own step, and
+    every sum runs left to right from +0.0 in the order of ``X @ x``,
+    ``XT @ w`` and ``X[idx].T @ C``.
 
     ``_scratch`` is the last margin pass, the negated margins
     -m = -y * (X @ x) and weights w = -y * expit(-m), keyed by x's
@@ -203,12 +217,12 @@ class LogisticProblem(Problem):
 
     Every gradient oracle result is bit-identical, down to the sign of
     zeros, to the plain scipy CSR expressions (``X[idx]`` -> ``.multiply``
-    -> ``.toarray()``, ``X.T @ w``, a per-column ``getcol`` loop): each
-    sum runs left to right over a row's stored entries, in the order of
-    the sparse kernels, and gradient entries land on +0.0 as in scipy's
-    sparse-to-dense conversion.  Reordering a sum (BLAS on a dense copy,
-    ``.sum(axis=1)``, ``np.add.reduceat``) moves results in the last bit
-    and with them every trace hash.
+    -> ``.toarray()``, ``X.T @ w``, ``X[idx].T @ C``, a per-column
+    ``getcol`` loop): each sum runs left to right over a row's stored
+    entries, in the order of the sparse kernels, and gradient entries
+    land on +0.0 as in scipy's sparse-to-dense conversion.  Reordering a
+    sum (BLAS on a dense copy, ``.sum(axis=1)``, ``np.add.reduceat``)
+    moves results in the last bit and with them every trace hash.
     """
 
     POWER_ITERATIONS = 200
@@ -230,7 +244,6 @@ class LogisticProblem(Problem):
         self.XT = X.tocsc().T
         self._row_nnz = np.diff(X.indptr)
         self._col_nnz = np.diff(self.XT.indptr)
-        self._ids = np.arange(X.nnz, dtype=np.int64)
         self._scratch = None
         self.smoothness = self._power_iteration()
 
@@ -281,31 +294,41 @@ class LogisticProblem(Problem):
         return _mean_logistic_loss(self._margin_pass(x)[0])
 
     def component_rows(self, indices, *points):
-        lengths, entries, cols, values, sums = _gather(
-            self.X, self._row_nnz, self._ids, indices, points
-        )
-        neg_y = self._neg_y[np.asarray(indices, dtype=np.intp)]
-        scaled = values * np.repeat(neg_y * expit(neg_y * sums), lengths, axis=1)
-        # sparse-to-dense accumulates into +0.0, which turns -0.0 into +0.0
-        scaled += 0.0
-        return entries, cols, list(scaled)
+        indices = np.asarray(indices, dtype=np.intp)
+        rows = _gather(self.X, self._row_nnz, indices)
+        sums = np.zeros((len(points), len(indices)))
+        for x, out in zip(points, sums):
+            _matvec(*rows, x, self.dim, out)
+        neg_y = self._neg_y[indices]
+        return rows, neg_y * expit(neg_y * sums)
 
-    def dense_rows(self, indices, values):
-        lengths, _, cols, _, _ = _gather(self.X, self._row_nnz, self._ids, indices, ())
-        return _scatter(lengths, cols, values, self.dim)
+    def batch_sum(self, rows, C):
+        """(k, d): ``(X[idx].T @ C.T).T`` for the gathered rows ``(indptr,
+        cols, values)`` of ``X[idx]`` and a (k, len(idx)) stack C.  Those
+        arrays are the CSC arrays of ``X[idx].T``, and ``csc_matvecs``, the
+        kernel behind scipy's product, adds each row's entries times its
+        coefficients onto zeros, row after row.  It checks no bounds, so
+        C's shape is checked here.  The only caller of that kernel."""
+        C = _stack(C, (len(rows[0]) - 1,))
+        out = np.zeros((self.dim, len(C)))
+        _sparsetools.csc_matvecs(self.dim, C.shape[1], len(C), *rows, np.ascontiguousarray(C.T), out)
+        return out.T
+
+    def dense_rows(self, indices, coefs):
+        return _scatter(_gather(self.X, self._row_nnz, indices), coefs, self.dim)
 
     def component_grads(self, indices, x):
-        # scatter by the columns component_rows gathered, not a second gather
-        _, cols, (values,) = self.component_rows(indices, x)
-        return _scatter(self._row_nnz[np.asarray(indices, dtype=np.intp)], cols, values, self.dim)
+        # scatter the rows component_rows gathered, not a second gather
+        rows, (coefs,) = self.component_rows(indices, x)
+        return _scatter(rows, coefs, self.dim)
 
     def full_grad(self, x):
         XT, w = self.XT, self._margin_pass(x)[1]
         return _matvec(XT.indptr, XT.indices, XT.data, w, self.n_components) / self.n_components
 
     def partials(self, x, coords):
-        *_, sums = _gather(self.XT, self._col_nnz, self._ids, coords, (self._margin_pass(x)[1],))
-        return sums[0] / self.n_components
+        w, n = self._margin_pass(x)[1], self.n_components
+        return _matvec(*_gather(self.XT, self._col_nnz, coords), w, n) / n
 
     def group_grads(self, groups):
         """One stacked CSR, (len(groups) * dim) x n, holds each group's Xᵀ
@@ -328,25 +351,27 @@ class LogisticProblem(Problem):
         return grads
 
 
-def _scatter(lengths, cols, values, dim):
-    """Flat row entries, ``lengths[k]`` of them for row k, dense:
-    (len(lengths), dim) zeros with each value at its row and column."""
+def _scatter(rows, coefs, dim):
+    """The gathered rows ``(indptr, cols, values)``, row k times
+    ``coefs[k]``, dense: (len(coefs), dim) zeros with each product at
+    its row and column, a -0.0 product as +0.0, as sparse-to-dense
+    conversion accumulates onto +0.0."""
+    indptr, cols, values = rows
+    lengths = np.diff(indptr)
     out = np.zeros((len(lengths), dim))
-    out[np.repeat(np.arange(len(lengths)), lengths), cols] = values
+    scaled = values * np.repeat(coefs, lengths) + 0.0
+    out[np.repeat(np.arange(len(lengths)), lengths), cols] = scaled
     return out
 
 
-def _gather(A, nnz, ids, rows, vectors):
+def _gather(A, nnz, rows):
     """Rows ``rows`` of the CSR matrix A, whose rows hold ``nnz`` stored
-    entries each, flat: ``(lengths, at, cols, values, sums)``, each row's
-    entry count, and each of their stored entries in order, its position
-    in A's arrays (``ids`` is 0, 1, ..., A.nnz - 1, int64), column and
-    value; ``sums[k]`` is ``A[rows] @ vectors[k]``.
+    entries each: the CSR arrays ``(indptr, cols, values)`` of
+    ``A[rows]``, each row's stored entries in order.
 
     The only caller of ``csr_row_index``, scipy's private gather behind
-    ``A[rows]``, run over ``ids``; the sums are ``_matvec`` products over
-    the gathered arrays.  The gather checks no bounds, so the rows are
-    checked here; a negative row counts from the end, as in ``A[rows]``.
+    ``A[rows]``.  The gather checks no bounds, so the rows are checked
+    here; a negative row counts from the end, as in ``A[rows]``.
     """
     rows = np.asarray(rows, dtype=np.intp)
     lengths = nnz[rows]  # IndexError outside [-n, n), as A[rows]
@@ -354,13 +379,18 @@ def _gather(A, nnz, ids, rows, vectors):
     indptr = np.zeros(len(rows) + 1, dtype=A.indptr.dtype)
     np.add.accumulate(lengths, out=indptr[1:])
     cols = np.empty(indptr[-1], dtype=A.indices.dtype)
-    at = np.empty(indptr[-1], dtype=ids.dtype)
-    _sparsetools.csr_row_index(len(rows), rows, A.indptr, A.indices, ids, cols, at)
-    values = A.data.take(at)
-    sums = np.zeros((len(vectors), len(rows)))
-    for v, out in zip(vectors, sums):
-        _matvec(indptr, cols, values, v, A.shape[1], out)
-    return lengths, at, cols, values, sums
+    values = np.empty(indptr[-1], dtype=A.data.dtype)
+    _sparsetools.csr_row_index(len(rows), rows, A.indptr, A.indices, A.data, cols, values)
+    return indptr, cols, values
+
+
+def _stack(C, shape):
+    """C as a float stack of k arrays of shape ``shape``, (k, *shape);
+    ValueError for any other shape."""
+    C = np.asarray(C, dtype=float)
+    if C.shape[1:] != shape:
+        raise ValueError(f"stack of shape {C.shape}, need (k, {', '.join(map(str, shape))})")
+    return C
 
 
 def _point(v, n):

@@ -20,6 +20,8 @@ from vradapt.estimators import (
 )
 from vradapt.problems import QuadraticProblem, logistic_problem, make_quadratic
 
+from test_problems import _ragged_dataset
+
 
 class ScriptedRng:
     """Replays a fixed script of coin flips, batch draws and uniform
@@ -338,10 +340,10 @@ class TestSAGA:
         first = est.table
         twin = est.clone()
         twin.step(np.full(4, 0.3), np.random.default_rng(0))
-        assert np.array_equal(twin.table, quad.dense_rows(np.arange(6), twin.flat))
+        assert np.array_equal(twin.table, quad.dense_rows(np.arange(6), twin.coefs))
         assert not np.array_equal(twin.table, first)
         est.step(np.full(4, -0.3), np.random.default_rng(0))
-        assert np.array_equal(est.table, quad.dense_rows(np.arange(6), est.flat))
+        assert np.array_equal(est.table, quad.dense_rows(np.arange(6), est.coefs))
         assert not np.array_equal(est.table, first)
 
     def test_old_rows_used_not_fresh(self, quad):
@@ -808,9 +810,12 @@ def _bit_equal(got, want):
 
 
 class TestSupportStepsMatchDenseAlgebra:
-    """The support-aligned steps (column sums over the batch's support,
-    flat tables) give bit for bit what the dense algebra gives,
-    over 200 steps on a sparse logistic problem and a dense quadratic."""
+    """The coefficient steps (``batch_sum`` over the gathered rows,
+    coefficient tables) give bit for bit what the dense algebra gives,
+    over 200 steps on a sparse logistic problem with binary values and a
+    dense quadratic.  On other values a row's entry times a coefficient
+    difference may round apart from the difference of the two products,
+    so there only the tables are bit for bit (``TestCoefficientTable``)."""
 
     CASES = [
         ("lsvrg", {"b": 8, "p": 0.2}),
@@ -844,6 +849,38 @@ class TestSupportStepsMatchDenseAlgebra:
             if table is not None:
                 assert _bit_equal(est.table, table)
                 assert _bit_equal(est.table_mean, table_mean)
+
+
+class TestCoefficientTable:
+    """SAGA's and ZeroSARAH's tables hold one coefficient per component
+    (n floats on a logistic problem, an (n, d) array on the quadratic),
+    and the dense table read from them is ``component_grads`` at each
+    component's last-seen point, bit for bit, also on rows with
+    non-binary values and signed zeros."""
+
+    @staticmethod
+    def problem(kind):
+        if kind == "logistic":
+            return logistic_problem(_ragged_dataset(0))
+        return make_quadratic(60, 5, seed=2)
+
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    @pytest.mark.parametrize("method", ["saga", "zerosarah"])
+    def test_table_is_component_grads_at_last_seen_points(self, kind, method):
+        problem = self.problem(kind)
+        n, d = problem.n_components, problem.dim
+        rng = np.random.default_rng(3)
+        xs = rng.standard_normal((8, d))
+        est = make_estimator(method, problem, xs[0], {"b": 7})
+        last = np.zeros(n, dtype=int)
+        for t in range(1, len(xs)):
+            batch = rng.choice(n, 7, replace=False)
+            est.step(xs[t], ScriptedRng(batches=[batch]))
+            last[batch] = t
+        assert est.coefs.shape == ((n,) if kind == "logistic" else (n, d))
+        want = np.array([problem.component_grads([i], xs[last[i]])[0] for i in range(n)])
+        assert _bit_equal(est.table, want)
+        assert _bit_equal(est.clone().table, want)
 
 
 class TestCountersAndBits:
@@ -1015,7 +1052,7 @@ def replay_scripts(est, draws, S):
 
 def state_of(est):
     """The attributes a step may change.  A table estimator's dense
-    ``table`` is no attribute: it is built from ``flat``, which is
+    ``table`` is no attribute: it is built from ``coefs``, which is
     compared, on each read."""
     return {
         k: [np.copy(a) for a in v] if isinstance(v, list) else np.copy(v)

@@ -261,22 +261,22 @@ GOLDEN = [
     (
         "saga-ragged",
         dict(file="ragged", method="saga", presets=True, scheduler="adaptive"),
-        "a7734929419595f68dc6db04c2d321b722a6af929ee3f469de4822c8b6e739a0",
+        "683657dd7b95aa05a50dda516f7edc2fd82af01aa9db86a2ec2706b2b2e1c2f8",
     ),
     (
         "zerosarah-ragged",
         dict(file="ragged", method="zerosarah", presets=True, scheduler="adaptive"),
-        "82e162d073e05c09f9326f6cfae38f5724ec6714c3929a71c0ab9c9d50b6957e",
+        "6d5e0aad3cd59e45116801383132d4856a961d0b5df9ed5c55ded91b6399563a",
     ),
     (
         "lsvrg-ragged",
         dict(file="ragged", method="lsvrg", presets=True, scheduler="adaptive"),
-        "5580f1bdd35f9a86a896fb003db29b7d8d84c68ebdb55db2d5417d4179d39498",
+        "341c345279df0078263710f3e57529ac5d4726c4f283fe140ef5526a0a6ce317",
     ),
     (
         "page-ragged",
         dict(file="ragged", method="page", presets=True, scheduler="adaptive"),
-        "bc1f4aebea30d2b576fe2bc049f20fc895b6320e6b5b36ac7b96765c87152f7b",
+        "c8c0b7a0e60bffcd9d531747f686abd691ddd197cbb61414b433c9832af02a4c",
     ),
     (
         "jaguar-ragged",
@@ -388,10 +388,10 @@ TRAJECTORY = {
     "zerosarah-quadratic-d1": "40462eacc75c708a3222c02f5fd87b25ad40fb9178222e5a611a6e0b026d717a",
     "lsvrg-quadratic-d1": "8f65b92193c88e1b840aab7135b430d3c01a0e7ff8541d7586b3cd563feea625",
     "page-quadratic-d1": "0e9e4166c8b2f188d1c7217eeb0992dc6c610b3d9e9ee64ff290df5e16e6826f",
-    "saga-ragged": "d1782f549fe7a3acc39bd61f38fbfe9cf010c7f5dbbe3dd684eb5d626f2af302",
-    "zerosarah-ragged": "a7c8be9d81cc6aee1a757f33bb7eba233f26e86b43ad57c0b146000ecdacc9d5",
-    "lsvrg-ragged": "763f575b87fa7e8a6f6e6c55292aa2b81df8d22078dc835b1159da50b959aeba",
-    "page-ragged": "ad2f7d4306fe901b9896337fc12c12031674e0cf26e1cd4ec01c81eb2f7c5945",
+    "saga-ragged": "da53f3ffef8bb8f4fbf62d1f5ec5d1d45904e48b0e8fa327c7b7af1e55be2f56",
+    "zerosarah-ragged": "99512574654c055300d986822e00dcc2ea82a8296845917b879e800b92f10fc0",
+    "lsvrg-ragged": "5b47276d2a11fb38f8c5f2471f3deae8ad5a94841cbd70da6d5ee0ae0a7ed5ae",
+    "page-ragged": "cb4a3af7a0f7d00566799720646d7fc394866f749f81c8a21bab444632b5999b",
     "jaguar-ragged": "98e47c7d8fe2474e33396a249d9fcc86d0880bffce422ee2215a982431038437",
     "saga-dominant": "7d6099e7fd0b169b58f6566031d3c6249ae18e0060a9e09d1975b2df51e8970e",
     "zerosarah-dominant": "b47630df0f4066a889451f8b6e52f5801786d196cf354d4b7908586227487808",

@@ -3,8 +3,10 @@
 ``scipy.sparse._sparsetools`` runs C loops that check no bounds: a row
 index out of range, or a vector of the wrong length, reads or writes
 outside an array.  ``problems._matvec`` checks its point before it calls
-``csr_matvec``, and ``problems._gather`` checks its rows before it calls
-``csr_row_index``.  This test parses ``src/vradapt/*.py``, loads none of
+``csr_matvec``, ``problems._gather`` checks its rows before it calls
+``csr_row_index``, and ``LogisticProblem.batch_sum`` checks its stack
+of coefficients against the gathered rows before it calls
+``csc_matvecs``.  This test parses ``src/vradapt/*.py``, loads none of
 them, and finds every use of the name ``_sparsetools``, so an unchecked
 call added anywhere else fails here rather than corrupting memory.
 """
@@ -20,6 +22,7 @@ ALLOWED = {
     ("problems.py", "<module>", "import scipy.sparse._sparsetools"),
     ("problems.py", "_matvec", "_sparsetools.csr_matvec"),
     ("problems.py", "_gather", "_sparsetools.csr_row_index"),
+    ("problems.py", "batch_sum", "_sparsetools.csc_matvecs"),
 }
 
 

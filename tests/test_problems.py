@@ -86,20 +86,36 @@ class TestQuadratic:
             assert prob.loss(x) > prob.f_star
 
     def test_component_rows_are_dense_rows(self):
+        # the coefficients are the gradients, one (d,) row per index, and
+        # batch_sum adds them in batch order, a repeated index twice
         prob = make_quadratic(6, 4, seed=1)
         rng = np.random.default_rng(4)
         x, z = rng.standard_normal(4), rng.standard_normal(4)
         idx = np.array([5, 0, 2, 2])
-        entries, cols, (at_x, at_z) = prob.component_rows(idx, x, z)
-        assert np.array_equal(entries, [20, 21, 22, 23, 0, 1, 2, 3, 8, 9, 10, 11, 8, 9, 10, 11])
-        assert np.array_equal(cols, np.tile(np.arange(4), 4))
-        _assert_bit_equal(at_x, prob.component_grads(idx, x).ravel())
-        _assert_bit_equal(at_z, prob.all_component_grads(z)[idx].ravel())
+        rows, (at_x, at_z) = prob.component_rows(idx, x, z)
+        _assert_bit_equal(at_x, prob.component_grads(idx, x))
+        _assert_bit_equal(at_z, prob.all_component_grads(z)[idx])
         _assert_bit_equal(prob.dense_rows(idx, at_x), prob.component_grads(idx, x))
-        _assert_bit_equal(prob.component_rows(np.arange(6), x)[0], np.arange(24))
+        stack = [at_x - at_z, at_x, -np.zeros((4, 4))]
+        _assert_bit_equal(prob.batch_sum(rows, stack), [_row_order_sum(c) for c in stack])
         loss, grad = prob.loss(x), prob.full_grad(x)
         assert loss == prob.loss(x)
         _assert_bit_equal(grad, prob.full_grad(x))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_batch_sum_adds_in_row_order(self, d):
+        # at d == 1 the row axis is the contiguous one, which numpy's sum
+        # adds pairwise: batch_sum still adds row by row from +0.0
+        prob = make_quadratic(200, d, seed=2)
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, 200, size=150)
+        rows, coefs = prob.component_rows(idx, *rng.standard_normal((3, d)))
+        _assert_bit_equal(prob.batch_sum(rows, coefs), [_row_order_sum(c) for c in coefs])
+        if d == 1:
+            assert not np.array_equal(prob.batch_sum(rows, coefs), coefs.sum(axis=1))
+        for bad in (coefs[0], coefs[:, 1:], coefs[..., None]):
+            with pytest.raises(ValueError, match=r"^stack of shape"):
+                prob.batch_sum(rows, bad)
 
     def test_component_oracles_agree(self):
         prob = make_quadratic(6, 4, seed=1)
@@ -475,10 +491,13 @@ def _assert_bit_equal(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def _on_support(dense, lengths, cols):
-    """Entries of dense (b, d) rows at the flat support ``cols``, row k
-    holding ``lengths[k]`` of them."""
-    return dense[np.repeat(np.arange(len(dense)), lengths), cols]
+def _row_order_sum(rows):
+    """The sum of ``rows`` over the first axis, one row after another
+    onto +0.0."""
+    total = np.zeros(np.shape(rows)[1:])
+    for row in rows:
+        total = total + row
+    return total
 
 
 def _assert_same_csr(got, want):
@@ -565,11 +584,10 @@ class TestLogisticMatchesScipyReference:
             _assert_bit_equal(prob.all_component_grads(x), ref.component_grads(np.arange(n), x))
 
     def test_component_rows(self, pair):
-        # the support is the rows' stored entries, flat and in order,
-        # numbered by their positions in A's arrays; each point's values
-        # are the dense gradients' entries there, bit for bit, one call
-        # over several points equals single calls, and dense_rows
-        # scatters them back
+        # the rows are X[idx]'s CSR arrays; each point's coefficients are
+        # the reference's loss weights there, bit for bit, one call over
+        # several points equals single calls, and dense_rows turns them
+        # into the reference's dense gradients
         prob, ref = pair
         n = prob.n_components
         rng = np.random.default_rng(6)
@@ -578,36 +596,80 @@ class TestLogisticMatchesScipyReference:
             np.arange(n),
             rng.permutation(n),
             rng.integers(0, n, size=2 * n),
+            np.array([-1, -n, 0]),
             np.array([], dtype=np.intp),
         ]
         points = list(self._points(prob.dim, seed=7))
         for idx in batches:
-            entries, cols, values = prob.component_rows(idx, *points)
-            assert len(values) == len(points)
+            rows, coefs = prob.component_rows(idx, *points)
+            assert coefs.shape == (len(points), len(idx))
             sub = ref.X[idx]
-            _assert_bit_equal(cols, sub.indices)
-            _assert_bit_equal(ref.X.data[entries], sub.data)
-            lengths = np.diff(sub.indptr)
-            for x, got in zip(points, values):
-                dense = ref.component_grads(idx, x)
-                _assert_bit_equal(got, _on_support(dense, lengths, cols))
-                _assert_bit_equal(got, prob.component_rows(idx, x)[2][0])
-                _assert_bit_equal(prob.dense_rows(idx, got), dense)
-        _assert_bit_equal(prob.component_rows(np.arange(n))[0], np.arange(ref.X.nnz))
+            for got, name in zip(rows, ("indptr", "indices", "data")):
+                _assert_bit_equal(got, getattr(sub, name))
+            for x, got in zip(points, coefs):
+                _assert_bit_equal(got, ref._weights(sub, ref.y[idx], x))
+                _assert_bit_equal(got, prob.component_rows(idx, x)[1][0])
+                _assert_bit_equal(prob.dense_rows(idx, got), ref.component_grads(idx, x))
+
+    def test_dense_rows(self, pair):
+        # any coefficients, signed zeros, huge and tiny values included:
+        # X[idx].multiply(coefs[:, None]).toarray(), bit for bit
+        prob, ref = pair
+        n = prob.n_components
+        rng = np.random.default_rng(23)
+        for idx in (np.arange(n), rng.integers(-n, n, size=2 * n), np.array([], dtype=np.intp)):
+            for coefs in (
+                rng.standard_normal(len(idx)),
+                np.where(rng.random(len(idx)) < 0.5, 0.0, -0.0),
+                rng.choice([1e300, -1e-300, 3.0, -0.0], size=len(idx)),
+            ):
+                want = ref.X[idx].multiply(coefs[:, None]).toarray()
+                _assert_bit_equal(prob.dense_rows(idx, coefs), want)
+
+    def test_batch_sum(self, pair):
+        # scipy's X[idx].T @ C.T, bit for bit, signs of zero too, for
+        # stacks of 1 to 4 coefficient arrays: the coefficients at two
+        # points, their differences, signed zeros and random values; a
+        # repeated index adds its row twice, a negative one counts from
+        # the end
+        prob, ref = pair
+        n, d = prob.n_components, prob.dim
+        rng = np.random.default_rng(24)
+        x, z = rng.standard_normal(d), 30.0 * rng.standard_normal(d)
+        batches = [
+            np.arange(n),
+            rng.permutation(n),
+            np.array([0, 0, n - 1, n - 1, n - 1]),
+            rng.integers(0, n, size=2 * n),
+            np.array([-1, -n, 0, -1]),
+            np.array([], dtype=np.intp),
+        ]
+        for idx in batches:
+            rows, (cur, prev) = prob.component_rows(idx, x, z)
+            b = len(idx)
+            for C in (
+                cur[None],
+                np.array([cur - prev, prev, -np.zeros(b)]),
+                np.where(rng.random((2, b)) < 0.5, 0.0, -0.0),
+                rng.standard_normal((4, b)),
+            ):
+                got = prob.batch_sum(rows, C)
+                assert got.shape == (len(C), d)
+                _assert_bit_equal(got, (ref.X[idx].T @ C.T).T)
 
     def test_component_rows_outlive_later_calls(self, pair):
-        # the entries, cols and values of one call must not move when
-        # later calls, of the same size or another, run
+        # the rows and coefficients of one call must not move when later
+        # calls, of the same size or another, run
         prob, _ = pair
         n, d = prob.n_components, prob.dim
         rng = np.random.default_rng(9)
         idx = rng.permutation(n)
         points = rng.standard_normal(d), rng.standard_normal(d)
-        entries, cols, values = prob.component_rows(idx, *points)
-        kept = [a.copy() for a in (entries, cols, *values)]
+        rows, coefs = prob.component_rows(idx, *points)
+        kept = [a.copy() for a in (*rows, coefs)]
         for later in (idx[::-1], np.roll(idx, 1), np.array([n - 1]), np.repeat(idx, 2)):
             prob.component_rows(later, rng.standard_normal(d), rng.standard_normal(d))
-            for got, want in zip((entries, cols, *values), kept):
+            for got, want in zip((*rows, coefs), kept):
                 _assert_bit_equal(got, want)
 
     def test_component_rows_from_concurrent_threads(self, pair):
@@ -625,9 +687,10 @@ class TestLogisticMatchesScipyReference:
         ]
 
         def results(idx, x, coords):
-            entries, cols, (values,) = prob.component_rows(idx, x)
+            rows, coefs = prob.component_rows(idx, x)
+            batch = [*rows, coefs, prob.batch_sum(rows, coefs), prob.dense_rows(idx, coefs[0])]
             loss, grad = prob.loss(x), prob.full_grad(x)
-            return [entries, cols, values, np.array(loss), grad, prob.partials(x, coords)]
+            return [*batch, np.array(loss), grad, prob.partials(x, coords)]
 
         want = [results(*job) for job in jobs]
         bad = []
@@ -657,7 +720,7 @@ class TestLogisticMatchesScipyReference:
         want = prob.component_rows(np.arange(n), x)
         twin = pickle.loads(pickle.dumps(prob))
         got = twin.component_rows(np.arange(n), x)
-        for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
+        for a, b in zip((*got[0], got[1]), (*want[0], want[1])):
             _assert_bit_equal(a, b)
         # a copy, pickled or deep, has its own scratch: a margin pass of
         # its own at the same point
@@ -739,8 +802,8 @@ class TestLogisticMatchesScipyReference:
                 _assert_bit_equal(got, ref.partials(x, coords))
                 _assert_bit_equal(got, prob.full_grad(x)[coords])
                 # the gather holds the sampled columns' entries, no more
-                gathered = problems._gather(prob.XT, prob._col_nnz, prob._ids, coords, ())
-                assert gathered[3].size == counts[coords].sum()
+                gathered = problems._gather(prob.XT, prob._col_nnz, coords)
+                assert gathered[2].size == counts[coords].sum()
 
     def test_subset(self, pair):
         # each group_grads row is the reference problem over that group
@@ -757,11 +820,12 @@ class TestLogisticMatchesScipyReference:
 
 
 class TestGather:
-    """``problems._gather`` and ``problems._matvec``, the callers of
-    scipy's private kernels, against the public expressions they stand
-    for, bit for bit: ``X[rows]`` and ``XT[coords]`` (indptr, indices,
-    data) and every ``@`` product.  A scipy change to those kernels fails
-    here instead of moving bits."""
+    """``problems._gather``, ``problems._matvec`` and
+    ``LogisticProblem.batch_sum``, the callers of scipy's private
+    kernels, against the public expressions they stand for, bit for bit:
+    ``X[rows]`` and ``XT[coords]`` (indptr, indices, data) and every
+    ``@`` product (``batch_sum`` in ``test_batch_sum``).  A scipy change
+    to those kernels fails here instead of moving bits."""
 
     @pytest.mark.parametrize("name", sorted(_EDGE_DATASETS))
     def test_matches_public_expressions(self, name):
@@ -779,16 +843,12 @@ class TestGather:
                 np.array([], dtype=np.intp),
             ]
             for rows in batches:
-                gathered = problems._gather(A, nnz, prob._ids, rows, vectors)
-                lengths, at, cols, values, sums = gathered
+                gathered = problems._gather(A, nnz, rows)
                 sub = A[rows]
-                _assert_bit_equal(np.concatenate([[0], np.cumsum(lengths)]), sub.indptr)
-                _assert_bit_equal(cols, sub.indices)
-                _assert_bit_equal(values, sub.data)
-                _assert_bit_equal(A.data[at], sub.data)
-                assert len(sums) == len(vectors)
-                for v, got in zip(vectors, sums):
-                    _assert_bit_equal(got, sub @ v)
+                for got, name in zip(gathered, ("indptr", "indices", "data")):
+                    _assert_bit_equal(got, getattr(sub, name))
+                for v in vectors:
+                    _assert_bit_equal(problems._matvec(*gathered, v, k), sub @ v)
 
     @pytest.mark.parametrize("name", sorted(_EDGE_DATASETS))
     def test_full_products_match_public_operator(self, name):
@@ -811,14 +871,21 @@ class TestGather:
             assert prob._power_iteration(iterations).hex() == want.hex()
 
     def test_inputs_are_checked(self):
-        # the kernels check no bounds: rows outside [-n, n) and points of
-        # another shape raise, at every oracle, also right after a pass at
-        # a point of the same bytes; a strided point reads as its copy
+        # the kernels check no bounds: rows outside [-n, n), points of
+        # another shape and coefficient stacks of another shape raise, at
+        # every oracle, also right after a pass at a point of the same
+        # bytes; a strided point reads as its copy
         prob = LogisticProblem(_ragged_dataset(0))
         n, d = prob.n_components, prob.dim
         for rows in ([n], [-n - 1]):
             with pytest.raises(IndexError):
                 prob.component_rows(np.array(rows), np.zeros(d))
+            with pytest.raises(IndexError):
+                prob.dense_rows(np.array(rows), np.zeros(1))
+        rows, coefs = prob.component_rows(np.arange(5), np.zeros(d), np.ones(d))
+        for bad in (coefs[0], coefs[:, 1:], np.zeros((2, 6)), coefs[..., None], 1.0):
+            with pytest.raises(ValueError, match=r"^stack of shape .*, need \(k, 5\)$"):
+                prob.batch_sum(rows, bad)
         oracles = {
             "loss": prob.loss,
             "full_grad": prob.full_grad,
@@ -835,7 +902,7 @@ class TestGather:
         strided = np.random.default_rng(21).standard_normal(2 * d)[::2]
         got = prob.component_rows(np.arange(n), strided)
         want = prob.component_rows(np.arange(n), strided.copy())
-        for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
+        for a, b in zip((*got[0], got[1]), (*want[0], want[1])):
             _assert_bit_equal(a, b)
 
     def test_flat_sums_equal_padded_sums_at_signed_zeros(self):
@@ -858,7 +925,7 @@ class TestGather:
         padded = csr_matrix((data, indices, np.arange(n + 1) * width), shape=(n, d + 1))
         mixed = np.where(np.random.default_rng(20).random(d) < 0.5, 0.0, -0.0)
         for x in (-np.zeros(d), mixed):
-            sums = problems._gather(prob.X, prob._row_nnz, prob._ids, np.arange(n), (x,))[4][0]
+            sums = problems._matvec(*problems._gather(prob.X, prob._row_nnz, np.arange(n)), x, d)
             assert not np.signbit(sums).any()
             _assert_bit_equal(sums, padded @ np.append(x, 0.0))
             _assert_bit_equal(-(prob.y * sums), prob._margin_pass(x)[0])
