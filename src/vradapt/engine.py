@@ -29,12 +29,10 @@ Documented keys:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import io
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -424,6 +422,8 @@ def run(config, problem=None):
 
 
 def _derived_seed(base_seed, combo):
+    import hashlib  # here, not at the top: OpenSSL's 3.5 MiB, which constants never needs
+
     text = str(base_seed) + "".join(f"|{k}={v!r}" for k, v in combo)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
@@ -464,5 +464,7 @@ def sweep(base, grid, jobs=1):
     configs = _sweep_configs(base, grid)
     if jobs <= 1 or len(configs) <= 1:
         return [_run_cell(cfg) for cfg in configs]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_cell, configs))

@@ -10,15 +10,51 @@ of f.  Instances do not change after construction, so they can be shared
 freely between concurrent runs; the one exception is the logistic
 problem's last margin pass, one immutable pair that is replaced whole
 and that threads may share.
+
+Only the logistic problem runs on scipy, and this module imports it at
+the first use of one of its names (``_Deferred``), when the first
+logistic problem is built or a sparse helper is first called, not at
+import: ``import vradapt``, quadratic problems and the commands that use
+only them (``verify``, ``constants``, a quadratic ``run``) load no scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import _sparsetools, csr_matrix, vstack
-from scipy.special import expit
 
 from .data import check_count
+
+
+def _import_scipy():
+    """Bind the scipy names below in place of their stand-ins."""
+    global _sparsetools, csr_matrix, vstack, expit
+    from scipy.sparse import _sparsetools, csr_matrix, vstack
+    from scipy.special import expit
+
+
+class _Deferred:
+    """Stands in for a scipy name until its first use, an attribute read
+    or a call, which imports scipy (``_import_scipy``) and is served by
+    ``real()``, the name read again.  Later lookups find scipy's own
+    object, so an oracle costs what it would with scipy imported first;
+    only that first use pays the import (about 0.3 s cold)."""
+
+    def __init__(self, real):
+        self.real = real
+
+    def __getattr__(self, attr):
+        _import_scipy()
+        return getattr(self.real(), attr)
+
+    def __call__(self, *args, **kwargs):
+        _import_scipy()
+        return self.real()(*args, **kwargs)
+
+
+_sparsetools = _Deferred(lambda: _sparsetools)
+csr_matrix = _Deferred(lambda: csr_matrix)
+vstack = _Deferred(lambda: vstack)
+expit = _Deferred(lambda: expit)
 
 
 class Problem:
@@ -174,6 +210,12 @@ class LogisticProblem(Problem):
     a fifth of its time (4000 margins, x86-64) and round differently, by
     at most 2 ulp per entry (equal at m = +-0, +-inf, nan and +-710).
     The gradients stay on ``expit``.
+
+    scipy (``csr_matrix``, ``vstack``, ``expit`` and the kernels of
+    ``_sparsetools``) comes from one import, ``_import_scipy``, which the
+    first problem built in a process runs through the stand-ins bound at
+    module import (``_Deferred``); every later lookup, in every oracle,
+    finds scipy's own objects.
 
     Storage, built once and shared by every oracle; A's stored entries
     are the only copy of A, and no layout is padded:

@@ -94,12 +94,18 @@ def assumption_margin(
     ``hyperparams`` reports (``registered``).  ``constants_override``
     evaluates the inequalities with a different tuple (the trajectory
     and step size stay registered), which is how the mutation test
-    works.
+    works.  The trajectory starts next to ``problem.x_opt``, so the
+    problem must have a known optimum (a quadratic fixture).
     """
     state_points = check_count("state_points", state_points)
     samples_per_point = check_count("samples_per_point", samples_per_point)
     if samples_per_point < 1000:
         raise ValueError("need at least 1000 samples per state point")
+    if problem.x_opt is None:
+        raise ValueError(
+            f"{type(problem).__name__} has no known optimum; the margin check "
+            "starts next to one, so it needs a quadratic fixture"
+        )
 
     L = problem.smoothness
     L2 = L * L

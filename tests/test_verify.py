@@ -261,6 +261,15 @@ class TestAssumptionMargins:
         with pytest.raises(ValueError):
             assumption_margin("saga", hp, problem, state_points=0)
 
+    def test_problem_without_optimum_is_named(self):
+        # a logistic problem has no x_opt to start the trajectory next to
+        from vradapt.data import synthetic_dataset
+        from vradapt.problems import logistic_problem
+
+        problem = logistic_problem(synthetic_dataset(40, 6, seed=0))
+        with pytest.raises(ValueError, match="^LogisticProblem has no known optimum.*quadratic fixture$"):
+            assumption_margin("saga", {"b": 4}, problem, state_points=1, samples_per_point=1000)
+
     def test_unknown_method(self):
         problem, _ = standard_margin_setup("saga")
         with pytest.raises(ValueError):
