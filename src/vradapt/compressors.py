@@ -24,6 +24,9 @@ path, ``_threshold_drop``: a mask of the entries past each row's k-th
 place in the sort, found by a partition threshold unless a tie
 straddles that place (or a NaN is present), so ``sample_dense`` keeps
 the sort's coordinates bit for bit.  The identity is top-k at k = d.
+SEGA's and JAGUAR's Monte Carlo coordinate sets (``step_batch``) are
+drawn through it too, as ``RandK`` draws its kept set: the first b
+positions of an argsort of uniforms.
 Both calls reject vectors whose length is not the operator's ``dim``.
 """
 

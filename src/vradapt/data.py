@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import gzip
 import logging
+import math
 import operator
 import zlib
 from contextlib import contextmanager
@@ -395,6 +396,16 @@ def write_libsvm(dataset: Dataset, sink) -> None:
             fh.write(("+1" if dataset.labels[i] > 0 else "-1") + feats + "\n")
 
 
+def _sigmoid(m):
+    """1 / (1 + exp(-m)) by ``math.exp``, 0.0 where exp(-m) overflows:
+    scipy's ``expit`` bit for bit on every margin tried (numpy's ``exp``
+    rounds differently), without importing scipy."""
+    try:
+        return 1.0 / (1.0 + math.exp(-m))
+    except OverflowError:
+        return 0.0
+
+
 def synthetic_dataset(n_rows, dim=123, seed=0, nnz_per_row=None) -> Dataset:
     """Seeded stand-in for the standard adult-income benchmark file.
 
@@ -412,12 +423,10 @@ def synthetic_dataset(n_rows, dim=123, seed=0, nnz_per_row=None) -> Dataset:
     w_true = rng.standard_normal(dim) / np.sqrt(nnz_per_row)
     cols = np.empty((n_rows, nnz_per_row), dtype=np.int64)
     labels = np.empty(n_rows)
-    from scipy.special import expit
-
     # row by row: this stream of draws feeds the pinned trace hashes
     for i in range(n_rows):
         cols[i] = np.sort(rng.choice(dim, size=nnz_per_row, replace=False))
         margin = 2.0 * w_true[cols[i]].sum() - 1.15
-        labels[i] = 1.0 if rng.random() < expit(margin) else -1.0
+        labels[i] = 1.0 if rng.random() < _sigmoid(margin) else -1.0
     indptr = np.arange(n_rows + 1, dtype=np.int64) * nnz_per_row
     return Dataset(indptr, cols.ravel(), np.ones(cols.size), labels, n_rows, dim)

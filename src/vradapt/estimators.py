@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compressors import make_compressor
+from .compressors import _threshold_drop, make_compressor
 from .data import check_count
-from .problems import partition_problem
+from .problems import _ordered_sum, _point, partition_problem
 
 
 @dataclass(frozen=True)
@@ -135,12 +135,6 @@ def _draw_batches(rng, n, b, S, with_replacement=False):
     return rng.random((S, n)).argsort(axis=1)[:, :b]
 
 
-def _batch_mask(batches, n):
-    mask = np.zeros((len(batches), n), dtype=bool)
-    mask[np.arange(len(batches))[:, None], batches] = True
-    return mask
-
-
 def _table_sigma(gaps, batches):
     """Table staleness after each batch's rows are refreshed: the per-row
     squared gaps with the batch's rows zeroed, averaged over all rows."""
@@ -222,9 +216,7 @@ class GradientEstimator:
 
     def __init__(self, problem, x0, registered, **settings):
         self.problem = problem
-        self.x = np.array(x0, dtype=float, copy=True)
-        if self.x.shape != (problem.dim,):
-            raise ValueError(f"x0 must have shape ({problem.dim},)")
+        self.x = _point(x0, problem.dim).copy()
         self.registered = registered
         self.__dict__.update(settings)
         self.grad_calls = problem.n_components
@@ -504,8 +496,9 @@ class _ClientServerEstimator(GradientEstimator):
     The initial pass is sent dense (d values per client); afterwards
     each client sends k (index, value) pairs per step, in a separate
     ledger.  ``quality`` names the compressor constant the method's
-    registration reads (delta or omega); a compressor without it is
-    rejected before the initial pass.
+    registration reads (delta or omega); a compressor without it, or of
+    another dimension than the problem, is rejected before the initial
+    pass.
     """
 
     hyperparams = {
@@ -530,6 +523,10 @@ class _ClientServerEstimator(GradientEstimator):
         _require(
             hasattr(compressor, cls.quality),
             f"{cls.method} needs {_COMPRESSOR_KINDS[cls.quality]}",
+        )
+        _require(
+            compressor.dim == problem.dim,
+            f"compressor dim is {compressor.dim}, problem dim is {problem.dim}",
         )
         bits = {name: check_count(name, hp[name]) for name in ("value_bits", "index_bits")}
         quality = {cls.quality: getattr(compressor, cls.quality)}
@@ -560,20 +557,9 @@ class _ClientServerEstimator(GradientEstimator):
         return moved
 
     def _server_sum(self, per_client):
-        """Share-weighted sum over the client axis, in client order:
-        (..., n_clients, d) -> (..., d).  For d > 1 one reduce adds the
-        client rows in order onto -0.0, the one start that leaves every
-        first row as it is (+0.0 would turn a column of -0.0 into +0.0),
-        so each sum is the running sum ``cumsum`` ends on, at a third of
-        its cost; only where NaNs of both signs meet in one column may the
-        NaN that survives differ.  numpy adds a contiguous reduced axis
-        pairwise instead: hence the C-ordered product, whatever the
-        input's layout, and ``cumsum`` at d == 1, where the client axis
-        is the contiguous one."""
-        weighted = np.multiply(self.weights[:, None], per_client, order="C")
-        if weighted.shape[-1] == 1:
-            return np.cumsum(weighted, axis=-2)[..., -1, :]
-        return np.add.reduce(weighted, axis=-2, initial=-0.0)
+        """Share-weighted sum over the client axis, in client order from
+        -0.0 (``problems._ordered_sum``): (..., n_clients, d) -> (..., d)."""
+        return _ordered_sum(self.weights[:, None] * per_client, -0.0)
 
     def _client_error(self, gaps):
         """Share-weighted mean squared client gap, (..., n_clients, d) ->
@@ -723,7 +709,7 @@ class SEGA(GradientEstimator):
     def step_batch(self, x_cand, rng, S):
         problem = self.problem
         d = problem.dim
-        sampled = _batch_mask(_draw_batches(rng, d, self.b, S), d)
+        sampled = ~_threshold_drop(rng.random((S, d)), self.b)
         # every coordinate's partial is its full_grad entry, bit for bit
         at_prev = problem.full_grad(self.x)
         at_cand = problem.full_grad(x_cand)
@@ -757,8 +743,7 @@ class JAGUAR(GradientEstimator):
         return g
 
     def step_batch(self, x_cand, rng, S):
-        d = self.problem.dim
-        sampled = _batch_mask(_draw_batches(rng, d, self.b, S), d)
+        sampled = ~_threshold_drop(rng.random((S, self.problem.dim)), self.b)
         # every coordinate's partial is its full_grad entry, bit for bit
         return np.where(sampled, self.problem.full_grad(x_cand), self.g), np.zeros(S)
 

@@ -11,11 +11,11 @@ freely between concurrent runs; the one exception is the logistic
 problem's last margin pass, one immutable pair that is replaced whole
 and that threads may share.
 
-Only the logistic problem runs on scipy, and this module imports it at
-the first use of one of its names (``_Deferred``), when the first
-logistic problem is built or a sparse helper is first called, not at
-import: ``import vradapt``, quadratic problems and the commands that use
-only them (``verify``, ``constants``, a quadratic ``run``) load no scipy.
+Only the logistic problem runs on scipy.  Its four scipy names are bound
+to None at import and to scipy's own objects by ``_import_scipy``, which
+``LogisticProblem`` runs first thing when one is built or unpickled, so
+``import vradapt``, quadratic problems and the commands that use only
+them (``verify``, ``constants``, a quadratic ``run``) load no scipy.
 """
 
 from __future__ import annotations
@@ -24,37 +24,17 @@ import numpy as np
 
 from .data import check_count
 
+_sparsetools = csr_matrix = vstack = expit = None
+
 
 def _import_scipy():
-    """Bind the scipy names below in place of their stand-ins."""
+    """Bind the scipy names above to scipy's objects: about 0.3 s cold,
+    once per process, as later calls find the modules loaded.  Each call
+    binds them again, so a name patched before a problem is built is
+    not kept."""
     global _sparsetools, csr_matrix, vstack, expit
     from scipy.sparse import _sparsetools, csr_matrix, vstack
     from scipy.special import expit
-
-
-class _Deferred:
-    """Stands in for a scipy name until its first use, an attribute read
-    or a call, which imports scipy (``_import_scipy``) and is served by
-    ``real()``, the name read again.  Later lookups find scipy's own
-    object, so an oracle costs what it would with scipy imported first;
-    only that first use pays the import (about 0.3 s cold)."""
-
-    def __init__(self, real):
-        self.real = real
-
-    def __getattr__(self, attr):
-        _import_scipy()
-        return getattr(self.real(), attr)
-
-    def __call__(self, *args, **kwargs):
-        _import_scipy()
-        return self.real()(*args, **kwargs)
-
-
-_sparsetools = _Deferred(lambda: _sparsetools)
-csr_matrix = _Deferred(lambda: csr_matrix)
-vstack = _Deferred(lambda: vstack)
-expit = _Deferred(lambda: expit)
 
 
 class Problem:
@@ -140,11 +120,8 @@ class QuadraticProblem(Problem):
 
     def batch_sum(self, rows, C):
         """Column sums of each (len(rows), dim) slice of C, in row order
-        from +0.0: a running sum from a zero row, which numpy's reduce
-        is not when the row axis is the contiguous one (dim == 1)."""
-        C = _stack(C, (len(rows), self.dim))
-        start = np.zeros((len(C), 1, self.dim))
-        return np.cumsum(np.concatenate((start, C), axis=1), axis=1)[:, -1]
+        from +0.0 (``_ordered_sum``)."""
+        return _ordered_sum(_stack(C, (len(rows), self.dim)), 0.0)
 
     def dense_rows(self, indices, coefs):
         return np.reshape(coefs, (len(indices), self.dim)).copy()
@@ -212,10 +189,10 @@ class LogisticProblem(Problem):
     The gradients stay on ``expit``.
 
     scipy (``csr_matrix``, ``vstack``, ``expit`` and the kernels of
-    ``_sparsetools``) comes from one import, ``_import_scipy``, which the
-    first problem built in a process runs through the stand-ins bound at
-    module import (``_Deferred``); every later lookup, in every oracle,
-    finds scipy's own objects.
+    ``_sparsetools``) comes from one import, ``_import_scipy``, which
+    ``__init__`` and ``__setstate__`` run before anything else, so an
+    instance built or unpickled in a process that has not imported scipy
+    finds it bound; every helper these methods call runs after it.
 
     Storage, built once and shared by every oracle; A's stored entries
     are the only copy of A, and no layout is padded:
@@ -270,6 +247,7 @@ class LogisticProblem(Problem):
     POWER_ITERATIONS = 200
 
     def __init__(self, dataset):
+        _import_scipy()
         n = dataset.n
         if n == 0:
             raise ValueError("dataset is empty")
@@ -288,6 +266,10 @@ class LogisticProblem(Problem):
         self._col_nnz = np.diff(self.XT.indptr)
         self._scratch = None
         self.smoothness = self._power_iteration()
+
+    def __setstate__(self, state):
+        _import_scipy()
+        self.__dict__.update(state)
 
     def _power_iteration(self, iterations=POWER_ITERATIONS):
         """Largest eigenvalue of (1/(4n)) A^T A after ``iterations``
@@ -433,6 +415,25 @@ def _stack(C, shape):
     if C.shape[1:] != shape:
         raise ValueError(f"stack of shape {C.shape}, need (k, {', '.join(map(str, shape))})")
     return C
+
+
+def _ordered_sum(A, start):
+    """The rows of A along axis -2 added in order onto ``start``: (..., m,
+    k) -> (..., k), each column the running sum ``cumsum`` ends on from a
+    ``start`` row.  A start of -0.0 leaves every first row as it is (+0.0
+    would turn a column of -0.0 into +0.0); only where NaNs of both signs
+    meet in one column may the NaN that survives differ.
+
+    numpy adds a contiguous reduced axis pairwise, and a strided one row
+    by row: hence one reduce over a C-ordered copy, whatever A's layout,
+    and a ``cumsum`` from a ``start`` row at k == 1, where the row axis is
+    the contiguous one (a reduce costs about a third of the ``cumsum``).
+    """
+    A = np.ascontiguousarray(A)
+    if A.shape[-1] == 1:
+        head = np.full(A.shape[:-2] + (1, 1), start)
+        return np.cumsum(np.concatenate((head, A), axis=-2), axis=-2)[..., -1, :]
+    return np.add.reduce(A, axis=-2, initial=start)
 
 
 def _point(v, n):

@@ -337,6 +337,24 @@ class TestSynthetic:
         for i in range(30):
             assert np.array_equal(row(a, i)[0], row(b, i)[0])
 
+    @pytest.mark.parametrize("n, dim, seed", [(600, 40, 1), (4000, 123, 0), (40, 6, 0), (50, 8, 0)])
+    def test_labels_equal_scipy_expit_labels(self, n, dim, seed):
+        # the sigmoid is taken without scipy; the labels are those its
+        # expit gives on the same draws (the datasets the pinned traces run)
+        from scipy.special import expit
+
+        nnz = min(14, dim)
+        rng = np.random.default_rng(seed)
+        w_true = rng.standard_normal(dim) / np.sqrt(nnz)
+        want = []
+        for _ in range(n):
+            cols = np.sort(rng.choice(dim, size=nnz, replace=False))
+            margin = 2.0 * w_true[cols].sum() - 1.15
+            want.append(1.0 if rng.random() < expit(margin) else -1.0)
+        assert synthetic_dataset(n, dim=dim, seed=seed).labels.tolist() == want
+        for m in (0.0, -0.0, 30.5, -30.5, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0):
+            assert np.float64(data._sigmoid(m)).tobytes() == expit(m).tobytes(), m
+
     def test_round_trips_through_writer(self, tmp_path):
         ds = synthetic_dataset(25, dim=10, seed=3, nnz_per_row=4)
         sink = io.StringIO()

@@ -468,6 +468,12 @@ class TestTraceCsv:
             "0.30000000000000004,0,4611686018427387905,3,1180591620717411303424,12.25\n"
         )
 
+    def test_blank_lines_are_skipped(self):
+        trace = Trace([row(0), row(5)])
+        header, first, second = trace_csv_text(trace).splitlines()
+        back = parse_trace_csv(io.StringIO(f"{header}\n{first}\n\n{second}\n\n"))
+        assert list(back) == list(trace)
+
     def test_header_checked(self):
         with pytest.raises(ValueError):
             parse_trace_csv(io.StringIO("time,loss\n1,2\n"))

@@ -1137,6 +1137,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_estimator("saga", quad, np.zeros(3), {"b": 2})
 
+    def test_compressor_of_another_dimension_is_rejected(self):
+        # before the opening pass, not at the first step's compress
+        prob = make_quadratic(20, 10)
+        calls = []
+        prob.group_grads = lambda groups: calls.append(groups)
+        for method, compressor in (("ef21", TopK(1, 5)), ("diana", RandK(2, 12))):
+            named = f"^compressor dim is {compressor.dim}, problem dim is 10$"
+            with pytest.raises(ValueError, match=named):
+                make_estimator(method, prob, np.zeros(10), {"compressor": compressor, "n_clients": 2})
+        assert calls == []
+
     @pytest.mark.parametrize(
         "method,hp",
         [("saga", {}), ("zerosarah", {}), ("sega", {}), ("jaguar", {}),

@@ -5,8 +5,9 @@ imported scipy, and reads its ``sys.modules``.  The quadratic commands
 (``constants``, ``verify``, a quadratic run) load no scipy module, nor
 ``concurrent.futures``, which only ``sweep --jobs`` needs; ``constants``
 loads no ``hashlib`` either, which ``numpy.random`` brings in for the
-others.  The first logistic problem built in the process imports scipy,
-and a sparse helper called before any problem is built imports it too.
+others, and ``ingest --synthetic`` loads none.  A logistic problem
+imports scipy when it is built, and when it is unpickled in a process
+that has built none.
 """
 
 import os
@@ -67,27 +68,37 @@ def test_quadratic_commands_load_no_scipy(tmp_path):
     assert out.splitlines()[-3:] == ["constants []", "quadratic []", "logistic True True"], out
 
 
-@pytest.mark.parametrize(
-    "call, expected",
-    [
-        ("problems._matvec(indptr, cols, values, np.ones(3), 3)", [6.0, 15.0]),
-        ("problems._gather(A, np.diff(indptr), [1])[2]", [4.0, 5.0, 6.0]),
-    ],
-)
-def test_sparse_helper_imports_scipy_on_first_call(tmp_path, call, expected):
+def test_synthetic_ingest_loads_no_scipy(tmp_path):
     out = _run_fresh(
-        f"""
-        from types import SimpleNamespace
+        """
+        from vradapt import cli
 
-        import numpy as np
-        from vradapt import problems
-
-        before = loaded("scipy")
-        indptr, cols, values = np.array([0, 3, 6]), np.tile(np.arange(3), 2), np.arange(1.0, 7.0)
-        A = SimpleNamespace(indptr=indptr, indices=cols, data=values)
-        print(before, {call}.tolist())
-        print(type(problems._sparsetools).__name__, "scipy.sparse" in sys.modules)
+        assert cli.main(["ingest", "--synthetic", "40x6", "--out", "synthetic.txt"]) == 0
+        print("ingest", loaded("scipy"))
         """,
         tmp_path,
     )
-    assert out.splitlines() == [f"[] {expected}", "module True"], out
+    assert out.splitlines()[-1] == "ingest []", out
+
+
+def test_unpickled_problem_imports_scipy(tmp_path):
+    # one process builds and pickles a problem; a second one, which has
+    # built none, unpickles it and calls its oracles
+    script = """
+        import pickle
+
+        import numpy as np
+        from vradapt import data, problems
+
+        x = np.linspace(-1.0, 1.0, 6)
+        if {build}:
+            prob = problems.logistic_problem(data.synthetic_dataset(40, 6, seed=0))
+            with open("problem.pkl", "wb") as f:
+                pickle.dump(prob, f)
+        else:
+            with open("problem.pkl", "rb") as f:
+                prob = pickle.load(f)
+        print(repr(prob.loss(x)), prob.full_grad(x).tobytes().hex())
+        """
+    built = _run_fresh(script.format(build=True), tmp_path)
+    assert _run_fresh(script.format(build=False), tmp_path) == built

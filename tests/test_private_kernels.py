@@ -7,7 +7,7 @@ outside an array.  ``problems._matvec`` checks its point before it calls
 ``csr_row_index``, and ``LogisticProblem.batch_sum`` checks its stack
 of coefficients against the gathered rows before it calls
 ``csc_matvecs``.  ``problems`` imports the module in ``_import_scipy``
-and binds the name to a stand-in until then.  This test parses
+and binds the name to None until then.  This test parses
 ``src/vradapt/*.py``, loads none of them, and finds every use of the
 name ``_sparsetools``, so an unchecked call added anywhere else fails
 here rather than corrupting memory.
@@ -23,8 +23,7 @@ KERNEL_MODULE = "_sparsetools"
 # (file, enclosing function or "<module>", what is used): one entry per use
 ALLOWED = Counter([
     ("problems.py", "_import_scipy", "import scipy.sparse._sparsetools"),
-    # the stand-in bound at import, named twice: _sparsetools = _Deferred(lambda: _sparsetools)
-    ("problems.py", "<module>", "_sparsetools"),
+    # the None bound at import: _sparsetools = csr_matrix = vstack = expit = None
     ("problems.py", "<module>", "_sparsetools"),
     ("problems.py", "_matvec", "_sparsetools.csr_matvec"),
     ("problems.py", "_gather", "_sparsetools.csr_row_index"),
@@ -69,5 +68,5 @@ def _uses(path):
 def test_kernels_are_called_only_from_their_checked_helpers():
     uses = Counter(use for path in sorted(SRC.glob("*.py")) for use in _uses(path))
     # equality of counts, not a subset: the parse must also find the
-    # checked calls, and a second alias of the stand-in is one use too many
+    # checked calls, and a second alias of the module is one use too many
     assert uses == ALLOWED, sorted((uses - ALLOWED) + (ALLOWED - uses))

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import sys
 import threading
@@ -491,13 +492,49 @@ def _assert_bit_equal(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def _row_order_sum(rows):
+def _row_order_sum(rows, start=0.0):
     """The sum of ``rows`` over the first axis, one row after another
-    onto +0.0."""
-    total = np.zeros(np.shape(rows)[1:])
+    onto ``start``."""
+    total = np.full(np.shape(rows)[1:], start)
     for row in rows:
         total = total + row
     return total
+
+
+class TestOrderedSum:
+    """``_ordered_sum`` is, byte for byte, the running sum over axis -2
+    from its start, on any leading shape and memory layout, with -0.0 and
+    +-inf entries; numpy's own sum adds some of these pairwise or from
+    +0.0."""
+
+    @staticmethod
+    def _block(rng, shape, kind):
+        # every column of one kind: finite over 16 decades, all -0.0,
+        # mixed +-0.0, or finite with +-inf (whose sum may be NaN)
+        A = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        u = rng.random(shape)
+        if kind == "negative-zeros":
+            A[...] = -0.0
+        elif kind == "signed-zeros":
+            A = np.where(u < 0.5, 0.0, -0.0)
+        elif kind == "infinities":
+            A[u < 0.2], A[u > 0.8] = np.inf, -np.inf
+        return A
+
+    @pytest.mark.parametrize("start", [0.0, -0.0])
+    @pytest.mark.parametrize("k", [1, 2, 10, 123])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_equals_running_sum(self, k, start):
+        rng = np.random.default_rng(k)
+        kinds = ("finite", "negative-zeros", "signed-zeros", "infinities")
+        for lead, kind in itertools.product(((), (1,), (256,)), kinds):
+            A = self._block(rng, lead + (37, k), kind)
+            want = _row_order_sum(np.moveaxis(A, -2, 0), start)
+            transposed = np.swapaxes(np.swapaxes(A, -1, -2).copy(), -1, -2)
+            for layout in (A, np.asfortranarray(A), transposed):
+                got = problems._ordered_sum(layout, start)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (lead, kind)
 
 
 def _assert_same_csr(got, want):
