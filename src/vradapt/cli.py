@@ -181,8 +181,6 @@ def _verify_one(method, args):
 
 
 def cmd_verify(args):
-    if not args.all and args.method is None:
-        return _fail("give --method NAME or --all")
     reports = []
     all_ok = True
     for method in METHODS if args.all else [args.method]:
@@ -217,8 +215,6 @@ def _registration_kwargs(cls, args):
 
 
 def cmd_constants(args):
-    if not args.all and args.method is None:
-        return _fail("give --method NAME or --all")
     # every row is checked before any is printed
     rows = []
     for method in METHODS if args.all else [args.method]:
@@ -240,7 +236,7 @@ def cmd_ingest(args):
     check_sizes({"--limit": args.limit, "--force-dim": args.force_dim})
     if args.data is not None:
         ds = load_libsvm(args.data, force_dim=args.force_dim, limit=args.limit)
-    elif args.synthetic is not None:
+    else:
         try:
             rows, dim = (int(part) for part in args.synthetic.lower().split("x"))
         except ValueError:
@@ -250,8 +246,6 @@ def cmd_ingest(args):
         if args.force_dim is not None:
             return _fail("--force-dim does not apply to --synthetic")
         ds = synthetic_dataset(min(rows, args.limit or rows), dim=dim, seed=args.seed)
-    else:
-        return _fail("give --data PATH or --synthetic ROWSxDIM")
     write_libsvm(ds, args.out)
     print(f"rows={ds.n} dim={ds.d} nnz={ds.nnz()} -> {args.out}")
     return EXIT_OK
@@ -294,8 +288,9 @@ def build_parser():
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="empirical recursion margins")
-    p_verify.add_argument("--method", default=None)
-    p_verify.add_argument("--all", action="store_true")
+    which = p_verify.add_mutually_exclusive_group(required=True)
+    which.add_argument("--method", default=None)
+    which.add_argument("--all", action="store_true")
     p_verify.add_argument("--samples", type=int, default=20000)
     p_verify.add_argument("--states", type=int, default=10)
     p_verify.add_argument("--seed", type=int, default=0)
@@ -307,8 +302,9 @@ def build_parser():
     p_verify.set_defaults(func=cmd_verify)
 
     p_const = sub.add_parser("constants", help="print registered recursion constants")
-    p_const.add_argument("--method", default=None)
-    p_const.add_argument("--all", action="store_true")
+    which = p_const.add_mutually_exclusive_group(required=True)
+    which.add_argument("--method", default=None)
+    which.add_argument("--all", action="store_true")
     p_const.add_argument("--b", default=None, help="batch size, or the literal 'n'")
     p_const.add_argument("--p", type=float, default=0.25)
     p_const.add_argument("--n", type=int, default=100)
@@ -320,8 +316,9 @@ def build_parser():
     p_const.set_defaults(func=cmd_constants)
 
     p_ingest = sub.add_parser("ingest", help="normalize a dataset to libsvm text")
-    p_ingest.add_argument("--data", default=None, help="input libsvm path (.gz ok)")
-    p_ingest.add_argument("--synthetic", default=None, metavar="ROWSxDIM")
+    source = p_ingest.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", default=None, help="input libsvm path (.gz ok)")
+    source.add_argument("--synthetic", default=None, metavar="ROWSxDIM")
     p_ingest.add_argument("--limit", type=int, default=None)
     p_ingest.add_argument("--force-dim", type=int, default=None)
     p_ingest.add_argument("--seed", type=int, default=0)

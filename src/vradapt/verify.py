@@ -234,12 +234,8 @@ def pl_decay_check(trace, gamma, mu, f_star=None):
     gaps = np.array([r.loss - f_star for r in rows])
     if gaps[0] <= 0.0:
         raise ValueError("initial gap is not positive; wrong f_star?")
-    cutoff = gaps[0] * 1e-14
-    keep = gaps > cutoff
     # keep only the leading run: once the gap hits rounding, stop
-    if not keep.all():
-        first_bad = int(np.argmin(keep))
-        keep[first_bad:] = False
+    keep = np.logical_and.accumulate(gaps > gaps[0] * 1e-14)
     if keep.sum() < 3:
         raise ValueError("gap collapsed too quickly to fit a decay factor")
     slope, _ = np.polyfit(ts[keep], np.log(gaps[keep]), 1)

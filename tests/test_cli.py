@@ -557,11 +557,29 @@ class TestConstantsCommand:
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv,named",
-        [(["run"], "--config"), (["verify", "--samples", "abc"], "--samples")],
+        [
+            (["run"], "--config"),
+            (["verify", "--samples", "abc"], "--samples"),
+            # either-or flags: both given once ran --all, or ingested --data
+            pytest.param(["verify", "--method", "nosuch", "--all"],
+                         "--all: not allowed with argument --method", id="verify-both"),
+            pytest.param(["constants", "--method", "saga", "--all"],
+                         "--all: not allowed with argument --method", id="constants-both"),
+            pytest.param(["ingest", "--data", "F", "--synthetic", "50x8", "--out", "{out}"],
+                         "--synthetic: not allowed with argument --data", id="ingest-both"),
+            pytest.param(["verify"], "one of the arguments --method --all is required",
+                         id="verify-neither"),
+            pytest.param(["constants"], "one of the arguments --method --all is required",
+                         id="constants-neither"),
+            pytest.param(["ingest", "--out", "{out}"],
+                         "one of the arguments --data --synthetic is required", id="ingest-neither"),
+        ],
     )
-    def test_parse_error_is_one_error_line(self, argv, named, capsys):
-        assert main(argv) == EXIT_USAGE
+    def test_parse_error_is_one_error_line(self, argv, named, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        assert main([arg.format(out=out) for arg in argv]) == EXIT_USAGE
         assert_one_error_line(capsys.readouterr(), named)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -252,6 +252,16 @@ class TestConstantsRegistry:
         with pytest.raises(ValueError):
             c.scaled({"D": 2.0})
 
+    def test_scaled_by_two_factors(self):
+        c = constants("ef21", delta=2.0)
+        m = c.scaled({"C": 0.5, "rho2": 0.5})
+        assert (m.rho1, m.rho2, m.A, m.B, m.C) == (c.rho1, c.rho2 * 0.5, c.A, c.B, 2.0)
+
+    def test_unknown_name_among_known_ones_is_named(self):
+        c = constants("ef21", delta=2.0)
+        with pytest.raises(ValueError, match="^unknown constant 'D'$"):
+            c.scaled({"C": 0.5, "D": 2.0, "A": 3.0})
+
 
 class TestExactAtInit:
     @pytest.mark.parametrize("method", METHODS)
@@ -1020,6 +1030,10 @@ BATCH_CASES = [
     ("jaguar", {"b": 2}),
 ]
 
+EVERY_BATCH_CASE = pytest.mark.parametrize(
+    "method,hp", BATCH_CASES, ids=[f"{m}-{i}" for i, (m, _) in enumerate(BATCH_CASES)]
+)
+
 
 def replay_scripts(est, draws, S):
     """Per row of a step_batch draw, the ScriptedRng that makes ``step``
@@ -1051,11 +1065,12 @@ def replay_scripts(est, draws, S):
 
 
 def state_of(est):
-    """The attributes a step may change.  A table estimator's dense
-    ``table`` is no attribute: it is built from ``coefs``, which is
-    compared, on each read."""
+    """The attributes a step may change, each as a list of array copies
+    (a list attribute, such as uneven client groups, one per entry).  A
+    table estimator's dense ``table`` is no attribute: it is built from
+    ``coefs``, which is compared, on each read."""
     return {
-        k: [np.copy(a) for a in v] if isinstance(v, list) else np.copy(v)
+        k: [np.copy(a) for a in v] if isinstance(v, list) else [np.copy(v)]
         for k, v in vars(est).items()
         if k not in ("problem", "clients", "compressor")
     }
@@ -1070,31 +1085,31 @@ class TestStepBatch:
     X_CAND = np.array([-0.1, 0.6, 0.25, -0.3])
 
     @staticmethod
-    def walked(method, hp, quad):
+    def walked(method, hp, problem):
         """The estimator after two steps from zero, at a state where no
-        table, shift or client error is zero."""
-        est = make_estimator(method, quad, np.zeros(4), hp)
+        table, shift or client error is zero.  The points are cut or
+        repeated to the problem's dimension."""
+        d = problem.dim
+        est = make_estimator(method, problem, np.zeros(d), hp)
         walk = np.random.default_rng(3)
-        for x in (np.full(4, 0.3), np.array([0.5, -0.2, 0.1, 0.4])):
+        for x in (np.full(d, 0.3), np.resize([0.5, -0.2, 0.1, 0.4], d)):
             est.step(x, walk)
         return est
 
-    @pytest.mark.parametrize(
-        "method,hp", BATCH_CASES, ids=[f"{m}-{i}" for i, (m, _) in enumerate(BATCH_CASES)]
-    )
-    def test_rows_replay_through_step(self, method, hp, quad):
-        est = self.walked(method, hp, quad)
-        x_cand = self.X_CAND
+    def assert_rows_replay(self, method, hp, problem):
+        est = self.walked(method, hp, problem)
+        x_cand = np.resize(self.X_CAND, problem.dim)
         before = state_of(est)
 
         rng = RecordingRng(11)
         G, sigma = est.step_batch(x_cand, rng, self.S)
-        assert G.shape == (self.S, 4) and sigma.shape == (self.S,)
+        assert G.shape == (self.S, problem.dim) and sigma.shape == (self.S,)
 
         after = state_of(est)
         assert after.keys() == before.keys()
-        for key in before:
-            assert np.array_equal(np.asarray(after[key]), np.asarray(before[key])), key
+        for key, arrays in before.items():
+            assert len(after[key]) == len(arrays), key
+            assert all(np.array_equal(a, b) for a, b in zip(after[key], arrays)), key
 
         scripts = replay_scripts(est, rng.draws, self.S)
         if method in ("lsvrg", "page"):
@@ -1103,8 +1118,19 @@ class TestStepBatch:
         for s, script in enumerate(scripts):
             twin = est.clone()
             g = twin.step(x_cand, script)
-            assert np.allclose(G[s], g, rtol=1e-12, atol=1e-15), s
-            assert np.allclose(sigma[s], twin.sigma_sq(), rtol=1e-12, atol=1e-15), s
+            assert np.array_equal(G[s], g), s
+            assert sigma[s] == twin.sigma_sq(), s
+
+    @EVERY_BATCH_CASE
+    def test_rows_replay_through_step(self, method, hp, quad):
+        self.assert_rows_replay(method, hp, quad)
+
+    @EVERY_BATCH_CASE
+    def test_rows_replay_through_step_on_logistic(self, method, hp):
+        # binary features only: with uneven values a step sums v*(c - c')
+        # where the dense stacks sum v*c - v*c', and the two can round apart
+        problem = logistic_problem(synthetic_dataset(40, 6, seed=0))
+        self.assert_rows_replay(method, hp, problem)
 
     @pytest.mark.parametrize(
         "method,hp",

@@ -136,6 +136,16 @@ class TestPlDecay:
         with pytest.raises(ValueError, match="^gap collapsed too quickly to fit a decay factor$"):
             pl_decay_check(trace, gamma=0.5, mu=1.0, f_star=0.0)
 
+    def test_gap_that_recovers_after_collapse_ends_the_fit(self):
+        # the gap drops to 1e-20 of the first at t = 5 and is back at t = 7:
+        # only the leading run, t = 0..4, is fitted
+        trace = synthetic_trace(
+            lambda t: 1.0, T=12, loss_fn=lambda t: 1e-20 if t in (5, 6) else 0.5**t
+        )
+        out = pl_decay_check(trace, gamma=0.5, mu=1.0, f_star=0.0)
+        assert out["points_used"] == 5
+        assert out["factor"] == pytest.approx(0.5)
+
     def test_too_few_rows_rejected(self):
         res, prob = self.run_exact_gradient_descent()
         short = Trace()
