@@ -19,20 +19,23 @@ dense outputs of ``compress`` for every vector along the last axis of
 V, with fresh randomness per vector, drawn vector by vector in C order.
 The client-server estimators, the Monte Carlo verifier and the sampled
 contract checks all compress through it; ``compress`` is the reference
-the tests hold ``sample_dense`` to.  Both sparsifiers select through one
-path, ``_threshold_drop``: a mask of the entries past each row's k-th
-place in the sort, found by a partition threshold unless a tie
-straddles that place (or a NaN is present), so ``sample_dense`` keeps
-the sort's coordinates bit for bit.  The identity is top-k at k = d.
-SEGA's and JAGUAR's Monte Carlo coordinate sets (``step_batch``) are
-drawn through it too, as ``RandK`` draws its kept set: the first b
-positions of an argsort of uniforms.
+the tests hold ``sample_dense`` to.  Top-k selects through
+``_threshold_drop``: a mask of the entries past each row's k-th place in
+the sort, found by a partition threshold unless a tie straddles that
+place (or a NaN is present), so ``sample_dense`` keeps the sort's
+coordinates bit for bit.  The identity is top-k at k = d.  Rand-k's
+kept sets, and the estimators' Monte Carlo batches and coordinate sets
+(``step_batch``), come from ``_draw_subsets``: one uniform integer per
+subset into a cached table of all k-subsets, or, where the table would
+pass 1 MiB, the first k positions of an argsort of uniforms.
 Both calls reject vectors whose length is not the operator's ``dim``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +87,40 @@ def _threshold_drop(key, k, kind=None):
     return key.argsort(axis=-1, kind=kind).argsort(axis=-1) >= k
 
 
+_SUBSET_TABLE_BYTES = 1 << 20
+
+
+@functools.cache
+def _subset_table(n, k):
+    """The k-subsets of range(n) in ``itertools.combinations`` order, as
+    read-only index rows (smallest unsigned dtype) and bool masks, built
+    once per (n, k); None if the two would pass ``_SUBSET_TABLE_BYTES``."""
+    count, dtype = math.comb(n, k), np.min_scalar_type(n - 1)
+    if count * (k * dtype.itemsize + n) > _SUBSET_TABLE_BYTES:
+        return None
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    rows = np.fromiter(combos, dtype, count * k).reshape(count, k)
+    masks = np.zeros((count, n), dtype=bool)
+    np.put_along_axis(masks, rows, True, axis=1)
+    rows.flags.writeable = masks.flags.writeable = False
+    return rows, masks
+
+
+def _draw_subsets(rng, n, k, shape, mask=False):
+    """Uniform k-subsets of range(n), one per entry of ``shape``, as
+    index rows (*shape, k) or, with ``mask``, bool masks (*shape, n):
+    one ``rng.integers`` index each into ``_subset_table`` (rows come
+    sorted), or where there is none, the first k positions of an argsort
+    of uniforms ``rng.random((*shape, n))``."""
+    table = _subset_table(n, k)
+    if table is not None:
+        return table[mask].take(rng.integers(0, len(table[0]), size=shape), axis=0)
+    uniforms = rng.random((*shape, n))
+    if mask:
+        return ~_threshold_drop(uniforms, k)
+    return uniforms.argsort(axis=-1)[..., :k]
+
+
 class TopK:
     """Deterministic contractive compressor; registered delta = d/k."""
 
@@ -130,28 +167,26 @@ class RandK:
         """Keep k coordinates drawn uniformly without replacement, rescaled by d/k.
 
         The rescaling makes the operator unbiased; its second moment is
-        exactly (d/k) ||x||^2.  The kept coordinates are the first k
-        positions of an argsort of d uniforms, as each row of
-        ``sample_dense`` draws them, so from one generator state the two
-        keep the same subset.
+        exactly (d/k) ||x||^2.  The kept set is one ``_draw_subsets``
+        draw, as each row of ``sample_dense`` draws it, so from one
+        generator state the two keep the same subset.
         """
         x = _check_length(x, self.dim, vector=True)
-        kept = np.sort(rng.random(self.dim).argsort()[: self.k])
-        return CompressedVector(kept.astype(np.int64), self.omega * x[kept], self.dim)
+        kept = np.sort(_draw_subsets(rng, self.dim, self.k, ())).astype(np.int64)
+        return CompressedVector(kept, self.omega * x[kept], self.dim)
 
     def sample_dense(self, V, rng) -> np.ndarray:
         """Independent ``compress`` outputs, dense, for every vector along
-        the last axis of V: each keeps the first k positions of an argsort
-        of uniforms, k distinct positions drawn uniformly.
+        the last axis of V: each keeps k distinct positions drawn
+        uniformly.
 
-        The uniforms are drawn as one block of V's shape, and each row
-        keeps the first k positions of their argsort, found by
-        ``_threshold_drop``, so the kept set, and the rng's stream, are
-        those of ``compress``.  Scaled after the select, so only kept
-        entries are multiplied (and can overflow).
+        The kept sets are drawn as one ``_draw_subsets`` block of masks,
+        vector by vector in C order, so the kept sets, and the rng's
+        stream, are those of ``compress``.  Scaled after the select, so
+        only kept entries are multiplied (and can overflow).
         """
         V = _check_length(V, self.dim)
-        out = np.where(_threshold_drop(rng.random(V.shape), self.k), 0.0, V)
+        out = np.where(_draw_subsets(rng, self.dim, self.k, V.shape[:-1], mask=True), V, 0.0)
         out *= self.omega
         return out
 

@@ -50,7 +50,7 @@ def workloads(monkeypatch):
             [
                 {
                     "passed": True,
-                    "margins_sha256": "7f51efae012d06056825371b57fe9dbefd27706003f809d1bb64a9032253306a",
+                    "margins_sha256": "73f5f1550e92645574c35bdb6b6d96f53fd5249f2d5cf806ba6d6aa3a1749ca3",
                 },
             ],
         ),

@@ -12,6 +12,8 @@ from vradapt.compressors import (
     IdentityCompressor,
     RandK,
     TopK,
+    _draw_subsets,
+    _subset_table,
     _threshold_drop,
     check_biased_contract,
     check_unbiased_contract,
@@ -157,20 +159,24 @@ class TestSampleDense:
             assert np.array_equal(out[idx], TopK(2, 6).compress(V[idx]).to_dense())
 
     def test_randk_rows_match_rand_k_on_the_same_subset(self):
-        V = np.random.default_rng(2).standard_normal((3, 4, 6))
-        V[0, 0] = 1.0
-        # two generators in the same state: one draws the whole block,
-        # the other one vector at a time, in the same order
-        out = RandK(2, 6).sample_dense(V, np.random.default_rng(3))
-        one_at_a_time = np.random.default_rng(3)
-        assert out.shape == V.shape
-        for idx in np.ndindex(3, 4):
-            want = RandK(2, 6).compress(V[idx], one_at_a_time).to_dense()
-            assert np.array_equal(out[idx], want)
+        # rand-2 of 6 draws from the table of subsets, rand-5 of 40 from
+        # uniforms
+        for k, d in ((2, 6), (5, 40)):
+            V = np.random.default_rng(2).standard_normal((3, 4, d))
+            V[0, 0] = 1.0
+            # two generators in the same state: one draws the whole block,
+            # the other one vector at a time, in the same order
+            out = RandK(k, d).sample_dense(V, np.random.default_rng(3))
+            one_at_a_time = np.random.default_rng(3)
+            assert out.shape == V.shape
+            for idx in np.ndindex(3, 4):
+                want = RandK(k, d).compress(V[idx], one_at_a_time).to_dense()
+                assert np.array_equal(out[idx], want)
 
     def test_randk_ties_among_uniforms_keep_the_argsort_subset(self):
         class Scripted:
-            """A generator whose uniforms are given, ties included."""
+            """A generator whose uniforms are given, ties included, and
+            which draws no integers."""
 
             def __init__(self, uniforms):
                 self.uniforms = np.asarray(uniforms, dtype=float)
@@ -179,17 +185,16 @@ class TestSampleDense:
                 assert shape == self.uniforms.shape
                 return self.uniforms.copy()
 
-        U = np.array(
-            [
-                [[0.5, 0.25, 0.25, 0.75, 0.125], [0.25, 0.5, 0.75, 0.125, 0.0625]],
-                [[0.25, 0.25, 0.25, 0.25, 0.25], [0.75, 0.5, 0.5, 0.5, 0.125]],
-            ]
-        )
-        V = np.random.default_rng(7).standard_normal(U.shape)
+        # d = 40: from k = 4 to 36 the table of all subsets would pass
+        # 1 MiB, so the kept set is the first k of an argsort of uniforms
+        rng = np.random.default_rng(7)
+        U = rng.choice([0.0625, 0.125, 0.25, 0.5, 0.75], size=(2, 2, 40))
+        U[1, 0] = 0.25
+        V = rng.standard_normal(U.shape)
         V[0, 0, 1] = -0.0
-        for k in range(1, 6):
-            got = RandK(k, 5).sample_dense(V, Scripted(U))
-            want = _kept_by_sort(V, U.argsort(axis=-1)[..., :k], 5 / k)
+        for k in (4, 5, 20, 36):
+            got = RandK(k, 40).sample_dense(V, Scripted(U))
+            want = _kept_by_sort(V, U.argsort(axis=-1)[..., :k], 40 / k)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_threshold_runs_without_ties_and_defers_on_them(self):
@@ -240,13 +245,25 @@ def _kept_by_sort(V, kept, scale=1.0):
     return out
 
 
+def _combinations(n, k):
+    """All k-subsets of range(n), in ``itertools.combinations`` order, as
+    the rows of an int64 array."""
+    return np.array(list(itertools.combinations(range(n), k)), dtype=np.int64).reshape(-1, k)
+
+
 def _argsort_reference(compressor, V, seed):
     """The dense outputs as a full sort selects them: the stable argsort
-    of -|v| for top-k (the identity too, at k = d), the argsort of the
-    same uniforms for rand-k."""
+    of -|v| for top-k (the identity too, at k = d).  For rand-k, the
+    subsets the same integers pick from the combinations list, or, where
+    the sampler keeps no table, the argsort of the same uniforms."""
     k, d = compressor.k, compressor.dim
     if compressor.randomized:
-        kept = np.random.default_rng(seed).random(V.shape).argsort(axis=-1)[..., :k]
+        rng = np.random.default_rng(seed)
+        if _subset_table(d, k) is None:
+            kept = rng.random(V.shape).argsort(axis=-1)[..., :k]
+        else:
+            combos = _combinations(d, k)
+            kept = combos[rng.integers(0, len(combos), size=V.shape[:-1])]
         return _kept_by_sort(V, kept, d / k)
     return _kept_by_sort(V, np.argsort(-np.abs(V), axis=-1, kind="stable")[..., :k])
 
@@ -270,11 +287,13 @@ _TIE_PRONE = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 2.0, np.inf, -np.inf, np.nan]
 
 
 class TestThresholdMatchesSort:
-    """``sample_dense`` selects by a partition threshold; the kept sets,
-    and so the outputs, are bit for bit those of the full sort, and the
-    identity's (top-k at k = d) is its input.  Rows
-    of up to 16 entries and longer ones both appear: numpy sorts and
-    partitions short rows by another method."""
+    """``sample_dense`` selects by a partition threshold (top-k, and
+    rand-k where the sampler keeps no table of subsets); the kept sets,
+    and so the outputs, are bit for bit those of ``_argsort_reference``,
+    and the identity's (top-k at k = d) is its input.  Rows of up to 16
+    entries and longer ones both appear: numpy sorts and partitions short
+    rows by another method.  Rand-k keeps no table, and so selects from
+    uniforms, at d = 123 and d = 40 for k = d // 2."""
 
     @pytest.mark.parametrize("cls", [TopK, RandK])
     @pytest.mark.parametrize("shape", [(1, 10, 10), (3, 4, 16), (2, 10, 17), (10, 123), (5, 40)])
@@ -315,6 +334,69 @@ class TestThresholdMatchesSort:
         for block in (V, rng.standard_normal(shape), np.broadcast_to(V[..., :1], shape)):
             _assert_sample_dense_is_the_sort(IdentityCompressor(shape[-1]), block, 0)
             _assert_identity_is_its_input(block)
+
+
+class TestSubsetDraws:
+    """``_draw_subsets`` picks each k-subset with one integer into a
+    cached table of all of them, in ``itertools.combinations`` order,
+    and draws from uniforms, as before the table, where the table would
+    pass 1 MiB."""
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (5, 1), (5, 5), (6, 3), (10, 5), (20, 4), (300, 1)])
+    def test_table_is_the_combinations_list(self, n, k):
+        rows, masks = _subset_table(n, k)
+        want = _combinations(n, k)
+        assert rows.dtype == (np.uint8 if n <= 256 else np.uint16)
+        assert np.array_equal(rows, want)
+        assert masks.dtype == bool and masks.shape == (len(want), n)
+        assert all(np.array_equal(np.flatnonzero(m), w) for m, w in zip(masks, want))
+        assert not rows.flags.writeable and not masks.flags.writeable
+        # built once, kept for the module
+        assert _subset_table(n, k)[0] is rows
+
+    @pytest.mark.parametrize("n,k", [(40, 4), (40, 5), (40, 36), (123, 3), (123, 7), (20, 10)])
+    def test_no_table_past_one_mib(self, n, k):
+        assert _subset_table(n, k) is None
+
+    @pytest.mark.parametrize("n,k", [(20, 4), (10, 3), (10, 5), (123, 2), (123, 122)])
+    def test_verifier_sizes_have_tables(self, n, k):
+        assert _subset_table(n, k) is not None
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    @pytest.mark.parametrize("n,k", [(6, 3), (20, 4), (9, 9)])
+    def test_draw_is_the_combinations_list_at_twin_integers(self, n, k, shape):
+        combos = _combinations(n, k)
+        picks = np.random.default_rng(5).integers(0, len(combos), size=shape)
+        rows = _draw_subsets(np.random.default_rng(5), n, k, shape)
+        masks = _draw_subsets(np.random.default_rng(5), n, k, shape, mask=True)
+        assert rows.shape == (*shape, k) and masks.shape == (*shape, n)
+        assert np.array_equal(rows, combos[picks])
+        want = np.zeros((*shape, n), dtype=bool)
+        np.put_along_axis(want, combos[picks], True, axis=-1)
+        assert np.array_equal(masks, want)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    @pytest.mark.parametrize("n,k", [(40, 5), (123, 7)])
+    def test_past_the_limit_the_draw_is_the_argsort_of_uniforms(self, n, k, shape):
+        # bit for bit the draws before the table: the first k positions of
+        # an argsort of uniforms, and their mask by the partition threshold
+        rows = _draw_subsets(np.random.default_rng(6), n, k, shape)
+        uniforms = np.random.default_rng(6).random((*shape, n))
+        assert np.array_equal(rows, uniforms.argsort(axis=-1)[..., :k])
+        masks = _draw_subsets(np.random.default_rng(6), n, k, shape, mask=True)
+        assert np.array_equal(masks, ~_threshold_drop(uniforms, k))
+
+    @pytest.mark.parametrize("mask", [False, True])
+    def test_all_twenty_subsets_are_equally_likely(self, mask):
+        draws = _draw_subsets(np.random.default_rng(8), 6, 3, (20000,), mask=mask)
+        kept = [tuple(np.flatnonzero(m)) for m in draws] if mask else map(tuple, draws)
+        counts = {}
+        for key in kept:
+            counts[key] = counts.get(key, 0) + 1
+        assert sorted(counts) == list(itertools.combinations(range(6), 3))
+        # each has probability 1/20: 1000 +- 4 sigma
+        sigma = np.sqrt(20000 * (1 / 20) * (19 / 20))
+        assert all(abs(c - 1000) < 4 * sigma for c in counts.values())
 
 
 class TestContracts:

@@ -24,27 +24,37 @@ from test_problems import _ragged_dataset
 
 
 class ScriptedRng:
-    """Replays a fixed script of coin flips, batch draws and uniform
-    arrays (a random compressor's draw) so each estimator update can be
-    checked against hand arithmetic."""
+    """Replays a fixed script of coin flips and integer draws (batches,
+    or a random compressor's indices into the combinations list, see
+    ``subset_index``) so each estimator update can be checked against
+    hand arithmetic."""
 
-    def __init__(self, coins=(), batches=(), uniforms=()):
+    def __init__(self, coins=(), batches=()):
         self._coins = list(coins)
         self._batches = [list(b) for b in batches]
-        self._uniforms = [np.asarray(u, dtype=float) for u in uniforms]
 
     def random(self, size=None):
-        if size is None:
-            return self._coins.pop(0)
-        u = self._uniforms.pop(0)
-        assert u.shape == np.empty(size).shape
-        return u
+        assert size is None
+        return self._coins.pop(0)
 
     def integers(self, low, high, size=None):
-        return np.array(self._batches.pop(0), dtype=np.int64)
+        out = np.array(self._batches.pop(0), dtype=np.int64)
+        assert out.shape == np.empty(size).shape and np.all((low <= out) & (out < high))
+        return out
 
     def choice(self, n, size, replace=False):
         return np.array(self._batches.pop(0), dtype=np.int64)
+
+
+def combinations(n, k):
+    """All k-subsets of range(n) in ``itertools.combinations`` order: the
+    list a draw of distinct indices picks from with one integer."""
+    return list(itertools.combinations(range(n), k))
+
+
+def subset_index(n, k, subset):
+    """The integer that picks ``subset`` from ``combinations(n, k)``."""
+    return combinations(n, k).index(tuple(subset))
 
 
 def default_hp(method, problem):
@@ -581,7 +591,7 @@ class TestDIANA:
         server = shift.copy()
         u = quad.full_grad(x1)
         # keep coordinates {0, 2}; RandK scales the survivors by d/k = 2
-        g = est.step(x1, ScriptedRng(uniforms=[[[0.1, 0.6, 0.2, 0.7]]]))
+        g = est.step(x1, ScriptedRng(batches=[[subset_index(4, 2, [0, 2])]]))
         dense = np.zeros(4)
         dense[[0, 2]] = 2.0 * (u - shift)[[0, 2]]
         assert np.allclose(g, server + dense, atol=1e-14)
@@ -635,16 +645,12 @@ class TestDASHA:
         prev = state.copy()
         g_prev = state.copy()
 
-        # each step's uniforms argsort to the kept coordinates first
-        for x, kept, uniforms in (
-            (x1, [1, 3], [0.6, 0.1, 0.7, 0.2]),
-            (x2, [0, 1], [0.1, 0.2, 0.6, 0.7]),
-        ):
+        for x, kept in ((x1, [1, 3]), (x2, [0, 1])):
             u = quad.full_grad(x)
             momentum = u - prev - eta * (state - prev)
             dense = np.zeros(4)
             dense[kept] = 2.0 * momentum[kept]
-            g = est.step(x, ScriptedRng(uniforms=[[uniforms]]))
+            g = est.step(x, ScriptedRng(batches=[[subset_index(4, 2, kept)]]))
             state = state + dense
             g_prev = g_prev + dense
             prev = u
@@ -657,7 +663,8 @@ def client_loop_steps(method, est0, xs, rng):
     """The EF21/DIANA/DASHA updates written client by client on lists of
     vectors, from the state ``est0`` holds at construction: yields the
     estimate, the per-client memory (EF21/DASHA state, DIANA shifts) and
-    sigma^2 after each step."""
+    sigma^2 after each step.  A rand-k message keeps the subset one
+    ``rng.integers`` draw picks from ``combinations(d, k)``."""
     weights, compressor = est0.weights, est0.compressor
     clients = reference_clients(est0)
     grads = [cp.full_grad(est0.x) for cp in clients]
@@ -674,7 +681,13 @@ def client_loop_steps(method, est0, xs, rng):
                 residual = u - grads[j] - eta * (memory[j] - grads[j])
             else:
                 residual = u - memory[j]
-            dense = compressor.compress(residual, rng).to_dense()
+            if compressor.randomized:
+                subsets = combinations(compressor.dim, compressor.k)
+                kept = list(subsets[rng.integers(0, len(subsets))])
+                dense = np.zeros(len(x))
+                dense[kept] = compressor.omega * residual[kept]
+            else:
+                dense = compressor.compress(residual, rng).to_dense()
             memory[j] = memory[j] + (dense / (omega + 1.0) if method == "diana" else dense)
             grads[j] = u
             update += weights[j] * dense
@@ -1004,11 +1017,6 @@ class RecordingRng:
         return out
 
 
-def first_b(uniforms, b):
-    """The subset an argsort-of-uniforms draw keeps."""
-    return np.argsort(uniforms)[:b]
-
-
 # (method, hyperparameters) pairs whose step_batch rows are replayed:
 # every method, LSVRG and PAGE with and without replacement, and every
 # compressor each client-server method accepts
@@ -1037,7 +1045,9 @@ EVERY_BATCH_CASE = pytest.mark.parametrize(
 
 def replay_scripts(est, draws, S):
     """Per row of a step_batch draw, the ScriptedRng that makes ``step``
-    take the same coin, batch, coordinates or compressor subsets."""
+    take the same coin, batch, coordinates or compressor subsets.  A
+    draw of distinct indices is one integer per row, decoded here from
+    ``combinations``; a compressor's integers are handed on as drawn."""
     draws = list(draws)
     coins = [None] * S
     if est.method in ("lsvrg", "page"):
@@ -1048,16 +1058,18 @@ def replay_scripts(est, draws, S):
         if not est.compressor.randomized:
             assert draws == []
             return [ScriptedRng() for _ in range(S)]
-        (kind, u), = draws
-        assert kind == "random" and u.shape == (S, est.n_clients, est.problem.dim)
-        return [ScriptedRng(uniforms=[u[s]]) for s in range(S)]
+        (kind, picks), = draws
+        assert kind == "integers" and picks.shape == (S, est.n_clients)
+        return [ScriptedRng(batches=[picks[s]]) for s in range(S)]
     (kind, values), = draws
+    assert kind == "integers"
     if getattr(est, "with_replacement", False):
-        assert kind == "integers" and values.shape == (S, est.b)
+        assert values.shape == (S, est.b)
         batches = list(values)
     else:
-        assert kind == "random"
-        batches = [first_b(row, est.b) for row in values]
+        assert values.shape == (S,)
+        n = est.problem.dim if est.size == "d" else est.problem.n_components
+        batches = [combinations(n, est.b)[i] for i in values]
     return [
         ScriptedRng(coins=[] if c is None else [c], batches=[batch])
         for c, batch in zip(coins, batches)

@@ -185,13 +185,13 @@ GOLDEN = [
         "dasha-quadratic",
         dict(problem="quadratic", n=27, d=9, method="dasha", compressor="randk", k=3,
              clients=4, scheduler="adaptive"),
-        "f2c94b6befe2a4c627ec98428137560ba6eaa3c7c98405fb0d55d3d501bcf127",
+        "265de9ad2ae6cc0ec5c2873c9693f9ecdf21cbc68dca7a531f5eb86e735a622d",
     ),
     (
         "diana-quadratic",
         dict(problem="quadratic", n=27, d=9, method="diana", compressor="randk", k=3,
              clients=4, scheduler="adaptive"),
-        "2b8b13f1e189ab9160f5ea6e928dfaa75680bc3b3ae2753fea4075c2a2a30c8c",
+        "dfdd688005eb37e8191b98039b4ca49e8b46ecc0a873132bade2154c1d81cc2f",
     ),
     # the step-size rules not covered above
     (
@@ -374,8 +374,8 @@ TRAJECTORY = {
     "diana-identity": "ddb32f911a5706996481e5269e4a10ec1a2ae2ca65316ca38e63adb6d4859958",
     "dasha-identity": "4d4f4942d9967be2f36e2591b8517acc670f83a89061fd1b5b5ea1dd9282b7db",
     "ef21-quadratic": "a35cf678e2a2bc15c33970210d044ca5ed73919bf3a76d0f0a4249b525420df6",
-    "dasha-quadratic": "79f913110157d9c4961dc5fd6eabd4df8717069433582d8c8731397e0b4c8cec",
-    "diana-quadratic": "47412bee7ded37e698c9200bbbe3dd2ce04915762c893c3973d0e7e10b862e71",
+    "dasha-quadratic": "d49b06dd57ffae11759a741ec726ad6c5ae249994da631f9f92162c3d39f83e9",
+    "diana-quadratic": "e29aab5c4cfbce4eb0e52ec6676842f40e02d7ab046846dc9e5bbda3604d582a",
     "page-adam": "fbaea3d0a6f6b2bd15477d546b6072a83b986e614aa4cbaffc080e24b1226805",
     "zerosarah-tuned": "65080f60440f7ff341719df0b63f1382fb00e5e9c9d932efcc0e239878a79a49",
     "lsvrg-constant": "b10a7dfc6c37f0e83a346053489bbbd02b72c426922b9a5e491196ca4684fbbc",

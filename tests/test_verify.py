@@ -308,15 +308,15 @@ class TestAssumptionMargins:
 # cases whose digest changed on stderr.
 GOLDEN_RUN = dict(state_points=3, samples_per_point=1000, seed=0)
 MARGIN_GOLDEN = {
-    "lsvrg": "9e3d324b63652bb4ad9d6945fe019f517fb8f2253ecc25ba4e1387aa34ab3b6b",
-    "saga": "60c7f01762cb5375d63e467f33cff4e49babaee0a9a99d0122ef192e09b8b8ee",
-    "page": "5c2129b110b4dce7c7e2e3c9689db753b6e6e4c9ea3f1fb4a3508a5759a32dd9",
-    "zerosarah": "1db241b704da8db80edcb60454321aeeb0f1b62217dfc055031e9849915b0a94",
+    "lsvrg": "9f15e97a426a7d3db2b1df8af20c57eee5d5002ebb5be9a8174c826254db6d7c",
+    "saga": "2c8dbafa159da0c896ada688a0c1683c028e1182ef68080e3cb3b7ede1d33b78",
+    "page": "49be2904a65047126817fe4bdd324608d2e41bdceae3a92cf4b7d8591c5fbb54",
+    "zerosarah": "7e06ffd8de3616d734f19de8d0a1a0a1eed618299f9074c1ac55ae9c63d7a186",
     "ef21": "cb45ca8ffaa5e48aad880af2d9a375e26bf02564f506a1d0cc8c1174d39d15aa",
-    "diana": "41b4ab5ef0d22be038e26fad92238f9a216b2b22af3cfcbf371db069536c3bd3",
-    "dasha": "839447d94cc01f20d1563a75c3b2645ad3c25ba6d54a2b2ae9c010b579e5ecd7",
-    "sega": "08363707698c3786dfc3fe1fa2629892c1bcbb5413d6ea378d511c2990779c2f",
-    "jaguar": "34fe240b779a04e963c7b66b99a4e325c774f59330f8c0720b220c9e49495ca4",
+    "diana": "93e6192bf4571ee1873f323d38ac6335ffe2b475cce13396b946fa5bd1fc2f71",
+    "dasha": "eeb67a52ce5e48bcc933190ff33cbc87b802802e31035396ac32cd73ccc831fb",
+    "sega": "2610a8e9aa52d07ffbbb4c505f8a06b04b2c93816337cb5313ce2a8a84c380c2",
+    "jaguar": "211cadaad66eb7374e2d6379cd53a339de5bd05162bef584fe3a5e15878ff2d9",
     "ef21 C*0.5": "62881f6bf6367f669e695db5f046ad7bc7c53ecc17452b65f97060453d321eb8",
 }
 
