@@ -9,14 +9,19 @@ Exit codes: 0 success, 1 usage or config error, 2 divergence,
 3 verification failure.  ``VRADAPT_SEED`` supplies a seed when neither
 the flag nor the config file does.
 
-``main`` is the one error boundary: an OSError or ValueError from any
-command (a bad config, a file it cannot read or write) ends as one
-``error:`` line on stderr and exit 1.
+``main`` is the one error boundary: an OSError, ValueError or
+MemoryError from any command (a bad config, a file it cannot read or
+write, a size too large to allocate) ends as one ``error:`` line on
+stderr and exit 1.  Each output path (``run --out``, ``verify --out``,
+``sweep --out-dir``) is opened or made before the work, so a path that
+cannot be written fails first, not after the work; a command that fails
+removes the file or empty directory it made.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import engine, verify
 from .compressors import check_biased_contract, check_unbiased_contract
-from .data import check_sizes, load_libsvm, read_text, synthetic_dataset, write_libsvm
+from .data import check_sizes, load_libsvm, opened, read_text, synthetic_dataset, write_libsvm
 from .estimators import DISTRIBUTED_METHODS, METHODS, estimator_class
 from .schedulers import nu_of
 
@@ -66,6 +71,23 @@ def _load_config(path, flag_seed):
     return cfg
 
 
+@contextlib.contextmanager
+def _checked_output(path):
+    """Run the work in the block with the output ``path`` checked first:
+    opened to append, which makes a missing file and leaves an existing
+    one as it is, so that a path that cannot be written fails before the
+    work.  If the work fails, a file made here is removed again."""
+    made = not os.path.exists(path)
+    with opened(path, "a"):
+        pass
+    try:
+        yield
+    except BaseException:
+        if made:
+            os.remove(path)
+        raise
+
+
 def _summary_line(result, out):
     """Every summary entry as key=value in order, floats to 6 significant
     digits, then the trace path."""
@@ -79,7 +101,8 @@ def cmd_run(args):
     if out is None:
         stem = os.path.splitext(os.path.basename(args.config))[0]
         out = stem + "_trace.csv"
-    result = engine.run(cfg)
+    with _checked_output(out):
+        result = engine.run(cfg)
     engine.trace_to_csv(result.trace, out)
     print(_summary_line(result, out))
     return EXIT_DIVERGED if result.status == "diverged" else EXIT_OK
@@ -106,21 +129,29 @@ def cmd_sweep(args):
     check_sizes({"--jobs": args.jobs})
     cfg = _load_config(args.config, args.seed)
     grid = _parse_grid(args.grid)
-    results = engine.sweep(cfg, grid, jobs=args.jobs)
+    made = not os.path.isdir(args.out_dir)
+    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        return _write_sweep(engine.sweep(cfg, grid, jobs=args.jobs), sorted(grid), args.out_dir)
+    finally:
+        # a sweep that wrote no trace leaves no directory it made
+        if made and not os.listdir(args.out_dir):
+            os.rmdir(args.out_dir)
+
+
+def _write_sweep(results, keys, out_dir):
     errors = {r.summary["error"] for r in results if r.status == "invalid"}
     if len(errors) == 1 and all(r.status == "invalid" for r in results):
         # every cell hit the same error: the base config is at fault
         return _fail(errors.pop())
     worst = EXIT_OK
-    keys = sorted(grid)
     for result in results:
         if result.status == "invalid":
             cell = " ".join(f"{k}={getattr(result.config, k)}" for k in keys)
             _fail(f"cell {cell}: {result.summary['error']}")
             continue
         tag = "_".join(f"{k}{getattr(result.config, k)}" for k in keys) or "base"
-        os.makedirs(args.out_dir, exist_ok=True)
-        out = os.path.join(args.out_dir, f"sweep_{tag}.csv")
+        out = os.path.join(out_dir, f"sweep_{tag}.csv")
         engine.trace_to_csv(result.trace, out)
         print(_summary_line(result, out))
         if result.status == "diverged":
@@ -183,10 +214,11 @@ def _verify_one(method, args):
 def cmd_verify(args):
     reports = []
     all_ok = True
-    for method in METHODS if args.all else [args.method]:
-        report, ok = _verify_one(method, args)
-        reports.append(report)
-        all_ok = all_ok and ok
+    with _checked_output(args.out) if args.out else contextlib.nullcontext():
+        for method in METHODS if args.all else [args.method]:
+            report, ok = _verify_one(method, args)
+            reports.append(report)
+            all_ok = all_ok and ok
     if args.out:
         verify.margins_to_csv(reports, args.out)
         print(f"margins written to {args.out}")
@@ -336,7 +368,7 @@ def main(argv=None):
         return _fail(f"--seed must be a non-negative integer, got {args.seed}")
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         return _fail(str(exc))
 
 

@@ -25,9 +25,10 @@ the sort, found by a partition threshold unless a tie straddles that
 place (or a NaN is present), so ``sample_dense`` keeps the sort's
 coordinates bit for bit.  The identity is top-k at k = d.  Rand-k's
 kept sets, and the estimators' Monte Carlo batches and coordinate sets
-(``step_batch``), come from ``_draw_subsets``: one uniform integer per
-subset into a cached table of all k-subsets, or, where the table would
-pass 1 MiB, the first k positions of an argsort of uniforms.
+(each ``draw`` of a ``sampler``), come from ``_draw_subsets``: one
+uniform integer per subset into a cached table of all k-subsets, or,
+where the table would pass 1 MiB, the first k positions of an argsort
+of uniforms.
 Both calls reject vectors whose length is not the operator's ``dim``.
 """
 

@@ -446,7 +446,7 @@ def _sweep_configs(base, grid):
 def _run_cell(config):
     try:
         return run(config)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         return RunResult(config, None, Trace(), "invalid", {"status": "invalid", "error": str(exc)})
 
 
@@ -457,7 +457,8 @@ def sweep(base, grid, jobs=1):
     grid point gets its own seed derived by hashing the base seed with
     the sorted key/value combination.  Either way results are independent
     of execution order and of jobs.  A cell whose config is rejected
-    (OSError or ValueError) does not stop the others: its result has
+    (OSError or ValueError) or whose sizes cannot be allocated
+    (MemoryError) does not stop the others: its result has
     status ``invalid``, no trace, and the message in
     ``summary["error"]``.
     """

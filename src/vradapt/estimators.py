@@ -133,10 +133,10 @@ def _draw_batches(rng, n, b, S, with_replacement=False):
     return _draw_subsets(rng, n, b, (S,))
 
 
-def _table_sigma(gaps, batches):
+def _table_sigma(rows, batches):
     """Table staleness after each batch's rows are refreshed: the per-row
-    squared gaps with the batch's rows zeroed, averaged over all rows."""
-    rows = (gaps * gaps).sum(axis=1)
+    squared gaps ``rows`` with the batch's rows zeroed, averaged over all
+    rows."""
     stale = np.tile(rows, (len(batches), 1))
     stale[np.arange(len(batches))[:, None], batches] = 0.0
     return stale.sum(axis=1) / len(rows)
@@ -158,21 +158,24 @@ class GradientEstimator:
       oracle-call ledger from fresh randomness and return g^t;
     * ``_opening_pass()``, if it keeps memory: build it from the full
       pass at ``self.x`` and return g^0;
-    * ``step_batch(x_cand, rng, S)``: the pure, vectorised counterpart
-      for the Monte Carlo verifier, S independent draws of
-      ``step(x_cand, rng)`` from the current state, which stays as it is
-      (ledger included).  Returns ``(G, sigma)``: the S next estimates,
-      shape (S, d), and the auxiliary error ``sigma_sq()`` would report
-      after each, shape (S,).  A client-server method's rows come from
-      ``_transition``, which ``step`` runs, at S draws.  The others keep dense
-      stacks (on the 20x10 verify fixtures a batch row costs 0.57 us for
-      SAGA and 0.26 us for SEGA, stepping a clone 38 us and 26 us):
-      oracle values every draw shares are computed once per call, and
-      each draw only gathers or masks them.  The randomness is drawn in
-      whole arrays, so the stream differs from S calls of ``step``, not
-      the distribution.  A transition that draws nothing (a deterministic
-      compressor) is computed once and its row repeated S times, into
-      arrays of their own;
+    * ``sampler(x_cand)``: the pure, vectorised counterpart for the
+      Monte Carlo verifier.  It computes, once, every oracle value that
+      the draws from the current state to ``x_cand`` share, and returns
+      ``draw(rng, S)``: S independent draws of ``step(x_cand, rng)`` from
+      that state, which stays as it is (ledger included).  ``draw``
+      returns ``(G, sigma)``: the S next estimates, shape (S, d), and the
+      auxiliary error ``sigma_sq()`` would report after each, shape (S,);
+      it may be called any number of times.  A sampler reads the state
+      as it was when it was built, and is valid until the next ``step``.
+      A client-server method's rows come from ``_transition``, which
+      ``step`` runs, at S draws.  The others keep dense stacks (on the
+      20x10 verify fixtures a batch row costs 0.57 us for SAGA and
+      0.26 us for SEGA, stepping a clone 38 us and 26 us): each draw
+      only gathers or masks the shared values.  The randomness is drawn
+      in whole arrays, so the stream differs from S calls of ``step``,
+      not the distribution.  A transition that draws nothing (a
+      deterministic compressor) is computed once, by ``sampler``, and
+      ``draw`` repeats its row S times, into arrays of their own;
     * ``sigma_sq()``, if it has an auxiliary sequence: its auxiliary
       error at the current state (diagnostic; may cost a full pass, so
       the optimizer loop never calls it).
@@ -291,25 +294,27 @@ class LSVRG(GradientEstimator):
         diff = self.problem.all_component_grads(self.anchor) - self.problem.all_component_grads(self.x)
         return float((diff * diff).sum(axis=1).mean())
 
-    def step_batch(self, x_cand, rng, S):
+    def sampler(self, x_cand):
         problem = self.problem
-        refresh = rng.random(S) < self.p
-        batches = _draw_batches(rng, problem.n_components, self.b, S, self.with_replacement)
         at_cand = problem.all_component_grads(x_cand)
         # a refresh snaps the anchor to the current point
         gaps_kept = at_cand - problem.all_component_grads(self.anchor)
         gaps_fresh = at_cand - problem.all_component_grads(self.x)
-        G = np.where(
-            refresh[:, None],
-            problem.full_grad(self.x) + gaps_fresh[batches].mean(axis=1),
-            self.anchor_grad + gaps_kept[batches].mean(axis=1),
-        )
-        sigma = np.where(
-            refresh,
-            (gaps_fresh * gaps_fresh).sum(axis=1).mean(),
-            (gaps_kept * gaps_kept).sum(axis=1).mean(),
-        )
-        return G, sigma
+        grad_fresh = problem.full_grad(self.x)
+        sigma_fresh = (gaps_fresh * gaps_fresh).sum(axis=1).mean()
+        sigma_kept = (gaps_kept * gaps_kept).sum(axis=1).mean()
+
+        def draw(rng, S):
+            refresh = rng.random(S) < self.p
+            batches = _draw_batches(rng, problem.n_components, self.b, S, self.with_replacement)
+            G = np.where(
+                refresh[:, None],
+                grad_fresh + gaps_fresh[batches].mean(axis=1),
+                self.anchor_grad + gaps_kept[batches].mean(axis=1),
+            )
+            return G, np.where(refresh, sigma_fresh, sigma_kept)
+
+        return draw
 
 
 class _TableEstimator(GradientEstimator):
@@ -374,10 +379,15 @@ class SAGA(_TableEstimator):
         self.table_mean = self.table_mean + change / problem.n_components
         return g
 
-    def step_batch(self, x_cand, rng, S):
-        batches = _draw_batches(rng, self.problem.n_components, self.b, S)
+    def sampler(self, x_cand):
         gaps = self.problem.all_component_grads(x_cand) - self.table
-        return self.table_mean + gaps[batches].mean(axis=1), _table_sigma(gaps, batches)
+        rows = (gaps * gaps).sum(axis=1)
+
+        def draw(rng, S):
+            batches = _draw_batches(rng, self.problem.n_components, self.b, S)
+            return self.table_mean + gaps[batches].mean(axis=1), _table_sigma(rows, batches)
+
+        return draw
 
 
 class PAGE(GradientEstimator):
@@ -406,15 +416,18 @@ class PAGE(GradientEstimator):
         self.grad_calls += 2 * self.b
         return self.g + problem.batch_sum(rows, [cur - prev])[0] / self.b
 
-    def step_batch(self, x_cand, rng, S):
+    def sampler(self, x_cand):
         problem = self.problem
-        refresh = rng.random(S) < self.p
-        batches = _draw_batches(rng, problem.n_components, self.b, S, self.with_replacement)
         diffs = problem.all_component_grads(x_cand) - problem.all_component_grads(self.x)
-        G = np.where(
-            refresh[:, None], problem.full_grad(x_cand), self.g + diffs[batches].mean(axis=1)
-        )
-        return G, np.zeros(S)
+        grad_cand = problem.full_grad(x_cand)
+
+        def draw(rng, S):
+            refresh = rng.random(S) < self.p
+            batches = _draw_batches(rng, problem.n_components, self.b, S, self.with_replacement)
+            G = np.where(refresh[:, None], grad_cand, self.g + diffs[batches].mean(axis=1))
+            return G, np.zeros(S)
+
+        return draw
 
 
 class ZeroSARAH(_TableEstimator):
@@ -449,17 +462,22 @@ class ZeroSARAH(_TableEstimator):
         self.table_mean = self.table_mean + change / problem.n_components
         return g
 
-    def step_batch(self, x_cand, rng, S):
+    def sampler(self, x_cand):
         problem = self.problem
         lam = self.b / (2.0 * problem.n_components)
-        batches = _draw_batches(rng, problem.n_components, self.b, S)
         at_cand = problem.all_component_grads(x_cand)
         at_prev = problem.all_component_grads(self.x)
         table = self.table
-        chain = (at_cand - at_prev)[batches].mean(axis=1)
-        control = (at_prev - table)[batches].mean(axis=1) + self.table_mean
-        G = chain + (1.0 - lam) * self.g + lam * control
-        return G, _table_sigma(at_cand - table, batches)
+        chain_gaps, control_gaps, stale = at_cand - at_prev, at_prev - table, at_cand - table
+        rows = (stale * stale).sum(axis=1)
+
+        def draw(rng, S):
+            batches = _draw_batches(rng, problem.n_components, self.b, S)
+            chain = chain_gaps[batches].mean(axis=1)
+            control = control_gaps[batches].mean(axis=1) + self.table_mean
+            return chain + (1.0 - lam) * self.g + lam * control, _table_sigma(rows, batches)
+
+        return draw
 
 
 _COMPRESSOR_KINDS = {
@@ -483,10 +501,13 @@ class _ClientServerEstimator(GradientEstimator):
     ``client_grads`` (the gradients at the current point) and
     ``client_state`` (each client's running estimate of its gradient;
     DIANA's shift); ``server_state`` is their share-weighted sum.  One
-    ``_transition`` serves ``step`` and ``step_batch``: it compresses
-    every client's ``_message(grads)`` (by default the residual against
-    its state) in one ``compressor.sample_dense`` call, so a random
-    compressor draws client by client from one rng.  With ``agg`` the
+    ``_transition`` serves ``step`` and ``sampler``: it compresses every
+    client's ``_message(grads)`` (by default the residual against its
+    state), which the caller computes from the client pass, in one
+    ``compressor.sample_dense`` call, so a random compressor draws client
+    by client from one rng.  A sampler makes the client pass and the
+    message once and hands their (S, n_clients, d) broadcast to each
+    draw's transition.  With ``agg`` the
     share-weighted sum of the compressed messages, the estimate is
     ``server_state + agg`` and the client states move by ``_damp(dense)``;
     a step also moves the server state by ``_damp(agg)``.  EF21 and DASHA
@@ -567,22 +588,19 @@ class _ClientServerEstimator(GradientEstimator):
         (...), summed client by client in order."""
         return self._server_sum((gaps * gaps).sum(axis=-1)[..., None])[..., 0]
 
-    def _transition(self, x, rng, draws=None):
-        """(client gradients at x, next client states, estimate, aggregate)
-        from the current state, left as it is.  With ``draws``, the message
-        is compressed ``draws`` times and the last three gain a leading axis."""
-        grads = self._client_grads(x)
-        message = self._message(grads)
-        if draws is not None:
-            message = np.broadcast_to(message, (draws,) + message.shape)
+    def _transition(self, message, rng):
+        """(next client states, estimate, aggregate) from the current
+        state, left as it is, with every client's ``message`` compressed.
+        A message stack (draws, n_clients, d) gives a leading draw axis."""
         dense = self.compressor.sample_dense(message, rng)
         agg = self._server_sum(dense)
         # the estimate uses the PRE-update server state, so an identity
         # compressor telescopes back to the exact gradient
-        return grads, self.client_state + self._damp(dense), self.server_state + agg, agg
+        return self.client_state + self._damp(dense), self.server_state + agg, agg
 
     def _update(self, x_t, rng):
-        grads, self.client_state, g, agg = self._transition(x_t, rng)
+        grads = self._client_grads(x_t)
+        self.client_state, g, agg = self._transition(self._message(grads), rng)
         self.grad_calls += self.problem.n_components
         self.bits_compressed += (
             self.n_clients * self.compressor.k * (self.value_bits + self.index_bits)
@@ -594,13 +612,20 @@ class _ClientServerEstimator(GradientEstimator):
     def sigma_sq(self):
         return float(self._client_error(self.client_state - self.client_grads))
 
-    def step_batch(self, x_cand, rng, S):
-        # a deterministic compressor draws nothing from rng, so its S
-        # transitions are one, computed once and repeated
-        draws = S if self.compressor.randomized else 1
-        grads, states, G, _ = self._transition(x_cand, rng, draws)
-        sigma = self._client_error(states - grads)
-        return np.repeat(G, S // draws, axis=0), np.repeat(sigma, S // draws)
+    def sampler(self, x_cand):
+        grads = self._client_grads(x_cand)
+        message = self._message(grads)
+
+        def transitions(rng, S):
+            states, G, _ = self._transition(np.broadcast_to(message, (S,) + message.shape), rng)
+            return G, self._client_error(states - grads)
+
+        if self.compressor.randomized:
+            return transitions
+        # a deterministic compressor draws nothing from rng, so every
+        # transition is this one, repeated
+        G, sigma = transitions(None, 1)
+        return lambda rng, S: (np.repeat(G, S, axis=0), np.repeat(sigma, S))
 
 
 class EF21(_ClientServerEstimator):
@@ -712,17 +737,21 @@ class SEGA(GradientEstimator):
         diff = self.memory - self.problem.full_grad(self.x)
         return float((diff * diff).sum())
 
-    def step_batch(self, x_cand, rng, S):
+    def sampler(self, x_cand):
         problem = self.problem
         d = problem.dim
-        sampled = _draw_subsets(rng, d, self.b, (S,), mask=True)
         # every coordinate's partial is its full_grad entry, bit for bit
         at_prev = problem.full_grad(self.x)
         at_cand = problem.full_grad(x_cand)
-        memory = np.where(sampled, at_prev, self.memory)
-        G = np.where(sampled, at_prev + (d / self.b) * (at_cand - at_prev), memory)
-        gaps = memory - at_cand
-        return G, (gaps * gaps).sum(axis=1)
+        fresh = at_prev + (d / self.b) * (at_cand - at_prev)
+
+        def draw(rng, S):
+            sampled = _draw_subsets(rng, d, self.b, (S,), mask=True)
+            memory = np.where(sampled, at_prev, self.memory)
+            gaps = memory - at_cand
+            return np.where(sampled, fresh, memory), (gaps * gaps).sum(axis=1)
+
+        return draw
 
 
 class JAGUAR(GradientEstimator):
@@ -748,10 +777,15 @@ class JAGUAR(GradientEstimator):
         g[coords] = fresh
         return g
 
-    def step_batch(self, x_cand, rng, S):
-        sampled = _draw_subsets(rng, self.problem.dim, self.b, (S,), mask=True)
+    def sampler(self, x_cand):
         # every coordinate's partial is its full_grad entry, bit for bit
-        return np.where(sampled, self.problem.full_grad(x_cand), self.g), np.zeros(S)
+        grad_cand = self.problem.full_grad(x_cand)
+
+        def draw(rng, S):
+            sampled = _draw_subsets(rng, self.problem.dim, self.b, (S,), mask=True)
+            return np.where(sampled, grad_cand, self.g), np.zeros(S)
+
+        return draw
 
 
 ESTIMATORS = {

@@ -8,8 +8,9 @@ the problem's exact smoothness bound.  Quadratic fixtures only: the
 right-hand sides need an L that is exact, not estimated.
 
 The samples at a state are drawn in vectorised blocks of SAMPLE_BLOCK
-transitions through the estimator's ``step_batch``, which leaves the
-frozen state untouched.
+transitions from one ``sampler`` of the estimator per state: the oracle
+values every draw at the state shares are computed once, each block
+only draws, and the frozen state stays untouched.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ from .schedulers import theoretical_gamma_nonconvex
 # safe, so the checker would have no power against mutated constants.
 PROBE_SCALE = 0.1
 
-# Monte Carlo transitions per ``step_batch`` call: large enough to leave
-# the interpreter out of the per-sample cost, small enough to keep the
-# (block, n, d) temporaries small.
+# Monte Carlo transitions per ``draw`` of a state's sampler: large enough
+# to leave the interpreter out of the per-sample cost, small enough to
+# keep the (block, n, d) temporaries small.  The sampler's shared oracle
+# work is paid once per state, not once per block.
 SAMPLE_BLOCK = 256
 
 
@@ -88,8 +90,10 @@ def assumption_margin(
     States are the estimator's own trajectory under the registered
     constant step size; at each state, fresh sampling randomness drives
     ``samples_per_point`` one-step transitions to a fixed candidate
-    point, drawn SAMPLE_BLOCK at a time by ``step_batch``, and the
-    empirical means are compared with the right-hand sides.
+    point, drawn SAMPLE_BLOCK at a time from the state's ``sampler``,
+    and the empirical means are compared with the right-hand sides.
+    The trajectory takes ``state_points - 1`` steps: none after the
+    last state, whose successor no row reads.
     The registered tuple is the one the estimator built from
     ``hyperparams`` reports (``registered``).  ``constants_override``
     evaluates the inequalities with a different tuple (the trajectory
@@ -119,6 +123,9 @@ def assumption_margin(
 
     report = MarginReport(method=method, alignment=alignment, constants=cons, gamma=gamma)
     for sp in range(state_points):
+        if sp:
+            # advance the trajectory by one natural step
+            est.step(est.x - gamma * est.g, traj_rng)
         x_prev = est.x
         g_prev = est.g
         prev_err = float(np.sum((g_prev - problem.full_grad(x_prev)) ** 2))
@@ -134,9 +141,10 @@ def assumption_margin(
         rng = np.random.default_rng([seed, 1 + sp])
         err_new = np.empty(samples_per_point)
         sigma_new = np.empty(samples_per_point)
+        draw = est.sampler(x_cand)
         for start in range(0, samples_per_point, SAMPLE_BLOCK):
             block = slice(start, min(start + SAMPLE_BLOCK, samples_per_point))
-            G, sigma_new[block] = est.step_batch(x_cand, rng, block.stop - start)
+            G, sigma_new[block] = draw(rng, block.stop - start)
             err_new[block] = ((G - grad_cand) ** 2).sum(axis=1)
 
         if alignment == "next":
@@ -154,9 +162,6 @@ def assumption_margin(
             rhs2 = (1.0 - cons.rho2) * sigma_prev + cons.C * L2 * dx2
             margins2 = sigma_new - rhs2
             report.rows.append(_row(method, 2, sp, float(sigma_new.mean()), rhs2, margins2))
-
-        # advance the trajectory by one natural step
-        est.step(x_prev - gamma * g_prev, traj_rng)
     return report
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from vradapt import cli
+from vradapt import cli, engine, verify
 from vradapt.cli import (
     EXIT_DIVERGED,
     EXIT_OK,
@@ -597,6 +597,41 @@ class TestUsageErrors:
         assert_one_error_line(capsys.readouterr(), "--seed must be a non-negative integer, got -1")
         assert not out.exists()
 
+    # sizes whose arrays pass 2**48 bytes, which numpy refuses at once;
+    # 10**12 samples (8 TB) could really be allocated under overcommit
+    @pytest.mark.parametrize(
+        "argv,shape",
+        [
+            (["verify", "--method", "saga", "--states", "1", "--samples", "100000000000000000"],
+             "(100000000000000000,)"),
+            (["run", "--config", "{big_n}"], "(100000000000000000, 4)"),
+            (["run", "--config", "{big_d}"], "(6, 100000000000000000)"),
+        ],
+        ids=["verify-samples", "run-n", "run-d"],
+    )
+    def test_oversized_size_is_one_error_line(self, argv, shape, tmp_path, capsys):
+        # it was a traceback ending in numpy's _ArrayMemoryError
+        cfgs = {
+            "big_n": write_cfg(tmp_path, SAGA_CFG + "n=100000000000000000\nd=4\n", "n.cfg"),
+            "big_d": write_cfg(tmp_path, SAGA_CFG + "n=6\nd=100000000000000000\n", "d.cfg"),
+        }
+        argv = [arg.format(**cfgs) for arg in argv]
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), f"array with shape {shape}")
+        # the output opened before the work is removed again
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_oversized_sweep_cell_is_invalid_and_the_others_write(self, tmp_path, capsys):
+        # the bad cell once sank the sweep before any trace was written
+        cfg = write_cfg(tmp_path, QUICK_CFG)
+        out_dir = tmp_path / "grid"
+        grid = ["--grid", "n=6,100000000000000000"]
+        assert main(["sweep", "--config", cfg, *grid, "--out-dir", str(out_dir)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "cell n=100000000000000000: Unable to allocate")
+        assert captured.out.startswith("status=completed ")
+        assert [p.name for p in out_dir.iterdir()] == ["sweep_n6.csv"]
+
 
 class TestFileErrors:
     @pytest.mark.parametrize(
@@ -616,6 +651,44 @@ class TestFileErrors:
         cfg = write_cfg(tmp_path, QUICK_CFG)
         assert main([arg.format(cfg=cfg, blocked=blocked) for arg in argv]) == EXIT_USAGE
         assert_one_error_line(capsys.readouterr(), str(blocked))
+
+    @pytest.mark.parametrize(
+        "argv,work",
+        [
+            (["run", "--config", "{cfg}", "--out", "{blocked}/trace.csv"], (engine, "run")),
+            (["verify", "--all", "--out", "{blocked}/margins.csv"], (verify, "assumption_margin")),
+            (["sweep", "--config", "{cfg}", "--grid", "b=1,2", "--out-dir", "{blocked}/sweep"],
+             (engine, "run")),
+        ],
+        ids=["run", "verify", "sweep"],
+    )
+    def test_unwritable_output_fails_before_the_work(self, argv, work, tmp_path, monkeypatch, capsys):
+        # run --out into a missing directory once ran every step first
+        blocked = tmp_path / "blocked"
+        blocked.write_text("")
+        cfg = write_cfg(tmp_path, QUICK_CFG)
+        calls = []
+        module, name = work
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args))
+        assert main([arg.format(cfg=cfg, blocked=blocked) for arg in argv]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), str(blocked))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "{cfg}"],
+            ["verify", "--method", "saga", "--samples", "10"],
+        ],
+        ids=["run", "verify"],
+    )
+    def test_failed_command_leaves_an_existing_output_as_it_was(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        out.write_text("kept\n")
+        cfg = write_cfg(tmp_path, "method=saga\nn=6\nd=4\nT=5\n")  # no b
+        assert main([*(arg.format(cfg=cfg) for arg in argv), "--out", str(out)]) == EXIT_USAGE
+        capsys.readouterr()
+        assert out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", ["ingest", "run"])
     @pytest.mark.parametrize("damage", ["truncated", "bad block type"])

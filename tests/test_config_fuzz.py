@@ -226,6 +226,16 @@ def test_non_finite_real_setting_is_one_error_line_naming_it(key, value):
     assert f"{NAMED.get(key, key)} must" in lines[0], (text, err)
 
 
+# sizes whose arrays pass 2**48 bytes, which numpy refuses at once; a
+# size that could really be allocated (under overcommit) is never used
+@pytest.mark.parametrize("sizes", ["n=100000000000000000\nd=4\n", "n=6\nd=100000000000000000\n"])
+def test_oversized_problem_is_one_error_line(sizes):
+    code, out, err = run_config("method=saga\nb=2\nT=5\n" + sizes)
+    lines = err.splitlines()
+    assert code == EXIT_USAGE, (sizes, code, out)
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate "), err
+
+
 def _assert_runs_or_is_one_error_line(text):
     code, out, err = run_config(text)
     assert code in (EXIT_OK, EXIT_DIVERGED, EXIT_USAGE), (text, code)

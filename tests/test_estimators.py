@@ -1017,7 +1017,7 @@ class RecordingRng:
         return out
 
 
-# (method, hyperparameters) pairs whose step_batch rows are replayed:
+# (method, hyperparameters) pairs whose sampler rows are replayed:
 # every method, LSVRG and PAGE with and without replacement, and every
 # compressor each client-server method accepts
 BATCH_CASES = [
@@ -1044,7 +1044,7 @@ EVERY_BATCH_CASE = pytest.mark.parametrize(
 
 
 def replay_scripts(est, draws, S):
-    """Per row of a step_batch draw, the ScriptedRng that makes ``step``
+    """Per row of a sampler's draw, the ScriptedRng that makes ``step``
     take the same coin, batch, coordinates or compressor subsets.  A
     draw of distinct indices is one integer per row, decoded here from
     ``combinations``; a compressor's integers are handed on as drawn."""
@@ -1089,7 +1089,7 @@ def state_of(est):
 
 
 class TestStepBatch:
-    """Each row of ``step_batch`` is what ``step`` would return from the
+    """Each row of a ``sampler``'s draw is what ``step`` would return from the
     same state with the same coin, batch and compressor draws, so the
     verifier samples exactly the update rule the optimizer runs."""
 
@@ -1114,7 +1114,7 @@ class TestStepBatch:
         before = state_of(est)
 
         rng = RecordingRng(11)
-        G, sigma = est.step_batch(x_cand, rng, self.S)
+        G, sigma = est.sampler(x_cand)(rng, self.S)
         assert G.shape == (self.S, problem.dim) and sigma.shape == (self.S,)
 
         after = state_of(est)
@@ -1144,6 +1144,18 @@ class TestStepBatch:
         problem = logistic_problem(synthetic_dataset(40, 6, seed=0))
         self.assert_rows_replay(method, hp, problem)
 
+    @EVERY_BATCH_CASE
+    def test_each_draw_is_a_fresh_samplers_block(self, method, hp, quad):
+        # the values one sampler shares across its draws serve each block
+        # as a sampler built for that block alone would
+        est = self.walked(method, hp, quad)
+        draw = est.sampler(self.X_CAND)
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        for S in (self.S, 5):
+            G, sigma = draw(rng, S)
+            G_fresh, sigma_fresh = est.sampler(self.X_CAND)(twin, S)
+            assert np.array_equal(G, G_fresh) and np.array_equal(sigma, sigma_fresh), S
+
     @pytest.mark.parametrize(
         "method,hp",
         [(m, hp) for m, hp in BATCH_CASES if hp.get("compressor") in ("topk", "identity")],
@@ -1153,7 +1165,7 @@ class TestStepBatch:
         # top-k and identity draw nothing: every row is the one transition
         # step takes, bit for bit, in writable arrays of their own
         est = self.walked(method, hp, quad)
-        G, sigma = est.step_batch(self.X_CAND, RecordingRng(11), self.S)
+        G, sigma = est.sampler(self.X_CAND)(RecordingRng(11), self.S)
         assert G.shape == (self.S, 4) and sigma.shape == (self.S,)
         assert G.flags.writeable and sigma.flags.writeable
         twin = est.clone()

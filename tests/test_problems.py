@@ -128,7 +128,7 @@ class TestQuadratic:
         assert np.allclose(stacked.mean(axis=0), prob.full_grad(x))
 
     def test_partials_match_full_grad(self):
-        # bit for bit: SEGA's and JAGUAR's step_batch read full_grad for
+        # bit for bit: SEGA's and JAGUAR's samplers read full_grad for
         # every partial
         prob = make_quadratic(6, 4, seed=1)
         x = np.random.default_rng(4).standard_normal(4)

@@ -11,7 +11,13 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vradapt.engine import ExperimentConfig, Trace, TraceRow, run  # noqa: E402
-from vradapt.estimators import METHODS, constants, estimator_class, make_estimator  # noqa: E402
+from vradapt.estimators import (  # noqa: E402
+    DISTRIBUTED_METHODS,
+    METHODS,
+    constants,
+    estimator_class,
+    make_estimator,
+)
 from vradapt.problems import QuadraticProblem, make_quadratic  # noqa: E402
 from vradapt.schedulers import theoretical_gamma_nonconvex  # noqa: E402
 from vradapt.verify import (  # noqa: E402
@@ -264,6 +270,45 @@ class TestAssumptionMargins:
         assert report.constants == est.registered
         assert report.gamma == theoretical_gamma_nonconvex(est.registered, problem.smoothness)
 
+    @staticmethod
+    def counted_run(method, monkeypatch, **settings):
+        """Calls of each oracle the draws at a state share, and estimator
+        steps, in one ``assumption_margin`` run on the method's fixture."""
+        problem, hp = standard_margin_setup(method)
+        calls = dict.fromkeys(("all_component_grads", "full_grad", "client pass", "step"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("all_component_grads", "full_grad"):
+            monkeypatch.setattr(problem, name, counted(name, getattr(problem, name)))
+        group_grads = problem.group_grads
+        monkeypatch.setattr(
+            problem, "group_grads", lambda groups: counted("client pass", group_grads(groups))
+        )
+        cls = estimator_class(method)
+        monkeypatch.setattr(cls, "step", counted("step", cls.step))
+        assumption_margin(method, hp, problem, seed=0, **settings)
+        return calls
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_shared_oracle_work_is_done_once_per_state(self, method, monkeypatch):
+        # 1000 and 2000 samples are 4 and 8 blocks drawn from one sampler
+        blocks4 = self.counted_run(method, monkeypatch, state_points=1, samples_per_point=1000)
+        blocks8 = self.counted_run(method, monkeypatch, state_points=1, samples_per_point=2000)
+        assert blocks4 == blocks8
+        assert blocks4["full_grad"] > 0 and blocks4["step"] == 0
+        assert (blocks4["client pass"] > 0) == (method in DISTRIBUTED_METHODS)
+
+    @pytest.mark.parametrize("states", [1, 2, 5])
+    def test_trajectory_steps_once_between_states(self, states, monkeypatch):
+        # no step after the last state: no row reads its successor
+        calls = self.counted_run("saga", monkeypatch, state_points=states, samples_per_point=1000)
+        assert calls["step"] == states - 1
+
     def test_sample_floor_enforced(self):
         problem, hp = standard_margin_setup("saga")
         with pytest.raises(ValueError):
@@ -299,7 +344,7 @@ class TestAssumptionMargins:
 # SHA-256 of ``margins_to_csv`` of each method's report on its
 # ``standard_margin_setup`` at GOLDEN_RUN, and of EF21's with C halved
 # (the mutation probe, ``verify --perturb C:0.5``), so a change to a
-# step_batch, a compressor or the verifier that moves one margin byte
+# sampler, a compressor or the verifier that moves one margin byte
 # fails here.  To regenerate, run this file as a script:
 #
 #     python tests/test_verify.py

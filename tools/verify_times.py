@@ -4,14 +4,19 @@
 
 For each method, ``verify.assumption_margin`` runs on the method's
 standard fixture (``verify.standard_margin_setup``, built once, outside
-the timing) at N states x N samples per state, by default the settings
-of the benchmark's verify workload (10 x 1000).  A row is the best of
-``--repeats`` runs, in microseconds per sample, slowest method first.
+the timing) at N states x N samples per state.  The default, 1 x 1000,
+is what the benchmark's verify workload times (``us_per_step`` comes
+from its 1-state chunks, ``Verify.timing_cells``); ``--states 10`` is
+its checked round.  Work done once per state (the estimate error and
+``sigma_sq`` at the state, the sampler's shared oracle values) weighs
+ten times as much per sample at 1 state as at 10.  A row is the best
+of ``--repeats`` runs, in microseconds per sample, slowest method first.
 
-Almost all of that time is spent in ``step_batch``, which the
-benchmark's span tracer does not wrap, so its per-layer numbers do not
-show which method a verify run spends its time on; these rows do.
-The checkout's ``src/`` is put first on the path.
+Almost all of that time is spent in each state's ``sampler`` and its
+draws, which the benchmark's span tracer does not wrap, so its
+per-layer numbers do not show which method a verify run spends its
+time on; these rows do.  The checkout's ``src/`` is put first on the
+path.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ def us_per_sample(method, states, samples, repeats, seed):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--states", type=int, default=10)
+    parser.add_argument("--states", type=int, default=1)
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
