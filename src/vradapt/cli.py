@@ -29,7 +29,8 @@ import numpy as np
 
 from . import engine, verify
 from .compressors import check_biased_contract, check_unbiased_contract
-from .data import check_sizes, load_libsvm, opened, read_text, synthetic_dataset, write_libsvm
+from .data import check_floats, check_sizes, load_libsvm, opened, read_text
+from .data import synthetic_dataset, write_libsvm
 from .estimators import DISTRIBUTED_METHODS, METHODS, estimator_class
 from .schedulers import nu_of
 
@@ -212,6 +213,7 @@ def _verify_one(method, args):
 
 
 def cmd_verify(args):
+    check_floats({"--samples": args.samples})
     reports = []
     all_ok = True
     with _checked_output(args.out) if args.out else contextlib.nullcontext():

@@ -303,6 +303,19 @@ def check_positive(name, value):
     return float(value)
 
 
+def check_floats(sizes):
+    """``check_sizes``, then the sizes as the shape of one float array:
+    ValueError naming them if numpy would refuse it outright, for more
+    bytes than an array index counts, where numpy's own error ("Maximum
+    allowed dimension exceeded") names no size."""
+    check_sizes(sizes)
+    if math.prod(sizes.values()) * 8 > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"{' x '.join(sizes)} is {' x '.join(map(str, sizes.values()))}: "
+            "more floats than one array can hold"
+        )
+
+
 def check_sizes(sizes):
     """``check_count`` on each size; ``sizes`` maps a config key or flag
     to its value, None if unset."""

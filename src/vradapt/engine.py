@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import check_count, check_positive, check_sizes, csv_layout, load_libsvm, opened
-from .data import synthetic_dataset
+from .data import check_floats, synthetic_dataset
 from .estimators import estimator_class, make_estimator
 from .problems import logistic_problem, make_quadratic
 from .schedulers import (
@@ -144,6 +144,7 @@ def build_problem(config):
     if kind == "quadratic":
         if config.problem_seed < 0:
             raise ValueError(f"problem_seed must be >= 0, got {config.problem_seed}")
+        check_floats({"n": config.n, "d": config.d})
         return make_quadratic(
             config.n,
             config.d,

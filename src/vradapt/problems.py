@@ -425,15 +425,22 @@ def _ordered_sum(A, start):
     meet in one column may the NaN that survives differ.
 
     numpy adds a contiguous reduced axis pairwise, and a strided one row
-    by row: hence one reduce over a C-ordered copy, whatever A's layout,
-    and a ``cumsum`` from a ``start`` row at k == 1, where the row axis is
-    the contiguous one (a reduce costs about a third of the ``cumsum``).
+    by row.  Hence one reduce over a C-ordered copy with the summed axis
+    first, (m, ..., k), whatever A's layout: numpy then adds m whole
+    contiguous slabs one after another, where with the axis in place it
+    runs one short loop per k-wide row.  A caller that makes A can make
+    it in that layout (a view of an (m, ..., k) array), and the copy is
+    skipped.  Where a slab holds one element, the summed axis is the
+    contiguous one, so the sum is a ``cumsum`` from a ``start`` row (a
+    reduce costs about a third of the ``cumsum``).
     """
+    if A.ndim > 2:
+        A = A.transpose(A.ndim - 2, *range(A.ndim - 2), A.ndim - 1)
     A = np.ascontiguousarray(A)
-    if A.shape[-1] == 1:
-        head = np.full(A.shape[:-2] + (1, 1), start)
-        return np.cumsum(np.concatenate((head, A), axis=-2), axis=-2)[..., -1, :]
-    return np.add.reduce(A, axis=-2, initial=start)
+    if A.size == len(A):  # one element per slab, or no rows
+        head = np.full((1, *A.shape[1:]), start)
+        return np.cumsum(np.concatenate((head, A)), axis=0)[-1]
+    return np.add.reduce(A, axis=0, initial=start)
 
 
 def _point(v, n):

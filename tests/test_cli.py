@@ -621,6 +621,28 @@ class TestUsageErrors:
         # the output opened before the work is removed again
         assert not (tmp_path / "out.csv").exists()
 
+    # sizes past what an array index counts, which numpy refuses with
+    # "Maximum allowed dimension exceeded", naming no size
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["verify", "--method", "saga", "--states", "1", "--samples", "100000000000000000000"],
+             "--samples is 100000000000000000000: more floats than one array can hold"),
+            (["run", "--config", "{big_n}"], "n x d is 100000000000000000000 x 4: "),
+            (["run", "--config", "{big_d}"], "n x d is 6 x 100000000000000000000: "),
+        ],
+        ids=["verify-samples", "run-n", "run-d"],
+    )
+    def test_size_past_numpys_index_names_its_flag_or_key(self, argv, named, tmp_path, capsys):
+        cfgs = {
+            "big_n": write_cfg(tmp_path, SAGA_CFG + "n=100000000000000000000\nd=4\n", "n.cfg"),
+            "big_d": write_cfg(tmp_path, SAGA_CFG + "n=6\nd=100000000000000000000\n", "d.cfg"),
+        }
+        argv = [arg.format(**cfgs) for arg in argv]
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr(), named)
+        assert not (tmp_path / "out.csv").exists()
+
     def test_oversized_sweep_cell_is_invalid_and_the_others_write(self, tmp_path, capsys):
         # the bad cell once sank the sweep before any trace was written
         cfg = write_cfg(tmp_path, QUICK_CFG)

@@ -14,7 +14,9 @@ from vradapt.estimators import (
     METHODS,
     GradientEstimator,
     VRConstants,
+    _batch_mean,
     _draw_batch,
+    _draw_batches,
     constants,
     make_estimator,
 )
@@ -770,6 +772,26 @@ class TestServerSum:
                 # a reduce from its default +0.0 turns the column to +0.0
                 plain = np.add.reduce(est.weights[:, None] * P, axis=-2)
                 assert np.signbit(want).all() and not np.signbit(plain).any()
+
+
+class TestBatchMean:
+    """``_batch_mean`` is, byte for byte, ``X[batches].mean(axis=1)``, the
+    numpy mean the row-sampling samplers took before: batches drawn with
+    and without replacement, with -0.0, +-inf and NaN entries."""
+
+    @pytest.mark.parametrize("with_replacement", [False, True])
+    @pytest.mark.parametrize("b", [1, 4])
+    @pytest.mark.parametrize("d", [1, 10])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_equals_numpy_mean(self, d, b, with_replacement):
+        rng = np.random.default_rng(10 * d + b)
+        for kind in TestServerSum.KINDS:
+            X = _client_block(rng, (20, d), kind)
+            batches = _draw_batches(rng, 20, b, 256, with_replacement)
+            want = X[batches].mean(axis=1)
+            got = _batch_mean(X, batches)
+            assert got.shape == want.shape == (256, d)
+            assert got.tobytes() == want.tobytes(), kind
 
 
 def dense_reference_steps(method, problem, hp, xs, rng):

@@ -510,7 +510,8 @@ class TestOrderedSum:
     @staticmethod
     def _block(rng, shape, kind):
         # every column of one kind: finite over 16 decades, all -0.0,
-        # mixed +-0.0, or finite with +-inf (whose sum may be NaN)
+        # mixed +-0.0, finite with +-inf (whose sum may be NaN), or finite
+        # with a few NaNs
         A = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
         u = rng.random(shape)
         if kind == "negative-zeros":
@@ -519,6 +520,8 @@ class TestOrderedSum:
             A = np.where(u < 0.5, 0.0, -0.0)
         elif kind == "infinities":
             A[u < 0.2], A[u > 0.8] = np.inf, -np.inf
+        elif kind == "nans":
+            A[u < 0.02] = np.nan
         return A
 
     @pytest.mark.parametrize("start", [0.0, -0.0])
@@ -526,7 +529,7 @@ class TestOrderedSum:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
     def test_equals_running_sum(self, k, start):
         rng = np.random.default_rng(k)
-        kinds = ("finite", "negative-zeros", "signed-zeros", "infinities")
+        kinds = ("finite", "negative-zeros", "signed-zeros", "infinities", "nans")
         for lead, kind in itertools.product(((), (1,), (256,)), kinds):
             A = self._block(rng, lead + (37, k), kind)
             want = _row_order_sum(np.moveaxis(A, -2, 0), start)
@@ -535,6 +538,33 @@ class TestOrderedSum:
                 got = problems._ordered_sum(layout, start)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (lead, kind)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 37, 5), (4, 1, 37, 1)])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_several_leading_axes(self, shape):
+        rng = np.random.default_rng(len(shape))
+        for kind in ("finite", "signed-zeros", "infinities", "nans"):
+            A = self._block(rng, shape, kind)
+            want = _row_order_sum(np.moveaxis(A, -2, 0), -0.0)
+            summed_first = np.moveaxis(np.moveaxis(A, -2, 0).copy(), 0, -2)
+            for layout in (A, np.asfortranarray(A), summed_first):
+                assert problems._ordered_sum(layout, -0.0).tobytes() == want.tobytes(), kind
+
+    @pytest.mark.parametrize("m", [9, 37])
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_one_value_per_row_is_still_summed_in_order(self, shape, m):
+        # where each row holds one value, the summed axis is the contiguous
+        # one and numpy's reduce would add it pairwise
+        A = np.random.default_rng(1).standard_normal(shape + (m, 1))
+        want = _row_order_sum(np.moveaxis(A, -2, 0), -0.0)
+        assert np.add.reduce(A, axis=-2).tobytes() != want.tobytes()
+        assert problems._ordered_sum(A, -0.0).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 1), (0, 4), (3, 0, 1), (3, 0, 4), (2, 5, 0)])
+    def test_empty_axis_sums_to_start(self, shape):
+        got = problems._ordered_sum(np.ones(shape), -0.0)
+        want = np.full(shape[:-2] + shape[-1:], -0.0)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _assert_same_csr(got, want):
