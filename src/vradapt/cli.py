@@ -214,6 +214,7 @@ def _verify_one(method, args):
 
 def cmd_verify(args):
     check_floats({"--samples": args.samples})
+    check_sizes({"--states": args.states})
     reports = []
     all_ok = True
     with _checked_output(args.out) if args.out else contextlib.nullcontext():

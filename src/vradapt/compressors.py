@@ -9,9 +9,9 @@ Two operator families, each with a registered quality constant:
 
 The constants are registered at construction rather than estimated; the
 check_* functions validate a registration on vectors of the operator's
-own ``dim``, empirically (or, unbiased at dim <= 8, exhaustively).  A
-method's compressor answers to the check of the constant its estimator
-reads (``quality``: delta or omega).
+own ``dim``, empirically (or, unbiased within ``_subset_table``'s size,
+exhaustively).  A method's compressor answers to the check of the
+constant its estimator reads (``quality``: delta or omega).
 
 ``compress`` is the one-vector operator, selecting by a full sort.
 Next to it, each operator has a batched ``sample_dense(V, rng)``: the
@@ -263,15 +263,17 @@ def check_biased_contract(compressor, trials, rng) -> dict:
 def check_unbiased_contract(compressor, trials, rng) -> dict:
     """Validate an unbiased registration.
 
-    For dim <= 8 and an enumerable operator the mean and second moment are
-    computed over all outcomes (standard errors 0, so the tolerance is
-    1e-12, float summation only); otherwise both are sampled, ``trials``
-    draws in one ``sample_dense`` call, and judged against 3 standard
-    errors.
+    For an enumerable operator whose k-subsets of range(dim) fit in
+    ``_subset_table`` (the size rule the samplers draw by) the mean and
+    second moment are computed over all outcomes (standard errors 0, so
+    the tolerance is 1e-12, float summation only); otherwise both are
+    sampled, ``trials`` draws in one ``sample_dense`` call, and judged
+    against 3 standard errors.
     """
     omega = _registered(compressor, "omega")
     d = compressor.dim
-    enumerated = d <= 8 and hasattr(compressor, "enumerate_outcomes")
+    enumerable = hasattr(compressor, "enumerate_outcomes")
+    enumerated = enumerable and _subset_table(d, compressor.k) is not None
     _check_trials(trials, sampled=not enumerated)
     x = rng.standard_normal(d)
     xsq = float((x ** 2).sum())

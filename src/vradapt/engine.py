@@ -206,6 +206,8 @@ def validate(config, problem):
     if config.T % 1 != 0:
         raise ValueError(f"T must be an integer, got {config.T}")
     check_count("cadence", config.cadence)
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
     if not 0.0 <= config.tol < math.inf:
         raise ValueError(f"tol must be >= 0 and finite, got {config.tol}")
     if config.timing not in ("on", "off"):

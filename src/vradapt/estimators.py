@@ -137,9 +137,9 @@ def _batch_mean(X, batches):
     """The mean of each batch's rows of X, (n, d) and (S, b) -> (S, d):
     ``X[batches].mean(axis=1)`` bit for bit, as numpy's mean also adds
     the slots in order onto +0.0 (a column of -0.0 means +0.0).  The rows
-    are gathered batch slot first, the layout ``_ordered_sum`` adds as
-    whole slabs."""
-    return _ordered_sum(X.take(batches.T, axis=0).swapaxes(0, 1), 0.0) / batches.shape[1]
+    are gathered batch slot first, (b, S, d), the layout ``_ordered_sum``
+    adds."""
+    return _ordered_sum(X.take(batches.T, axis=0), 0.0) / batches.shape[1]
 
 
 def _table_sigma(rows, batches):
@@ -590,15 +590,12 @@ class _ClientServerEstimator(GradientEstimator):
 
     def _server_sum(self, per_client):
         """Share-weighted sum over the client axis, in client order from
-        -0.0 (``problems._ordered_sum``): (..., n_clients, d) -> (..., d)."""
-        weights = self.weights[:, None]
-        if per_client.ndim == 2:
-            return _ordered_sum(weights * per_client, -0.0)
-        # a stack of draws: the weighted values are written client first,
-        # the layout the sum adds, so the stack is not copied a second time
-        *lead, n, d = per_client.shape
-        weighted = np.moveaxis(np.empty((n, *lead, d)), 0, -2)
-        return _ordered_sum(np.multiply(weights, per_client, out=weighted), -0.0)
+        -0.0: (..., n_clients, d) -> (..., d).  The client axis is moved
+        first (``np.moveaxis`` as a bare transpose) and the product written
+        C-ordered, the layout ``problems._ordered_sum`` adds uncopied."""
+        client_first = per_client.transpose(-2, *range(per_client.ndim - 2), -1)
+        weights = self.weights.reshape((-1,) + (1,) * (per_client.ndim - 1))
+        return _ordered_sum(np.multiply(weights, client_first, order="C"), -0.0)
 
     def _client_error(self, gaps):
         """Share-weighted mean squared client gap, (..., n_clients, d) ->

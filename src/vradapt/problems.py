@@ -120,8 +120,8 @@ class QuadraticProblem(Problem):
 
     def batch_sum(self, rows, C):
         """Column sums of each (len(rows), dim) slice of C, in row order
-        from +0.0 (``_ordered_sum``)."""
-        return _ordered_sum(_stack(C, (len(rows), self.dim)), 0.0)
+        from +0.0 (``_ordered_sum``, rows moved first)."""
+        return _ordered_sum(_stack(C, (len(rows), self.dim)).swapaxes(0, 1), 0.0)
 
     def dense_rows(self, indices, coefs):
         return np.reshape(coefs, (len(indices), self.dim)).copy()
@@ -418,26 +418,22 @@ def _stack(C, shape):
 
 
 def _ordered_sum(A, start):
-    """The rows of A along axis -2 added in order onto ``start``: (..., m,
-    k) -> (..., k), each column the running sum ``cumsum`` ends on from a
-    ``start`` row.  A start of -0.0 leaves every first row as it is (+0.0
-    would turn a column of -0.0 into +0.0); only where NaNs of both signs
-    meet in one column may the NaN that survives differ.
+    """The slabs of A along axis 0 added in order onto ``start``: (m, ...)
+    -> (...), each entry the running sum ``cumsum`` ends on from a
+    ``start`` slab.  A start of -0.0 leaves every first slab as it is
+    (+0.0 would turn a column of -0.0 into +0.0); only where NaNs of both
+    signs meet in one entry may the NaN that survives differ.
 
-    numpy adds a contiguous reduced axis pairwise, and a strided one row
-    by row.  Hence one reduce over a C-ordered copy with the summed axis
-    first, (m, ..., k), whatever A's layout: numpy then adds m whole
-    contiguous slabs one after another, where with the axis in place it
-    runs one short loop per k-wide row.  A caller that makes A can make
-    it in that layout (a view of an (m, ..., k) array), and the copy is
-    skipped.  Where a slab holds one element, the summed axis is the
-    contiguous one, so the sum is a ``cumsum`` from a ``start`` row (a
-    reduce costs about a third of the ``cumsum``).
+    The layout rule: a caller puts the summed axis first.  numpy adds a
+    contiguous reduced axis pairwise, and a strided one slab by slab, so
+    the sum is one reduce over a C-ordered copy of A, in which numpy adds
+    m whole contiguous slabs one after another; a caller that makes A in
+    that layout skips the copy.  Where a slab holds one element, the
+    summed axis is the contiguous one, so the sum is a ``cumsum`` from a
+    ``start`` slab (a reduce costs about a third of the ``cumsum``).
     """
-    if A.ndim > 2:
-        A = A.transpose(A.ndim - 2, *range(A.ndim - 2), A.ndim - 1)
     A = np.ascontiguousarray(A)
-    if A.size == len(A):  # one element per slab, or no rows
+    if A.size == len(A):  # one element per slab, or no slabs
         head = np.full((1, *A.shape[1:]), start)
         return np.cumsum(np.concatenate((head, A)), axis=0)[-1]
     return np.add.reduce(A, axis=0, initial=start)

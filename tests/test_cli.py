@@ -279,6 +279,17 @@ class TestSweepCommand:
             assert (out_dir / f"sweep_seed{seed}.csv").read_bytes() == single.read_bytes()
         capsys.readouterr()
 
+    def test_negative_seed_cell_is_named_and_the_other_writes(self, tmp_path, capsys):
+        # numpy's "expected non-negative integer" named no key
+        cfg = write_cfg(tmp_path, QUICK_CFG)
+        out_dir = tmp_path / "grid"
+        code = main(["sweep", "--config", cfg, "--grid", "seed=-1,2", "--out-dir", str(out_dir)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "cell seed=-1: seed must be >= 0, got -1")
+        assert captured.out.startswith("status=completed ")
+        assert [p.name for p in out_dir.iterdir()] == ["sweep_seed2.csv"]
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_invalid_cell_does_not_sink_the_others(self, tmp_path, capsys, jobs):
         cfg = write_cfg(tmp_path, QUICK_CFG)
@@ -560,6 +571,9 @@ class TestUsageErrors:
         [
             (["run"], "--config"),
             (["verify", "--samples", "abc"], "--samples"),
+            # it named the API's state_points
+            pytest.param(["verify", "--method", "saga", "--states", "0", "--out", "{out}"],
+                         "--states must be >= 1, got 0", id="verify-zero-states"),
             # either-or flags: both given once ran --all, or ingested --data
             pytest.param(["verify", "--method", "nosuch", "--all"],
                          "--all: not allowed with argument --method", id="verify-both"),

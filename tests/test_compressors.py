@@ -432,10 +432,10 @@ class TestContracts:
         with pytest.raises(ValueError, match=message):
             check_biased_contract(RandomKeep(), 1, rng)
         with pytest.raises(ValueError, match=message):
-            check_unbiased_contract(RandK(2, 10), 1, rng)
+            check_unbiased_contract(RandK(10, 40), 1, rng)
         # a pointwise or an enumerated verdict judges one probe
         assert check_biased_contract(TopK(2, 10), 1, rng)["passed"]
-        assert check_unbiased_contract(RandK(2, 8), 1, rng)["mode"] == "enumeration"
+        assert check_unbiased_contract(RandK(2, 10), 1, rng)["mode"] == "enumeration"
         for check in (check_biased_contract, check_unbiased_contract):
             with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
                 check(IdentityCompressor(4), 0, rng)
@@ -455,10 +455,17 @@ class TestContracts:
         with pytest.raises(ValueError, match=f"^{name} registers no {constant}$"):
             check(comp, 100, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("dim,mode", [(8, "enumeration"), (10, "sampled")])
+    @pytest.mark.parametrize("dim,mode", [(8, "enumeration"), (40, "sampled")])
     def test_enumeration_follows_the_compressors_dim(self, dim, mode):
-        report = check_unbiased_contract(RandK(2, dim), 2000, np.random.default_rng(5))
+        # RandK(2, 8) has a subset table, RandK(10, 40) none (it would pass 1 MiB)
+        report = check_unbiased_contract(RandK(dim // 4, dim), 2000, np.random.default_rng(5))
         assert report["mode"] == mode and report["passed"]
+
+    def test_rand_5_of_10_is_checked_exactly(self):
+        # the compressor ``verify --method diana|dasha`` checks: 252 outcomes
+        report = check_unbiased_contract(RandK(5, 10), 2000, np.random.default_rng(5))
+        assert report["mode"] == "enumeration" and report["passed"]
+        assert report["stderr"] == 0.0 and report["margin"] <= 1e-12
 
     @pytest.mark.parametrize("check", [check_biased_contract, check_unbiased_contract])
     def test_probes_have_the_compressors_dim(self, check):

@@ -410,6 +410,7 @@ class TestValidate:
             (dict(method="sarah"), "unknown method 'sarah'"),
             (dict(b=7), "b must be an integer in [1, 6], got 7"),
             (dict(T=-1), "T must be >= 0"),
+            (dict(seed=-1), "seed must be >= 0, got -1"),
             (dict(timing="maybe"), "timing must be on or off, got 'maybe'"),
             (dict(scheduler="tuned", multiplier=0.0), "multiplier must be positive"),
             (dict(method="ef21", clients=2, value_bits=0), "value_bits must be >= 1, got 0"),

@@ -773,6 +773,24 @@ class TestServerSum:
                 plain = np.add.reduce(est.weights[:, None] * P, axis=-2)
                 assert np.signbit(want).all() and not np.signbit(plain).any()
 
+    @pytest.mark.parametrize("d", [1, 10])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_two_leading_axes_keep_their_order(self, d):
+        # the client axis is moved to the front, not swapped with the
+        # first axis, which would reorder (2, 3) into (3, 2)
+        est = make_estimator(
+            "ef21", make_quadratic(37, d, seed=1), np.zeros(d),
+            {"n_clients": 10, "compressor": "topk", "k": 1},
+        )
+        rng = np.random.default_rng(d)
+        for kind in self.KINDS:
+            P = _client_block(rng, (2, 3, 10, d), kind)
+            want = np.cumsum(est.weights[:, None] * P, axis=-2)[..., -1, :]
+            for layout in (P, np.asfortranarray(P)):
+                got = est._server_sum(layout)
+                assert got.shape == want.shape == (2, 3, d)
+                assert got.tobytes() == want.tobytes(), kind
+
 
 class TestBatchMean:
     """``_batch_mean`` is, byte for byte, ``X[batches].mean(axis=1)``, the

@@ -502,10 +502,10 @@ def _row_order_sum(rows, start=0.0):
 
 
 class TestOrderedSum:
-    """``_ordered_sum`` is, byte for byte, the running sum over axis -2
-    from its start, on any leading shape and memory layout, with -0.0 and
-    +-inf entries; numpy's own sum adds some of these pairwise or from
-    +0.0."""
+    """``_ordered_sum`` is, byte for byte, the running sum over axis 0
+    from its start, on any trailing shape and memory layout, with -0.0
+    and +-inf entries; numpy's own sum adds some of these pairwise or
+    from +0.0."""
 
     @staticmethod
     def _block(rng, shape, kind):
@@ -524,6 +524,15 @@ class TestOrderedSum:
             A[u < 0.02] = np.nan
         return A
 
+    @staticmethod
+    def _layouts(A):
+        # C order (summed axis first, no copy), Fortran order, the last
+        # two axes swapped in memory, and the summed axis last in memory
+        # (a view of the layout a caller moves its axis out of)
+        transposed = np.swapaxes(np.swapaxes(A, -1, -2).copy(), -1, -2)
+        summed_last = np.moveaxis(np.moveaxis(A, 0, -1).copy(), -1, 0)
+        return A, np.asfortranarray(A), transposed, summed_last
+
     @pytest.mark.parametrize("start", [0.0, -0.0])
     @pytest.mark.parametrize("k", [1, 2, 10, 123])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
@@ -531,39 +540,37 @@ class TestOrderedSum:
         rng = np.random.default_rng(k)
         kinds = ("finite", "negative-zeros", "signed-zeros", "infinities", "nans")
         for lead, kind in itertools.product(((), (1,), (256,)), kinds):
-            A = self._block(rng, lead + (37, k), kind)
-            want = _row_order_sum(np.moveaxis(A, -2, 0), start)
-            transposed = np.swapaxes(np.swapaxes(A, -1, -2).copy(), -1, -2)
-            for layout in (A, np.asfortranarray(A), transposed):
+            A = self._block(rng, (37,) + lead + (k,), kind)
+            want = _row_order_sum(A, start)
+            for layout in self._layouts(A):
                 got = problems._ordered_sum(layout, start)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (lead, kind)
 
-    @pytest.mark.parametrize("shape", [(2, 3, 37, 5), (4, 1, 37, 1)])
+    @pytest.mark.parametrize("shape", [(37, 2, 3, 5), (37, 4, 1, 1)])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
-    def test_several_leading_axes(self, shape):
+    def test_several_trailing_axes(self, shape):
         rng = np.random.default_rng(len(shape))
         for kind in ("finite", "signed-zeros", "infinities", "nans"):
             A = self._block(rng, shape, kind)
-            want = _row_order_sum(np.moveaxis(A, -2, 0), -0.0)
-            summed_first = np.moveaxis(np.moveaxis(A, -2, 0).copy(), 0, -2)
-            for layout in (A, np.asfortranarray(A), summed_first):
+            want = _row_order_sum(A, -0.0)
+            for layout in self._layouts(A):
                 assert problems._ordered_sum(layout, -0.0).tobytes() == want.tobytes(), kind
 
     @pytest.mark.parametrize("m", [9, 37])
     @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
-    def test_one_value_per_row_is_still_summed_in_order(self, shape, m):
-        # where each row holds one value, the summed axis is the contiguous
-        # one and numpy's reduce would add it pairwise
-        A = np.random.default_rng(1).standard_normal(shape + (m, 1))
-        want = _row_order_sum(np.moveaxis(A, -2, 0), -0.0)
-        assert np.add.reduce(A, axis=-2).tobytes() != want.tobytes()
+    def test_one_value_per_slab_is_still_summed_in_order(self, shape, m):
+        # where each slab holds one value, the summed axis is the
+        # contiguous one and numpy's reduce would add it pairwise
+        A = np.random.default_rng(1).standard_normal((m,) + shape + (1,))
+        want = _row_order_sum(A, -0.0)
+        assert np.add.reduce(A, axis=0).tobytes() != want.tobytes()
         assert problems._ordered_sum(A, -0.0).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("shape", [(0, 1), (0, 4), (3, 0, 1), (3, 0, 4), (2, 5, 0)])
+    @pytest.mark.parametrize("shape", [(0,), (0, 1), (0, 4), (0, 3, 1), (0, 3, 4), (5, 2, 0)])
     def test_empty_axis_sums_to_start(self, shape):
         got = problems._ordered_sum(np.ones(shape), -0.0)
-        want = np.full(shape[:-2] + shape[-1:], -0.0)
+        want = np.full(shape[1:], -0.0)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
