@@ -10,25 +10,27 @@ Two operator families, each with a registered quality constant:
 The constants are registered at construction rather than estimated; the
 check_* functions validate a registration on vectors of the operator's
 own ``dim``, empirically (or, unbiased within ``_subset_table``'s size,
-exhaustively).  A method's compressor answers to the check of the
+over every outcome).  A method's compressor answers to the check of the
 constant its estimator reads (``quality``: delta or omega).
 
 ``compress`` is the one-vector operator, selecting by a full sort.
 Next to it, each operator has a batched ``sample_dense(V, rng)``: the
 dense outputs of ``compress`` for every vector along the last axis of
 V, with fresh randomness per vector, drawn vector by vector in C order.
-The client-server estimators, the Monte Carlo verifier and the sampled
-contract checks all compress through it; ``compress`` is the reference
-the tests hold ``sample_dense`` to.  Top-k selects through
-``_threshold_drop``: a mask of the entries past each row's k-th place in
-the sort, found by a partition threshold unless a tie straddles that
-place (or a NaN is present), so ``sample_dense`` keeps the sort's
-coordinates bit for bit.  The identity is top-k at k = d.  Rand-k's
-kept sets, and the estimators' Monte Carlo batches and coordinate sets
-(each ``draw`` of a ``sampler``), come from ``_draw_subsets``: one
-uniform integer per subset into a cached table of all k-subsets, or,
-where the table would pass 1 MiB, the first k positions of an argsort
-of uniforms.
+The client-server estimators, the Monte Carlo verifier and the contract
+checks all compress through it; ``compress`` is the reference the tests
+hold ``sample_dense`` to.  The exact unbiased check runs rand-k's own
+``sample_dense`` over every subset, under ``_EveryOutcome``: a stand-in
+generator whose one draw is each subset's index in turn.  Top-k
+selects through ``_threshold_drop``: a mask of the entries past each
+row's k-th place in the sort, found by a partition threshold unless a
+tie straddles that place (or a NaN is present), so ``sample_dense``
+keeps the sort's coordinates bit for bit.  The identity is top-k at
+k = d.  Rand-k's kept sets, and the estimators' Monte Carlo batches and
+coordinate sets (each ``draw`` of a ``sampler``), come from
+``_draw_subsets``: one uniform integer per subset into a cached table
+of all k-subsets, or, where the table would pass 1 MiB, the first k
+positions of an argsort of uniforms.
 Both calls reject vectors whose length is not the operator's ``dim``.
 """
 
@@ -122,6 +124,24 @@ def _draw_subsets(rng, n, k, shape, mask=False):
     return uniforms.argsort(axis=-1)[..., :k]
 
 
+class _EveryOutcome:
+    """A stand-in for the generator under which ``_draw_subsets`` of C
+    subsets, C the number ``_subset_table`` lists, draws each of them
+    once, in the table's order: its one call, ``integers(0, C,
+    size=(C,))``, returns ``arange(C)``.  Any other call is a ValueError
+    naming it (any other method, at its lookup), so an operator that
+    draws otherwise fails loudly rather than being judged on outcomes
+    that are not all of its own."""
+
+    def integers(self, low, high, size=None):
+        if low != 0 or size != (high,):
+            raise ValueError(f"cannot enumerate integers({low}, {high}, size={size})")
+        return np.arange(high)
+
+    def __getattr__(self, name):
+        raise ValueError(f"cannot enumerate {name}: only integers(0, C, size=(C,)) is listed")
+
+
 class TopK:
     """Deterministic contractive compressor; registered delta = d/k."""
 
@@ -191,13 +211,6 @@ class RandK:
         out *= self.omega
         return out
 
-    def enumerate_outcomes(self, x):
-        """All equally likely outputs; exact-expectation checks for small d."""
-        x = _check_length(x, self.dim, vector=True)
-        for kept in itertools.combinations(range(self.dim), self.k):
-            idx = np.array(kept, dtype=np.int64)
-            yield CompressedVector(idx, self.omega * x[idx], self.dim)
-
 
 class IdentityCompressor(TopK):
     """No-op operator, top-k at k = d; delta = omega = 1.  Mostly a
@@ -206,9 +219,6 @@ class IdentityCompressor(TopK):
     def __init__(self, dim):
         super().__init__(dim, dim)
         self.omega = 1.0
-
-    def enumerate_outcomes(self, x):
-        yield self.compress(x)
 
 
 def _registered(compressor, name):
@@ -263,32 +273,33 @@ def check_biased_contract(compressor, trials, rng) -> dict:
 def check_unbiased_contract(compressor, trials, rng) -> dict:
     """Validate an unbiased registration.
 
-    For an enumerable operator whose k-subsets of range(dim) fit in
+    For a compressor with a ``k`` whose k-subsets of range(dim) fit in
     ``_subset_table`` (the size rule the samplers draw by) the mean and
-    second moment are computed over all outcomes (standard errors 0, so
-    the tolerance is 1e-12, float summation only); otherwise both are
+    second moment are computed over all outcomes: the rows of one
+    ``sample_dense`` call on C copies of the probe under
+    ``_EveryOutcome``, one row per subset (standard errors 0, so the
+    tolerance is 1e-12, float summation only); otherwise both are
     sampled, ``trials`` draws in one ``sample_dense`` call, and judged
     against 3 standard errors.
     """
     omega = _registered(compressor, "omega")
     d = compressor.dim
-    enumerable = hasattr(compressor, "enumerate_outcomes")
-    enumerated = enumerable and _subset_table(d, compressor.k) is not None
-    _check_trials(trials, sampled=not enumerated)
+    k = getattr(compressor, "k", None)
+    table = None if k is None else _subset_table(d, k)
+    _check_trials(trials, sampled=table is None)
     x = rng.standard_normal(d)
     xsq = float((x ** 2).sum())
-    if enumerated:
-        outcomes = [c.to_dense() for c in compressor.enumerate_outcomes(x)]
-        mean_err = np.abs(np.mean(outcomes, axis=0) - x)
-        margin = float(np.mean([(o ** 2).sum() for o in outcomes])) / xsq - omega
-        se_mean = se_moment = 0.0
-    else:
-        samples = compressor.sample_dense(np.broadcast_to(x, (trials, d)), rng)
+    rows, draws = (trials, rng) if table is None else (len(table[0]), _EveryOutcome())
+    samples = compressor.sample_dense(np.broadcast_to(x, (rows, d)), draws)
+    mean_err = np.abs(samples.mean(axis=0) - x)
+    if table is None:
         moments = (samples * samples).sum(axis=1) / xsq
         se_mean = samples.std(axis=0, ddof=1) / np.sqrt(trials)
-        mean_err = np.abs(samples.mean(axis=0) - x)
         se_moment = moments.std(ddof=1) / np.sqrt(trials)
         margin = moments.mean() - omega
+    else:
+        margin = float((samples * samples).sum(axis=1).mean()) / xsq - omega
+        se_mean = se_moment = 0.0
     passed = bool(
         np.all(mean_err <= 3.0 * se_mean + 1e-12)
         and margin <= 3.0 * se_moment + 1e-12
@@ -296,7 +307,7 @@ def check_unbiased_contract(compressor, trials, rng) -> dict:
     return {
         "kind": "unbiased",
         "omega": omega,
-        "mode": "enumeration" if enumerated else "sampled",
+        "mode": "sampled" if table is None else "enumeration",
         "mean_error": float(mean_err.max()),
         "margin": float(margin),
         "stderr": float(se_moment),

@@ -282,14 +282,15 @@ def _parse_lines(lines, limit=None):
     return raw_labels, counts, indices, values
 
 
-def check_count(name, value, most=None):
+def check_count(name, value, most=None, least=1):
     """A count ``name`` as an int, checked before it is converted (so nan
     and inf are named, not an error of ``int``): first, given ``most``
-    (``math.inf`` for no bound), in [1, most]; then >= 1; then integral."""
+    (``math.inf`` for no bound), in [1, most]; then >= ``least``; then
+    integral."""
     if most is not None and not (1 <= value <= most and value % 1 == 0):
         raise ValueError(f"{name} must be an integer in [1, {most}], got {value}")
-    if not value >= 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if not value >= least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     if value % 1 != 0:
         raise ValueError(f"{name} must be an integer, got {value}")
     return int(value)

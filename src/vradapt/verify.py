@@ -102,9 +102,7 @@ def assumption_margin(
     problem must have a known optimum (a quadratic fixture).
     """
     state_points = check_count("state_points", state_points)
-    samples_per_point = check_count("samples_per_point", samples_per_point)
-    if samples_per_point < 1000:
-        raise ValueError("need at least 1000 samples per state point")
+    samples_per_point = check_count("samples_per_point", samples_per_point, least=1000)
     if problem.x_opt is None:
         raise ValueError(
             f"{type(problem).__name__} has no known optimum; the margin check "
@@ -167,7 +165,7 @@ def assumption_margin(
 
 def _row(method, inequality, sp, lhs, rhs, margins):
     mean = float(margins.mean())
-    stderr = float(margins.std(ddof=1) / math.sqrt(len(margins))) if len(margins) > 1 else 0.0
+    stderr = float(margins.std(ddof=1) / math.sqrt(len(margins)))
     # 3 standard errors of Monte-Carlo slack plus a relative floor for
     # the deterministic-equality cases (stderr exactly 0, margin ~ 1 ulp)
     slack = 3.0 * stderr + 1e-9 * max(1.0, abs(lhs), abs(rhs))

@@ -19,6 +19,7 @@ import numpy as np
 from vradapt.compressors import (
     RandK,
     TopK,
+    _EveryOutcome,
     check_unbiased_contract,
 )
 from vradapt.data import load_libsvm, synthetic_dataset
@@ -153,7 +154,9 @@ def test_compressor_contracts_exact():
     # every k-subset returns the input and the d/k second moment; on
     # scale-exact (d, k) pairs with dyadic inputs the check is again
     # exact rationals, and the enumeration-based contract check covers
-    # every (d, k) with d up to 8 at float accuracy.
+    # every (d, k) with 2 <= d <= 8 at float accuracy.  The outcomes are
+    # rand-k's own ``sample_dense`` rows under the every-outcome
+    # generator, one per k-subset.
     rng = np.random.default_rng(0)
     topk_ok = True
     for d in range(2, 9):
@@ -182,7 +185,7 @@ def test_compressor_contracts_exact():
         x_frac = [grid[i] for i in picks]
         x = np.array([float(v) for v in x_frac])
         comp = RandK(k, d)
-        outcomes = [c.to_dense() for c in comp.enumerate_outcomes(x)]
+        outcomes = comp.sample_dense(np.broadcast_to(x, (math.comb(d, k), d)), _EveryOutcome())
         count = Fraction(math.comb(d, k))
         mean = [
             sum(Fraction(float(o[j])) for o in outcomes) / count for j in range(d)
@@ -197,7 +200,8 @@ def test_compressor_contracts_exact():
     randk_enum_ok = True
     for d in range(2, 9):
         for k in range(1, d + 1):
-            # the trials argument is moot at d <= 8: enumeration kicks in
+            # every such (d, k) has a subset table, so the check enumerates
+            # and the trials argument is moot
             report = check_unbiased_contract(RandK(k, d), 1000, rng)
             randk_enum_ok = randk_enum_ok and report["mode"] == "enumeration"
             randk_enum_ok = randk_enum_ok and report["passed"]

@@ -412,6 +412,35 @@ class TestVerifyCommand:
         assert calls == [(want, 10)]
         assert f"{method}: compressor contract PASS" in capsys.readouterr().out
 
+    # the compressor contract reports ``verify`` prints, recorded before the
+    # exact check ran ``sample_dense`` under the every-outcome generator: a
+    # change to how the contracts are checked must not move a byte of them
+    CONTRACT_REPORTS = {
+        "ef21": {"kind": "contractive", "delta": 10.0, "margin": -0.04023890025631616,
+                 "stderr": 0.0, "trials": 20000, "passed": True},
+        "diana": {"kind": "unbiased", "omega": 2.0, "mode": "enumeration",
+                  "mean_error": 2.220446049250313e-15, "margin": 0.0, "stderr": 0.0,
+                  "passed": True},
+    }
+    CONTRACT_REPORTS["dasha"] = CONTRACT_REPORTS["diana"]
+
+    @pytest.mark.parametrize("method", ["ef21", "diana", "dasha"])
+    def test_printed_contract_report_is_pinned(self, monkeypatch, capsys, method):
+        reports = []
+
+        def recording(check):
+            def recorded(*args):
+                reports.append(check(*args))
+                return reports[-1]
+
+            return recorded
+
+        for name in ("check_biased_contract", "check_unbiased_contract"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        assert main(["verify", "--method", method, "--states", "1", "--samples", "1000"]) == EXIT_OK
+        capsys.readouterr()
+        assert reports == [self.CONTRACT_REPORTS[method]]
+
     def test_perturbed_constant_fails(self, capsys):
         code = main(["verify", "--method", "ef21", "--perturb", "C:0.5"] + self.FAST)
         assert code == EXIT_VERIFY_FAILED
@@ -574,6 +603,9 @@ class TestUsageErrors:
             # it named the API's state_points
             pytest.param(["verify", "--method", "saga", "--states", "0", "--out", "{out}"],
                          "--states must be >= 1, got 0", id="verify-zero-states"),
+            # it named no flag: "need at least 1000 samples per state point"
+            pytest.param(["verify", "--method", "saga", "--samples", "999", "--out", "{out}"],
+                         "--samples must be >= 1000, got 999", id="verify-few-samples"),
             # either-or flags: both given once ran --all, or ingested --data
             pytest.param(["verify", "--method", "nosuch", "--all"],
                          "--all: not allowed with argument --method", id="verify-both"),

@@ -13,6 +13,7 @@ from vradapt.compressors import (
     RandK,
     TopK,
     _draw_subsets,
+    _EveryOutcome,
     _subset_table,
     _threshold_drop,
     check_biased_contract,
@@ -77,10 +78,11 @@ class TestRandK:
 
     def test_enumeration_mean_and_moment_exact(self):
         # d=4, k=2: scaling factor 2 is a power of two, so every outcome
-        # is float-exact and the Fraction average telescopes to x itself
+        # is float-exact and the Fraction average telescopes to x itself;
+        # the outcomes are the operator's own rows, one per kept subset
         x = np.array([1.0, -0.5, 2.0, 0.25])
         comp = RandK(2, 4)
-        outcomes = [c.to_dense() for c in comp.enumerate_outcomes(x)]
+        outcomes = comp.sample_dense(np.broadcast_to(x, (6, 4)), _EveryOutcome())
         assert len(outcomes) == 6
         mean = [Fraction(0)] * 4
         moment = Fraction(0)
@@ -386,6 +388,31 @@ class TestSubsetDraws:
         masks = _draw_subsets(np.random.default_rng(6), n, k, shape, mask=True)
         assert np.array_equal(masks, ~_threshold_drop(uniforms, k))
 
+    @pytest.mark.parametrize("n,k", [(1, 1), (6, 3), (10, 5), (9, 9)])
+    def test_every_outcome_draws_the_whole_table_in_order(self, n, k):
+        rows, masks = _subset_table(n, k)
+        assert np.array_equal(_draw_subsets(_EveryOutcome(), n, k, (len(rows),)), rows)
+        assert np.array_equal(_draw_subsets(_EveryOutcome(), n, k, (len(rows),), mask=True), masks)
+
+    @pytest.mark.parametrize(
+        "call,named",
+        [
+            (lambda g: g.random(6), "random"),
+            (lambda g: g.random((6, 4)), "random"),
+            (lambda g: g.permutation(6), "permutation"),
+            (lambda g: g.integers(0, 6, size=(5,)), r"integers\(0, 6, size=\(5,\)\)"),
+            (lambda g: g.integers(0, 6, size=(2, 3)), r"integers\(0, 6, size=\(2, 3\)\)"),
+            (lambda g: g.integers(0, 6, size=6), r"integers\(0, 6, size=6\)"),
+            (lambda g: g.integers(0, 6), r"integers\(0, 6, size=None\)"),
+            (lambda g: g.integers(1, 6, size=(6,)), r"integers\(1, 6, size=\(6,\)\)"),
+        ],
+        ids=["random", "random-block", "permutation", "fewer", "other-shape", "int-size",
+             "no-size", "low-1"],
+    )
+    def test_every_outcome_refuses_draws_it_cannot_list(self, call, named):
+        with pytest.raises(ValueError, match=f"^cannot enumerate {named}"):
+            call(_EveryOutcome())
+
     @pytest.mark.parametrize("mask", [False, True])
     def test_all_twenty_subsets_are_equally_likely(self, mask):
         draws = _draw_subsets(np.random.default_rng(8), 6, 3, (20000,), mask=mask)
@@ -467,6 +494,18 @@ class TestContracts:
         assert report["mode"] == "enumeration" and report["passed"]
         assert report["stderr"] == 0.0 and report["margin"] <= 1e-12
 
+    def test_an_operator_the_stand_in_cannot_enumerate_is_an_error(self):
+        # unbiased with omega = 2, so a sampled check would pass it; with a
+        # k and a subset table it is enumerated, and its coin draw refused
+        class CoinKeep:
+            dim, k, omega = 10, 5, 2.0
+
+            def sample_dense(self, V, rng):
+                return np.where(rng.random(V.shape) < 0.5, 2.0 * V, 0.0)
+
+        with pytest.raises(ValueError, match="^cannot enumerate random"):
+            check_unbiased_contract(CoinKeep(), 2000, np.random.default_rng(0))
+
     @pytest.mark.parametrize("check", [check_biased_contract, check_unbiased_contract])
     def test_probes_have_the_compressors_dim(self, check):
         class Recording:
@@ -512,15 +551,10 @@ class TestContracts:
                 self.randomized = True
                 self.omega = dim / k
 
-            def compress(self, x, rng):
-                kept = np.sort(rng.permutation(self.dim)[: self.k])
+            def sample_dense(self, V, rng):
+                kept = _draw_subsets(rng, self.dim, self.k, V.shape[:-1], mask=True)
                 # missing the d/k scaling -> biased toward zero
-                return CompressedVector(indices=kept, values=x[kept], dim=self.dim)
-
-            def enumerate_outcomes(self, x):
-                for kept in itertools.combinations(range(self.dim), self.k):
-                    idx = np.array(kept, dtype=np.int64)
-                    yield CompressedVector(indices=idx, values=x[idx], dim=self.dim)
+                return np.where(kept, V, 0.0)
 
         rng = np.random.default_rng(4)
         report = check_unbiased_contract(UnscaledRandK(1, 4), 200, rng)

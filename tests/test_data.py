@@ -282,7 +282,8 @@ class TestCheckCount:
             (lambda: make_quadratic(2.5, 4), "n must be an integer, got 2.5"),
             (lambda: make_quadratic(6, 4.5), "d must be an integer, got 4.5"),
             (lambda: _saga_margin(state_points=2.5), "state_points must be an integer, got 2.5"),
-            (lambda: _saga_margin(samples_per_point=float("nan")), "samples_per_point must be >= 1, got nan"),
+            # the floor is 1000 samples: 1 to 999 fail too
+            (lambda: _saga_margin(samples_per_point=float("nan")), "samples_per_point must be >= 1000, got nan"),
             (lambda: grad_fd_check(make_quadratic(6, 4), points=1.5), "points must be an integer, got 1.5"),
         ],
     )

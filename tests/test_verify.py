@@ -311,7 +311,7 @@ class TestAssumptionMargins:
 
     def test_sample_floor_enforced(self):
         problem, hp = standard_margin_setup("saga")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^samples_per_point must be >= 1000, got 999$"):
             assumption_margin("saga", hp, problem, samples_per_point=999)
         with pytest.raises(ValueError):
             assumption_margin("saga", hp, problem, state_points=0)
