@@ -21,7 +21,12 @@ The client-server estimators, the Monte Carlo verifier and the contract
 checks all compress through it; ``compress`` is the reference the tests
 hold ``sample_dense`` to.  The exact unbiased check runs rand-k's own
 ``sample_dense`` over every subset, under ``_EveryOutcome``: a stand-in
-generator whose one draw is each subset's index in turn.  Top-k
+generator whose one draw is each subset's index in turn.  The
+client-server samplers run it in its per-client form, once per state
+whose draws reach the ``_outcome_count`` outcomes (one for an operator
+that draws nothing): every client's message under each outcome, which
+each later Monte Carlo draw picks from with the integers
+``sample_dense`` would draw.  Top-k
 selects through ``_threshold_drop``: a mask of the entries past each
 row's k-th place in the sort, found by a partition threshold unless a
 tie straddles that place (or a NaN is present), so ``sample_dense``
@@ -128,18 +133,23 @@ class _EveryOutcome:
     """A stand-in for the generator under which ``_draw_subsets`` of C
     subsets, C the number ``_subset_table`` lists, draws each of them
     once, in the table's order: its one call, ``integers(0, C,
-    size=(C,))``, returns ``arange(C)``.  Any other call is a ValueError
+    size=(C,))``, returns ``arange(C)``.  In its per-client form,
+    ``integers(0, C, size=(C, n))``, row s is s for each of n clients,
+    so a (C, n, d) stack of n clients' vectors is compressed under
+    every outcome, one row per outcome.  Any other call is a ValueError
     naming it (any other method, at its lookup), so an operator that
     draws otherwise fails loudly rather than being judged on outcomes
     that are not all of its own."""
 
     def integers(self, low, high, size=None):
-        if low != 0 or size != (high,):
+        if low != 0 or not isinstance(size, tuple) or len(size) not in (1, 2) or size[0] != high:
             raise ValueError(f"cannot enumerate integers({low}, {high}, size={size})")
-        return np.arange(high)
+        return np.arange(high).repeat(math.prod(size[1:])).reshape(size)
 
     def __getattr__(self, name):
-        raise ValueError(f"cannot enumerate {name}: only integers(0, C, size=(C,)) is listed")
+        raise ValueError(
+            f"cannot enumerate {name}: only integers(0, C, size=(C,)) or (C, n) is listed"
+        )
 
 
 class TopK:
@@ -219,6 +229,20 @@ class IdentityCompressor(TopK):
     def __init__(self, dim):
         super().__init__(dim, dim)
         self.omega = 1.0
+
+
+def _outcome_count(compressor):
+    """How many outcomes ``_EveryOutcome`` lists for ``compressor``: 1
+    for a deterministic one, which draws nothing; C(dim, k) for
+    ``RandK``, whose kept sets come from ``_subset_table``.  None for
+    rand-k past that table's size bound, and for any other randomized
+    operator, whose draws are not known to be ``_draw_subsets``'s."""
+    if not compressor.randomized:
+        return 1
+    if type(compressor) is not RandK:
+        return None
+    table = _subset_table(compressor.dim, compressor.k)
+    return None if table is None else len(table[0])
 
 
 def _registered(compressor, name):

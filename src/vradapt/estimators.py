@@ -36,7 +36,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compressors import _draw_subsets, make_compressor
+from .compressors import (
+    _SUBSET_TABLE_BYTES, _EveryOutcome, _draw_subsets, _outcome_count, make_compressor,
+)
 from .data import check_count
 from .problems import _ordered_sum, _point, partition_problem
 
@@ -176,16 +178,17 @@ class GradientEstimator:
       auxiliary error ``sigma_sq()`` would report after each, shape (S,);
       it may be called any number of times.  A sampler reads the state
       as it was when it was built, and is valid until the next ``step``.
-      A client-server method's rows come from ``_transition``, which
-      ``step`` runs, at S draws.  The others keep dense stacks (on the
+      A client-server method's sampler runs ``_transition``, which
+      ``step`` runs, at S draws until it has been drawn as many times
+      as its transition has outcomes; it then lists every outcome once
+      and each draw gathers rows from that table (see
+      ``_ClientServerEstimator``).  The others keep dense stacks (on the
       20x10 verify fixtures a row of a 256-draw block costs about
       0.19 us for SAGA and 0.17 us for SEGA, stepping a clone 27 us and
       18 us; numpy 2.4 on a shared 2-core x86-64 VM): each draw only
       gathers or masks the shared values.  The randomness is drawn
       in whole arrays, so the stream differs from S calls of ``step``,
-      not the distribution.  A transition that draws nothing (a
-      deterministic compressor) is computed once, by ``sampler``, and
-      ``draw`` repeats its row S times, into arrays of their own;
+      not the distribution;
     * ``sigma_sq()``, if it has an auxiliary sequence: its auxiliary
       error at the current state (diagnostic; may cost a full pass, so
       the optimizer loop never calls it).
@@ -510,20 +513,40 @@ class _ClientServerEstimator(GradientEstimator):
     State is held as (n_clients, d) arrays, row j for client j:
     ``client_grads`` (the gradients at the current point) and
     ``client_state`` (each client's running estimate of its gradient;
-    DIANA's shift); ``server_state`` is their share-weighted sum.  One
-    ``_transition`` serves ``step`` and ``sampler``: it compresses every
-    client's ``_message(grads)`` (by default the residual against its
-    state), which the caller computes from the client pass, in one
-    ``compressor.sample_dense`` call, so a random compressor draws client
-    by client from one rng.  A sampler makes the client pass and the
-    message once and hands their (S, n_clients, d) broadcast to each
-    draw's transition.  With ``agg`` the
-    share-weighted sum of the compressed messages, the estimate is
-    ``server_state + agg`` and the client states move by ``_damp(dense)``;
-    a step also moves the server state by ``_damp(agg)``.  EF21 and DASHA
-    move by the messages themselves (damping 1: ``server_state`` is the
-    estimate); DIANA divides them by omega + 1.  Reductions over clients
-    run in client order, so aggregation is bitwise reproducible.
+    DIANA's shift); ``server_state`` is their share-weighted sum.  A
+    step's ``_transition`` compresses every client's ``_message(grads)``
+    (by default the residual against its state), which the caller
+    computes from the client pass, in one ``compressor.sample_dense``
+    call, so a random compressor draws client by client from one rng.
+    With ``agg`` the share-weighted sum of the compressed messages, the
+    estimate is ``server_state + agg`` and the client states move by
+    ``_damp(dense)``; a step also moves the server state by
+    ``_damp(agg)``.  EF21 and DASHA move by the messages themselves
+    (damping 1: ``server_state`` is the estimate); DIANA divides them by
+    omega + 1.  Reductions over clients run in client order, so
+    aggregation is bitwise reproducible.
+
+    A transition has few outcomes: a client's message compresses to one
+    of C, the ``_subset_table`` kept sets of ``RandK``, or 1 for a
+    compressor that draws nothing (``compressors._outcome_count``).  A
+    sampler makes the client pass and the message once.  Its first
+    draws hand the message's (S, n_clients, d) broadcast to
+    ``_transition``; once its draws reach C, it compresses the message
+    under every outcome in one ``sample_dense`` call (``_EveryOutcome``)
+    and keeps one table, client first, (n_clients, C, d + 1): each
+    client's weighted message under each outcome, then its weighted
+    squared gap to its gradient after it.  From then on a draw makes
+    the ``rng.integers(0, C, size=(S, n_clients))`` call the step's
+    ``sample_dense`` makes (none for C = 1, whose one outcome serves
+    every draw), gathers the picked rows, (n_clients, S, d + 1), and adds
+    them client by client from -0.0: the sums a step makes, bit for
+    bit.  Building the table costs about one per-draw transition per
+    outcome (0.5-1.6 times the per-draw time a gathered draw saves, by
+    timeit from 70 to 6435 outcomes), so a sampler that is drawn fewer
+    than C times never builds it, and one that is pays at most about
+    twice the cheaper path's cost.  Any other randomized compressor,
+    rand-k without a subset table, or a table past
+    ``_SUBSET_TABLE_BYTES`` keeps the per-draw path.
 
     The initial pass is sent dense (d values per client); afterwards
     each client sends k (index, value) pairs per step, in a separate
@@ -588,14 +611,19 @@ class _ClientServerEstimator(GradientEstimator):
     def _damp(self, moved):
         return moved
 
-    def _server_sum(self, per_client):
-        """Share-weighted sum over the client axis, in client order from
-        -0.0: (..., n_clients, d) -> (..., d).  The client axis is moved
-        first (``np.moveaxis`` as a bare transpose) and the product written
-        C-ordered, the layout ``problems._ordered_sum`` adds uncopied."""
+    def _weighted(self, per_client, out=None):
+        """Each client's values times its share, written C-ordered (or
+        into ``out``) with the client axis moved first (``np.moveaxis``
+        as a bare transpose): (..., n_clients, d) -> (n_clients, ..., d)."""
         client_first = per_client.transpose(-2, *range(per_client.ndim - 2), -1)
         weights = self.weights.reshape((-1,) + (1,) * (per_client.ndim - 1))
-        return _ordered_sum(np.multiply(weights, client_first, order="C"), -0.0)
+        return np.multiply(weights, client_first, out=out, order="C")
+
+    def _server_sum(self, per_client):
+        """Share-weighted sum over the client axis, in client order from
+        -0.0: (..., n_clients, d) -> (..., d).  ``_weighted`` writes the
+        product in the layout ``problems._ordered_sum`` adds uncopied."""
+        return _ordered_sum(self._weighted(per_client), -0.0)
 
     def _client_error(self, gaps):
         """Share-weighted mean squared client gap, (..., n_clients, d) ->
@@ -629,17 +657,52 @@ class _ClientServerEstimator(GradientEstimator):
     def sampler(self, x_cand):
         grads = self._client_grads(x_cand)
         message = self._message(grads)
+        n, d = message.shape
+        count = _outcome_count(self.compressor)
+        if count is not None and n * count * (d + 1) * message.itemsize > _SUBSET_TABLE_BYTES:
+            count = None
+        randomized = self.compressor.randomized
+        drawn, table, offsets = 0, None, None
 
-        def transitions(rng, S):
-            states, G, _ = self._transition(np.broadcast_to(message, (S,) + message.shape), rng)
-            return G, self._client_error(states - grads)
+        def draw(rng, S):
+            nonlocal drawn, table, offsets
+            drawn += S
+            if table is None:
+                if count is None or drawn < count:
+                    states, G, _ = self._transition(np.broadcast_to(message, (S, n, d)), rng)
+                    return G, self._client_error(states - grads)
+                table = self._outcome_table(grads, message, count)
+                offsets = np.arange(0, n * count, count)[:, None]
+            # a compressor that draws nothing has one outcome, the same in every
+            # draw: one row of picks, drawn from no rng, serves all S
+            picks = rng.integers(0, count, size=(S, n)) if randomized else np.zeros((1, n), int)
+            # (n, S) flat rows, or (n, 1): the gather comes out client first,
+            # C-ordered, and its sums serve as G's and sigma's rows
+            sums = _ordered_sum(table.take(picks.T + offsets, axis=0), -0.0)
+            G, sigma = np.empty((S, d)), np.empty(S)
+            np.add(self.server_state, sums[:, :d], out=G)
+            sigma[:] = sums[:, d]
+            return G, sigma
 
-        if self.compressor.randomized:
-            return transitions
-        # a deterministic compressor draws nothing from rng, so every
-        # transition is this one, repeated
-        G, sigma = transitions(None, 1)
-        return lambda rng, S: (np.repeat(G, S, axis=0), np.repeat(sigma, S))
+        return draw
+
+    def _outcome_table(self, grads, message, count):
+        """The (n_clients * count, d + 1) table a sampler gathers from, client
+        first: flat row j * count + c is client j's weighted message under
+        outcome c, then its weighted squared gap to its gradient after it."""
+        n, d = message.shape
+        # every client's message compressed under each outcome, (count, n, d)
+        dense = self.compressor.sample_dense(np.broadcast_to(message, (count, n, d)), _EveryOutcome())
+        table = np.empty((n, count, d + 1))
+        self._weighted(dense, out=table[..., :d])
+        # the gaps take a step's operations in its order, in place, as the
+        # compressed messages are not read again
+        gaps = self._damp(dense)
+        np.add(self.client_state, gaps, out=gaps)
+        gaps -= grads
+        gaps *= gaps
+        self._weighted(gaps.sum(axis=-1)[..., None], out=table[..., d:])
+        return table.reshape(n * count, d + 1)
 
 
 class EF21(_ClientServerEstimator):

@@ -43,8 +43,10 @@ PROBE_SCALE = 0.1
 
 # Monte Carlo transitions per ``draw`` of a state's sampler: large enough
 # to leave the interpreter out of the per-sample cost, small enough to
-# keep the (block, n, d) temporaries small.  The sampler's shared oracle
-# work is paid once per state, not once per block.
+# keep each block's arrays small (the client-server gathers, (n_clients,
+# block, d + 1), and the dense stacks of the other methods).  The sampler's
+# shared work, the client-server outcome tables included, is paid once
+# per state, not once per block.
 SAMPLE_BLOCK = 256
 
 

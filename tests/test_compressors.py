@@ -14,6 +14,7 @@ from vradapt.compressors import (
     TopK,
     _draw_subsets,
     _EveryOutcome,
+    _outcome_count,
     _subset_table,
     _threshold_drop,
     check_biased_contract,
@@ -393,6 +394,58 @@ class TestSubsetDraws:
         rows, masks = _subset_table(n, k)
         assert np.array_equal(_draw_subsets(_EveryOutcome(), n, k, (len(rows),)), rows)
         assert np.array_equal(_draw_subsets(_EveryOutcome(), n, k, (len(rows),), mask=True), masks)
+
+    @pytest.mark.parametrize("n,k,clients", [(1, 1, 3), (6, 3, 1), (10, 5, 10), (9, 9, 4)])
+    def test_per_client_form_lists_each_outcome_for_every_client(self, n, k, clients):
+        # row s is outcome s for each client: a (C, clients, n) stack of
+        # vectors is compressed under every outcome, one row per outcome
+        rows, masks = _subset_table(n, k)
+        count = len(rows)
+        picks = _EveryOutcome().integers(0, count, size=(count, clients))
+        assert picks.shape == (count, clients)
+        assert np.array_equal(picks, np.repeat(np.arange(count)[:, None], clients, axis=1))
+        drawn = _draw_subsets(_EveryOutcome(), n, k, (count, clients), mask=True)
+        assert np.array_equal(drawn, np.repeat(masks[:, None], clients, axis=1))
+        V = np.random.default_rng(2).standard_normal((clients, n))
+        dense = RandK(k, n).sample_dense(np.broadcast_to(V, (count, clients, n)), _EveryOutcome())
+        for j in range(clients):
+            assert np.array_equal(dense[:, j], np.where(masks, n / k * V[j], 0.0))
+
+    @pytest.mark.parametrize(
+        "call,named",
+        [
+            (lambda g: g.integers(0, 6, size=(5, 3)), r"integers\(0, 6, size=\(5, 3\)\)"),
+            (lambda g: g.integers(0, 6, size=(6, 3, 2)), r"integers\(0, 6, size=\(6, 3, 2\)\)"),
+            (lambda g: g.integers(1, 6, size=(6, 3)), r"integers\(1, 6, size=\(6, 3\)\)"),
+            (lambda g: g.random((6, 3)), "random"),
+        ],
+        ids=["fewer-rows", "three-axes", "low-1", "random"],
+    )
+    def test_per_client_form_refuses_other_draws(self, call, named):
+        with pytest.raises(ValueError, match=f"^cannot enumerate {named}"):
+            call(_EveryOutcome())
+
+    @pytest.mark.parametrize(
+        "compressor,count",
+        [
+            (TopK(3, 10), 1),
+            (IdentityCompressor(10), 1),
+            (RandK(5, 10), 252),
+            (RandK(10, 10), 1),
+            (RandK(8, 16), 12870),
+            (RandK(12, 24), None),
+            (RandK(7, 123), None),
+            (type("OwnDraws", (RandK,), {})(5, 10), None),
+        ],
+        ids=["topk", "identity", "randk-5-10", "randk-10-10", "randk-8-16", "randk-12-24",
+             "randk-7-123", "randk-subclass"],
+    )
+    def test_outcome_count(self, compressor, count):
+        # one outcome for a compressor that draws nothing; for RandK the
+        # size of the subset table it draws from, None where there is none;
+        # None for any other randomized operator, a subclass included, as
+        # its draws may not be ``_draw_subsets``'s
+        assert _outcome_count(compressor) == count
 
     @pytest.mark.parametrize(
         "call,named",

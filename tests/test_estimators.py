@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from vradapt.compressors import RandK, TopK
+from vradapt.compressors import RandK, TopK, _outcome_count, make_compressor
 from vradapt.engine import ExperimentConfig, run
 from vradapt.data import synthetic_dataset
 from vradapt.estimators import (
@@ -21,23 +21,25 @@ from vradapt.estimators import (
     make_estimator,
 )
 from vradapt.problems import QuadraticProblem, logistic_problem, make_quadratic
+from vradapt.verify import assumption_margin, standard_margin_setup
 
 from test_problems import _ragged_dataset
 
 
 class ScriptedRng:
-    """Replays a fixed script of coin flips and integer draws (batches,
-    or a random compressor's indices into the combinations list, see
-    ``subset_index``) so each estimator update can be checked against
-    hand arithmetic."""
+    """Replays a fixed script of coin flips (or blocks of uniforms) and
+    integer draws (batches, or a random compressor's indices into the
+    combinations list, see ``subset_index``) so each estimator update can
+    be checked against hand arithmetic."""
 
     def __init__(self, coins=(), batches=()):
         self._coins = list(coins)
         self._batches = [list(b) for b in batches]
 
     def random(self, size=None):
-        assert size is None
-        return self._coins.pop(0)
+        out = self._coins.pop(0)
+        assert np.shape(out) == (() if size is None else np.empty(size).shape)
+        return out
 
     def integers(self, low, high, size=None):
         out = np.array(self._batches.pop(0), dtype=np.int64)
@@ -1057,6 +1059,25 @@ class RecordingRng:
         return out
 
 
+class UniformsRandK:
+    """Keeps k of d coordinates at random by an argsort of uniforms, as
+    a user's operator may, not through ``_draw_subsets``: unbiased when
+    scaled by d/k (omega), contractive in the mean when not (delta)."""
+
+    randomized = True
+
+    def __init__(self, k, dim, scaled=True):
+        self.k, self.dim, self.scaled = k, dim, scaled
+        setattr(self, "omega" if scaled else "delta", dim / k)
+
+    def sample_dense(self, V, rng):
+        kept = rng.random(V.shape).argsort(axis=-1)[..., : self.k]
+        out = np.zeros(V.shape)
+        scale = self.dim / self.k if self.scaled else 1.0
+        np.put_along_axis(out, kept, scale * np.take_along_axis(V, kept, axis=-1), axis=-1)
+        return out
+
+
 # (method, hyperparameters) pairs whose sampler rows are replayed:
 # every method, LSVRG and PAGE with and without replacement, and every
 # compressor each client-server method accepts
@@ -1099,6 +1120,10 @@ def replay_scripts(est, draws, S):
             assert draws == []
             return [ScriptedRng() for _ in range(S)]
         (kind, picks), = draws
+        if kind == "random":
+            # no subset table: each kept set is an argsort of uniforms
+            assert picks.shape == (S, est.n_clients, est.problem.dim)
+            return [ScriptedRng(coins=[picks[s]]) for s in range(S)]
         assert kind == "integers" and picks.shape == (S, est.n_clients)
         return [ScriptedRng(batches=[picks[s]]) for s in range(S)]
     (kind, values), = draws
@@ -1195,6 +1220,87 @@ class TestStepBatch:
             G, sigma = draw(rng, S)
             G_fresh, sigma_fresh = est.sampler(self.X_CAND)(twin, S)
             assert np.array_equal(G, G_fresh) and np.array_equal(sigma, sigma_fresh), S
+
+    @staticmethod
+    def spy_on_sample_dense(compressor, monkeypatch):
+        """The shapes every later ``sample_dense`` call of ``compressor``'s
+        class is handed, in order."""
+        shapes = []
+        sample_dense = type(compressor).sample_dense
+
+        def spy(operator, V, rng=None):
+            shapes.append(np.shape(V))
+            return sample_dense(operator, V, rng)
+
+        monkeypatch.setattr(type(compressor), "sample_dense", spy)
+        return shapes
+
+    @pytest.mark.parametrize(
+        "method,compressor",
+        [
+            ("diana", RandK(12, 24)),
+            ("dasha", RandK(12, 24)),
+            ("diana", RandK(8, 16)),
+            ("dasha", RandK(8, 16)),
+            ("ef21", UniformsRandK(2, 4, scaled=False)),
+            ("diana", UniformsRandK(2, 4)),
+            ("dasha", UniformsRandK(2, 4)),
+        ],
+        ids=["diana-no-subset-table", "dasha-no-subset-table", "diana-more-outcomes-than-draws",
+             "dasha-more-outcomes-than-draws", "ef21-own-draws", "diana-own-draws",
+             "dasha-own-draws"],
+    )
+    def test_without_an_outcome_table_rows_replay_per_draw(self, method, compressor, monkeypatch):
+        # C(24, 12) subsets have no ``_subset_table``; C(16, 8) = 12870
+        # outcomes are more than the S draws would pay for; an operator
+        # drawing through ``rng.random`` has no outcomes the sampler can
+        # list.  Each draw compresses its own (S, n_clients, d) stack
+        shapes = self.spy_on_sample_dense(compressor, monkeypatch)
+        hp = {"n_clients": 2, "compressor": compressor}
+        self.assert_rows_replay(method, hp, make_quadratic(6, compressor.dim, seed=0))
+        assert [shape for shape in shapes if len(shape) == 3] == [(self.S, 2, compressor.dim)]
+
+    @pytest.mark.parametrize("method", ["diana", "dasha"])
+    def test_outcome_table_is_built_once_the_draws_reach_its_outcomes(self, method, monkeypatch):
+        # 252 outcomes on the verify fixture: blocks of 100 run per draw
+        # until the third brings the draws to 300, which gathers from the
+        # table; each block is what a fresh sampler draws per draw
+        problem, hp = standard_margin_setup(method)
+        est = make_estimator(method, problem, np.zeros(problem.dim), hp)
+        est.step(np.full(problem.dim, 0.3), np.random.default_rng(3))
+        x_cand = np.resize(self.X_CAND, problem.dim)
+        shapes = self.spy_on_sample_dense(est.compressor, monkeypatch)
+        draw = est.sampler(x_cand)
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(3):
+            G, sigma = draw(rng, 100)
+            G_fresh, sigma_fresh = est.sampler(x_cand)(twin, 100)
+            assert np.array_equal(G, G_fresh) and np.array_equal(sigma, sigma_fresh)
+        assert shapes == [(100, 10, 10)] * 4 + [(252, 10, 10), (100, 10, 10)]
+
+    @pytest.mark.parametrize("n_clients,table", [(47, True), (48, False)])
+    def test_outcome_table_keeps_to_the_byte_bound(self, n_clients, table, monkeypatch):
+        # 252 outcomes x 11 floats per client: 47 clients fit 1 MiB, 48 do not
+        compressor = RandK(5, 10)
+        shapes = self.spy_on_sample_dense(compressor, monkeypatch)
+        hp = {"n_clients": n_clients, "compressor": compressor}
+        est = make_estimator("diana", make_quadratic(48, 10, seed=0), np.zeros(10), hp)
+        est.sampler(np.full(10, 0.3))(np.random.default_rng(0), 256)
+        assert shapes == [(252 if table else 256, n_clients, 10)]
+
+    @pytest.mark.parametrize("method", DISTRIBUTED_METHODS)
+    def test_verify_fixtures_draw_from_one_outcome_table_per_state(self, method, monkeypatch):
+        # the verifier's client-server fixtures list every outcome once per
+        # state and only gather per block: a fallback to per-draw
+        # compression would show as one (block, n_clients, d) call per block
+        problem, hp = standard_margin_setup(method)
+        compressor = make_compressor(hp["compressor"], problem.dim, hp["k"])
+        shapes = self.spy_on_sample_dense(compressor, monkeypatch)
+        assumption_margin(method, hp, problem, state_points=2, samples_per_point=1000)
+        count = _outcome_count(compressor)
+        assert count == (252 if compressor.randomized else 1)
+        # one trajectory step between the two states, sent as (n_clients, d)
+        assert shapes == [(count, 10, 10), (10, 10), (count, 10, 10)]
 
     @pytest.mark.parametrize(
         "method,hp",

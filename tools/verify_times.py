@@ -11,25 +11,43 @@ its checked round.  Work done once per state (the estimate error and
 ``sigma_sq`` at the state, the sampler's shared oracle values) weighs
 ten times as much per sample at 1 state as at 10.  A row is the best
 of ``--repeats`` runs, in microseconds per sample, slowest method first.
+The last row, ``weighted``, is their geometric mean weighted as the
+benchmark weighs verify ``us_per_step``: by each method's Monte Carlo
+transitions in its verify round (``STEPS``), so a change to one method
+can be sized without the benchmark's noise.
 
 Almost all of that time is spent in each state's ``sampler`` and its
 draws, which the benchmark's span tracer does not wrap, so its
 per-layer numbers do not show which method a verify run spends its
 time on; these rows do.  The checkout's ``src/`` is put first on the
-path.
+path, and its ``perfbench/`` next to it, for the round's sizes.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from perfbench import workloads  # noqa: E402
 from vradapt import verify  # noqa: E402
 from vradapt.estimators import METHODS  # noqa: E402
+
+# the benchmark's verify round: every method at its states x samples, and
+# EF21 also at its C x 0.5 mutation probe
+STEPS = {method: workloads.VERIFY_STATES * workloads.VERIFY_SAMPLES for method in METHODS}
+STEPS["ef21"] += workloads.MUTATION_STATES * workloads.MUTATION_SAMPLES
+
+
+def weighted(times):
+    """The geometric mean of per-method times, weighted by ``STEPS``."""
+    total = sum(STEPS[method] for method in times)
+    return math.exp(sum(STEPS[m] * math.log(t) for m, t in times.items()) / total)
 
 
 def us_per_sample(method, states, samples, repeats, seed):
@@ -61,6 +79,7 @@ def main(argv=None):
     print(f"{'method':<10} {'us/sample':>10}")
     for method in sorted(times, key=times.get, reverse=True):
         print(f"{method:<10} {times[method]:>10.3f}")
+    print(f"{'weighted':<10} {weighted(times):>10.3f}")
     return 0
 
 
