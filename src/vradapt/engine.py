@@ -33,7 +33,9 @@ import io
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,13 +219,15 @@ def validate(config, problem):
     return hp, _step_rule(config, registered, problem)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
     """One recorded iteration.  Its fields, in order, are the trace CSV's
     columns (``CSV_HEADER``, written by ``csv_layout``); the loss and
     gradient norm are exact, ``est_err`` is the distance of the estimate
     from the exact gradient, the error the registered constants bound,
-    and ``wall_ms`` is read before the row's own gradient pass."""
+    and ``wall_ms`` is read before the row's own gradient pass.  A
+    ``Trace`` keeps a row's values, not the row, and builds a row
+    again on each access."""
 
     t: int
     loss: float
@@ -237,28 +241,88 @@ class TraceRow:
     wall_ms: float
 
 
-@dataclass
+_FIELDS = [f.name for f in dataclasses.fields(TraceRow)]
+# the cumulative counters, adjacent fields
+_COUNTERS = slice(_FIELDS.index("grad_calls"), _FIELDS.index("bits") + 1)
+
+
 class Trace:
-    rows: list = field(default_factory=list)
+    """A run's recorded rows, held as one column per ``TraceRow`` field,
+    in field order: an ``array('q')`` for an int field and an
+    ``array('d')`` for a float field, 80 bytes a row.  A column that
+    meets a value its array cannot hold, such as an int past int64,
+    becomes a list and keeps every value as given.  ``columns`` maps
+    each field name to its column, read-only.
+
+    ``rows`` is a read-only sequence view that builds each ``TraceRow``
+    on access (an index, a slice as a list, iteration); ``len``,
+    iteration and equality are the rows'.  ``Trace(rows)`` appends each
+    row of an iterable in turn.  ``append`` checks a row against the
+    column tails: iterations strictly increase and the cumulative
+    counters never fall."""
+
+    def __init__(self, rows=()):
+        self._columns = [
+            array("q" if f.type == "int" else "d") for f in dataclasses.fields(TraceRow)
+        ]
+        for row in rows:
+            self.append(row)
+
+    @property
+    def columns(self):
+        return dict(zip(_FIELDS, self._columns))
+
+    @property
+    def rows(self):
+        return _TraceRows(self._columns)
 
     def append(self, row):
-        if self.rows:
-            last = self.rows[-1]
-            if row.t <= last.t:
+        self._append_values(_trace_values(row))
+
+    def _append_values(self, values):
+        """``append`` for a row's values in field order, unbuilt."""
+        columns = self._columns
+        if columns[0]:
+            if values[0] <= columns[0][-1]:
                 raise ValueError("trace iterations must be strictly increasing")
-            if (
-                row.grad_calls < last.grad_calls
-                or row.partial_calls < last.partial_calls
-                or row.bits < last.bits
-            ):
-                raise ValueError("cumulative counters must be nondecreasing")
-        self.rows.append(row)
+            for value, column in zip(values[_COUNTERS], columns[_COUNTERS]):
+                if value < column[-1]:
+                    raise ValueError("cumulative counters must be nondecreasing")
+        for i, value in enumerate(values):
+            try:
+                columns[i].append(value)
+            except (OverflowError, TypeError):
+                columns[i] = [*columns[i], value]
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._columns[0])
 
     def __iter__(self):
         return iter(self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+class _TraceRows(Sequence):
+    """A trace's rows over its columns, read-only; each access builds
+    the ``TraceRow``s it returns."""
+
+    def __init__(self, columns):
+        self._columns = columns
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return TraceRow(*(column[index] for column in self._columns))
+
+    def __iter__(self):
+        return map(TraceRow, *self._columns)
 
 
 @dataclass
@@ -270,7 +334,7 @@ class RunResult:
     summary: dict
 
 
-CSV_HEADER = ",".join(f.name for f in dataclasses.fields(TraceRow))
+CSV_HEADER = ",".join(_FIELDS)
 _TRACE_LINE, _trace_values = csv_layout(TraceRow)
 
 
@@ -280,8 +344,8 @@ def trace_to_csv(trace, sink):
     """
     with opened(sink, "w") as handle:
         handle.write(CSV_HEADER + "\n")
-        for r in trace:
-            handle.write(_TRACE_LINE % _trace_values(r))
+        for values in zip(*trace.columns.values()):
+            handle.write(_TRACE_LINE % values)
 
 
 def trace_csv_text(trace):
@@ -311,9 +375,9 @@ def parse_trace_csv(source):
 def iterations_to_tolerance(trace, tol):
     """First recorded iteration whose exact gradient norm is <= tol."""
     tol = check_positive("tol", tol)
-    for row in trace:
-        if row.grad_norm <= tol:
-            return row.t
+    for t, grad_norm in zip(trace.columns["t"], trace.columns["grad_norm"]):
+        if grad_norm <= tol:
+            return t
     return None
 
 
@@ -383,7 +447,7 @@ def run(config, problem=None):
         else:
             est_norm, est_err = _norm(g), _norm(g - grad)
         counters = (est.grad_calls, est.partial_calls, est.bits)
-        trace.append(TraceRow(t, loss, grad_norm, est_norm, est_err, gamma, *counters, wall))
+        trace._append_values((t, loss, grad_norm, est_norm, est_err, gamma, *counters, wall))
         return grad_norm
 
     status = "completed"
@@ -407,7 +471,7 @@ def run(config, problem=None):
         g = est.step(x, rng)
         t += 1
 
-    if status != "diverged" and (len(trace) == 0 or trace.rows[-1].t != t):
+    if status != "diverged" and (len(trace) == 0 or trace.columns["t"][-1] != t):
         record(t, None, 0.0)
 
     summary = {
@@ -415,8 +479,8 @@ def run(config, problem=None):
         "iterations": t,
         # the trace holds row 0 at least; np.min, unlike min, gives nan
         # if any norm is nan
-        "min_grad_norm": float(np.min([r.grad_norm for r in trace])),
-        "final_loss": trace.rows[-1].loss,
+        "min_grad_norm": float(np.min(trace.columns["grad_norm"])),
+        "final_loss": trace.columns["loss"][-1],
         "grad_calls": est.grad_calls,
         "partial_calls": est.partial_calls,
         "bits": est.bits,

@@ -7,11 +7,11 @@ Every objective here has the form
 and exposes, next to the plain loss, three gradient oracles: the full
 gradient, per-component gradients, and per-coordinate partial derivatives
 of f.  Instances do not change after construction, so they can be shared
-freely between concurrent runs; the one exception is the logistic
+freely between concurrent runs; the exceptions are the logistic
 problem's last margin pass, one immutable pair that is replaced whole
-and that threads may share.
+and that threads may share, and its A^T, built on first use.
 
-Only the logistic problem runs on scipy.  Its four scipy names are bound
+Only the logistic problem runs on scipy.  Its three scipy names are bound
 to None at import and to scipy's own objects by ``_import_scipy``, which
 ``LogisticProblem`` runs first thing when one is built or unpickled, so
 ``import vradapt``, quadratic problems and the commands that use only
@@ -20,11 +20,13 @@ them (``verify``, ``constants``, a quadratic ``run``) load no scipy.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .data import check_count
 
-_sparsetools = csr_matrix = vstack = expit = None
+_sparsetools = csr_matrix = expit = None
 
 
 def _import_scipy():
@@ -32,8 +34,8 @@ def _import_scipy():
     once per process, as later calls find the modules loaded.  Each call
     binds them again, so a name patched before a problem is built is
     not kept."""
-    global _sparsetools, csr_matrix, vstack, expit
-    from scipy.sparse import _sparsetools, csr_matrix, vstack
+    global _sparsetools, csr_matrix, expit
+    from scipy.sparse import _sparsetools, csr_matrix
     from scipy.special import expit
 
 
@@ -70,9 +72,9 @@ class Problem:
     * ``full_grad(x)``: the gradient of f;
     * ``partials(x, coords)``: coordinate derivatives of f, each
       bit-equal to that entry of ``full_grad(x)``;
-    * ``group_grads(groups)``: built once per list of component index
-      groups, a function x -> (len(groups), dim) whose row j is the
-      gradient of the average of f_i over group j.
+    * ``group_grads(groups)``: built once per list of disjoint
+      component index groups, a function x -> (len(groups), dim) whose
+      row j is the gradient of the average of f_i over group j.
 
     ``smoothness`` is the uniform component smoothness bound: every f_i
     (and hence f) has an L-Lipschitz gradient with this L.
@@ -188,31 +190,36 @@ class LogisticProblem(Problem):
     at most 2 ulp per entry (equal at m = +-0, +-inf, nan and +-710).
     The gradients stay on ``expit``.
 
-    scipy (``csr_matrix``, ``vstack``, ``expit`` and the kernels of
+    scipy (``csr_matrix``, ``expit`` and the kernels of
     ``_sparsetools``) comes from one import, ``_import_scipy``, which
     ``__init__`` and ``__setstate__`` run before anything else, so an
     instance built or unpickled in a process that has not imported scipy
     finds it bound; every helper these methods call runs after it.
 
-    Storage, built once and shared by every oracle; A's stored entries
-    are the only copy of A, and no layout is padded:
+    Storage, shared by every oracle; no layout is padded:
 
     * ``X``: the dataset's CSR arrays (``indptr``, ``indices``,
       ``values``) as a CSR matrix (n x d), not concatenated again
-      (scipy may narrow the index arrays to int32); the margin pass
-      (``_margin_pass``) and the power iteration read it, and
-      ``component_rows`` gathers the batch's rows from it.
-    * ``XT``: A^T as a CSR matrix (d x n), a transposed view of A's CSC
-      arrays, one stored row per feature; ``full_grad`` and the power
-      iteration read it, and ``partials`` gathers the sampled features'
-      rows from it.
-    * ``_row_nnz``, ``_col_nnz``: the stored entries per row of ``X``
-      and of ``XT``.
+      (scipy may narrow the index arrays to int32), built at
+      construction.  Its stored entries are the only copy of A the
+      problem holds until ``partials`` is called: every product with
+      all of A or A^T reads them, and ``component_rows`` gathers the
+      batch's rows from them.
+    * ``_row_nnz``: the stored entries per row of ``X``.
+    * ``XT``, ``_col_nnz``: A^T as a CSR matrix (d x n), a transposed
+      view of A's CSC arrays, one stored row per feature, and its
+      stored entries per row.  They are built on the first ``partials``
+      call (JAGUAR, SEGA), the one oracle that gathers features, and
+      kept (``functools.cached_property``); a run that never calls it
+      holds no second copy of A.
 
-    Every product with a whole matrix (the margin pass, ``full_grad``,
-    each ``group_grads`` stack, the power iteration) is ``_matvec``:
-    scipy's C kernel behind ``X @ x``, called on the stored arrays
-    without the operator's dispatch, after a check of the point's shape.
+    Every product with a whole matrix reads X's own arrays, after a
+    check of the vector's shape, and calls scipy's C kernel without the
+    operator's dispatch: the margin pass is ``_matvec``, the kernel
+    behind ``X @ x``; ``full_grad``, each ``group_grads`` stack and the
+    power iteration's second product are ``_rmatvec``, the kernel
+    behind ``X.T @ w``, which adds each feature's terms in row order
+    from +0.0, so its sums are ``XT @ w``'s bit for bit.
     ``_gather`` takes a batch of rows of either matrix as CSR arrays of
     its own, with the gather behind ``X[idx]``.  A component's
     coefficient is its loss weight -y_i * expit(-y_i * <a_i, x>), one
@@ -232,7 +239,9 @@ class LogisticProblem(Problem):
     ``full_grad``, ``partials`` and every ``group_grads`` function read
     it, so the oracles called at one point pass over the rows once (a
     trace record after a step, SEGA's partials at its previous point).
-    It is the only state an instance changes after construction.
+    It and the lazy ``XT`` are the only things an instance builds after
+    construction; two threads that race to build ``XT`` build equal
+    arrays.
 
     Every gradient oracle result is bit-identical, down to the sign of
     zeros, to the plain scipy CSR expressions (``X[idx]`` -> ``.multiply``
@@ -261,15 +270,22 @@ class LogisticProblem(Problem):
         self.y = labels
         self._neg_y = -labels
         self.n_components, self.dim = X.shape
-        self.XT = X.tocsc().T
         self._row_nnz = np.diff(X.indptr)
-        self._col_nnz = np.diff(self.XT.indptr)
         self._scratch = None
         self.smoothness = self._power_iteration()
 
     def __setstate__(self, state):
         _import_scipy()
         self.__dict__.update(state)
+
+    @functools.cached_property
+    def XT(self):
+        """A^T as a CSR matrix (d x n), built on first use (``partials``)."""
+        return self.X.tocsc().T
+
+    @functools.cached_property
+    def _col_nnz(self):
+        return np.diff(self.XT.indptr)
 
     def _power_iteration(self, iterations=POWER_ITERATIONS):
         """Largest eigenvalue of (1/(4n)) A^T A after ``iterations``
@@ -283,13 +299,13 @@ class LogisticProblem(Problem):
         v = np.random.default_rng(0).standard_normal(self.dim)
         v /= np.linalg.norm(v)
         seen, estimates = {}, []
-        X, XT, n = self.X, self.XT, self.n_components
+        X, n = self.X, self.n_components
         for i in range(iterations):
             j = seen.setdefault(v.tobytes(), i)
             if j < i:
                 return estimates[j + (iterations - 1 - j) % (i - j)]
             Xv = _matvec(X.indptr, X.indices, X.data, v, self.dim)
-            w = _matvec(XT.indptr, XT.indices, XT.data, Xv, n) / (4.0 * n)
+            w = _rmatvec(X.indptr, X.indices, X.data, Xv, self.dim) / (4.0 * n)
             norm = np.linalg.norm(w)
             if norm == 0.0:
                 return 0.0
@@ -332,8 +348,13 @@ class LogisticProblem(Problem):
         arrays are the CSC arrays of ``X[idx].T``, and ``csc_matvecs``, the
         kernel behind scipy's product, adds each row's entries times its
         coefficients onto zeros, row after row.  It checks no bounds, so
-        C's shape is checked here.  The only caller of that kernel."""
+        C's shape is checked here.  The only caller of that kernel.  One
+        coefficient array (k = 1, SAGA's, PAGE's and LSVRG's difference)
+        is ``_rmatvec``, the same sums in the same order without the
+        stack's transposed copy."""
         C = _stack(C, (len(rows[0]) - 1,))
+        if len(C) == 1:
+            return _rmatvec(*rows, C[0], self.dim)[None]
         out = np.zeros((self.dim, len(C)))
         _sparsetools.csc_matvecs(self.dim, C.shape[1], len(C), *rows, np.ascontiguousarray(C.T), out)
         return out.T
@@ -347,30 +368,38 @@ class LogisticProblem(Problem):
         return _scatter(rows, coefs, self.dim)
 
     def full_grad(self, x):
-        XT, w = self.XT, self._margin_pass(x)[1]
-        return _matvec(XT.indptr, XT.indices, XT.data, w, self.n_components) / self.n_components
+        X, w = self.X, self._margin_pass(x)[1]
+        return _rmatvec(X.indptr, X.indices, X.data, w, self.dim) / self.n_components
 
     def partials(self, x, coords):
         w, n = self._margin_pass(x)[1], self.n_components
         return _matvec(*_gather(self.XT, self._col_nnz, coords), w, n) / n
 
     def group_grads(self, groups):
-        """One stacked CSR, (len(groups) * dim) x n, holds each group's Xᵀ
-        (``X[g].tocsc().T``, columns mapped back to global rows), so one
-        margin pass and one product give every row, each sum in the order
-        ``full_grad`` on the group's rows alone would run it."""
-        shape = (self.dim, self.n_components)
-        blocks = []
-        for g in map(np.asarray, groups):
-            local = self.X[g].tocsc()
-            blocks.append(csr_matrix((local.data, g[local.indices], local.indptr), shape=shape))
-        stacked = vstack(blocks, format="csr")
-        arrays = stacked.indptr, stacked.indices, stacked.data
+        """One product over X's own arrays gives every group's gradient:
+        each stored entry's column index is offset by ``dim`` times its
+        row's group, so group j's sums land in block j of the product, and
+        rows in no group land in one more block, which is dropped.  Each
+        group's rows are added in ascending row order, as ``full_grad`` on
+        the group's rows alone adds them, whatever order the group lists
+        them in.  A row can land in one block only, so overlapping groups
+        and repeated indices raise ValueError."""
+        X, d, k = self.X, self.dim, len(groups)
+        owner = np.full(self.n_components, k)
+        for j, g in enumerate(groups):
+            owner[g] = j
         sizes = np.array([len(g) for g in groups], dtype=float)[:, None]
+        if np.count_nonzero(owner < k) != sizes.sum():
+            raise ValueError("group_grads needs disjoint groups without repeated indices")
+        # the kernel takes one index type: X's, unless the blocks outgrow it
+        dtype = np.promote_types(X.indptr.dtype, np.min_scalar_type((k + 1) * d))
+        indptr = X.indptr.astype(dtype, copy=False)
+        cols = np.repeat((owner * d).astype(dtype), self._row_nnz)
+        cols += X.indices
 
         def grads(x):
             w = self._margin_pass(x)[1]
-            return _matvec(*arrays, w, self.n_components).reshape(len(sizes), self.dim) / sizes
+            return _rmatvec(indptr, cols, X.data, w, (k + 1) * d)[:-d].reshape(k, d) / sizes
 
         return grads
 
@@ -458,6 +487,20 @@ def _matvec(indptr, indices, data, v, n_cols, out=None):
     if out is None:
         out = np.zeros(len(indptr) - 1)
     _sparsetools.csr_matvec(len(indptr) - 1, n_cols, indptr, indices, data, v, out)
+    return out
+
+
+def _rmatvec(indptr, indices, data, w, n_out):
+    """A.T @ w for the CSR matrix A with arrays ``(indptr, indices, data)``
+    and column indices below ``n_out``, by ``csc_matvec``, the kernel
+    behind scipy's ``A.T @ w``: those arrays are A.T's CSC arrays.  The
+    kernel adds A's rows in order, each term onto its column's entry of
+    fresh zeros, so each entry's sum runs in row order from +0.0, the
+    order ``_matvec`` runs on A.T's own CSR arrays.  It checks no
+    bounds, so w is checked here.  The only caller of that kernel."""
+    w = _point(w, len(indptr) - 1)
+    out = np.zeros(n_out)
+    _sparsetools.csc_matvec(n_out, len(w), indptr, indices, data, w, out)
     return out
 
 

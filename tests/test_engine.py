@@ -4,6 +4,7 @@ import math
 import re
 import time
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -502,6 +503,67 @@ class TestTraceInvariants:
         trace.append(row(1, grad_calls=10, bits=5))
         with pytest.raises(ValueError):
             trace.append(row(2, grad_calls=11, bits=4))
+
+
+class TestTraceColumns:
+    """A trace holds one column per field, and ``rows`` builds rows back
+    from them."""
+
+    def rows(self):
+        return [
+            row(0, grad_calls=1),
+            row(4, grad_norm=0.5, grad_calls=3, bits=7),
+            row(9, grad_norm=0.25, grad_calls=3, partial_calls=2, bits=7),
+        ]
+
+    def test_rows_view(self):
+        rows = self.rows()
+        trace, appended = Trace(rows), Trace()
+        for r in rows:
+            appended.append(r)
+        assert trace == appended and trace != Trace(rows[:2])
+        assert len(trace) == len(trace.rows) == 3
+        assert trace.rows[-1] == rows[2] and trace.rows[-3] == rows[0]
+        assert trace.rows[1:] == rows[1:] and trace.rows[::-2] == rows[::-2]
+        assert list(trace) == list(trace.rows) == rows
+        with pytest.raises(IndexError):
+            trace.rows[3]
+        with pytest.raises(TypeError):
+            trace.rows[0] = rows[0]
+        assert not hasattr(rows[0], "__dict__")
+
+    def test_columns_are_typed_arrays(self):
+        trace = Trace(self.rows())
+        columns = trace.columns
+        assert list(columns) == CSV_HEADER.split(",")
+        assert columns["grad_calls"] == array("q", [1, 3, 3])
+        assert columns["grad_norm"] == array("d", [1.0, 0.5, 0.25])
+        # a value past int64 turns its own column into a list
+        trace.append(row(10, grad_calls=3, partial_calls=2, bits=2**70))
+        assert trace.columns["bits"] == [0, 7, 7, 2**70]
+        assert trace.columns["partial_calls"] == array("q", [0, 0, 2, 2])
+        assert trace.rows[-1].bits == 2**70
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(t=9),
+            dict(t=5),
+            dict(grad_calls=2),
+            dict(partial_calls=1),
+            dict(bits=6),
+        ],
+    )
+    def test_rejected_row_leaves_the_columns(self, bad):
+        rows = self.rows()
+        trace = Trace(rows)
+        with pytest.raises(ValueError):
+            trace.append(dataclasses.replace(rows[-1], **{"t": 10, **bad}))
+        assert list(trace) == rows
+        # the tail of a column held as a list is checked too
+        trace.append(row(10, grad_calls=3, partial_calls=2, bits=2**70))
+        with pytest.raises(ValueError, match="^cumulative counters must be nondecreasing$"):
+            trace.append(row(11, grad_calls=3, partial_calls=2, bits=2**64))
 
 
 class TestIterationsToTolerance:

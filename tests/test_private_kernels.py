@@ -3,10 +3,11 @@
 ``scipy.sparse._sparsetools`` runs C loops that check no bounds: a row
 index out of range, or a vector of the wrong length, reads or writes
 outside an array.  ``problems._matvec`` checks its point before it calls
-``csr_matvec``, ``problems._gather`` checks its rows before it calls
-``csr_row_index``, and ``LogisticProblem.batch_sum`` checks its stack
-of coefficients against the gathered rows before it calls
-``csc_matvecs``.  ``problems`` imports the module in ``_import_scipy``
+``csr_matvec``, ``problems._rmatvec`` checks its vector against the
+matrix's rows before it calls ``csc_matvec``, ``problems._gather``
+checks its rows before it calls ``csr_row_index``, and
+``LogisticProblem.batch_sum`` checks its stack of coefficients against
+the gathered rows before it calls ``csc_matvecs``.  ``problems`` imports the module in ``_import_scipy``
 and binds the name to None until then.  This test parses
 ``src/vradapt/*.py``, loads none of them, and finds every use of the
 name ``_sparsetools``, so an unchecked call added anywhere else fails
@@ -23,9 +24,10 @@ KERNEL_MODULE = "_sparsetools"
 # (file, enclosing function or "<module>", what is used): one entry per use
 ALLOWED = Counter([
     ("problems.py", "_import_scipy", "import scipy.sparse._sparsetools"),
-    # the None bound at import: _sparsetools = csr_matrix = vstack = expit = None
+    # the None bound at import: _sparsetools = csr_matrix = expit = None
     ("problems.py", "<module>", "_sparsetools"),
     ("problems.py", "_matvec", "_sparsetools.csr_matvec"),
+    ("problems.py", "_rmatvec", "_sparsetools.csc_matvec"),
     ("problems.py", "_gather", "_sparsetools.csr_row_index"),
     ("problems.py", "batch_sum", "_sparsetools.csc_matvecs"),
 ])

@@ -1008,6 +1008,116 @@ class TestGather:
             _assert_bit_equal(prob.partials(x, np.arange(d)), ref.partials(x, np.arange(d)))
 
 
+class TestGroupGrads:
+    """``group_grads`` is one product over X's own arrays, each row's
+    column indices offset to its group's block: each group's rows are
+    added in ascending row order, and a row can serve one group only."""
+
+    def test_unsorted_group_is_its_sorted_form(self):
+        ds = _ragged_dataset(3)
+        prob, ref = LogisticProblem(ds), _ReferenceLogistic(ds)
+        rng = np.random.default_rng(23)
+        groups = [np.sort(g) for g in np.array_split(rng.permutation(prob.n_components), 4)]
+        shuffled = [rng.permutation(g) for g in groups]
+        # two groups only: the rows of the others are in no group
+        partial = [shuffled[2], shuffled[0]]
+        for x in (rng.standard_normal(prob.dim), -np.zeros(prob.dim)):
+            want = np.array([ref.subset(g).full_grad(x) for g in groups])
+            _assert_bit_equal(prob.group_grads(groups)(x), want)
+            _assert_bit_equal(prob.group_grads(shuffled)(x), want)
+            _assert_bit_equal(prob.group_grads(partial)(x), want[[2, 0]])
+
+    @pytest.mark.parametrize(
+        "groups",
+        [[[0, 1, 2], [2, 3]], [[0, 1, 1], [3]], [[4, -1]], [[0], [4], [0, 4]]],
+        ids=["overlap", "repeat", "negative-alias", "covered-twice"],
+    )
+    def test_shared_rows_are_rejected(self, groups):
+        prob = LogisticProblem(_ragged_dataset(0, n=5))
+        with pytest.raises(
+            ValueError, match="^group_grads needs disjoint groups without repeated indices$"
+        ):
+            prob.group_grads([np.array(g) for g in groups])
+
+
+class TestLazyTranspose:
+    """A^T (``XT``, ``_col_nnz``) is built on the first ``partials`` call
+    only: a run whose method never gathers features holds no second copy
+    of A."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        tocsc = csr_matrix.tocsc
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.shape)
+            return tocsc(self, *args, **kwargs)
+
+        monkeypatch.setattr(csr_matrix, "tocsc", counting)
+        return calls
+
+    @staticmethod
+    def _run(method):
+        from vradapt.engine import ExperimentConfig, build_problem, run
+
+        cfg = ExperimentConfig(
+            method=method, dataset="synthetic:60:12:0", presets=True, b=3, T=30, cadence=3
+        )
+        prob = build_problem(cfg)
+        run(cfg, problem=prob)
+        return prob
+
+    @pytest.mark.parametrize("method", ["saga", "page", "zerosarah", "lsvrg"])
+    def test_row_methods_leave_it_unbuilt(self, method, builds):
+        prob = self._run(method)
+        assert builds == []
+        assert "XT" not in vars(prob) and "_col_nnz" not in vars(prob)
+
+    @pytest.mark.parametrize("method", ["jaguar", "sega"])
+    def test_coordinate_methods_build_it_once(self, method, builds):
+        prob = self._run(method)
+        assert builds == [(prob.n_components, prob.dim)]
+        XT = prob.XT
+        assert XT.shape == (prob.dim, prob.n_components)
+        _assert_bit_equal(prob._col_nnz, np.diff(XT.indptr))
+        assert prob.XT is XT and len(builds) == 1
+
+    def test_first_partials_from_concurrent_threads(self):
+        # threads that race to build A^T on a fresh problem (more threads
+        # than cores, switching as often as the interpreter allows) get
+        # the partials a single thread gets, each built copy equal
+        ds = _ragged_dataset(4)
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal(ds.d)
+        coords = [rng.integers(0, ds.d, size=ds.d) for _ in range(8)]
+        single = LogisticProblem(ds)
+        want = [single.partials(x, c) for c in coords]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                prob = LogisticProblem(ds)
+                got = [None] * len(coords)
+                start = threading.Barrier(len(coords), timeout=60)
+
+                def work(k):
+                    start.wait()
+                    got[k] = prob.partials(x, coords[k])
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(len(coords))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                for a, b in zip(got, want):
+                    _assert_bit_equal(a, b)
+                _assert_same_csr(prob.XT, single.XT)
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestMarginPass:
     """The oracles at one point share one margin pass: X @ x and one
     ``expit`` over the rows, counted here through ``problems.expit``."""
