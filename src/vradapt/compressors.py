@@ -22,21 +22,19 @@ checks all compress through it; ``compress`` is the reference the tests
 hold ``sample_dense`` to.  The exact unbiased check runs rand-k's own
 ``sample_dense`` over every subset, under ``_EveryOutcome``: a stand-in
 generator whose one draw is each subset's index in turn.  The
-client-server samplers run it in its per-client form, once per state
-whose draws reach the ``_outcome_count`` outcomes (one for an operator
-that draws nothing): every client's message under each outcome, which
-each later Monte Carlo draw picks from with the integers
-``sample_dense`` would draw.  Top-k
-selects through ``_threshold_drop``: a mask of the entries past each
-row's k-th place in the sort, found by a partition threshold unless a
-tie straddles that place (or a NaN is present), so ``sample_dense``
-keeps the sort's coordinates bit for bit.  The identity is top-k at
-k = d.  Rand-k's kept sets, and the estimators' Monte Carlo batches and
-coordinate sets (each ``draw`` of a ``sampler``), come from
-``_draw_subsets``: one uniform integer per subset into a cached table
-of all k-subsets, or, where the table would pass 1 MiB, the first k
-positions of an argsort of uniforms.
-Both calls reject vectors whose length is not the operator's ``dim``.
+client-server samplers run it in its per-client form, once per state,
+over the ``_outcome_count`` outcomes (one for an operator that draws
+nothing): every client's message under each outcome, which each Monte
+Carlo draw picks from with the integers ``sample_dense`` would draw.
+Top-k selects through ``_threshold_drop``: a mask of the entries past
+each row's k-th place in the sort, found by a partition threshold
+unless a tie straddles that place (or a NaN is present), so
+``sample_dense`` keeps the sort's coordinates bit for bit.  The
+identity is top-k at k = d.  Rand-k's kept sets, and the estimators'
+Monte Carlo batches and coordinate sets (each ``draw`` of a
+``sampler``), come from ``_draw_subsets``: one uniform integer per
+subset into a cached table of all k-subsets, or, where the table would
+pass 1 MiB, the first k positions of an argsort of uniforms.  Both calls reject vectors whose length is not the operator's ``dim``.
 """
 
 from __future__ import annotations

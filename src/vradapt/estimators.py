@@ -178,10 +178,8 @@ class GradientEstimator:
       auxiliary error ``sigma_sq()`` would report after each, shape (S,);
       it may be called any number of times.  A sampler reads the state
       as it was when it was built, and is valid until the next ``step``.
-      A client-server method's sampler runs ``_transition``, which
-      ``step`` runs, at S draws until it has been drawn as many times
-      as its transition has outcomes; it then lists every outcome once
-      and each draw gathers rows from that table (see
+      A client-server method's draws add per-client rows, gathered
+      from a table of every outcome or compressed per draw (see
       ``_ClientServerEstimator``).  The others keep dense stacks (on the
       20x10 verify fixtures a row of a 256-draw block costs about
       0.19 us for SAGA and 0.17 us for SEGA, stepping a clone 27 us and
@@ -514,39 +512,30 @@ class _ClientServerEstimator(GradientEstimator):
     ``client_grads`` (the gradients at the current point) and
     ``client_state`` (each client's running estimate of its gradient;
     DIANA's shift); ``server_state`` is their share-weighted sum.  A
-    step's ``_transition`` compresses every client's ``_message(grads)``
-    (by default the residual against its state), which the caller
-    computes from the client pass, in one ``compressor.sample_dense``
-    call, so a random compressor draws client by client from one rng.
-    With ``agg`` the share-weighted sum of the compressed messages, the
-    estimate is ``server_state + agg`` and the client states move by
-    ``_damp(dense)``; a step also moves the server state by
-    ``_damp(agg)``.  EF21 and DASHA move by the messages themselves
-    (damping 1: ``server_state`` is the estimate); DIANA divides them by
-    omega + 1.  Reductions over clients run in client order, so
-    aggregation is bitwise reproducible.
+    step compresses every client's ``_message(grads)`` (by default the
+    residual against its state), computed from the client pass, in one
+    ``compressor.sample_dense`` call, so a random compressor draws
+    client by client from one rng.  With ``agg`` the share-weighted sum
+    of the compressed messages, the estimate is ``server_state + agg``
+    and the client states move by ``_damp(dense)``; a step also moves
+    the server state by ``_damp(agg)``.  EF21 and DASHA move by the
+    messages themselves (damping 1: ``server_state`` is the estimate);
+    DIANA divides them by omega + 1.  Reductions over clients run in
+    client order, so aggregation is bitwise reproducible.
 
-    A transition has few outcomes: a client's message compresses to one
-    of C, the ``_subset_table`` kept sets of ``RandK``, or 1 for a
-    compressor that draws nothing (``compressors._outcome_count``).  A
-    sampler makes the client pass and the message once.  Its first
-    draws hand the message's (S, n_clients, d) broadcast to
-    ``_transition``; once its draws reach C, it compresses the message
-    under every outcome in one ``sample_dense`` call (``_EveryOutcome``)
-    and keeps one table, client first, (n_clients, C, d + 1): each
-    client's weighted message under each outcome, then its weighted
-    squared gap to its gradient after it.  From then on a draw makes
-    the ``rng.integers(0, C, size=(S, n_clients))`` call the step's
-    ``sample_dense`` makes (none for C = 1, whose one outcome serves
-    every draw), gathers the picked rows, (n_clients, S, d + 1), and adds
-    them client by client from -0.0: the sums a step makes, bit for
-    bit.  Building the table costs about one per-draw transition per
-    outcome (0.5-1.6 times the per-draw time a gathered draw saves, by
-    timeit from 70 to 6435 outcomes), so a sampler that is drawn fewer
-    than C times never builds it, and one that is pays at most about
-    twice the cheaper path's cost.  Any other randomized compressor,
-    rand-k without a subset table, or a table past
-    ``_SUBSET_TABLE_BYTES`` keeps the per-draw path.
+    A sampler makes the client pass and the message once.  A draw adds
+    ``_client_rows`` client by client from -0.0, (n_clients, S, d + 1):
+    each client's weighted message after compression, then its weighted
+    squared gap to its gradient after it; the sums a step makes, bit for
+    bit.  A message compresses to one of C outcomes: the
+    ``_subset_table`` kept sets of ``RandK``, or 1 for a compressor that
+    draws nothing (``compressors._outcome_count``).  Where C is known and
+    the (n_clients, C, d + 1) table fits ``_SUBSET_TABLE_BYTES``, the
+    sampler lists every outcome once when it is made (``_EveryOutcome``),
+    and a draw gathers the rows its ``rng.integers(0, C, size=(S,
+    n_clients))`` picks, the call the step's ``sample_dense`` makes (none
+    for C = 1, whose one outcome serves every draw).  Otherwise each draw
+    compresses the message's (S, n_clients, d) broadcast.
 
     The initial pass is sent dense (d values per client); afterwards
     each client sends k (index, value) pairs per step, in a separate
@@ -630,25 +619,20 @@ class _ClientServerEstimator(GradientEstimator):
         (...), summed client by client in order."""
         return self._server_sum((gaps * gaps).sum(axis=-1)[..., None])[..., 0]
 
-    def _transition(self, message, rng):
-        """(next client states, estimate, aggregate) from the current
-        state, left as it is, with every client's ``message`` compressed.
-        A message stack (draws, n_clients, d) gives a leading draw axis."""
-        dense = self.compressor.sample_dense(message, rng)
+    def _update(self, x_t, rng):
+        grads = self._client_grads(x_t)
+        dense = self.compressor.sample_dense(self._message(grads), rng)
         agg = self._server_sum(dense)
         # the estimate uses the PRE-update server state, so an identity
         # compressor telescopes back to the exact gradient
-        return self.client_state + self._damp(dense), self.server_state + agg, agg
-
-    def _update(self, x_t, rng):
-        grads = self._client_grads(x_t)
-        self.client_state, g, agg = self._transition(self._message(grads), rng)
+        g = self.server_state + agg
+        self.client_state = self.client_state + self._damp(dense)
+        self.server_state = self.server_state + self._damp(agg)
+        self.client_grads = grads
         self.grad_calls += self.problem.n_components
         self.bits_compressed += (
             self.n_clients * self.compressor.k * (self.value_bits + self.index_bits)
         )
-        self.server_state = self.server_state + self._damp(agg)
-        self.client_grads = grads
         return g
 
     def sigma_sq(self):
@@ -659,26 +643,22 @@ class _ClientServerEstimator(GradientEstimator):
         message = self._message(grads)
         n, d = message.shape
         count = _outcome_count(self.compressor)
-        if count is not None and n * count * (d + 1) * message.itemsize > _SUBSET_TABLE_BYTES:
-            count = None
+        table = None
+        if count is not None and n * count * (d + 1) * message.itemsize <= _SUBSET_TABLE_BYTES:
+            table = self._client_rows(grads, message, count, _EveryOutcome()).reshape(n * count, d + 1)
+            offsets = np.arange(0, n * count, count)[:, None]
         randomized = self.compressor.randomized
-        drawn, table, offsets = 0, None, None
 
         def draw(rng, S):
-            nonlocal drawn, table, offsets
-            drawn += S
             if table is None:
-                if count is None or drawn < count:
-                    states, G, _ = self._transition(np.broadcast_to(message, (S, n, d)), rng)
-                    return G, self._client_error(states - grads)
-                table = self._outcome_table(grads, message, count)
-                offsets = np.arange(0, n * count, count)[:, None]
-            # a compressor that draws nothing has one outcome, the same in every
-            # draw: one row of picks, drawn from no rng, serves all S
-            picks = rng.integers(0, count, size=(S, n)) if randomized else np.zeros((1, n), int)
-            # (n, S) flat rows, or (n, 1): the gather comes out client first,
-            # C-ordered, and its sums serve as G's and sigma's rows
-            sums = _ordered_sum(table.take(picks.T + offsets, axis=0), -0.0)
+                rows = self._client_rows(grads, message, S, rng)
+            else:
+                # a compressor that draws nothing has one outcome, the same in
+                # every draw: one row of picks, drawn from no rng, serves all S
+                picks = rng.integers(0, count, size=(S, n)) if randomized else np.zeros((1, n), int)
+                # (n, S) flat rows, or (n, 1): the gather comes out client first
+                rows = table.take(picks.T + offsets, axis=0)
+            sums = _ordered_sum(rows, -0.0)
             G, sigma = np.empty((S, d)), np.empty(S)
             np.add(self.server_state, sums[:, :d], out=G)
             sigma[:] = sums[:, d]
@@ -686,23 +666,23 @@ class _ClientServerEstimator(GradientEstimator):
 
         return draw
 
-    def _outcome_table(self, grads, message, count):
-        """The (n_clients * count, d + 1) table a sampler gathers from, client
-        first: flat row j * count + c is client j's weighted message under
-        outcome c, then its weighted squared gap to its gradient after it."""
+    def _client_rows(self, grads, message, count, rng):
+        """The (n_clients, count, d + 1) rows the sampler adds, client first:
+        row [j, c] is client j's weighted message under the c-th of ``count``
+        compressions drawn from ``rng``, then its weighted squared gap to its
+        gradient after it."""
         n, d = message.shape
-        # every client's message compressed under each outcome, (count, n, d)
-        dense = self.compressor.sample_dense(np.broadcast_to(message, (count, n, d)), _EveryOutcome())
-        table = np.empty((n, count, d + 1))
-        self._weighted(dense, out=table[..., :d])
+        dense = self.compressor.sample_dense(np.broadcast_to(message, (count, n, d)), rng)
+        rows = np.empty((n, count, d + 1))
+        self._weighted(dense, out=rows[..., :d])
         # the gaps take a step's operations in its order, in place, as the
         # compressed messages are not read again
         gaps = self._damp(dense)
         np.add(self.client_state, gaps, out=gaps)
         gaps -= grads
         gaps *= gaps
-        self._weighted(gaps.sum(axis=-1)[..., None], out=table[..., d:])
-        return table.reshape(n * count, d + 1)
+        self._weighted(gaps.sum(axis=-1)[..., None], out=rows[..., d:])
+        return rows
 
 
 class EF21(_ClientServerEstimator):

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import importlib.metadata
 import importlib.util
 import os
@@ -440,6 +441,18 @@ class TestVerifyCommand:
         assert main(["verify", "--method", method, "--states", "1", "--samples", "1000"]) == EXIT_OK
         capsys.readouterr()
         assert reports == [self.CONTRACT_REPORTS[method]]
+
+    # SHA-256 of the margin CSV ``verify --all`` writes at its defaults (10
+    # states x 20000 samples, seed 0), the full margin verification: a
+    # change to a sampler, a compressor or the verifier that moves one
+    # margin byte of it fails here
+    ALL_CSV_SHA256 = "22ee561f11b48c37ab71e2a0869f81b9bce3804fc299e1a2264a05200dcf3199"
+
+    def test_all_at_defaults_is_pinned(self, tmp_path, capsys):
+        path = tmp_path / "margins.csv"
+        assert main(["verify", "--all", "--out", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.ALL_CSV_SHA256
 
     def test_perturbed_constant_fails(self, capsys):
         code = main(["verify", "--method", "ef21", "--perturb", "C:0.5"] + self.FAST)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from vradapt.compressors import RandK, TopK, _outcome_count, make_compressor
+from vradapt.compressors import RandK, TopK, _EveryOutcome, _outcome_count, make_compressor
 from vradapt.engine import ExperimentConfig, run
 from vradapt.data import synthetic_dataset
 from vradapt.estimators import (
@@ -1246,37 +1246,73 @@ class TestStepBatch:
             ("diana", UniformsRandK(2, 4)),
             ("dasha", UniformsRandK(2, 4)),
         ],
-        ids=["diana-no-subset-table", "dasha-no-subset-table", "diana-more-outcomes-than-draws",
-             "dasha-more-outcomes-than-draws", "ef21-own-draws", "diana-own-draws",
+        ids=["diana-no-subset-table", "dasha-no-subset-table", "diana-past-the-byte-bound",
+             "dasha-past-the-byte-bound", "ef21-own-draws", "diana-own-draws",
              "dasha-own-draws"],
     )
     def test_without_an_outcome_table_rows_replay_per_draw(self, method, compressor, monkeypatch):
         # C(24, 12) subsets have no ``_subset_table``; C(16, 8) = 12870
-        # outcomes are more than the S draws would pay for; an operator
-        # drawing through ``rng.random`` has no outcomes the sampler can
-        # list.  Each draw compresses its own (S, n_clients, d) stack
+        # outcomes over 2 clients are a table of 2 x 12870 x 17 x 8 =
+        # 3,500,640 B, past the 1 MiB bound; an operator drawing through
+        # ``rng.random`` has no outcomes the sampler can list.  Each draw
+        # compresses its own (S, n_clients, d) stack
         shapes = self.spy_on_sample_dense(compressor, monkeypatch)
         hp = {"n_clients": 2, "compressor": compressor}
         self.assert_rows_replay(method, hp, make_quadratic(6, compressor.dim, seed=0))
         assert [shape for shape in shapes if len(shape) == 3] == [(self.S, 2, compressor.dim)]
 
+    def test_table_of_many_outcomes_is_built_when_the_sampler_is_made(self, monkeypatch):
+        # C(15, 7) = 6435 outcomes for 1 client, a table of 6435 x 16 x 8 =
+        # 823,680 B: listed once, up front, however few the draws; no draw
+        # compresses its own (S, 1, 15) stack
+        compressor = RandK(7, 15)
+        shapes = self.spy_on_sample_dense(compressor, monkeypatch)
+        hp = {"n_clients": 1, "compressor": compressor}
+        problem = make_quadratic(6, 15, seed=0)
+        self.walked("diana", hp, problem).sampler(np.resize(self.X_CAND, 15))
+        assert [shape for shape in shapes if len(shape) == 3] == [(6435, 1, 15)]
+        self.assert_rows_replay("diana", hp, problem)
+        assert [shape for shape in shapes if len(shape) == 3] == [(6435, 1, 15)] * 2
+
     @pytest.mark.parametrize("method", ["diana", "dasha"])
-    def test_outcome_table_is_built_once_the_draws_reach_its_outcomes(self, method, monkeypatch):
-        # 252 outcomes on the verify fixture: blocks of 100 run per draw
-        # until the third brings the draws to 300, which gathers from the
-        # table; each block is what a fresh sampler draws per draw
+    def test_outcome_table_is_built_once_when_the_sampler_is_made(self, method, monkeypatch):
+        # 252 outcomes on the verify fixture: listed in one call when the
+        # sampler is made, then three blocks of 100 only gather; each block
+        # is what a fresh sampler draws
         problem, hp = standard_margin_setup(method)
         est = make_estimator(method, problem, np.zeros(problem.dim), hp)
         est.step(np.full(problem.dim, 0.3), np.random.default_rng(3))
         x_cand = np.resize(self.X_CAND, problem.dim)
+        twin = np.random.default_rng(11)
+        fresh = [est.sampler(x_cand)(twin, 100) for _ in range(3)]
         shapes = self.spy_on_sample_dense(est.compressor, monkeypatch)
         draw = est.sampler(x_cand)
-        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
-        for _ in range(3):
+        assert shapes == [(252, 10, 10)]
+        rng = np.random.default_rng(11)
+        for G_fresh, sigma_fresh in fresh:
             G, sigma = draw(rng, 100)
-            G_fresh, sigma_fresh = est.sampler(x_cand)(twin, 100)
             assert np.array_equal(G, G_fresh) and np.array_equal(sigma, sigma_fresh)
-        assert shapes == [(100, 10, 10)] * 4 + [(252, 10, 10), (100, 10, 10)]
+        assert shapes == [(252, 10, 10)]
+
+    @pytest.mark.parametrize(
+        "method,compressor",
+        [("diana", RandK(2, 4)), ("dasha", RandK(2, 4)), ("ef21", TopK(1, 4))],
+        ids=["diana", "dasha", "ef21-topk"],
+    )
+    def test_drawn_rows_are_the_listed_rows_at_the_drawn_outcomes(self, method, compressor):
+        # the rows S compressions make are, bit for bit and sign of zero
+        # included, the every-outcome rows at the indices rand-k draws (top-k
+        # has one outcome, which every row repeats)
+        est = self.walked(method, {"n_clients": 3, "compressor": compressor}, make_quadratic(6, 4, seed=0))
+        grads = est._client_grads(self.X_CAND)
+        message = est._message(grads)
+        rows = est._client_rows(grads, message, self.S, np.random.default_rng(11))
+        count = _outcome_count(compressor)
+        listed = est._client_rows(grads, message, count, _EveryOutcome())
+        picks = np.random.default_rng(11).integers(0, count, size=(self.S, 3))
+        gathered = listed[np.arange(3)[:, None], picks.T]
+        assert rows.shape == gathered.shape == (3, self.S, 5)
+        assert rows.tobytes() == gathered.tobytes()
 
     @pytest.mark.parametrize("n_clients,table", [(47, True), (48, False)])
     def test_outcome_table_keeps_to_the_byte_bound(self, n_clients, table, monkeypatch):
