@@ -412,8 +412,10 @@ def write_libsvm(dataset: Dataset, sink) -> None:
 
 def _sigmoid(m):
     """1 / (1 + exp(-m)) by ``math.exp``, 0.0 where exp(-m) overflows:
-    scipy's ``expit`` bit for bit on every margin tried (numpy's ``exp``
-    rounds differently), without importing scipy."""
+    the ``scipy.special`` sigmoid bit for bit on every margin tried,
+    without importing scipy.  The labels keep ``math.exp`` so that the
+    pinned datasets hold: numpy's ``exp``, which the logistic loss
+    weights take (``problems._logistic_weights``), rounds differently."""
     try:
         return 1.0 / (1.0 + math.exp(-m))
     except OverflowError:

@@ -11,11 +11,13 @@ freely between concurrent runs; the exceptions are the logistic
 problem's last margin pass, one immutable pair that is replaced whole
 and that threads may share, and its A^T, built on first use.
 
-Only the logistic problem runs on scipy.  Its three scipy names are bound
-to None at import and to scipy's own objects by ``_import_scipy``, which
-``LogisticProblem`` runs first thing when one is built or unpickled, so
-``import vradapt``, quadratic problems and the commands that use only
-them (``verify``, ``constants``, a quadratic ``run``) load no scipy.
+Only the logistic problem runs on scipy, and on ``scipy.sparse`` alone.
+Its two scipy names are bound to None at import and to scipy's own
+objects by ``_import_scipy``, which ``LogisticProblem`` runs first thing
+when one is built or unpickled, so ``import vradapt``, quadratic
+problems and the commands that use only them (``verify``, ``constants``,
+a quadratic ``run``) load no scipy, and a logistic run loads no
+``scipy.special``: its sigmoid is numpy's (``_logistic_weights``).
 """
 
 from __future__ import annotations
@@ -26,17 +28,16 @@ import numpy as np
 
 from .data import check_count
 
-_sparsetools = csr_matrix = expit = None
+_sparsetools = csr_matrix = None
 
 
 def _import_scipy():
-    """Bind the scipy names above to scipy's objects: about 0.3 s cold,
-    once per process, as later calls find the modules loaded.  Each call
-    binds them again, so a name patched before a problem is built is
-    not kept."""
-    global _sparsetools, csr_matrix, expit
+    """Bind the two scipy names above to ``scipy.sparse``'s objects:
+    about 0.3 s cold, once per process, as later calls find the module
+    loaded.  Each call binds them again, so a name patched before a
+    problem is built is not kept."""
+    global _sparsetools, csr_matrix
     from scipy.sparse import _sparsetools, csr_matrix
-    from scipy.special import expit
 
 
 class Problem:
@@ -181,17 +182,18 @@ class LogisticProblem(Problem):
     the largest eigenvalue of (1/(4n)) A^T A, found at construction by
     200 power iterations from a seeded start (``_power_iteration``).
 
-    ``loss`` takes the loss from the margins m as mean(max(-m, 0) +
-    log1p(exp(-|m|))), one vectorised expression over the negated
-    margins the pass keeps (``_mean_logistic_loss``).  That is the
-    formula inside ``np.logaddexp(0, -m)``, which makes scalar libm
-    calls per entry; numpy's vectorised ``exp`` and ``log1p`` take about
-    a fifth of its time (4000 margins, x86-64) and round differently, by
-    at most 2 ulp per entry (equal at m = +-0, +-inf, nan and +-710).
-    The gradients stay on ``expit``.
+    ``loss`` takes the loss from the margins m as mean(log1p(exp(-|m|))
+    - min(m, 0)), one vectorised expression over the margins the pass
+    keeps (``_mean_logistic_loss``).  That is the formula inside
+    ``np.logaddexp(0, -m)``, which makes scalar libm calls per entry;
+    numpy's vectorised ``exp`` and ``log1p`` take about a fifth of its
+    time (4000 margins, x86-64) and round differently, by at most 2 ulp
+    per entry (equal at m = +-0, +-inf, nan and +-710).
+    The loss weights take numpy's ``exp`` too (``_logistic_weights``),
+    and differ from ``scipy.special``'s sigmoid in the same way.
 
-    scipy (``csr_matrix``, ``expit`` and the kernels of
-    ``_sparsetools``) comes from one import, ``_import_scipy``, which
+    scipy (``csr_matrix`` and the kernels of ``_sparsetools``, both from
+    ``scipy.sparse``) comes from one import, ``_import_scipy``, which
     ``__init__`` and ``__setstate__`` run before anything else, so an
     instance built or unpickled in a process that has not imported scipy
     finds it bound; every helper these methods call runs after it.
@@ -222,23 +224,22 @@ class LogisticProblem(Problem):
     from +0.0, so its sums are ``XT @ w``'s bit for bit.
     ``_gather`` takes a batch of rows of either matrix as CSR arrays of
     its own, with the gather behind ``X[idx]``.  A component's
-    coefficient is its loss weight -y_i * expit(-y_i * <a_i, x>), one
-    float, so a table over every component holds n of them, and
-    ``batch_sum`` adds a stack of coefficients over the gathered rows in
-    one call of the kernel behind ``X[idx].T @ C``.  So a batch costs its
-    own entries, a row with every feature costs only its own step, and
-    every sum runs left to right from +0.0 in the order of ``X @ x``,
-    ``XT @ w`` and ``X[idx].T @ C``.
+    coefficient is its loss weight -y_i * sigma(-y_i * <a_i, x>)
+    (``_logistic_weights``), one float, so a table over every component
+    holds n of them, and ``batch_sum`` adds a stack of coefficients
+    over the gathered rows in one call of the kernel behind
+    ``X[idx].T @ C``.  So a batch costs its own entries, a row with
+    every feature costs only its own step, and every sum runs left to
+    right from +0.0 in the order of ``X @ x``, ``XT @ w`` and
+    ``X[idx].T @ C``.
 
-    ``_scratch`` is the last margin pass, the negated margins
-    -m = -y * (X @ x) and weights w = -y * expit(-m), keyed by x's
-    bytes: one immutable pair, replaced whole, that threads may share and
-    a copy carries.  ``_neg_y`` holds -y, stored once, so a pass negates
-    no array of its own; -y * (X @ x) is -(y * (X @ x)) bit for bit,
-    the sign of zeros included, as y is +-1.  ``loss``,
-    ``full_grad``, ``partials`` and every ``group_grads`` function read
-    it, so the oracles called at one point pass over the rows once (a
-    trace record after a step, SEGA's partials at its previous point).
+    ``_scratch`` is the last margin pass, the margins m = y * (X @ x)
+    and weights w = -y * sigma(-m), keyed by x's bytes: one immutable
+    pair, replaced whole, that threads may share and a copy carries.
+    ``loss``, ``full_grad``, ``partials`` and every ``group_grads``
+    function read it, so the oracles called at one point pass over the
+    rows once (a trace record after a step, SEGA's partials at its
+    previous point).
     It and the lazy ``XT`` are the only things an instance builds after
     construction; two threads that race to build ``XT`` build equal
     arrays.
@@ -268,7 +269,6 @@ class LogisticProblem(Problem):
             shape=(n, dataset.d),
         )
         self.y = labels
-        self._neg_y = -labels
         self.n_components, self.dim = X.shape
         self._row_nnz = np.diff(X.indptr)
         self._scratch = None
@@ -314,20 +314,19 @@ class LogisticProblem(Problem):
         return estimates[-1]
 
     def _margin_pass(self, x):
-        """``(-m, w)`` at x: the negated margins -m = -y * (X @ x) and the
-        weights w = -y * expit(-m), whose column sums over n are the
-        gradient.  The pair ``(key, (-m, w))`` for the last x, keyed by
-        x's bytes, is read once and replaced whole, so a thread gets
-        arrays of its own key, and an x changed in place is passed
-        again; x is checked first, so a point of another shape with the
-        same bytes raises."""
+        """``(m, w)`` at x: the margins m = y * (X @ x) and the weights
+        w = -y * sigma(-m), whose column sums over n are the gradient.
+        The pair ``(key, (m, w))`` for the last x, keyed by x's bytes,
+        is read once and replaced whole, so a thread gets arrays of its
+        own key, and an x changed in place is passed again; x is checked
+        first, so a point of another shape with the same bytes raises."""
         x = _point(x, self.dim)
         key = x.tobytes()
         scratch = self._scratch
         if scratch is None or scratch[0] != key:
             X = self.X
-            nm = self._neg_y * _matvec(X.indptr, X.indices, X.data, x, self.dim)
-            scratch = self._scratch = (key, (nm, self._neg_y * expit(nm)))
+            m = self.y * _matvec(X.indptr, X.indices, X.data, x, self.dim)
+            scratch = self._scratch = (key, (m, _logistic_weights(self.y, m)))
         return scratch[1]
 
     def loss(self, x):
@@ -339,8 +338,8 @@ class LogisticProblem(Problem):
         sums = np.zeros((len(points), len(indices)))
         for x, out in zip(points, sums):
             _matvec(*rows, x, self.dim, out)
-        neg_y = self._neg_y[indices]
-        return rows, neg_y * expit(neg_y * sums)
+        y = self.y[indices]
+        return rows, _logistic_weights(y, y * sums)
 
     def batch_sum(self, rows, C):
         """(k, d): ``(X[idx].T @ C.T).T`` for the gathered rows ``(indptr,
@@ -348,13 +347,13 @@ class LogisticProblem(Problem):
         arrays are the CSC arrays of ``X[idx].T``, and ``csc_matvecs``, the
         kernel behind scipy's product, adds each row's entries times its
         coefficients onto zeros, row after row.  It checks no bounds, so
-        C's shape is checked here.  The only caller of that kernel.  One
-        coefficient array (k = 1, SAGA's, PAGE's and LSVRG's difference)
-        is ``_rmatvec``, the same sums in the same order without the
-        stack's transposed copy."""
-        C = _stack(C, (len(rows[0]) - 1,))
-        if len(C) == 1:
+        C's shape is checked here.  The only caller of that kernel.  A
+        list of one coefficient array (k = 1, SAGA's, PAGE's and LSVRG's
+        difference) goes to ``_rmatvec``, which checks it, the same sums
+        in the same order without the stack's copy."""
+        if isinstance(C, list) and len(C) == 1:
             return _rmatvec(*rows, C[0], self.dim)[None]
+        C = _stack(C, (len(rows[0]) - 1,))
         out = np.zeros((self.dim, len(C)))
         _sparsetools.csc_matvecs(self.dim, C.shape[1], len(C), *rows, np.ascontiguousarray(C.T), out)
         return out.T
@@ -504,11 +503,25 @@ def _rmatvec(indptr, indices, data, w, n_out):
     return out
 
 
-def _mean_logistic_loss(nm):
-    """mean(log(1 + exp(-m))) over the margins m, read from their
-    negations nm = -m, stable at any m: mean(max(-m, 0) +
-    log1p(exp(-|m|))), with -m and |m| taken from nm exactly."""
-    return float((np.maximum(nm, 0.0) + np.log1p(np.exp(-np.abs(nm)))).mean())
+# 0-d arrays: numpy takes them about 0.2 us a call sooner than floats
+_MINUS_ONE, _EXP_CAP = np.array(-1.0), np.array(709.78)
+
+
+def _logistic_weights(y, m):
+    """The loss weights -y * sigma(-m) at the margins m, one expression:
+    y / (-1 - exp(m)), which is -y / (1 + exp(m)) bit for bit, as y is
+    +-1.  exp's argument is capped at 709.78, where it is still finite,
+    so no margin warns of overflow (by timeit the cap costs less than
+    ``np.errstate``): a weight past it is about 5.6e-309 with -y's sign,
+    not a zero.  By timeit the expression is also cheaper than in-place
+    ``out=`` steps at a (2, 64) batch, and as cheap at 4000 rows."""
+    return y / (_MINUS_ONE - np.exp(np.minimum(m, _EXP_CAP)))
+
+
+def _mean_logistic_loss(m):
+    """mean(log(1 + exp(-m))) over the margins m, stable at any m:
+    mean(log1p(exp(-|m|)) - min(m, 0))."""
+    return float((np.log1p(np.exp(-np.abs(m))) - np.minimum(m, 0.0)).mean())
 
 
 def logistic_problem(dataset) -> LogisticProblem:

@@ -41,7 +41,7 @@ def workloads(monkeypatch):
                     "grad_calls": 54400,
                     "partial_calls": 0,
                     "bits": 0,
-                    "trace_sha256": "171c5b851473c19fd63547b66af4b3625561705f91784d057a4a32e2ec8091dd",
+                    "trace_sha256": "673178897737bf03da50613bc8562b4989771e9bb20c0e64b37761392c882932",
                 },
             ],
         ),
@@ -62,21 +62,21 @@ def workloads(monkeypatch):
                     "grad_calls": 404000,
                     "partial_calls": 0,
                     "bits": 487360,
-                    "trace_sha256": "d0d1fde132f38ec8a5b6da53c9cc746e1a7356d6fbbeed533ba5df9c46ff190c",
+                    "trace_sha256": "448b304f04f4b7dec23ab1c8f2b848913d56dcf34900081ca8f31ed3f6941f43",
                 },
                 {
                     "iterations": 100,
                     "grad_calls": 404000,
                     "partial_calls": 0,
                     "bits": 487360,
-                    "trace_sha256": "87d7135ddebfce6e5faccefe3620c2d6b39fed0bd7a0ccceb4c04c913c343b6e",
+                    "trace_sha256": "ad6c10b21ee90072243d99d687e21569082d66f8ff9d663362e329411f8319ef",
                 },
                 {
                     "iterations": 100,
                     "grad_calls": 4000,
                     "partial_calls": 800,
                     "bits": 0,
-                    "trace_sha256": "351cb43f1901dd434faff31a1f1b7391fe941b0566695bf96e54ee9945b63e2d",
+                    "trace_sha256": "b57ed1d8de464705f4d29b47cb0af8720d21d0cce8ad1ef021356c35e00b88b0",
                 },
             ],
         ),

@@ -24,7 +24,7 @@ KERNEL_MODULE = "_sparsetools"
 # (file, enclosing function or "<module>", what is used): one entry per use
 ALLOWED = Counter([
     ("problems.py", "_import_scipy", "import scipy.sparse._sparsetools"),
-    # the None bound at import: _sparsetools = csr_matrix = expit = None
+    # the None bound at import: _sparsetools = csr_matrix = None
     ("problems.py", "<module>", "_sparsetools"),
     ("problems.py", "_matvec", "_sparsetools.csr_matvec"),
     ("problems.py", "_rmatvec", "_sparsetools.csc_matvec"),

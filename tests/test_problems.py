@@ -3,12 +3,12 @@ import itertools
 import pickle
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import eigsh
-from scipy.special import expit
 
 from vradapt import problems
 from vradapt.data import Dataset, parse_libsvm, synthetic_dataset
@@ -219,6 +219,33 @@ class TestLogistic:
         np.testing.assert_array_equal(prob.loss(x), loss)
         np.testing.assert_array_equal((prob.loss(x), prob.full_grad(x))[0], loss)
 
+    def test_extreme_margins_give_finite_weights_without_warnings(self):
+        # one row per feature, entry sign and label, each stored entry
+        # +-1.0, and an empty row per label: at x the margins are +-0.0,
+        # +-709, +-710 and +-1e300, and 0.0 on the empty rows.  exp(m)
+        # overflows past 709.78, and the oracles must not warn of it
+        x = np.array([0.0, 709.0, 710.0, 1e300])
+        lines = [
+            f"{label} {j + 1}:{sign}1.0"
+            for j in range(len(x)) for sign in "+-" for label in ("+1", "-1")
+        ]
+        prob = LogisticProblem(parse_libsvm("\n".join([*lines, "+1", "-1"]), force_dim=len(x)))
+        n = prob.n_components
+        batch = np.array([*range(n), n - 1, 0])
+        neg_y = -prob.y
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for point in (x, -x):
+                loss, grad = prob.loss(point), prob.full_grad(point)
+                m, w = prob._margin_pass(point)
+                _, (coefs,) = prob.component_rows(batch, point)
+                assert np.isfinite(loss) and np.all(np.isfinite(grad))
+                assert sorted(set(np.abs(m))) == [0.0, 709.0, 710.0, 1e300]
+                for got, sign in ((w, neg_y), (coefs, neg_y[batch])):
+                    assert np.all(np.isfinite(got))
+                    assert np.all((np.sign(got) == sign) | (got == 0.0))
+                _assert_bit_equal(coefs, w[batch])
+
     def test_single_sample_gradient(self):
         # one row a=(1), label +1: grad at 0 is -0.5
         ds = parse_libsvm("+1 1:1.0")
@@ -421,7 +448,8 @@ class TestPartition:
 
 class _ReferenceLogistic:
     """The logistic oracles as plain scipy CSR expressions: an
-    element-by-element CSR build, ``X[idx]`` -> ``.multiply`` ->
+    element-by-element CSR build, the loss weights by
+    ``_reference_weights``, ``X[idx]`` -> ``.multiply`` ->
     ``.toarray()``, ``X.T @ w``, a per-column ``getcol`` loop, and
     per-group problems copied row by row through ``getrow`` (the reference
     for ``group_grads``).  LogisticProblem must agree with these bit for
@@ -451,7 +479,7 @@ class _ReferenceLogistic:
         return float(np.logaddexp(0.0, -(self.y * (self.X @ x))).mean())
 
     def _weights(self, sub, y, x):
-        return -y * expit(-(y * (sub @ x)))
+        return _reference_weights(-y, -(y * (sub @ x)))
 
     def component_grads(self, idx, x):
         sub = self.X[np.asarray(idx)]
@@ -483,6 +511,13 @@ class _ReferenceLogistic:
                 d=self.dim,
             )
         )
+
+
+def _reference_weights(neg_y, nm):
+    """The loss weights neg_y / (1 + exp(-nm)) at the negated margins nm,
+    exp's argument capped at 709.78, in one numpy expression: the
+    weights ``problems._logistic_weights`` computes from y and m."""
+    return neg_y / (1.0 + np.exp(np.minimum(-nm, 709.78)))
 
 
 def _assert_bit_equal(got, want):
@@ -702,7 +737,8 @@ class TestLogisticMatchesScipyReference:
 
     def test_batch_sum(self, pair):
         # scipy's X[idx].T @ C.T, bit for bit, signs of zero too, for
-        # stacks of 1 to 4 coefficient arrays: the coefficients at two
+        # stacks of 1 to 4 coefficient arrays, one of them a list of one
+        # (SAGA's, PAGE's and LSVRG's stack): the coefficients at two
         # points, their differences, signed zeros and random values; a
         # repeated index adds its row twice, a negative one counts from
         # the end
@@ -723,13 +759,14 @@ class TestLogisticMatchesScipyReference:
             b = len(idx)
             for C in (
                 cur[None],
+                [cur - prev],
                 np.array([cur - prev, prev, -np.zeros(b)]),
                 np.where(rng.random((2, b)) < 0.5, 0.0, -0.0),
                 rng.standard_normal((4, b)),
             ):
                 got = prob.batch_sum(rows, C)
                 assert got.shape == (len(C), d)
-                _assert_bit_equal(got, (ref.X[idx].T @ C.T).T)
+                _assert_bit_equal(got, (ref.X[idx].T @ np.asarray(C).T).T)
 
     def test_component_rows_outlive_later_calls(self, pair):
         # the rows and coefficients of one call must not move when later
@@ -934,9 +971,9 @@ class TestGather:
         grads = prob.group_grads(groups)
         rng = np.random.default_rng(22)
         for x in (rng.standard_normal(d), -np.zeros(d), rng.standard_normal(2 * d)[::2]):
-            nm, w = prob._margin_pass(x)
-            _assert_bit_equal(nm, -prob.y * (prob.X @ x))
-            _assert_bit_equal(w, -prob.y * expit(nm))
+            m, w = prob._margin_pass(x)
+            _assert_bit_equal(m, prob.y * (prob.X @ x))
+            _assert_bit_equal(w, _reference_weights(-prob.y, -m))
             _assert_bit_equal(prob.full_grad(x), (prob.XT @ w) / n)
             rows = [(prob.X[g].tocsc().T @ w[g]) / len(g) for g in groups]
             _assert_bit_equal(grads(x), np.array(rows))
@@ -959,6 +996,11 @@ class TestGather:
         rows, coefs = prob.component_rows(np.arange(5), np.zeros(d), np.ones(d))
         for bad in (coefs[0], coefs[:, 1:], np.zeros((2, 6)), coefs[..., None], 1.0):
             with pytest.raises(ValueError, match=r"^stack of shape .*, need \(k, 5\)$"):
+                prob.batch_sum(rows, bad)
+        # a list of one array, SAGA's, PAGE's and LSVRG's stack, is
+        # checked as the kernel's vector
+        for bad in ([coefs[0, 1:]], [coefs], [coefs[0, :, None]]):
+            with pytest.raises(ValueError, match=r"^point of shape .*, need \(5,\)$"):
                 prob.batch_sum(rows, bad)
         oracles = {
             "loss": prob.loss,
@@ -1002,7 +1044,7 @@ class TestGather:
             sums = problems._matvec(*problems._gather(prob.X, prob._row_nnz, np.arange(n)), x, d)
             assert not np.signbit(sums).any()
             _assert_bit_equal(sums, padded @ np.append(x, 0.0))
-            _assert_bit_equal(-(prob.y * sums), prob._margin_pass(x)[0])
+            _assert_bit_equal(prob.y * sums, prob._margin_pass(x)[0])
             _assert_bit_equal(prob.all_component_grads(x), ref.component_grads(np.arange(n), x))
             _assert_bit_equal(prob.full_grad(x), ref.full_grad(x))
             _assert_bit_equal(prob.partials(x, np.arange(d)), ref.partials(x, np.arange(d)))
@@ -1120,17 +1162,19 @@ class TestLazyTranspose:
 
 class TestMarginPass:
     """The oracles at one point share one margin pass: X @ x and one
-    ``expit`` over the rows, counted here through ``problems.expit``."""
+    weight pass over the rows, counted here through
+    ``problems._logistic_weights``."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
         calls = []
+        weights = problems._logistic_weights
 
-        def counting(v):
-            calls.append(len(v))
-            return expit(v)
+        def counting(y, m):
+            calls.append(len(m))
+            return weights(y, m)
 
-        monkeypatch.setattr(problems, "expit", counting)
+        monkeypatch.setattr(problems, "_logistic_weights", counting)
         return calls
 
     @pytest.fixture
