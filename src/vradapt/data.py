@@ -54,7 +54,7 @@ class Dataset:
 
 def _normalize_labels(raw):
     labels = np.asarray(raw, dtype=float)
-    uniq = sorted(set(labels.tolist()))
+    uniq = np.unique(labels).tolist()
     if uniq in ([-1.0, 1.0], [-1.0], [1.0]):
         return labels
     if len(uniq) > 2:

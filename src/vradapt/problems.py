@@ -9,7 +9,7 @@ gradient, per-component gradients, and per-coordinate partial derivatives
 of f.  Instances do not change after construction, so they can be shared
 freely between concurrent runs; the exceptions are the logistic
 problem's last margin pass, one immutable pair that is replaced whole
-and that threads may share, and its A^T, built on first use.
+and that threads may share, and its L and A^T, each built on first use.
 
 Only the logistic problem runs on scipy, and on ``scipy.sparse`` alone.
 Its two scipy names are bound to None at import and to scipy's own
@@ -43,7 +43,7 @@ def _import_scipy():
 class Problem:
     """Base class for averaged finite-sum objectives.
 
-    Subclasses set ``dim``, ``n_components`` and ``smoothness`` and
+    Subclasses provide ``dim``, ``n_components`` and ``smoothness`` and
     implement every oracle at a point x but ``all_component_grads``,
     which is defined here; each oracle takes only a point of shape
     (dim,) (``_point``).
@@ -78,7 +78,10 @@ class Problem:
       row j is the gradient of the average of f_i over group j.
 
     ``smoothness`` is the uniform component smoothness bound: every f_i
-    (and hence f) has an L-Lipschitz gradient with this L.
+    (and hence f) has an L-Lipschitz gradient with this L.  Only the
+    fixed steps taken from L read it (``engine._step_rule``: theoretical,
+    tuned, pl) and the verifier; the quadratic sets it when built, the
+    logistic problem computes it on the first read.
     """
 
     dim: int
@@ -179,8 +182,11 @@ class LogisticProblem(Problem):
 
     f_i(x) = log(1 + exp(-b_i <a_i, x>)) with labels b_i in {-1, +1};
     the objective is the average over rows.  The smoothness constant is
-    the largest eigenvalue of (1/(4n)) A^T A, found at construction by
-    200 power iterations from a seeded start (``_power_iteration``).
+    the largest eigenvalue of (1/(4n)) A^T A, found by 200 power
+    iterations from a seeded start (``_power_iteration``) on the first
+    read of ``smoothness`` and kept (``functools.cached_property``): a
+    run whose step rule reads L pays for it once per problem, and an
+    adaptive, Adam or constant run never does.
 
     ``loss`` takes the loss from the margins m as mean(log1p(exp(-|m|))
     - min(m, 0)), one vectorised expression over the margins the pass
@@ -240,9 +246,9 @@ class LogisticProblem(Problem):
     function read it, so the oracles called at one point pass over the
     rows once (a trace record after a step, SEGA's partials at its
     previous point).
-    It and the lazy ``XT`` are the only things an instance builds after
-    construction; two threads that race to build ``XT`` build equal
-    arrays.
+    It and the lazy L and ``XT`` are the only things an instance builds
+    after construction; two threads that race to build L or ``XT`` build
+    equal values.
 
     Every gradient oracle result is bit-identical, down to the sign of
     zeros, to the plain scipy CSR expressions (``X[idx]`` -> ``.multiply``
@@ -272,11 +278,15 @@ class LogisticProblem(Problem):
         self.n_components, self.dim = X.shape
         self._row_nnz = np.diff(X.indptr)
         self._scratch = None
-        self.smoothness = self._power_iteration()
 
     def __setstate__(self, state):
         _import_scipy()
         self.__dict__.update(state)
+
+    @functools.cached_property
+    def smoothness(self):
+        """L, computed on first read (``_power_iteration``)."""
+        return self._power_iteration()
 
     @functools.cached_property
     def XT(self):

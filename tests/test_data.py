@@ -109,6 +109,26 @@ class TestParse:
         ds = parse_libsvm("5 1:1\n5 2:1")
         assert set(ds.labels) == {1.0}
 
+    @pytest.mark.parametrize(
+        "labels,want",
+        [
+            ("-0 0 1", [-1.0, -1.0, 1.0]),
+            ("0 -0", [1.0, 1.0]),
+            ("-0 0 -1", [1.0, 1.0, -1.0]),
+            ("1 -0 -1 0", None),
+        ],
+    )
+    def test_signed_zero_labels_are_one_value(self, labels, want):
+        # -0.0 == 0.0, so they are one distinct label, whichever sign the
+        # distinct labels keep
+        text = "\n".join(f"{y} 1:1" for y in labels.split())
+        if want is None:
+            with pytest.raises(LibsvmParseError, match="found 3 distinct values"):
+                parse_libsvm(text)
+            return
+        got = parse_libsvm(text).labels
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
 
 class TestRoundTrip:
     def test_write_then_parse_is_exact(self):

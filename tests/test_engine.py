@@ -31,7 +31,7 @@ from vradapt.engine import (
     validate,
 )
 from vradapt.estimators import ESTIMATORS, METHODS
-from vradapt.problems import QuadraticProblem, make_quadratic
+from vradapt.problems import LogisticProblem, QuadraticProblem, make_quadratic
 from vradapt.schedulers import AdaptiveAccumulator
 
 
@@ -427,6 +427,44 @@ class TestValidate:
             with pytest.raises(ValueError) as info:
                 check()
             assert named in str(info.value)
+
+
+class TestLazySmoothness:
+    """A logistic run computes L (``smoothness``) only when its step rule
+    reads it: adaptive, Adam and constant steps run no power iteration,
+    and the theoretical and tuned steps share the one a problem keeps."""
+
+    @pytest.fixture
+    def iterations(self, monkeypatch):
+        calls = []
+        power_iteration = LogisticProblem._power_iteration
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.dim)
+            return power_iteration(self, *args, **kwargs)
+
+        monkeypatch.setattr(LogisticProblem, "_power_iteration", counting)
+        return calls
+
+    @staticmethod
+    def _config(scheduler):
+        return ExperimentConfig(
+            method="saga", b=3, dataset="synthetic:60:12:0", scheduler=scheduler,
+            gamma=0.1, T=20, cadence=5,
+        )
+
+    @pytest.mark.parametrize("scheduler", ["adaptive", "adam", "constant"])
+    def test_rules_without_L_run_none(self, scheduler, iterations):
+        cfg = self._config(scheduler)
+        problem = build_problem(cfg)
+        assert run(cfg, problem=problem).status == "completed"
+        assert iterations == [] and "smoothness" not in vars(problem)
+
+    def test_rules_with_L_run_one_per_problem(self, iterations):
+        problem = build_problem(self._config("theoretical"))
+        for scheduler in ("theoretical", "tuned"):
+            assert run(self._config(scheduler), problem=problem).status == "completed"
+        assert iterations == [problem.dim]
 
 
 class TestTraceCsv:

@@ -1160,6 +1160,62 @@ class TestLazyTranspose:
             sys.setswitchinterval(interval)
 
 
+class TestLazySmoothness:
+    """L (``smoothness``) is computed on its first read, by one power
+    iteration that is kept: building a problem runs none.  The runs that
+    read it and the runs that do not are counted in ``test_engine.py``."""
+
+    def test_built_on_first_read_only(self):
+        prob = LogisticProblem(_ragged_dataset(1))
+        assert "smoothness" not in vars(prob)
+        first = prob.smoothness
+        assert vars(prob)["smoothness"] is first and prob.smoothness is first
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_DATASETS))
+    def test_read_is_a_fresh_power_iteration(self, name):
+        prob = LogisticProblem(_EDGE_DATASETS[name]())
+        fresh = LogisticProblem(_EDGE_DATASETS[name]())._power_iteration()
+        assert prob.smoothness.hex() == fresh.hex()
+
+    def test_copies_before_and_after_the_first_read(self):
+        prob = LogisticProblem(_ragged_dataset(2))
+        before = [pickle.loads(pickle.dumps(prob)), copy.copy(prob)]
+        assert all("smoothness" not in vars(c) for c in before)
+        L = prob.smoothness
+        after = [pickle.loads(pickle.dumps(prob)), copy.copy(prob)]
+        assert all(vars(c)["smoothness"] == L for c in after)
+        for clone in before + after:
+            assert clone.smoothness.hex() == L.hex()
+
+    def test_first_read_from_concurrent_threads(self):
+        # threads that race to compute L on a fresh problem (more threads
+        # than cores, switching as often as the interpreter allows) read
+        # the value one thread reads
+        ds = _ragged_dataset(3)
+        want = LogisticProblem(ds).smoothness
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                prob = LogisticProblem(ds)
+                got = [None] * 8
+                start = threading.Barrier(len(got), timeout=60)
+
+                def work(k):
+                    start.wait()
+                    got[k] = prob.smoothness
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(len(got))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert [g.hex() for g in got] == [want.hex()] * len(got)
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestMarginPass:
     """The oracles at one point share one margin pass: X @ x and one
     weight pass over the rows, counted here through
