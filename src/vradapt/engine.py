@@ -214,6 +214,8 @@ def validate(config, problem):
         raise ValueError(f"tol must be >= 0 and finite, got {config.tol}")
     if config.timing not in ("on", "off"):
         raise ValueError(f"timing must be on or off, got {config.timing!r}")
+    if not isinstance(config.presets, bool):
+        raise ValueError(f"presets must be true or false, got {config.presets!r}")
     hp = estimator_hyperparams(config, problem)
     _, registered = cls.settings(problem, hp)
     return hp, _step_rule(config, registered, problem)

@@ -224,6 +224,8 @@ class GradientEstimator:
         """(constructor keyword arguments, registered tuple) for ``hp``,
         defaults filled in, checked by the registration at the problem's size."""
         values = {name: hp.get(name, default) for name, default in cls.hyperparams.items()}
+        replace = values.get("with_replacement", False)
+        _require(isinstance(replace, bool), f"with_replacement must be true or false, got {replace!r}")
         size = problem.dim if cls.size == "d" else problem.n_components
         registered = cls.registration(**values, **{cls.size: size})
         values["b"] = int(values["b"])  # checked integral by the registration
@@ -299,7 +301,7 @@ class LSVRG(GradientEstimator):
         batch = _draw_batch(rng, problem.n_components, self.b, self.with_replacement)
         rows, (cur, anc) = problem.component_rows(batch, x_t, self.anchor)
         self.grad_calls += 2 * self.b
-        return self.anchor_grad + problem.batch_sum(rows, [cur - anc])[0] / self.b
+        return self.anchor_grad + problem.batch_sum(rows, cur - anc) / self.b
 
     def sigma_sq(self):
         diff = self.problem.all_component_grads(self.anchor) - self.problem.all_component_grads(self.x)
@@ -333,9 +335,9 @@ class _TableEstimator(GradientEstimator):
     coefficient of the last gradient of f_i seen (``Problem``), one float
     per component on a linear model (n floats, not one per stored entry
     of A) and a (d,) row on the quadratic.  A step reads and writes back
-    its batch's coefficients by index and sums their differences over
-    the gathered rows in one ``problem.batch_sum``, so a stored entry v
-    enters as v * (c - c'): on binary values that is v * c - v * c' bit
+    its batch's coefficients by index and sums each difference over the
+    gathered rows with one ``problem.batch_sum`` call, so a stored entry
+    v enters as v * (c - c'): on binary values that is v * c - v * c' bit
     for bit, on others it may round apart in the last bit.  ``table`` is
     the dense (n, d) view for diagnostics and the verifier, built from
     ``coefs`` on each read: each row is ``component_grads`` at the
@@ -344,7 +346,7 @@ class _TableEstimator(GradientEstimator):
     def _opening_pass(self):
         n = self.problem.n_components
         rows, (self.coefs,) = self.problem.component_rows(np.arange(n), self.x)
-        self.table_mean = self.problem.batch_sum(rows, [self.coefs])[0] / n
+        self.table_mean = self.problem.batch_sum(rows, self.coefs) / n
         return self.table_mean.copy()
 
     @property
@@ -384,7 +386,7 @@ class SAGA(_TableEstimator):
         batch = _draw_batch(rng, problem.n_components, self.b)
         rows, (cur,) = problem.component_rows(batch, x_t)
         self.grad_calls += self.b
-        change = problem.batch_sum(rows, [cur - self.coefs[batch]])[0]
+        change = problem.batch_sum(rows, cur - self.coefs[batch])
         g = self.table_mean + change / self.b
         self.coefs[batch] = cur
         self.table_mean = self.table_mean + change / problem.n_components
@@ -425,7 +427,7 @@ class PAGE(GradientEstimator):
         batch = _draw_batch(rng, problem.n_components, self.b, self.with_replacement)
         rows, (cur, prev) = problem.component_rows(batch, x_t, self.x)
         self.grad_calls += 2 * self.b
-        return self.g + problem.batch_sum(rows, [cur - prev])[0] / self.b
+        return self.g + problem.batch_sum(rows, cur - prev) / self.b
 
     def sampler(self, x_cand):
         problem = self.problem
@@ -467,7 +469,9 @@ class ZeroSARAH(_TableEstimator):
         rows, (cur, prev) = problem.component_rows(batch, x_t, self.x)
         self.grad_calls += 2 * self.b
         old = self.coefs[batch]
-        chain, control, change = problem.batch_sum(rows, [cur - prev, prev - old, cur - old])
+        chain = problem.batch_sum(rows, cur - prev)
+        control = problem.batch_sum(rows, prev - old)
+        change = problem.batch_sum(rows, cur - old)
         g = chain / self.b + (1.0 - lam) * self.g + lam * (control / self.b + self.table_mean)
         self.coefs[batch] = cur
         self.table_mean = self.table_mean + change / problem.n_components

@@ -61,10 +61,10 @@ class Problem:
       c_i there: an array ``coefs`` of shape (len(points), len(indices))
       on a linear model, (len(points), len(indices), dim) on the
       quadratic;
-    * ``batch_sum(rows, C)``: for a stack C of k such coefficient
-      arrays over the gathered rows, (k, len(indices)[, dim]), the
-      (k, dim) sums sum_i J_i^T C[m, i], each column added in batch
-      order from +0.0; a repeated index adds twice;
+    * ``batch_sum(rows, coefs)``: for one such coefficient array over
+      the gathered rows, (len(indices),) or (len(indices), dim), the
+      (dim,) sum sum_i J_i^T coefs[i], each entry added in batch order
+      from +0.0; a repeated index adds twice;
     * ``dense_rows(indices, coefs)``: the gradients J_i^T coefs[i],
       dense, (len(indices), dim);
     * ``component_grads(indices, x)``: gradient stack, (len(indices), dim),
@@ -124,10 +124,10 @@ class QuadraticProblem(Problem):
         eigs = self.eigs[rows]
         return rows, np.array([eigs * (_point(x, self.dim) - self.x_star) for x in points])
 
-    def batch_sum(self, rows, C):
-        """Column sums of each (len(rows), dim) slice of C, in row order
-        from +0.0 (``_ordered_sum``, rows moved first)."""
-        return _ordered_sum(_stack(C, (len(rows), self.dim)).swapaxes(0, 1), 0.0)
+    def batch_sum(self, rows, coefs):
+        """Column sums of the (len(rows), dim) coefficients, in row order
+        from +0.0 (``_ordered_sum``)."""
+        return _ordered_sum(_point(coefs, len(rows), self.dim), 0.0)
 
     def dense_rows(self, indices, coefs):
         return np.reshape(coefs, (len(indices), self.dim)).copy()
@@ -212,7 +212,7 @@ class LogisticProblem(Problem):
       construction.  Its stored entries are the only copy of A the
       problem holds until ``partials`` is called: every product with
       all of A or A^T reads them, and ``component_rows`` gathers the
-      batch's rows from them.
+      batch's rows from them, which ``batch_sum`` then reads.
     * ``_row_nnz``: the stored entries per row of ``X``.
     * ``XT``, ``_col_nnz``: A^T as a CSR matrix (d x n), a transposed
       view of A's CSC arrays, one stored row per feature, and its
@@ -221,23 +221,25 @@ class LogisticProblem(Problem):
       kept (``functools.cached_property``); a run that never calls it
       holds no second copy of A.
 
-    Every product with a whole matrix reads X's own arrays, after a
-    check of the vector's shape, and calls scipy's C kernel without the
-    operator's dispatch: the margin pass is ``_matvec``, the kernel
-    behind ``X @ x``; ``full_grad``, each ``group_grads`` stack and the
-    power iteration's second product are ``_rmatvec``, the kernel
-    behind ``X.T @ w``, which adds each feature's terms in row order
-    from +0.0, so its sums are ``XT @ w``'s bit for bit.
+    Every product reads CSR arrays, after a check of the vector's
+    shape, and calls scipy's C kernel without the operator's dispatch:
+    a product with A (the margin pass, a batch's margins) is
+    ``_matvec``, the kernel behind ``X @ x``; a product with A^T is
+    ``_rmatvec``, the kernel behind ``X.T @ w``, which adds each
+    feature's terms in row order from +0.0, so its sums are ``XT @ w``'s
+    bit for bit.  ``_rmatvec`` is the one A^T kernel: ``full_grad``,
+    each ``group_grads`` stack and the power iteration's second product
+    run it on X's own arrays, ``batch_sum`` on a batch's rows.
     ``_gather`` takes a batch of rows of either matrix as CSR arrays of
     its own, with the gather behind ``X[idx]``.  A component's
     coefficient is its loss weight -y_i * sigma(-y_i * <a_i, x>)
     (``_logistic_weights``), one float, so a table over every component
-    holds n of them, and ``batch_sum`` adds a stack of coefficients
-    over the gathered rows in one call of the kernel behind
-    ``X[idx].T @ C``.  So a batch costs its own entries, a row with
-    every feature costs only its own step, and every sum runs left to
-    right from +0.0 in the order of ``X @ x``, ``XT @ w`` and
-    ``X[idx].T @ C``.
+    holds n of them, and ``batch_sum`` adds one coefficient array over
+    the gathered rows, ``X[idx].T @ c``; a step that sums several
+    differences (ZeroSARAH's three) calls it once for each.  So a batch
+    costs its own entries, a row with every feature costs only its own
+    step, and every sum runs left to right from +0.0 in the order of
+    ``X @ x``, ``XT @ w`` and ``X[idx].T @ c``.
 
     ``_scratch`` is the last margin pass, the margins m = y * (X @ x)
     and weights w = -y * sigma(-m), keyed by x's bytes: one immutable
@@ -252,7 +254,7 @@ class LogisticProblem(Problem):
 
     Every gradient oracle result is bit-identical, down to the sign of
     zeros, to the plain scipy CSR expressions (``X[idx]`` -> ``.multiply``
-    -> ``.toarray()``, ``X.T @ w``, ``X[idx].T @ C``, a per-column
+    -> ``.toarray()``, ``X.T @ w``, ``X[idx].T @ c``, a per-column
     ``getcol`` loop): each sum runs left to right over a row's stored
     entries, in the order of the sparse kernels, and gradient entries
     land on +0.0 as in scipy's sparse-to-dense conversion.  Reordering a
@@ -351,22 +353,11 @@ class LogisticProblem(Problem):
         y = self.y[indices]
         return rows, _logistic_weights(y, y * sums)
 
-    def batch_sum(self, rows, C):
-        """(k, d): ``(X[idx].T @ C.T).T`` for the gathered rows ``(indptr,
-        cols, values)`` of ``X[idx]`` and a (k, len(idx)) stack C.  Those
-        arrays are the CSC arrays of ``X[idx].T``, and ``csc_matvecs``, the
-        kernel behind scipy's product, adds each row's entries times its
-        coefficients onto zeros, row after row.  It checks no bounds, so
-        C's shape is checked here.  The only caller of that kernel.  A
-        list of one coefficient array (k = 1, SAGA's, PAGE's and LSVRG's
-        difference) goes to ``_rmatvec``, which checks it, the same sums
-        in the same order without the stack's copy."""
-        if isinstance(C, list) and len(C) == 1:
-            return _rmatvec(*rows, C[0], self.dim)[None]
-        C = _stack(C, (len(rows[0]) - 1,))
-        out = np.zeros((self.dim, len(C)))
-        _sparsetools.csc_matvecs(self.dim, C.shape[1], len(C), *rows, np.ascontiguousarray(C.T), out)
-        return out.T
+    def batch_sum(self, rows, coefs):
+        """(d,): ``X[idx].T @ coefs`` for the gathered rows ``(indptr,
+        cols, values)`` of ``X[idx]``, which are the CSC arrays of
+        ``X[idx].T``: ``_rmatvec``, which checks coefs against them."""
+        return _rmatvec(*rows, coefs, self.dim)
 
     def dense_rows(self, indices, coefs):
         return _scatter(_gather(self.X, self._row_nnz, indices), coefs, self.dim)
@@ -446,15 +437,6 @@ def _gather(A, nnz, rows):
     return indptr, cols, values
 
 
-def _stack(C, shape):
-    """C as a float stack of k arrays of shape ``shape``, (k, *shape);
-    ValueError for any other shape."""
-    C = np.asarray(C, dtype=float)
-    if C.shape[1:] != shape:
-        raise ValueError(f"stack of shape {C.shape}, need (k, {', '.join(map(str, shape))})")
-    return C
-
-
 def _ordered_sum(A, start):
     """The slabs of A along axis 0 added in order onto ``start``: (m, ...)
     -> (...), each entry the running sum ``cumsum`` ends on from a
@@ -477,11 +459,12 @@ def _ordered_sum(A, start):
     return np.add.reduce(A, axis=0, initial=start)
 
 
-def _point(v, n):
-    """v as a float vector of shape (n,); ValueError for any other shape."""
+def _point(v, *shape):
+    """v as a float array of shape ``shape``, (n,) for a point;
+    ValueError for any other shape."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"point of shape {v.shape}, need ({n},)")
+    if v.shape != shape:
+        raise ValueError(f"point of shape {v.shape}, need {shape}")
     return v
 
 

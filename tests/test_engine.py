@@ -413,6 +413,17 @@ class TestValidate:
             (dict(T=-1), "T must be >= 0"),
             (dict(seed=-1), "seed must be >= 0, got -1"),
             (dict(timing="maybe"), "timing must be on or off, got 'maybe'"),
+            # a string or an int is not read by its truthiness
+            (dict(presets="no"), "presets must be true or false, got 'no'"),
+            (dict(presets=1), "presets must be true or false, got 1"),
+            (
+                dict(method="lsvrg", p=0.5, with_replacement="no"),
+                "with_replacement must be true or false, got 'no'",
+            ),
+            (
+                dict(method="page", p=0.5, with_replacement=0),
+                "with_replacement must be true or false, got 0",
+            ),
             (dict(scheduler="tuned", multiplier=0.0), "multiplier must be positive"),
             (dict(method="ef21", clients=2, value_bits=0), "value_bits must be >= 1, got 0"),
             (dict(T=2.5), "T must be an integer, got 2.5"),

@@ -1403,6 +1403,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match=named):
             make_estimator(method, quad, np.zeros(4), hp)
 
+    @pytest.mark.parametrize("method", ["lsvrg", "page"])
+    @pytest.mark.parametrize("value", ["no", "", 1, None])
+    def test_with_replacement_must_be_a_bool(self, method, value, quad):
+        # "no" used to draw with replacement, as any truthy value did
+        hp = {"b": 2, "p": 0.5, "with_replacement": value}
+        named = f"^with_replacement must be true or false, got {value!r}$"
+        with pytest.raises(ValueError, match=named):
+            make_estimator(method, quad, np.zeros(4), hp)
+
     def test_config_key_a_method_does_not_read_is_allowed(self):
         cfg = ExperimentConfig(method="saga", b=2, p=0.5, n=6, d=4, T=2)
         assert run(cfg).status == "completed"

@@ -2,16 +2,15 @@
 
 ``scipy.sparse._sparsetools`` runs C loops that check no bounds: a row
 index out of range, or a vector of the wrong length, reads or writes
-outside an array.  ``problems._matvec`` checks its point before it calls
-``csr_matvec``, ``problems._rmatvec`` checks its vector against the
-matrix's rows before it calls ``csc_matvec``, ``problems._gather``
-checks its rows before it calls ``csr_row_index``, and
-``LogisticProblem.batch_sum`` checks its stack of coefficients against
-the gathered rows before it calls ``csc_matvecs``.  ``problems`` imports the module in ``_import_scipy``
-and binds the name to None until then.  This test parses
-``src/vradapt/*.py``, loads none of them, and finds every use of the
-name ``_sparsetools``, so an unchecked call added anywhere else fails
-here rather than corrupting memory.
+outside an array.  Three kernels are called, each from one helper:
+``problems._matvec`` checks its point before it calls ``csr_matvec``,
+``problems._rmatvec`` checks its vector against the matrix's rows
+before it calls ``csc_matvec``, and ``problems._gather`` checks its
+rows before it calls ``csr_row_index``.  ``problems`` imports the
+module in ``_import_scipy`` and binds the name to None until then.
+This test parses ``src/vradapt/*.py``, loads none of them, and finds
+every use of the name ``_sparsetools``, so an unchecked call added
+anywhere else fails here rather than corrupting memory.
 """
 
 import ast
@@ -29,7 +28,6 @@ ALLOWED = Counter([
     ("problems.py", "_matvec", "_sparsetools.csr_matvec"),
     ("problems.py", "_rmatvec", "_sparsetools.csc_matvec"),
     ("problems.py", "_gather", "_sparsetools.csr_row_index"),
-    ("problems.py", "batch_sum", "_sparsetools.csc_matvecs"),
 ])
 
 

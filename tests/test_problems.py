@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import re
 import sys
 import threading
 import warnings
@@ -97,8 +98,8 @@ class TestQuadratic:
         _assert_bit_equal(at_x, prob.component_grads(idx, x))
         _assert_bit_equal(at_z, prob.all_component_grads(z)[idx])
         _assert_bit_equal(prob.dense_rows(idx, at_x), prob.component_grads(idx, x))
-        stack = [at_x - at_z, at_x, -np.zeros((4, 4))]
-        _assert_bit_equal(prob.batch_sum(rows, stack), [_row_order_sum(c) for c in stack])
+        for coefs in (at_x - at_z, at_x, -np.zeros((4, 4))):
+            _assert_bit_equal(prob.batch_sum(rows, coefs), _row_order_sum(coefs))
         loss, grad = prob.loss(x), prob.full_grad(x)
         assert loss == prob.loss(x)
         _assert_bit_equal(grad, prob.full_grad(x))
@@ -111,12 +112,29 @@ class TestQuadratic:
         rng = np.random.default_rng(5)
         idx = rng.integers(0, 200, size=150)
         rows, coefs = prob.component_rows(idx, *rng.standard_normal((3, d)))
-        _assert_bit_equal(prob.batch_sum(rows, coefs), [_row_order_sum(c) for c in coefs])
+        for c in coefs:
+            _assert_bit_equal(prob.batch_sum(rows, c), _row_order_sum(c))
         if d == 1:
-            assert not np.array_equal(prob.batch_sum(rows, coefs), coefs.sum(axis=1))
-        for bad in (coefs[0], coefs[:, 1:], coefs[..., None]):
-            with pytest.raises(ValueError, match=r"^stack of shape"):
+            assert any(not np.array_equal(prob.batch_sum(rows, c), c.sum(axis=0)) for c in coefs)
+
+    @pytest.mark.parametrize("quadratic", [True, False])
+    def test_batch_sum_takes_one_coefficient_array(self, quadratic):
+        # one point's coefficients, (b,) or (b, d), sum to shape (dim,);
+        # a stack of them, a list of one and an array of another length
+        # raise, naming both shapes; an empty batch sums to +0.0 zeros
+        prob = make_quadratic(9, 4, seed=3) if quadratic else logistic_problem(_ragged_dataset(1))
+        x, z = np.random.default_rng(8).standard_normal((2, prob.dim))
+        rows, coefs = prob.component_rows(np.array([3, 0, 3, 5, 1]), x, z)
+        assert prob.batch_sum(rows, coefs[0]).shape == (prob.dim,)
+        need = re.escape(str(coefs.shape[1:]))
+        for bad in (coefs, [coefs[0]], coefs[0, 1:], np.concatenate((coefs[0], coefs[0, :1]))):
+            shape = re.escape(str(np.shape(bad)))
+            with pytest.raises(ValueError, match=rf"^point of shape {shape}, need {need}$"):
                 prob.batch_sum(rows, bad)
+        rows, (empty,) = prob.component_rows(np.array([], dtype=np.intp), x)
+        got = prob.batch_sum(rows, empty)
+        assert got.shape == (prob.dim,)
+        assert not np.any(got) and not np.any(np.signbit(got))
 
     def test_component_oracles_agree(self):
         prob = make_quadratic(6, 4, seed=1)
@@ -736,12 +754,10 @@ class TestLogisticMatchesScipyReference:
                 _assert_bit_equal(prob.dense_rows(idx, coefs), want)
 
     def test_batch_sum(self, pair):
-        # scipy's X[idx].T @ C.T, bit for bit, signs of zero too, for
-        # stacks of 1 to 4 coefficient arrays, one of them a list of one
-        # (SAGA's, PAGE's and LSVRG's stack): the coefficients at two
-        # points, their differences, signed zeros and random values; a
-        # repeated index adds its row twice, a negative one counts from
-        # the end
+        # scipy's X[idx].T @ c, bit for bit, signs of zero too, for
+        # each coefficient array: the coefficients at two points, their
+        # differences, signed zeros and random values; a repeated index
+        # adds its row twice, a negative one counts from the end
         prob, ref = pair
         n, d = prob.n_components, prob.dim
         rng = np.random.default_rng(24)
@@ -757,16 +773,17 @@ class TestLogisticMatchesScipyReference:
         for idx in batches:
             rows, (cur, prev) = prob.component_rows(idx, x, z)
             b = len(idx)
-            for C in (
-                cur[None],
-                [cur - prev],
-                np.array([cur - prev, prev, -np.zeros(b)]),
-                np.where(rng.random((2, b)) < 0.5, 0.0, -0.0),
-                rng.standard_normal((4, b)),
+            for c in (
+                cur,
+                cur - prev,
+                prev,
+                -np.zeros(b),
+                *np.where(rng.random((2, b)) < 0.5, 0.0, -0.0),
+                *rng.standard_normal((4, b)),
             ):
-                got = prob.batch_sum(rows, C)
-                assert got.shape == (len(C), d)
-                _assert_bit_equal(got, (ref.X[idx].T @ np.asarray(C).T).T)
+                got = prob.batch_sum(rows, c)
+                assert got.shape == (d,)
+                _assert_bit_equal(got, ref.X[idx].T @ c)
 
     def test_component_rows_outlive_later_calls(self, pair):
         # the rows and coefficients of one call must not move when later
@@ -799,7 +816,7 @@ class TestLogisticMatchesScipyReference:
 
         def results(idx, x, coords):
             rows, coefs = prob.component_rows(idx, x)
-            batch = [*rows, coefs, prob.batch_sum(rows, coefs), prob.dense_rows(idx, coefs[0])]
+            batch = [*rows, coefs, prob.batch_sum(rows, coefs[0]), prob.dense_rows(idx, coefs[0])]
             loss, grad = prob.loss(x), prob.full_grad(x)
             return [*batch, np.array(loss), grad, prob.partials(x, coords)]
 
@@ -932,11 +949,12 @@ class TestLogisticMatchesScipyReference:
 
 class TestGather:
     """``problems._gather``, ``problems._matvec`` and
-    ``LogisticProblem.batch_sum``, the callers of scipy's private
-    kernels, against the public expressions they stand for, bit for bit:
+    ``problems._rmatvec``, the callers of scipy's private kernels,
+    against the public expressions they stand for, bit for bit:
     ``X[rows]`` and ``XT[coords]`` (indptr, indices, data) and every
-    ``@`` product (``batch_sum`` in ``test_batch_sum``).  A scipy change
-    to those kernels fails here instead of moving bits."""
+    ``@`` product (``_rmatvec`` on a batch's rows, ``batch_sum``, in
+    ``test_batch_sum``).  A scipy change to those kernels fails here
+    instead of moving bits."""
 
     @pytest.mark.parametrize("name", sorted(_EDGE_DATASETS))
     def test_matches_public_expressions(self, name):
@@ -983,7 +1001,7 @@ class TestGather:
 
     def test_inputs_are_checked(self):
         # the kernels check no bounds: rows outside [-n, n), points of
-        # another shape and coefficient stacks of another shape raise, at
+        # another shape and coefficient arrays of another shape raise, at
         # every oracle, also right after a pass at a point of the same
         # bytes; a strided point reads as its copy
         prob = LogisticProblem(_ragged_dataset(0))
@@ -994,12 +1012,7 @@ class TestGather:
             with pytest.raises(IndexError):
                 prob.dense_rows(np.array(rows), np.zeros(1))
         rows, coefs = prob.component_rows(np.arange(5), np.zeros(d), np.ones(d))
-        for bad in (coefs[0], coefs[:, 1:], np.zeros((2, 6)), coefs[..., None], 1.0):
-            with pytest.raises(ValueError, match=r"^stack of shape .*, need \(k, 5\)$"):
-                prob.batch_sum(rows, bad)
-        # a list of one array, SAGA's, PAGE's and LSVRG's stack, is
-        # checked as the kernel's vector
-        for bad in ([coefs[0, 1:]], [coefs], [coefs[0, :, None]]):
+        for bad in (coefs, coefs[0, 1:], np.zeros(6), coefs[0, :, None], [coefs[0]], 1.0):
             with pytest.raises(ValueError, match=r"^point of shape .*, need \(5,\)$"):
                 prob.batch_sum(rows, bad)
         oracles = {
