@@ -446,8 +446,10 @@ class PAGE(GradientEstimator):
 class ZeroSARAH(_TableEstimator):
     """Difference-chain estimator with a gradient table but no full
     refresh after the first pass; the table correction is mixed in with
-    weight lambda = b/(2n).  The table holds coefficients (see
-    ``_TableEstimator``)."""
+    weight lambda = b/(2n).  The chain mean over a batch, of cur - prev,
+    and lambda times the control mean over the same rows, of prev - old,
+    are one mean, of (cur - prev) + lambda (prev - old): one batch sum.
+    The table holds coefficients (see ``_TableEstimator``)."""
 
     method = "zerosarah"
     fixture = {"b": 4}
@@ -469,10 +471,9 @@ class ZeroSARAH(_TableEstimator):
         rows, (cur, prev) = problem.component_rows(batch, x_t, self.x)
         self.grad_calls += 2 * self.b
         old = self.coefs[batch]
-        chain = problem.batch_sum(rows, cur - prev)
-        control = problem.batch_sum(rows, prev - old)
+        mixed = problem.batch_sum(rows, (cur - prev) + lam * (prev - old))
         change = problem.batch_sum(rows, cur - old)
-        g = chain / self.b + (1.0 - lam) * self.g + lam * (control / self.b + self.table_mean)
+        g = mixed / self.b + (1.0 - lam) * self.g + lam * self.table_mean
         self.coefs[batch] = cur
         self.table_mean = self.table_mean + change / problem.n_components
         return g
@@ -483,14 +484,13 @@ class ZeroSARAH(_TableEstimator):
         at_cand = problem.all_component_grads(x_cand)
         at_prev = problem.all_component_grads(self.x)
         table = self.table
-        chain_gaps, control_gaps, stale = at_cand - at_prev, at_prev - table, at_cand - table
+        mixed_gaps, stale = (at_cand - at_prev) + lam * (at_prev - table), at_cand - table
         rows = (stale * stale).sum(axis=1)
 
         def draw(rng, S):
             batches = _draw_batches(rng, problem.n_components, self.b, S)
-            chain = _batch_mean(chain_gaps, batches)
-            control = _batch_mean(control_gaps, batches) + self.table_mean
-            return chain + (1.0 - lam) * self.g + lam * control, _table_sigma(rows, batches)
+            G = _batch_mean(mixed_gaps, batches) + (1.0 - lam) * self.g + lam * self.table_mean
+            return G, _table_sigma(rows, batches)
 
         return draw
 

@@ -236,7 +236,7 @@ class LogisticProblem(Problem):
     (``_logistic_weights``), one float, so a table over every component
     holds n of them, and ``batch_sum`` adds one coefficient array over
     the gathered rows, ``X[idx].T @ c``; a step that sums several
-    differences (ZeroSARAH's three) calls it once for each.  So a batch
+    differences (ZeroSARAH's two) calls it once for each.  So a batch
     costs its own entries, a row with every feature costs only its own
     step, and every sum runs left to right from +0.0 in the order of
     ``X @ x``, ``XT @ w`` and ``X[idx].T @ c``.

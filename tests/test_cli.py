@@ -446,7 +446,7 @@ class TestVerifyCommand:
     # states x 20000 samples, seed 0), the full margin verification: a
     # change to a sampler, a compressor or the verifier that moves one
     # margin byte of it fails here
-    ALL_CSV_SHA256 = "22ee561f11b48c37ab71e2a0869f81b9bce3804fc299e1a2264a05200dcf3199"
+    ALL_CSV_SHA256 = "a960ee36b4f6b5110887590debadb89b80addb8269d42bb364a934352d5c312b"
 
     def test_all_at_defaults_is_pinned(self, tmp_path, capsys):
         path = tmp_path / "margins.csv"

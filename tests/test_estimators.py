@@ -861,8 +861,8 @@ def dense_reference_steps(method, problem, hp, xs, rng):
             else:
                 prev = problem.component_grads(batch, x)
                 lam = b / (2.0 * n)
-                control = (prev - old).mean(axis=0) + table_mean
-                g = (cur - prev).mean(axis=0) + (1.0 - lam) * g + lam * control
+                mixed = (cur - prev) + lam * (prev - old)
+                g = mixed.mean(axis=0) + (1.0 - lam) * g + lam * table_mean
                 calls += 2 * b
             table[batch] = cur
             table_mean = table_mean + (cur - old).sum(axis=0) / n
@@ -1022,6 +1022,29 @@ class TestCountersAndBits:
         jag = make_estimator("jaguar", quad, np.zeros(4), {"b": 3})
         jag.step(x, rng)
         assert (jag.grad_calls, jag.partial_calls) == (6, 3)
+
+    # batch sums (one A^T product each on a linear model) per step without
+    # a refresh: ZeroSARAH sums its chain and control as one, and the
+    # table change
+    BATCH_SUMS = {"lsvrg": 1, "saga": 1, "page": 1, "zerosarah": 2}
+
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    @pytest.mark.parametrize("method", list(BATCH_SUMS))
+    def test_batch_sums_per_step(self, method, kind, monkeypatch):
+        problem = TestSupportStepsMatchDenseAlgebra.problem(kind)
+        hp = {"b": 3, "p": 0.5} if method in ("lsvrg", "page") else {"b": 3}
+        est = make_estimator(method, problem, np.zeros(problem.dim), hp)
+        calls, batch_sum = [], problem.batch_sum
+
+        def spy(rows, coefs):
+            calls.append(len(coefs))
+            return batch_sum(rows, coefs)
+
+        monkeypatch.setattr(problem, "batch_sum", spy)
+        coins = [0.9] if "p" in hp else []  # 0.9 >= p: no refresh
+        x = np.full(problem.dim, 0.1)
+        est.step(x, ScriptedRng(coins=coins, batches=[[0, 2, 5]]))
+        assert calls == [3] * self.BATCH_SUMS[method]
 
 
 class TestClone:

@@ -99,12 +99,12 @@ GOLDEN = [
     (
         "zerosarah-adaptive",
         dict(method="zerosarah", presets=True, scheduler="adaptive"),
-        "70716a22da6fd19389a6af333a49afe387b1b09d74672839782a14490767b2e5",
+        "3f610ea174196d0ee10d95396f89c8affaecbdf76526030e244c9b80926b8087",
     ),
     (
         "zerosarah-theoretical",
         dict(method="zerosarah", presets=True, scheduler="theoretical"),
-        "f8e81cfba8230c46f9f18b31bfc9330f39d982744a19c7b1a845bafc5f0c9d36",
+        "e15fa63e6d769b0cd56cfd9dcf11882287e2bb1fef989277796b7ebd83c00da8",
     ),
     (
         "lsvrg-adaptive",
@@ -204,7 +204,7 @@ GOLDEN = [
     (
         "zerosarah-tuned",
         dict(method="zerosarah", presets=True, scheduler="tuned", multiplier=4.0),
-        "eea52038ba5b3bf4dbbff6c26807b4b6e5dc7cc7e9bb4b049f514580cb875517",
+        "99019dfb1ff04694cfc375d58e3e212b561f8c7bc2c406b07335d11550242e1b",
     ),
     (
         "lsvrg-constant",
@@ -227,7 +227,7 @@ GOLDEN = [
     (
         "zerosarah-quadratic",
         dict(QUAD, d=10, method="zerosarah", b=8),
-        "6473322bba4e805c42117e4f2171619b7e4c6b4d69de69068062371b1bc6d66b",
+        "bc3cddae7fdc1fa80d7c34a1cf0df64c919c241ed3f35db848c84bf8b1f599b2",
     ),
     (
         "lsvrg-quadratic",
@@ -247,7 +247,7 @@ GOLDEN = [
     (
         "zerosarah-quadratic-d1",
         dict(QUAD, d=1, method="zerosarah", b=10),
-        "dbef53f0861baffe7b37f379d3e96b883e3aa21e648caf144e74ce9c3454bdbd",
+        "c936649682e5c176463dcb3c3090c9a2057d52765fb3f0ee8ef5d2dd81d54f72",
     ),
     (
         "lsvrg-quadratic-d1",
@@ -268,7 +268,7 @@ GOLDEN = [
     (
         "zerosarah-ragged",
         dict(file="ragged", method="zerosarah", presets=True, scheduler="adaptive"),
-        "4a55837dc766521f9555cc3eb912e8f5fdc981d4d527dad8f968f29dd3aeb856",
+        "b5e9b1707488510d640d03291d250d99ee116dde16a6a2f0afed59fbaf4c290f",
     ),
     (
         "lsvrg-ragged",
@@ -293,7 +293,7 @@ GOLDEN = [
     (
         "zerosarah-dominant",
         dict(file="dominant", method="zerosarah", presets=True, scheduler="adaptive"),
-        "619b7e5aa0b9264f3628d88862f8437698f6c3c3d8f4a1c74bab008db3e5d242",
+        "7404f7f49b0f97e7531519b16c871ef05ac8a7ed8534a295a07edb977286f925",
     ),
     (
         "lsvrg-dominant",
@@ -331,7 +331,7 @@ GOLDEN = [
     (
         "zerosarah-dense-row",
         dict(file="dense-row", method="zerosarah", presets=True, scheduler="adaptive"),
-        "5492477ebf1f9f672ff4223e0ed96d44b25146dda908e6567ff9157d3e857f8d",
+        "e599f756c6634de25725cae3f9586b1f015004a29d23674c1c2f78a686e51274",
     ),
     (
         "lsvrg-dense-row",
@@ -360,8 +360,8 @@ TRAJECTORY = {
     "page-adaptive": "93d37c219912b8c8c65a0ffa6af4a4d4ca2514d8220f7538a341ee9b2b5e7995",
     "page-theoretical": "574eb6ab79b365c35f15eb110bea92e91c771e2317252010635369b1cc61a474",
     "page-with-replacement": "7acbfa1648002e57c7e43304835161956f1bb831da075d52a254b56b76e65e07",
-    "zerosarah-adaptive": "695546bafb2ac82a12d284ef7eda9eaabb4f8c38ba67729c8ae3f25ca5b9e621",
-    "zerosarah-theoretical": "e851554869c84c89d39e75cb7f6405ebc1c5dad396cc63269fbc4e4a64863174",
+    "zerosarah-adaptive": "ffa320ca20dc42da25c49952ee5edb3ff445ebe8bb675e012a0ada7131e003cb",
+    "zerosarah-theoretical": "8223f94159699f725a7ce1a4af0e814cb44e39da8045b5720f9f3999a5ecacdd",
     "lsvrg-adaptive": "f240f518833e5b8d5ae51313a2bd1a6b7ee03ad1fdd49fbea3d15b86928708cb",
     "lsvrg-with-replacement": "8b3ba39157daf036aba4f4ebb12ac8b237ab2e7ec416ae94a0ccf755836bf771",
     "sega-adaptive": "862af73a1a5dbcb5743a316164ce624043aff90a5229dd7e65e1dad38e3ba0ce",
@@ -379,31 +379,31 @@ TRAJECTORY = {
     "dasha-quadratic": "d49b06dd57ffae11759a741ec726ad6c5ae249994da631f9f92162c3d39f83e9",
     "diana-quadratic": "e29aab5c4cfbce4eb0e52ec6676842f40e02d7ab046846dc9e5bbda3604d582a",
     "page-adam": "0318731d8570b52f4ad46d71280f07a418455e0703872ead97404f5ce5f81da7",
-    "zerosarah-tuned": "e8f45caef7525296a8e60eb57904a2f780c1da0aa86e4a048cd98f4020a84f01",
+    "zerosarah-tuned": "a34c80cd44c070d1fcedb8fb7745c6ed53d12643e0978f99ea8854c85838afcf",
     "lsvrg-constant": "1e1c0c2d56d980eb580debaa2d343e72b0ccf12a75d066dc36d78833c7b14a1d",
     "saga-pl-quadratic": "f72ec96684ac872cd6779255ecbe638404276643d5611f53045d4d775f0094e1",
     "saga-quadratic": "7f65b30ec5b63791d6fb876ecbb4de6b71807e56d22b9ba42d8bdb10bf7de4d0",
-    "zerosarah-quadratic": "ca322fbdc92b779ca8ae32a44dfc799709fda73c2504f4183936ff4351be0226",
+    "zerosarah-quadratic": "e56a3cec348a9aa7bc75e182d864c503c2906c775de5306a198ae6ab0762899b",
     "lsvrg-quadratic": "0ff0bdc75787df07d92c7b6ea61e7a963d71b84eb21473d25b17066e56f47af7",
     "page-quadratic": "3a7308365c1026c88f0bac575f8393a99b18f343c291781bdb99880b6729cf5b",
     "saga-quadratic-d1": "01c047bfcb3b5a36c6b25fe40143b220e3e8c244df1dc211c80d019be07e0d56",
-    "zerosarah-quadratic-d1": "40462eacc75c708a3222c02f5fd87b25ad40fb9178222e5a611a6e0b026d717a",
+    "zerosarah-quadratic-d1": "84f640acdda5bd5c953da199ce826b6b39229f9271ebac6f58986a43b0e26d72",
     "lsvrg-quadratic-d1": "8f65b92193c88e1b840aab7135b430d3c01a0e7ff8541d7586b3cd563feea625",
     "page-quadratic-d1": "0e9e4166c8b2f188d1c7217eeb0992dc6c610b3d9e9ee64ff290df5e16e6826f",
     "saga-ragged": "d3581929a33b62cee3c67d30e4978242793008d2f294d8f3a8a15983a58552c5",
-    "zerosarah-ragged": "26978e2742fc60cd25dc3afd4df648107c5945dcb8036af676c7ff8aaf8e62d4",
+    "zerosarah-ragged": "05728c219f3f1361a9503ae64c1c461e994cd911b4f63fcbb48e3316814043b8",
     "lsvrg-ragged": "c99ad29f894e056c9b49ace4b98f4bf89b37410bc5b5e28d275850e66fc6255a",
     "page-ragged": "de05b8fd5fa10a5a9e332fd26026ac54217aee9f729b38f873ffca9893bab924",
     "jaguar-ragged": "6de7dc743f0a9f415037cd9c7150294941d302b3175e7aa6b5430b25480fb492",
     "saga-dominant": "5b778962c9b9682a06f8e6a562e9c6c7d47a101d3bd9112fbd04dc1eb62e3e0b",
-    "zerosarah-dominant": "6f4b6e722898d8b4929aa67a5e3b4a6889849ab43e274256cf6dfad7dbe38990",
+    "zerosarah-dominant": "879e8cb188637b9014e27127ca7d42212ba59ac897e645cf2d17b4b7edb966f2",
     "lsvrg-dominant": "7cf977ba9e7926d58c75084000680d6f409886e8144e5e255e4572cd9cb0422f",
     "page-dominant": "29e4ceed55127e1099573e1481fd2fb0de534a7099605a35bd7c9fa5abf1dd5d",
     "page-dominant-with-replacement": "277225b7daee0f946a5cb02ce294905f681b31f084c878a2093e5765784182db",
     "lsvrg-dominant-with-replacement": "c677c9c11bfb258587ee529d587fdf5d593947fc37c0eaa3ffa4bf20a753e892",
     "jaguar-dominant": "9dd71f156b8bd5b8aff606d3dbc543910d1b46e102edc953be265987577a2336",
     "saga-dense-row": "c05535894068196b2b31a9f6374facd18c48a5a3ed1af78960eec5b9baf45327",
-    "zerosarah-dense-row": "8891c25337630143163619edf459349391ea6686a2499c93a00db04305dc0d3c",
+    "zerosarah-dense-row": "5be99d93d8b0aa78a3500defd6a6d886a20bce51f0316b0e932119fe84e4e826",
     "lsvrg-dense-row": "287f1f4ca679f7c254ae34abe338aeab6029acc52bb8ecc157954f669a005d19",
     "page-dense-row": "497f50a3878f8f53cbcc6015ae54c6a69039a33a16b2195911dae5c92bf63959",
     "jaguar-dense-row": "b23c67dc600f96f560efbed9bab848da5cbb297226c8b4b81bc5ca03dd0b0ec8",

@@ -356,7 +356,7 @@ MARGIN_GOLDEN = {
     "lsvrg": "9f15e97a426a7d3db2b1df8af20c57eee5d5002ebb5be9a8174c826254db6d7c",
     "saga": "2c8dbafa159da0c896ada688a0c1683c028e1182ef68080e3cb3b7ede1d33b78",
     "page": "49be2904a65047126817fe4bdd324608d2e41bdceae3a92cf4b7d8591c5fbb54",
-    "zerosarah": "7e06ffd8de3616d734f19de8d0a1a0a1eed618299f9074c1ac55ae9c63d7a186",
+    "zerosarah": "8bc6c669677952f325c66b3d2edc65e0f2b4d1f6b32a7fdbd8a360279f4bf0ae",
     "ef21": "cb45ca8ffaa5e48aad880af2d9a375e26bf02564f506a1d0cc8c1174d39d15aa",
     "diana": "93e6192bf4571ee1873f323d38ac6335ffe2b475cce13396b946fa5bd1fc2f71",
     "dasha": "eeb67a52ce5e48bcc933190ff33cbc87b802802e31035396ac32cd73ccc831fb",
