@@ -248,7 +248,7 @@ _FIELDS = [f.name for f in dataclasses.fields(TraceRow)]
 _COUNTERS = slice(_FIELDS.index("grad_calls"), _FIELDS.index("bits") + 1)
 
 
-class Trace:
+class Trace(Sequence):
     """A run's recorded rows, held as one column per ``TraceRow`` field,
     in field order: an ``array('q')`` for an int field and an
     ``array('d')`` for a float field, 80 bytes a row.  A column that
@@ -256,12 +256,13 @@ class Trace:
     becomes a list and keeps every value as given.  ``columns`` maps
     each field name to its column, read-only.
 
-    ``rows`` is a read-only sequence view that builds each ``TraceRow``
-    on access (an index, a slice as a list, iteration); ``len``,
-    iteration and equality are the rows'.  ``Trace(rows)`` appends each
-    row of an iterable in turn.  ``append`` checks a row against the
-    column tails: iterations strictly increase and the cumulative
-    counters never fall."""
+    A trace is a read-only sequence of its rows and builds each
+    ``TraceRow`` on access: an index builds one row, a slice a list of
+    them, iteration each in turn; equality is the rows'.  ``rows`` is
+    the trace itself.  ``Trace(rows)`` appends each row of an iterable
+    in turn.  ``append`` checks a row against the column tails:
+    iterations strictly increase and the cumulative counters never
+    fall."""
 
     def __init__(self, rows=()):
         self._columns = [
@@ -276,7 +277,7 @@ class Trace:
 
     @property
     def rows(self):
-        return _TraceRows(self._columns)
+        return self
 
     def append(self, row):
         self._append_values(_trace_values(row))
@@ -299,25 +300,6 @@ class Trace:
     def __len__(self):
         return len(self._columns[0])
 
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return list(self) == list(other)
-
-
-class _TraceRows(Sequence):
-    """A trace's rows over its columns, read-only; each access builds
-    the ``TraceRow``s it returns."""
-
-    def __init__(self, columns):
-        self._columns = columns
-
-    def __len__(self):
-        return len(self._columns[0])
-
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
@@ -325,6 +307,11 @@ class _TraceRows(Sequence):
 
     def __iter__(self):
         return map(TraceRow, *self._columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 @dataclass

@@ -1,36 +1,47 @@
-"""Print what a race step costs, layer by layer, in microseconds.
+"""Print what the bench's layers cost: a setup, a race step, a margin sample.
 
-    python tools/layer_times.py [--repeats N] [--seed N] [--json]
+    python tools/layer_times.py [--repeats N] [--seed N] [--states N] [--samples N] [--json]
 
-The file is the one the benchmark's race workload loads:
-``perfbench.workloads.generate_rows`` at ``--seed``, written by
-``write_libsvm_text`` into a temporary directory that is removed after,
-then loaded and built into a ``LogisticProblem`` once, outside the
-timing.  The rows:
+The file is the one the benchmark's race and fullpass workloads load:
+``perfbench.workloads.generate_rows`` at ``--seed``, written once by
+``write_libsvm_text`` into a temporary directory that is removed after.
+Three tables follow, each row the best of ``--repeats``:
 
-* ``step.<method>``: one ``step`` of SAGA, PAGE and ZeroSARAH at their
-  presets (the race's cells), in us per step over a block of
-  ``perfbench.workloads.RACE_CHUNK_T`` steps from zero, each step at
-  x - g of the previous estimate g, the draws from ``--seed``; so PAGE's
-  full refreshes count at their rate, as in the race;
-* ``component_rows.b64``: the gather and the coefficients of a batch of
-  64 rows (ZeroSARAH's presets) at two points, the call a ZeroSARAH
-  step makes;
-* ``batch_sum.b64``: one sum of a coefficient array over those 64 rows.
+* ``setup``, in ms, runs first, before anything frees a large block
+  (setup time moves with the heap's history): the steps of a setup in
+  order, each timed alone on the previous one's result.  ``read_text``
+  (``data.read_text``), ``parse_libsvm``, ``build`` (``LogisticProblem``)
+  and ``smoothness``, the problem's first read of L, which a run pays
+  only when its step rule reads L.  The benchmark's ``setup_s`` is the
+  first three.
+* ``race``, in us, on the problem built once, outside the timing:
+  ``step.<method>`` is one ``step`` of SAGA, PAGE and ZeroSARAH at their
+  presets, the mean over ``perfbench.workloads.RACE_CHUNK_T`` steps from
+  zero, each at x - g of the previous estimate g, the draws from
+  ``--seed``, so PAGE's full refreshes count at their rate.
+  ``component_rows.b64`` (the call a ZeroSARAH step makes, 64 rows at
+  two points) and ``batch_sum.b64`` (one sum over those rows) are each
+  the mean of 1000 calls.
+* ``verify``, in us per Monte Carlo sample: ``verify.assumption_margin``
+  on each method's ``verify.standard_margin_setup`` fixture (built
+  outside the timing) at ``--states`` x ``--samples``, slowest first.
+  The default, 1 x 1000, is what the benchmark's verify workload times;
+  ``--states 10`` is its checked round.  The last row, ``weighted``, is
+  the rows' geometric mean weighted as the benchmark weighs verify
+  ``us_per_step``, by each method's Monte Carlo transitions (``STEPS``).
 
-A row is the best of ``--repeats``; a step row is the block's mean, the
-oracle rows the mean of 1000 calls.  ``--json`` prints one JSON object
-in place of the table.  The benchmark's tracer does not wrap
-``component_rows`` or ``batch_sum``, so these rows show where a race
-step spends its time; a change to one layer can be sized without the
-benchmark's noise.  The checkout's ``src/`` is put first on the path,
-and its ``perfbench/`` next to it, for the file's shape.
+The benchmark's span tracer wraps neither ``component_rows``,
+``batch_sum`` nor a margin sampler's draws; these rows size a change to
+one layer without the benchmark's noise.  ``--json`` prints the
+settings and the three tables as one JSON object.  The checkout's
+``src/`` is put first on the path, and its ``perfbench/`` next to it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -44,12 +55,35 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import workloads  # noqa: E402
-from vradapt import data  # noqa: E402
-from vradapt.estimators import estimator_class, make_estimator  # noqa: E402
+from vradapt import data, verify  # noqa: E402
+from vradapt.estimators import METHODS, estimator_class, make_estimator  # noqa: E402
 from vradapt.problems import LogisticProblem  # noqa: E402
 
-METHODS = ("saga", "page", "zerosarah")
+SETUP = (
+    ("read_text", data.read_text),
+    ("parse_libsvm", data.parse_libsvm),
+    ("build", LogisticProblem),
+    ("smoothness", lambda problem: problem.smoothness),
+)
+RACE_METHODS = ("saga", "page", "zerosarah")
 BATCH, CALLS = 64, 1000
+UNITS = {"setup": "ms", "race": "us", "verify": "us/sample"}
+# the benchmark's verify round: every method at its states x samples, and
+# EF21 also at its C x 0.5 mutation probe
+STEPS = {method: workloads.VERIFY_STATES * workloads.VERIFY_SAMPLES for method in METHODS}
+STEPS["ef21"] += workloads.MUTATION_STATES * workloads.MUTATION_SAMPLES
+
+
+def setup_ms(path, repeats):
+    """Best of ``repeats`` for each step of ``SETUP``, in milliseconds."""
+    best = dict.fromkeys((name for name, _ in SETUP), float("inf"))
+    for _ in range(repeats):
+        value = path
+        for name, step in SETUP:
+            started = time.perf_counter()
+            value = step(value)
+            best[name] = min(best[name], (time.perf_counter() - started) * 1e3)
+    return best
 
 
 def step_us(problem, method, repeats, seed):
@@ -66,9 +100,11 @@ def step_us(problem, method, repeats, seed):
     return best / workloads.RACE_CHUNK_T * 1e6
 
 
-def oracle_us(problem, repeats, seed):
-    """Best of ``repeats`` means over ``CALLS`` calls, in us per call, of
-    ``component_rows`` and ``batch_sum`` on one batch of ``BATCH`` rows."""
+def race_us(path, repeats, seed):
+    """The race table: each method's step, then one batch's oracle calls,
+    the best of ``repeats`` means over ``CALLS`` calls, in us per call."""
+    problem = LogisticProblem(data.load_libsvm(path))
+    times = {f"step.{m}": step_us(problem, m, repeats, seed) for m in RACE_METHODS}
     rng = np.random.default_rng(seed)
     batch = rng.choice(problem.n_components, BATCH, replace=False)
     x, x_prev = 0.1 * rng.standard_normal((2, problem.dim))
@@ -77,34 +113,65 @@ def oracle_us(problem, repeats, seed):
         f"component_rows.b{BATCH}": lambda: problem.component_rows(batch, x, x_prev),
         f"batch_sum.b{BATCH}": lambda: problem.batch_sum(rows, coefs),
     }
-    return {
-        name: min(timeit.repeat(call, number=CALLS, repeat=repeats)) / CALLS * 1e6
-        for name, call in calls.items()
-    }
+    for name, call in calls.items():
+        times[name] = min(timeit.repeat(call, number=CALLS, repeat=repeats)) / CALLS * 1e6
+    return times
+
+
+def us_per_sample(method, states, samples, repeats, seed):
+    """Best of ``repeats`` timed ``assumption_margin`` runs, in us per
+    Monte Carlo sample."""
+    problem, hp = verify.standard_margin_setup(method)
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        verify.assumption_margin(
+            method, hp, problem, state_points=states, samples_per_point=samples, seed=seed
+        )
+        best = min(best, time.perf_counter() - started)
+    return best / (states * samples) * 1e6
+
+
+def verify_us(states, samples, repeats, seed):
+    """The verify table: each method, slowest first, then ``weighted``,
+    the rows' geometric mean weighted by ``STEPS``."""
+    times = {m: us_per_sample(m, states, samples, repeats, seed) for m in METHODS}
+    logs = sum(STEPS[m] * math.log(t) for m, t in times.items())
+    table = {m: times[m] for m in sorted(times, key=times.get, reverse=True)}
+    table["weighted"] = math.exp(logs / sum(STEPS[m] for m in times))
+    return table
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # no usage line: a bad flag ends in the one ``error:`` line
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], usage=argparse.SUPPRESS)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", action="store_true", help="print one JSON object, not the table")
+    parser.add_argument("--states", type=int, default=1)
+    parser.add_argument("--samples", type=int, default=1000)
+    parser.add_argument("--json", action="store_true", help="print one JSON object, not the tables")
     args = parser.parse_args(argv)
+    for flag, least in (("repeats", 1), ("states", 1), ("samples", 1000)):
+        if getattr(args, flag) < least:
+            parser.error(f"--{flag} must be >= {least}, got {getattr(args, flag)}")
     cols, labels = workloads.generate_rows(args.seed)
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "data.libsvm")
         workloads.write_libsvm_text(path, cols, labels)
-        problem = LogisticProblem(data.load_libsvm(path))
-    times = {f"step.{m}": step_us(problem, m, args.repeats, args.seed) for m in METHODS}
-    times.update(oracle_us(problem, args.repeats, args.seed))
+        tables = {"setup": setup_ms(path, args.repeats)}
+        tables["race"] = race_us(path, args.repeats, args.seed)
+    tables["verify"] = verify_us(args.states, args.samples, args.repeats, args.seed)
+    settings = {"rows": workloads.ROWS, "dim": workloads.DIM, "seed": args.seed,
+                "repeats": args.repeats, "states": args.states, "samples": args.samples}
     if args.json:
-        report = {"rows": workloads.ROWS, "dim": workloads.DIM, "seed": args.seed,
-                  "repeats": args.repeats, "us": times}
-        print(json.dumps(report, indent=2))
+        print(json.dumps({**settings, **tables}, indent=2))
         return 0
-    print(f"# {workloads.ROWS} x {workloads.DIM} file, seed {args.seed}, best of {args.repeats}")
-    print(f"{'layer':<20} {'us':>9}")
-    for name, us in times.items():
-        print(f"{name:<20} {us:>9.3f}")
+    print(f"# {workloads.ROWS} x {workloads.DIM} file, {args.states} states x {args.samples} "
+          f"samples, seed {args.seed}, best of {args.repeats}")
+    for table, times in tables.items():
+        print(f"\n{table:<20} {UNITS[table]:>10}")
+        for name, value in times.items():
+            print(f"{name:<20} {value:>10.3f}")
     return 0
 
 
