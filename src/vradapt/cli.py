@@ -9,13 +9,14 @@ Exit codes: 0 success, 1 usage or config error, 2 divergence,
 3 verification failure.  ``VRADAPT_SEED`` supplies a seed when neither
 the flag nor the config file does.
 
-``main`` is the one error boundary: an OSError, ValueError or
-MemoryError from any command (a bad config, a file it cannot read or
-write, a size too large to allocate) ends as one ``error:`` line on
-stderr and exit 1.  Each output path (``run --out``, ``verify --out``,
-``sweep --out-dir``) is opened or made before the work, so a path that
-cannot be written fails first, not after the work; a command that fails
-removes the file or empty directory it made.
+``main`` is the one error boundary: a usage error from argparse, and
+an OSError, ValueError or MemoryError from any command (a bad config,
+a file it cannot read or write, a size too large to allocate), ends as
+one ``error:`` line on stderr and exit 1.  Each output path
+(``run --out``, ``verify --out``, ``sweep --out-dir``) is opened or
+made before the work, so a path that cannot be written fails first,
+not after the work; a command that fails removes the file or empty
+directory it made.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _write_sweep(results, keys, out_dir):
     errors = {r.summary["error"] for r in results if r.status == "invalid"}
     if len(errors) == 1 and all(r.status == "invalid" for r in results):
         # every cell hit the same error: the base config is at fault
-        return _fail(errors.pop())
+        raise ValueError(errors.pop())
     worst = EXIT_OK
     for result in results:
         if result.status == "invalid":
@@ -258,7 +259,7 @@ def cmd_constants(args):
         try:
             rows.append((method, cls.registration(**_registration_kwargs(cls, args))))
         except ValueError as exc:
-            return _fail(f"{method}: {exc}")
+            raise ValueError(f"{method}: {exc}") from None
     print(f"{'method':<10} {'rho1':>10} {'rho2':>10} {'A':>10} {'B':>10} {'C':>10} {'nu':>12}")
     for method, c in rows:
         print(
@@ -278,25 +279,21 @@ def cmd_ingest(args):
         except ValueError:
             rows = dim = 0
         if rows < 1 or dim < 1:
-            return _fail(f"--synthetic wants ROWSxDIM, both >= 1, got {args.synthetic!r}")
+            raise ValueError(f"--synthetic wants ROWSxDIM, both >= 1, got {args.synthetic!r}")
         if args.force_dim is not None:
-            return _fail("--force-dim does not apply to --synthetic")
+            raise ValueError("--force-dim does not apply to --synthetic")
         ds = synthetic_dataset(min(rows, args.limit or rows), dim=dim, seed=args.seed)
     write_libsvm(ds, args.out)
     print(f"rows={ds.n} dim={ds.d} nnz={ds.nnz()} -> {args.out}")
     return EXIT_OK
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse whose usage errors reach ``main`` as one ``error:`` line
-    and exit 1; argparse's own exit 2 is the divergence code here."""
+    """argparse whose usage errors are ValueErrors, for ``main`` to end;
+    argparse's own exit 2 is the divergence code here."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser():
@@ -366,11 +363,8 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        return _fail(str(exc))
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        return _fail(f"--seed must be a non-negative integer, got {args.seed}")
-    try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (OSError, ValueError, MemoryError) as exc:
         return _fail(str(exc))

@@ -34,7 +34,8 @@ identity is top-k at k = d.  Rand-k's kept sets, and the estimators'
 Monte Carlo batches and coordinate sets (each ``draw`` of a
 ``sampler``), come from ``_draw_subsets``: one uniform integer per
 subset into a cached table of all k-subsets, or, where the table would
-pass 1 MiB, the first k positions of an argsort of uniforms.  Both calls reject vectors whose length is not the operator's ``dim``.
+pass 1 MiB, the first k positions of an argsort of uniforms.  Both
+calls reject vectors whose length is not the operator's ``dim``.
 """
 
 from __future__ import annotations

@@ -72,10 +72,12 @@ def parse_libsvm(source, force_dim=None, limit=None) -> Dataset:
 
     A stream is read whole; lines end at ``\\n`` only, as when a file or
     ``StringIO`` is iterated.  The one-pass parser (``_split_rows``)
-    reads each block of lines as bytes, and plain decimals without
-    Python; text it does not accept, a data row that is not ASCII
-    included, goes through the line parser, which names its line.  Both
-    give the same arrays, bit for bit, for any text they accept.
+    reads each block of lines as ASCII bytes, each character past ASCII
+    as one ``?``, and plain decimals without Python.  Text it does not
+    accept goes through the line parser, which names its line: a data
+    row that holds such a character, a blank line of Unicode whitespace,
+    a comment whose ``#`` follows such whitespace.  Both give the same
+    arrays, bit for bit, for any text they accept.
     """
     text = source if isinstance(source, str) else source.read()
     lines = text.split("\n")
@@ -96,8 +98,9 @@ def _split_rows(lines, limit=None):
     values (float) of the data rows, as arrays, parsed a block of
     ``BLOCK_LINES`` lines at a time in one numpy pass over the block's
     bytes (``_split_block``).  ValueError unless every feature token is
-    <index>:<value>, every number reads as ``float``/``int`` reads it and
-    every data row is ASCII; OverflowError for an index beyond int64."""
+    <index>:<value> and every number reads as ``float``/``int`` reads it,
+    which a data row holding a character past ASCII never passes;
+    OverflowError for an index beyond int64."""
     parts = [(np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
     rows = 0
     for start in range(0, len(lines), BLOCK_LINES):
@@ -120,14 +123,14 @@ def _split_block(lines, room):
     """``_split_rows`` on one block, keeping at most ``room`` data rows
     (all if None).  A token is a run of bytes between whitespace; the
     first on a line is its row's label, and a row whose label starts
-    with ``#`` is a comment."""
-    text = "\n".join(lines)
-    if not text.isascii():
-        text = "\n".join(map(_ascii_or_blank, lines))
+    with ``#`` is a comment.  Each character past ASCII reads as one
+    ``?``, which is no digit, sign, dot, colon, ``#`` or whitespace: a
+    data row that holds one fails the colon check or a number read, and
+    a comment row that holds one stays on this pass."""
     # newlines before and after: every token has whitespace on both
     # sides, and a number read _FAST_WIDTH bytes wide stays in the text
-    text = "\n" + text + "\n" * _FAST_WIDTH
-    raw = text.encode("ascii")
+    raw = ("\n" + "\n".join(lines) + "\n" * _FAST_WIDTH).encode("ascii", "replace")
+    text = raw.decode("ascii")
     buf = np.frombuffer(raw, dtype=np.uint8)
     solid = np.frombuffer(raw.translate(_SOLID), dtype=bool)
     edges = np.flatnonzero(solid[1:] != solid[:-1]) + 1
@@ -160,17 +163,6 @@ def _split_block(lines, room):
         _numbers(text, buf, lo, colons, int),
         floats[len(labels):],
     )
-
-
-def _ascii_or_blank(line):
-    """An ASCII line as it is; a blank or comment line that is not
-    ASCII as ``""``.  A data row that is not ASCII is a ValueError."""
-    if line.isascii():
-        return line
-    tokens = line.split(maxsplit=1)
-    if tokens and not tokens[0].startswith("#"):
-        raise ValueError("a data row holds a byte that is not ASCII")
-    return ""
 
 
 def _numbers(text, buf, lo, hi, kind):

@@ -595,18 +595,30 @@ def test_one_pass_block_mixing_fast_and_slow_tokens():
     assert _both_parsers(lines) == ["rejected", "rejected"]
 
 
-def test_non_ascii_comment_row_stays_on_the_one_pass_parser():
-    text = "# café 1:é  \n+1 1:0.5 2:1\n  # été\n-1 3:2\n"
+@pytest.mark.parametrize(
+    "text, limit, indices, values",
+    [
+        ("# café 1:é  \n+1 1:0.5 2:1\n  # été\n-1 3:2\n", None, [0, 1, 2], [0.5, 1.0, 2.0]),
+        # a data row past the limit is never read
+        ("+1 1:1\n-1 2:1\ncaf\xe9 1:1\n", 2, [0, 1], [1.0, 1.0]),
+    ],
+)
+def test_non_ascii_comment_row_stays_on_the_one_pass_parser(text, limit, indices, values):
     with mock.patch.object(data, "_parse_lines", side_effect=AssertionError("line parser")):
-        ds = parse_libsvm(text)
-    assert ds.indices.tolist() == [0, 1, 2] and ds.values.tolist() == [0.5, 1.0, 2.0]
+        ds = parse_libsvm(text, limit=limit)
+    assert ds.indices.tolist() == indices and ds.values.tolist() == values
     assert ds.labels.tolist() == [1.0, -1.0]
 
 
 @pytest.mark.parametrize(
-    "row", ["+1 1:1\xa02:3", "+1 1:\u0661", "-1 4:2\u2028", "\u2003-1 5:1", "+1 caf\xe9"]
+    "row",
+    [
+        "+1 1:1\xa02:3", "+1 1:\u0661", "-1 4:2\u2028", "\u2003-1 5:1", "+1 caf\xe9",
+        # Unicode whitespace as the whole line, or before a comment's #
+        "\u3000", "\u2003# note",
+    ],
 )
-def test_non_ascii_data_row_goes_to_the_line_parser(row):
+def test_non_ascii_line_the_byte_pass_refuses_goes_to_the_line_parser(row):
     text = f"+1 2:0.5\n{row}\n-1 3:1\n"
     with pytest.raises(ValueError):
         data._split_rows(text.split("\n"))
