@@ -52,13 +52,18 @@ class Dataset:
         return len(self.indices)
 
 
-def _normalize_labels(raw):
+def _normalize_labels(raw, lines):
     labels = np.asarray(raw, dtype=float)
     uniq = np.unique(labels).tolist()
     if uniq in ([-1.0, 1.0], [-1.0], [1.0]):
         return labels
     if len(uniq) > 2:
-        raise LibsvmParseError(1, f"expected binary labels, found {len(uniq)} distinct values")
+        # the line of the first row whose label is a third distinct value
+        third = np.sort(np.unique(labels, return_index=True)[1])[2]
+        rows = [no for no, line in enumerate(lines, 1) if line.strip()[:1] not in ("", "#")]
+        raise LibsvmParseError(
+            rows[third], f"expected binary labels, found {len(uniq)} distinct values"
+        )
     # one class: the lone label is positive; two: the larger one is
     return np.ones_like(labels) if len(uniq) == 1 else np.where(labels == uniq[-1], 1.0, -1.0)
 
@@ -73,41 +78,45 @@ def parse_libsvm(source, force_dim=None, limit=None) -> Dataset:
     A stream is read whole; lines end at ``\\n`` only, as when a file or
     ``StringIO`` is iterated.  The one-pass parser (``_split_rows``)
     reads each block of lines as ASCII bytes, each character past ASCII
-    as one ``?``, and plain decimals without Python.  Text it does not
-    accept goes through the line parser, which names its line: a data
-    row that holds such a character, a blank line of Unicode whitespace,
-    a comment whose ``#`` follows such whitespace.  Both give the same
-    arrays, bit for bit, for any text they accept.
+    as one ``?``, and plain decimals without Python; its decimal stage
+    runs only on a batch of numbers that holds a dot.  A block it does
+    not accept goes alone through the line parser, which names its
+    line: one that holds a data row with such a character, a blank line
+    of Unicode whitespace, a comment whose ``#`` follows such
+    whitespace, or a bad row.  Both give the same arrays, bit for bit,
+    for any text they accept.
     """
     text = source if isinstance(source, str) else source.read()
     lines = text.split("\n")
-    try:
-        raw_labels, indptr, indices, values = _to_csr(*_split_rows(lines, limit))
-    except (ValueError, OverflowError):
-        raw_labels, indptr, indices, values = _to_csr(*_parse_lines(lines, limit))
+    raw_labels, counts, indices, values = _split_rows(lines, limit)
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
     max_index = int(indices.max()) if len(indices) else 0
     d = int(force_dim) if force_dim is not None else max_index
     if force_dim is not None and max_index > force_dim:
         raise ValueError(f"file uses feature index {max_index} beyond forced dimension {force_dim}")
-    labels = _normalize_labels(raw_labels) if len(raw_labels) else np.empty(0)
+    labels = _normalize_labels(raw_labels, lines) if len(raw_labels) else np.empty(0)
     return Dataset(indptr, indices - 1, values, labels, len(raw_labels), d)
 
 
 def _split_rows(lines, limit=None):
     """Raw labels (float), feature counts, 1-based indices (int64) and
     values (float) of the data rows, as arrays, parsed a block of
-    ``BLOCK_LINES`` lines at a time in one numpy pass over the block's
-    bytes (``_split_block``).  ValueError unless every feature token is
-    <index>:<value> and every number reads as ``float``/``int`` reads it,
-    which a data row holding a character past ASCII never passes;
-    OverflowError for an index beyond int64."""
+    ``BLOCK_LINES`` lines at a time.  A block takes one numpy pass over
+    its bytes (``_split_block``); one that the pass refuses goes alone
+    through ``_parse_lines``, which raises ``LibsvmParseError`` naming the
+    bad line by its number in ``lines``."""
     parts = [(np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
     rows = 0
     for start in range(0, len(lines), BLOCK_LINES):
         room = None if limit is None else limit - rows
         if room is not None and room <= 0:
             break
-        parts.append(_split_block(lines[start:start + BLOCK_LINES], room))
+        block = lines[start:start + BLOCK_LINES]
+        try:
+            parts.append(_split_block(block, room))
+        except (ValueError, OverflowError):
+            parts.append(_parse_lines(block, room, start + 1))
         rows += len(parts[-1][0])
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
@@ -120,13 +129,17 @@ _POW10 = np.array([float(10**k) for k in range(23)])  # exact up to 10**22
 
 
 def _split_block(lines, room):
-    """``_split_rows`` on one block, keeping at most ``room`` data rows
-    (all if None).  A token is a run of bytes between whitespace; the
-    first on a line is its row's label, and a row whose label starts
-    with ``#`` is a comment.  Each character past ASCII reads as one
-    ``?``, which is no digit, sign, dot, colon, ``#`` or whitespace: a
-    data row that holds one fails the colon check or a number read, and
-    a comment row that holds one stays on this pass."""
+    """``_split_rows`` on one block by the byte pass alone, keeping at
+    most ``room`` data rows (all if None).  ValueError unless every
+    feature token is <index>:<value>, every number reads as
+    ``float``/``int`` reads it and is finite, and each row's indices are
+    >= 1 and strictly increasing; OverflowError for an index beyond
+    int64.  A token is a run of bytes between whitespace; the first on a
+    line is its row's label, and a row whose label starts with ``#`` is
+    a comment.  Each character past ASCII reads as one ``?``, which is
+    no digit, sign, dot, colon, ``#`` or whitespace: a data row that
+    holds one fails the colon check or a number read, and a comment row
+    that holds one stays on this pass."""
     # newlines before and after: every token has whitespace on both
     # sides, and a number read _FAST_WIDTH bytes wide stays in the text
     raw = ("\n" + "\n".join(lines) + "\n" * _FAST_WIDTH).encode("ascii", "replace")
@@ -156,21 +169,27 @@ def _split_block(lines, room):
     if len(colons) != len(feats) or np.any(colons <= lo) or np.any(colons >= hi - 1):
         raise ValueError("a feature token is not <index>:<value>")
     labels = heads[rows]
-    floats = _numbers(text, buf, np.r_[starts[labels], colons + 1], np.r_[ends[labels], hi], float)
-    return (
-        floats[: len(labels)],
-        sizes[rows] - 1,
-        _numbers(text, buf, lo, colons, int),
-        floats[len(labels):],
+    floats = _numbers(
+        text, buf, np.concatenate((starts[labels], colons + 1)),
+        np.concatenate((ends[labels], hi)), float,
     )
+    counts = sizes[rows] - 1
+    indices = _numbers(text, buf, lo, colons, int)
+    # each index above the one before it in its row; a row's first, above 0
+    prev = np.concatenate(([0], indices))
+    prev[np.cumsum(counts) - counts] = 0
+    if not np.all(indices > prev[:-1]):
+        raise ValueError("feature indices below 1 or out of order")
+    return floats[: len(labels)], counts, indices, floats[len(labels):]
 
 
 def _numbers(text, buf, lo, hi, kind):
     """The numbers spelt by ``text[lo[i]:hi[i]]`` (ASCII, none empty;
     ``buf`` holds its bytes), each as ``kind`` (``float`` or ``int``)
     reads it, in a float or int64 array.  ``_fast_numbers`` reads the
-    short plain spellings; numpy reads every other one with ``kind``
-    itself, all in one batch."""
+    short plain spellings, which are finite; numpy reads every other one
+    with ``kind`` itself, all in one batch, and ValueError if one of
+    those is not finite."""
     width = hi - lo
     out = np.empty(len(lo), dtype=np.int64 if kind is int else float)
     fast = width <= _FAST_WIDTH
@@ -180,7 +199,9 @@ def _numbers(text, buf, lo, hi, kind):
     slow = np.flatnonzero(~fast)
     if len(slow):
         tokens = [text[a:b] for a, b in zip(lo[slow].tolist(), hi[slow].tolist())]
-        out[slow] = np.array(tokens, out.dtype)
+        out[slow] = read = np.array(tokens, out.dtype)
+        if not np.isfinite(read).all():
+            raise ValueError("a number not finite")
     return out
 
 
@@ -190,7 +211,9 @@ def _fast_numbers(buf, lo, width, dotted):
     (no dot unless ``dotted``) with at most _FAST_DIGITS digits.  Their
     digits form an exact mantissa M < 2**53, and M / 10**f, one IEEE
     division of two exact numbers (Clinger's fast path), is the
-    correctly rounded value that ``float`` returns."""
+    correctly rounded value that ``float`` returns.  The decimal stage
+    runs only on a batch that holds a dot, the sign stage only on one
+    that holds a minus sign."""
     # row k holds each number's k-th byte, counted only where k < width
     span = np.arange(width.max(), dtype=np.uint8)[:, None]
     width = width.astype(np.uint8)
@@ -199,45 +222,35 @@ def _fast_numbers(buf, lo, width, dotted):
     digits = chars - np.uint8(ord("0"))
     is_digit = (digits < 10) & inside
     n_digits = is_digit.sum(0, dtype=np.uint8)
-    length = n_digits + ((chars[0] == ord("+")) | (chars[0] == ord("-")))
+    minus = chars[0] == ord("-")
+    length = n_digits + (minus | (chars[0] == ord("+")))
     exact = n_digits - 1 < _FAST_DIGITS  # 1 to _FAST_DIGITS digits (0 - 1 wraps)
-    value = np.zeros(len(lo))
-    for digit, counts in zip(digits, is_digit):  # Horner's rule
+    # Horner's rule, from the first byte's digit (0 * 10 + digit is digit)
+    value = np.where(is_digit[0], digits[0], 0.0)
+    for digit, counts in zip(digits[1:], is_digit[1:]):
         value = np.where(counts, value * 10 + digit, value)
     if dotted:
         is_dot = (chars == ord(".")) & inside
-        n_dots = is_dot.sum(0, dtype=np.uint8)
-        length += n_dots
-        exact &= n_dots < 2
-        # digits after the dot; in an exact spelling, every byte after it
-        decimals = (is_dot * (width - 1 - span)).sum(0, dtype=np.uint8)
-        value /= _POW10[np.minimum(decimals, len(_POW10) - 1)]
-    return np.where(chars[0] == ord("-"), -value, value), exact & (length == width)
+        if is_dot.any():  # with no dot, each step here is the identity
+            n_dots = is_dot.sum(0, dtype=np.uint8)
+            length += n_dots
+            exact &= n_dots < 2
+            # digits after the dot; in an exact spelling, every byte after it
+            decimals = (is_dot * (width - 1 - span)).sum(0, dtype=np.uint8)
+            value /= _POW10[np.minimum(decimals, len(_POW10) - 1)]
+    if minus.any():  # with no minus sign, negating is the identity
+        value = np.where(minus, -value, value)
+    return value, exact & (length == width)
 
 
-def _to_csr(labels, counts, indices, values):
-    """Raw labels, indptr, 1-based indices and values as float, int64,
-    int64 and float arrays, from either parser's numbers (arrays or
-    lists); ValueError unless each row's indices are >= 1 and strictly
-    increasing and its label and values finite."""
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.asarray(indices, dtype=np.int64)
-    prev = np.r_[0, indices]
-    prev[indptr[:-1]] = 0
-    labels = np.asarray(labels, dtype=float)
-    values = np.asarray(values, dtype=float)
-    finite = np.isfinite(labels).all() and np.isfinite(values).all()
-    if not (np.all(indices > prev[:-1]) and finite):
-        raise ValueError("feature indices below 1 or out of order, or a number not finite")
-    return labels, indptr, indices, values
-
-
-def _parse_lines(lines, limit=None):
+def _parse_lines(lines, limit=None, first=1):
     """The line parser: the reference, every number through Python's
-    ``float``/``int``; raises ``LibsvmParseError`` at the first bad line."""
+    ``float``/``int``, the same arrays as ``_split_rows``; raises
+    ``LibsvmParseError`` at the first bad line, numbered from ``first``,
+    the number of ``lines[0]`` (a block's lines keep their numbers in
+    the whole text)."""
     raw_labels, counts, indices, values = [], [], [], []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(lines, start=first):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -271,7 +284,10 @@ def _parse_lines(lines, limit=None):
             values.append(val)
         counts.append(len(tokens) - 1)
         raw_labels.append(label)
-    return raw_labels, counts, indices, values
+    return (
+        np.array(raw_labels), np.array(counts, np.int64),
+        np.array(indices, np.int64), np.array(values),
+    )
 
 
 def check_count(name, value, most=None, least=1):
@@ -357,9 +373,10 @@ def _universal_newlines(text):
 
 def read_text(path):
     """A file's text, UTF-8 with universal newlines (``\\r\\n`` and ``\\r``
-    read as ``\\n``); a ``.gz`` file is decompressed.  A byte that is not
-    UTF-8 is a ValueError naming the path and line, and a truncated or
-    corrupt ``.gz`` one naming the path."""
+    read as ``\\n``) and without one leading byte-order mark; a ``.gz``
+    file is decompressed.  A byte that is not UTF-8 is a ValueError
+    naming the path and line, and a truncated or corrupt ``.gz`` one
+    naming the path."""
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
         with opener(path, "rb") as fh:
@@ -373,7 +390,8 @@ def read_text(path):
         raise ValueError(
             f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
         ) from None
-    return _universal_newlines(text)
+    # one leading byte-order mark, as Windows editors write it, is no text
+    return _universal_newlines(text.removeprefix("\ufeff"))
 
 
 def load_libsvm(path, force_dim=None, limit=None) -> Dataset:

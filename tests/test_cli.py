@@ -60,6 +60,13 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == EXIT_OK
         assert (tmp_path / "smoke_trace.csv").exists()
 
+    def test_config_with_byte_order_mark_runs_as_without(self, tmp_path, capsys):
+        plain, marked = str(tmp_path / "plain.csv"), str(tmp_path / "marked.csv")
+        assert main(["run", "--config", write_cfg(tmp_path, QUICK_CFG), "--out", plain]) == EXIT_OK
+        cfg = write_cfg(tmp_path, "\ufeff" + QUICK_CFG, name="marked.cfg")
+        assert main(["run", "--config", cfg, "--out", marked]) == EXIT_OK
+        assert Path(marked).read_bytes() == Path(plain).read_bytes()
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])
         assert code == EXIT_USAGE

@@ -129,6 +129,22 @@ class TestParse:
         got = parse_libsvm(text).labels
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
+    @pytest.mark.parametrize(
+        "text, limit, line",
+        [
+            ("# header\n1 1:1\n2 1:1\n3 1:1\n", None, 4),
+            # -0 and 0 are one value: the third is -1
+            ("1 1:1\n-0 1:1\n\n0 1:1\n  # note\n-1 1:1\n", None, 6),
+            # only the rows the limit keeps count
+            ("1 1:1\n2 1:1\n2 1:1\n3 1:1\n4 1:1\n", 4, 4),
+        ],
+    )
+    def test_three_label_error_names_the_line_of_the_third_value(self, text, limit, line):
+        with pytest.raises(LibsvmParseError) as err:
+            parse_libsvm(text, limit=limit)
+        assert str(err.value) == f"line {line}: expected binary labels, found 3 distinct values"
+        assert err.value.line_no == line
+
 
 class TestRoundTrip:
     def test_write_then_parse_is_exact(self):
@@ -177,6 +193,15 @@ class TestRoundTrip:
         path.write_bytes(gzip.compress(raw, mtime=0) if name.endswith(".gz") else raw)
         ds = load_libsvm(str(path))
         assert ds.n == 2
+        assert _outcome(lambda: ds) == _outcome(lambda: parse_libsvm("+1 1:0.5 3:2.0\n-1 2:1.0\n"))
+
+    @pytest.mark.parametrize("name", ["rows.txt", "rows.txt.gz"])
+    def test_leading_byte_order_mark_is_dropped(self, name, tmp_path):
+        raw = b"\xef\xbb\xbf+1 1:0.5 3:2.0\r\n-1 2:1.0\n"
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(raw, mtime=0) if name.endswith(".gz") else raw)
+        assert data.read_text(str(path)) == "+1 1:0.5 3:2.0\n-1 2:1.0\n"
+        ds = load_libsvm(str(path))
         assert _outcome(lambda: ds) == _outcome(lambda: parse_libsvm("+1 1:0.5 3:2.0\n-1 2:1.0\n"))
 
 
@@ -457,6 +482,17 @@ def seeded_libsvm_cases(seed, count):
         yield text, pick(LIMITS), pick(FORCE_DIMS)
 
 
+def _line_parser_outcome(text, limit=None, force_dim=None):
+    """The reference: ``_outcome`` of ``parse_libsvm`` with the whole
+    text through the line parser alone, on the lines StringIO yields."""
+    line_parser = data._parse_lines
+    with mock.patch.object(
+        data, "_split_rows",
+        lambda lines, limit: line_parser(io.StringIO(text), limit),
+    ):
+        return _outcome(lambda: parse_libsvm(text, force_dim=force_dim, limit=limit))
+
+
 def _outcome(parse):
     """A parse's dataset, as exact bytes, or its exception and message."""
     try:
@@ -490,12 +526,7 @@ def _assert_one_pass_equals_line_parser(text, limit, force_dim):
         return lambda: parse_libsvm(source, force_dim=force_dim, limit=limit)
 
     case = (text, limit, force_dim)
-    # the reference: the line parser alone, on the lines StringIO yields
-    line_parser = data._parse_lines
-    with mock.patch.object(data, "_split_rows", side_effect=ValueError), mock.patch.object(
-        data, "_parse_lines", lambda lines, limit: line_parser(io.StringIO(text), limit)
-    ):
-        want = _outcome(parse(text))
+    want = _line_parser_outcome(text, limit, force_dim)
     assert _outcome(parse(text)) == want, case
     # blocks of two lines: rows, the limit and errors span blocks
     with mock.patch.object(data, "BLOCK_LINES", 2):
@@ -513,8 +544,8 @@ def _assert_one_pass_equals_line_parser(text, limit, force_dim):
 )
 def test_one_pass_accepts_well_formed_text(text):
     lines = text.split("\n")
-    got = data._to_csr(*data._split_rows(lines))
-    for a, b in zip(got, data._to_csr(*data._parse_lines(lines))):
+    got = data._split_block(lines, None)
+    for a, b in zip(got, data._parse_lines(lines)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -537,19 +568,19 @@ def test_one_pass_accepts_well_formed_text(text):
 )
 def test_one_pass_rejects_to_the_line_parser(line, message):
     with pytest.raises(ValueError):
-        data._to_csr(*data._split_rows([line]))
+        data._split_block([line], None)
     with pytest.raises(LibsvmParseError) as err:
         parse_libsvm("# first\n" + line)
     assert str(err.value) == message.replace("line 1", "line 2")
 
 
 def _both_parsers(lines):
-    """``_to_csr`` of the one-pass parser's and the line parser's output,
-    each as (dtype, bytes) per array, or "rejected"."""
+    """The one-pass parser's and the line parser's arrays, each as
+    (dtype, bytes) per array, or "rejected"."""
     outcomes = []
-    for split in (data._split_rows, data._parse_lines):
+    for split in (lambda lines: data._split_block(lines, None), data._parse_lines):
         try:
-            arrays = data._to_csr(*split(lines))
+            arrays = split(lines)
         except (ValueError, OverflowError):
             outcomes.append("rejected")
         else:
@@ -621,12 +652,44 @@ def test_non_ascii_comment_row_stays_on_the_one_pass_parser(text, limit, indices
 def test_non_ascii_line_the_byte_pass_refuses_goes_to_the_line_parser(row):
     text = f"+1 2:0.5\n{row}\n-1 3:1\n"
     with pytest.raises(ValueError):
-        data._split_rows(text.split("\n"))
-    with mock.patch.object(data, "_split_rows", side_effect=ValueError):
-        want = _outcome(lambda: parse_libsvm(text))
+        data._split_block(text.split("\n"), None)
+    want = _line_parser_outcome(text)
     with mock.patch.object(data, "_parse_lines", wraps=data._parse_lines) as line_parser:
         assert _outcome(lambda: parse_libsvm(text)) == want
     line_parser.assert_called_once()
+
+
+@pytest.mark.parametrize("limit, room", [(None, None), (9, 5)])
+def test_refused_block_alone_goes_to_the_line_parser(limit, room):
+    # blocks of 4 lines; the NBSP row, line 7, is in the second of four
+    rows = [f"{'+1' if i % 3 else '-1'} {i % 5 + 1}:0.5 7:{i}" for i in range(12)]
+    rows[6] = "+1 1:1\xa02:3"
+    text = "\n".join(rows) + "\n"
+    with mock.patch.object(data, "BLOCK_LINES", 4), mock.patch.object(
+        data, "_parse_lines", wraps=data._parse_lines
+    ) as line_parser:
+        got = _outcome(lambda: parse_libsvm(text, limit=limit))
+    line_parser.assert_called_once_with(rows[4:8], room, 5)
+    assert got == _line_parser_outcome(text, limit)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("-1 1:1 31:abc", "bad feature token '31:abc'"),
+        # the byte pass reads this row; its block fails the order check
+        ("-1 31:1 2:1", "feature indices not strictly increasing at 2"),
+    ],
+)
+def test_bad_row_in_a_later_block_names_its_line(bad, message):
+    rows = ["+1 1:1 31:1"] * 3000
+    rows[2500] = bad
+    with mock.patch.object(data, "_parse_lines", wraps=data._parse_lines) as line_parser:
+        with pytest.raises(LibsvmParseError) as err:
+            parse_libsvm("\n".join(rows))
+    assert str(err.value) == f"line 2501: {message}" and err.value.line_no == 2501
+    # only the block of lines 2049-2560 went through the line parser
+    line_parser.assert_called_once_with(rows[2048:2560], None, 2049)
 
 
 def test_fast_decimals_equal_float_on_seeded_spellings():
@@ -641,5 +704,5 @@ def test_fast_decimals_equal_float_on_seeded_spellings():
             digits = digits[:dot] + "." + digits[dot:]
         spellings.append(rng.choice(["", "+", "-"]) + digits)
     line = "1 " + " ".join(f"{i + 1}:{s}" for i, s in enumerate(spellings))
-    values = data._split_rows([line])[3]
+    values = data._split_block([line], None)[3]
     assert values.tobytes() == np.array([float(s) for s in spellings]).tobytes()

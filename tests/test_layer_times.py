@@ -15,7 +15,7 @@ from vradapt.estimators import METHODS
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "layer_times.py"
-SETUP = ["read_text", "parse_libsvm", "build", "smoothness"]
+SETUP = ["read_text", "parse_libsvm", "parse_refused_line", "build", "smoothness"]
 RACE = ["step.saga", "step.page", "step.zerosarah", "component_rows.b64", "batch_sum.b64"]
 
 

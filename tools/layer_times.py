@@ -9,11 +9,15 @@ Three tables follow, each row the best of ``--repeats``:
 
 * ``setup``, in ms, runs first, before anything frees a large block
   (setup time moves with the heap's history): the steps of a setup in
-  order, each timed alone on the previous one's result.  ``read_text``
-  (``data.read_text``), ``parse_libsvm``, ``build`` (``LogisticProblem``)
-  and ``smoothness``, the problem's first read of L, which a run pays
-  only when its step rule reads L.  The benchmark's ``setup_s`` is the
-  first three.
+  order, each timed alone on an earlier one's result.  ``read_text``
+  (``data.read_text``), ``parse_libsvm`` on its text,
+  ``parse_refused_line``, the same text with one ``"\\u3000# header"``
+  line prepended (the prepending timed too), which the byte pass
+  refuses, so its first block goes through the line parser, ``build``
+  (``LogisticProblem`` on ``parse_libsvm``'s dataset) and
+  ``smoothness``, the problem's first read of L, which a run pays only
+  when its step rule reads L.  The benchmark's ``setup_s`` is
+  ``read_text``, ``parse_libsvm`` and ``build``.
 * ``race``, in us, on the problem built once, outside the timing:
   ``step.<method>`` is one ``step`` of SAGA, PAGE and ZeroSARAH at their
   presets, the mean over ``perfbench.workloads.RACE_CHUNK_T`` steps from
@@ -59,11 +63,15 @@ from vradapt import data, verify  # noqa: E402
 from vradapt.estimators import METHODS, estimator_class, make_estimator  # noqa: E402
 from vradapt.problems import LogisticProblem  # noqa: E402
 
+# a line the byte pass refuses: its block goes through the line parser
+REFUSED_LINE = "\u3000# header\n"
+# each step: its row, its call, and the row whose result it is called on
 SETUP = (
-    ("read_text", data.read_text),
-    ("parse_libsvm", data.parse_libsvm),
-    ("build", LogisticProblem),
-    ("smoothness", lambda problem: problem.smoothness),
+    ("read_text", data.read_text, "path"),
+    ("parse_libsvm", data.parse_libsvm, "read_text"),
+    ("parse_refused_line", lambda text: data.parse_libsvm(REFUSED_LINE + text), "read_text"),
+    ("build", LogisticProblem, "parse_libsvm"),
+    ("smoothness", lambda problem: problem.smoothness, "build"),
 )
 RACE_METHODS = ("saga", "page", "zerosarah")
 BATCH, CALLS = 64, 1000
@@ -76,12 +84,12 @@ STEPS["ef21"] += workloads.MUTATION_STATES * workloads.MUTATION_SAMPLES
 
 def setup_ms(path, repeats):
     """Best of ``repeats`` for each step of ``SETUP``, in milliseconds."""
-    best = dict.fromkeys((name for name, _ in SETUP), float("inf"))
+    best = dict.fromkeys((name for name, _, _ in SETUP), float("inf"))
     for _ in range(repeats):
-        value = path
-        for name, step in SETUP:
+        results = {"path": path}
+        for name, step, arg in SETUP:
             started = time.perf_counter()
-            value = step(value)
+            results[name] = step(results[arg])
             best[name] = min(best[name], (time.perf_counter() - started) * 1e3)
     return best
 
