@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 log = logging.getLogger(__name__)
-BLOCK_LINES = 512  # lines the one-pass parser splits at once
+BLOCK_LINES = 512  # lines in one block of the one-pass parser
 
 
 class LibsvmParseError(ValueError):
@@ -52,7 +52,7 @@ class Dataset:
         return len(self.indices)
 
 
-def _normalize_labels(raw, lines):
+def _normalize_labels(raw, text):
     labels = np.asarray(raw, dtype=float)
     uniq = np.unique(labels).tolist()
     if uniq in ([-1.0, 1.0], [-1.0], [1.0]):
@@ -60,6 +60,7 @@ def _normalize_labels(raw, lines):
     if len(uniq) > 2:
         # the line of the first row whose label is a third distinct value
         third = np.sort(np.unique(labels, return_index=True)[1])[2]
+        lines = text.split("\n")
         rows = [no for no, line in enumerate(lines, 1) if line.strip()[:1] not in ("", "#")]
         raise LibsvmParseError(
             rows[third], f"expected binary labels, found {len(uniq)} distinct values"
@@ -77,46 +78,51 @@ def parse_libsvm(source, force_dim=None, limit=None) -> Dataset:
 
     A stream is read whole; lines end at ``\\n`` only, as when a file or
     ``StringIO`` is iterated.  The one-pass parser (``_split_rows``)
-    reads each block of lines as ASCII bytes, each character past ASCII
-    as one ``?``, and plain decimals without Python; its decimal stage
-    runs only on a batch of numbers that holds a dot.  A block it does
-    not accept goes alone through the line parser, which names its
+    encodes the text once as ASCII bytes, each character past ASCII as
+    one ``?``, cuts blocks of lines from them by the byte offsets of the
+    line ends, and reads plain decimals without Python; its decimal
+    stage runs only on a batch of numbers that holds a dot.  A block it
+    does not accept goes alone through the line parser, which names its
     line: one that holds a data row with such a character, a blank line
     of Unicode whitespace, a comment whose ``#`` follows such
     whitespace, or a bad row.  Both give the same arrays, bit for bit,
     for any text they accept.
     """
     text = source if isinstance(source, str) else source.read()
-    lines = text.split("\n")
-    raw_labels, counts, indices, values = _split_rows(lines, limit)
+    raw_labels, counts, indices, values = _split_rows(text, limit)
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     max_index = int(indices.max()) if len(indices) else 0
     d = int(force_dim) if force_dim is not None else max_index
     if force_dim is not None and max_index > force_dim:
         raise ValueError(f"file uses feature index {max_index} beyond forced dimension {force_dim}")
-    labels = _normalize_labels(raw_labels, lines) if len(raw_labels) else np.empty(0)
+    labels = _normalize_labels(raw_labels, text) if len(raw_labels) else np.empty(0)
     return Dataset(indptr, indices - 1, values, labels, len(raw_labels), d)
 
 
-def _split_rows(lines, limit=None):
+def _split_rows(text, limit=None):
     """Raw labels (float), feature counts, 1-based indices (int64) and
-    values (float) of the data rows, as arrays, parsed a block of
-    ``BLOCK_LINES`` lines at a time.  A block takes one numpy pass over
-    its bytes (``_split_block``); one that the pass refuses goes alone
-    through ``_parse_lines``, which raises ``LibsvmParseError`` naming the
-    bad line by its number in ``lines``."""
+    values (float) of the data rows of ``text``, as arrays, parsed a
+    block of ``BLOCK_LINES`` lines at a time, up to the block that
+    meets ``limit``.  The text is encoded once (``_encode``); a block
+    is the byte range between two of its line ends, and takes one numpy
+    pass over those bytes (``_split_block``).  One that the pass refuses
+    goes alone, as its lines, through ``_parse_lines``, which raises
+    ``LibsvmParseError`` naming the bad line by its number in ``text``:
+    no other block is split into lines."""
+    raw, newlines = _encode(text)
     parts = [(np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
     rows = 0
-    for start in range(0, len(lines), BLOCK_LINES):
+    for start in range(0, len(newlines) - 1, BLOCK_LINES):
         room = None if limit is None else limit - rows
         if room is not None and room <= 0:
             break
-        block = lines[start:start + BLOCK_LINES]
+        block = newlines[start:start + BLOCK_LINES + 1]
         try:
-            parts.append(_split_block(block, room))
+            parts.append(_split_block(raw, block, room))
         except (ValueError, OverflowError):
-            parts.append(_parse_lines(block, room, start + 1))
+            lines = text[block[0] + 1:block[-1]].split("\n")
+            parts.append(_parse_lines(lines, room, start + 1))
         rows += len(parts[-1][0])
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
@@ -126,32 +132,50 @@ def _split_rows(lines, limit=None):
 _SOLID = bytes(b not in b" \t\n\v\f\r\x1c\x1d\x1e\x1f" for b in range(256))
 _FAST_WIDTH, _FAST_DIGITS = 16, 15  # 10**15 < 2**53: 15 digits make an exact mantissa
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact up to 10**22
+_SCAN_BYTES = 1 << 16  # bytes _encode searches for newlines at once
 
 
-def _split_block(lines, room):
+def _encode(text):
+    """``text`` as the byte pass reads it, one byte per character (``?``
+    past ASCII, so a byte offset is a character offset), and the offsets
+    of its line ends: -1, each newline's, then ``len(text)``, so that
+    line k lies between ``newlines[k]`` and ``newlines[k + 1]``."""
+    raw = text.encode("ascii", "replace")
+    # the offsets a slice at a time: a mask of the whole text would cost
+    # its fresh pages, more than the scan itself on a large file
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = (
+        np.flatnonzero(buf[at:at + _SCAN_BYTES] == ord("\n")) + at
+        for at in range(0, len(buf), _SCAN_BYTES)
+    )
+    return raw, np.concatenate(([-1], *ends, [len(raw)]))
+
+
+def _split_block(raw, newlines, room):
     """``_split_rows`` on one block by the byte pass alone, keeping at
-    most ``room`` data rows (all if None).  ValueError unless every
-    feature token is <index>:<value>, every number reads as
-    ``float``/``int`` reads it and is finite, and each row's indices are
-    >= 1 and strictly increasing; OverflowError for an index beyond
-    int64.  A token is a run of bytes between whitespace; the first on a
+    most ``room`` data rows (all if None): the lines of ``_encode``'s
+    bytes ``raw`` between the first and last of ``newlines``, the
+    block's line ends there.  ValueError unless every feature token is
+    <index>:<value>, every number reads as ``float``/``int`` reads it
+    and is finite, and each row's indices are >= 1 and strictly
+    increasing; OverflowError for an index beyond int64.  A token is a run of bytes between whitespace; the first on a
     line is its row's label, and a row whose label starts with ``#`` is
     a comment.  Each character past ASCII reads as one ``?``, which is
     no digit, sign, dot, colon, ``#`` or whitespace: a data row that
     holds one fails the colon check or a number read, and a comment row
     that holds one stays on this pass."""
-    # newlines before and after: every token has whitespace on both
-    # sides, and a number read _FAST_WIDTH bytes wide stays in the text
-    raw = ("\n" + "\n".join(lines) + "\n" * _FAST_WIDTH).encode("ascii", "replace")
-    text = raw.decode("ascii")
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    solid = np.frombuffer(raw.translate(_SOLID), dtype=bool)
+    first, last = int(newlines[0]), int(newlines[-1])
+    # a newline before the lines and _FAST_WIDTH after: every token has
+    # whitespace on both sides, and a number read that wide stays in them
+    block = b"".join((b"\n", memoryview(raw)[first + 1:last], b"\n" * _FAST_WIDTH))
+    buf = np.frombuffer(block, dtype=np.uint8)
+    solid = np.frombuffer(block.translate(_SOLID), dtype=bool)
     edges = np.flatnonzero(solid[1:] != solid[:-1]) + 1
     starts, ends = edges[0::2], edges[1::2]
-    # a row's label: the first token after a newline (the trailing
-    # newlines mark the slot past the last token)
+    # a row's label: the first token after a newline (the block's last
+    # newline marks the slot past the last token)
     opens = np.zeros(len(starts) + 1, dtype=bool)
-    opens[np.searchsorted(starts, np.flatnonzero(buf == ord("\n")))] = True
+    opens[np.searchsorted(starts, newlines - first)] = True
     heads = np.flatnonzero(opens[:-1])
     rows = buf[starts[heads]] != ord("#")
     if room is not None:
@@ -170,11 +194,11 @@ def _split_block(lines, room):
         raise ValueError("a feature token is not <index>:<value>")
     labels = heads[rows]
     floats = _numbers(
-        text, buf, np.concatenate((starts[labels], colons + 1)),
+        block, buf, np.concatenate((starts[labels], colons + 1)),
         np.concatenate((ends[labels], hi)), float,
     )
     counts = sizes[rows] - 1
-    indices = _numbers(text, buf, lo, colons, int)
+    indices = _numbers(block, buf, lo, colons, int)
     # each index above the one before it in its row; a row's first, above 0
     prev = np.concatenate(([0], indices))
     prev[np.cumsum(counts) - counts] = 0
@@ -183,13 +207,14 @@ def _split_block(lines, room):
     return floats[: len(labels)], counts, indices, floats[len(labels):]
 
 
-def _numbers(text, buf, lo, hi, kind):
-    """The numbers spelt by ``text[lo[i]:hi[i]]`` (ASCII, none empty;
-    ``buf`` holds its bytes), each as ``kind`` (``float`` or ``int``)
-    reads it, in a float or int64 array.  ``_fast_numbers`` reads the
-    short plain spellings, which are finite; numpy reads every other one
-    with ``kind`` itself, all in one batch, and ValueError if one of
-    those is not finite."""
+def _numbers(raw, buf, lo, hi, kind):
+    """The numbers spelt by the ASCII bytes ``raw[lo[i]:hi[i]]`` (none
+    empty; ``buf`` is ``raw`` as a uint8 array), each as ``kind``
+    (``float`` or ``int``) reads it, in a float or int64 array.
+    ``_fast_numbers`` reads the short plain spellings, which are finite;
+    numpy reads every other one with ``kind`` itself, all in one batch,
+    and ValueError if one of those is not finite.  ``kind`` reads a
+    bytes token as it reads the same ASCII text, so none is decoded."""
     width = hi - lo
     out = np.empty(len(lo), dtype=np.int64 if kind is int else float)
     fast = width <= _FAST_WIDTH
@@ -198,7 +223,7 @@ def _numbers(text, buf, lo, hi, kind):
         out[short], fast[short] = _fast_numbers(buf, lo[short], width[short], kind is float)
     slow = np.flatnonzero(~fast)
     if len(slow):
-        tokens = [text[a:b] for a, b in zip(lo[slow].tolist(), hi[slow].tolist())]
+        tokens = [raw[a:b] for a, b in zip(lo[slow].tolist(), hi[slow].tolist())]
         out[slow] = read = np.array(tokens, out.dtype)
         if not np.isfinite(read).all():
             raise ValueError("a number not finite")

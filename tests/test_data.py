@@ -493,6 +493,11 @@ def _line_parser_outcome(text, limit=None, force_dim=None):
         return _outcome(lambda: parse_libsvm(text, force_dim=force_dim, limit=limit))
 
 
+def _byte_pass(text):
+    """``_split_block`` on the whole of ``text`` as one block."""
+    return data._split_block(*data._encode(text), None)
+
+
 def _outcome(parse):
     """A parse's dataset, as exact bytes, or its exception and message."""
     try:
@@ -543,9 +548,8 @@ def _assert_one_pass_equals_line_parser(text, limit, force_dim):
     ],
 )
 def test_one_pass_accepts_well_formed_text(text):
-    lines = text.split("\n")
-    got = data._split_block(lines, None)
-    for a, b in zip(got, data._parse_lines(lines)):
+    got = _byte_pass(text)
+    for a, b in zip(got, data._parse_lines(text.split("\n"))):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -568,7 +572,7 @@ def test_one_pass_accepts_well_formed_text(text):
 )
 def test_one_pass_rejects_to_the_line_parser(line, message):
     with pytest.raises(ValueError):
-        data._split_block([line], None)
+        _byte_pass(line)
     with pytest.raises(LibsvmParseError) as err:
         parse_libsvm("# first\n" + line)
     assert str(err.value) == message.replace("line 1", "line 2")
@@ -578,7 +582,7 @@ def _both_parsers(lines):
     """The one-pass parser's and the line parser's arrays, each as
     (dtype, bytes) per array, or "rejected"."""
     outcomes = []
-    for split in (lambda lines: data._split_block(lines, None), data._parse_lines):
+    for split in (lambda lines: _byte_pass("\n".join(lines)), data._parse_lines):
         try:
             arrays = split(lines)
         except (ValueError, OverflowError):
@@ -602,7 +606,7 @@ def test_one_pass_reads_each_value_spelling_as_float_does(spelling):
     lines = [f"+1 1:{spelling} 2:1", f"{spelling} 3:{spelling}"]
     one_pass, line_parser = _both_parsers(lines)
     assert one_pass != "rejected" and one_pass == line_parser
-    values = data._split_rows(lines)[3]
+    values = data._split_rows("\n".join(lines))[3]
     assert values.tobytes() == np.array([float(spelling), 1.0, float(spelling)]).tobytes()
 
 
@@ -652,7 +656,7 @@ def test_non_ascii_comment_row_stays_on_the_one_pass_parser(text, limit, indices
 def test_non_ascii_line_the_byte_pass_refuses_goes_to_the_line_parser(row):
     text = f"+1 2:0.5\n{row}\n-1 3:1\n"
     with pytest.raises(ValueError):
-        data._split_block(text.split("\n"), None)
+        _byte_pass(text)
     want = _line_parser_outcome(text)
     with mock.patch.object(data, "_parse_lines", wraps=data._parse_lines) as line_parser:
         assert _outcome(lambda: parse_libsvm(text)) == want
@@ -692,6 +696,46 @@ def test_bad_row_in_a_later_block_names_its_line(bad, message):
     line_parser.assert_called_once_with(rows[2048:2560], None, 2049)
 
 
+def test_limit_reads_only_the_blocks_it_needs():
+    # blocks of 4 lines: 6 rows end in the second, and the bad row in
+    # the fourth is never read
+    rows = [f"{'+1' if i % 3 else '-1'} {i % 5 + 1}:0.5 7:{i}" for i in range(16)]
+    rows[13] = "+1 1:abc"
+    text = "\n".join(rows) + "\n"
+    with mock.patch.object(data, "BLOCK_LINES", 4), mock.patch.object(
+        data, "_split_block", wraps=data._split_block
+    ) as byte_pass, mock.patch.object(
+        data, "_parse_lines", side_effect=AssertionError("line parser")
+    ):
+        got = _outcome(lambda: parse_libsvm(text, limit=6))
+    assert [call.args[2] for call in byte_pass.call_args_list] == [6, 2]
+    assert got == _line_parser_outcome(text, 6)
+
+
+def test_byte_offsets_stay_aligned_past_non_ascii_text():
+    # blocks of 4 lines: non-ASCII characters (an astral one too) in a
+    # comment of the first, an NBSP row in the second
+    rows = [f"{'+1' if i % 3 else '-1'} {i % 5 + 1}:0.5 7:{i}" for i in range(12)]
+    rows[1] = "# caf\xe9 \U0001F600  1:\xe9\xe9"
+    rows[6] = "+1 1:1\xa02:3"
+    text = "\n".join(rows) + "\n"
+    raw, newlines = data._encode(text)
+    # one byte per character, however many UTF-8 takes
+    assert len(raw) == len(text)
+    assert newlines.tolist() == [-1] + [i for i, c in enumerate(text) if c == "\n"] + [len(text)]
+    with mock.patch.object(data, "BLOCK_LINES", 4), mock.patch.object(
+        data, "_parse_lines", wraps=data._parse_lines
+    ) as line_parser:
+        got = _outcome(lambda: parse_libsvm(text))
+    line_parser.assert_called_once_with(rows[4:8], None, 5)
+    assert got == _line_parser_outcome(text)
+    # a bad row in the third block keeps its line number
+    rows[9] = "-1 3:1 2:1"
+    with mock.patch.object(data, "BLOCK_LINES", 4), pytest.raises(LibsvmParseError) as err:
+        parse_libsvm("\n".join(rows))
+    assert str(err.value) == "line 10: feature indices not strictly increasing at 2"
+
+
 def test_fast_decimals_equal_float_on_seeded_spellings():
     """Random [+-]digits[.digits] spellings of 1-17 bytes, most of them
     on the exact decimal path, read as ``float`` reads them."""
@@ -704,5 +748,5 @@ def test_fast_decimals_equal_float_on_seeded_spellings():
             digits = digits[:dot] + "." + digits[dot:]
         spellings.append(rng.choice(["", "+", "-"]) + digits)
     line = "1 " + " ".join(f"{i + 1}:{s}" for i, s in enumerate(spellings))
-    values = data._split_block([line], None)[3]
+    values = _byte_pass(line)[3]
     assert values.tobytes() == np.array([float(s) for s in spellings]).tobytes()

@@ -9,13 +9,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from vradapt import data
 from vradapt.estimators import METHODS
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "layer_times.py"
-SETUP = ["read_text", "parse_libsvm", "parse_refused_line", "build", "smoothness"]
+SETUP = ["read_text", "parse_libsvm", "parse_refused_line", "build", "smoothness", "parse_decimal"]
 RACE = ["step.saga", "step.page", "step.zerosarah", "component_rows.b64", "batch_sum.b64"]
 
 
@@ -85,6 +87,16 @@ def test_json_holds_the_same_tables():
     *methods, last = report["verify"]
     assert sorted(methods) == sorted(METHODS) and last == "weighted"
     assert all(v > 0.0 for table in ("setup", "race", "verify") for v in report[table].values())
+
+
+def test_decimal_copy_holds_the_rows_with_seeded_values(tool, tmp_path):
+    cols, labels = tool["workloads"].generate_rows(3)
+    path = str(tmp_path / "decimal.libsvm")
+    tool["write_decimal_copy"](path, cols, labels, 3)
+    ds = data.load_libsvm(path)
+    assert (ds.n, ds.d) == (4000, 123) and ds.labels.tolist() == labels.tolist()
+    assert ds.indices.tolist() == cols.ravel().tolist()
+    assert ds.values.tobytes() == np.random.default_rng(3).standard_normal(cols.size).tobytes()
 
 
 @pytest.mark.parametrize(

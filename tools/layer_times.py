@@ -4,7 +4,10 @@
 
 The file is the one the benchmark's race and fullpass workloads load:
 ``perfbench.workloads.generate_rows`` at ``--seed``, written once by
-``write_libsvm_text`` into a temporary directory that is removed after.
+``write_libsvm_text`` into a temporary directory that is removed after,
+next to a decimal copy: the same rows written by ``data.write_libsvm``
+with standard-normal values from ``--seed`` (``%.17g``, so most numbers
+go through Python's ``float``).
 Three tables follow, each row the best of ``--repeats``:
 
 * ``setup``, in ms, runs first, before anything frees a large block
@@ -17,7 +20,9 @@ Three tables follow, each row the best of ``--repeats``:
   (``LogisticProblem`` on ``parse_libsvm``'s dataset) and
   ``smoothness``, the problem's first read of L, which a run pays only
   when its step rule reads L.  The benchmark's ``setup_s`` is
-  ``read_text``, ``parse_libsvm`` and ``build``.
+  ``read_text``, ``parse_libsvm`` and ``build``.  Last, after those
+  rounds, ``parse_decimal``: ``parse_libsvm`` on the decimal copy's
+  text, read once outside the timing.
 * ``race``, in us, on the problem built once, outside the timing:
   ``step.<method>`` is one ``step`` of SAGA, PAGE and ZeroSARAH at their
   presets, the mean over ``perfbench.workloads.RACE_CHUNK_T`` steps from
@@ -82,8 +87,10 @@ STEPS = {method: workloads.VERIFY_STATES * workloads.VERIFY_SAMPLES for method i
 STEPS["ef21"] += workloads.MUTATION_STATES * workloads.MUTATION_SAMPLES
 
 
-def setup_ms(path, repeats):
-    """Best of ``repeats`` for each step of ``SETUP``, in milliseconds."""
+def setup_ms(path, decimal_path, repeats):
+    """Best of ``repeats`` for each step of ``SETUP``, then for
+    ``parse_decimal``, the parse of ``decimal_path``'s text, in
+    milliseconds."""
     best = dict.fromkeys((name for name, _, _ in SETUP), float("inf"))
     for _ in range(repeats):
         results = {"path": path}
@@ -91,7 +98,19 @@ def setup_ms(path, repeats):
             started = time.perf_counter()
             results[name] = step(results[arg])
             best[name] = min(best[name], (time.perf_counter() - started) * 1e3)
+    text = data.read_text(decimal_path)
+    parse = timeit.repeat(lambda: data.parse_libsvm(text), number=1, repeat=repeats)
+    best["parse_decimal"] = min(parse) * 1e3
     return best
+
+
+def write_decimal_copy(path, cols, labels, seed):
+    """Write the rows of ``generate_rows`` to ``path`` by ``data.write_libsvm``,
+    with standard-normal values drawn from ``seed``."""
+    rows, per_row = cols.shape
+    values = np.random.default_rng(seed).standard_normal(cols.size)
+    indptr = np.arange(0, cols.size + 1, per_row)
+    data.write_libsvm(data.Dataset(indptr, cols.ravel(), values, labels, rows, workloads.DIM), path)
 
 
 def step_us(problem, method, repeats, seed):
@@ -164,9 +183,10 @@ def main(argv=None):
             parser.error(f"--{flag} must be >= {least}, got {getattr(args, flag)}")
     cols, labels = workloads.generate_rows(args.seed)
     with tempfile.TemporaryDirectory() as workdir:
-        path = os.path.join(workdir, "data.libsvm")
+        path, decimal_path = (os.path.join(workdir, f"{name}.libsvm") for name in ("data", "decimal"))
         workloads.write_libsvm_text(path, cols, labels)
-        tables = {"setup": setup_ms(path, args.repeats)}
+        write_decimal_copy(decimal_path, cols, labels, args.seed)
+        tables = {"setup": setup_ms(path, decimal_path, args.repeats)}
         tables["race"] = race_us(path, args.repeats, args.seed)
     tables["verify"] = verify_us(args.states, args.samples, args.repeats, args.seed)
     settings = {"rows": workloads.ROWS, "dim": workloads.DIM, "seed": args.seed,
