@@ -29,6 +29,7 @@ Documented keys:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import itertools
 import math
@@ -401,6 +402,56 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
+# one ``integers`` call of ``run_generator`` draws this many batches
+BLOCK_ROWS = 256
+
+
+def _blocked(n, b):
+    """Whether ``choice(n, b, replace=False)`` takes a block: integers with
+    0 < b <= n and b(b - 1) <= 2n (a row is kept with probability about
+    exp(-b(b - 1)/2n))."""
+    integers = isinstance(n, (int, np.integer)) and isinstance(b, (int, np.integer))
+    return integers and 0 < b <= n and b * (b - 1) <= 2 * n
+
+
+@functools.cache
+def _block_generator():
+    """``run_generator``'s class, built at first use: reading ``np.random``
+    at import would load ``hashlib`` for every command."""
+
+    class BlockGenerator(np.random.Generator):
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            self.blocks = {}  # (n, b) -> an iterator over the block's rows
+
+        def choice(self, a, size=None, replace=True, p=None, axis=0, shuffle=True):
+            if replace or p is not None or not shuffle or not _blocked(a, size):
+                return super().choice(a, size, replace, p, axis, shuffle)
+            try:
+                return next(self.blocks[a, size])
+            except (KeyError, StopIteration):
+                rows = self.integers(0, a, (BLOCK_ROWS, size))
+                redraw = np.arange(BLOCK_ROWS)
+                while redraw.size:
+                    ordered = np.sort(rows[redraw], axis=1)
+                    redraw = redraw[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
+                    rows[redraw] = self.integers(0, a, (redraw.size, size))
+                self.blocks[a, size] = rows = iter(rows)
+                return next(rows)
+
+    return BlockGenerator
+
+
+def run_generator(seed):
+    """The generator ``run`` steps with: ``np.random.default_rng(seed)``,
+    but ``choice(n, b, replace=False)`` with ``_blocked(n, b)`` returns the
+    next row of a ``BLOCK_ROWS``-row block kept for (n, b).  The block is
+    ``integers(0, n, (BLOCK_ROWS, b))``, a row with a repeat drawn again
+    until it has none: a uniform ordered b-tuple of distinct indices, the
+    law of ``choice``.  Every other draw is numpy's."""
+    return _block_generator()(np.random.PCG64(seed))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def run(config, problem=None):
     """Iterate x^{t+1} = x^t - gamma_t g^t for T steps (or until the
@@ -415,7 +466,7 @@ def run(config, problem=None):
     if problem is None:
         problem = build_problem(config)
     hp, rule = validate(config, problem)
-    rng = np.random.default_rng(config.seed)
+    rng = run_generator(config.seed)
     x = np.zeros(problem.dim)
     est = make_estimator(config.method, problem, x, hp)
     timing = config.timing == "on"

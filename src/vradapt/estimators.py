@@ -120,7 +120,10 @@ def _check_clients(n):
 
 def _draw_batch(rng, n, b, with_replacement=False):
     """b uniform indices below n: with replacement, or else b distinct
-    ones (``Generator.choice`` draws them in O(b) for b much below n)."""
+    ones by ``rng.choice``.  On a plain ``Generator``, as the verifier's
+    trajectory and direct ``step`` callers pass, that is numpy's O(b)
+    draw; on ``engine.run_generator``, which ``engine.run`` passes, it is
+    the next row of a block of such draws where b(b - 1) <= 2n."""
     if with_replacement:
         return rng.integers(0, n, size=b)
     return rng.choice(n, b, replace=False)

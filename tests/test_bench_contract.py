@@ -76,7 +76,7 @@ def workloads(monkeypatch):
                     "grad_calls": 4000,
                     "partial_calls": 800,
                     "bits": 0,
-                    "trace_sha256": "b57ed1d8de464705f4d29b47cb0af8720d21d0cce8ad1ef021356c35e00b88b0",
+                    "trace_sha256": "9e5b8ebb8d16aa56231ab8ccfa5b0795291e9fa1fb23abe0a641d99d3e646847",
                 },
             ],
         ),

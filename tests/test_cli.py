@@ -48,7 +48,7 @@ class TestRunCommand:
         out = str(tmp_path / "trace.csv")
         assert main(["run", "--config", cfg, "--out", out]) == EXIT_OK
         assert capsys.readouterr().out == (
-            "status=completed iterations=20 min_grad_norm=0.222534 final_loss=-0.157044 "
+            "status=completed iterations=20 min_grad_norm=0.218338 final_loss=-0.157748 "
             f"grad_calls=46 partial_calls=0 bits=0 trace={out}\n"
         )
         content = (tmp_path / "trace.csv").read_text()

@@ -99,12 +99,12 @@ GOLDEN = [
     (
         "zerosarah-adaptive",
         dict(method="zerosarah", presets=True, scheduler="adaptive"),
-        "3f610ea174196d0ee10d95396f89c8affaecbdf76526030e244c9b80926b8087",
+        "9b3e1190a8cd5d029c5bf5cd3682da596ec54a38385f1fe92c5113cea5b0d66f",
     ),
     (
         "zerosarah-theoretical",
         dict(method="zerosarah", presets=True, scheduler="theoretical"),
-        "e15fa63e6d769b0cd56cfd9dcf11882287e2bb1fef989277796b7ebd83c00da8",
+        "5a47e0a446ea097ba9e553656c2529bceb7e5ea5eb31246488524fa18a2d40f4",
     ),
     (
         "lsvrg-adaptive",
@@ -119,12 +119,12 @@ GOLDEN = [
     (
         "sega-adaptive",
         dict(method="sega", b=8, scheduler="adaptive"),
-        "0bf2f3bc26cb2d8228c2bdd2654e0a674b74ef73f4154d709868ba8b2ebc08b7",
+        "2d7d38c9db12adb93f3b997ed75bb6068373c22ac2dc6e0dbf981c2840cfd50a",
     ),
     (
         "jaguar-adaptive",
         dict(method="jaguar", b=8, scheduler="adaptive"),
-        "3c15bc6140887cb2299385f9bc2686966ed900991426ed3f55e1b45fe1776d1a",
+        "db68f45cfceec0c0702a3cad0d78108a905747df5f8719076caed1cb13b6383a",
     ),
     (
         "ef21-topk",
@@ -204,7 +204,7 @@ GOLDEN = [
     (
         "zerosarah-tuned",
         dict(method="zerosarah", presets=True, scheduler="tuned", multiplier=4.0),
-        "99019dfb1ff04694cfc375d58e3e212b561f8c7bc2c406b07335d11550242e1b",
+        "79ce7bc751962112a819f21cb0430dd5aab3bf1e72ea07e9ba3309ae8053a213",
     ),
     (
         "lsvrg-constant",
@@ -214,7 +214,7 @@ GOLDEN = [
     (
         "saga-pl-quadratic",
         dict(problem="quadratic", n=40, d=10, cond=1000.0, method="saga", b=8, scheduler="pl"),
-        "b5ad1a11a82343a912730a4d6626fd87798a826a9e2865a8214189babcb5c2e5",
+        "e738c0b279219658c94c2c908516ee4fed2855a9ec2a14861751049a8e9d51bd",
     ),
     # the batch methods on dense components, also at d=1, where the
     # steps' column sums still add in row order (numpy's mean(axis=0)
@@ -222,22 +222,22 @@ GOLDEN = [
     (
         "saga-quadratic",
         dict(QUAD, d=10, method="saga", b=8),
-        "61664cccb3b905137014f4d558eed02a4fedcd87a605d53563b7745f8140daa5",
+        "f521478c712e4bc38e57e41c1986dfd918165bcaa87274cf4cda82fd01db7b9f",
     ),
     (
         "zerosarah-quadratic",
         dict(QUAD, d=10, method="zerosarah", b=8),
-        "bc3cddae7fdc1fa80d7c34a1cf0df64c919c241ed3f35db848c84bf8b1f599b2",
+        "d960d076bf8f8590cb7b9d001a76c2633b4b5d22faebfcb4eea73b31d463addc",
     ),
     (
         "lsvrg-quadratic",
         dict(QUAD, d=10, method="lsvrg", b=8, p=0.2),
-        "6253d214b40f1263b962639ffacf8f2adee31cf42ebf84a40f35928de04295e5",
+        "6ff8797f1d5766dcd6ca2e9866cd9acc4b55ffe90adbd51aec0fe19f29ca4381",
     ),
     (
         "page-quadratic",
         dict(QUAD, d=10, method="page", b=8, p=0.2),
-        "701b176bda195d759ba315f1d1d1396c1756a3d824666d262d7781b6ff0acbdb",
+        "157b245012c864d55453b2e5707f217445cb0db212460cbe01e95f08136adf93",
     ),
     (
         "saga-quadratic-d1",
@@ -268,7 +268,7 @@ GOLDEN = [
     (
         "zerosarah-ragged",
         dict(file="ragged", method="zerosarah", presets=True, scheduler="adaptive"),
-        "b5e9b1707488510d640d03291d250d99ee116dde16a6a2f0afed59fbaf4c290f",
+        "302defcddac6276c9a2c78b745bec004e503507e32d8fb827c0cc0b62605ac49",
     ),
     (
         "lsvrg-ragged",
@@ -283,7 +283,7 @@ GOLDEN = [
     (
         "jaguar-ragged",
         dict(file="ragged", method="jaguar", b=8, scheduler="adaptive"),
-        "72add37fafd3747a826316107bb2b6a06f94db6e17561a88c9a4f64fcf584503",
+        "b233c5902b8d8842ba053945801b580d04e9f1582c99f6896a0529468a70a0f1",
     ),
     (
         "saga-dominant",
@@ -293,7 +293,7 @@ GOLDEN = [
     (
         "zerosarah-dominant",
         dict(file="dominant", method="zerosarah", presets=True, scheduler="adaptive"),
-        "7404f7f49b0f97e7531519b16c871ef05ac8a7ed8534a295a07edb977286f925",
+        "d1556af153de09532582aca6c3bf33655a9a7e1dce458d54759d2619bdd8d58a",
     ),
     (
         "lsvrg-dominant",
@@ -331,7 +331,7 @@ GOLDEN = [
     (
         "zerosarah-dense-row",
         dict(file="dense-row", method="zerosarah", presets=True, scheduler="adaptive"),
-        "e599f756c6634de25725cae3f9586b1f015004a29d23674c1c2f78a686e51274",
+        "2af956b885242dce9ed7b3cf3c0c722c4554f427014f5b8003d3859ef456c994",
     ),
     (
         "lsvrg-dense-row",
@@ -346,7 +346,7 @@ GOLDEN = [
     (
         "jaguar-dense-row",
         dict(file="dense-row", method="jaguar", b=8, scheduler="adaptive"),
-        "02f1a5e592a2ef01111c26e3148f489f34f200d63ea0260452d8d10e0c4c526b",
+        "c5bee47ee59d208b04d105db9f987a420f0ed89168fef988d44d4601f0a5b0d6",
     ),
 ]
 
@@ -360,12 +360,12 @@ TRAJECTORY = {
     "page-adaptive": "93d37c219912b8c8c65a0ffa6af4a4d4ca2514d8220f7538a341ee9b2b5e7995",
     "page-theoretical": "574eb6ab79b365c35f15eb110bea92e91c771e2317252010635369b1cc61a474",
     "page-with-replacement": "7acbfa1648002e57c7e43304835161956f1bb831da075d52a254b56b76e65e07",
-    "zerosarah-adaptive": "ffa320ca20dc42da25c49952ee5edb3ff445ebe8bb675e012a0ada7131e003cb",
-    "zerosarah-theoretical": "8223f94159699f725a7ce1a4af0e814cb44e39da8045b5720f9f3999a5ecacdd",
+    "zerosarah-adaptive": "4c51abfeef7478f656296bbaf17c7e3dafb1e080d6f4eb859a8990f079c1a525",
+    "zerosarah-theoretical": "367e3ef7a1292ca3bfbcfe632c665b6ba9c65bc78d0b582c75b0aaef509e9a34",
     "lsvrg-adaptive": "f240f518833e5b8d5ae51313a2bd1a6b7ee03ad1fdd49fbea3d15b86928708cb",
     "lsvrg-with-replacement": "8b3ba39157daf036aba4f4ebb12ac8b237ab2e7ec416ae94a0ccf755836bf771",
-    "sega-adaptive": "862af73a1a5dbcb5743a316164ce624043aff90a5229dd7e65e1dad38e3ba0ce",
-    "jaguar-adaptive": "9e9646a74e9814c80a184ea602b910fad7b172c55e367a939ff807668b696247",
+    "sega-adaptive": "104161634df8a49c5b9bafe8363b444a7ba5653b07768cd8396162a6c0798805",
+    "jaguar-adaptive": "81a24ddcbbf18e2f61ffdc7980162e4677e4863253d13308cb92e116cfe97be9",
     "ef21-topk": "7d5df71439b8e3b50ebc5d7db93d34abc002f17e8cdeaf626288fbde0afc2a90",
     "dasha-randk": "54e2a0b648f6e62cf3717626f6c1c5773434e55a6f339f3582ad11a65d828ba3",
     "diana-randk": "f71c81344eb62ad9151bcf7590a70745783e61ac4c099545cca6e5c0f0c49282",
@@ -379,34 +379,34 @@ TRAJECTORY = {
     "dasha-quadratic": "d49b06dd57ffae11759a741ec726ad6c5ae249994da631f9f92162c3d39f83e9",
     "diana-quadratic": "e29aab5c4cfbce4eb0e52ec6676842f40e02d7ab046846dc9e5bbda3604d582a",
     "page-adam": "0318731d8570b52f4ad46d71280f07a418455e0703872ead97404f5ce5f81da7",
-    "zerosarah-tuned": "a34c80cd44c070d1fcedb8fb7745c6ed53d12643e0978f99ea8854c85838afcf",
+    "zerosarah-tuned": "79488c4f1ec4bf688ece360771d87519869fff583f180caec20837a2ef8157f4",
     "lsvrg-constant": "1e1c0c2d56d980eb580debaa2d343e72b0ccf12a75d066dc36d78833c7b14a1d",
-    "saga-pl-quadratic": "f72ec96684ac872cd6779255ecbe638404276643d5611f53045d4d775f0094e1",
-    "saga-quadratic": "7f65b30ec5b63791d6fb876ecbb4de6b71807e56d22b9ba42d8bdb10bf7de4d0",
-    "zerosarah-quadratic": "e56a3cec348a9aa7bc75e182d864c503c2906c775de5306a198ae6ab0762899b",
-    "lsvrg-quadratic": "0ff0bdc75787df07d92c7b6ea61e7a963d71b84eb21473d25b17066e56f47af7",
-    "page-quadratic": "3a7308365c1026c88f0bac575f8393a99b18f343c291781bdb99880b6729cf5b",
+    "saga-pl-quadratic": "0a1a2bfd79a50433e82288d9b6a576c3c8db3b23b14e1f3e4ed8a87ed5863592",
+    "saga-quadratic": "182769259b6056f186f98c2b7fcfb793fcfd7fe71e6e7a684767e4690185c02b",
+    "zerosarah-quadratic": "5d80f42fb21e94d1da276bf41ad2054bef292d9f7a20700d2a39d222bbc819c1",
+    "lsvrg-quadratic": "2b89dfdda7fb352095074b270dac1b215f081ac635875baf201737034cc5bf82",
+    "page-quadratic": "1b9e409166c23befe68b73db0bbffd4a0731dbdffec049c387f0c9f968031a27",
     "saga-quadratic-d1": "01c047bfcb3b5a36c6b25fe40143b220e3e8c244df1dc211c80d019be07e0d56",
     "zerosarah-quadratic-d1": "84f640acdda5bd5c953da199ce826b6b39229f9271ebac6f58986a43b0e26d72",
     "lsvrg-quadratic-d1": "8f65b92193c88e1b840aab7135b430d3c01a0e7ff8541d7586b3cd563feea625",
     "page-quadratic-d1": "0e9e4166c8b2f188d1c7217eeb0992dc6c610b3d9e9ee64ff290df5e16e6826f",
     "saga-ragged": "d3581929a33b62cee3c67d30e4978242793008d2f294d8f3a8a15983a58552c5",
-    "zerosarah-ragged": "05728c219f3f1361a9503ae64c1c461e994cd911b4f63fcbb48e3316814043b8",
+    "zerosarah-ragged": "25d0cd1254dfdd7adf2718eeae47d18000a6482e4aecd2dbcf316e047c3f9c9c",
     "lsvrg-ragged": "c99ad29f894e056c9b49ace4b98f4bf89b37410bc5b5e28d275850e66fc6255a",
     "page-ragged": "de05b8fd5fa10a5a9e332fd26026ac54217aee9f729b38f873ffca9893bab924",
-    "jaguar-ragged": "6de7dc743f0a9f415037cd9c7150294941d302b3175e7aa6b5430b25480fb492",
+    "jaguar-ragged": "e12a61b63cba56078cadd58c3cbe403c6103f9f64512850ac40b46c01a01851a",
     "saga-dominant": "5b778962c9b9682a06f8e6a562e9c6c7d47a101d3bd9112fbd04dc1eb62e3e0b",
-    "zerosarah-dominant": "879e8cb188637b9014e27127ca7d42212ba59ac897e645cf2d17b4b7edb966f2",
+    "zerosarah-dominant": "24d0912dd36984015d5a10f13a464066e3cb758018ce4b7f65f1250a9a0620ea",
     "lsvrg-dominant": "7cf977ba9e7926d58c75084000680d6f409886e8144e5e255e4572cd9cb0422f",
     "page-dominant": "29e4ceed55127e1099573e1481fd2fb0de534a7099605a35bd7c9fa5abf1dd5d",
     "page-dominant-with-replacement": "277225b7daee0f946a5cb02ce294905f681b31f084c878a2093e5765784182db",
     "lsvrg-dominant-with-replacement": "c677c9c11bfb258587ee529d587fdf5d593947fc37c0eaa3ffa4bf20a753e892",
     "jaguar-dominant": "9dd71f156b8bd5b8aff606d3dbc543910d1b46e102edc953be265987577a2336",
     "saga-dense-row": "c05535894068196b2b31a9f6374facd18c48a5a3ed1af78960eec5b9baf45327",
-    "zerosarah-dense-row": "5be99d93d8b0aa78a3500defd6a6d886a20bce51f0316b0e932119fe84e4e826",
+    "zerosarah-dense-row": "4f50b8ac250a70093ad18d2aed7e34ab1841d4375f05215dfe41af7e1cffb7fa",
     "lsvrg-dense-row": "287f1f4ca679f7c254ae34abe338aeab6029acc52bb8ecc157954f669a005d19",
     "page-dense-row": "497f50a3878f8f53cbcc6015ae54c6a69039a33a16b2195911dae5c92bf63959",
-    "jaguar-dense-row": "b23c67dc600f96f560efbed9bab848da5cbb297226c8b4b81bc5ca03dd0b0ec8",
+    "jaguar-dense-row": "7794d20971618da1176b5c43736041520a28f43cfcba8bdc15362c0ed3f751a2",
 }
 
 

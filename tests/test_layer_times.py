@@ -18,7 +18,9 @@ from vradapt.estimators import METHODS
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "layer_times.py"
 SETUP = ["read_text", "parse_libsvm", "parse_refused_line", "build", "smoothness", "parse_decimal"]
-RACE = ["step.saga", "step.page", "step.zerosarah", "component_rows.b64", "batch_sum.b64"]
+RACE = [
+    "step.saga", "step.page", "step.zerosarah", "draw.b64", "component_rows.b64", "batch_sum.b64",
+]
 
 
 @pytest.fixture(scope="module")

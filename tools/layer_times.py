@@ -27,10 +27,12 @@ Three tables follow, each row the best of ``--repeats``:
   ``step.<method>`` is one ``step`` of SAGA, PAGE and ZeroSARAH at their
   presets, the mean over ``perfbench.workloads.RACE_CHUNK_T`` steps from
   zero, each at x - g of the previous estimate g, the draws from
-  ``--seed``, so PAGE's full refreshes count at their rate.
-  ``component_rows.b64`` (the call a ZeroSARAH step makes, 64 rows at
-  two points) and ``batch_sum.b64`` (one sum over those rows) are each
-  the mean of 1000 calls.
+  ``engine.run_generator(--seed)`` as in a run, so PAGE's full
+  refreshes count at their rate.  ``draw.b64`` (a ZeroSARAH step's
+  batch, ``choice(4000, 64, replace=False)`` on that generator, its
+  block refills included), ``component_rows.b64`` (the call a ZeroSARAH
+  step makes, 64 rows at two points) and ``batch_sum.b64`` (one sum over
+  those rows) are each the mean of 1000 calls.
 * ``verify``, in us per Monte Carlo sample: ``verify.assumption_margin``
   on each method's ``verify.standard_margin_setup`` fixture (built
   outside the timing) at ``--states`` x ``--samples``, slowest first.
@@ -65,6 +67,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import workloads  # noqa: E402
 from vradapt import data, verify  # noqa: E402
+from vradapt.engine import run_generator  # noqa: E402
 from vradapt.estimators import METHODS, estimator_class, make_estimator  # noqa: E402
 from vradapt.problems import LogisticProblem  # noqa: E402
 
@@ -119,7 +122,7 @@ def step_us(problem, method, repeats, seed):
     best = float("inf")
     for _ in range(repeats):
         est = make_estimator(method, problem, np.zeros(problem.dim), hp)
-        rng, x = np.random.default_rng(seed), est.x
+        rng, x = run_generator(seed), est.x
         started = time.perf_counter()
         for _ in range(workloads.RACE_CHUNK_T):
             x = x - est.step(x, rng)
@@ -128,15 +131,17 @@ def step_us(problem, method, repeats, seed):
 
 
 def race_us(path, repeats, seed):
-    """The race table: each method's step, then one batch's oracle calls,
-    the best of ``repeats`` means over ``CALLS`` calls, in us per call."""
+    """The race table: each method's step, then one batch's draw and
+    oracle calls, the best of ``repeats`` means over ``CALLS`` calls, in
+    us per call."""
     problem = LogisticProblem(data.load_libsvm(path))
     times = {f"step.{m}": step_us(problem, m, repeats, seed) for m in RACE_METHODS}
-    rng = np.random.default_rng(seed)
+    rng = run_generator(seed)
     batch = rng.choice(problem.n_components, BATCH, replace=False)
     x, x_prev = 0.1 * rng.standard_normal((2, problem.dim))
     rows, (coefs, _) = problem.component_rows(batch, x, x_prev)
     calls = {
+        f"draw.b{BATCH}": lambda: rng.choice(problem.n_components, BATCH, replace=False),
         f"component_rows.b{BATCH}": lambda: problem.component_rows(batch, x, x_prev),
         f"batch_sum.b{BATCH}": lambda: problem.batch_sum(rows, coefs),
     }
