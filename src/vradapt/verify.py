@@ -89,13 +89,12 @@ def assumption_margin(
 ):
     """Check both error recursions at frozen states.
 
-    States are the estimator's own trajectory under the registered
-    constant step size; at each state, fresh sampling randomness drives
-    ``samples_per_point`` one-step transitions to a fixed candidate
-    point, drawn SAMPLE_BLOCK at a time from the state's ``sampler``,
-    and the empirical means are compared with the right-hand sides.
-    The trajectory takes ``state_points - 1`` steps: none after the
-    last state, whose successor no row reads.
+    The loop reads three parts: ``_states``, the estimator's own
+    trajectory under the registered constant step size; ``_candidate``,
+    the one point each state's transitions step to; and ``_sampled``,
+    ``samples_per_point`` such transitions from fresh sampling
+    randomness.  Each state's empirical means are compared with the
+    right-hand sides by ``_row``.
     The registered tuple is the one the estimator built from
     ``hyperparams`` reports (``registered``).  ``constants_override``
     evaluates the inequalities with a different tuple (the trajectory
@@ -122,37 +121,17 @@ def assumption_margin(
     traj_rng = np.random.default_rng([seed, 0x7E57])
 
     report = MarginReport(method=method, alignment=alignment, constants=cons, gamma=gamma)
-    for sp in range(state_points):
-        if sp:
-            # advance the trajectory by one natural step
-            est.step(est.x - gamma * est.g, traj_rng)
-        x_prev = est.x
-        g_prev = est.g
-        prev_err = float(np.sum((g_prev - problem.full_grad(x_prev)) ** 2))
-        sigma_prev = est.sigma_sq()
-
-        if est.probe_state == sp:
-            x_cand = x_prev + (PROBE_SCALE / L) * (problem.full_grad(x_prev) - g_prev)
-        else:
-            x_cand = x_prev - gamma * g_prev
-        dx2 = float(np.sum((x_cand - x_prev) ** 2))
+    states = _states(est, problem.full_grad, gamma, state_points, traj_rng)
+    for sp, (prev_err, sigma_prev, grad_prev) in enumerate(states):
+        x_cand = _candidate(est, sp, grad_prev, gamma, L)
+        dx2 = float(np.sum((x_cand - est.x) ** 2))
         grad_cand = problem.full_grad(x_cand)
-
         rng = np.random.default_rng([seed, 1 + sp])
-        err_new = np.empty(samples_per_point)
-        sigma_new = np.empty(samples_per_point)
-        draw = est.sampler(x_cand)
-        for start in range(0, samples_per_point, SAMPLE_BLOCK):
-            block = slice(start, min(start + SAMPLE_BLOCK, samples_per_point))
-            G, sigma_new[block] = draw(rng, block.stop - start)
-            err_new[block] = ((G - grad_cand) ** 2).sum(axis=1)
+        err_new, sigma_new = _sampled(est.sampler(x_cand), grad_cand, samples_per_point, rng)
 
-        if alignment == "next":
-            coupled = sigma_new
-        elif alignment == "cross":
-            coupled = est.shift_mismatch(x_cand)
-        else:
-            coupled = sigma_prev
+        # the sigma^2 the first inequality's A-term couples to (``alignment``)
+        coupled = (sigma_new if alignment == "next" else
+                   est.shift_mismatch(x_cand) if alignment == "cross" else sigma_prev)
         base1 = (1.0 - cons.rho1) * prev_err + cons.B * L2 * dx2
         margins1 = err_new - (base1 + cons.A * coupled)
         rhs1 = base1 + cons.A * float(np.mean(coupled))
@@ -160,9 +139,40 @@ def assumption_margin(
 
         if alignment != "none":
             rhs2 = (1.0 - cons.rho2) * sigma_prev + cons.C * L2 * dx2
-            margins2 = sigma_new - rhs2
-            report.rows.append(_row(method, 2, sp, float(sigma_new.mean()), rhs2, margins2))
+            report.rows.append(_row(method, 2, sp, float(sigma_new.mean()), rhs2, sigma_new - rhs2))
     return report
+
+
+def _states(est, full_grad, gamma, count, rng):
+    """The registered trajectory: ``count`` states of ``est``, one natural
+    step (drawn from ``rng``) apart and none after the last.  At each, with
+    ``est`` frozen there, its squared estimate error, its sigma^2 and the
+    exact gradient, computed once."""
+    for sp in range(count):
+        if sp:
+            est.step(est.x - gamma * est.g, rng)
+        grad = full_grad(est.x)
+        yield float(np.sum((est.g - grad) ** 2)), est.sigma_sq(), grad
+
+
+def _candidate(est, sp, grad, gamma, L):
+    """The point a state's transitions step to: the natural step, or at
+    the class's ``probe_state`` a short step along the estimate error."""
+    if est.probe_state == sp:
+        return est.x + (PROBE_SCALE / L) * (grad - est.g)
+    return est.x - gamma * est.g
+
+
+def _sampled(draw, grad, samples, rng):
+    """Per-sample squared error against ``grad`` and sigma^2 of
+    ``samples`` transitions, drawn SAMPLE_BLOCK at a time from one
+    sampler's ``draw``."""
+    err, sigma = np.empty(samples), np.empty(samples)
+    for start in range(0, samples, SAMPLE_BLOCK):
+        block = slice(start, min(start + SAMPLE_BLOCK, samples))
+        G, sigma[block] = draw(rng, block.stop - start)
+        err[block] = ((G - grad) ** 2).sum(axis=1)
+    return err, sigma
 
 
 def _row(method, inequality, sp, lhs, rhs, margins):

@@ -309,6 +309,18 @@ class TestAssumptionMargins:
         calls = self.counted_run("saga", monkeypatch, state_points=states, samples_per_point=1000)
         assert calls["step"] == states - 1
 
+    def test_probe_state_reads_its_exact_gradient_once(self, monkeypatch):
+        # EF21 probes at state 1, along the estimate error: its candidate
+        # reuses the state's exact gradient, so state 1 calls full_grad no
+        # more often than state 0, which takes the natural step
+        assert estimator_class("ef21").probe_state == 1
+        one, two = (
+            self.counted_run("ef21", monkeypatch, state_points=states, samples_per_point=1000)
+            for states in (1, 2)
+        )
+        assert one["full_grad"] > 0
+        assert two["full_grad"] - one["full_grad"] <= one["full_grad"]
+
     def test_sample_floor_enforced(self):
         problem, hp = standard_margin_setup("saga")
         with pytest.raises(ValueError, match="^samples_per_point must be >= 1000, got 999$"):

@@ -36,8 +36,10 @@ Three tables follow, each row the best of ``--repeats``:
 * ``verify``, in us per Monte Carlo sample: ``verify.assumption_margin``
   on each method's ``verify.standard_margin_setup`` fixture (built
   outside the timing) at ``--states`` x ``--samples``, slowest first.
-  The default, 1 x 1000, is what the benchmark's verify workload times;
-  ``--states 10`` is its checked round.  The last row, ``weighted``, is
+  Each row is the best of ``--repeats`` rounds, the methods taking their
+  rounds in turn, and a round repeats the run back to back for at least
+  ``ROUND_S`` (20 ms).  The default, 1 x 1000, is what the benchmark's
+  verify workload times; ``--states 10`` is its checked round.  The last row, ``weighted``, is
   the rows' geometric mean weighted as the benchmark weighs verify
   ``us_per_step``, by each method's Monte Carlo transitions (``STEPS``).
 
@@ -83,6 +85,8 @@ SETUP = (
 )
 RACE_METHODS = ("saga", "page", "zerosarah")
 BATCH, CALLS = 64, 1000
+# the least time one timed round of a verify row runs, in s
+ROUND_S = 0.02
 UNITS = {"setup": "ms", "race": "us", "verify": "us/sample"}
 # the benchmark's verify round: every method at its states x samples, and
 # EF21 also at its C x 0.5 mutation probe
@@ -150,24 +154,32 @@ def race_us(path, repeats, seed):
     return times
 
 
-def us_per_sample(method, states, samples, repeats, seed):
-    """Best of ``repeats`` timed ``assumption_margin`` runs, in us per
-    Monte Carlo sample."""
+def margin_round(method, states, samples, seed):
+    """A call that times one round of back-to-back ``assumption_margin``
+    runs on the method's fixture, in us per Monte Carlo sample.  A round
+    holds as many runs as take at least ``ROUND_S`` (doubled from one
+    until they do): a single run at the default settings is about a
+    millisecond, too short to read alone."""
     problem, hp = verify.standard_margin_setup(method)
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        verify.assumption_margin(
-            method, hp, problem, state_points=states, samples_per_point=samples, seed=seed
-        )
-        best = min(best, time.perf_counter() - started)
-    return best / (states * samples) * 1e6
+    timer = timeit.Timer(lambda: verify.assumption_margin(
+        method, hp, problem, state_points=states, samples_per_point=samples, seed=seed
+    ))
+    number = 1
+    while timer.timeit(number) < ROUND_S:
+        number *= 2
+    return lambda: timer.timeit(number) / (number * states * samples) * 1e6
 
 
 def verify_us(states, samples, repeats, seed):
-    """The verify table: each method, slowest first, then ``weighted``,
-    the rows' geometric mean weighted by ``STEPS``."""
-    times = {m: us_per_sample(m, states, samples, repeats, seed) for m in METHODS}
+    """The verify table: each method's best of ``repeats`` rounds, slowest
+    first, then ``weighted``, the rows' geometric mean weighted by
+    ``STEPS``.  The methods take their rounds in turn, so a burst of load
+    on the host costs one round of several rows, not every round of one."""
+    rounds = {m: margin_round(m, states, samples, seed) for m in METHODS}
+    times = dict.fromkeys(METHODS, float("inf"))
+    for _ in range(repeats):
+        for m, timed in rounds.items():
+            times[m] = min(times[m], timed())
     logs = sum(STEPS[m] * math.log(t) for m, t in times.items())
     table = {m: times[m] for m in sorted(times, key=times.get, reverse=True)}
     table["weighted"] = math.exp(logs / sum(STEPS[m] for m in times))
