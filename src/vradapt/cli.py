@@ -75,10 +75,9 @@ def _load_config(path, flag_seed):
 
 @contextlib.contextmanager
 def _checked_output(path):
-    """Run the work in the block with the output ``path`` checked first:
-    opened to append, which makes a missing file and leaves an existing
-    one as it is, so that a path that cannot be written fails before the
-    work.  If the work fails, a file made here is removed again."""
+    """Run the work in the block after opening ``path`` to append, which
+    makes a missing file and leaves an existing one as it is; a file made
+    here is removed again if the work fails."""
     made = not os.path.exists(path)
     with opened(path, "a"):
         pass

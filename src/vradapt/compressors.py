@@ -9,33 +9,13 @@ Two operator families, each with a registered quality constant:
 
 The constants are registered at construction rather than estimated; the
 check_* functions validate a registration on vectors of the operator's
-own ``dim``, empirically (or, unbiased within ``_subset_table``'s size,
-over every outcome).  A method's compressor answers to the check of the
-constant its estimator reads (``quality``: delta or omega).
+own ``dim``.  A method's compressor answers to the check of the constant
+its estimator reads (``quality``: delta or omega).
 
-``compress`` is the one-vector operator, selecting by a full sort.
-Next to it, each operator has a batched ``sample_dense(V, rng)``: the
-dense outputs of ``compress`` for every vector along the last axis of
-V, with fresh randomness per vector, drawn vector by vector in C order.
-The client-server estimators, the Monte Carlo verifier and the contract
-checks all compress through it; ``compress`` is the reference the tests
-hold ``sample_dense`` to.  The exact unbiased check runs rand-k's own
-``sample_dense`` over every subset, under ``_EveryOutcome``: a stand-in
-generator whose one draw is each subset's index in turn.  The
-client-server samplers run it in its per-client form, once per state,
-over the ``_outcome_count`` outcomes (one for an operator that draws
-nothing): every client's message under each outcome, which each Monte
-Carlo draw picks from with the integers ``sample_dense`` would draw.
-Top-k selects through ``_threshold_drop``: a mask of the entries past
-each row's k-th place in the sort, found by a partition threshold
-unless a tie straddles that place (or a NaN is present), so
-``sample_dense`` keeps the sort's coordinates bit for bit.  The
-identity is top-k at k = d.  Rand-k's kept sets, and the estimators'
-Monte Carlo batches and coordinate sets (each ``draw`` of a
-``sampler``), come from ``_draw_subsets``: one uniform integer per
-subset into a cached table of all k-subsets, or, where the table would
-pass 1 MiB, the first k positions of an argsort of uniforms.  Both
-calls reject vectors whose length is not the operator's ``dim``.
+``compress`` is the one-vector operator and the reference; the batched
+``sample_dense(V, rng)`` is what the client-server estimators, the Monte
+Carlo verifier and the contract checks compress through.  Both reject
+vectors whose length is not the operator's ``dim``.
 """
 
 from __future__ import annotations
@@ -118,7 +98,8 @@ def _draw_subsets(rng, n, k, shape, mask=False):
     index rows (*shape, k) or, with ``mask``, bool masks (*shape, n):
     one ``rng.integers`` index each into ``_subset_table`` (rows come
     sorted), or where there is none, the first k positions of an argsort
-    of uniforms ``rng.random((*shape, n))``."""
+    of uniforms ``rng.random((*shape, n))``.  Rand-k's kept sets and the
+    samplers' batches and coordinate sets are all drawn here."""
     table = _subset_table(n, k)
     if table is not None:
         return table[mask].take(rng.integers(0, len(table[0]), size=shape), axis=0)
@@ -135,10 +116,11 @@ class _EveryOutcome:
     size=(C,))``, returns ``arange(C)``.  In its per-client form,
     ``integers(0, C, size=(C, n))``, row s is s for each of n clients,
     so a (C, n, d) stack of n clients' vectors is compressed under
-    every outcome, one row per outcome.  Any other call is a ValueError
-    naming it (any other method, at its lookup), so an operator that
-    draws otherwise fails loudly rather than being judged on outcomes
-    that are not all of its own."""
+    every outcome, one row per outcome: the exact unbiased check and
+    the samplers' outcome tables (``_client_rows``) run under it.  Any
+    other call is a ValueError naming it (any other method, at its
+    lookup), so an operator that draws otherwise fails loudly rather
+    than being judged on outcomes that are not all of its own."""
 
     def integers(self, low, high, size=None):
         if low != 0 or not isinstance(size, tuple) or len(size) not in (1, 2) or size[0] != high:
@@ -162,23 +144,17 @@ class TopK:
         self.delta = self.dim / self.k
 
     def compress(self, x, rng=None) -> CompressedVector:
-        """Keep the k coordinates of largest magnitude, values unchanged.
-
-        Ties break toward the lowest index, so the output is a deterministic
-        function of x.
-        """
+        """Keep the k coordinates of largest magnitude, values unchanged;
+        ties break toward the lowest index."""
         x = _check_length(x, self.dim, vector=True)
         # stable sort on negated magnitude: equal magnitudes keep index order
         kept = np.sort(np.argsort(-np.abs(x), kind="stable")[: self.k])
         return CompressedVector(kept.astype(np.int64), x[kept], self.dim)
 
     def sample_dense(self, V, rng=None) -> np.ndarray:
-        """``compress(v).to_dense()`` for every v along the last axis of V,
-        with the same lowest-index tie break.
-
-        Each row keeps the first k positions of the stable argsort of
-        -|v| (NaN ranks last), found by ``_threshold_drop``.
-        """
+        """``compress(v).to_dense()`` for every v along the last axis of V:
+        each row keeps the first k positions of the stable argsort of -|v|
+        (NaN ranks last), found by ``_threshold_drop``."""
         V = _check_length(V, self.dim)
         return np.where(_threshold_drop(-np.abs(V), self.k, "stable"), 0.0, V)
 
@@ -194,27 +170,19 @@ class RandK:
         self.omega = self.dim / self.k
 
     def compress(self, x, rng) -> CompressedVector:
-        """Keep k coordinates drawn uniformly without replacement, rescaled by d/k.
-
-        The rescaling makes the operator unbiased; its second moment is
-        exactly (d/k) ||x||^2.  The kept set is one ``_draw_subsets``
-        draw, as each row of ``sample_dense`` draws it, so from one
-        generator state the two keep the same subset.
-        """
+        """Keep k coordinates drawn uniformly without replacement, rescaled
+        by d/k, which makes the operator unbiased with second moment
+        exactly (d/k) ||x||^2.  The kept set is one ``_draw_subsets`` draw."""
         x = _check_length(x, self.dim, vector=True)
         kept = np.sort(_draw_subsets(rng, self.dim, self.k, ())).astype(np.int64)
         return CompressedVector(kept, self.omega * x[kept], self.dim)
 
     def sample_dense(self, V, rng) -> np.ndarray:
         """Independent ``compress`` outputs, dense, for every vector along
-        the last axis of V: each keeps k distinct positions drawn
-        uniformly.
-
-        The kept sets are drawn as one ``_draw_subsets`` block of masks,
-        vector by vector in C order, so the kept sets, and the rng's
-        stream, are those of ``compress``.  Scaled after the select, so
-        only kept entries are multiplied (and can overflow).
-        """
+        the last axis of V: the kept sets are one ``_draw_subsets`` block
+        of masks, vector by vector in C order, so the kept sets, and the
+        rng's stream, are those of ``compress``.  Scaled after the select,
+        so only kept entries are multiplied (and can overflow)."""
         V = _check_length(V, self.dim)
         out = np.where(_draw_subsets(rng, self.dim, self.k, V.shape[:-1], mask=True), V, 0.0)
         out *= self.omega
@@ -297,13 +265,11 @@ def check_unbiased_contract(compressor, trials, rng) -> dict:
     """Validate an unbiased registration.
 
     For a compressor with a ``k`` whose k-subsets of range(dim) fit in
-    ``_subset_table`` (the size rule the samplers draw by) the mean and
-    second moment are computed over all outcomes: the rows of one
+    ``_subset_table``, the mean and second moment are exact: one
     ``sample_dense`` call on C copies of the probe under
-    ``_EveryOutcome``, one row per subset (standard errors 0, so the
-    tolerance is 1e-12, float summation only); otherwise both are
-    sampled, ``trials`` draws in one ``sample_dense`` call, and judged
-    against 3 standard errors.
+    ``_EveryOutcome``, one row per subset, judged to 1e-12 (float
+    summation only).  Otherwise both are sampled, ``trials`` draws in
+    one ``sample_dense`` call, and judged against 3 standard errors.
     """
     omega = _registered(compressor, "omega")
     d = compressor.dim

@@ -77,16 +77,10 @@ def parse_libsvm(source, force_dim=None, limit=None) -> Dataset:
     index seen.  ``limit`` keeps only the first ``limit`` rows.
 
     A stream is read whole; lines end at ``\\n`` only, as when a file or
-    ``StringIO`` is iterated.  The one-pass parser (``_split_rows``)
-    encodes the text once as ASCII bytes, each character past ASCII as
-    one ``?``, cuts blocks of lines from them by the byte offsets of the
-    line ends, and reads plain decimals without Python; its decimal
-    stage runs only on a batch of numbers that holds a dot.  A block it
-    does not accept goes alone through the line parser, which names its
-    line: one that holds a data row with such a character, a blank line
-    of Unicode whitespace, a comment whose ``#`` follows such
-    whitespace, or a bad row.  Both give the same arrays, bit for bit,
-    for any text they accept.
+    ``StringIO`` is iterated.  Two parsers give the same arrays, bit for
+    bit, for any text they both accept (``_split_rows``): a numpy byte
+    pass over blocks of lines, and the line parser, which takes a block
+    the byte pass refuses and names the bad line.
     """
     text = source if isinstance(source, str) else source.read()
     raw_labels, counts, indices, values = _split_rows(text, limit)
@@ -106,10 +100,12 @@ def _split_rows(text, limit=None):
     block of ``BLOCK_LINES`` lines at a time, up to the block that
     meets ``limit``.  The text is encoded once (``_encode``); a block
     is the byte range between two of its line ends, and takes one numpy
-    pass over those bytes (``_split_block``).  One that the pass refuses
-    goes alone, as its lines, through ``_parse_lines``, which raises
-    ``LibsvmParseError`` naming the bad line by its number in ``text``:
-    no other block is split into lines."""
+    pass over those bytes (``_split_block``).  A block the pass refuses
+    (a data row with a character past ASCII, a blank line of Unicode
+    whitespace, a comment whose ``#`` follows such whitespace, or a bad
+    row) goes alone, as its lines, through ``_parse_lines``, which
+    raises ``LibsvmParseError`` naming the bad line by its number in
+    ``text``: no other block is split into lines."""
     raw, newlines = _encode(text)
     parts = [(np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
     rows = 0
@@ -158,9 +154,11 @@ def _split_block(raw, newlines, room):
     block's line ends there.  ValueError unless every feature token is
     <index>:<value>, every number reads as ``float``/``int`` reads it
     and is finite, and each row's indices are >= 1 and strictly
-    increasing; OverflowError for an index beyond int64.  A token is a run of bytes between whitespace; the first on a
-    line is its row's label, and a row whose label starts with ``#`` is
-    a comment.  Each character past ASCII reads as one ``?``, which is
+    increasing; OverflowError for an index beyond int64.
+
+    A token is a run of bytes between whitespace; the first on a line is
+    its row's label, and a row whose label starts with ``#`` is a
+    comment.  Each character past ASCII reads as one ``?``, which is
     no digit, sign, dot, colon, ``#`` or whitespace: a data row that
     holds one fails the colon check or a number read, and a comment row
     that holds one stays on this pass."""
@@ -236,9 +234,7 @@ def _fast_numbers(buf, lo, width, dotted):
     (no dot unless ``dotted``) with at most _FAST_DIGITS digits.  Their
     digits form an exact mantissa M < 2**53, and M / 10**f, one IEEE
     division of two exact numbers (Clinger's fast path), is the
-    correctly rounded value that ``float`` returns.  The decimal stage
-    runs only on a batch that holds a dot, the sign stage only on one
-    that holds a minus sign."""
+    correctly rounded value that ``float`` returns."""
     # row k holds each number's k-th byte, counted only where k < width
     span = np.arange(width.max(), dtype=np.uint8)[:, None]
     width = width.astype(np.uint8)
@@ -392,7 +388,7 @@ def csv_layout(row_type):
 
 
 def _universal_newlines(text):
-    # the test first: a two-character search costs ~1 ms per MB of text
+    # the test first: one search for "\r" is cheaper than the two it skips
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 

@@ -228,9 +228,7 @@ class TraceRow:
     columns (``CSV_HEADER``, written by ``csv_layout``); the loss and
     gradient norm are exact, ``est_err`` is the distance of the estimate
     from the exact gradient, the error the registered constants bound,
-    and ``wall_ms`` is read before the row's own gradient pass.  A
-    ``Trace`` keeps a row's values, not the row, and builds a row
-    again on each access."""
+    and ``wall_ms`` is read before the row's own gradient pass."""
 
     t: int
     loss: float
@@ -398,7 +396,7 @@ def _step_rule(config, registered, problem):
 def _norm(v):
     """Euclidean norm of a 1-D float vector: sqrt(v . v), the expression
     ``np.linalg.norm`` evaluates for one, bit for bit, without its
-    dispatch (about a third of its time per call)."""
+    dispatch, which costs more than a short vector's product."""
     return math.sqrt(v.dot(v))
 
 
@@ -529,7 +527,7 @@ def run(config, problem=None):
 
 
 def _derived_seed(base_seed, combo):
-    import hashlib  # here, not at the top: OpenSSL's 3.5 MiB, which constants never needs
+    import hashlib  # here, not at the top: it loads OpenSSL, which constants never needs
 
     text = str(base_seed) + "".join(f"|{k}={v!r}" for k, v in combo)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
@@ -565,9 +563,8 @@ def sweep(base, grid, jobs=1):
     the sorted key/value combination.  Either way results are independent
     of execution order and of jobs.  A cell whose config is rejected
     (OSError or ValueError) or whose sizes cannot be allocated
-    (MemoryError) does not stop the others: its result has
-    status ``invalid``, no trace, and the message in
-    ``summary["error"]``.
+    (MemoryError) does not stop the others: its result has status
+    ``invalid``, no trace, and the message in ``summary["error"]``.
     """
     configs = _sweep_configs(base, grid)
     if jobs <= 1 or len(configs) <= 1:

@@ -1,15 +1,8 @@
 """Stochastic gradient estimators with registered recursion constants.
 
-Every estimator is a stateful object built from a starting point by one
-full gradient pass (so the initial estimate is exact and the auxiliary
-error starts at zero); each step takes the next iterate and returns the
-next estimate g^t.  ``GradientEstimator`` owns that lifecycle; a method
-writes only its update rule and what it keeps of the opening pass.  The
-client-server methods (EF21, DIANA, DASHA) run one recursion on
-(n_clients, d) client arrays and differ only in the message each client
-compresses and the damping of the state it moves by it
-(``_ClientServerEstimator``).
-
+Every estimator starts from one full gradient pass, so its initial
+estimate is exact and its auxiliary error zero; each step takes the
+next iterate and returns the next estimate g^t (``GradientEstimator``).
 Each method registers a tuple (rho1, rho2, A, B, C) describing the two
 coupled error recursions its update rule satisfies:
 
@@ -22,11 +15,8 @@ coupled error recursions its update rule satisfies:
 where sigma^2 is the method's auxiliary error (table staleness, shift
 mismatch, retained compression error, ...) and L is the uniform
 component smoothness bound.  The tuples depend only on method
-hyperparameters, never on L or data; the verify module validates them
-empirically.
-
-``ESTIMATORS`` is the method table: each class declares what the rest of
-the package knows about its method (see ``GradientEstimator``).
+hyperparameters, never on L or data; ``verify.assumption_margin``
+checks them empirically.  ``ESTIMATORS`` is the method table.
 """
 
 from __future__ import annotations
@@ -120,10 +110,8 @@ def _check_clients(n):
 
 def _draw_batch(rng, n, b, with_replacement=False):
     """b uniform indices below n: with replacement, or else b distinct
-    ones by ``rng.choice``.  On a plain ``Generator``, as the verifier's
-    trajectory and direct ``step`` callers pass, that is numpy's O(b)
-    draw; on ``engine.run_generator``, which ``engine.run`` passes, it is
-    the next row of a block of such draws where b(b - 1) <= 2n."""
+    ones by ``rng.choice``, which ``engine.run_generator`` serves from a
+    block when b is small."""
     if with_replacement:
         return rng.integers(0, n, size=b)
     return rng.choice(n, b, replace=False)
@@ -162,37 +150,28 @@ class GradientEstimator:
     The base class owns the lifecycle.  ``__init__`` books the opening
     full pass (``grad_calls`` = n) and takes g^0 from ``_opening_pass()``,
     by default ``full_grad`` at the starting point.  ``step(x_t, rng)``
-    coerces x_t, takes g^t from ``_update(x_t, rng)``, stores g^t and a
-    copy of x_t, and returns g^t.  ``g`` is the current estimate,
-    ``registered`` the registered tuple and ``sigma_sq()`` 0.0.  A method
-    writes:
+    takes g^t from ``_update(x_t, rng)``, stores it as ``g`` and a copy
+    of x_t as ``x``, and returns it.  A method writes:
 
     * ``_update(x_t, rng)``: with ``self.x`` and ``self.g`` still the
       previous point and estimate, update the method memory and the
       oracle-call ledger from fresh randomness and return g^t;
     * ``_opening_pass()``, if it keeps memory: build it from the full
       pass at ``self.x`` and return g^0;
-    * ``sampler(x_cand)``: the pure, vectorised counterpart for the
-      Monte Carlo verifier.  It computes, once, every oracle value that
-      the draws from the current state to ``x_cand`` share, and returns
-      ``draw(rng, S)``: S independent draws of ``step(x_cand, rng)`` from
-      that state, which stays as it is (ledger included).  ``draw``
-      returns ``(G, sigma)``: the S next estimates, shape (S, d), and the
-      auxiliary error ``sigma_sq()`` would report after each, shape (S,);
-      it may be called any number of times.  A sampler reads the state
-      as it was when it was built, and is valid until the next ``step``.
-      A client-server method's draws add per-client rows, gathered
-      from a table of every outcome or compressed per draw (see
-      ``_ClientServerEstimator``).  The others keep dense stacks (on the
-      20x10 verify fixtures a row of a 256-draw block costs about
-      0.19 us for SAGA and 0.17 us for SEGA, stepping a clone 27 us and
-      18 us; numpy 2.4 on a shared 2-core x86-64 VM): each draw only
-      gathers or masks the shared values.  The randomness is drawn
-      in whole arrays, so the stream differs from S calls of ``step``,
-      not the distribution;
-    * ``sigma_sq()``, if it has an auxiliary sequence: its auxiliary
-      error at the current state (diagnostic; may cost a full pass, so
-      the optimizer loop never calls it).
+    * ``sampler(x_cand)``: the Monte Carlo verifier's vectorised step.
+      It computes, once, the oracle values that the draws from the
+      current state to ``x_cand`` share, and returns ``draw(rng, S)``,
+      which leaves the state (ledger included) as it is and returns S
+      independent draws of ``step(x_cand, rng)`` as ``(G, sigma)``: the
+      next estimates, (S, d), and the ``sigma_sq()`` after each, (S,).
+      ``draw`` may be called any number of times until the next
+      ``step``; each only gathers or masks the shared values
+      (``_client_rows``), far cheaper than stepping a clone.  Its
+      randomness is drawn in whole arrays, so the stream differs from S
+      calls of ``step``, not the distribution;
+    * ``sigma_sq()``, if it has an auxiliary sequence (else 0.0): its
+      auxiliary error at the current state (diagnostic; may cost a full
+      pass, so the optimizer loop never calls it).
 
     Its entry in the method table: ``method``; ``hyperparams`` (name ->
     default, None if required); ``size``, what bounds its batch (``"n"``
@@ -334,13 +313,11 @@ class LSVRG(GradientEstimator):
 
 
 class _TableEstimator(GradientEstimator):
-    """A gradient table held as coefficients: ``coefs[i]`` holds the
-    coefficient of the last gradient of f_i seen (``Problem``), one float
-    per component on a linear model (n floats, not one per stored entry
-    of A) and a (d,) row on the quadratic.  A step reads and writes back
-    its batch's coefficients by index and sums each difference over the
-    gathered rows with one ``problem.batch_sum`` call, so a stored entry
-    v enters as v * (c - c'): on binary values that is v * c - v * c' bit
+    """A gradient table held as coefficients (``Problem``): ``coefs[i]``
+    is the coefficient of the last gradient of f_i seen.  A step reads
+    and writes back its batch's coefficients by index and sums each
+    difference with one ``problem.batch_sum`` call, so a stored entry v
+    enters as v * (c - c'): on binary values that is v * c - v * c' bit
     for bit, on others it may round apart in the last bit.  ``table`` is
     the dense (n, d) view for diagnostics and the verifier, built from
     ``coefs`` on each read: each row is ``component_grads`` at the
@@ -363,8 +340,7 @@ class _TableEstimator(GradientEstimator):
 
 class SAGA(_TableEstimator):
     """Gradient-table estimator; sampled rows are re-evaluated at the
-    current point and written back after each estimate.  The table holds
-    coefficients (see ``_TableEstimator``)."""
+    current point and written back after each estimate."""
 
     method = "saga"
     fixture = {"b": 4}
@@ -451,8 +427,7 @@ class ZeroSARAH(_TableEstimator):
     refresh after the first pass; the table correction is mixed in with
     weight lambda = b/(2n).  The chain mean over a batch, of cur - prev,
     and lambda times the control mean over the same rows, of prev - old,
-    are one mean, of (cur - prev) + lambda (prev - old): one batch sum.
-    The table holds coefficients (see ``_TableEstimator``)."""
+    are one mean, of (cur - prev) + lambda (prev - old): one batch sum."""
 
     method = "zerosarah"
     fixture = {"b": 4}
@@ -506,43 +481,26 @@ _COMPRESSOR_KINDS = {
 
 class _ClientServerEstimator(GradientEstimator):
     """The simulated client/server methods: one recursion, in which a
-    method sets only the message a client sends and the damping of the
-    state it moves by it.
+    method sets only the message a client sends (``_message``, by
+    default the residual against its state) and the damping of the
+    state it moves by it (``_damp``).
 
     Clients are index groups over a partition of the components
-    (``groups``); the server weights each client by its share of the
-    components (``weights``), the plain average for equal groups.
-    ``problem.group_grads(groups)`` builds, once, the client pass that
-    gives every client's gradient in one call.
-
-    State is held as (n_clients, d) arrays, row j for client j:
-    ``client_grads`` (the gradients at the current point) and
-    ``client_state`` (each client's running estimate of its gradient;
-    DIANA's shift); ``server_state`` is their share-weighted sum.  A
-    step compresses every client's ``_message(grads)`` (by default the
-    residual against its state), computed from the client pass, in one
-    ``compressor.sample_dense`` call, so a random compressor draws
-    client by client from one rng.  With ``agg`` the share-weighted sum
-    of the compressed messages, the estimate is ``server_state + agg``
-    and the client states move by ``_damp(dense)``; a step also moves
-    the server state by ``_damp(agg)``.  EF21 and DASHA move by the
-    messages themselves (damping 1: ``server_state`` is the estimate);
-    DIANA divides them by omega + 1.  Reductions over clients run in
-    client order, so aggregation is bitwise reproducible.
-
-    A sampler makes the client pass and the message once.  A draw adds
-    ``_client_rows`` client by client from -0.0, (n_clients, S, d + 1):
-    each client's weighted message after compression, then its weighted
-    squared gap to its gradient after it; the sums a step makes, bit for
-    bit.  A message compresses to one of C outcomes: the
-    ``_subset_table`` kept sets of ``RandK``, or 1 for a compressor that
-    draws nothing (``compressors._outcome_count``).  Where C is known and
-    the (n_clients, C, d + 1) table fits ``_SUBSET_TABLE_BYTES``, the
-    sampler lists every outcome once when it is made (``_EveryOutcome``),
-    and a draw gathers the rows its ``rng.integers(0, C, size=(S,
-    n_clients))`` picks, the call the step's ``sample_dense`` makes (none
-    for C = 1, whose one outcome serves every draw).  Otherwise each draw
-    compresses the message's (S, n_clients, d) broadcast.
+    (``groups``), weighted by their share of the components
+    (``weights``); ``problem.group_grads(groups)`` builds, once, the
+    client pass that gives every client's gradient in one call.  State
+    is (n_clients, d) arrays, row j for client j: ``client_grads`` (at
+    the current point) and ``client_state`` (each client's running
+    estimate of its gradient; DIANA's shift); ``server_state`` is their
+    share-weighted sum.  A step compresses every client's message in one
+    ``compressor.sample_dense`` call, client by client from one rng.
+    With ``agg`` the share-weighted sum of the compressed messages, the
+    estimate is ``server_state + agg``, the client states move by
+    ``_damp(dense)`` and the server state by ``_damp(agg)``: EF21 and
+    DASHA by the messages themselves, DIANA by them over omega + 1.
+    Sums over clients run in client order (``_server_sum``), so
+    aggregation is bitwise reproducible.  A sampler's draws add
+    ``_client_rows``.
 
     The initial pass is sent dense (d values per client); afterwards
     each client sends k (index, value) pairs per step, in a separate
@@ -587,10 +545,8 @@ class _ClientServerEstimator(GradientEstimator):
     def _opening_pass(self):
         problem = self.problem
         self.weights = np.array([len(g) / problem.n_components for g in self.groups])
-        # every client's local gradient at x, stacked (n_clients, d);
-        # callers keep the ledger
+        # every client's gradient at x, (n_clients, d); callers keep the ledger
         self._client_grads = problem.group_grads(self.groups)
-        # the initial full pass, each client's gradient sent dense
         self.client_grads = self._client_grads(self.x)
         self.bits_dense += self.n_clients * problem.dim * self.value_bits
         self.client_state = self.client_grads.copy()
@@ -660,8 +616,6 @@ class _ClientServerEstimator(GradientEstimator):
             if table is None:
                 rows = self._client_rows(grads, message, S, rng)
             else:
-                # a compressor that draws nothing has one outcome, the same in
-                # every draw: one row of picks, drawn from no rng, serves all S
                 picks = rng.integers(0, count, size=(S, n)) if randomized else np.zeros((1, n), int)
                 # (n, S) flat rows, or (n, 1): the gather comes out client first
                 rows = table.take(picks.T + offsets, axis=0)
@@ -674,10 +628,22 @@ class _ClientServerEstimator(GradientEstimator):
         return draw
 
     def _client_rows(self, grads, message, count, rng):
-        """The (n_clients, count, d + 1) rows the sampler adds, client first:
-        row [j, c] is client j's weighted message under the c-th of ``count``
-        compressions drawn from ``rng``, then its weighted squared gap to its
-        gradient after it."""
+        """The (n_clients, count, d + 1) rows a draw adds client by client
+        from -0.0: row [j, c] is client j's weighted message under the c-th
+        of ``count`` compressions drawn from ``rng``, then its weighted
+        squared gap to its gradient after it, so the sums are a step's bit
+        for bit.
+
+        A message compresses to one of C outcomes
+        (``compressors._outcome_count``: the ``_subset_table`` kept sets of
+        ``RandK``, 1 for a compressor that draws nothing).  Where C is
+        known and the (n_clients, C, d + 1) table fits
+        ``_SUBSET_TABLE_BYTES``, the sampler lists every outcome once when
+        it is made (``_EveryOutcome``), and a draw gathers the rows its
+        ``rng.integers(0, C, size=(S, n_clients))`` picks, the call a
+        step's ``sample_dense`` makes; for C = 1 one row of picks, drawn
+        from no rng, serves every draw.  Otherwise each draw compresses S
+        broadcasts of the message here."""
         n, d = message.shape
         dense = self.compressor.sample_dense(np.broadcast_to(message, (count, n, d)), rng)
         rows = np.empty((n, count, d + 1))
@@ -701,10 +667,9 @@ class EF21(_ClientServerEstimator):
     alignment = "next"
     probe_state = 1
     fixture = {"n_clients": 10, "compressor": "topk", "k": 1}
-    # an equal-curvature quadratic (every component eigenvalue equal): the
-    # client errors line up and the adversarial probe state has
-    # analytically known margins; on a generic spectrum the probe's
-    # discriminating power is not guaranteed
+    # an equal-curvature quadratic: the client errors line up and the probe
+    # state has analytically known margins; on a generic spectrum the probe
+    # may not discriminate
     fixture_eigs = (2.0, 2.0)
 
     @staticmethod
@@ -870,10 +835,8 @@ def estimator_class(method):
 
 def constants(method, **hp) -> VRConstants:
     """Registered recursion constants for a method: its class's
-    ``registration``, which checks the hyperparameters it reads (lsvrg,
-    page: b, p and optionally n; saga, zerosarah: b, n; sega, jaguar: b,
-    d; ef21: delta or d, k; diana, dasha: omega or d, k, and n_clients).
-    sigma^2 is normalized 1/n over components (or clients)."""
+    ``registration``, which checks the hyperparameters its signature
+    names.  sigma^2 is normalized 1/n over components (or clients)."""
     return estimator_class(method).registration(**hp)
 
 

@@ -1,23 +1,9 @@
-"""Finite-sum objectives with full, component, and coordinate gradient oracles.
+"""Finite-sum objectives f(x) = (1/n) sum_i f_i(x) with full, component
+and coordinate gradient oracles (``Problem``).
 
-Every objective here has the form
-
-    f(x) = (1/n) * sum_i f_i(x)
-
-and exposes, next to the plain loss, three gradient oracles: the full
-gradient, per-component gradients, and per-coordinate partial derivatives
-of f.  Instances do not change after construction, so they can be shared
-freely between concurrent runs; the exceptions are the logistic
-problem's last margin pass, one immutable pair that is replaced whole
-and that threads may share, and its L and A^T, each built on first use.
-
-Only the logistic problem runs on scipy, and on ``scipy.sparse`` alone.
-Its two scipy names are bound to None at import and to scipy's own
-objects by ``_import_scipy``, which ``LogisticProblem`` runs first thing
-when one is built or unpickled, so ``import vradapt``, quadratic
-problems and the commands that use only them (``verify``, ``constants``,
-a quadratic ``run``) load no scipy, and a logistic run loads no
-``scipy.special``: its sigmoid is numpy's (``_logistic_weights``).
+A problem does not change after construction, so concurrent runs may
+share one; ``LogisticProblem`` names what it builds on first use.  Only
+the logistic problem runs on scipy (``_import_scipy``).
 """
 
 from __future__ import annotations
@@ -32,9 +18,12 @@ _sparsetools = csr_matrix = None
 
 
 def _import_scipy():
-    """Bind the two scipy names above to ``scipy.sparse``'s objects:
-    about 0.3 s cold, once per process, as later calls find the module
-    loaded.  Each call binds them again, so a name patched before a
+    """Bind the two names above, None at import, to ``scipy.sparse``'s
+    objects.  ``LogisticProblem`` calls it when one is built or
+    unpickled, so ``import vradapt``, quadratic problems and the commands
+    that use only them (``verify``, ``constants``, a quadratic ``run``)
+    load no scipy, which would be most of a short command's start-up
+    time and memory.  Each call binds the names again, so a name patched before a
     problem is built is not kept."""
     global _sparsetools, csr_matrix
     from scipy.sparse import _sparsetools, csr_matrix
@@ -44,44 +33,36 @@ class Problem:
     """Base class for averaged finite-sum objectives.
 
     Subclasses provide ``dim``, ``n_components`` and ``smoothness`` and
-    implement every oracle at a point x but ``all_component_grads``,
-    which is defined here; each oracle takes only a point of shape
-    (dim,) (``_point``).
+    every oracle but ``all_component_grads``; each oracle takes only a
+    point of shape (dim,) (``_point``).
 
     A component gradient is a coefficient times a fixed map: grad f_i(x)
-    = J_i^T c_i(x).  On a linear model J_i is the row a_i and c_i(x) one
-    scalar; on the quadratic J_i is the identity and c_i(x) the (dim,)
-    gradient itself.  The batch oracles work on coefficients, so a
-    caller that keeps or differences gradients keeps or differences
-    coefficients, and sums a batch once:
+    = J_i^T c_i(x), with J_i the row a_i and c_i(x) one scalar on a
+    linear model, J_i the identity and c_i(x) the (dim,) gradient on the
+    quadratic.  The batch oracles work on coefficients, so a caller that
+    keeps or differences gradients keeps or differences coefficients,
+    and sums a batch once:
 
-    * ``loss(x)``: the objective f(x);
+    * ``loss(x)``, ``full_grad(x)``: the objective f and its gradient;
     * ``component_rows(indices, *points)``: ``(rows, coefs)``, the
       batch's rows gathered once and, for each point, the coefficients
-      c_i there: an array ``coefs`` of shape (len(points), len(indices))
-      on a linear model, (len(points), len(indices), dim) on the
-      quadratic;
-    * ``batch_sum(rows, coefs)``: for one such coefficient array over
-      the gathered rows, (len(indices),) or (len(indices), dim), the
-      (dim,) sum sum_i J_i^T coefs[i], each entry added in batch order
-      from +0.0; a repeated index adds twice;
+      there, shape (len(points), len(indices)) or, on the quadratic,
+      (len(points), len(indices), dim);
+    * ``batch_sum(rows, coefs)``: for one point's coefficients, the
+      (dim,) sum of J_i^T coefs[i] in batch order (``_ordered_sum``,
+      ``_rmatvec``); a repeated index adds twice;
     * ``dense_rows(indices, coefs)``: the gradients J_i^T coefs[i],
-      dense, (len(indices), dim);
-    * ``component_grads(indices, x)``: gradient stack, (len(indices), dim),
-      ``dense_rows`` at the coefficients at x;
-    * ``all_component_grads(x)``: the stack over all n components;
-    * ``full_grad(x)``: the gradient of f;
+      (len(indices), dim); ``component_grads(indices, x)`` and
+      ``all_component_grads(x)``: those at x, for a batch or all n;
     * ``partials(x, coords)``: coordinate derivatives of f, each
       bit-equal to that entry of ``full_grad(x)``;
-    * ``group_grads(groups)``: built once per list of disjoint
-      component index groups, a function x -> (len(groups), dim) whose
-      row j is the gradient of the average of f_i over group j.
+    * ``group_grads(groups)``: for disjoint component index groups, a
+      function x -> (len(groups), dim) whose row j is the gradient of
+      the average of f_i over group j.
 
-    ``smoothness`` is the uniform component smoothness bound: every f_i
-    (and hence f) has an L-Lipschitz gradient with this L.  Only the
-    fixed steps taken from L read it (``engine._step_rule``: theoretical,
-    tuned, pl) and the verifier; the quadratic sets it when built, the
-    logistic problem computes it on the first read.
+    ``smoothness`` is the uniform component smoothness bound L: every
+    f_i has an L-Lipschitz gradient.  Only the fixed steps taken from L
+    (``engine._step_rule``) and the verifier read it.
     """
 
     dim: int
@@ -119,21 +100,19 @@ class QuadraticProblem(Problem):
         return float(0.5 * (self.mean_eigs * z * z).sum() + self.f_star)
 
     def component_rows(self, indices, *points):
-        # the coefficients are the gradients: J_i is the identity
         rows = np.asarray(indices)
         eigs = self.eigs[rows]
         return rows, np.array([eigs * (_point(x, self.dim) - self.x_star) for x in points])
 
     def batch_sum(self, rows, coefs):
-        """Column sums of the (len(rows), dim) coefficients, in row order
-        from +0.0 (``_ordered_sum``)."""
+        """Column sums of the (len(rows), dim) coefficients (``_ordered_sum``)."""
         return _ordered_sum(_point(coefs, len(rows), self.dim), 0.0)
 
     def dense_rows(self, indices, coefs):
         return np.reshape(coefs, (len(indices), self.dim)).copy()
 
     def component_grads(self, indices, x):
-        # take gives the rows fancy indexing does, about 1 us sooner (20 x 10)
+        # take gives the rows fancy indexing does, with less overhead a call
         return self.eigs.take(indices, axis=0) * (_point(x, self.dim) - self.x_star)
 
     def full_grad(self, x):
@@ -178,88 +157,38 @@ def make_quadratic(n_components, dim, seed=0, eig_range=(0.5, 2.0), cond=1.0):
 
 
 class LogisticProblem(Problem):
-    """Binary logistic regression over a sparse design matrix.
+    """Binary logistic regression over a sparse design matrix A:
+    f_i(x) = log(1 + exp(-y_i <a_i, x>)) with labels y_i in {-1, +1}.
 
-    f_i(x) = log(1 + exp(-b_i <a_i, x>)) with labels b_i in {-1, +1};
-    the objective is the average over rows.  The smoothness constant is
-    the largest eigenvalue of (1/(4n)) A^T A, found by 200 power
-    iterations from a seeded start (``_power_iteration``) on the first
-    read of ``smoothness`` and kept (``functools.cached_property``): a
-    run whose step rule reads L pays for it once per problem, and an
-    adaptive, Adam or constant run never does.
+    A component's coefficient (``Problem``) is its loss weight
+    -y_i * sigma(-y_i <a_i, x>) (``_logistic_weights``), one float, so a
+    table over every component holds n floats.  Products with A run
+    ``_matvec``, products with A^T ``_rmatvec``, and a batch's rows come
+    from ``_gather``: a batch costs its own stored entries, and every
+    gradient oracle equals the plain scipy CSR expression bit for bit
+    (those three and ``_scatter`` say how).  Storage, unpadded:
 
-    ``loss`` takes the loss from the margins m as mean(log1p(exp(-|m|))
-    - min(m, 0)), one vectorised expression over the margins the pass
-    keeps (``_mean_logistic_loss``).  That is the formula inside
-    ``np.logaddexp(0, -m)``, which makes scalar libm calls per entry;
-    numpy's vectorised ``exp`` and ``log1p`` take about a fifth of its
-    time (4000 margins, x86-64) and round differently, by at most 2 ulp
-    per entry (equal at m = +-0, +-inf, nan and +-710).
-    The loss weights take numpy's ``exp`` too (``_logistic_weights``),
-    and differ from ``scipy.special``'s sigmoid in the same way.
-
-    scipy (``csr_matrix`` and the kernels of ``_sparsetools``, both from
-    ``scipy.sparse``) comes from one import, ``_import_scipy``, which
-    ``__init__`` and ``__setstate__`` run before anything else, so an
-    instance built or unpickled in a process that has not imported scipy
-    finds it bound; every helper these methods call runs after it.
-
-    Storage, shared by every oracle; no layout is padded:
-
-    * ``X``: the dataset's CSR arrays (``indptr``, ``indices``,
-      ``values``) as a CSR matrix (n x d), not concatenated again
-      (scipy may narrow the index arrays to int32), built at
-      construction.  Its stored entries are the only copy of A the
-      problem holds until ``partials`` is called: every product with
-      all of A or A^T reads them, and ``component_rows`` gathers the
-      batch's rows from them, which ``batch_sum`` then reads.
-    * ``_row_nnz``: the stored entries per row of ``X``.
+    * ``X``: the dataset's CSR arrays as a CSR matrix (n x d), not copied
+      (scipy may narrow the index arrays to int32), and ``_row_nnz``,
+      its stored entries per row.  Until ``partials`` is called, ``X``
+      holds the only copy of A.
     * ``XT``, ``_col_nnz``: A^T as a CSR matrix (d x n), a transposed
-      view of A's CSC arrays, one stored row per feature, and its
-      stored entries per row.  They are built on the first ``partials``
-      call (JAGUAR, SEGA), the one oracle that gathers features, and
-      kept (``functools.cached_property``); a run that never calls it
-      holds no second copy of A.
+      view of A's CSC arrays, and its stored entries per row, built on
+      the first ``partials`` call (JAGUAR, SEGA), the one oracle that
+      gathers features; a run that never calls it holds no second copy.
+    * ``smoothness``: L, computed on the first read, so a run whose step
+      rule reads L pays once, an adaptive, Adam or constant run never.
+    * ``_scratch``: the last margin pass (``_margin_pass``), which
+      ``loss``, ``full_grad``, ``partials`` and every ``group_grads``
+      function read, so the oracles called at one point pass over the
+      rows once (a trace record after a step, SEGA's partials at its
+      previous point).
 
-    Every product reads CSR arrays, after a check of the vector's
-    shape, and calls scipy's C kernel without the operator's dispatch:
-    a product with A (the margin pass, a batch's margins) is
-    ``_matvec``, the kernel behind ``X @ x``; a product with A^T is
-    ``_rmatvec``, the kernel behind ``X.T @ w``, which adds each
-    feature's terms in row order from +0.0, so its sums are ``XT @ w``'s
-    bit for bit.  ``_rmatvec`` is the one A^T kernel: ``full_grad``,
-    each ``group_grads`` stack and the power iteration's second product
-    run it on X's own arrays, ``batch_sum`` on a batch's rows.
-    ``_gather`` takes a batch of rows of either matrix as CSR arrays of
-    its own, with the gather behind ``X[idx]``.  A component's
-    coefficient is its loss weight -y_i * sigma(-y_i * <a_i, x>)
-    (``_logistic_weights``), one float, so a table over every component
-    holds n of them, and ``batch_sum`` adds one coefficient array over
-    the gathered rows, ``X[idx].T @ c``; a step that sums several
-    differences (ZeroSARAH's two) calls it once for each.  So a batch
-    costs its own entries, a row with every feature costs only its own
-    step, and every sum runs left to right from +0.0 in the order of
-    ``X @ x``, ``XT @ w`` and ``X[idx].T @ c``.
-
-    ``_scratch`` is the last margin pass, the margins m = y * (X @ x)
-    and weights w = -y * sigma(-m), keyed by x's bytes: one immutable
-    pair, replaced whole, that threads may share and a copy carries.
-    ``loss``, ``full_grad``, ``partials`` and every ``group_grads``
-    function read it, so the oracles called at one point pass over the
-    rows once (a trace record after a step, SEGA's partials at its
-    previous point).
-    It and the lazy L and ``XT`` are the only things an instance builds
-    after construction; two threads that race to build L or ``XT`` build
-    equal values.
-
-    Every gradient oracle result is bit-identical, down to the sign of
-    zeros, to the plain scipy CSR expressions (``X[idx]`` -> ``.multiply``
-    -> ``.toarray()``, ``X.T @ w``, ``X[idx].T @ c``, a per-column
-    ``getcol`` loop): each sum runs left to right over a row's stored
-    entries, in the order of the sparse kernels, and gradient entries
-    land on +0.0 as in scipy's sparse-to-dense conversion.  Reordering a
-    sum (BLAS on a dense copy, ``.sum(axis=1)``, ``np.add.reduceat``)
-    moves results in the last bit and with them every trace hash.
+    ``XT``, L and ``_scratch`` are all an instance builds after
+    construction, so threads may share one: ``_scratch`` is one
+    immutable pair replaced whole, and two threads that race to build L
+    or ``XT`` build equal values.  ``__init__`` and ``__setstate__`` run
+    ``_import_scipy`` before anything else.
     """
 
     POWER_ITERATIONS = 200
@@ -327,11 +256,11 @@ class LogisticProblem(Problem):
 
     def _margin_pass(self, x):
         """``(m, w)`` at x: the margins m = y * (X @ x) and the weights
-        w = -y * sigma(-m), whose column sums over n are the gradient.
-        The pair ``(key, (m, w))`` for the last x, keyed by x's bytes,
-        is read once and replaced whole, so a thread gets arrays of its
-        own key, and an x changed in place is passed again; x is checked
-        first, so a point of another shape with the same bytes raises."""
+        w = -y * sigma(-m), kept in ``_scratch`` as ``(key, (m, w))``,
+        keyed by x's bytes.  It is read once and replaced whole, so a
+        thread gets arrays of its own key, and an x changed in place is
+        passed again; x is checked first, so a point of another shape
+        with the same bytes raises."""
         x = _point(x, self.dim)
         key = x.tobytes()
         scratch = self._scratch
@@ -420,12 +349,9 @@ def _scatter(rows, coefs, dim):
 def _gather(A, nnz, rows):
     """Rows ``rows`` of the CSR matrix A, whose rows hold ``nnz`` stored
     entries each: the CSR arrays ``(indptr, cols, values)`` of
-    ``A[rows]``, each row's stored entries in order.
-
-    The only caller of ``csr_row_index``, scipy's private gather behind
-    ``A[rows]``.  The gather checks no bounds, so the rows are checked
-    here; a negative row counts from the end, as in ``A[rows]``.
-    """
+    ``A[rows]``, by ``csr_row_index``, the gather behind ``A[rows]``, of
+    which this is the only caller.  The gather checks no bounds, so the
+    rows are checked here; a negative row counts from the end."""
     rows = np.asarray(rows, dtype=np.intp)
     lengths = nnz[rows]  # IndexError outside [-n, n), as A[rows]
     rows = (rows % len(nnz)).astype(A.indptr.dtype)
@@ -444,13 +370,15 @@ def _ordered_sum(A, start):
     (+0.0 would turn a column of -0.0 into +0.0); only where NaNs of both
     signs meet in one entry may the NaN that survives differ.
 
-    The layout rule: a caller puts the summed axis first.  numpy adds a
-    contiguous reduced axis pairwise, and a strided one slab by slab, so
-    the sum is one reduce over a C-ordered copy of A, in which numpy adds
-    m whole contiguous slabs one after another; a caller that makes A in
-    that layout skips the copy.  Where a slab holds one element, the
-    summed axis is the contiguous one, so the sum is a ``cumsum`` from a
-    ``start`` slab (a reduce costs about a third of the ``cumsum``).
+    The in-order rule every dense batch, client and Monte Carlo sum keeps:
+    any other order (numpy's pairwise sum, BLAS) moves results in the
+    last bit, and with them every pinned trace hash.  A caller puts the
+    summed axis first.  numpy adds a contiguous reduced axis pairwise and
+    a strided one slab by slab, so the sum is one reduce over a C-ordered
+    copy of A, which adds m whole slabs one after another; a caller that
+    makes A in that layout skips the copy.  Where a slab holds one
+    element, the summed axis is the contiguous one, so the sum is a
+    ``cumsum`` from a ``start`` slab; elsewhere the cheaper reduce.
     """
     A = np.ascontiguousarray(A)
     if A.size == len(A):  # one element per slab, or no slabs
@@ -471,10 +399,12 @@ def _point(v, *shape):
 def _matvec(indptr, indices, data, v, n_cols, out=None):
     """A @ v for the CSR matrix A with arrays ``(indptr, indices, data)``
     and ``n_cols`` columns, by ``csr_matvec``, the kernel scipy's ``A @ v``
-    runs, called without the operator's dispatch (about 3 us a product).
-    The kernel adds each row's terms left to right onto ``out``, zeros (a
-    fresh array if not given), so each sum starts from +0.0; it checks no
-    bounds, so v is checked here.  The only caller of that kernel."""
+    runs, called without the operator's dispatch, which costs more than
+    a batch's product.  The kernel adds each row's terms left to right
+    onto ``out``, zeros (fresh if not given), so each sum starts from
+    +0.0, and the margins are those of ``X @ x`` and ``X[idx] @ x`` bit
+    for bit.  It checks no bounds, so v is checked here.  The only
+    caller of that kernel."""
     v = _point(v, n_cols)
     if out is None:
         out = np.zeros(len(indptr) - 1)
@@ -488,15 +418,17 @@ def _rmatvec(indptr, indices, data, w, n_out):
     behind scipy's ``A.T @ w``: those arrays are A.T's CSC arrays.  The
     kernel adds A's rows in order, each term onto its column's entry of
     fresh zeros, so each entry's sum runs in row order from +0.0, the
-    order ``_matvec`` runs on A.T's own CSR arrays.  It checks no
-    bounds, so w is checked here.  The only caller of that kernel."""
+    order ``_matvec`` runs on A.T's own CSR arrays: ``X.T @ w``,
+    ``XT @ w`` and a batch's ``X[idx].T @ c`` bit for bit.  The one A^T
+    kernel: ``full_grad``, ``group_grads``, the power iteration and
+    ``batch_sum`` run it.  It checks no bounds, so w is checked here."""
     w = _point(w, len(indptr) - 1)
     out = np.zeros(n_out)
     _sparsetools.csc_matvec(n_out, len(w), indptr, indices, data, w, out)
     return out
 
 
-# 0-d arrays: numpy takes them about 0.2 us a call sooner than floats
+# 0-d arrays: numpy converts a Python float on every call, an array never
 _MINUS_ONE, _EXP_CAP = np.array(-1.0), np.array(709.78)
 
 
@@ -504,16 +436,19 @@ def _logistic_weights(y, m):
     """The loss weights -y * sigma(-m) at the margins m, one expression:
     y / (-1 - exp(m)), which is -y / (1 + exp(m)) bit for bit, as y is
     +-1.  exp's argument is capped at 709.78, where it is still finite,
-    so no margin warns of overflow (by timeit the cap costs less than
-    ``np.errstate``): a weight past it is about 5.6e-309 with -y's sign,
-    not a zero.  By timeit the expression is also cheaper than in-place
-    ``out=`` steps at a (2, 64) batch, and as cheap at 4000 rows."""
+    so no margin warns of overflow (the cap is cheaper than
+    ``np.errstate``, and one expression than in-place ``out=`` steps): a
+    weight past it is about 5.6e-309 with -y's sign, not a zero.  With
+    numpy's ``exp`` a run loads no ``scipy.special``, whose sigmoid
+    rounds apart."""
     return y / (_MINUS_ONE - np.exp(np.minimum(m, _EXP_CAP)))
 
 
 def _mean_logistic_loss(m):
     """mean(log(1 + exp(-m))) over the margins m, stable at any m:
-    mean(log1p(exp(-|m|)) - min(m, 0))."""
+    mean(log1p(exp(-|m|)) - min(m, 0)), the formula inside
+    ``np.logaddexp(0, -m)`` as one vectorised expression, not scalar
+    libm calls per entry; it rounds apart by at most 2 ulp per entry."""
     return float((np.log1p(np.exp(-np.abs(m))) - np.minimum(m, 0.0)).mean())
 
 

@@ -1,19 +1,17 @@
 """Step-size rules: theoretical constants, the parameter-free adaptive
 schedule, and an Adam baseline.
 
-The theoretical rules take a method's recursion constants and the
-smoothness bound L and return a single safe step size; the constants
-enter every rule here through their coupling ratio
-(``VRConstants.coupling``).  The adaptive
-rule needs no L at all: it divides a fixed numerator by a growing power
-of the accumulated squared estimate norms, so it starts large and decays
-exactly as fast as the observed gradient energy dictates.
+The theoretical rules take a method's recursion constants, through
+their coupling ratio (``VRConstants.coupling``), and the smoothness
+bound L, and return one safe step size.  The adaptive rule needs no L:
+it divides a fixed numerator by a growing power of the accumulated
+squared estimate norms, so it starts large and decays as fast as the
+observed gradient energy dictates.
 
 A run steps with a rule object, ``FixedStep``, ``AdaptiveAccumulator``
 or ``AdamState``: ``advance(g_t)`` returns ``(gamma_t, update)``, the
-update additive (x <- x + update; -gamma_t * g_t for the first two),
-and ``stationary`` is true once the iterate can no longer move.  Adam runs
-at its usual decay rates; only its learning rate is a setting.
+update additive (x <- x + update), and ``stationary`` is true once the
+iterate can no longer move.
 """
 
 from __future__ import annotations
@@ -172,12 +170,8 @@ class AdamState:
         self.v = np.zeros(self.dim)
 
     def advance(self, g_t):
-        """One bias-corrected Adam update: ``(lr, update)``, the update
-        ADDITIVE, i.e. the caller applies x <- x + update.
-
-        With g = (1.0,) and lr = 0.1 the first update is about -0.1 (the
-        bias-corrected ratio m_hat/sqrt(v_hat) is g/|g| up to the offset).
-        """
+        """One bias-corrected Adam update: ``(lr, update)``; the first is
+        about -lr * sign(g), as m_hat / sqrt(v_hat) starts at g / |g|."""
         g_t = np.asarray(g_t, dtype=float)
         self.t += 1
         self.m = _M_DECAY * self.m + (1.0 - _M_DECAY) * g_t

@@ -6,11 +6,6 @@ then Monte-Carlo-estimates the conditional expectations in the two
 recursions at each state, comparing against the registered constants and
 the problem's exact smoothness bound.  Quadratic fixtures only: the
 right-hand sides need an L that is exact, not estimated.
-
-The samples at a state are drawn in vectorised blocks of SAMPLE_BLOCK
-transitions from one ``sampler`` of the estimator per state: the oracle
-values every draw at the state shares are computed once, each block
-only draws, and the frozen state stays untouched.
 """
 
 from __future__ import annotations
@@ -44,9 +39,7 @@ PROBE_SCALE = 0.1
 # Monte Carlo transitions per ``draw`` of a state's sampler: large enough
 # to leave the interpreter out of the per-sample cost, small enough to
 # keep each block's arrays small (the client-server gathers, (n_clients,
-# block, d + 1), and the dense stacks of the other methods).  The sampler's
-# shared work, the client-server outcome tables included, is paid once
-# per state, not once per block.
+# block, d + 1), and the dense stacks of the other methods).
 SAMPLE_BLOCK = 256
 
 
@@ -89,18 +82,17 @@ def assumption_margin(
 ):
     """Check both error recursions at frozen states.
 
-    The loop reads three parts: ``_states``, the estimator's own
-    trajectory under the registered constant step size; ``_candidate``,
-    the one point each state's transitions step to; and ``_sampled``,
-    ``samples_per_point`` such transitions from fresh sampling
-    randomness.  Each state's empirical means are compared with the
-    right-hand sides by ``_row``.
-    The registered tuple is the one the estimator built from
-    ``hyperparams`` reports (``registered``).  ``constants_override``
-    evaluates the inequalities with a different tuple (the trajectory
-    and step size stay registered), which is how the mutation test
-    works.  The trajectory starts next to ``problem.x_opt``, so the
-    problem must have a known optimum (a quadratic fixture).
+    The loop walks the estimator's own trajectory under the registered
+    constant step size (``_states``), steps each state to one point
+    (``_candidate``) ``samples_per_point`` times from fresh sampling
+    randomness (``_sampled``), and compares the empirical means with the
+    right-hand sides (``_row``).  The registered tuple is the one the
+    estimator built from ``hyperparams`` reports (``registered``).
+    ``constants_override`` evaluates the inequalities with a different
+    tuple (the trajectory and step size stay registered), which is how
+    the mutation test works.  The trajectory starts next to
+    ``problem.x_opt``, so the problem must have a known optimum (a
+    quadratic fixture).
     """
     state_points = check_count("state_points", state_points)
     samples_per_point = check_count("samples_per_point", samples_per_point, least=1000)
